@@ -81,7 +81,7 @@ type Cluster struct {
 	minShards int
 	workers   []*worker
 	store     *kvstore.Client
-	batcher   *serve.Batcher[serve.Query, coalescedResult]
+	batcher   *serve.Batcher[serve.Query, serve.Result[*Report]]
 
 	mu sync.Mutex
 	//texlint:guards mu
@@ -347,12 +347,21 @@ func (r *Report) Summary() *wire.SearchSummary {
 	return s
 }
 
-// shardResult is one worker's contribution to a scatter-gather search.
+// shardResult is one worker's contribution to a scatter-gather search: a
+// single report (opSearch) or one per query (opSearchBatch).
 type shardResult struct {
 	rep *engine.Report
 	bat *engine.BatchReport
 	el  float64
 	err error
+}
+
+// query returns the shard's report for query qi.
+func (r *shardResult) query(qi int) *engine.Report {
+	if r.bat != nil {
+		return r.bat.Reports[qi]
+	}
+	return r.rep
 }
 
 // Search scatters the query to every live shard in parallel and merges the
@@ -363,80 +372,11 @@ type shardResult struct {
 //
 //texlint:deterministic
 func (c *Cluster) Search(feats *blas.Matrix, kps []sift.Keypoint) (*Report, error) {
-	results := make([]shardResult, len(c.workers))
-	var wg sync.WaitGroup
-	for i, w := range c.workers {
-		wg.Add(1)
-		go func(i int, w *worker) {
-			defer wg.Done()
-			var rep *engine.Report
-			el, err := c.do(w, opSearch, func() (float64, error) {
-				r, err := w.eng.Search(feats, kps)
-				if err != nil {
-					return 0, err
-				}
-				rep = r
-				return r.ElapsedUS, nil
-			})
-			results[i] = shardResult{rep: rep, el: el, err: err}
-		}(i, w)
-	}
-	wg.Wait()
-
-	merged := &Report{BestID: -1, ShardsTotal: len(c.workers), PerWorker: make([]float64, len(results))}
-	var firstErr error
-	for i, r := range results {
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: worker %d: %w", i, r.err)
-			}
-			merged.PerWorker[i] = -1
-			continue
-		}
-		merged.ShardsAnswered++
-		merged.Compared += r.rep.Compared
-		merged.PerWorker[i] = r.el
-		if r.el > merged.ElapsedUS {
-			merged.ElapsedUS = r.el
-		}
-		merged.Ranked = append(merged.Ranked, r.rep.Ranked...)
-	}
-	if err := c.checkQuorum(merged.ShardsAnswered, firstErr); err != nil {
+	reps, err := c.scatter(opSearch, []*blas.Matrix{feats}, [][]sift.Keypoint{kps})
+	if err != nil {
 		return nil, err
 	}
-	merged.Partial = merged.ShardsAnswered < merged.ShardsTotal
-	if merged.Partial {
-		c.mPartialSearches.Inc()
-	}
-	if merged.ElapsedUS > 0 {
-		merged.Speed = float64(merged.Compared) / (merged.ElapsedUS * 1e-6)
-	}
-	c.mSearches.Inc()
-	c.mComparisons.Add(float64(merged.Compared))
-	c.mSearchLatency.Observe(merged.ElapsedUS / 1000)
-	if feats != nil {
-		top, ok := match.Identify(merged.Ranked, c.cfg.Engine.Match)
-		merged.Ranked = match.RankResults(merged.Ranked)
-		if len(merged.Ranked) > 32 {
-			merged.Ranked = merged.Ranked[:32]
-		}
-		merged.BestID = top.RefID
-		merged.Score = top.Score
-		merged.Accepted = ok
-	}
-	return merged, nil
-}
-
-// checkQuorum enforces the MinShards floor on a merged search.
-func (c *Cluster) checkQuorum(answered int, firstErr error) error {
-	if answered == 0 {
-		return fmt.Errorf("cluster: no shard answered: %w", firstErr)
-	}
-	if answered < c.minShards {
-		return fmt.Errorf("cluster: only %d/%d shards answered, need %d: %w",
-			answered, len(c.workers), c.minShards, firstErr)
-	}
-	return nil
+	return reps[0], nil
 }
 
 // SearchBatch scatters a batch of queries to every live shard (each worker
@@ -447,39 +387,57 @@ func (c *Cluster) checkQuorum(answered int, firstErr error) error {
 //
 //texlint:deterministic
 func (c *Cluster) SearchBatch(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint) ([]*Report, error) {
+	return c.scatter(opSearchBatch, queryFeats, queryKps)
+}
+
+// scatter is the one scatter + merge behind Search and SearchBatch. op
+// selects the worker call — Engine.Search of the only query, or
+// Engine.SearchBatch — and is the name the fault injector keys its
+// schedule on, so the two stay distinct operations on the wire.
+//
+//texlint:deterministic
+func (c *Cluster) scatter(op string, queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint) ([]*Report, error) {
 	results := make([]shardResult, len(c.workers))
 	var wg sync.WaitGroup
 	for i, w := range c.workers {
 		wg.Add(1)
-		go func(i int, w *worker) {
+		go func(r *shardResult, w *worker) {
 			defer wg.Done()
-			var br *engine.BatchReport
-			el, err := c.do(w, opSearchBatch, func() (float64, error) {
-				b, err := w.eng.SearchBatch(queryFeats, queryKps)
+			r.el, r.err = c.do(w, op, func() (float64, error) {
+				if op == opSearch {
+					rep, err := w.eng.Search(queryFeats[0], queryKps[0])
+					if err != nil {
+						return 0, err
+					}
+					r.rep = rep
+					return rep.ElapsedUS, nil
+				}
+				bat, err := w.eng.SearchBatch(queryFeats, queryKps)
 				if err != nil {
 					return 0, err
 				}
-				br = b
-				return b.ElapsedUS, nil
+				r.bat = bat
+				return bat.ElapsedUS, nil
 			})
-			results[i] = shardResult{bat: br, el: el, err: err}
-		}(i, w)
+		}(&results[i], w)
 	}
 	wg.Wait()
 
 	answered := 0
 	var firstErr error
 	for i, r := range results {
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: worker %d: %w", i, r.err)
-			}
-			continue
+		if r.err == nil {
+			answered++
+		} else if firstErr == nil {
+			firstErr = fmt.Errorf("cluster: worker %d: %w", i, r.err)
 		}
-		answered++
 	}
-	if err := c.checkQuorum(answered, firstErr); err != nil {
-		return nil, err
+	if answered == 0 {
+		return nil, fmt.Errorf("cluster: no shard answered: %w", firstErr)
+	}
+	if answered < c.minShards {
+		return nil, fmt.Errorf("cluster: only %d/%d shards answered, need %d: %w",
+			answered, len(c.workers), c.minShards, firstErr)
 	}
 	partial := answered < len(c.workers)
 	if partial {
@@ -495,12 +453,13 @@ func (c *Cluster) SearchBatch(queryFeats []*blas.Matrix, queryKps [][]sift.Keypo
 			Partial:        partial,
 			PerWorker:      make([]float64, len(results)),
 		}
-		for wi, r := range results {
+		for wi := range results {
+			r := &results[wi]
 			if r.err != nil {
 				merged.PerWorker[wi] = -1
 				continue
 			}
-			rep := r.bat.Reports[qi]
+			rep := r.query(qi)
 			merged.Compared += rep.Compared
 			merged.PerWorker[wi] = r.el
 			if r.el > merged.ElapsedUS {

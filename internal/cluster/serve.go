@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"fmt"
-
 	"texid/internal/blas"
-	"texid/internal/knn"
 	"texid/internal/serve"
 	"texid/internal/sift"
 )
@@ -18,23 +15,10 @@ import (
 // attribution differs (a coalesced query's ElapsedUS is its batch's
 // completion time).
 
-// coalescedResult pairs a per-query report with a per-query error so one
-// malformed query in a coalesced batch fails alone instead of poisoning the
-// queries it happened to share a scatter pass with.
-type coalescedResult struct {
-	rep *Report
-	err error
-}
-
 // newBatcher builds the admission layer over the cluster's scatter-gather
-// paths. Coalesced execution requires the RootSIFT algorithm (the only
-// batchable 2-NN variant); other algorithms — and mixed phantom/real
-// batches — transparently fall back to per-query fan-out while keeping the
-// same admission accounting.
-func (c *Cluster) newBatcher(opts serve.Options) *serve.Batcher[serve.Query, coalescedResult] {
-	batchable := c.cfg.Engine.Algorithm == knn.RootSIFT
-	dim := c.cfg.Engine.Dim
-
+// paths (serve.Coalesce decides which batches take one SearchBatch scatter
+// and which fall back to per-query fan-out).
+func (c *Cluster) newBatcher(opts serve.Options) *serve.Batcher[serve.Query, serve.Result[*Report]] {
 	// Achieved batch sizes feed the serving histogram; chain any
 	// caller-supplied hook behind it.
 	observe := opts.Observe
@@ -44,55 +28,7 @@ func (c *Cluster) newBatcher(opts serve.Options) *serve.Batcher[serve.Query, coa
 			observe(n)
 		}
 	}
-
-	// Leader-only scatter buffers (the Runner is called by exactly one
-	// goroutine at a time), reused across batches.
-	var feats []*blas.Matrix
-	var kps [][]sift.Keypoint
-
-	run := func(qs []serve.Query) ([]coalescedResult, error) {
-		results := make([]coalescedResult, len(qs))
-
-		// Validate up front and decide the execution shape: SearchBatch
-		// needs uniform queries (all real with the engine's Dim, or all
-		// phantom).
-		phantoms, invalid := 0, false
-		for i, q := range qs {
-			if q.Feats == nil {
-				phantoms++
-			} else if q.Feats.Rows != dim {
-				results[i].err = fmt.Errorf("cluster: query dim %d, want %d", q.Feats.Rows, dim)
-				invalid = true
-			}
-		}
-		uniform := phantoms == 0 || phantoms == len(qs)
-
-		if !batchable || invalid || !uniform || len(qs) == 1 {
-			for i, q := range qs {
-				if results[i].err != nil {
-					continue
-				}
-				results[i].rep, results[i].err = c.Search(q.Feats, q.Kps)
-			}
-			return results, nil
-		}
-
-		feats = feats[:0]
-		kps = kps[:0]
-		for _, q := range qs {
-			feats = append(feats, q.Feats)
-			kps = append(kps, q.Kps)
-		}
-		reps, err := c.SearchBatch(feats, kps)
-		if err != nil {
-			return nil, err
-		}
-		for i, rep := range reps {
-			results[i].rep = rep
-		}
-		return results, nil
-	}
-	return serve.New(run, opts)
+	return serve.New(serve.Coalesce(c.cfg.Engine, c.Search, c.SearchBatch), opts)
 }
 
 // SearchCoalesced submits one query through the micro-batching admission
@@ -112,7 +48,7 @@ func (c *Cluster) SearchCoalesced(feats *blas.Matrix, kps []sift.Keypoint) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	return r.rep, r.err
+	return r.Rep, r.Err
 }
 
 // ServeStats returns the admission-layer counters; the zero Stats when no

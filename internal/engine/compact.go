@@ -46,27 +46,7 @@ func (e *Engine) Compact() (reclaimed int, err error) {
 				dead++
 				continue
 			}
-			var feats *blas.Matrix
-			if rb.F32 != nil {
-				feats = rb.F32.Slice(slot*rb.M, (slot+1)*rb.M).Clone()
-			} else {
-				// FP16 batches widen back to float32; the storage scale is
-				// divided out so re-enrollment re-applies it identically.
-				feats = rb.F16.Slice(slot*rb.M, (slot+1)*rb.M).Float32()
-				if rb.Scale != 0 && rb.Scale != 1 {
-					inv := 1 / rb.Scale
-					for i := range feats.Data {
-						feats.Data[i] *= inv
-					}
-				}
-			}
-			var codes []binq.Code
-			if panel := rb.Codes(); panel != nil {
-				// Carry the enrolled codes through verbatim: re-encoding
-				// from widened (quantized) features could flip bits that
-				// sit exactly on a threshold.
-				codes = append(codes, panel[slot*rb.M:(slot+1)*rb.M]...)
-			}
+			feats, codes := slotPayload(rb, slot)
 			all = append(all, live{uid: uid, public: public, feats: feats, codes: codes})
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -20,10 +21,10 @@ func gomaxprocsVariants() []int {
 
 // searchFixture builds a small populated engine plus a query that matches
 // one of the enrolled references.
-func searchFixture(t *testing.T) (*Engine, *blas.Matrix) {
+func searchFixture(t *testing.T, pruneC int) (*Engine, *blas.Matrix) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
-	cfg := testConfig()
+	cfg := prunedConfig(pruneC)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +46,7 @@ func searchFixture(t *testing.T) (*Engine, *blas.Matrix) {
 // staging, GEMM, fused top-2 scan, scoring, ranking — returns identical
 // reports at any worker count.
 func TestSearchIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	e, q := searchFixture(t)
+	e, q := searchFixture(t, 0)
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	var want *Report
@@ -75,23 +76,38 @@ func TestSearchIdenticalAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestSearchSteadyStateAllocs pins down the steady-state allocation budget
-// of Search. After warm-up the knn scratch (distance matrix, top-2 slabs,
-// staging buffers) is reused, so what remains is the per-search Report, the
+// of the search pass, per query, in every shape it takes: lone and batched,
+// whole batches and pruned slot sets. After warm-up the knn scratch
+// (distance matrix, top-2 slabs, query staging and panel buffers) and the
+// prefilter scratch are reused, so what remains is the per-query Report, the
 // escaping Ranked slice, and the per-pair correspondence slices built by the
 // ratio test — a small constant independent of batch count. The bound has
 // headroom for ratio-test append growth but fails loudly if per-batch matrix
-// or slab allocation is ever reintroduced (hundreds of allocs).
+// or slab allocation, or per-call query staging, is ever reintroduced
+// (hundreds of allocs).
 func TestSearchSteadyStateAllocs(t *testing.T) {
-	e, q := searchFixture(t)
-	if _, err := e.Search(q, nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := e.Search(q, nil); err != nil {
-			t.Fatal(err)
+	for _, pruneC := range []int{0, 4} {
+		for _, batch := range []int{1, 3} {
+			t.Run(fmt.Sprintf("C=%d/Bq=%d", pruneC, batch), func(t *testing.T) {
+				e, q := searchFixture(t, pruneC)
+				short := q.Slice(0, q.Cols-5) // padded through the slot's scratch when batched
+				queries := []*blas.Matrix{q, short, q}[:batch]
+				search := func() {
+					var err error
+					if batch == 1 {
+						_, err = e.Search(q, nil)
+					} else {
+						_, err = e.SearchBatch(queries, nil)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				search()
+				if allocs := testing.AllocsPerRun(10, search); allocs > float64(50*batch) {
+					t.Fatalf("steady-state search does %.1f allocs/op for %d queries, want <= 50 per query", allocs, batch)
+				}
+			})
 		}
-	})
-	if allocs > 50 {
-		t.Fatalf("steady-state Search does %.1f allocs/op, want <= 50", allocs)
 	}
 }

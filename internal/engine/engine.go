@@ -166,7 +166,9 @@ type Engine struct {
 	//texlint:guards execMu
 	scratch knn.Scratch
 	//texlint:guards execMu
-	qscratch knn.QueryScratch
+	qscratch []knn.QueryScratch // one per query-panel slot
+	//texlint:guards execMu
+	queries []*knn.Query // the staged panel of the pass in flight
 	//texlint:guards execMu
 	itemsBuf []*cache.Item
 	//texlint:guards execMu
@@ -275,6 +277,10 @@ func (e *Engine) Add(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
 func (e *Engine) AddEncoded(id int, feats *blas.Matrix, kps []sift.Keypoint, codes []binq.Code) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.addLocked(id, feats, kps, codes)
+}
+
+func (e *Engine) addLocked(id int, feats *blas.Matrix, kps []sift.Keypoint, codes []binq.Code) error {
 	if _, dup := e.refs[id]; dup {
 		return fmt.Errorf("engine: duplicate reference id %d", id)
 	}
@@ -384,21 +390,6 @@ func (e *Engine) Flush() error {
 	return e.sealLocked()
 }
 
-// sealPending makes unsealed enrollments searchable before a search runs.
-// The fast path (nothing pending, the steady state) costs one read lock;
-// only a dirty index escalates to the write lock.
-func (e *Engine) sealPending() error {
-	e.mu.RLock()
-	dirty := len(e.pendingUIDs) > 0
-	e.mu.RUnlock()
-	if !dirty {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.sealLocked()
-}
-
 // sealLocked turns the pending references into a device batch and inserts
 // it into the hybrid cache.
 //
@@ -464,6 +455,10 @@ func (e *Engine) commitBatchLocked(rb *knn.RefBatch) error {
 func (e *Engine) Remove(id int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.removeLocked(id)
+}
+
+func (e *Engine) removeLocked(id int) bool {
 	meta, ok := e.refs[id]
 	if !ok {
 		return false
@@ -474,8 +469,12 @@ func (e *Engine) Remove(id int) bool {
 }
 
 // Update replaces a reference's features: the old batch slot is unmapped
-// and the new features enroll under the same public id.
+// and the new features enroll under the same public id, in one critical
+// section — concurrent Updates of one id serialize, and no search sees the
+// id absent in between.
 func (e *Engine) Update(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
-	e.Remove(id)
-	return e.Add(id, feats, kps)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.removeLocked(id)
+	return e.addLocked(id, feats, kps, nil)
 }

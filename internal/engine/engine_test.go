@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -424,47 +425,130 @@ func TestKeypointsFlowThroughGeometricVerification(t *testing.T) {
 	}
 }
 
-func TestSearchBatchMatchesSingleSearches(t *testing.T) {
+// searchCase is one point of the matrix every search shape must agree over:
+// precision × PruneC × residency × query widths.
+type searchCase struct {
+	name   string
+	cfg    Config
+	widths []int // column counts of the three queries
+}
+
+// equivRefs is how many references the equivalence fixtures enroll: three
+// batches of testConfig's four, the last one partial.
+const equivRefs = 10
+
+func searchCases(pruneCs ...int) []searchCase {
+	widths := []struct {
+		name string
+		cols []int
+	}{{"full", []int{32, 32, 32}}, {"short", []int{27, 27, 27}}, {"ragged", []int{27, 32, 20}}}
+	var out []searchCase
+	for _, prec := range []gpusim.Precision{gpusim.FP32, gpusim.FP16} {
+		for _, c := range pruneCs {
+			for _, residency := range []string{"resident", "demoted"} {
+				for _, w := range widths {
+					cfg := testConfig()
+					cfg.Precision, cfg.PruneC = prec, c
+					if residency == "demoted" {
+						// Room for one batch on the GPU; older ones go to the host.
+						cfg.GPUCacheBytes = int64(cfg.BatchSize)*int64(cfg.RefFeatures)*int64(cfg.Dim)*int64(prec.ElemBytes()) + 1
+					}
+					out = append(out, searchCase{fmt.Sprintf("%v/C=%d/%s/%s", prec, c, residency, w.name), cfg, w.cols})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// fixture enrolls equivRefs references (ids 100..) and builds the case's
+// three queries: two that match references 2 and 7, one unrelated. The
+// seed is fixed so two engines built from cases that differ only in PruneC
+// hold the same references and see the same queries.
+func (sc searchCase) fixture(t *testing.T) (*Engine, []*blas.Matrix) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(30))
-	e, err := New(testConfig())
+	e, err := New(sc.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := make([]*blas.Matrix, 8)
-	for i := range refs {
-		refs[i] = unitFeatures(rng, 16, 24)
-		e.Add(i, refs[i], nil)
+	refs := enrollTestRefs(t, e, rng, equivRefs)
+	if st := e.Stats(); (sc.cfg.GPUCacheBytes != 0) != (st.Cache.HostItems > 0) {
+		t.Fatalf("residency not as the case asks: %+v", st.Cache)
 	}
-	queries := []*blas.Matrix{
-		queryFor(rng, refs[2], 32, 0.02),
-		queryFor(rng, refs[6], 32, 0.02),
-		unitFeatures(rng, 16, 32), // unrelated
-	}
-	br, err := e.SearchBatch(queries, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Reports) != 3 {
-		t.Fatalf("got %d reports", len(br.Reports))
-	}
-	for qi, q := range queries {
-		single, err := e.Search(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := br.Reports[qi]
-		if got.BestID != single.BestID || got.Accepted != single.Accepted || got.Score != single.Score {
-			t.Fatalf("query %d: batch (%d,%d,%v) vs single (%d,%d,%v)",
-				qi, got.BestID, got.Score, got.Accepted, single.BestID, single.Score, single.Accepted)
-		}
-	}
-	if br.Reports[0].BestID != 2 || br.Reports[1].BestID != 6 || br.Reports[2].Accepted {
-		t.Fatalf("batch results wrong: %v %v %v", br.Reports[0], br.Reports[1], br.Reports[2])
-	}
-	if br.Compared != 3*8 || br.Throughput <= 0 {
-		t.Fatalf("batch metrics wrong: %+v", br)
+	return e, []*blas.Matrix{
+		queryFor(rng, refs[2], sc.widths[0], 0.03),
+		queryFor(rng, refs[7], sc.widths[1], 0.03),
+		unitFeatures(rng, 16, sc.widths[2]),
 	}
 }
+
+// requireSameReport fails unless got carries, bit for bit, want's decision,
+// ranking and counters — and, when timing is set, its device-clock interval.
+func requireSameReport(t *testing.T, what string, got, want *Report, timing bool) {
+	t.Helper()
+	if got.BestID != want.BestID || got.Score != want.Score || got.Accepted != want.Accepted ||
+		got.Compared != want.Compared || got.Scanned != want.Scanned || !sameRanked(got.Ranked, want.Ranked) {
+		t.Fatalf("%s:\n%+v\nwant\n%+v", what, got, want)
+	}
+	if timing && (got.ElapsedUS != want.ElapsedUS || got.Speed != want.Speed) {
+		t.Fatalf("%s: device clock %v us / %v cmp/s, want %v / %v", what, got.ElapsedUS, got.Speed, want.ElapsedUS, want.Speed)
+	}
+}
+
+// testBatchMatchesSingle pins the two equivalences the single pass rests
+// on, over every case: SearchBatch([q]) is Search(q) down to the device
+// clock and the gpusim op stream, and a member of a multi-query batch gets
+// the report it would get alone (only its latency is the batch's).
+func testBatchMatchesSingle(t *testing.T, pruneCs ...int) {
+	for _, sc := range searchCases(pruneCs...) {
+		t.Run(sc.name, func(t *testing.T) {
+			e, queries := sc.fixture(t)
+			br, err := e.SearchBatch(queries, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(br.Reports) != len(queries) || br.Throughput <= 0 {
+				t.Fatalf("batch metrics wrong: %+v", br)
+			}
+			compared := 0
+			for qi, q := range queries {
+				e.Device().ResetClock()
+				single, err := e.Search(q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				singleOps := e.Device().Profile()
+				e.Device().ResetClock()
+				one, err := e.SearchBatch([]*blas.Matrix{q}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameReport(t, fmt.Sprintf("query %d: SearchBatch([q]) vs Search(q)", qi), one.Reports[0], single, true)
+				if oneOps := e.Device().Profile(); !reflect.DeepEqual(oneOps, singleOps) {
+					t.Fatalf("query %d: SearchBatch([q]) issued %v, Search(q) issued %v", qi, oneOps, singleOps)
+				}
+				requireSameReport(t, fmt.Sprintf("query %d: batch member vs Search(q)", qi), br.Reports[qi], single, false)
+				wantScanned, wantCompared := 0, equivRefs
+				if sc.cfg.PruneC > 0 {
+					wantScanned, wantCompared = equivRefs, min(sc.cfg.PruneC, equivRefs)
+				}
+				if single.Scanned != wantScanned || single.Compared != wantCompared {
+					t.Fatalf("query %d: scanned %d compared %d, want %d and %d", qi, single.Scanned, single.Compared, wantScanned, wantCompared)
+				}
+				compared += single.Compared
+			}
+			if br.Reports[0].BestID != 102 || br.Reports[1].BestID != 107 || br.Reports[2].Accepted {
+				t.Fatalf("batch results wrong: %v %v %v", br.Reports[0], br.Reports[1], br.Reports[2])
+			}
+			if br.Compared != compared {
+				t.Fatalf("batch compared %d, want %d", br.Compared, compared)
+			}
+		})
+	}
+}
+
+func TestSearchBatchMatchesSingleSearches(t *testing.T) { testBatchMatchesSingle(t, 0) }
 
 func TestSearchBatchPadsShortQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -479,6 +563,31 @@ func TestSearchBatchPadsShortQueries(t *testing.T) {
 	}
 	if br.Reports[0].BestID != 1 || !br.Reports[0].Accepted {
 		t.Fatalf("padded query failed: %+v", br.Reports[0])
+	}
+}
+
+// TestSearchBatchRejectsMixedPhantomAndReal: a batch is all real or all
+// phantom. The parent decided from query 0 alone: [nil, real] silently
+// answered BestID -1 for the real query, [real, nil] scored empty phantom
+// shells, and with pruning on the nil matrix was dereferenced.
+func TestSearchBatchRejectsMixedPhantomAndReal(t *testing.T) {
+	for _, pruneC := range []int{0, 4} {
+		rng := rand.New(rand.NewSource(32))
+		e, err := New(prunedConfig(pruneC))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := enrollTestRefs(t, e, rng, 6)
+		real := queryFor(rng, refs[1], 32, 0.02)
+		for name, batch := range map[string][]*blas.Matrix{"nil,real": {nil, real}, "real,nil": {real, nil}, "real,nil,real": {real, nil, real}} {
+			if br, err := e.SearchBatch(batch, nil); err == nil {
+				t.Fatalf("PruneC=%d: mixed batch [%s] accepted: %+v", pruneC, name, br.Reports)
+			}
+		}
+		// The engine is untouched by the rejected batches.
+		if rep, err := e.Search(real, nil); err != nil || rep.BestID != 101 {
+			t.Fatalf("PruneC=%d: search after rejected batches = %+v, %v", pruneC, rep, err)
+		}
 	}
 }
 
@@ -650,6 +759,59 @@ func TestConcurrentSearches(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentUpdatesOfOneIDAreAtomic: Update is one critical section.
+// As Remove-then-Add under two lock acquisitions, two concurrent Updates of
+// one id both removed and both added ("duplicate reference id"), and a
+// search could run in the gap and not see the id at all.
+func TestConcurrentUpdatesOfOneIDAreAtomic(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	e, _ := New(testConfig())
+	refs := enrollTestRefs(t, e, rng, 6)
+	const id = 103
+	q := queryFor(rng, refs[3], 32, 0.02)
+	versions := []*blas.Matrix{refs[3], noisy(rng, refs[3], 0.01), noisy(rng, refs[3], 0.01)}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				if err := e.Update(id, versions[(g+i)%len(versions)], nil); err != nil {
+					errs <- fmt.Errorf("update: %w", err)
+					return
+				}
+			}
+		}(g)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				rep, err := e.Search(q, nil)
+				if err != nil {
+					errs <- fmt.Errorf("search: %w", err)
+					return
+				}
+				seen := 0
+				for _, r := range rep.Ranked {
+					if r.RefID == id {
+						seen++
+					}
+				}
+				if seen != 1 || len(rep.Ranked) != len(refs) {
+					errs <- fmt.Errorf("search ranked id %d %d times among %d results, want once among %d", id, seen, len(rep.Ranked), len(refs))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"texid/internal/binq"
 	"texid/internal/blas"
+	"texid/internal/knn"
 	"texid/internal/sift"
 )
 
@@ -41,22 +42,7 @@ func (e *Engine) Export(visit func(id int, feats *blas.Matrix, kps []sift.Keypoi
 			if !ok {
 				continue // tombstoned
 			}
-			var feats *blas.Matrix
-			if rb.F32 != nil {
-				feats = rb.F32.Slice(slot*rb.M, (slot+1)*rb.M).Clone()
-			} else {
-				feats = rb.F16.Slice(slot*rb.M, (slot+1)*rb.M).Float32()
-				if rb.Scale != 0 && rb.Scale != 1 {
-					inv := 1 / rb.Scale
-					for i := range feats.Data {
-						feats.Data[i] *= inv
-					}
-				}
-			}
-			var codes []binq.Code
-			if panel := rb.Codes(); panel != nil {
-				codes = append(codes, panel[slot*rb.M:(slot+1)*rb.M]...)
-			}
+			feats, codes := slotPayload(rb, slot)
 			all = append(all, entry{uid: uid, public: public, feats: feats, codes: codes})
 		}
 	}
@@ -71,4 +57,28 @@ func (e *Engine) Export(visit func(id int, feats *blas.Matrix, kps []sift.Keypoi
 		}
 	}
 	return nil
+}
+
+// slotPayload copies one batch slot out for re-enrollment or persistence:
+// its features in original descriptor units — FP16 batches widen back to
+// float32 with the storage scale divided out, so re-enrollment re-applies
+// it identically — and its enrolled codes (nil without pruning), carried
+// verbatim because re-encoding from widened (quantized) features could flip
+// bits that sit exactly on a threshold.
+func slotPayload(rb *knn.RefBatch, slot int) (feats *blas.Matrix, codes []binq.Code) {
+	if rb.F32 != nil {
+		feats = rb.F32.Slice(slot*rb.M, (slot+1)*rb.M).Clone()
+	} else {
+		feats = rb.F16.Slice(slot*rb.M, (slot+1)*rb.M).Float32()
+		if rb.Scale != 0 && rb.Scale != 1 {
+			inv := 1 / rb.Scale
+			for i := range feats.Data {
+				feats.Data[i] *= inv
+			}
+		}
+	}
+	if panel := rb.Codes(); panel != nil {
+		codes = append(codes, panel[slot*rb.M:(slot+1)*rb.M]...)
+	}
+	return feats, codes
 }

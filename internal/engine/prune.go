@@ -4,28 +4,24 @@ import (
 	"texid/internal/binq"
 	"texid/internal/blas"
 	"texid/internal/cache"
-	"texid/internal/knn"
-	"texid/internal/match"
-	"texid/internal/sift"
 )
 
-// Candidate pruning (Config.PruneC > 0) turns every search into two
-// phases:
+// Candidate pruning (Config.PruneC > 0) puts a prefilter stage in front of
+// the search pass:
 //
-//  1. Scan: the query's strongest descriptors are binarized with the
+//  1. Scan: each query's strongest descriptors are binarized with the
 //     engine's learned thresholds and XOR/popcount-compared against the
 //     always-resident 128-bit code panel of every reference — including
 //     host-demoted batches, whose codes never leave the device. Each
 //     image's score is the sum over probes of the minimum Hamming distance
 //     to any of its codes.
-//  2. Rerank: only the top-C images (deterministic ties: lower scan score,
-//     then lower global slot) run the exact GEMM + fused top-2 pipeline,
-//     via the candidate-restricted match variants whose outputs are
-//     bitwise identical to the full match for the selected slots.
+//  2. Select: per query, the top-C images (deterministic ties: lower scan
+//     score, then lower global slot).
 //
-// Host-resident batches with no selected candidates are skipped entirely —
-// no PCIe transfer, no kernels — which is where the capacity gain comes
-// from: the feature payload of a pruned-out batch never crosses the bus.
+// The pass then matches, per batch, only the union of its queries'
+// candidates (batchSlots), through the same exact GEMM + fused top-2 kernel
+// whose outputs are bitwise identical to the whole-batch match for the
+// selected slots.
 //
 // Phantom scans (phantom queries, or phantom-enrolled batches, which have
 // no code data) charge the same simulated kernel time and deterministically
@@ -44,44 +40,20 @@ type pruneScratch struct {
 	cand     []int32 // per-query candidate lists (ascending), concatenated
 	candOff  []int   // per-query offsets into cand (len Bq+1)
 	cursor   []int   // per-query walk position in cand
-	segLo    []int   // per-query segment bounds within the current batch
-	segHi    []int
+	segLo    []int   // per-query start of the current batch's segment (it ends at cursor)
 	slots    []int32 // current batch's (union) candidate slots, ascending
 	slotIdx  []int32 // batch slot -> position in slots
-	mark     []bool
-	base     []int // per-batch global slot offset
+	mark     []bool  // all false between batches: batchSlots clears what it set
+	base     []int   // per-batch global slot offset
 }
 
-func (ps *pruneScratch) growScores(n int) []uint32 {
-	if cap(ps.scores) < n {
-		ps.scores = make([]uint32, n)
+// grown returns s resized to n elements, reallocating (zeroed) only when its
+// capacity is short; surviving contents are whatever the last use left.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	ps.scores = ps.scores[:n]
-	return ps.scores
-}
-
-func (ps *pruneScratch) growInts(n int) {
-	if cap(ps.probeOff) < n+1 {
-		ps.probeOff = make([]int, n+1)
-		ps.candOff = make([]int, n+1)
-		ps.cursor = make([]int, n)
-		ps.segLo = make([]int, n)
-		ps.segHi = make([]int, n)
-	}
-	ps.probeOff = ps.probeOff[:n+1]
-	ps.candOff = ps.candOff[:n+1]
-	ps.cursor = ps.cursor[:n]
-	ps.segLo = ps.segLo[:n]
-	ps.segHi = ps.segHi[:n]
-}
-
-func (ps *pruneScratch) growMarks(count int) {
-	if cap(ps.mark) < count {
-		ps.mark = make([]bool, count) // zeroed; reused marks are cleared after every batch
-		ps.slotIdx = make([]int32, count)
-	}
-	ps.mark = ps.mark[:count]
-	ps.slotIdx = ps.slotIdx[:count]
+	return s[:n]
 }
 
 // layout records the per-batch global slot offsets and total image count,
@@ -103,11 +75,7 @@ func (ps *pruneScratch) layout(items []*cache.Item) (total int, phantomScan bool
 // (SIFT orders descriptors by response, so these are the strongest),
 // appending onto ps.qcodes.
 func (ps *pruneScratch) encodeProbes(t binq.Thresholds, mat *blas.Matrix, limit int) {
-	p := limit
-	if mat.Cols < p {
-		p = mat.Cols
-	}
-	view := blas.Matrix{Rows: mat.Rows, Cols: p, Stride: mat.Stride, Data: mat.Data}
+	view := blas.Matrix{Rows: mat.Rows, Cols: min(limit, mat.Cols), Stride: mat.Stride, Data: mat.Data}
 	ps.qcodes = t.Encode(&view, ps.qcodes)
 }
 
@@ -124,155 +92,46 @@ func (ps *pruneScratch) selectTopC(scores []uint32, c int) {
 
 // firstC appends slots 0..min(c,total)-1 — the phantom-scan selection.
 func (ps *pruneScratch) firstC(c, total int) {
-	if c > total {
-		c = total
-	}
-	for g := 0; g < c; g++ {
+	for g := 0; g < min(c, total); g++ {
 		ps.cand = append(ps.cand, int32(g)) //texlint:ignore hotalloc engine-owned scratch reused via [:0]; bounded by Bq*PruneC entries
 	}
 }
 
-// prunedPass runs the scan + candidate-rerank phases of a single-query
-// search. Called with execMu held and mu read-locked, between the
-// Synchronize() pair that attributes the elapsed interval.
+// prefilter runs the scan and per-query selection for a query panel and
+// returns the number of images scanned. One scan op per batch covers every
+// query's probe set; demoted batches need no transfer. Called with execMu
+// held and mu read-locked, inside the pass's Synchronize() pair.
 //
 //texlint:hotpath
-//texlint:ignore streampair Search synchronizes the device after this pass returns
-func (e *Engine) prunedPass(q *knn.Query, queryFeats *blas.Matrix, queryKps []sift.Keypoint,
-	opts knn.Options, items []*cache.Item, report *Report, phantom bool) error {
+//texlint:ignore streampair the search pass synchronizes the device after issuing every batch
+func (e *Engine) prefilter(queryFeats []*blas.Matrix, phantom bool, items []*cache.Item) int {
 	ps := &e.prune
+	Bq := len(queryFeats)
 	total, phantomScan := ps.layout(items)
 	phantomScan = phantomScan || phantom
-	report.Scanned = total
 	if total == 0 {
-		return nil
+		return 0
 	}
+	ps.probeOff, ps.candOff = grown(ps.probeOff, Bq+1), grown(ps.candOff, Bq+1)
+	ps.cursor, ps.segLo = grown(ps.cursor, Bq), grown(ps.segLo, Bq)
 
-	probes := e.cfg.PruneProbes
 	ps.qcodes = ps.qcodes[:0]
+	probes := Bq * e.cfg.PruneProbes
+	var scores []uint32
 	if !phantomScan {
-		ps.encodeProbes(e.thresh, queryFeats, probes)
+		for qi, qf := range queryFeats {
+			ps.probeOff[qi] = len(ps.qcodes)
+			ps.encodeProbes(e.thresh, qf, e.cfg.PruneProbes)
+		}
+		ps.probeOff[Bq] = len(ps.qcodes)
 		probes = len(ps.qcodes)
+		ps.scores = grown(ps.scores, Bq*total)
+		scores = ps.scores
 	}
-	var scores []uint32
-	if !phantomScan {
-		scores = ps.growScores(total)
-	}
-
-	// Phase 1: scan every batch's resident code panel. Demoted batches need
-	// no transfer — their codes never left the device.
-	S := len(e.streams)
 	for bi, it := range items {
 		rb := it.Payload.(*sealedBatch).rb
 		count, lo := rb.Count(), ps.base[bi]
-		e.streams[bi%S].BinaryScan(count*rb.M, probes, binq.Words, func() {
-			if phantomScan {
-				return
-			}
-			ps.scanner.Scan(rb.Codes(), rb.M, ps.qcodes, scores[lo:lo+count])
-		})
-	}
-
-	ps.cand = ps.cand[:0]
-	if phantomScan {
-		ps.firstC(e.cfg.PruneC, total)
-	} else {
-		ps.selectTopC(scores, e.cfg.PruneC)
-	}
-
-	// Phase 2: exact rerank of the selected slots, batch by batch in the
-	// same stream layout. Batches with no candidates are skipped outright.
-	ci := 0
-	for bi, it := range items {
-		if ci >= len(ps.cand) {
-			break
-		}
-		rb := it.Payload.(*sealedBatch).rb
-		base := ps.base[bi]
-		end := base + rb.Count()
-		lo := ci
-		for ci < len(ps.cand) && int(ps.cand[ci]) < end {
-			ci++
-		}
-		if ci == lo {
-			continue
-		}
-		ps.slots = ps.slots[:0]
-		for _, g := range ps.cand[lo:ci] {
-			ps.slots = append(ps.slots, g-int32(base)) //texlint:ignore hotalloc engine-owned scratch reused via [:0]; bounded by PruneC entries
-		}
-		stream := e.streams[bi%S]
-		if it.Loc == cache.OnHost {
-			// Only the candidates' feature columns cross PCIe.
-			stream.CopyH2D(int64(len(ps.slots))*int64(rb.M)*int64(rb.D)*int64(e.cfg.Precision.ElemBytes()),
-				e.cfg.PinnedHost, nil)
-		}
-		res, err := knn.MatchCandidatesScratch(stream, rb, q, ps.slots, opts, &e.scratch)
-		if err != nil {
-			return err
-		}
-		report.Compared += len(ps.slots)
-		if phantom {
-			continue
-		}
-		for _, pair := range res {
-			public, live := e.uidToPublic[pair.RefID]
-			if !live {
-				continue // tombstoned slot won a candidate place; harmless
-			}
-			meta := e.refs[public]
-			score := match.PairScore(pair, meta.kps, queryKps, e.cfg.Match)
-			report.Ranked = append(report.Ranked, match.SearchResult{RefID: public, Score: score})
-		}
-	}
-	return nil
-}
-
-// prunedBatchPass is the multi-query form: one scan pass per batch covers
-// every query's probe set, selection is per query, and each batch reranks
-// the union of its queries' candidates with one gathered multi-query GEMM.
-//
-//texlint:hotpath
-//texlint:ignore streampair SearchBatch synchronizes the device after this pass returns
-func (e *Engine) prunedBatchPass(mq *knn.MultiQuery, queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint,
-	opts knn.Options, items []*cache.Item, reports []*Report, phantom bool) error {
-	ps := &e.prune
-	Bq := len(reports)
-	total, phantomScan := ps.layout(items)
-	phantomScan = phantomScan || phantom
-	for _, rep := range reports {
-		rep.Scanned = total
-	}
-	if total == 0 {
-		return nil
-	}
-	ps.growInts(Bq)
-
-	ps.qcodes = ps.qcodes[:0]
-	totalProbes := 0
-	for qi := 0; qi < Bq; qi++ {
-		ps.probeOff[qi] = len(ps.qcodes)
-		if !phantomScan {
-			ps.encodeProbes(e.thresh, queryFeats[qi], e.cfg.PruneProbes)
-		} else {
-			totalProbes += e.cfg.PruneProbes
-		}
-	}
-	ps.probeOff[Bq] = len(ps.qcodes)
-	if !phantomScan {
-		totalProbes = len(ps.qcodes)
-	}
-	var scores []uint32
-	if !phantomScan {
-		scores = ps.growScores(Bq * total)
-	}
-
-	// Phase 1: one scan op per batch covering all queries' probes.
-	S := len(e.streams)
-	for bi, it := range items {
-		rb := it.Payload.(*sealedBatch).rb
-		count, lo := rb.Count(), ps.base[bi]
-		e.streams[bi%S].BinaryScan(count*rb.M, totalProbes, binq.Words, func() {
+		e.streams[bi%len(e.streams)].BinaryScan(count*rb.M, probes, binq.Words, func() {
 			if phantomScan {
 				return
 			}
@@ -296,71 +155,45 @@ func (e *Engine) prunedBatchPass(mq *knn.MultiQuery, queryFeats []*blas.Matrix, 
 		ps.cursor[qi] = ps.candOff[qi]
 	}
 	ps.candOff[Bq] = len(ps.cand)
+	return total
+}
 
-	// Phase 2: per batch, rerank the union of all queries' candidates with
-	// one gathered multi-query GEMM, then score each query from its own
-	// segment.
-	for bi, it := range items {
-		rb := it.Payload.(*sealedBatch).rb
-		count := rb.Count()
-		base := ps.base[bi]
-		end := base + count
-		ps.growMarks(count)
-		any := false
-		for qi := 0; qi < Bq; qi++ {
-			ps.segLo[qi] = ps.cursor[qi]
-			for ps.cursor[qi] < ps.candOff[qi+1] && int(ps.cand[ps.cursor[qi]]) < end {
-				ps.cursor[qi]++
-			}
-			ps.segHi[qi] = ps.cursor[qi]
-			for _, g := range ps.cand[ps.segLo[qi]:ps.segHi[qi]] {
-				if !ps.mark[int(g)-base] {
-					ps.mark[int(g)-base] = true
-					any = true
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-		ps.slots = ps.slots[:0]
-		for s := 0; s < count; s++ {
-			if ps.mark[s] {
-				ps.slotIdx[s] = int32(len(ps.slots))
-				ps.slots = append(ps.slots, int32(s)) //texlint:ignore hotalloc engine-owned scratch reused via [:0]; bounded by the batch image count
-				ps.mark[s] = false
-			}
-		}
-		stream := e.streams[bi%S]
-		if it.Loc == cache.OnHost {
-			stream.CopyH2D(int64(len(ps.slots))*int64(rb.M)*int64(rb.D)*int64(e.cfg.Precision.ElemBytes()),
-				e.cfg.PinnedHost, nil)
-		}
-		res, err := knn.MatchMultiQueryCandidates(stream, rb, mq, ps.slots, opts, &e.scratch)
-		if err != nil {
-			return err
-		}
-		for qi, rep := range reports {
-			seg := ps.cand[ps.segLo[qi]:ps.segHi[qi]]
-			rep.Compared += len(seg)
-			if phantom {
-				continue
-			}
-			for _, g := range seg {
-				pair := res[qi][ps.slotIdx[int(g)-base]]
-				public, live := e.uidToPublic[pair.RefID]
-				if !live {
-					continue
-				}
-				meta := e.refs[public]
-				var kps []sift.Keypoint
-				if queryKps != nil && qi < len(queryKps) {
-					kps = queryKps[qi]
-				}
-				score := match.PairScore(pair, meta.kps, kps, e.cfg.Match)
-				rep.Ranked = append(rep.Ranked, match.SearchResult{RefID: public, Score: score})
-			}
+// batchSlots walks every query's candidate cursor through batch bi (count
+// images) and returns the ascending union of their candidates as batch
+// slots — empty when no query selected anything here. Batches must be
+// visited in order. Afterwards picked/resultAt describe each query's own
+// candidates within the union.
+func (ps *pruneScratch) batchSlots(bi, count int) []int32 {
+	base := ps.base[bi]
+	ps.mark, ps.slotIdx = grown(ps.mark, count), grown(ps.slotIdx, count)
+	ps.slots = ps.slots[:0]
+	any := false
+	for qi := range ps.cursor {
+		ps.segLo[qi] = ps.cursor[qi]
+		for ps.cursor[qi] < ps.candOff[qi+1] && int(ps.cand[ps.cursor[qi]]) < base+count {
+			ps.mark[int(ps.cand[ps.cursor[qi]])-base] = true
+			ps.cursor[qi]++
+			any = true
 		}
 	}
-	return nil
+	if !any {
+		return ps.slots
+	}
+	for s := 0; s < count; s++ {
+		if ps.mark[s] {
+			ps.slotIdx[s] = int32(len(ps.slots))
+			ps.slots = append(ps.slots, int32(s)) //texlint:ignore hotalloc engine-owned scratch reused via [:0]; bounded by the batch image count
+			ps.mark[s] = false
+		}
+	}
+	return ps.slots
+}
+
+// picked is how many of the current batch's slots are query qi's candidates.
+func (ps *pruneScratch) picked(qi int) int { return ps.cursor[qi] - ps.segLo[qi] }
+
+// resultAt maps query qi's k-th candidate in batch bi to its position in
+// the batch's slot set (and so in the kernel's results).
+func (ps *pruneScratch) resultAt(bi, qi, k int) int {
+	return int(ps.slotIdx[int(ps.cand[ps.segLo[qi]+k])-ps.base[bi]])
 }

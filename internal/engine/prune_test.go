@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -105,37 +106,48 @@ func TestPrunedSearchDeterministic(t *testing.T) {
 }
 
 // TestPruneCCoveringAllRefsMatchesUnpruned: with C >= N the prefilter
-// passes everything through, and the rerank's scores must be bitwise
-// identical to the unpruned engine's.
+// passes everything through, and — for every precision, residency, query
+// width and search shape — the slot-set match's reports must be bitwise
+// identical to the unpruned engine's whole-batch ones. (The device clock
+// differs by design: the pruned engine still pays the scan and the gather.)
 func TestPruneCCoveringAllRefsMatchesUnpruned(t *testing.T) {
-	const N = 10
-	rngA := rand.New(rand.NewSource(23))
-	rngB := rand.New(rand.NewSource(23))
-	pruned, err := New(prunedConfig(N))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := enrollTestRefs(t, pruned, rngA, N)
-	enrollTestRefs(t, plain, rngB, N)
-
-	q := queryFor(rand.New(rand.NewSource(24)), refs[2], 32, 0.05)
-	rp, err := pruned.Search(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ru, err := plain.Search(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.BestID != ru.BestID || rp.Score != ru.Score || !sameRanked(rp.Ranked, ru.Ranked) {
-		t.Fatalf("pruned C=N diverged from unpruned:\n%+v\nvs\n%+v", rp, ru)
-	}
-	if rp.Compared != N {
-		t.Fatalf("compared %d, want %d", rp.Compared, N)
+	plainCases := searchCases(0)
+	for i, sc := range searchCases(equivRefs + 5) {
+		t.Run(sc.name, func(t *testing.T) {
+			pruned, queries := sc.fixture(t)
+			plain, _ := plainCases[i].fixture(t)
+			same := func(what string, rp, ru *Report) {
+				t.Helper()
+				if rp.Scanned != equivRefs || rp.Compared != equivRefs {
+					t.Fatalf("%s: scanned %d compared %d, want %d", what, rp.Scanned, rp.Compared, equivRefs)
+				}
+				unscanned := *rp
+				unscanned.Scanned = ru.Scanned
+				requireSameReport(t, what+": pruned C>=N vs unpruned", &unscanned, ru, false)
+			}
+			for qi, q := range queries {
+				rp, err := pruned.Search(q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ru, err := plain.Search(q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(fmt.Sprintf("Search(query %d)", qi), rp, ru)
+			}
+			bp, err := pruned.SearchBatch(queries, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bu, err := plain.SearchBatch(queries, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi := range queries {
+				same(fmt.Sprintf("SearchBatch query %d", qi), bp.Reports[qi], bu.Reports[qi])
+			}
+		})
 	}
 }
 
@@ -163,39 +175,10 @@ func TestPruneCZeroIsUnpruned(t *testing.T) {
 	}
 }
 
-// TestPrunedSearchBatchMatchesSingle: the batched pruned path must agree
-// with per-query pruned searches.
-func TestPrunedSearchBatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	e, err := New(prunedConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := enrollTestRefs(t, e, rng, 9)
-	queries := []*blas.Matrix{
-		queryFor(rng, refs[1], 32, 0.05),
-		queryFor(rng, refs[6], 32, 0.05),
-		unitFeatures(rng, 16, 32),
-	}
-	br, err := e.SearchBatch(queries, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range queries {
-		single, err := e.Search(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := br.Reports[qi]
-		if rep.BestID != single.BestID || rep.Score != single.Score ||
-			!sameRanked(rep.Ranked, single.Ranked) {
-			t.Fatalf("query %d: batch %+v vs single %+v", qi, rep, single)
-		}
-		if rep.Scanned != 9 {
-			t.Fatalf("query %d scanned %d, want 9", qi, rep.Scanned)
-		}
-	}
-}
+// TestPrunedSearchBatchMatchesSingle: with the prefilter on — a strict
+// candidate subset and a budget covering every reference — a batch member
+// gets the report it would get alone, and SearchBatch([q]) is Search(q).
+func TestPrunedSearchBatchMatchesSingle(t *testing.T) { testBatchMatchesSingle(t, 4, equivRefs+5) }
 
 // TestPrunedPhantomSearch: phantom-enrolled engines still charge the scan
 // and rerank only C candidates.

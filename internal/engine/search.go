@@ -32,40 +32,137 @@ type Report struct {
 	Speed     float64
 }
 
-// Search runs a one-to-many search of the query features (Dim×QueryFeatures)
-// against every cached reference. queryKps may be nil unless geometric
-// verification is enabled. Cached batches are scattered round-robin across
-// the engine's streams; host-resident batches stream over PCIe, overlapping
-// with other streams' kernels.
+// BatchReport is the outcome of a multi-query search: per-query reports
+// plus the batch-level throughput/latency trade-off (Sec. 5.3: batching
+// queries raises throughput but every query's latency becomes the whole
+// batch's completion time).
+type BatchReport struct {
+	Reports []*Report
+	// ElapsedUS is the simulated completion time of the whole batch; it is
+	// also every individual query's latency.
+	ElapsedUS float64
+	// Throughput is reference comparisons per second across the batch.
+	Throughput float64
+	// Compared is the total number of (query, reference) comparisons.
+	Compared int
+}
+
+// Search runs a one-to-many search of the query features (Dim×n, any n up
+// to QueryFeatures) against every cached reference: the search pass with a
+// panel of one. queryKps may be nil unless geometric verification is
+// enabled; a nil queryFeats runs a phantom (timing-only) search.
 //
 //texlint:hotpath
 func (e *Engine) Search(queryFeats *blas.Matrix, queryKps []sift.Keypoint) (*Report, error) {
-	// One batch pass at a time over the shared streams and scratch; the
-	// index itself is only read-locked, so enrollment blocks searching
-	// (and vice versa) no longer than one in-flight pass.
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	if err := e.sealPending(); err != nil {
+	// Fixed-size panels of one: the pass retains none of its inputs, so
+	// these stay on the stack.
+	feats, kps, rep := [1]*blas.Matrix{queryFeats}, [1][]sift.Keypoint{queryKps}, [1]*Report{}
+	if _, err := e.search(feats[:], kps[:], rep[:]); err != nil {
 		return nil, err
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	return rep[0], nil
+}
 
-	var q *knn.Query
-	var err error
-	phantom := queryFeats == nil
-	if phantom {
-		q, err = knn.PhantomQuery(e.dev, e.cfg.QueryFeatures, e.cfg.Dim)
-	} else {
-		if queryFeats.Rows != e.cfg.Dim {
-			return nil, fmt.Errorf("engine: query dim %d, want %d", queryFeats.Rows, e.cfg.Dim)
-		}
-		q, err = knn.NewQueryScratch(e.dev, queryFeats, e.cfg.Precision, e.cfg.Scale, &e.qscratch)
+// SearchBatch answers several queries in one pass: one GEMM per reference
+// batch serves the whole query panel. Only the RootSIFT algorithm supports
+// query batching. The queries are all real or all nil (phantom timing, see
+// SearchBatchPhantom); queryKps may be nil or shorter than the batch.
+func (e *Engine) SearchBatch(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint) (*BatchReport, error) {
+	if e.cfg.Algorithm != knn.RootSIFT {
+		return nil, fmt.Errorf("engine: query batching requires the RootSIFT algorithm")
 	}
+	if len(queryFeats) == 0 {
+		return nil, fmt.Errorf("engine: empty query batch")
+	}
+	br, err := e.search(queryFeats, queryKps, make([]*Report, len(queryFeats)))
 	if err != nil {
 		return nil, err
 	}
-	defer q.Free()
+	return &br, nil
+}
+
+// SearchBatchPhantom runs a timing-only batched-query search with count
+// phantom queries.
+func (e *Engine) SearchBatchPhantom(count int) (*BatchReport, error) {
+	return e.SearchBatch(make([]*blas.Matrix, count), nil)
+}
+
+// search is the one search pass; every search shape is an input to it, not
+// a variant of it. It stages the query panel, optionally runs the Hamming
+// prefilter (PruneC > 0), then walks the cached batches once — per batch a
+// slot set, the H2D decision, one kernel call, one scoring loop — and
+// assembles reports[qi] for queryFeats[qi]. Two rules are read off the
+// input rather than configured:
+//
+//   - A lone query keeps its own column count; a panel of several pads
+//     short queries with zero columns to QueryFeatures so it is rectangular.
+//   - A nil slot set means the whole batch (pruning off). With pruning on,
+//     a batch is matched on the union of its queries' candidates — even
+//     when that is every slot — and skipped outright when that is empty:
+//     for a host-resident batch only the candidates' columns cross PCIe,
+//     which is where the capacity gain comes from.
+//
+// Batches are issued round-robin across the streams (batch bi on stream
+// bi mod S), which approximates concurrent host threads while keeping the
+// simulation deterministic; host-resident batches stream over PCIe,
+// overlapping other streams' kernels. Each batch's results alias e.scratch,
+// so they are scored immediately, before the next issue reuses the buffers
+// (stream closures run eagerly at enqueue). Scoring batch-major preserves
+// each query's ranking order: its candidates still arrive in batch order.
+//
+//texlint:hotpath
+func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, reports []*Report) (BatchReport, error) {
+	Bq := len(queryFeats)
+	phantom := queryFeats[0] == nil
+	for i, qf := range queryFeats {
+		if (qf == nil) != phantom {
+			return BatchReport{}, fmt.Errorf("engine: query batch mixes phantom (nil) and real queries")
+		}
+		if !phantom && qf.Rows != e.cfg.Dim {
+			return BatchReport{}, fmt.Errorf("engine: query %d dim %d, want %d", i, qf.Rows, e.cfg.Dim)
+		}
+	}
+
+	// One pass at a time over the shared streams and scratch; the index
+	// itself is only read-locked, so enrollment blocks searching (and vice
+	// versa) no longer than one in-flight pass.
+	e.execMu.Lock()
+	defer e.execMu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	// Search with nothing pending, so every reference enrolled before this
+	// point is visible: an Update landing between a seal and the read lock
+	// would otherwise hide its id (old slot unmapped, new one not yet
+	// sealed). The steady state costs the one read lock; a dirty index
+	// drops it to seal under the write lock, then looks again.
+	var err error
+	for err == nil && len(e.pendingUIDs) > 0 {
+		e.mu.RUnlock()
+		err = e.Flush()
+		e.mu.RLock()
+	}
+	if err != nil {
+		return BatchReport{}, err
+	}
+
+	// Stage the panel through engine-owned scratch, one QueryScratch per
+	// panel slot, grown to the largest batch seen.
+	if len(e.qscratch) < Bq {
+		e.qscratch = append(e.qscratch, make([]knn.QueryScratch, Bq-len(e.qscratch))...) //texlint:ignore hotalloc engine-owned staging scratch; grows only when a larger batch than any before arrives
+	}
+	e.queries = e.queries[:0]
+	defer e.freeQueries()
+	for i, qf := range queryFeats {
+		q, err := e.stageQuery(i, qf, Bq > 1)
+		if err != nil {
+			return BatchReport{}, err
+		}
+		e.queries = append(e.queries, q) //texlint:ignore hotalloc,aliasret engine-owned scratch reused via [:0]; every panel slot stages through its own QueryScratch, so slot i's query outlives slot i+1's staging
+	}
+	mq, err := knn.BuildMultiQuery(e.queries, e.cfg.Precision, &e.scratch)
+	if err != nil {
+		return BatchReport{}, err
+	}
 
 	items := e.hybrid.AppendItems(e.itemsBuf[:0])
 	e.itemsBuf = items
@@ -75,75 +172,114 @@ func (e *Engine) Search(queryFeats *blas.Matrix, queryKps []sift.Keypoint) (*Rep
 		Scale:     e.cfg.Scale,
 		Accum:     e.cfg.Accum,
 	}
-
-	report := &Report{BestID: -1}
-	if !phantom {
-		// Ranked escapes to the caller, so it is the one per-search
-		// allocation; size it for every reference up front.
-		report.Ranked = make([]match.SearchResult, 0, len(e.refs))
+	for qi := range reports {
+		reports[qi] = &Report{BestID: -1}
+		if !phantom {
+			// Ranked escapes to the caller, so it is the one per-query
+			// allocation; size it for every reference up front.
+			reports[qi].Ranked = make([]match.SearchResult, 0, len(e.refs))
+		}
 	}
 
 	start := e.dev.Synchronize()
-	if e.cfg.PruneC > 0 {
-		// Two-phase path: Hamming prefilter scan, then exact rerank of
-		// the surviving candidates only.
-		if err := e.prunedPass(q, queryFeats, queryKps, opts, items, report, phantom); err != nil {
-			return nil, err
+	ps, pruned := &e.prune, e.cfg.PruneC > 0
+	if pruned {
+		scanned := e.prefilter(queryFeats, phantom, items)
+		for _, rep := range reports {
+			rep.Scanned = scanned
 		}
-	} else {
-		// Round-robin issue across streams: chunk r of stream s is batch
-		// items[r*S+s]. Interleaving approximates concurrent host threads
-		// while keeping the simulation deterministic. Each batch's results
-		// alias e.scratch, so they are scored immediately — before the next
-		// issue reuses the buffers (stream closures run eagerly at enqueue).
-		S := len(e.streams)
-		for base := 0; base < len(items); base += S {
-			for s := 0; s < S && base+s < len(items); s++ {
-				it := items[base+s]
-				sb := it.Payload.(*sealedBatch)
-				stream := e.streams[s]
-				if it.Loc == cache.OnHost {
-					// Stream the batch into this stream's staging buffer.
-					stream.CopyH2D(sb.rb.Bytes(), e.cfg.PinnedHost, nil)
+	}
+	for bi, it := range items {
+		rb := it.Payload.(*sealedBatch).rb
+		var slots []int32 // nil: the whole batch
+		h2d := rb.Bytes()
+		if pruned {
+			if slots = ps.batchSlots(bi, rb.Count()); len(slots) == 0 {
+				continue
+			}
+			h2d = int64(len(slots)) * int64(rb.M) * int64(rb.D) * int64(e.cfg.Precision.ElemBytes())
+		}
+		stream := e.streams[bi%len(e.streams)]
+		if it.Loc == cache.OnHost {
+			// Stream the batch (or its candidates' columns) into this
+			// stream's staging buffer.
+			stream.CopyH2D(h2d, e.cfg.PinnedHost, nil)
+		}
+		res, err := knn.Match(stream, rb, mq, slots, opts, &e.scratch)
+		if err != nil {
+			return BatchReport{}, err
+		}
+		for qi, rep := range reports {
+			n := rb.Count() // result rows that are this query's
+			if pruned {
+				n = ps.picked(qi)
+			}
+			rep.Compared += n
+			if phantom {
+				continue
+			}
+			var kps []sift.Keypoint
+			if qi < len(queryKps) {
+				kps = queryKps[qi]
+			}
+			for k := 0; k < n; k++ {
+				at := k
+				if pruned {
+					at = ps.resultAt(bi, qi, k)
 				}
-				res, err := knn.MatchBatchScratch(stream, sb.rb, q, opts, &e.scratch)
-				if err != nil {
-					return nil, err
+				pair := res[qi][at]
+				public, live := e.uidToPublic[pair.RefID]
+				if !live {
+					continue // tombstoned slot (it may even have won a candidate place; harmless)
 				}
-				report.Compared += sb.rb.Count()
-				if phantom {
-					continue
-				}
-				// Score every live reference in this batch.
-				for _, pair := range res {
-					public, live := e.uidToPublic[pair.RefID]
-					if !live {
-						continue
-					}
-					meta := e.refs[public]
-					score := match.PairScore(pair, meta.kps, queryKps, e.cfg.Match)
-					report.Ranked = append(report.Ranked, match.SearchResult{RefID: public, Score: score})
-				}
+				score := match.PairScore(pair, e.refs[public].kps, kps, e.cfg.Match)
+				rep.Ranked = append(rep.Ranked, match.SearchResult{RefID: public, Score: score})
 			}
 		}
 	}
 	elapsed := e.dev.Synchronize() - start
-	e.searches.Add(1)
+	e.searches.Add(int64(Bq))
 
-	report.ElapsedUS = elapsed
+	br := BatchReport{Reports: reports, ElapsedUS: elapsed}
+	for _, rep := range reports {
+		rep.ElapsedUS = elapsed
+		br.Compared += rep.Compared
+		if !phantom {
+			top, ok := match.Identify(rep.Ranked, e.cfg.Match)
+			rep.Ranked = match.RankResults(rep.Ranked)
+			rep.BestID, rep.Score, rep.Accepted = top.RefID, top.Score, ok
+		}
+	}
 	if elapsed > 0 {
-		report.Speed = float64(report.Compared) / (elapsed * 1e-6)
+		br.Throughput = float64(br.Compared) / (elapsed * 1e-6)
+		for _, rep := range reports {
+			rep.Speed = br.Throughput / float64(Bq)
+		}
 	}
-	if phantom {
-		return report, nil
-	}
+	return br, nil
+}
 
-	top, ok := match.Identify(report.Ranked, e.cfg.Match)
-	report.Ranked = match.RankResults(report.Ranked)
-	report.BestID = top.RefID
-	report.Score = top.Score
-	report.Accepted = ok
-	return report, nil
+// stageQuery stages one query as panel slot i through that slot's own
+// QueryScratch, zero-padding a short real query to QueryFeatures when pad is
+// set. A nil qf stages a phantom query.
+//
+//texlint:scratchalias
+func (e *Engine) stageQuery(i int, qf *blas.Matrix, pad bool) (*knn.Query, error) {
+	if qf == nil {
+		return knn.PhantomQuery(e.dev, e.cfg.QueryFeatures, e.cfg.Dim)
+	}
+	qs := &e.qscratch[i]
+	if pad {
+		qf = qs.Padded(qf, e.cfg.QueryFeatures)
+	}
+	return knn.NewQueryScratch(e.dev, qf, e.cfg.Precision, e.cfg.Scale, qs)
+}
+
+// freeQueries releases the staged panel's device memory.
+func (e *Engine) freeQueries() {
+	for _, q := range e.queries {
+		q.Free()
+	}
 }
 
 // Stats summarizes the engine state.

@@ -296,25 +296,7 @@ func queryBytes(n, d int, prec gpusim.Precision) int64 {
 // nor the fp16 copy's device bytes; FP16 engines stage both copies so the
 // same upload serves the FP32-realm variants (Baseline, norms).
 func NewQuery(dev *gpusim.Device, mat *blas.Matrix, prec gpusim.Precision, scale float32) (*Query, error) {
-	if scale == 0 {
-		scale = 1
-	}
-	q := &Query{
-		dev:   dev,
-		N:     mat.Cols,
-		D:     mat.Rows,
-		F32:   mat,
-		Norms: blas.SquaredNorms(mat),
-		Scale: scale,
-		bytes: queryBytes(mat.Cols, mat.Rows, prec),
-	}
-	if prec == gpusim.FP16 {
-		q.F16, q.Overflow = blas.HalfFromMatrix(mat, scale)
-	}
-	if err := dev.Alloc(q.bytes); err != nil {
-		return nil, err
-	}
-	return q, nil
+	return NewQueryScratch(dev, mat, prec, scale, nil)
 }
 
 // PhantomQuery reserves query dimensions without payload.
@@ -328,12 +310,15 @@ func PhantomQuery(dev *gpusim.Device, n, d int) (*Query, error) {
 	return q, nil
 }
 
-// Free releases the query's device memory.
+// Free releases the query's device memory and lets go of the caller's
+// feature matrix, so a recycled shell (QueryScratch) does not pin the last
+// request's features until the next search.
 func (q *Query) Free() {
 	if q.bytes > 0 {
 		q.dev.Free(q.bytes)
 		q.bytes = 0
 	}
+	q.F32 = nil
 }
 
 // resultBytes is the D2H payload per reference item: the 2×n distance
@@ -342,9 +327,9 @@ func resultBytes(n int, prec gpusim.Precision) int64 {
 	return int64(2*n*prec.ElemBytes()) + int64(2*n*4)
 }
 
-// workspaceBytes returns the per-invocation device workspace: the
+// WorkspaceBytes returns the per-invocation device workspace: the
 // (B·m)×n distance matrix in the working precision. The engine charges
 // this per stream (Table 6's "extra GPU memory" column).
-func workspaceBytes(batch, m, n int, prec gpusim.Precision) int64 {
+func WorkspaceBytes(batch, m, n int, prec gpusim.Precision) int64 {
 	return int64(batch) * int64(m) * int64(n) * int64(prec.ElemBytes())
 }

@@ -308,6 +308,39 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
+// selectTop2Block is the test oracle for the single-pass selection that
+// replaces the insertion sort: it scans rows [lo, hi) of every column of C,
+// keeping the two smallest values (as squared distances) and the block-
+// relative index of the smallest.
+func selectTop2Block(refID int, C *blas.Matrix, lo, hi int) Pair2NN {
+	n := C.Cols
+	r := Pair2NN{
+		RefID:   refID,
+		Best:    make([]float32, n),
+		Second:  make([]float32, n),
+		BestIdx: make([]int32, n),
+	}
+	for j := 0; j < n; j++ {
+		col := C.Col(j)
+		best, second := float32(math.MaxFloat32), float32(math.MaxFloat32)
+		bestIdx := int32(-1)
+		for i := lo; i < hi; i++ {
+			v := col[i]
+			if v < best {
+				second = best
+				best = v
+				bestIdx = int32(i - lo)
+			} else if v < second {
+				second = v
+			}
+		}
+		r.Best[j] = best
+		r.Second[j] = second
+		r.BestIdx[j] = bestIdx
+	}
+	return r
+}
+
 func TestPropertyTop2SelectionMatchesSortOracle(t *testing.T) {
 	// The register-resident top-2 selection must agree with a full sort
 	// for arbitrary inputs (including duplicates and negatives).

@@ -19,24 +19,89 @@ func MatchBatch(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options) ([]
 // MatchBatchScratch is MatchBatch with an optional reusable Scratch: the
 // distance matrix and result slabs come from sc, so steady-state search
 // allocates nothing per batch. Results alias sc and must be consumed
-// before the next call reusing it; a nil sc behaves exactly like
-// MatchBatch.
+// before the next call reusing it; a nil sc means a fresh Scratch for this
+// call.
 //
 //texlint:hotpath
 //texlint:scratchalias
 func MatchBatchScratch(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *Scratch) ([]Pair2NN, error) {
-	if rb.D != q.D {
-		return nil, fmt.Errorf("knn: dimension mismatch: refs d=%d, query d=%d", rb.D, q.D)
+	sc = sc.orFresh()
+	return firstQuery(Match(stream, rb, sc.panelOf(q), nil, opts, sc))
+}
+
+// MatchCandidatesScratch is MatchBatchScratch restricted to the given slots
+// (ascending indices into rb's images): one Pair2NN per slot, in slot
+// order, bitwise identical to the corresponding MatchBatchScratch entries.
+// RootSIFT only.
+//
+//texlint:hotpath
+//texlint:scratchalias
+func MatchCandidatesScratch(stream *gpusim.Stream, rb *RefBatch, q *Query, slots []int32, opts Options, sc *Scratch) ([]Pair2NN, error) {
+	if len(slots) == 0 {
+		return nil, nil // an empty candidate set is not Match's nil "whole batch"
 	}
+	sc = sc.orFresh()
+	return firstQuery(Match(stream, rb, sc.panelOf(q), slots, opts, sc))
+}
+
+// MatchMultiQueryInto matches a prepared query panel against the whole
+// batch (RootSIFT only). The result is indexed [query][reference] and
+// aliases sc like every *Scratch variant.
+//
+//texlint:hotpath
+//texlint:scratchalias
+func MatchMultiQueryInto(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, opts Options, sc *Scratch) ([][]Pair2NN, error) {
+	if opts.Algorithm != RootSIFT {
+		return nil, fmt.Errorf("knn: multi-query batching supports the RootSIFT path only, got %v", opts.Algorithm)
+	}
+	return Match(stream, rb, mq, nil, opts, sc)
+}
+
+func firstQuery(res [][]Pair2NN, err error) ([]Pair2NN, error) {
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// Match is the one entry every search shape goes through: the 2-NN of a
+// staged query panel (BuildMultiQuery; B_q >= 1 queries of n columns each)
+// against a reference batch, restricted to slots (ascending image indices
+// into rb) when slots is non-nil. A nil slot set means the whole batch.
+// The result is indexed [query][reference or slot position]; results alias
+// sc and must be consumed before the next call reusing it. Only RootSIFT
+// (Algorithm 2) takes panels wider than one query or a slot set; the
+// Algorithm-1 and baseline variants match one query against whole batches.
+//
+//texlint:hotpath
+//texlint:scratchalias
+func Match(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []int32, opts Options, sc *Scratch) ([][]Pair2NN, error) {
+	for i, q := range mq.queries {
+		if q.D != rb.D {
+			return nil, fmt.Errorf("knn: dimension mismatch: refs d=%d, query %d d=%d", rb.D, i, q.D)
+		}
+	}
+	sc = sc.orFresh()
+	if opts.Algorithm == RootSIFT {
+		return rootSIFT2NN(stream, rb, mq, slots, opts, sc)
+	}
+	if len(mq.queries) != 1 || slots != nil {
+		return nil, fmt.Errorf("knn: query batching and candidate pruning support the RootSIFT path only, got %v", opts.Algorithm)
+	}
+	var res []Pair2NN
+	var err error
 	switch opts.Algorithm {
 	case Baseline:
-		return matchBaseline(stream, rb, q) //texlint:ignore hotalloc the baseline variant allocates per batch by design; it exists to be measured against, not to meet the zero-alloc contract
+		res, err = matchBaseline(stream, rb, mq.queries[0]) //texlint:ignore hotalloc the baseline variant allocates per batch by design; it exists to be measured against, not to meet the zero-alloc contract
 	case Garcia, Eq1Top2:
-		return matchEq1(stream, rb, q, opts, sc)
-	case RootSIFT:
-		return matchRootSIFT(stream, rb, q, opts, sc)
+		res, err = matchEq1(stream, rb, mq.queries[0], opts, sc)
+	default:
+		return nil, fmt.Errorf("knn: unknown algorithm %v", opts.Algorithm)
 	}
-	return nil, fmt.Errorf("knn: unknown algorithm %v", opts.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	return sc.oneRow(res), nil
 }
 
 // matchBaseline models the OpenCV-CUDA path: one monolithic brute-force
@@ -146,50 +211,95 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 	return results, nil
 }
 
-// matchRootSIFT runs Algorithm 2: with unit-norm RootSIFT features,
-// ρ² = 2 + A where A = -2·RᵀQ, so the pipeline is GEMM plus one fused
-// top-2/sqrt kernel.
+// rootSIFT2NN runs Algorithm 2 — the only RootSIFT GEMM → top-2 → sqrt
+// body in the package. With unit-norm RootSIFT features ρ² = 2 + A where
+// A = -2·RᵀQ, so the pipeline is one GEMM of shape (blocks·m)×(B_q·n) plus
+// one fused top-2/sqrt kernel.
 //
+// Whole batch (slots == nil): one GEMM call over the resident operand.
+// Slot set: the selected images' feature columns are gathered (charged as
+// one elementwise pass) and each slot runs the same GEMM over a view of the
+// resident operand, writing the same bits as the corresponding rows of the
+// whole-batch GEMM:
+//
+//   - FP32: GemmTN's per-element value is one sequential FMA chain over
+//     the two operand columns (see gemm.go), so a column slice of the
+//     operand reproduces those rows exactly.
+//   - FP16: hgemmCore consumes only the widened k-stride staging, served
+//     from the batch's cached Panel; slot s's staging is the contiguous
+//     chunk aw[s*m*k:(s+1)*m*k], fed through blas.HGemmTNStaged.
+//
+//texlint:hotpath
+//texlint:scratchalias
 //texlint:ignore streampair the engine synchronizes the device after issuing every batch
-func matchRootSIFT(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *Scratch) ([]Pair2NN, error) {
-	B := rb.Count()
-	m, n, d := rb.M, q.N, rb.D
+func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []int32, opts Options, sc *Scratch) ([][]Pair2NN, error) {
+	Bq := len(mq.queries)
+	m, n, d := rb.M, mq.n, rb.D
 	prec := opts.Precision
-	phantom := rb.phantom || q.phantom
-	if prec == gpusim.FP16 && !phantom && (rb.F16 == nil || q.F16 == nil) {
+	phantom := rb.phantom || mq.phantom
+	if prec == gpusim.FP16 && !phantom && (rb.F16 == nil || mq.catF16 == nil) {
 		return nil, fmt.Errorf("knn: FP16 match on FP32-staged operands (stage with Precision FP16)")
 	}
+	ids := rb.IDs
+	if slots != nil {
+		ids = sc.candSlots(rb, slots)
+		stream.Elementwise("binq/gather", 2*int64(len(ids))*int64(m)*int64(d)*int64(prec.ElemBytes()), nil)
+	}
+	nb := len(ids) // reference blocks matched: the whole batch, or one per slot
 
+	results := sc.multiSlab(ids, Bq, n, phantom)
 	var C *blas.Matrix
-	results := sc.pairSlab(rb.IDs, n, phantom)
 	if !phantom {
-		C = sc.matrix(B*m, n)
+		C = sc.matrix(nb*m, Bq*n)
 	}
 
-	stream.Gemm(B*m, n, d, prec, func() {
+	stream.Gemm(nb*m, Bq*n, d, prec, func() {
 		if phantom {
 			return
 		}
-		if prec == gpusim.FP16 {
-			blas.HGemmTNPanel(-2, rb.Panel(), rb.F16, q.F16, opts.Accum, C)
-			inv := 1 / (rb.Scale * q.Scale)
-			for i := range C.Data {
-				C.Data[i] *= inv
+		if prec != gpusim.FP16 {
+			if slots == nil {
+				blas.GemmTN(-2, rb.F32, mq.catF32, 0, C)
+				return
 			}
+			for si, slot := range slots {
+				av, cv := rb.F32.SliceView(int(slot)*m, (int(slot)+1)*m), rowBlockView(C, si*m, m)
+				blas.GemmTN(-2, &av, mq.catF32, 0, &cv)
+			}
+			return
+		}
+		if slots == nil {
+			blas.HGemmTNPanel(-2, rb.Panel(), rb.F16, mq.catF16, opts.Accum, C)
 		} else {
-			blas.GemmTN(-2, rb.F32, q.F32, 0, C)
+			// The query operand is widened once per batch and shared by
+			// every slot's staged GEMM.
+			aw := rb.Panel().For(rb.F16)
+			sc.qstage = blas.StageHalf(mq.catF16, sc.qstage)
+			for si, slot := range slots {
+				cv := rowBlockView(C, si*m, m)
+				blas.HGemmTNStaged(-2, aw[int(slot)*m*d:(int(slot)+1)*m*d], sc.qstage, m, Bq*n, d, opts.Accum, &cv)
+			}
+		}
+		// Undo the feature scale: C holds -2·s²·RᵀQ.
+		inv := 1 / (rb.Scale * mq.queries[0].Scale)
+		for i := range C.Data {
+			C.Data[i] *= inv
 		}
 	})
 
 	// Fused steps 2-3: top-2 per column per block, then sqrt(2 + a) in
-	// registers. Same device cost as the plain top-2 scan.
-	stream.Top2Scan(m, n, B, prec, func() {
+	// registers. Every (query, block) cell is independent, so the sweep
+	// parallelises over all B_q·blocks of them — a lone query still fans out
+	// over its blocks — and stays bit-identical at any GOMAXPROCS.
+	stream.Top2Scan(m, n*Bq, nb, prec, func() {
 		if phantom {
 			return
 		}
-		blas.Parallel(B, func(b int) {
-			p := &results[b]
-			blas.Top2AddRows(C, nil, b*m, (b+1)*m, p.Best, p.Second, p.BestIdx)
+		blas.Parallel(Bq*nb, func(cell int) {
+			qi, b := cell/nb, cell%nb
+			sub := C.SliceView(qi*n, (qi+1)*n)
+			p := &results[qi][b]
+			blas.Top2AddRows(&sub, nil, b*m, (b+1)*m, p.Best, p.Second, p.BestIdx)
 			for j := range p.Best {
 				p.Best[j] = sqrt32(2 + p.Best[j])
 				p.Second[j] = sqrt32(2 + p.Second[j])
@@ -197,9 +307,15 @@ func matchRootSIFT(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, 
 		})
 	})
 
-	stream.CopyD2H(int64(B)*resultBytes(n, prec), false, nil)
-	stream.HostPost(B, prec, nil)
+	stream.CopyD2H(int64(nb)*int64(Bq)*resultBytes(n, prec), false, nil)
+	stream.HostPost(nb*Bq, prec, nil)
 	return results, nil
+}
+
+// rowBlockView returns rows [lo, lo+rows) of C as a strided view (no
+// allocation; the value aliases C's storage).
+func rowBlockView(C *blas.Matrix, lo, rows int) blas.Matrix {
+	return blas.Matrix{Rows: rows, Cols: C.Cols, Stride: C.Stride, Data: C.Data[lo:]}
 }
 
 // bruteForce2NN is the functional baseline: direct O(d·m·n) squared
@@ -238,39 +354,6 @@ func bruteForce2NN(refID int, R, Q *blas.Matrix) Pair2NN {
 	return r
 }
 
-// selectTop2Block scans rows [lo, hi) of every column of C, keeping the
-// two smallest values in registers — the single-pass selection that
-// replaces the insertion sort. Values are returned as squared distances
-// (callers apply N_Q/sqrt or the RootSIFT 2+A epilogue).
-func selectTop2Block(refID int, C *blas.Matrix, lo, hi int) Pair2NN {
-	n := C.Cols
-	r := Pair2NN{
-		RefID:   refID,
-		Best:    make([]float32, n),
-		Second:  make([]float32, n),
-		BestIdx: make([]int32, n),
-	}
-	for j := 0; j < n; j++ {
-		col := C.Col(j)
-		best, second := float32(math.MaxFloat32), float32(math.MaxFloat32)
-		bestIdx := int32(-1)
-		for i := lo; i < hi; i++ {
-			v := col[i]
-			if v < best {
-				second = best
-				best = v
-				bestIdx = int32(i - lo)
-			} else if v < second {
-				second = v
-			}
-		}
-		r.Best[j] = best
-		r.Second[j] = second
-		r.BestIdx[j] = bestIdx
-	}
-	return r
-}
-
 // finishDistances applies Algorithm 1 steps 6-7 to one result: add N_Q,
 // clamp tiny negatives from cancellation, square-root. FP16 overflow
 // (±Inf) propagates to +Inf distances.
@@ -292,11 +375,4 @@ func sqrt32(v float32) float32 {
 		return 0
 	}
 	return float32(math.Sqrt(float64(v)))
-}
-
-// WorkspaceBytes exposes the per-invocation device workspace so the engine
-// can charge per-stream scratch memory (Table 6's extra-GPU-memory
-// column): the (B·m)×n distance matrix.
-func WorkspaceBytes(batch, m, n int, prec gpusim.Precision) int64 {
-	return workspaceBytes(batch, m, n, prec)
 }

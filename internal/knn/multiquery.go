@@ -7,147 +7,66 @@ import (
 	"texid/internal/gpusim"
 )
 
-// MultiQuery is a prepared column-wise concatenation of a query batch (the
-// Sec. 5.3 trade-off the paper defers): the feature matrices of B_q query
-// images become one d×(B_q·n) operand, so a single GEMM of shape
-// (B_r·m)×(B_q·n) serves every (reference, query) pair. Building it once and
-// reusing it across every reference batch of a search avoids re-copying the
-// query features per batch.
+// MultiQuery is a staged query panel: the feature matrices of B_q query
+// images side by side as one d×(B_q·n) operand, so a single GEMM of shape
+// (B_r·m)×(B_q·n) serves every (reference, query) pair (the Sec. 5.3
+// trade-off the paper defers). It is built once per search and reused
+// across every reference batch. A lone query is the B_q = 1 panel and
+// aliases the query's own matrices — nothing is copied.
 type MultiQuery struct {
 	queries []*Query
-	n       int // features per query (batch must be rectangular)
+	n       int // features per query (the panel must be rectangular)
 	phantom bool
 	catF32  *blas.Matrix
 	catF16  *blas.HalfMatrix
 }
 
-// BuildMultiQuery validates a query batch and stages its concatenation,
-// reusing sc's concat buffers when sc is non-nil. The result aliases sc (and
-// the queries' matrices) and is valid until sc's next BuildMultiQuery call.
+// BuildMultiQuery validates a query batch and stages its panel in sc's
+// buffers (fresh ones when sc is nil). The result aliases sc, the queries
+// slice and the queries' matrices, and is valid until sc's next
+// BuildMultiQuery call.
 //
+//texlint:hotpath
 //texlint:scratchalias
 func BuildMultiQuery(queries []*Query, prec gpusim.Precision, sc *Scratch) (*MultiQuery, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("knn: empty query batch")
 	}
-	mq := &MultiQuery{queries: queries, n: queries[0].N}
+	sc = sc.orFresh()
+	mq := &sc.mq
+	if len(queries) == 1 {
+		*mq = lonePanel(queries)
+		return mq, nil
+	}
+	*mq = MultiQuery{queries: queries, n: queries[0].N}
 	for i, q := range queries {
 		if q.N != mq.n {
 			return nil, fmt.Errorf("knn: ragged query batch: query %d has %d features, want %d", i, q.N, mq.n)
 		}
 		mq.phantom = mq.phantom || q.phantom
 	}
-	if mq.phantom {
-		return mq, nil
-	}
-	if prec == gpusim.FP16 {
-		qcat := make([]*blas.HalfMatrix, len(queries))
-		for i, q := range queries {
-			qcat[i] = q.F16
+	switch {
+	case mq.phantom:
+	case prec == gpusim.FP16:
+		sc.hdrF16 = sc.hdrF16[:0]
+		for _, q := range queries {
+			sc.hdrF16 = append(sc.hdrF16, q.F16) //texlint:ignore hotalloc scratch-owned header slice reused via [:0]; reaches the largest batch seen
 		}
-		if sc == nil {
-			mq.catF16 = blas.ConcatHalfColumnsInto(&blas.HalfMatrix{}, qcat...)
-		} else {
-			mq.catF16 = blas.ConcatHalfColumnsInto(&sc.catF16, qcat...)
+		mq.catF16 = blas.ConcatHalfColumnsInto(&sc.catF16, sc.hdrF16...)
+	default:
+		sc.hdrF32 = sc.hdrF32[:0]
+		for _, q := range queries {
+			sc.hdrF32 = append(sc.hdrF32, q.F32) //texlint:ignore hotalloc scratch-owned header slice reused via [:0]; reaches the largest batch seen
 		}
-	} else {
-		qcat := make([]*blas.Matrix, len(queries))
-		for i, q := range queries {
-			qcat[i] = q.F32
-		}
-		if sc == nil {
-			mq.catF32 = blas.ConcatColumnsInto(&blas.Matrix{}, qcat...)
-		} else {
-			mq.catF32 = blas.ConcatColumnsInto(&sc.catF32, qcat...)
-		}
+		mq.catF32 = blas.ConcatColumnsInto(&sc.catF32, sc.hdrF32...)
+		clear(sc.hdrF32) // copied; do not pin the callers' matrices
 	}
 	return mq, nil
 }
 
-// MatchMultiQuery runs the multi-query batched 2-NN for one reference batch.
-// Throughput rises with B_q (more data reuse on the reference operand), but
-// every query now waits for the whole batch — the latency/QoS cost the paper
-// mentions. Only the RootSIFT (Algorithm 2) path is supported, matching the
-// production configuration.
-//
-// The result is indexed [query][reference]. Phantom inputs produce empty
-// result shells (timing only).
-func MatchMultiQuery(stream *gpusim.Stream, rb *RefBatch, queries []*Query, opts Options) ([][]Pair2NN, error) {
-	if opts.Algorithm != RootSIFT {
-		return nil, fmt.Errorf("knn: multi-query batching supports the RootSIFT path only, got %v", opts.Algorithm)
-	}
-	mq, err := BuildMultiQuery(queries, opts.Precision, nil)
-	if err != nil {
-		return nil, err
-	}
-	return MatchMultiQueryInto(stream, rb, mq, opts, nil)
-}
-
-// MatchMultiQueryInto is MatchMultiQuery against a prepared MultiQuery, with
-// an optional reusable Scratch for the distance matrix and result slabs.
-// Results alias sc (see Scratch) and must be consumed before the next call
-// reusing it.
-//
-//texlint:hotpath
-//texlint:scratchalias
-//texlint:ignore streampair the engine synchronizes the device after issuing every batch
-func MatchMultiQueryInto(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, opts Options, sc *Scratch) ([][]Pair2NN, error) {
-	if opts.Algorithm != RootSIFT {
-		return nil, fmt.Errorf("knn: multi-query batching supports the RootSIFT path only, got %v", opts.Algorithm)
-	}
-	for i, q := range mq.queries {
-		if q.D != rb.D {
-			return nil, fmt.Errorf("knn: query %d dimension %d, refs %d", i, q.D, rb.D)
-		}
-	}
-	B := rb.Count()
-	Bq := len(mq.queries)
-	m, n, d := rb.M, mq.n, rb.D
-	prec := opts.Precision
-	phantom := rb.phantom || mq.phantom
-
-	results := sc.multiSlab(rb.IDs, Bq, n, phantom)
-	var C *blas.Matrix
-	if !phantom {
-		C = sc.matrix(B*m, Bq*n)
-	}
-
-	// One GEMM over the full query concatenation.
-	stream.Gemm(B*m, Bq*n, d, prec, func() {
-		if phantom {
-			return
-		}
-		if prec == gpusim.FP16 {
-			blas.HGemmTNPanel(-2, rb.Panel(), rb.F16, mq.catF16, opts.Accum, C)
-			inv := 1 / (rb.Scale * mq.queries[0].Scale)
-			for i := range C.Data {
-				C.Data[i] *= inv
-			}
-		} else {
-			blas.GemmTN(-2, rb.F32, mq.catF32, 0, C)
-		}
-	})
-
-	// Fused top-2 + sqrt(2+A): B_r·B_q·n selection threads.
-	stream.Top2Scan(m, n*Bq, B, prec, func() {
-		if phantom {
-			return
-		}
-		blas.Parallel(Bq, func(qi int) {
-			sub := C.SliceView(qi*n, (qi+1)*n)
-			rs := results[qi]
-			for b := 0; b < B; b++ {
-				p := &rs[b]
-				blas.Top2AddRows(&sub, nil, b*m, (b+1)*m, p.Best, p.Second, p.BestIdx)
-				for j := range p.Best {
-					p.Best[j] = sqrt32(2 + p.Best[j])
-					p.Second[j] = sqrt32(2 + p.Second[j])
-				}
-			}
-		})
-	})
-
-	stream.CopyD2H(int64(B)*int64(Bq)*resultBytes(n, prec), false, nil)
-	stream.HostPost(B*Bq, prec, nil)
-	return results, nil
+// lonePanel is the B_q = 1 panel over a one-element queries slice. It
+// aliases the query's own matrices (nil for a phantom query).
+func lonePanel(queries []*Query) MultiQuery {
+	q := queries[0]
+	return MultiQuery{queries: queries, n: q.N, phantom: q.phantom, catF32: q.F32, catF16: q.F16}
 }

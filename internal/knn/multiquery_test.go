@@ -8,6 +8,16 @@ import (
 	"texid/internal/gpusim"
 )
 
+// matchMulti stages queries as one panel and matches it against the whole
+// batch with fresh buffers (the nil-scratch path).
+func matchMulti(stream *gpusim.Stream, rb *RefBatch, queries []*Query, opts Options) ([][]Pair2NN, error) {
+	mq, err := BuildMultiQuery(queries, opts.Precision, nil)
+	if err != nil {
+		return nil, err
+	}
+	return MatchMultiQueryInto(stream, rb, mq, opts, nil)
+}
+
 func TestMultiQueryMatchesSingleQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	d, m, n := 16, 20, 12
@@ -30,7 +40,7 @@ func TestMultiQueryMatchesSingleQuery(t *testing.T) {
 	}
 	opts := Options{Algorithm: RootSIFT, Precision: gpusim.FP32}
 
-	multi, err := MatchMultiQuery(stream, rb, queries, opts)
+	multi, err := matchMulti(stream, rb, queries, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +74,7 @@ func TestMultiQueryFP16(t *testing.T) {
 	q1, _ := NewQuery(dev, rootSIFTFeatures(rng, d, n), gpusim.FP16, 1)
 	q2, _ := NewQuery(dev, rootSIFTFeatures(rng, d, n), gpusim.FP16, 1)
 	opts := Options{Algorithm: RootSIFT, Precision: gpusim.FP16, Scale: 1}
-	multi, err := MatchMultiQuery(stream, rb, []*Query{q1, q2}, opts)
+	multi, err := matchMulti(stream, rb, []*Query{q1, q2}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +93,15 @@ func TestMultiQueryValidation(t *testing.T) {
 	refs := []*blas.Matrix{rootSIFTFeatures(rng, 16, 8)}
 	rb, _ := NewRefBatch(dev, []int{0}, refs, gpusim.FP32, 1, true)
 
-	if _, err := MatchMultiQuery(stream, rb, nil, Options{Algorithm: RootSIFT}); err == nil {
+	if _, err := matchMulti(stream, rb, nil, Options{Algorithm: RootSIFT}); err == nil {
 		t.Fatal("empty query batch accepted")
 	}
 	q, _ := NewQuery(dev, rootSIFTFeatures(rng, 16, 8), gpusim.FP16, 1)
-	if _, err := MatchMultiQuery(stream, rb, []*Query{q}, Options{Algorithm: Eq1Top2}); err == nil {
+	if _, err := matchMulti(stream, rb, []*Query{q}, Options{Algorithm: Eq1Top2}); err == nil {
 		t.Fatal("non-RootSIFT algorithm accepted")
 	}
 	ragged, _ := NewQuery(dev, rootSIFTFeatures(rng, 16, 5), gpusim.FP16, 1)
-	if _, err := MatchMultiQuery(stream, rb, []*Query{q, ragged}, Options{Algorithm: RootSIFT}); err == nil {
+	if _, err := matchMulti(stream, rb, []*Query{q, ragged}, Options{Algorithm: RootSIFT}); err == nil {
 		t.Fatal("ragged query batch accepted")
 	}
 }
@@ -116,7 +126,7 @@ func TestMultiQueryThroughputBeatsSequential(t *testing.T) {
 	opts := Options{Algorithm: RootSIFT, Precision: gpusim.FP16}
 
 	t0 := dev.Synchronize()
-	if _, err := MatchMultiQuery(stream, rb, queries, opts); err != nil {
+	if _, err := matchMulti(stream, rb, queries, opts); err != nil {
 		t.Fatal(err)
 	}
 	batched := dev.Synchronize() - t0

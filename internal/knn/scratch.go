@@ -6,10 +6,14 @@ import (
 )
 
 // Scratch holds the reusable working set of the match kernels: the distance
-// matrix, the per-reference top-2 state, and the multi-query concatenation
-// buffers. Threading one Scratch through MatchBatchScratch /
-// MatchMultiQueryInto makes steady-state search allocation-free on the hot
-// path.
+// matrix, the per-reference top-2 state, and the query-panel staging
+// buffers. Threading one Scratch through BuildMultiQuery and Match (or the
+// single-query entries) makes steady-state search allocation-free on the
+// hot path.
+//
+// Every entry point takes an optional *Scratch; nil means a fresh one for
+// that call (orFresh), so results are always carved from scratch slabs and
+// a nil-scratch call simply pays the allocations a warm scratch avoids.
 //
 // A Scratch is not safe for concurrent use; the engine owns one per engine
 // under its mutex. Pair2NN results returned by the *Scratch variants alias
@@ -25,42 +29,59 @@ type Scratch struct {
 	idx    []int32
 	pairs  []Pair2NN
 	multi  [][]Pair2NN
+	// Query-panel staging (BuildMultiQuery): the panel shell, the operand
+	// header lists and the concatenation buffers of a multi-query panel.
+	mq     MultiQuery
+	hdrF32 []*blas.Matrix
+	hdrF16 []*blas.HalfMatrix
 	catF32 blas.Matrix
 	catF16 blas.HalfMatrix
-	// Candidate-rerank working set: the gathered reference ids of the
-	// pruned slots and the query operand's widened staging (built once per
-	// batch, shared by every candidate slot's staged GEMM).
+	// one is the B_q = 1 panel the single-query entries wrap their query
+	// in; it is separate from mq so a prepared panel survives those calls.
+	one  MultiQuery
+	oneQ [1]*Query
+	// Slot-set working set: the gathered reference ids of the selected
+	// slots and the query operand's widened staging (built once per batch,
+	// shared by every slot's staged GEMM).
 	candIDs []int
 	qstage  []float32
 }
 
-// candSlots gathers the reference ids of the given batch slots into the
-// reusable id buffer (or a fresh one when sc is nil).
-func (sc *Scratch) candSlots(rb *RefBatch, slots []int32) []int {
+// orFresh substitutes a fresh Scratch for nil.
+func (sc *Scratch) orFresh() *Scratch {
 	if sc == nil {
-		ids := make([]int, len(slots)) //texlint:ignore hotalloc nil-scratch fallback; the engine always threads a scratch
-		for i, s := range slots {
-			ids[i] = rb.IDs[s]
-		}
-		return ids
+		return &Scratch{} //texlint:ignore hotalloc nil-scratch fallback (MatchBatch, tests); the engine always threads a scratch
 	}
-	if cap(sc.candIDs) < len(slots) {
-		sc.candIDs = make([]int, len(slots))
-	}
-	sc.candIDs = sc.candIDs[:len(slots)]
-	for i, s := range slots {
-		sc.candIDs[i] = rb.IDs[s]
+	return sc
+}
+
+// panelOf wraps one staged query as a B_q = 1 panel without copying it.
+func (sc *Scratch) panelOf(q *Query) *MultiQuery {
+	sc.oneQ[0] = q
+	sc.one = lonePanel(sc.oneQ[:])
+	return &sc.one
+}
+
+// oneRow presents a single query's results in Match's [query][reference]
+// shape.
+func (sc *Scratch) oneRow(res []Pair2NN) [][]Pair2NN {
+	sc.multi = append(sc.multi[:0], res) //texlint:ignore hotalloc scratch-owned header reused via [:0]
+	return sc.multi
+}
+
+// candSlots gathers the reference ids of the given batch slots into the
+// reusable id buffer.
+func (sc *Scratch) candSlots(rb *RefBatch, slots []int32) []int {
+	sc.candIDs = sc.candIDs[:0]
+	for _, s := range slots {
+		sc.candIDs = append(sc.candIDs, rb.IDs[s]) //texlint:ignore hotalloc scratch-owned id buffer reused via [:0]; bounded by the batch image count
 	}
 	return sc.candIDs
 }
 
-// matrix returns a rows×cols matrix backed by the scratch buffer (or a
-// fresh allocation when sc is nil). Contents are undefined; callers must
-// fully overwrite it.
+// matrix returns a rows×cols matrix backed by the scratch buffer. Contents
+// are undefined; callers must fully overwrite it.
 func (sc *Scratch) matrix(rows, cols int) *blas.Matrix {
-	if sc == nil {
-		return blas.NewMatrix(rows, cols) //texlint:ignore hotalloc nil-scratch fallback for the allocation-tolerant MatchBatch path; the engine always threads a scratch
-	}
 	need := rows * cols
 	if cap(sc.cbuf) < need {
 		sc.cbuf = make([]float32, need)
@@ -81,43 +102,16 @@ func (sc *Scratch) grow(cnt, n int) {
 	sc.idx = sc.idx[:cnt*n]
 }
 
-// pairSlab returns B result shells. For real matches the Best/Second/
-// BestIdx slices are carved out of the scratch slabs (or freshly allocated
-// when sc is nil); phantom shells carry the reference ID only.
+// pairSlab returns B result shells for one query: multiSlab's only row.
 func (sc *Scratch) pairSlab(ids []int, n int, phantom bool) []Pair2NN {
-	B := len(ids)
-	if sc == nil {
-		return newPairSlab(ids, n, phantom)
-	}
-	if cap(sc.pairs) < B {
-		sc.pairs = make([]Pair2NN, B)
-	}
-	sc.pairs = sc.pairs[:B]
-	if !phantom {
-		sc.grow(B, n)
-	}
-	for b, id := range ids {
-		if phantom {
-			sc.pairs[b] = Pair2NN{RefID: id}
-			continue
-		}
-		sc.pairs[b] = Pair2NN{
-			RefID:   id,
-			Best:    sc.best[b*n : (b+1)*n : (b+1)*n],
-			Second:  sc.second[b*n : (b+1)*n : (b+1)*n],
-			BestIdx: sc.idx[b*n : (b+1)*n : (b+1)*n],
-		}
-	}
-	return sc.pairs
+	return sc.multiSlab(ids, 1, n, phantom)[0]
 }
 
-// multiSlab returns Bq slices of B result shells each, carved from the
-// scratch slabs like pairSlab.
+// multiSlab returns Bq rows of B result shells each. For real matches the
+// Best/Second/BestIdx slices are carved out of the scratch slabs; phantom
+// shells carry the reference ID only.
 func (sc *Scratch) multiSlab(ids []int, Bq, n int, phantom bool) [][]Pair2NN {
 	B := len(ids)
-	if sc == nil {
-		return newMultiSlab(ids, Bq, n, phantom)
-	}
 	if cap(sc.multi) < Bq {
 		sc.multi = make([][]Pair2NN, Bq)
 	}
@@ -149,54 +143,54 @@ func (sc *Scratch) multiSlab(ids []int, Bq, n int, phantom bool) [][]Pair2NN {
 	return sc.multi
 }
 
-// newPairSlab is the nil-scratch fallback of pairSlab: one fresh shell
-// (plus result slices) per reference.
-//
-//texlint:coldpath nil-scratch fallback used by MatchBatch and tests; the engine's serving loop always supplies a Scratch
-func newPairSlab(ids []int, n int, phantom bool) []Pair2NN {
-	pairs := make([]Pair2NN, len(ids))
-	for b, id := range ids {
-		pairs[b].RefID = id
-		if !phantom {
-			pairs[b].Best = make([]float32, n)
-			pairs[b].Second = make([]float32, n)
-			pairs[b].BestIdx = make([]int32, n)
-		}
-	}
-	return pairs
-}
-
-// newMultiSlab is the nil-scratch fallback of multiSlab.
-//
-//texlint:coldpath nil-scratch fallback used by MatchMultiQuery and tests; the engine's serving loop always supplies a Scratch
-func newMultiSlab(ids []int, Bq, n int, phantom bool) [][]Pair2NN {
-	out := make([][]Pair2NN, Bq)
-	for qi := range out {
-		out[qi] = newPairSlab(ids, n, phantom)
-	}
-	return out
-}
-
 // QueryScratch recycles the buffers NewQuery stages per search: the squared
-// norm vector, the binary16 conversion, and the Query shell itself. Owned
-// by the engine under its mutex.
+// norm vector, the binary16 conversion, the zero-padded copy of a short
+// query, and the Query shell itself. Owned by the engine under its mutex.
 type QueryScratch struct {
 	norms []float32
 	half  blas.HalfMatrix
+	pad   blas.Matrix
 	q     Query
 }
 
-// NewQueryScratch is NewQuery staging into qs's buffers; with a nil qs it
-// is identical to NewQuery. The returned Query (and its matrices) alias qs
-// and are valid until the next NewQueryScratch call with the same qs.
-// Like NewQuery, the binary16 conversion (and its device bytes) are only
-// paid when the engine precision is FP16.
+// Padded returns mat widened with zero columns to n, copied into qs's pad
+// buffer (valid until the next Padded call); a mat that already has n
+// columns is returned as is. Zero descriptors are harmless under RootSIFT
+// matching: they sit at distance sqrt(2) from every unit-norm reference
+// feature, so best equals second-best and the ratio test always rejects
+// them.
+//
+//texlint:scratchalias
+func (qs *QueryScratch) Padded(mat *blas.Matrix, n int) *blas.Matrix {
+	if mat.Cols >= n {
+		return mat
+	}
+	need := mat.Rows * n
+	if cap(qs.pad.Data) < need {
+		qs.pad.Data = make([]float32, need)
+	}
+	qs.pad = blas.Matrix{Rows: mat.Rows, Cols: n, Stride: mat.Rows, Data: qs.pad.Data[:need]}
+	for j := 0; j < n; j++ {
+		if col := qs.pad.Col(j); j < mat.Cols {
+			copy(col, mat.Col(j))
+		} else {
+			clear(col)
+		}
+	}
+	return &qs.pad
+}
+
+// NewQueryScratch is NewQuery staging into qs's buffers (fresh ones when qs
+// is nil). The returned Query (and its matrices) alias qs and are valid
+// until the next NewQueryScratch call with the same qs. The binary16
+// conversion (and its device bytes) are only paid when the engine precision
+// is FP16.
 //
 //texlint:hotpath
 //texlint:scratchalias
 func NewQueryScratch(dev *gpusim.Device, mat *blas.Matrix, prec gpusim.Precision, scale float32, qs *QueryScratch) (*Query, error) {
 	if qs == nil {
-		return NewQuery(dev, mat, prec, scale) //texlint:ignore hotalloc nil-scratch fallback; NewQuery allocates fresh buffers by contract
+		qs = &QueryScratch{} //texlint:ignore hotalloc nil-scratch fallback; the engine always threads a scratch
 	}
 	if scale == 0 {
 		scale = 1

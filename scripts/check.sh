@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-2 verification gate: build, vet, project invariants (texlint), and
-# the race-detector test suite. Any diagnostic or failure exits non-zero.
+# Tier-2 verification gate: build, vet, project invariants (texlint), the
+# serving core's tests at GOMAXPROCS 1 and 4, and the race-detector test
+# suite. Any diagnostic or failure exits non-zero.
 # Works from a clean checkout with no network access (texlint type-checks
 # against the source importer; nothing is downloaded).
 set -euo pipefail
@@ -27,6 +28,13 @@ done
 
 echo "==> texlint -fixtures"
 go run ./cmd/texlint -fixtures
+
+# Tier-1 on more than one core on purpose: the serving core's concurrency
+# tests (atomic Update, churn under search) only bite with real
+# interleavings, and a single-core runner would otherwise hide that class of
+# bug. -cpu sets GOMAXPROCS, so this holds on any host.
+echo "==> go test -cpu 1,4 (engine, serve, cluster)"
+go test -cpu 1,4 ./internal/engine/... ./internal/serve/... ./internal/cluster/...
 
 # The race suite also runs as its own CI job; TEXID_SKIP_RACE lets that
 # job's sibling skip the duplicate run. Local runs always include it.
