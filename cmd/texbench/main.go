@@ -7,6 +7,9 @@
 //	texbench -experiment table1      # one experiment
 //	texbench -experiment table2 -refs 24 -queries 24 -feature-scale 2
 //	texbench -markdown > results.md  # EXPERIMENTS.md-style output
+//	texbench -suite -baseline BENCH_BASELINE.json            # measurement suite, gated
+//	texbench -suite -portable -baseline BENCH_BASELINE.json  # the machine-independent half (CI)
+//	texbench -suite -op '^gemm' -count 5                     # iterate on one op
 //
 // Timing experiments always run at the paper's full dimensions (phantom
 // batches); accuracy experiments (Tables 2 and 7) run the real pipeline on
@@ -24,69 +27,26 @@ import (
 	"time"
 
 	"texid/internal/bench"
-	"texid/internal/soak"
 )
-
-// maxNSFlag collects repeatable -max-ns op=ns pairs into absolute wall-clock
-// ceilings. Unlike -baseline (relative, tolerant), a ceiling is a hard gate:
-// the run fails if the op measures slower than the given ns/op no matter what
-// the last committed numbers were.
-type maxNSFlag map[string]float64
-
-func (f maxNSFlag) String() string {
-	parts := make([]string, 0, len(f))
-	for op, ns := range f {
-		parts = append(parts, fmt.Sprintf("%s=%.0f", op, ns))
-	}
-	return strings.Join(parts, ",")
-}
-
-func (f maxNSFlag) Set(v string) error {
-	op, nsStr, ok := strings.Cut(v, "=")
-	if !ok || op == "" {
-		return fmt.Errorf("want op=ns, got %q", v)
-	}
-	ns, err := strconv.ParseFloat(nsStr, 64)
-	if err != nil || ns <= 0 {
-		return fmt.Errorf("bad ns/op ceiling %q", nsStr)
-	}
-	f[op] = ns
-	return nil
-}
 
 func main() {
 	opts := bench.DefaultOptions()
 	experiment := flag.String("experiment", "all",
 		"experiment id: all, "+strings.Join(bench.Experiments, ", "))
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavored markdown")
-	wallclock := flag.Bool("wallclock", false,
-		"run the host wall-clock benchmark suite instead of the simulated-device experiments")
-	serving := flag.Bool("serving", false,
-		"run the micro-batching serving benchmark: deterministic simulated QPS (batched vs serialized) at concurrency 1/4/16/64")
-	servingWall := flag.Bool("serving-wall", false,
-		"with -serving: also run the machine-dependent wall-clock load generators (closed and open loop)")
-	soakMode := flag.Bool("soak", false,
-		"run the sustained-load soak suite: open-loop wall scenarios, GC telemetry, deterministic sim-clock soak, allocation probes")
-	var so soakOpts
-	flag.Float64Var(&so.qps, "soak-qps", 150, "with -soak: offered arrival rate per wall scenario")
-	flag.DurationVar(&so.duration, "soak-duration", 4*time.Second, "with -soak: duration of each wall scenario")
-	flag.Float64Var(&so.mix, "soak-mix", 0.2, "with -soak: write (enrollment-churn) fraction for the churn scenario")
-	flag.IntVar(&so.shards, "soak-shards", 3, "with -soak: shard count (1 = in-process engine, >1 = in-process cluster)")
-	flag.StringVar(&so.arrival, "soak-arrival", "poisson", "with -soak: arrival process, poisson or uniform")
-	flag.StringVar(&so.addr, "soak-addr", "", "with -soak: drive a live texsearchd at this base URL instead of an in-process target")
-	flag.BoolVar(&so.sweep, "soak-sweep", false, "with -soak: also sweep GOGC {50,100,400} and GOMEMLIMIT 256MiB on the steady scenario")
-	flag.BoolVar(&so.smoke, "soak-smoke", false,
-		"with -soak: seconds-scale CI smoke — caps scenario duration at 1s, skips the sweep, and gates only the machine-independent half of the baseline")
-	count := flag.Int("count", 3, "wall-clock runs per op (best is reported)")
+	suite := flag.Bool("suite", false,
+		"run the measurement suite instead of the experiments: host kernels and soak scenarios (wall clock, at GOMAXPROCS 1 and NumCPU), serving levels and the sim-clock soak (simulated clock), allocation probes (counts)")
+	var so bench.SuiteOptions
+	flag.BoolVar(&so.Portable, "portable", false,
+		"with -suite: only sim- and count-clock ops, whose rows are identical on any machine (what CI gates)")
+	flag.IntVar(&so.Count, "count", 3, "with -suite: timed runs per host-kernel op (best is reported)")
 	opFilter := flag.String("op", "",
-		"with -wallclock: only run ops whose name matches this regexp (fixtures for skipped ops are not built)")
-	maxNS := maxNSFlag{}
-	flag.Var(maxNS, "max-ns",
-		"with -wallclock: absolute ceiling op=ns/op; repeatable; exit 1 if the op measures slower")
-	outPath := flag.String("out", "", "write the benchmark report to this JSON file (BENCH_HOST.json / BENCH_SERVE.json)")
-	baselinePath := flag.String("baseline", "", "compare the report against this JSON file; exit 1 on regression (>20% ns/op wall-clock, >10% QPS or identity/speedup-floor serving)")
-	validateBaseline := flag.Bool("validate-baseline", false,
-		"parse and validate the -baseline file without running anything; exit 2 if it is missing, malformed, or empty")
+		"with -suite: only run ops whose name matches this regexp (fixtures for skipped ops are not built)")
+	flag.StringVar(&so.SoakAddr, "soak-addr", "",
+		"with -suite: drive the wall soak ops at a live texsearchd at this base URL instead of the in-process cluster (rows are named soak_http_*)")
+	outPath := flag.String("out", "", "with -suite: write the rows to this JSON file (BENCH_BASELINE.json)")
+	baselinePath := flag.String("baseline", "",
+		"with -suite: gate against this baseline file; exit 2 before any op runs if it is missing or malformed, exit 1 on regression")
 	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "dataset and jitter seed")
 	flag.IntVar(&opts.Refs, "refs", opts.Refs, "reference images for accuracy experiments")
 	flag.IntVar(&opts.Queries, "queries", opts.Queries, "query images for accuracy experiments")
@@ -99,75 +59,16 @@ func main() {
 	flag.IntVar(&opts.MinMatches, "min-matches", opts.MinMatches, "identification acceptance threshold for accuracy experiments")
 	flag.Parse()
 
-	if *validateBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "texbench: -validate-baseline requires -baseline <file>")
-			os.Exit(2)
-		}
-		if *soakMode {
-			base, err := soak.LoadReport(*baselinePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "texbench: bad baseline:", err)
-				os.Exit(2)
-			}
-			if base.Sim == nil || len(base.Scenarios) == 0 {
-				fmt.Fprintf(os.Stderr, "texbench: bad baseline: %s is missing the sim-clock soak or wall scenarios\n", *baselinePath)
-				os.Exit(2)
-			}
-			return
-		}
-		if *serving {
-			base, err := bench.LoadServingReport(*baselinePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "texbench: bad baseline:", err)
-				os.Exit(2)
-			}
-			if len(base.Sim) == 0 {
-				fmt.Fprintf(os.Stderr, "texbench: bad baseline: %s contains no simulated serving levels\n", *baselinePath)
-				os.Exit(2)
-			}
-			return
-		}
-		base, err := bench.LoadHostReport(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "texbench: bad baseline:", err)
-			os.Exit(2)
-		}
-		if len(base.Results) == 0 {
-			fmt.Fprintf(os.Stderr, "texbench: bad baseline: %s contains no op results\n", *baselinePath)
-			os.Exit(2)
-		}
-		return
-	}
-
-	if *soakMode {
-		runSoak(so, *outPath, *baselinePath)
-		return
-	}
-
-	if *serving {
-		runServing(*servingWall, *outPath, *baselinePath)
-		return
-	}
-
-	if *wallclock {
-		var opRe *regexp.Regexp
+	if *suite {
 		if *opFilter != "" {
 			var err error
-			if opRe, err = regexp.Compile(*opFilter); err != nil {
+			if so.Filter, err = regexp.Compile(*opFilter); err != nil {
 				fmt.Fprintln(os.Stderr, "texbench: bad -op regexp:", err)
 				os.Exit(2)
 			}
 		}
-		runWallclock(*count, opRe, maxNS, *outPath, *baselinePath)
+		runSuite(so, *outPath, *baselinePath)
 		return
-	}
-
-	var ids []string
-	if *experiment == "all" {
-		ids = bench.Experiments
-	} else {
-		ids = strings.Split(*experiment, ",")
 	}
 
 	start := time.Now()
@@ -175,7 +76,7 @@ func main() {
 	if *experiment == "all" {
 		tables = bench.All(opts)
 	} else {
-		for _, id := range ids {
+		for _, id := range strings.Split(*experiment, ",") {
 			tb, err := bench.Run(strings.TrimSpace(id), opts)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -194,113 +95,64 @@ func main() {
 	fmt.Fprintf(os.Stderr, "ran %d experiment(s) in %s\n", len(tables), time.Since(start).Round(time.Millisecond))
 }
 
-// runServing runs the serving suite, optionally writing the report and/or
-// enforcing the deterministic gate (identity, 3x speedup floor at
-// concurrency 16, no >10% batched-QPS drop) against a committed baseline.
-func runServing(includeWall bool, outPath, baselinePath string) {
-	start := time.Now()
-	rep := bench.RunServing(includeWall)
-	fmt.Printf("serving (simulated, deterministic): %s, %d refs (m=%d, n=%d)\n",
-		rep.Device, rep.Refs, rep.RefFeatures, rep.QueryFeatures)
-	fmt.Printf("%-12s %12s %12s %9s %10s %12s %12s %10s\n",
-		"concurrency", "serial QPS", "batched QPS", "speedup", "mean batch", "p50 ms", "p99 ms", "identical")
-	for _, lv := range rep.Sim {
-		fmt.Printf("%-12d %12.1f %12.1f %8.2fx %10.1f %12.2f %12.2f %10v\n",
-			lv.Concurrency, lv.SerialQPS, lv.BatchedQPS, lv.Speedup, lv.MeanBatch, lv.P50MS, lv.P99MS, lv.Identical)
-	}
-	if includeWall {
-		fmt.Printf("\nserving (wall-clock, machine-dependent):\n")
-		fmt.Printf("%-8s %-12s %10s %12s %10s %10s %10s\n",
-			"mode", "concurrency", "QPS", "direct QPS", "p50 ms", "p99 ms", "mean batch")
-		for _, lv := range rep.Wall {
-			fmt.Printf("%-8s %-12d %10.0f %12.0f %10.2f %10.2f %10.1f\n",
-				lv.Mode, lv.Concurrency, lv.QPS, lv.DirectQPS, lv.P50MS, lv.P99MS, lv.MeanBatch)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "serving suite: GOMAXPROCS=%d, %s total\n",
-		rep.GOMAXPROCS, time.Since(start).Round(time.Millisecond))
-
-	if outPath != "" {
-		if err := rep.WriteFile(outPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	}
+// runSuite runs the measurement suite, printing each row as its op
+// finishes. The baseline is loaded first, so a missing or malformed file
+// fails before any slow op runs; the rows are written before they are gated,
+// so a re-baseline records what was measured even when an absolute limit or
+// a result check (which need no baseline, and are always enforced) fails.
+func runSuite(o bench.SuiteOptions, outPath, baselinePath string) {
+	var baseline []bench.Row
 	if baselinePath != "" {
-		base, err := bench.LoadServingReport(baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		var err error
+		if baseline, err = bench.Load(baselinePath); err != nil {
+			fmt.Fprintf(os.Stderr, "texbench: bad baseline: %v\n  record one:       UPDATE=1 scripts/bench.sh\n  or skip the gate: TEXID_BENCH_BASELINE=skip scripts/bench.sh\n", err)
 			os.Exit(2)
 		}
-		if problems := bench.CompareServingReports(base, rep, 0.10); len(problems) > 0 {
-			for _, p := range problems {
-				fmt.Fprintln(os.Stderr, "REGRESSION:", p)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "no regressions vs %s\n", baselinePath)
 	}
-}
 
-// runWallclock runs the host wall-clock suite (filtered to ops matching
-// opRe when non-nil), optionally writing the report, enforcing absolute
-// ns/op ceilings, and/or enforcing a regression gate against a committed
-// baseline.
-func runWallclock(count int, opRe *regexp.Regexp, maxNS map[string]float64, outPath, baselinePath string) {
 	start := time.Now()
-	rep := bench.RunHostBench(count, opRe)
-	if len(rep.Results) == 0 {
-		fmt.Fprintln(os.Stderr, "texbench: -op filter matched no benchmark ops")
+	fmt.Printf("%-52s %-5s %5s %16s %-10s %s\n", "op", "clock", "procs", "value", "unit", "gate")
+	o.Emit = func(r bench.Row) {
+		procs, gate := "-", ""
+		if r.GOMAXPROCS > 0 {
+			procs = strconv.Itoa(r.GOMAXPROCS)
+		}
+		if r.Tolerance != nil {
+			gate += fmt.Sprintf(" tolerance=%g", *r.Tolerance)
+		}
+		if r.Limit != nil {
+			gate += fmt.Sprintf(" limit=%g", *r.Limit)
+		}
+		if r.Verified != nil {
+			gate += fmt.Sprintf(" verified=%v", *r.Verified)
+		}
+		fmt.Printf("%-52s %-5s %5s %16.3f %-10s%s\n", r.Op, r.Clock, procs, r.Value, r.Unit, gate)
+	}
+	rows, err := bench.RunSuite(o)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "texbench:", err)
 		os.Exit(2)
 	}
-	fmt.Printf("%-28s %14s %10s %12s\n", "op", "ns/op", "MB/s", "allocs/op")
-	for _, r := range rep.Results {
-		fmt.Printf("%-28s %14.0f %10.1f %12.1f\n", r.Op, r.NsPerOp, r.MBPerSec, r.AllocsPerOp)
+	if len(rows) == 0 {
+		fmt.Fprintln(os.Stderr, "texbench: -op filter matched no suite ops")
+		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "wall-clock suite: GOMAXPROCS=%d, best of %d, %s total\n",
-		rep.GOMAXPROCS, count, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "suite: %d rows in %s\n", len(rows), time.Since(start).Round(time.Millisecond))
 
 	if outPath != "" {
-		if err := rep.WriteFile(outPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if err := bench.WriteRows(outPath, rows); err != nil {
+			fmt.Fprintln(os.Stderr, "texbench:", err)
 			os.Exit(2)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
 	}
-	if len(maxNS) > 0 {
-		ran := make(map[string]bool, len(rep.Results))
-		for _, r := range rep.Results {
-			ran[r.Op] = true
+	if problems := bench.Compare(baseline, rows); len(problems) > 0 {
+		for _, p := range problems {
+			fmt.Fprintln(os.Stderr, "REGRESSION:", p)
 		}
-		failed := false
-		for op := range maxNS {
-			if !ran[op] {
-				fmt.Fprintf(os.Stderr, "texbench: -max-ns op %q did not run (check -op filter)\n", op)
-				failed = true
-			}
-		}
-		for _, v := range bench.CheckCeilings(rep, maxNS) {
-			fmt.Fprintln(os.Stderr, "CEILING EXCEEDED:", v)
-			failed = true
-		}
-		if failed {
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "all %d ns/op ceiling(s) met\n", len(maxNS))
+		os.Exit(1)
 	}
 	if baselinePath != "" {
-		base, err := bench.LoadHostReport(baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if regs := bench.CompareHostReports(base, rep, 0.20); len(regs) > 0 {
-			for _, r := range regs {
-				fmt.Fprintln(os.Stderr, "REGRESSION:", r)
-			}
-			os.Exit(1)
-		}
 		fmt.Fprintf(os.Stderr, "no regressions vs %s\n", baselinePath)
 	}
 }

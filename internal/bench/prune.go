@@ -86,6 +86,6 @@ func pruneWithDataset(ds *accDataset, opts Options) *Table {
 	t.AddNote("the rerank is bitwise identical to the unpruned kernels, so accuracy can only differ " +
 		"when the prefilter drops the true reference (recall < 100%%)")
 	t.AddNote("wall-clock capacity: see engine_search_steady_pruned vs engine_search_steady_unpruned_10x " +
-		"in BENCH_HOST.json (a 10x shard at roughly unpruned-16-image latency)")
+		"in BENCH_BASELINE.json (a 10x shard at roughly unpruned-16-image latency)")
 	return t
 }

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -16,23 +13,18 @@ import (
 	"texid/internal/gpusim"
 	"texid/internal/knn"
 	"texid/internal/serve"
+	"texid/internal/soak"
 )
 
-// The serving benchmark measures what the micro-batching admission layer
-// (internal/serve) buys over the serialized single-query path. It has two
-// halves with different determinism contracts:
-//
-//   - Simulated throughput (gated, BENCH_SERVE.json): a lockstep closed
-//     loop — C clients submit together, coalesce into one C-query
-//     SearchBatch pass, and the next wave starts when all have finished —
-//     on a PCIe-bound phantom workload (FP16 references streaming from the
-//     host cache, where sharing one H2D transfer across C queries is the
-//     paper's Sec. 5.3 win). Wave composition is pinned by construction,
-//     so simulated QPS is bit-reproducible and safe to gate in CI.
-//   - Wall-clock serving (reported, never gated): free-running closed-loop
-//     and open-loop load generators over a functional workload, reporting
-//     achieved QPS, p50/p99 latency, and the achieved batch-size mix.
-//     These numbers are machine- and scheduler-dependent.
+// The serving ops measure what the micro-batching admission layer
+// (internal/serve) buys over the serialized single-query path, on the
+// simulated clock: a lockstep closed loop — C clients submit together,
+// coalesce into one C-query SearchBatch pass, and the next wave starts when
+// all have finished — on a PCIe-bound phantom workload (FP16 references
+// streaming from the host cache, where sharing one H2D transfer across C
+// queries is the paper's Sec. 5.3 win). Wave composition is pinned by
+// construction, so simulated QPS is bit-reproducible and safe to gate in
+// CI. Wall-clock serving latency under open-loop load is the soak ops' job.
 
 // ServingConcurrencies are the offered-load levels of the suite.
 var ServingConcurrencies = []int{1, 4, 16, 64}
@@ -45,66 +37,47 @@ const (
 	ServingSpeedupFloor    = 3.0
 )
 
-// ServingLevel is one concurrency level of the deterministic simulated
-// half.
+// ServingLevel is one concurrency level of the lockstep simulation.
 type ServingLevel struct {
-	Concurrency int `json:"concurrency"`
-	// Queries is the total number of searches issued on each path.
-	Queries int `json:"queries"`
 	// SerialQPS and BatchedQPS are simulated queries/second of the
 	// serialized single-query path and the coalesced path; Speedup is
 	// their ratio.
-	SerialQPS  float64 `json:"sim_qps_serial"`
-	BatchedQPS float64 `json:"sim_qps_batched"`
-	Speedup    float64 `json:"speedup"`
+	SerialQPS, BatchedQPS, Speedup float64
 	// SerialP50MS/.P99MS and P50MS/P99MS are per-query simulated latency
 	// quantiles (a coalesced query's latency is its batch's completion
 	// time — the Sec. 5.3 trade-off, visible here as batched p50 above
 	// serial p50 while QPS multiplies).
-	SerialP50MS float64 `json:"sim_p50_ms_serial"`
-	SerialP99MS float64 `json:"sim_p99_ms_serial"`
-	P50MS       float64 `json:"sim_p50_ms_batched"`
-	P99MS       float64 `json:"sim_p99_ms_batched"`
-	// MeanBatch and SizeHist are the achieved admission batch sizes
-	// (SizeHist buckets are serve.SizeBuckets() plus overflow).
-	MeanBatch float64  `json:"mean_batch"`
-	SizeHist  []uint64 `json:"batch_size_hist"`
-	// Identical reports the functional identity check: per-query results
-	// through the admission layer were equal, field for field and rank
-	// for rank, to sequential Engine.Search results.
-	Identical bool `json:"identical"`
+	SerialP50MS, SerialP99MS, P50MS, P99MS float64
+	// MeanBatch is the achieved admission batch size.
+	MeanBatch float64
 }
 
-// WallLevel is one wall-clock load-generator run (machine-dependent;
-// informational only).
-type WallLevel struct {
-	// Mode is "closed" (C workers in a closed loop) or "open" (fixed
-	// arrival rate, latency measured from intended arrival to avoid
-	// coordinated omission).
-	Mode        string  `json:"mode"`
-	Concurrency int     `json:"concurrency"`
-	Queries     int     `json:"queries"`
-	QPS         float64 `json:"qps"`
-	// DirectQPS is the same closed loop bypassing the admission layer
-	// (concurrent Engine.Search; the engine's exec lock serializes the
-	// GEMM passes). Zero for open-loop runs.
-	DirectQPS float64 `json:"qps_direct,omitempty"`
-	P50MS     float64 `json:"p50_ms"`
-	P99MS     float64 `json:"p99_ms"`
-	MeanBatch float64 `json:"mean_batch"`
-}
-
-// ServingReport is the serving benchmark output (BENCH_SERVE.json).
-type ServingReport struct {
-	Device        string `json:"device"`
-	Refs          int    `json:"refs"`
-	RefFeatures   int    `json:"ref_features"`
-	QueryFeatures int    `json:"query_features"`
-	GOMAXPROCS    int    `json:"gomaxprocs"`
-	// Sim is deterministic and gated; Wall is machine-dependent and
-	// informational.
-	Sim  []ServingLevel `json:"sim"`
-	Wall []WallLevel    `json:"wall,omitempty"`
+// servingOp is one concurrency level as a suite op. Batched QPS gates at
+// -10% against the baseline row, the gate concurrency's speedup carries the
+// absolute floor, and Verify is the functional identity check.
+func servingOp(c int) Op {
+	return Op{
+		Name:  fmt.Sprintf("serving_c%d", c),
+		Clock: ClockSim,
+		Run: func() ([]Row, error) {
+			lv := servingSimLevel(c, 3)
+			speedup := newRow("speedup", lv.Speedup, "x", higher)
+			if c == ServingGateConcurrency {
+				speedup = speedup.limit(ServingSpeedupFloor)
+			}
+			return []Row{
+				newRow("sim_qps_batched", lv.BatchedQPS, "qps", higher).tol(0.10),
+				newRow("sim_qps_serial", lv.SerialQPS, "qps", higher),
+				speedup,
+				newRow("sim_p50_ms_serial", lv.SerialP50MS, "ms", lower),
+				newRow("sim_p99_ms_serial", lv.SerialP99MS, "ms", lower),
+				newRow("sim_p50_ms_batched", lv.P50MS, "ms", lower),
+				newRow("sim_p99_ms_batched", lv.P99MS, "ms", lower),
+				newRow("mean_batch", lv.MeanBatch, "queries", higher),
+			}, nil
+		},
+		Verify: func() bool { return servingIdentityCheck(c) },
+	}
 }
 
 // servingSimConfig is the PCIe-bound phantom workload: FP16 references at
@@ -169,12 +142,11 @@ func lockstepWaves(eb *serve.EngineBatcher, c, waves int) []float64 {
 	return lat
 }
 
-// servingSimLevel measures one concurrency level of the deterministic
-// half: serialized vs coalesced simulated QPS on the phantom workload,
-// plus the functional identity check.
+// servingSimLevel measures one concurrency level: serialized vs coalesced
+// simulated QPS on the phantom workload.
 func servingSimLevel(c, waves int) ServingLevel {
 	n := c * waves
-	lv := ServingLevel{Concurrency: c, Queries: n}
+	var lv ServingLevel
 
 	// Serialized path: each search pays the full streaming pass. The
 	// engine's exec lock serializes concurrent callers, so a sequential
@@ -212,8 +184,6 @@ func servingSimLevel(c, waves int) ServingLevel {
 	lv.P50MS = quantileUS(batched, 0.50) / 1000
 	lv.P99MS = quantileUS(batched, 0.99) / 1000
 	lv.MeanBatch = st.MeanBatch
-	lv.SizeHist = st.SizeHist[:]
-	lv.Identical = servingIdentityCheck(c)
 	return lv
 }
 
@@ -221,25 +191,14 @@ func servingSimLevel(c, waves int) ServingLevel {
 // through the admission layer (waves of c) on one engine and reports
 // whether every per-query result matched exactly.
 func servingIdentityCheck(c int) bool {
-	cfg := engine.DefaultConfig()
-	cfg.Precision = gpusim.FP32
-	cfg.Algorithm = knn.RootSIFT
-	cfg.BatchSize = 4
-	cfg.Streams = 2
-	cfg.RefFeatures = 24
-	cfg.QueryFeatures = 32
-	cfg.Dim = 16
-	cfg.HostCacheBytes = 1 << 30
-	cfg.Match.MinMatches = 10
-	cfg.Match.EdgeMargin = 0
-	e, err := engine.New(cfg)
+	e, err := engine.New(soak.TinyEngineConfig())
 	if err != nil {
 		panic(fmt.Sprintf("bench: identity engine: %v", err))
 	}
 	rng := rand.New(rand.NewSource(83))
 	refs := make([]*blas.Matrix, 12)
 	for i := range refs {
-		refs[i] = unitCols(rng, 16, 24)
+		refs[i] = soak.UnitCols(rng, 16, 24)
 		if err := e.Add(i, refs[i], nil); err != nil {
 			panic(fmt.Sprintf("bench: identity enroll: %v", err))
 		}
@@ -250,7 +209,7 @@ func servingIdentityCheck(c int) bool {
 	}
 	queries := make([]*blas.Matrix, n)
 	for i := range queries {
-		queries[i] = perturbCols(rng, refs[i%len(refs)], 32)
+		queries[i] = soak.Perturb(rng, refs[i%len(refs)], 32)
 	}
 
 	want := make([]*engine.Report, n)
@@ -300,152 +259,6 @@ func servingIdentityCheck(c int) bool {
 	return true
 }
 
-// servingWallFixture builds the functional engine + query pool for the
-// wall-clock generators (small FP32 workload: each search is a real GEMM
-// pipeline but cheap enough to drive thousands of requests).
-func servingWallFixture() (*engine.Engine, []*blas.Matrix) {
-	cfg := engine.DefaultConfig()
-	cfg.Precision = gpusim.FP32
-	cfg.Algorithm = knn.RootSIFT
-	cfg.BatchSize = 4
-	cfg.Streams = 2
-	cfg.RefFeatures = 24
-	cfg.QueryFeatures = 32
-	cfg.Dim = 16
-	cfg.HostCacheBytes = 1 << 30
-	cfg.Match.MinMatches = 10
-	cfg.Match.EdgeMargin = 0
-	e, err := engine.New(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("bench: wall engine: %v", err))
-	}
-	rng := rand.New(rand.NewSource(84))
-	refs := make([]*blas.Matrix, 16)
-	for i := range refs {
-		refs[i] = unitCols(rng, 16, 24)
-		if err := e.Add(i, refs[i], nil); err != nil {
-			panic(fmt.Sprintf("bench: wall enroll: %v", err))
-		}
-	}
-	queries := make([]*blas.Matrix, 32)
-	for i := range queries {
-		queries[i] = perturbCols(rng, refs[i%len(refs)], 32)
-	}
-	return e, queries
-}
-
-// servingWallClosed runs a free-running closed loop: c workers issue
-// perQueries searches each through the admission layer, then the same load
-// directly against the engine for the serialized comparison.
-func servingWallClosed(c, perWorker int) WallLevel {
-	e, queries := servingWallFixture()
-	n := c * perWorker
-
-	run := func(search func(q *blas.Matrix) error) (qps float64, lat []float64) {
-		lat = make([]float64, n)
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < c; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for k := 0; k < perWorker; k++ {
-					i := w*perWorker + k
-					t0 := time.Now()
-					if err := search(queries[i%len(queries)]); err != nil {
-						panic(fmt.Sprintf("bench: wall search: %v", err))
-					}
-					lat[i] = float64(time.Since(t0).Microseconds())
-				}
-			}(w)
-		}
-		wg.Wait()
-		return float64(n) / time.Since(start).Seconds(), lat
-	}
-
-	eb := serve.ForEngine(e, serve.Options{MaxBatch: c, Window: 200 * time.Microsecond})
-	qps, lat := run(func(q *blas.Matrix) error { _, err := eb.Search(q, nil); return err })
-	st := eb.Stats()
-	eb.Close()
-	direct, _ := run(func(q *blas.Matrix) error { _, err := e.Search(q, nil); return err })
-
-	return WallLevel{
-		Mode:        "closed",
-		Concurrency: c,
-		Queries:     n,
-		QPS:         qps,
-		DirectQPS:   direct,
-		P50MS:       quantileUS(lat, 0.50) / 1000,
-		P99MS:       quantileUS(lat, 0.99) / 1000,
-		MeanBatch:   st.MeanBatch,
-	}
-}
-
-// servingWallOpen runs an open-loop generator: n queries arrive on a fixed
-// interval regardless of completions, and each query's latency is measured
-// from its intended arrival time (so queueing delay during overload is
-// charged, not hidden).
-func servingWallOpen(n int, interval time.Duration, maxBatch int) WallLevel {
-	e, queries := servingWallFixture()
-	eb := serve.ForEngine(e, serve.Options{MaxBatch: maxBatch, Window: 200 * time.Microsecond})
-	defer eb.Close()
-
-	lat := make([]float64, n)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		intended := start.Add(time.Duration(i) * interval)
-		if d := time.Until(intended); d > 0 {
-			time.Sleep(d)
-		}
-		wg.Add(1)
-		go func(i int, intended time.Time) {
-			defer wg.Done()
-			if _, err := eb.Search(queries[i%len(queries)], nil); err != nil {
-				panic(fmt.Sprintf("bench: open-loop search: %v", err))
-			}
-			lat[i] = float64(time.Since(intended).Microseconds())
-		}(i, intended)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	st := eb.Stats()
-
-	return WallLevel{
-		Mode:        "open",
-		Concurrency: maxBatch,
-		Queries:     n,
-		QPS:         float64(n) / elapsed,
-		P50MS:       quantileUS(lat, 0.50) / 1000,
-		P99MS:       quantileUS(lat, 0.99) / 1000,
-		MeanBatch:   st.MeanBatch,
-	}
-}
-
-// RunServing runs the full serving suite. includeWall adds the
-// machine-dependent load-generator runs (skipped for baseline-only use).
-func RunServing(includeWall bool) *ServingReport {
-	cfg := servingSimConfig()
-	rep := &ServingReport{
-		Device:        cfg.Spec.Name,
-		Refs:          servingSimRefs,
-		RefFeatures:   cfg.RefFeatures,
-		QueryFeatures: cfg.QueryFeatures,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-	}
-	for _, c := range ServingConcurrencies {
-		waves := 3
-		rep.Sim = append(rep.Sim, servingSimLevel(c, waves))
-	}
-	if includeWall {
-		for _, c := range ServingConcurrencies {
-			rep.Wall = append(rep.Wall, servingWallClosed(c, 32))
-		}
-		rep.Wall = append(rep.Wall, servingWallOpen(256, 500*time.Microsecond, 16))
-	}
-	return rep
-}
-
 // quantileUS returns the q-quantile of the (copied, sorted) latency
 // samples.
 func quantileUS(lat []float64, q float64) float64 {
@@ -462,105 +275,4 @@ func quantileUS(lat []float64, q float64) float64 {
 		idx = len(s) - 1
 	}
 	return s[idx]
-}
-
-// unitCols fills a d×n matrix with unit-L2-norm random columns (stand-in
-// RootSIFT descriptors).
-func unitCols(rng *rand.Rand, d, n int) *blas.Matrix {
-	m := blas.NewMatrix(d, n)
-	for j := 0; j < n; j++ {
-		col := m.Col(j)
-		var s float64
-		for i := range col {
-			col[i] = rng.Float32()
-			s += float64(col[i]) * float64(col[i])
-		}
-		f := float32(1 / math.Sqrt(s))
-		for i := range col {
-			col[i] *= f
-		}
-	}
-	return m
-}
-
-// perturbCols derives an n-column query whose leading columns are noisy
-// copies of ref's (re-normalized), the rest random — enough overlap to
-// match, enough noise to exercise ranking.
-func perturbCols(rng *rand.Rand, ref *blas.Matrix, n int) *blas.Matrix {
-	q := blas.NewMatrix(ref.Rows, n)
-	for j := 0; j < n; j++ {
-		if j < ref.Cols {
-			copy(q.Col(j), ref.Col(j))
-			col := q.Col(j)
-			var s float64
-			for i := range col {
-				col[i] += (rng.Float32()*2 - 1) * 0.02
-				if col[i] < 0 {
-					col[i] = 0
-				}
-				s += float64(col[i]) * float64(col[i])
-			}
-			f := float32(1 / math.Sqrt(s))
-			for i := range col {
-				col[i] *= f
-			}
-		} else {
-			copy(q.Col(j), unitCols(rng, ref.Rows, 1).Col(0))
-		}
-	}
-	return q
-}
-
-// WriteFile writes the serving report as indented JSON (BENCH_SERVE.json).
-func (r *ServingReport) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadServingReport reads a report written by WriteFile.
-func LoadServingReport(path string) (*ServingReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	r := &ServingReport{}
-	if err := json.Unmarshal(data, r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
-}
-
-// CompareServingReports gates the deterministic half: every current level
-// must pass the identity check, the gate concurrency must clear the
-// speedup floor, and batched QPS must not drop more than tolerance below
-// the committed baseline. Wall-clock results are never compared.
-func CompareServingReports(baseline, current *ServingReport, tolerance float64) []string {
-	base := make(map[int]ServingLevel, len(baseline.Sim))
-	for _, lv := range baseline.Sim {
-		base[lv.Concurrency] = lv
-	}
-	var problems []string
-	for _, lv := range current.Sim {
-		if !lv.Identical {
-			problems = append(problems,
-				fmt.Sprintf("concurrency %d: coalesced results diverged from sequential searches", lv.Concurrency))
-		}
-		if lv.Concurrency == ServingGateConcurrency && lv.Speedup < ServingSpeedupFloor {
-			problems = append(problems,
-				fmt.Sprintf("concurrency %d: speedup %.2fx below the %.1fx floor", lv.Concurrency, lv.Speedup, ServingSpeedupFloor))
-		}
-		b, ok := base[lv.Concurrency]
-		if !ok || b.BatchedQPS <= 0 {
-			continue
-		}
-		if lv.BatchedQPS < b.BatchedQPS*(1-tolerance) {
-			problems = append(problems,
-				fmt.Sprintf("concurrency %d: batched %.0f QPS vs baseline %.0f QPS (tolerance %.0f%%)",
-					lv.Concurrency, lv.BatchedQPS, b.BatchedQPS, tolerance*100))
-		}
-	}
-	return problems
 }

@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestServingIdentityCheck(t *testing.T) {
 	if !servingIdentityCheck(4) {
@@ -29,16 +25,6 @@ func TestServingSimLevelDeterministic(t *testing.T) {
 	}
 }
 
-func TestServingWallClosedSmoke(t *testing.T) {
-	lv := servingWallClosed(2, 4)
-	if lv.QPS <= 0 || lv.DirectQPS <= 0 {
-		t.Fatalf("closed loop reported no throughput: %+v", lv)
-	}
-	if lv.Queries != 8 || lv.MeanBatch < 1 {
-		t.Fatalf("closed loop shape wrong: %+v", lv)
-	}
-}
-
 func TestQuantileUS(t *testing.T) {
 	lat := []float64{5, 1, 3, 2, 4}
 	for _, tc := range []struct{ q, want float64 }{
@@ -50,67 +36,5 @@ func TestQuantileUS(t *testing.T) {
 	}
 	if got := quantileUS(nil, 0.5); got != 0 {
 		t.Errorf("empty sample quantile = %v, want 0", got)
-	}
-}
-
-func TestCompareServingReports(t *testing.T) {
-	level := func(c int, qps, speedup float64, identical bool) ServingLevel {
-		return ServingLevel{Concurrency: c, BatchedQPS: qps, Speedup: speedup, Identical: identical}
-	}
-	base := &ServingReport{Sim: []ServingLevel{
-		level(1, 10, 1.0, true),
-		level(16, 100, 5.0, true),
-	}}
-
-	clean := &ServingReport{Sim: []ServingLevel{
-		level(1, 10, 1.0, true),
-		level(16, 95, 4.8, true),
-	}}
-	if problems := CompareServingReports(base, clean, 0.10); len(problems) != 0 {
-		t.Fatalf("clean run flagged: %v", problems)
-	}
-
-	bad := &ServingReport{Sim: []ServingLevel{
-		level(1, 10, 1.0, false), // identity broken
-		level(16, 60, 2.5, true), // below the 3x floor and >10% QPS drop
-	}}
-	problems := CompareServingReports(base, bad, 0.10)
-	if len(problems) != 3 {
-		t.Fatalf("want 3 problems (identity, floor, regression), got %d: %v", len(problems), problems)
-	}
-	for i, frag := range []string{"diverged", "below", "baseline"} {
-		if !strings.Contains(problems[i], frag) {
-			t.Errorf("problem %d %q missing %q", i, problems[i], frag)
-		}
-	}
-
-	// A level absent from the baseline gates on identity/floor only.
-	fresh := &ServingReport{Sim: []ServingLevel{level(64, 1, 8.0, true)}}
-	if problems := CompareServingReports(base, fresh, 0.10); len(problems) != 0 {
-		t.Fatalf("baseline-less level flagged: %v", problems)
-	}
-}
-
-func TestServingReportRoundTrip(t *testing.T) {
-	rep := &ServingReport{
-		Device: "test", Refs: 1, RefFeatures: 2, QueryFeatures: 3, GOMAXPROCS: 4,
-		Sim: []ServingLevel{{Concurrency: 16, Queries: 48, BatchedQPS: 42, Speedup: 3.5,
-			SizeHist: make([]uint64, 9), Identical: true}},
-		Wall: []WallLevel{{Mode: "open", Concurrency: 16, Queries: 256, QPS: 7}},
-	}
-	path := filepath.Join(t.TempDir(), "serve.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadServingReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Device != rep.Device || len(got.Sim) != 1 || got.Sim[0].BatchedQPS != 42 ||
-		len(got.Wall) != 1 || got.Wall[0].Mode != "open" {
-		t.Fatalf("round trip lost fields: %+v", got)
-	}
-	if _, err := LoadServingReport(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing baseline loaded without error")
 	}
 }

@@ -1,0 +1,256 @@
+package bench
+
+import (
+	"fmt"
+	"strconv"
+	"time"
+
+	"texid/internal/blas"
+	"texid/internal/cluster"
+	"texid/internal/engine"
+	"texid/internal/serve"
+	"texid/internal/sift"
+	"texid/internal/soak"
+)
+
+// The wall soak table. Every scenario offers soakQPS Poisson arrivals for
+// soakDuration to the in-process soakShards-shard cluster through the
+// coalescing path (or, with a soak address, to a live texsearchd). The two
+// gated scenarios are steady read-only load and 20% enrollment churn; the
+// GOGC / GOMEMLIMIT sweep reruns steady to isolate the collector's share of
+// the tail and is informational (GOGC=50 on one core is mostly queueing
+// backlog — too noisy to gate).
+const (
+	soakQPS      = 150
+	soakDuration = 4 * time.Second
+	soakShards   = 3
+)
+
+var soakScenarios = []struct {
+	name  string
+	sc    soak.Scenario
+	gated bool
+}{
+	{"steady", soak.Scenario{Seed: 41}, true},
+	{"churn", soak.Scenario{Seed: 43, WriteRatio: 0.2}, true},
+	{"steady_gogc50", soak.Scenario{Seed: 41, GOGC: 50}, false},
+	{"steady_gogc100", soak.Scenario{Seed: 41, GOGC: 100}, false},
+	{"steady_gogc400", soak.Scenario{Seed: 41, GOGC: 400}, false},
+	{"steady_memlimit256", soak.Scenario{Seed: 41, MemLimitMB: 256}, false},
+}
+
+// soakSimConfig is the deterministic sim-clock soak: a fixed fault-free
+// schedule whose transcript digest must be identical across repetitions
+// (and across GOMAXPROCS — the chaos tests pin that separately).
+var soakSimConfig = soak.SimConfig{
+	Workers:    soakShards,
+	Refs:       6,
+	Ops:        400,
+	QPS:        2000,
+	WriteRatio: 0.2,
+	Seed:       41,
+}
+
+// soakOps is the soak part of the op table: the wall scenarios, then the
+// sim-clock soak. Ops that drive a live daemon are named soak_http_* so
+// their rows never meet an in-process baseline row.
+func soakOps(addr string) []Op {
+	prefix := "soak_"
+	if addr != "" {
+		prefix = "soak_http_"
+	}
+	var ops []Op
+	for _, s := range soakScenarios {
+		sc := s.sc
+		sc.Name, sc.QPS, sc.Duration = s.name, soakQPS, soakDuration
+		ops = append(ops, soakOp(prefix+s.name, sc, s.gated, addr))
+	}
+	return append(ops, soakSimOp())
+}
+
+// soakOp is one open-loop wall scenario (soak.Run is the one load
+// generator). Gated scenarios hold read p99 within +50% of the baseline row
+// and achieved QPS at or above 0.8x offered (below that the generator fell
+// behind and the tail is not the tail of the offered load); Verify is zero
+// errors under load. Everything else — the rest of the CO-safe latency
+// distribution and the GC telemetry — is informational.
+func soakOp(name string, sc soak.Scenario, gated bool, addr string) Op {
+	var res *soak.ScenarioResult
+	op := Op{Name: name, Clock: ClockWall}
+	op.Run = func() ([]Row, error) {
+		var t soak.Target
+		var err error
+		if addr != "" {
+			t, err = soak.NewHTTPTarget(addr, soak.DefaultFixture())
+		} else {
+			t, err = soak.NewClusterTarget(soakShards, soak.DefaultFixture())
+		}
+		if err != nil {
+			return nil, err
+		}
+		res, err = soak.Run(t, sc)
+		if cerr := t.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, err
+		}
+		rows := latencyRows("read", res.Read) // read p99 first: the headline row
+		qps := newRow("achieved_qps", res.AchievedQPS, "qps", higher)
+		if gated {
+			rows[0], qps = rows[0].tol(0.50), qps.limit(0.8*sc.QPS)
+		}
+		rows = append(rows, qps,
+			newRow("errors", float64(res.Errors), "ops", lower),
+			newRow("reads", float64(res.Reads), "ops", ""),
+			newRow("writes", float64(res.Writes), "ops", ""),
+			newRow("duration_s", res.DurationSec, "s", ""),
+		)
+		if res.Write != nil {
+			rows = append(rows, latencyRows("write", *res.Write)...)
+		}
+		gc := res.GC
+		return append(rows,
+			newRow("gc_cycles", float64(gc.Cycles), "cycles", lower),
+			newRow("gc_pauses", float64(gc.Pauses), "pauses", lower),
+			newRow("gc_pause_p50_us", gc.PauseP50US, "us", lower),
+			newRow("gc_pause_p99_us", gc.PauseP99US, "us", lower),
+			newRow("gc_pause_max_us", gc.PauseMaxUS, "us", lower),
+			newRow("heap_peak_mb", gc.HeapPeakMB, "MiB", lower),
+			newRow("goroutine_peak", float64(gc.GoroutinePeak), "goroutines", lower),
+			newRow("alloc_mb", gc.AllocMB, "MiB", lower),
+		), nil
+	}
+	if gated {
+		op.Verify = func() bool { return res.Errors == 0 }
+	}
+	return op
+}
+
+// latencyRows are the rows of one CO-safe latency distribution, p99 first.
+func latencyRows(kind string, l soak.LatencySummary) []Row {
+	return []Row{
+		newRow(kind+"_p99_ms", l.P99MS, "ms", lower),
+		newRow(kind+"_mean_ms", l.MeanMS, "ms", lower),
+		newRow(kind+"_p50_ms", l.P50MS, "ms", lower),
+		newRow(kind+"_p999_ms", l.P999MS, "ms", lower),
+		newRow(kind+"_max_ms", l.MaxMS, "ms", lower),
+	}
+}
+
+// soakSimOp replays soakSimConfig three times on the simulated clock.
+// Verify is the determinism contract — one transcript digest across the
+// runs — plus a zero error count (the schedule is fault-free). The digest
+// itself is recorded as two exact 32-bit halves, so a baseline diff shows
+// whether a change moved any search result.
+func soakSimOp() Op {
+	var rep *soak.SimReport
+	return Op{
+		Name:  "soak_sim",
+		Clock: ClockSim,
+		Run: func() ([]Row, error) {
+			var err error
+			if rep, err = soak.RunSimChecked(soakSimConfig, 3); err != nil {
+				return nil, err
+			}
+			digest, err := strconv.ParseUint(rep.Digest, 16, 64)
+			if err != nil {
+				return nil, fmt.Errorf("transcript digest %q: %w", rep.Digest, err)
+			}
+			return []Row{
+				newRow("errors", float64(rep.Errors), "ops", lower),
+				newRow("ops", float64(rep.Ops), "ops", ""),
+				newRow("reads", float64(rep.Reads), "ops", ""),
+				newRow("writes", float64(rep.Writes), "ops", ""),
+				newRow("p50_us", rep.P50US, "us", lower),
+				newRow("p99_us", rep.P99US, "us", lower),
+				newRow("p999_us", rep.P999US, "us", lower),
+				newRow("max_us", rep.MaxUS, "us", lower),
+				newRow("digest_hi32", float64(digest>>32), "fnv64a", ""),
+				newRow("digest_lo32", float64(digest&0xffffffff), "fnv64a", ""),
+			}, nil
+		},
+		Verify: func() bool { return rep.Deterministic && rep.Errors == 0 },
+	}
+}
+
+// probeOp measures the steady-state heap allocations per call of a serving
+// hot path: a code-shape property, so it gates at zero drift (0.5 is
+// rounding slack) against a baseline from any machine. setup returns the
+// probed body and its teardown; Verify is that no call failed.
+func probeOp(name string, runs int, setup func() (body func() error, done func(), err error)) Op {
+	var bodyErr error
+	return Op{
+		Name:  "probe_" + name,
+		Clock: ClockCount,
+		Run: func() ([]Row, error) {
+			body, done, err := setup()
+			if err != nil {
+				return nil, err
+			}
+			defer done()
+			f := func() {
+				if err := body(); err != nil {
+					bodyErr = err
+				}
+			}
+			f() // warm caches and freelists outside the measured window
+			_, mallocs := timed(runs, f)
+			return []Row{newRow("allocs_per_op", float64(mallocs)/float64(runs), "allocs/op", lower).tol(0.5)}, nil
+		},
+		Verify: func() bool { return bodyErr == nil },
+	}
+}
+
+// probeOps are the three allocation probes, over the soak fixture data.
+func probeOps() []Op {
+	return []Op{
+		// One warm Engine.Search (the knn hot path).
+		probeOp("engine_search_steady", 20, func() (func() error, func(), error) {
+			eng, err := engine.New(soak.TinyEngineConfig())
+			if err != nil {
+				return nil, nil, err
+			}
+			refs, queries := soak.Features(soak.DefaultFixture())
+			for i, f := range refs {
+				if err := eng.Add(i, f, nil); err != nil {
+					return nil, nil, err
+				}
+			}
+			if err := eng.Flush(); err != nil {
+				return nil, nil, err
+			}
+			return func() error { _, err := eng.Search(queries[0], nil); return err }, func() {}, nil
+		}),
+		// One Batcher.Do round trip through the pooled call freelist
+		// (identity runner, MaxBatch=1, so no coalescing noise — the pure
+		// submit/demux overhead, which must stay at zero).
+		probeOp("serve_submit_demux", 100, func() (func() error, func(), error) {
+			results := make([]int, 1)
+			b := serve.New(func(qs []int) ([]int, error) {
+				results = append(results[:0], qs...)
+				return results, nil
+			}, serve.Options{MaxBatch: 1})
+			return func() error { _, err := b.Do(7); return err }, b.Close, nil
+		}),
+		// One 4-query SearchBatch scatter-gather across 3 shards, merge
+		// included.
+		probeOp("cluster_searchbatch_scatter", 10, func() (func() error, func(), error) {
+			c, err := cluster.New(cluster.Config{Workers: soakShards, Engine: soak.TinyEngineConfig()})
+			if err != nil {
+				return nil, nil, err
+			}
+			done := func() { _ = c.Close() } // in-process fixture teardown; nothing to recover from here
+			refs, queries := soak.Features(soak.DefaultFixture())
+			for i, f := range refs {
+				if err := c.Add(i, f, nil); err != nil {
+					done()
+					return nil, nil, err
+				}
+			}
+			batch := []*blas.Matrix{queries[0], queries[1], queries[2], queries[3]}
+			kps := make([][]sift.Keypoint, len(batch))
+			return func() error { _, err := c.SearchBatch(batch, kps); return err }, done, nil
+		}),
+	}
+}

@@ -274,7 +274,10 @@ func (c *Cluster) Remove(id int) bool {
 	return removed
 }
 
-// Update replaces a texture's features on its shard.
+// Update replaces a texture's features on its shard: shape check, then the
+// kvstore write, then the engine — a rejected record or a failed store
+// write returns with the shard still serving the old features, so engine
+// and store never diverge.
 func (c *Cluster) Update(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
 	c.mu.Lock()
 	w, ok := c.shards[id]
@@ -282,7 +285,8 @@ func (c *Cluster) Update(id int, feats *blas.Matrix, kps []sift.Keypoint) error 
 	if !ok {
 		return c.Add(id, feats, kps)
 	}
-	if err := c.workers[w].eng.Update(id, feats, kps); err != nil {
+	eng := c.workers[w].eng
+	if err := eng.CheckShape(feats); err != nil {
 		return err
 	}
 	if c.store != nil {
@@ -297,7 +301,7 @@ func (c *Cluster) Update(id int, feats *blas.Matrix, kps []sift.Keypoint) error 
 			return fmt.Errorf("cluster: persisting record %d: %w", id, err)
 		}
 	}
-	return nil
+	return eng.Update(id, feats, kps)
 }
 
 // Report is the merged outcome of a distributed search.

@@ -232,6 +232,39 @@ func TestKVStorePersistenceAndReload(t *testing.T) {
 	}
 }
 
+// TestUpdateStoreFailureKeepsOldFeatures pins store-then-apply: when the
+// kvstore write fails, Update returns the error and the shard keeps serving
+// the old features, so engine and store never diverge.
+func TestUpdateStoreFailureKeepsOldFeatures(t *testing.T) {
+	srv, err := kvstore.Serve(kvstore.NewStore(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	c, err := New(Config{Workers: 2, Engine: smallEngine(), StoreAddr: srv.Addr()})
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	defer c.Close()
+	oldRef := unitFeatures(rng, 16, 24)
+	if err := c.Add(4, oldRef, nil); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+
+	if err := c.Update(4, unitFeatures(rng, 16, 24), nil); err == nil {
+		t.Fatal("Update succeeded with the kvstore down")
+	}
+	rep, err := c.Search(queryFor(rng, oldRef, 32), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BestID != 4 || !rep.Accepted {
+		t.Fatalf("old features no longer ranked after a failed Update: %+v", rep)
+	}
+}
+
 func TestRESTAPIEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	c := smallCluster(t, 2)

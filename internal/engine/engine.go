@@ -280,13 +280,24 @@ func (e *Engine) AddEncoded(id int, feats *blas.Matrix, kps []sift.Keypoint, cod
 	return e.addLocked(id, feats, kps, codes)
 }
 
+// CheckShape reports whether feats has the Dim×RefFeatures shape every
+// enrolled reference must have. Callers that replace a reference (Update
+// here, the cluster's store-then-apply Update) check it before they touch
+// the old one.
+func (e *Engine) CheckShape(feats *blas.Matrix) error {
+	if feats.Rows != e.cfg.Dim || feats.Cols != e.cfg.RefFeatures {
+		return fmt.Errorf("engine: features are %dx%d, want %dx%d",
+			feats.Rows, feats.Cols, e.cfg.Dim, e.cfg.RefFeatures)
+	}
+	return nil
+}
+
 func (e *Engine) addLocked(id int, feats *blas.Matrix, kps []sift.Keypoint, codes []binq.Code) error {
 	if _, dup := e.refs[id]; dup {
 		return fmt.Errorf("engine: duplicate reference id %d", id)
 	}
-	if feats.Rows != e.cfg.Dim || feats.Cols != e.cfg.RefFeatures {
-		return fmt.Errorf("engine: features are %dx%d, want %dx%d",
-			feats.Rows, feats.Cols, e.cfg.Dim, e.cfg.RefFeatures)
+	if err := e.CheckShape(feats); err != nil {
+		return err
 	}
 	if codes != nil {
 		if e.cfg.PruneC <= 0 {
@@ -471,8 +482,12 @@ func (e *Engine) removeLocked(id int) bool {
 // Update replaces a reference's features: the old batch slot is unmapped
 // and the new features enroll under the same public id, in one critical
 // section — concurrent Updates of one id serialize, and no search sees the
-// id absent in between.
+// id absent in between. Mis-shaped features are rejected before the old
+// reference is unmapped, so a failed Update leaves the index as it was.
 func (e *Engine) Update(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
+	if err := e.CheckShape(feats); err != nil {
+		return err
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.removeLocked(id)

@@ -192,6 +192,33 @@ func TestUpdateReplacesFeatures(t *testing.T) {
 	}
 }
 
+// TestRejectedUpdateKeepsOldReference pins validate-before-unmap: an Update
+// with a mis-shaped matrix must fail without dropping the reference it was
+// meant to replace.
+func TestRejectedUpdateKeepsOldReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	e, _ := New(testConfig())
+	ref := unitFeatures(rng, 16, 24)
+	if err := e.Add(9, ref, nil); err != nil {
+		t.Fatal(err)
+	}
+	q := queryFor(rng, ref, 32, 0.02)
+	before, err := e.Search(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Update(9, unitFeatures(rng, 16, 99), nil); err == nil {
+		t.Fatal("mis-shaped Update accepted")
+	}
+	after, err := e.Search(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.BestID != 9 || !after.Accepted || after.Score != before.Score {
+		t.Fatalf("rejected Update changed the index: before %+v, after %+v", before, after)
+	}
+}
+
 func TestDuplicateAddRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	e, _ := New(testConfig())

@@ -59,24 +59,24 @@ type SimConfig struct {
 
 // SimResult is the outcome of one deterministic soak.
 type SimResult struct {
-	Ops    int `json:"ops"`
-	Reads  int `json:"reads"`
-	Writes int `json:"writes"`
-	Errors int `json:"errors"`
+	Ops    int
+	Reads  int
+	Writes int
+	Errors int
 	// Virtual CO-safe latency quantiles in simulated microseconds.
-	P50US  float64 `json:"p50_us"`
-	P99US  float64 `json:"p99_us"`
-	P999US float64 `json:"p999_us"`
-	MaxUS  float64 `json:"max_us"`
+	P50US  float64
+	P99US  float64
+	P999US float64
+	MaxUS  float64
 	// Digest is the FNV-64a hash of the transcript, rendered as hex.
-	Digest string `json:"digest"`
+	Digest string
 	// Transcript concatenates each read's wire-encoded summary, its
 	// quantized virtual latency, and every error string (not serialized;
 	// compared byte-for-byte by the determinism tests).
-	Transcript []byte `json:"-"`
+	Transcript []byte
 	// HealthTrace[i] is every worker's health state after op i (only
 	// populated when SimConfig.TraceHealth is set).
-	HealthTrace [][]cluster.HealthState `json:"-"`
+	HealthTrace [][]cluster.HealthState
 }
 
 // RunSim replays one deterministic sim-clock soak.
@@ -97,20 +97,20 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 
 	refs := make([]*blas.Matrix, sc.Refs)
 	for i := range refs {
-		refs[i] = unitCols(rng, 16, 24)
+		refs[i] = UnitCols(rng, 16, 24)
 	}
 	queries := make([]*blas.Matrix, 2*sc.Refs)
 	for i := range queries {
-		queries[i] = perturb(rng, refs[i%sc.Refs], 32)
+		queries[i] = Perturb(rng, refs[i%sc.Refs], 32)
 	}
 	churn := make([]*blas.Matrix, sc.Refs)
 	for i := range churn {
-		churn[i] = unitCols(rng, 16, 24)
+		churn[i] = UnitCols(rng, 16, 24)
 	}
 
 	cfg := cluster.Config{
 		Workers:   sc.Workers,
-		Engine:    soakEngineConfig(),
+		Engine:    TinyEngineConfig(),
 		MinShards: sc.MinShards,
 		Health:    sc.Health,
 	}
@@ -207,4 +207,38 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 	_, _ = h.Write(transcript)
 	res.Digest = fmt.Sprintf("%016x", h.Sum64())
 	return res, nil
+}
+
+// SimReport wraps the deterministic soak outcome with its self-check:
+// the run is executed at least twice and Deterministic records whether
+// every repetition produced the same transcript digest. The suite reports
+// a false here as a failed result check — identity under load is a
+// contract, not a statistic.
+type SimReport struct {
+	SimResult
+	Runs          int
+	Deterministic bool
+}
+
+// RunSimChecked runs the deterministic soak `runs` times and reports
+// whether every repetition produced an identical transcript digest.
+func RunSimChecked(sc SimConfig, runs int) (*SimReport, error) {
+	if runs < 2 {
+		runs = 2
+	}
+	first, err := RunSim(sc)
+	if err != nil {
+		return nil, err
+	}
+	rep := &SimReport{SimResult: *first, Runs: runs, Deterministic: true}
+	for i := 1; i < runs; i++ {
+		again, err := RunSim(sc)
+		if err != nil {
+			return nil, err
+		}
+		if again.Digest != first.Digest {
+			rep.Deterministic = false
+		}
+	}
+	return rep, nil
 }

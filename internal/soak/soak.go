@@ -1,8 +1,8 @@
 // Package soak is the sustained-load harness for the serving path: an
-// open-loop load generator that drives a search target (in-process
-// engine, in-process multi-shard cluster, or a live texsearchd over
-// HTTP) at a configured request rate and reports coordinated-omission-
-// safe tail latency plus GC telemetry.
+// open-loop load generator that drives a search target (an in-process
+// cluster of one or more shards, or a live texsearchd over HTTP) at a
+// configured request rate and reports coordinated-omission-safe tail
+// latency plus GC telemetry.
 //
 // Open loop vs closed loop: a closed-loop generator (a fixed worker pool
 // issuing the next request only after the previous one returns) lets a
@@ -21,12 +21,13 @@
 // p99.9 a real open-loop client would have seen.
 //
 // Two clocks: wall-mode scenarios (steady, churn, GOGC sweep) measure
-// real time and are machine-dependent — their baselines gate relative
-// regressions only. The sim-clock variant (SimSoak) replays the same
-// scenario shape on the simulated device clock with a sequential
+// real time and are machine-dependent — their baseline rows gate only on
+// the machine that recorded them. The sim-clock variant (RunSim) replays
+// the same scenario shape on the simulated device clock with a sequential
 // queueing model, producing bit-identical latency histograms and result
 // transcripts across runs and GOMAXPROCS settings; that half gates
-// unconditionally, including in CI.
+// unconditionally, including in CI. internal/bench's op table turns both
+// into BENCH_BASELINE.json rows.
 package soak
 
 import (
@@ -78,22 +79,22 @@ type Scenario struct {
 	// Seed fixes the arrival schedule and read/write interleaving.
 	Seed int64
 	// GOGC, when > 0, runs the scenario under debug.SetGCPercent(GOGC)
-	// (restored afterwards). Used by the sweep mode.
+	// (restored afterwards). Used by the suite's GC sweep points.
 	GOGC int
 	// MemLimitMB, when > 0, runs the scenario under a soft memory limit
-	// of MemLimitMB MiB (restored afterwards). Used by the sweep mode.
+	// of MemLimitMB MiB (restored afterwards). Used by the sweep points.
 	MemLimitMB int64
 }
 
 // LatencySummary is one histogram's report: CO-safe quantiles in
 // milliseconds measured against intended send times.
 type LatencySummary struct {
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	P999MS float64 `json:"p999_ms"`
-	MaxMS  float64 `json:"max_ms"`
+	Count  int64
+	MeanMS float64
+	P50MS  float64
+	P99MS  float64
+	P999MS float64
+	MaxMS  float64
 }
 
 // summarize converts a microsecond histogram into the report form.
@@ -110,26 +111,23 @@ func summarize(h *hist) LatencySummary {
 
 // ScenarioResult is the structured outcome of one wall-mode scenario.
 type ScenarioResult struct {
-	Name        string  `json:"name"`
-	Arrival     string  `json:"arrival"`
-	TargetQPS   float64 `json:"target_qps"`
-	AchievedQPS float64 `json:"achieved_qps"`
-	DurationSec float64 `json:"duration_sec"`
-	WriteRatio  float64 `json:"write_ratio"`
+	Name        string
+	AchievedQPS float64
+	DurationSec float64
 	// GOGC/MemLimitMB echo sweep overrides (0 = runtime default).
-	GOGC       int   `json:"gogc,omitempty"`
-	MemLimitMB int64 `json:"mem_limit_mb,omitempty"`
+	GOGC       int
+	MemLimitMB int64
 
-	Reads  int64 `json:"reads"`
-	Writes int64 `json:"writes"`
-	Errors int64 `json:"errors"`
+	Reads  int64
+	Writes int64
+	Errors int64
 
 	// Read is the headline CO-safe latency distribution; Write covers the
 	// churn ops (absent in read-only scenarios).
-	Read  LatencySummary  `json:"read"`
-	Write *LatencySummary `json:"write,omitempty"`
+	Read  LatencySummary
+	Write *LatencySummary
 
-	GC GCTelemetry `json:"gc"`
+	GC GCTelemetry
 }
 
 // op is one precomputed arrival.
@@ -234,11 +232,8 @@ func Run(target Target, sc Scenario) (*ScenarioResult, error) {
 	defer mu.Unlock()
 	res := &ScenarioResult{
 		Name:        sc.Name,
-		Arrival:     sc.Arrival,
-		TargetQPS:   sc.QPS,
 		AchievedQPS: float64(len(ops)) / elapsed.Seconds(),
 		DurationSec: elapsed.Seconds(),
-		WriteRatio:  sc.WriteRatio,
 		GOGC:        sc.GOGC,
 		MemLimitMB:  sc.MemLimitMB,
 		Reads:       readHist.count,
@@ -252,43 +247,4 @@ func Run(target Target, sc Scenario) (*ScenarioResult, error) {
 		res.Write = &w
 	}
 	return res, nil
-}
-
-// RunSweep reruns one scenario shape under each GOGC value (and, when
-// memLimitMB > 0, one extra GOGC=off-style run bounded by the soft
-// memory limit), isolating the collector's contribution to the tail.
-// The factory builds a fresh target per point so heap shape does not
-// leak between sweep points.
-func RunSweep(factory func() (Target, error), base Scenario, gogcs []int, memLimitMB int64) ([]ScenarioResult, error) {
-	var out []ScenarioResult
-	runPoint := func(sc Scenario) error {
-		t, err := factory()
-		if err != nil {
-			return err
-		}
-		defer t.Close() //texlint:ignore errcheck sweep targets are in-process fixtures; Close errors carry no signal here
-		res, err := Run(t, sc)
-		if err != nil {
-			return err
-		}
-		out = append(out, *res)
-		return nil
-	}
-	for _, g := range gogcs {
-		sc := base
-		sc.Name = fmt.Sprintf("%s/gogc=%d", base.Name, g)
-		sc.GOGC = g
-		if err := runPoint(sc); err != nil {
-			return out, err
-		}
-	}
-	if memLimitMB > 0 {
-		sc := base
-		sc.Name = fmt.Sprintf("%s/memlimit=%dMiB", base.Name, memLimitMB)
-		sc.MemLimitMB = memLimitMB
-		if err := runPoint(sc); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }

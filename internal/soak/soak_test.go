@@ -12,12 +12,12 @@ func shortFixture() FixtureConfig {
 	return fc
 }
 
-// TestWallSoakSteady drives the in-process engine target with a short
+// TestWallSoakSteady drives a one-shard in-process cluster with a short
 // read-only open-loop scenario and checks the report is coherent:
 // every op accounted for, no errors, CO-safe quantiles ordered, and GC
 // telemetry populated.
 func TestWallSoakSteady(t *testing.T) {
-	target, err := NewEngineTarget(shortFixture())
+	target, err := NewClusterTarget(1, shortFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestWallSoakSteady(t *testing.T) {
 // verifies writes actually execute (including periodic compaction) and
 // reads keep succeeding while the index is rewritten underneath them.
 func TestWallSoakChurn(t *testing.T) {
-	target, err := NewEngineTarget(shortFixture())
+	target, err := NewClusterTarget(1, shortFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestWallSoakChurn(t *testing.T) {
 	}
 	if target.ch.compactEvery > 0 && target.ch.writes.Load() > target.ch.compactEvery {
 		// At least one compaction must have fired once enough writes ran.
-		stats := target.eng.Stats()
+		stats := target.c.Workers()[0].Stats()
 		if stats.Searches == 0 {
 			t.Fatalf("engine stats empty after soak: %+v", stats)
 		}
@@ -119,26 +119,26 @@ func TestWallSoakClusterTarget(t *testing.T) {
 	}
 }
 
-// TestSweepAppliesGOGC runs a two-point GOGC sweep and checks each point
-// is labeled and measured.
-func TestSweepAppliesGOGC(t *testing.T) {
-	factory := func() (Target, error) { return NewEngineTarget(shortFixture()) }
-	out, err := RunSweep(factory, Scenario{
-		Name: "steady", QPS: 60, Duration: 700 * time.Millisecond, Seed: 24,
-	}, []int{100, 400}, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("sweep produced %d points, want 3", len(out))
-	}
-	if out[0].GOGC != 100 || out[1].GOGC != 400 {
-		t.Fatalf("GOGC labels wrong: %+v %+v", out[0], out[1])
-	}
-	if out[2].MemLimitMB != 256 {
-		t.Fatalf("memlimit point missing: %+v", out[2])
-	}
-	for _, p := range out {
+// TestScenarioAppliesGOGC runs the two kinds of GC sweep point — a GOGC
+// override and a soft memory limit — and checks each is labeled and
+// measured.
+func TestScenarioAppliesGOGC(t *testing.T) {
+	for _, sc := range []Scenario{
+		{Name: "steady/gogc=400", QPS: 60, Duration: 700 * time.Millisecond, Seed: 24, GOGC: 400},
+		{Name: "steady/memlimit=256MiB", QPS: 60, Duration: 700 * time.Millisecond, Seed: 24, MemLimitMB: 256},
+	} {
+		target, err := NewClusterTarget(1, shortFixture())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Run(target, sc)
+		target.Close() //nolint:errcheck
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.GOGC != sc.GOGC || p.MemLimitMB != sc.MemLimitMB {
+			t.Fatalf("sweep labels wrong: %+v", p)
+		}
 		if p.Errors != 0 || p.Read.Count == 0 {
 			t.Fatalf("sweep point %s unhealthy: %+v", p.Name, p)
 		}
@@ -167,26 +167,5 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 	if writes < 80 || writes > 170 {
 		t.Fatalf("write mix %d/500 far from the configured 25%%", writes)
-	}
-}
-
-// TestAllocProbes pins the zero-alloc batcher contract at the probe level:
-// the pure submit/demux round trip must not allocate, and the probe map
-// carries all gated ops.
-func TestAllocProbes(t *testing.T) {
-	probes, err := RunAllocProbes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range []string{"engine_search_steady", "serve_submit_demux", "cluster_searchbatch_scatter"} {
-		if _, ok := probes[op]; !ok {
-			t.Fatalf("probe %q missing: %v", op, probes)
-		}
-	}
-	if a := probes["serve_submit_demux"]; a > 0.5 {
-		t.Fatalf("batcher submit/demux allocates %.1f/op, want 0", a)
-	}
-	if a := probes["engine_search_steady"]; a > 50 {
-		t.Fatalf("engine steady-state search allocates %.1f/op, drifted above the pinned bound", a)
 	}
 }

@@ -52,9 +52,11 @@ func DefaultFixture() FixtureConfig {
 	}
 }
 
-// soakEngineConfig is the tiny functional engine the in-process fixtures
-// run on (mirrors the cluster test fixture).
-func soakEngineConfig() engine.Config {
+// TinyEngineConfig is the tiny functional FP32 engine every in-process
+// measurement fixture runs on — the soak targets, the sim-clock soak, the
+// allocation probes and the serving identity check (mirrors the cluster
+// test fixture).
+func TinyEngineConfig() engine.Config {
 	cfg := engine.DefaultConfig()
 	cfg.BatchSize = 4
 	cfg.Streams = 2
@@ -69,8 +71,9 @@ func soakEngineConfig() engine.Config {
 	return cfg
 }
 
-// unitCols returns a d×n matrix of L2-normalized random columns.
-func unitCols(rng *rand.Rand, d, n int) *blas.Matrix {
+// UnitCols returns a d×n matrix of L2-normalized random columns (stand-in
+// RootSIFT descriptors).
+func UnitCols(rng *rand.Rand, d, n int) *blas.Matrix {
 	m := blas.NewMatrix(d, n)
 	for j := 0; j < n; j++ {
 		col := m.Col(j)
@@ -87,9 +90,9 @@ func unitCols(rng *rand.Rand, d, n int) *blas.Matrix {
 	return m
 }
 
-// perturb returns an n-column query whose first columns are noisy copies
+// Perturb returns an n-column query whose first columns are noisy copies
 // of ref (so searches find a real match, exercising full ranking).
-func perturb(rng *rand.Rand, ref *blas.Matrix, n int) *blas.Matrix {
+func Perturb(rng *rand.Rand, ref *blas.Matrix, n int) *blas.Matrix {
 	q := blas.NewMatrix(ref.Rows, n)
 	for j := 0; j < n; j++ {
 		if j < ref.Cols {
@@ -108,7 +111,7 @@ func perturb(rng *rand.Rand, ref *blas.Matrix, n int) *blas.Matrix {
 				col[i] *= f
 			}
 		} else {
-			copy(q.Col(j), unitCols(rng, ref.Rows, 1).Col(0))
+			copy(q.Col(j), UnitCols(rng, ref.Rows, 1).Col(0))
 		}
 	}
 	return q
@@ -125,6 +128,13 @@ type fixtureData struct {
 	churnIDs []int
 }
 
+// Features returns the reference and query pools the fixtures enroll and
+// search, for measurements that build their own engine over the same data.
+func Features(fc FixtureConfig) (refs, queries []*blas.Matrix) {
+	d := buildFixtureData(fc)
+	return d.refs, d.queries
+}
+
 func buildFixtureData(fc FixtureConfig) *fixtureData {
 	rng := rand.New(rand.NewSource(fc.Seed))
 	d := &fixtureData{
@@ -133,7 +143,7 @@ func buildFixtureData(fc FixtureConfig) *fixtureData {
 		churn:   make([]*blas.Matrix, fc.ChurnPool*2),
 	}
 	for i := range d.refs {
-		d.refs[i] = unitCols(rng, 16, 24)
+		d.refs[i] = UnitCols(rng, 16, 24)
 	}
 	for i := range d.queries {
 		// Queries target the non-churned prefix so read results stay
@@ -142,10 +152,10 @@ func buildFixtureData(fc FixtureConfig) *fixtureData {
 		if stable < 1 {
 			stable = 1
 		}
-		d.queries[i] = perturb(rng, d.refs[i%stable], 32)
+		d.queries[i] = Perturb(rng, d.refs[i%stable], 32)
 	}
 	for i := range d.churn {
-		d.churn[i] = unitCols(rng, 16, 24)
+		d.churn[i] = UnitCols(rng, 16, 24)
 	}
 	for i := 0; i < fc.ChurnPool && i < fc.Refs; i++ {
 		d.churnIDs = append(d.churnIDs, fc.Refs-fc.ChurnPool+i)
@@ -187,73 +197,6 @@ func (ch *churner) enroll(k uint64) error {
 	return nil
 }
 
-// EngineTarget soaks a single engine behind the serve admission layer
-// (the CI in-process mode).
-type EngineTarget struct {
-	eng  *engine.Engine
-	eb   *serve.EngineBatcher
-	data *fixtureData
-	ch   churner
-}
-
-// NewEngineTarget builds the single-engine fixture.
-func NewEngineTarget(fc FixtureConfig) (*EngineTarget, error) {
-	eng, err := engine.New(soakEngineConfig())
-	if err != nil {
-		return nil, err
-	}
-	data := buildFixtureData(fc)
-	for i, f := range data.refs {
-		if err := eng.Add(i, f, nil); err != nil {
-			return nil, err
-		}
-	}
-	if err := eng.Flush(); err != nil {
-		return nil, err
-	}
-	t := &EngineTarget{
-		eng:  eng,
-		eb:   serve.ForEngine(eng, serveOptions(fc)),
-		data: data,
-	}
-	t.ch = churner{
-		data:         data,
-		update:       func(id int, feats *blas.Matrix) error { return eng.Update(id, feats, nil) },
-		compact:      func() error { _, err := eng.Compact(); return err },
-		compactEvery: uint64(fc.CompactEvery),
-	}
-	return t, nil
-}
-
-func serveOptions(fc FixtureConfig) serve.Options {
-	return serve.Options{
-		MaxBatch: fc.MaxBatch,
-		Window:   time.Duration(fc.WindowUS) * time.Microsecond,
-	}
-}
-
-// Search implements Target.
-func (t *EngineTarget) Search(k uint64) error {
-	q := t.data.queries[k%uint64(len(t.data.queries))]
-	rep, err := t.eb.Search(q, nil)
-	if err != nil {
-		return err
-	}
-	if rep == nil {
-		return fmt.Errorf("soak: nil report")
-	}
-	return nil
-}
-
-// Enroll implements Target.
-func (t *EngineTarget) Enroll(k uint64) error { return t.ch.enroll(k) }
-
-// Close implements Target.
-func (t *EngineTarget) Close() error {
-	t.eb.Close()
-	return nil
-}
-
 // ClusterTarget soaks an in-process multi-shard cluster through the
 // coordinator's coalescing path (scatter-gather + merge under load).
 type ClusterTarget struct {
@@ -269,8 +212,8 @@ func NewClusterTarget(workers int, fc FixtureConfig) (*ClusterTarget, error) {
 	}
 	c, err := cluster.New(cluster.Config{
 		Workers: workers,
-		Engine:  soakEngineConfig(),
-		Serve:   serveOptions(fc),
+		Engine:  TinyEngineConfig(),
+		Serve:   serve.Options{MaxBatch: fc.MaxBatch, Window: time.Duration(fc.WindowUS) * time.Microsecond},
 	})
 	if err != nil {
 		return nil, err

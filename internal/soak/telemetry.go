@@ -15,20 +15,20 @@ import (
 // enough to catch sustained growth even if it can miss a momentary spike.
 type GCTelemetry struct {
 	// Pauses is the number of stop-the-world pauses observed.
-	Pauses int64 `json:"pauses"`
+	Pauses int64
 	// Cycles is the number of completed GC cycles.
-	Cycles uint64 `json:"cycles"`
+	Cycles uint64
 	// PauseP50US/PauseP99US/PauseMaxUS are stop-the-world pause quantiles
 	// in microseconds (upper-bound estimates from the runtime histogram).
-	PauseP50US float64 `json:"pause_p50_us"`
-	PauseP99US float64 `json:"pause_p99_us"`
-	PauseMaxUS float64 `json:"pause_max_us"`
+	PauseP50US float64
+	PauseP99US float64
+	PauseMaxUS float64
 	// HeapPeakMB is the peak sampled heap-objects footprint.
-	HeapPeakMB float64 `json:"heap_peak_mb"`
+	HeapPeakMB float64
 	// GoroutinePeak is the peak sampled goroutine count.
-	GoroutinePeak int `json:"goroutine_peak"`
+	GoroutinePeak int
 	// AllocMB is the total bytes allocated during the scenario.
-	AllocMB float64 `json:"alloc_mb"`
+	AllocMB float64
 }
 
 // Metric names sampled from runtime/metrics. All exist since Go 1.16+;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-2 verification gate: build, vet, project invariants (texlint), the
-# serving core's tests at GOMAXPROCS 1 and 4, and the race-detector test
-# suite. Any diagnostic or failure exits non-zero.
+# Tier-2 verification gate: build, vet, project invariants (texlint), import
+# hygiene of the serving binaries, the serving core's tests at GOMAXPROCS 1
+# and 4, and the race-detector test suite. Any diagnostic or failure exits non-zero.
 # Works from a clean checkout with no network access (texlint type-checks
 # against the source importer; nothing is downloaded).
 set -euo pipefail
@@ -15,6 +15,15 @@ go vet ./...
 
 echo "==> texlint"
 go run ./cmd/texlint -baseline texlint.baseline ./...
+
+# The serving binaries (the library and texsearchd) must not link the
+# paper-experiment descriptors or the measurement tooling.
+echo "==> import hygiene"
+deps=$(go list -deps . ./cmd/texsearchd) # its own statement: a go list failure must not read as "no leak"
+if grep -E '^texid/internal/(cbir|orb|surf|bench|soak)$' <<<"$deps"; then
+  echo "check.sh: the packages above leaked into the serving import graph" >&2
+  exit 1
+fi
 
 # Every registered check must ship a fixture package: a check without one
 # has no proof it still catches its true positives.
@@ -43,8 +52,8 @@ if [[ "${TEXID_SKIP_RACE:-0}" != 1 ]]; then
   go test -race ./...
 fi
 
-# Tier 3 (opt-in): wall-clock host benchmarks with a regression gate.
-# Machine-dependent, so not part of the default gate.
+# Tier 3 (opt-in): the full measurement suite against BENCH_BASELINE.json.
+# Its wall rows are machine-dependent, so not part of the default gate.
 if [[ "${TEXID_BENCH:-0}" == 1 ]]; then
   scripts/bench.sh
 fi
