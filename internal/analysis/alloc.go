@@ -499,7 +499,7 @@ var allocFuncs = map[string]bool{
 	"fmt.Errorf": true, "fmt.Appendf": true,
 	"fmt.Printf": true, "fmt.Println": true, "fmt.Print": true,
 	"fmt.Fprintf": true, "fmt.Fprintln": true, "fmt.Fprint": true,
-	"errors.New": true,
+	"errors.New":   true,
 	"strings.Join": true, "strings.Repeat": true, "strings.Split": true,
 	"strings.Fields": true, "strings.Replace": true, "strings.ReplaceAll": true,
 	"strings.ToUpper": true, "strings.ToLower": true,

@@ -3,7 +3,6 @@ package blas
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"texid/internal/half"
 )
@@ -34,36 +33,15 @@ func (m AccumMode) String() string {
 
 // HalfMatrix is a dense column-major binary16 matrix, the storage format of
 // reference feature matrices in simulated device memory.
-//
-// Every content-changing operation in this package (NewHalfMatrix,
-// HalfFromMatrixInto, ConcatHalfColumnsInto) stamps the matrix with a fresh
-// generation from a global counter; Panel uses the stamp to decide whether
-// a cached widened copy is still valid. Code that mutates Data directly
-// must call Invalidate afterwards or cached panels will serve stale floats.
 type HalfMatrix struct {
 	Rows, Cols int
 	Stride     int
 	Data       half.Vector
-
-	gen uint64 // content generation; see Invalidate
 }
-
-// halfGen hands out content generations for HalfMatrix. Generation 0 is
-// reserved for zero-value matrices so a stamped matrix never collides with
-// an unstamped literal.
-var halfGen atomic.Uint64
-
-// Invalidate stamps the matrix with a fresh content generation, forcing any
-// Panel cached from it to re-widen on next use. The package's own
-// constructors and converters call it; external code only needs it after
-// writing to Data directly.
-func (m *HalfMatrix) Invalidate() { m.gen = halfGen.Add(1) }
 
 // NewHalfMatrix allocates a zeroed rows×cols binary16 matrix.
 func NewHalfMatrix(rows, cols int) *HalfMatrix {
-	h := &HalfMatrix{Rows: rows, Cols: cols, Stride: rows, Data: make(half.Vector, rows*cols)}
-	h.Invalidate()
-	return h
+	return &HalfMatrix{Rows: rows, Cols: cols, Stride: rows, Data: make(half.Vector, rows*cols)}
 }
 
 // HalfFromMatrix converts a float32 matrix to binary16 after multiplying by
@@ -83,7 +61,6 @@ func HalfFromMatrixInto(m *Matrix, scale float32, h *HalfMatrix) int {
 	}
 	h.Rows, h.Cols, h.Stride = m.Rows, m.Cols, m.Rows
 	h.Data = h.Data[:m.Rows*m.Cols]
-	h.Invalidate()
 	overflow := 0
 	for j := 0; j < m.Cols; j++ {
 		src := m.Col(j)
@@ -119,7 +96,6 @@ func ConcatHalfColumnsInto(dst *HalfMatrix, ms ...*HalfMatrix) *HalfMatrix {
 	}
 	dst.Rows, dst.Cols, dst.Stride = rows, total, rows
 	dst.Data = dst.Data[:rows*total]
-	dst.Invalidate()
 	at := 0
 	for _, m := range ms {
 		for j := 0; j < m.Cols; j++ {
@@ -150,10 +126,7 @@ func (m *HalfMatrix) Float32() *Matrix {
 	return out
 }
 
-// Slice returns a view of columns [from, to) sharing storage with m. The
-// view shares m's content generation: it stays valid as long as m is not
-// restamped, and a Panel cached from the view is invalidated by the same
-// writes that invalidate one cached from m.
+// Slice returns a view of columns [from, to) sharing storage with m.
 func (m *HalfMatrix) Slice(from, to int) *HalfMatrix {
 	if from < 0 || to > m.Cols || from > to {
 		panic(fmt.Sprintf("blas: slice [%d,%d) of %d columns", from, to, m.Cols))
@@ -163,7 +136,6 @@ func (m *HalfMatrix) Slice(from, to int) *HalfMatrix {
 		Cols:   to - from,
 		Stride: m.Stride,
 		Data:   m.Data[from*m.Stride : from*m.Stride+(to-from-1)*m.Stride+m.Rows],
-		gen:    m.gen,
 	}
 }
 
@@ -176,9 +148,8 @@ func (m *HalfMatrix) Slice(from, to int) *HalfMatrix {
 // alpha is applied after accumulation in float32, matching cuBLAS's
 // epilogue, so alpha = -2 cannot itself overflow the FP16 accumulator.
 //
-// Both operands are staged into pooled float32 scratch per call; when the
-// left operand is a long-lived resident matrix, HGemmTNPanel skips the A
-// staging by reusing a cached Panel.
+// Both operands are widened into pooled float32 scratch per call; a caller
+// that owns its staging buffers uses StageHalf + HGemmTNStaged instead.
 //
 //texlint:hotpath
 func HGemmTN(alpha float32, A, B *HalfMatrix, mode AccumMode, C *Matrix) {
@@ -192,6 +163,66 @@ func HGemmTN(alpha float32, A, B *HalfMatrix, mode AccumMode, C *Matrix) {
 	pb, bw := getF32(n * k)
 	defer f32Pool.Put(pb)
 	widenHalf(B, bw)
+	hgemmCore(alpha, aw, bw, m, n, k, mode, C)
+}
+
+// StageHalf widens h into dst as the k-stride float32 staging the HGemmTN
+// kernels consume (dst[j*k+i] = widen(h[i,j])), growing dst only when its
+// capacity is insufficient, and returns the resized slice. Widening is
+// cheap next to the GEMM it feeds (0.3% at 6144×768×128), so callers stage
+// operands per call into buffers they own rather than caching the result.
+//
+//texlint:hotpath
+func StageHalf(h *HalfMatrix, dst []float32) []float32 {
+	dst = growF32(dst, h.Rows*h.Cols)
+	widenHalf(h, dst)
+	return dst
+}
+
+// StageHalfBlocks is StageHalf over a gathered operand. Block b of h is its
+// columns [b*width, (b+1)*width); the blocks named by blocks are widened
+// side by side in list order, so the staging holds len(blocks)*width
+// columns. It reads h's columns in place — no view, no copy of the
+// binary16 data.
+//
+//texlint:hotpath
+func StageHalfBlocks(h *HalfMatrix, width int, blocks []int32, dst []float32) []float32 {
+	dst = growF32(dst, len(blocks)*width*h.Rows)
+	widenBlocks(h, width, blocks, dst)
+	return dst
+}
+
+// growF32 returns dst resized to n elements, reallocating only when its
+// capacity is insufficient. Contents are undefined.
+func growF32(dst []float32, n int) []float32 {
+	if cap(dst) < n {
+		return make([]float32, n)
+	}
+	return dst[:n]
+}
+
+// HGemmTNStaged runs the HGemmTN kernel directly over pre-widened k-stride
+// stagings: aw holds m columns and bw n columns of k floats each, as built
+// by StageHalf or StageHalfBlocks. hgemmCore only ever consumes the widened
+// staging and every output element is one sequential rounding chain over k
+// of one aw column against one bw column, so C[i,j] depends on nothing but
+// those two columns: a staging gathered from any subset of an operand's
+// columns produces output bits identical to the matching rows of a GEMM
+// over the full operand. That slice-invariance is what lets the Hamming
+// prefilter rerank a candidate subset and still be byte-identical to the
+// whole-batch match.
+//
+//texlint:hotpath
+func HGemmTNStaged(alpha float32, aw, bw []float32, m, n, k int, mode AccumMode, C *Matrix) {
+	if k > 0 && (len(aw) < m*k || len(bw) < n*k) {
+		panic(fmt.Sprintf("blas: HGemmTNStaged stagings %d/%d too short for %dx%dx%d", len(aw), len(bw), m, n, k))
+	}
+	if C.Rows != m || C.Cols != n {
+		panic(fmt.Sprintf("blas: HGemmTNStaged output %dx%d, want %dx%d", C.Rows, C.Cols, m, n))
+	}
+	if m == 0 || n == 0 {
+		return
+	}
 	hgemmCore(alpha, aw, bw, m, n, k, mode, C)
 }
 
@@ -363,13 +394,20 @@ func hgemmBlockGo(alpha float32, aw, bw []float32, i0, m, k, j0, j1 int, mode Ac
 }
 
 // widenHalf stages h into dst as tight k-stride float32 columns:
-// dst[j*k+i] = h[i,j] widened.
-func widenHalf(h *HalfMatrix, dst []float32) {
-	k := h.Rows
+// dst[j*k+i] = h[i,j] widened. All of h is its one block of h.Cols columns.
+func widenHalf(h *HalfMatrix, dst []float32) { widenBlocks(h, h.Cols, wholeOperand, dst) }
+
+var wholeOperand = []int32{0}
+
+// widenBlocks stages the named width-column blocks of h side by side:
+// staged column j is h's column blocks[j/width]*width + j%width, widened
+// into dst[j*k : (j+1)*k].
+func widenBlocks(h *HalfMatrix, width int, blocks []int32, dst []float32) {
+	k, cols := h.Rows, len(blocks)*width
 	const wBlock = 32
-	Parallel((h.Cols+wBlock-1)/wBlock, func(b int) {
-		for j := b * wBlock; j < min((b+1)*wBlock, h.Cols); j++ {
-			widenCol(dst[j*k:j*k+k], h.Col(j))
+	Parallel((cols+wBlock-1)/wBlock, func(b int) {
+		for j := b * wBlock; j < min((b+1)*wBlock, cols); j++ {
+			widenCol(dst[j*k:j*k+k], h.Col(int(blocks[j/width])*width+j%width))
 		}
 	})
 }

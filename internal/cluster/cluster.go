@@ -187,11 +187,34 @@ func (c *Cluster) Workers() []*engine.Engine {
 // storeKey is the kvstore key of a texture record.
 func storeKey(id int) string { return fmt.Sprintf("tex:%d", id) }
 
+// persist writes a texture's record to the kvstore; a cluster without one
+// persists nothing.
+func (c *Cluster) persist(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
+	if c.store == nil {
+		return nil
+	}
+	rec := &wire.FeatureRecord{
+		ID:        int64(id),
+		Precision: c.cfg.Engine.Precision,
+		Scale:     c.cfg.Engine.Scale,
+		Features:  feats,
+		Keypoints: kps,
+	}
+	if err := c.store.Set(storeKey(id), wire.Encode(rec)); err != nil {
+		return fmt.Errorf("cluster: persisting record %d: %w", id, err)
+	}
+	return nil
+}
+
 // Add enrolls a texture: references are spread round-robin so all shards
 // stay equally loaded ("all the reference feature matrices are equally
 // allocated to those 14 GPU containers"), routing around workers the
-// failure detector has declared dead. The record is persisted to the
-// kvstore when one is configured.
+// failure detector has declared dead. The id is reserved in the shard map
+// in the same critical section that checks for a duplicate, so of several
+// concurrent Adds of one id exactly one proceeds; then shape check, the
+// kvstore write, the engine — Update's order. Any failure gives the
+// reservation back, so a failed Add leaves the id on no shard, in no map
+// and (best-effort) not in the store.
 func (c *Cluster) Add(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
 	c.mu.Lock()
 	if _, dup := c.shards[id]; dup {
@@ -199,37 +222,33 @@ func (c *Cluster) Add(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
 		return fmt.Errorf("cluster: duplicate texture id %d", id)
 	}
 	wi, err := c.pickWorkerLocked()
+	if err == nil {
+		c.shards[id] = wi
+	}
 	c.mu.Unlock()
 	if err != nil {
 		return err
 	}
 
 	w := c.workers[wi]
-	if _, err := c.do(w, opAdd, func() (float64, error) {
-		if err := w.eng.Add(id, feats, kps); err != nil {
-			return 0, err
-		}
-		return 0, nil
-	}); err != nil {
-		return err
+	err = w.eng.CheckShape(feats)
+	if err == nil {
+		err = c.persist(id, feats, kps)
 	}
-	c.mu.Lock()
-	c.shards[id] = wi
-	c.mu.Unlock()
-
-	if c.store != nil {
-		rec := &wire.FeatureRecord{
-			ID:        int64(id),
-			Precision: c.cfg.Engine.Precision,
-			Scale:     c.cfg.Engine.Scale,
-			Features:  feats,
-			Keypoints: kps,
-		}
-		if err := c.store.Set(storeKey(id), wire.Encode(rec)); err != nil {
-			return fmt.Errorf("cluster: persisting record %d: %w", id, err)
+	if err == nil {
+		_, err = c.do(w, opAdd, func() (float64, error) { return 0, w.eng.Add(id, feats, kps) })
+		if err != nil && c.store != nil {
+			// Best-effort, as in Remove: an orphaned record is overwritten
+			// by the next enrollment under this id.
+			_, _ = c.store.Del(storeKey(id))
 		}
 	}
-	return nil
+	if err != nil {
+		c.mu.Lock()
+		delete(c.shards, id)
+		c.mu.Unlock()
+	}
+	return err
 }
 
 // AddPhantom enrolls count phantom references spread evenly across the
@@ -289,17 +308,8 @@ func (c *Cluster) Update(id int, feats *blas.Matrix, kps []sift.Keypoint) error 
 	if err := eng.CheckShape(feats); err != nil {
 		return err
 	}
-	if c.store != nil {
-		rec := &wire.FeatureRecord{
-			ID:        int64(id),
-			Precision: c.cfg.Engine.Precision,
-			Scale:     c.cfg.Engine.Scale,
-			Features:  feats,
-			Keypoints: kps,
-		}
-		if err := c.store.Set(storeKey(id), wire.Encode(rec)); err != nil {
-			return fmt.Errorf("cluster: persisting record %d: %w", id, err)
-		}
+	if err := c.persist(id, feats, kps); err != nil {
+		return err
 	}
 	return eng.Update(id, feats, kps)
 }

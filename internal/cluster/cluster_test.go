@@ -265,6 +265,38 @@ func TestUpdateStoreFailureKeepsOldFeatures(t *testing.T) {
 	}
 }
 
+// TestAddStoreFailureEnrollsNothing pins store-then-apply for Add: when the
+// kvstore write fails, Add returns the error with the id on no shard and
+// not in the shard map, so a retry is not a duplicate and no shard serves a
+// record the store does not hold.
+func TestAddStoreFailureEnrollsNothing(t *testing.T) {
+	srv, err := kvstore.Serve(kvstore.NewStore(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	c, err := New(Config{Workers: 2, Engine: smallEngine(), StoreAddr: srv.Addr()})
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv.Close()
+
+	if err := c.Add(4, unitFeatures(rng, 16, 24), nil); err == nil {
+		t.Fatal("Add succeeded with the kvstore down")
+	}
+	if got := c.Stats().References; got != 0 {
+		t.Fatalf("%d references enrolled after a failed Add, want 0", got)
+	}
+	c.mu.Lock()
+	_, mapped := c.shards[4]
+	c.mu.Unlock()
+	if mapped {
+		t.Fatal("failed Add left id 4 in the shard map")
+	}
+}
+
 func TestRESTAPIEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	c := smallCluster(t, 2)

@@ -26,19 +26,19 @@ func fuzzSeedRecord() string {
 // hostile header, and a successful decode re-encodes losslessly.
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add(fuzzSeedRecord())
-	f.Add("")                      // missing record
-	f.Add("!!!")                   // invalid base64
-	f.Add("AAAA")                  // valid base64, garbage bytes
+	f.Add("")     // missing record
+	f.Add("!!!")  // invalid base64
+	f.Add("AAAA") // valid base64, garbage bytes
 	f.Add(base64.StdEncoding.EncodeToString([]byte("TXIF junk")))
 	// Valid magic+version, hostile dimensions, no payload.
 	f.Add(base64.StdEncoding.EncodeToString([]byte{
 		0x46, 0x49, 0x58, 0x54, // magic (LE)
-		1,                      // version
-		7,                      // id varint
-		0,                      // FP32
-		0, 0, 0x80, 0x3f,       // scale 1.0
-		0x80, 0x80, 0x40,       // d varint = 1<<20
-		0x80, 0x80, 0x40,       // m varint = 1<<20
+		1,                // version
+		7,                // id varint
+		0,                // FP32
+		0, 0, 0x80, 0x3f, // scale 1.0
+		0x80, 0x80, 0x40, // d varint = 1<<20
+		0x80, 0x80, 0x40, // m varint = 1<<20
 	}))
 
 	f.Fuzz(func(t *testing.T, b64 string) {

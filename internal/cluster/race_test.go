@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"texid/internal/blas"
@@ -105,5 +106,46 @@ func TestClusterConcurrentMixedOps(t *testing.T) {
 
 	if got := c.Stats().References; got != stable {
 		t.Fatalf("after churn drained, %d references remain, want %d", got, stable)
+	}
+}
+
+// TestConcurrentAddSameID: Add checks for a duplicate and reserves the id in
+// one critical section, so of several goroutines enrolling one id exactly
+// one succeeds and exactly one shard ends up holding the texture — never
+// two round-robin picks both enrolling it. Every Add seals a batch of one
+// sizeable reference, which keeps the engine call long enough for the
+// adders to overlap; check.sh runs this at -cpu 1,4.
+func TestConcurrentAddSameID(t *testing.T) {
+	const rounds, adders = 50, 4
+	ecfg := smallEngine()
+	ecfg.BatchSize = 1
+	ecfg.Dim, ecfg.RefFeatures = 128, 256
+	c, err := New(Config{Workers: 3, Engine: ecfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := unitFeatures(rand.New(rand.NewSource(71)), ecfg.Dim, ecfg.RefFeatures)
+	for id := 0; id < rounds; id++ {
+		var wg sync.WaitGroup
+		var won atomic.Int32
+		start := make(chan struct{})
+		for g := 0; g < adders; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if c.Add(id, feats, nil) == nil {
+					won.Add(1)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := won.Load(); n != 1 {
+			t.Fatalf("id %d: %d of %d concurrent Adds succeeded, want exactly 1", id, n, adders)
+		}
+		if got := c.Stats().References; got != id+1 {
+			t.Fatalf("after id %d: shards hold %d references, want %d — an id is enrolled on two shards", id, got, id+1)
+		}
 	}
 }

@@ -54,9 +54,7 @@ func (e *Engine) Compact() (reclaimed int, err error) {
 		return 0, nil
 	}
 
-	// Drop every old batch, then rebuild. These batches leave the index for
-	// good, so their cached widened-operand panels go back to the scratch
-	// pool (demotion, by contrast, keeps the panel with the host copy).
+	// Drop every old batch, then rebuild.
 	for _, it := range items {
 		sb := it.Payload.(*sealedBatch)
 		if sb.resident {
@@ -64,7 +62,6 @@ func (e *Engine) Compact() (reclaimed int, err error) {
 			sb.resident = false
 		}
 		sb.rb.FreeCodes()
-		sb.rb.ReleasePanel()
 		e.hybrid.Remove(it.ID)
 	}
 

@@ -447,7 +447,6 @@ func (e *Engine) commitBatchLocked(rb *knn.RefBatch) error {
 	if _, err := e.hybrid.Add(e.nextBatchID, rb.Bytes(), sb); err != nil {
 		rb.Free()
 		rb.FreeCodes()
-		rb.ReleasePanel()
 		for _, uid := range rb.IDs {
 			if public, ok := e.uidToPublic[uid]; ok {
 				delete(e.refs, public)

@@ -21,12 +21,12 @@ package half
 //
 // Exponent classes (e = biased float32 exponent, i = sign<<8 | e):
 //
-//   e ≥ 143          overflow: base = ±Inf, shift 25 discards everything
-//                    (a 24-bit significand can never carry out of bit 24).
-//   113 ≤ e ≤ 142    normal halves: shift 13, base exponent e-113 so the
-//                    explicit bit's +0x400 lands the true exponent e-112.
-//   102 ≤ e ≤ 112    subnormal halves: shift 126-e, zero base exponent.
-//   e ≤ 101          rounds to signed zero even as a subnormal: shift 25.
+//	e ≥ 143          overflow: base = ±Inf, shift 25 discards everything
+//	                 (a 24-bit significand can never carry out of bit 24).
+//	113 ≤ e ≤ 142    normal halves: shift 13, base exponent e-113 so the
+//	                 explicit bit's +0x400 lands the true exponent e-112.
+//	102 ≤ e ≤ 112    subnormal halves: shift 126-e, zero base exponent.
+//	e ≤ 101          rounds to signed zero even as a subnormal: shift 25.
 //
 // e = 255 (Inf/NaN) never reaches the tables — FromFloat32 branches first.
 var (

@@ -106,25 +106,11 @@ type RefBatch struct {
 	codes      []binq.Code
 	codeBytes  int64
 	codesFreed bool
-
-	// panel caches the widened float32 staging of F16 across searches, so
-	// the resident reference operand is converted once per batch lifetime
-	// instead of once per GEMM. It is confined by whatever synchronizes
-	// access to the batch (the engine's index RWMutex); Free deliberately
-	// leaves it alone — a demoted batch streamed back in reuses it — and
-	// ReleasePanel returns it to the scratch pool when the batch is
-	// dropped for good.
-	panel blas.Panel
 }
 
-// Panel returns the batch's cached widened-operand panel for use with
-// blas.HGemmTNPanel. The caller must hold the lock that guards the batch.
-func (rb *RefBatch) Panel() *blas.Panel { return &rb.panel }
-
-// ReleasePanel returns the cached widened staging to the blas scratch
-// pool. Call it when the batch leaves the index permanently; a batch that
-// is merely demoted from device memory keeps its panel.
-func (rb *RefBatch) ReleasePanel() { rb.panel.Release() }
+// ReleasePanel does nothing: batches no longer cache a widened operand. It
+// stays only because benchmark/kernels.go calls it (see ROADMAP's pinned names).
+func (rb *RefBatch) ReleasePanel() {}
 
 // Count returns the number of reference images in the batch.
 func (rb *RefBatch) Count() int { return len(rb.IDs) }
@@ -182,10 +168,6 @@ func NewRefBatch(dev *gpusim.Device, ids []int, mats []*blas.Matrix, prec gpusim
 	}
 	if prec == gpusim.FP16 {
 		rb.F16, rb.Overflow = blas.HalfFromMatrix(concat, scale)
-		// Widen eagerly while the batch is still private to this call:
-		// enroll/compact pays the one-time conversion, searches hit a warm
-		// panel from the first query on.
-		rb.panel.For(rb.F16)
 	} else {
 		rb.F32 = concat
 	}

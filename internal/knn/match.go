@@ -161,7 +161,7 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 			return
 		}
 		if prec == gpusim.FP16 {
-			blas.HGemmTNPanel(-2, rb.Panel(), rb.F16, q.F16, opts.Accum, C)
+			blas.HGemmTN(-2, rb.F16, q.F16, opts.Accum, C)
 			// Undo the feature scale: A holds -2·s²·RᵀQ.
 			inv := 1 / (rb.Scale * q.Scale)
 			for i := range C.Data {
@@ -216,18 +216,19 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 // A = -2·RᵀQ, so the pipeline is one GEMM of shape (blocks·m)×(B_q·n) plus
 // one fused top-2/sqrt kernel.
 //
-// Whole batch (slots == nil): one GEMM call over the resident operand.
-// Slot set: the selected images' feature columns are gathered (charged as
-// one elementwise pass) and each slot runs the same GEMM over a view of the
-// resident operand, writing the same bits as the corresponding rows of the
-// whole-batch GEMM:
+// Whole batch (slots == nil): one GEMM over the resident operand. Slot
+// set: the selected images' feature columns are gathered (charged as one
+// elementwise pass) and matched, writing the same bits as the
+// corresponding rows of the whole-batch GEMM:
 //
 //   - FP32: GemmTN's per-element value is one sequential FMA chain over
-//     the two operand columns (see gemm.go), so a column slice of the
-//     operand reproduces those rows exactly.
-//   - FP16: hgemmCore consumes only the widened k-stride staging, served
-//     from the batch's cached Panel; slot s's staging is the contiguous
-//     chunk aw[s*m*k:(s+1)*m*k], fed through blas.HGemmTNStaged.
+//     the two operand columns (see gemm.go), so each slot runs GemmTN over
+//     a column view of the operand and reproduces those rows exactly.
+//   - FP16: binary16 is the storage format only. The reference columns
+//     being matched — every column, or the slots' gathered contiguously —
+//     are widened into sc beside the query staging, and one
+//     blas.HGemmTNStaged runs over all nb·m of them (see its
+//     slice-invariance note). Nothing widened outlives the call.
 //
 //texlint:hotpath
 //texlint:scratchalias
@@ -269,17 +270,12 @@ func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []in
 			return
 		}
 		if slots == nil {
-			blas.HGemmTNPanel(-2, rb.Panel(), rb.F16, mq.catF16, opts.Accum, C)
+			sc.rstage = blas.StageHalf(rb.F16, sc.rstage)
 		} else {
-			// The query operand is widened once per batch and shared by
-			// every slot's staged GEMM.
-			aw := rb.Panel().For(rb.F16)
-			sc.qstage = blas.StageHalf(mq.catF16, sc.qstage)
-			for si, slot := range slots {
-				cv := rowBlockView(C, si*m, m)
-				blas.HGemmTNStaged(-2, aw[int(slot)*m*d:(int(slot)+1)*m*d], sc.qstage, m, Bq*n, d, opts.Accum, &cv)
-			}
+			sc.rstage = blas.StageHalfBlocks(rb.F16, m, slots, sc.rstage)
 		}
+		sc.qstage = blas.StageHalf(mq.catF16, sc.qstage)
+		blas.HGemmTNStaged(-2, sc.rstage, sc.qstage, nb*m, Bq*n, d, opts.Accum, C)
 		// Undo the feature scale: C holds -2·s²·RᵀQ.
 		inv := 1 / (rb.Scale * mq.queries[0].Scale)
 		for i := range C.Data {

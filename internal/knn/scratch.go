@@ -40,11 +40,12 @@ type Scratch struct {
 	// in; it is separate from mq so a prepared panel survives those calls.
 	one  MultiQuery
 	oneQ [1]*Query
-	// Slot-set working set: the gathered reference ids of the selected
-	// slots and the query operand's widened staging (built once per batch,
-	// shared by every slot's staged GEMM).
+	// candIDs holds the gathered reference ids of a slot set.
 	candIDs []int
-	qstage  []float32
+	// FP16 operand stagings, widened per Match call: the reference columns
+	// being matched (whole batch or gathered slots) and the query panel.
+	rstage []float32
+	qstage []float32
 }
 
 // orFresh substitutes a fresh Scratch for nil.

@@ -44,13 +44,13 @@ func FuzzReadReply(f *testing.F) {
 	f.Add([]byte("$5\r\nhello\r\n"))
 	f.Add([]byte("$-1\r\n"))
 	f.Add([]byte("*2\r\n$1\r\na\r\n:7\r\n"))
-	f.Add([]byte("*1\r\n*1\r\n*1\r\n:0\r\n"))    // nesting
-	f.Add(bytes.Repeat([]byte("*1\r\n"), 64))    // nesting past the depth cap
-	f.Add([]byte("$536870912\r\nx\r\n"))         // huge claimed bulk, tiny payload
-	f.Add([]byte("*1048577\r\n"))                // array count over the cap
-	f.Add([]byte(":notanumber\r\n"))             // bad integer
-	f.Add([]byte("$3\r\nabcXY"))                 // missing CRLF
-	f.Add([]byte("?what\r\n"))                   // unknown type byte
+	f.Add([]byte("*1\r\n*1\r\n*1\r\n:0\r\n")) // nesting
+	f.Add(bytes.Repeat([]byte("*1\r\n"), 64)) // nesting past the depth cap
+	f.Add([]byte("$536870912\r\nx\r\n"))      // huge claimed bulk, tiny payload
+	f.Add([]byte("*1048577\r\n"))             // array count over the cap
+	f.Add([]byte(":notanumber\r\n"))          // bad integer
+	f.Add([]byte("$3\r\nabcXY"))              // missing CRLF
+	f.Add([]byte("?what\r\n"))                // unknown type byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := readReply(bufio.NewReader(bytes.NewReader(data)))

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-2 verification gate: build, vet, project invariants (texlint), import
-# hygiene of the serving binaries, the serving core's tests at GOMAXPROCS 1
-# and 4, and the race-detector test suite. Any diagnostic or failure exits non-zero.
+# Tier-2 verification gate: build, vet (root module and the nested benchmark
+# module), gofmt, project invariants (texlint), import hygiene of the serving
+# binaries, the serving core's tests at GOMAXPROCS 1 and 4, and the
+# race-detector test suite. Any diagnostic or failure exits non-zero.
 # Works from a clean checkout with no network access (texlint type-checks
 # against the source importer; nothing is downloaded).
 set -euo pipefail
@@ -12,6 +13,20 @@ go build ./...
 
 echo "==> go vet"
 go vet ./...
+
+# benchmark/ is its own module, so the root ./... pattern skips it; vetting
+# it type-checks it against this tree, which is what catches a deleted or
+# renamed symbol it compiles against.
+echo "==> go vet (benchmark module)"
+(cd benchmark && go vet ./...)
+
+echo "==> gofmt"
+unformatted=$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l) # its own statement: a gofmt failure must not read as "all formatted"
+if [[ -n "$unformatted" ]]; then
+  echo "check.sh: gofmt -l flags these files:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 
 echo "==> texlint"
 go run ./cmd/texlint -baseline texlint.baseline ./...
