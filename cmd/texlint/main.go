@@ -4,7 +4,6 @@
 //	go run ./cmd/texlint -checks hotalloc,clockdomain ./internal/...
 //	go run ./cmd/texlint -json ./... | jq .
 //	go run ./cmd/texlint -baseline texlint.baseline ./...
-//	go run ./cmd/texlint -fixtures
 //
 // It is stdlib-only and works from a clean checkout with no network
 // access: packages are discovered with go/build and type-checked from
@@ -15,12 +14,9 @@
 //
 // Checks (see internal/analysis for details):
 //
-//	determinism  no time.Now, global math/rand, or map-ordered output in
-//	             simulator code (internal/gpusim, engine, blas, knn,
-//	             half, cache)
 //	lockcheck    no mutex held across channel ops, time.Sleep, or
-//	             blocking I/O; Lock pairs with defer Unlock on
-//	             early-return paths
+//	             blocking I/O; no return that leaves a mutex held
+//	             without a deferred unlock
 //	errcheck     no silently dropped error returns
 //	streampair   every gpusim kernel launch/async copy is followed by a
 //	             stream sync in the same function
@@ -29,12 +25,13 @@
 //	hotalloc     functions marked //texlint:hotpath, and everything they
 //	             transitively call, must not heap-allocate (flow-aware:
 //	             error paths and cap/len-guarded amortized grows allowed)
-//	clockdomain  nothing reachable from internal/gpusim or from kernel
-//	             payload closures may read the wall clock
+//	clockdomain  nothing in or reachable from the simulator packages
+//	             (internal/gpusim, engine, blas, knn, half, cache), a
+//	             //texlint:clockdomain function or a kernel payload
+//	             closure may read the wall clock or the global math/rand
+//	             source
 //	aliasret     results of //texlint:scratchalias APIs must not be
 //	             retained across reuse of the same scratch
-//	atomicmix    a variable accessed via sync/atomic anywhere must be
-//	             accessed atomically everywhere
 //	lockorder    the module-local lock-acquisition graph (followed across
 //	             function boundaries) must be acyclic; no RLock→Lock
 //	             upgrades or reacquisition of a held mutex
@@ -51,10 +48,10 @@
 //	             *http.Request, //texlint:untrusted parameters) must pass
 //	             a bound check or internal/limits helper before sizing
 //	             memory (flow-aware: findings carry source→sink chains)
-//	maporder     call closures rooted at wire encoders, metrics
-//	             exposition, and //texlint:deterministic functions must
-//	             sort map iterations that build output and avoid
-//	             multi-way selects
+//	maporder     call closures rooted at the simulator packages, wire
+//	             encoders, metrics exposition, and
+//	             //texlint:deterministic functions must sort map
+//	             iterations that build output and avoid multi-way selects
 //	directive    texlint comment hygiene: bare ignores (no reason),
 //	             unknown check names, malformed annotations
 //
@@ -70,7 +67,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -84,21 +80,12 @@ func main() {
 		jsonOut       = flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 		baselinePath  = flag.String("baseline", "", "filter findings against this baseline file; stale entries are errors")
 		writeBaseline = flag.String("write-baseline", "", "write all findings to this baseline file and exit 0")
-		fixtures      = flag.Bool("fixtures", false, "self-test: run every analyzer against its fixture package and exit")
-		listChecks    = flag.Bool("list-checks", false, "print the registered check names, one per line, and exit")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: texlint [-v] [-checks list] [-json] [-baseline file] [-write-baseline file] [-fixtures] [-list-checks] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: texlint [-v] [-checks list] [-json] [-baseline file] [-write-baseline file] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *listChecks {
-		for _, a := range analysis.DefaultAnalyzers() {
-			fmt.Println(a.Name)
-		}
-		return
-	}
 
 	wd, err := os.Getwd()
 	if err != nil {
@@ -107,10 +94,6 @@ func main() {
 	root, err := analysis.FindModuleRoot(wd)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *fixtures {
-		os.Exit(runFixtures(root, *verbose))
 	}
 
 	analyzers, err := selectAnalyzers(*checksFlag)
@@ -240,39 +223,6 @@ func emitJSON(diags []analysis.Diagnostic, stale []string, baselinePath string) 
 	if err := enc.Encode(out); err != nil {
 		fatal(err)
 	}
-}
-
-// runFixtures runs every analyzer against its fixture package under
-// internal/analysis/testdata/src/<name> — the same harness the unit tests
-// use — so a modified texlint binary can prove its checks still catch
-// their true positives before being trusted as a gate.
-func runFixtures(root string, verbose bool) int {
-	failures := 0
-	for _, a := range analysis.FixtureAnalyzers() {
-		dir := filepath.Join(root, "internal", "analysis", "testdata", "src", a.Name)
-		if _, err := os.Stat(dir); err != nil {
-			fmt.Fprintf(os.Stderr, "texlint: fixtures: %s: missing fixture package: %v\n", a.Name, err)
-			failures++
-			continue
-		}
-		errs := analysis.CheckFixtureDir(a, dir)
-		if len(errs) == 0 {
-			if verbose {
-				fmt.Fprintf(os.Stderr, "texlint: fixtures: %s ok\n", a.Name)
-			}
-			continue
-		}
-		failures++
-		for _, err := range errs {
-			fmt.Fprintf(os.Stderr, "texlint: fixtures: %s: %v\n", a.Name, err)
-		}
-	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "texlint: fixtures: %d analyzer(s) failed self-test\n", failures)
-		return 1
-	}
-	fmt.Fprintln(os.Stderr, "texlint: fixtures: all analyzers passed self-test")
-	return 0
 }
 
 func fatal(err error) {

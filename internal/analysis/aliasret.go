@@ -30,9 +30,9 @@ import (
 // NewAliasRet returns the scratch-aliasing misuse check.
 func NewAliasRet() *Analyzer {
 	return &Analyzer{
-		Name:       "aliasret",
-		Doc:        "results of //texlint:scratchalias APIs must not be retained across scratch reuse",
-		RunProgram: runAliasRet,
+		Name: "aliasret",
+		Doc:  "results of //texlint:scratchalias APIs must not be retained across scratch reuse",
+		Run:  runAliasRet,
 	}
 }
 

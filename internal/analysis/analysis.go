@@ -7,10 +7,17 @@
 //
 // The paper's results depend on a deterministic, calibrated timing model
 // and a concurrent serving stack; the checks here encode the invariants
-// that keep those properties from rotting: no nondeterminism sources in
-// simulator code, no mutexes held across blocking operations, no dropped
-// errors, every kernel launch paired with a stream sync, and no raw
-// binary16 bit-pattern manipulation outside internal/half.
+// that keep those properties from rotting: nothing reachable from simulator
+// code reads the wall clock, the global math/rand source or map iteration
+// order, no mutex is held across a blocking operation, no error is
+// dropped, every kernel launch is paired with a stream sync, and no raw
+// binary16 bit pattern is manipulated outside internal/half.
+//
+// Every mechanism exists once: Program.reach is the only call-graph walk
+// (hotalloc, clockdomain and maporder differ in their roots and in what
+// they scan per function), chainPath the only chain renderer, and
+// lockVisitor the only critical-section tracker (lockcheck, lockorder and
+// guardedby are callbacks on it).
 //
 // Diagnostics may be suppressed with an escape hatch comment:
 //
@@ -21,8 +28,8 @@
 // declaration. The reason is mandatory: a bare ignore, or one naming an
 // unknown check, is itself reported under the "directive" check.
 //
-// Flow-aware checks (hotalloc, clockdomain, aliasret, atomicmix, wiretaint,
-// maporder) follow call chains across packages; they are driven by function
+// Flow-aware checks (hotalloc, clockdomain, aliasret, wiretaint, maporder)
+// follow call chains across packages; they are driven by function
 // annotations:
 //
 //	//texlint:hotpath               — this function and all callees must not allocate
@@ -37,7 +44,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -58,12 +64,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// Pass carries one type-checked package through an analyzer.
+// Pass carries one type-checked package through a per-package check.
 type Pass struct {
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Pkg     *PackageInfo
-	PkgPath string
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *PackageInfo
 }
 
 // Analyzer is one pluggable check.
@@ -72,16 +77,48 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description.
 	Doc string
-	// Applies reports whether the check runs on the given import path.
-	// A nil Applies runs everywhere.
-	Applies func(pkgPath string) bool
-	// Run inspects one package and returns its findings.
-	Run func(*Pass) []Diagnostic
-	// RunProgram, if set, makes this a whole-program analyzer: RunAll
-	// invokes it once over the full loaded package set (Run and Applies
-	// are then ignored). Flow-aware checks that follow call chains across
-	// package boundaries live here.
-	RunProgram func(*Program) []Diagnostic
+	// Run inspects the loaded program and returns its findings. Checks
+	// that look at one package at a time wrap themselves with perPackage.
+	Run func(*Program) []Diagnostic
+}
+
+// perPackage adapts a check that inspects one package at a time: fn runs
+// over every loaded package whose import path scope accepts (nil accepts
+// all).
+func perPackage(scope func(pkgPath string) bool, fn func(*Pass) []Diagnostic) func(*Program) []Diagnostic {
+	return func(prog *Program) []Diagnostic {
+		var out []Diagnostic
+		for _, pkg := range prog.Pkgs {
+			if scope != nil && !scope(pkg.Path) {
+				continue
+			}
+			out = append(out, fn(&Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Info})...)
+		}
+		return out
+	}
+}
+
+// DefaultAnalyzers returns the check suite. The three syntactic checks
+// (errcheck, streampair, fp16) look at one package at a time; the rest
+// follow call chains, lock sets or value flow across the whole program.
+// Scoping lives with each check: clockdomain and maporder root themselves
+// at the simulator packages (inSimulator), fp16 skips internal/half.
+func DefaultAnalyzers() []*Analyzer {
+	return []*Analyzer{
+		NewLockCheck(),
+		NewErrCheck(),
+		NewStreamPair(),
+		NewFP16(),
+		NewHotAlloc(),
+		NewClockDomain(),
+		NewAliasRet(),
+		NewLockOrder(),
+		NewGuardedBy(),
+		NewPoolLife(),
+		NewGoLeak(),
+		NewWireTaint(),
+		NewMapOrder(),
+	}
 }
 
 // knownCheckSet returns the check names valid in a //texlint:ignore list.
@@ -94,35 +131,6 @@ func knownCheckSet() map[string]bool {
 		set[a.Name] = true
 	}
 	return set
-}
-
-// Run executes every applicable analyzer over the package, filters
-// suppressed diagnostics, and returns the rest sorted by position.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Info, PkgPath: pkg.Path}
-	ig := buildIgnoreIndex(pkg.Fset, pkg.Files)
-	var out []Diagnostic
-	for _, a := range analyzers {
-		if a.Applies != nil && !a.Applies(pkg.Path) {
-			continue
-		}
-		for _, d := range a.Run(pass) {
-			if ig.suppressed(d) {
-				continue
-			}
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Filename != out[j].Pos.Filename {
-			return out[i].Pos.Filename < out[j].Pos.Filename
-		}
-		if out[i].Pos.Line != out[j].Pos.Line {
-			return out[i].Pos.Line < out[j].Pos.Line
-		}
-		return out[i].Check < out[j].Check
-	})
-	return out
 }
 
 // ignoreIndex records where //texlint:ignore directives apply.
@@ -229,25 +237,4 @@ func (ig *ignoreIndex) suppressed(d Diagnostic) bool {
 		}
 	}
 	return false
-}
-
-// pathMatches reports whether the import path equals or ends with one of
-// the given suffixes (each suffix matched at a path-segment boundary).
-func pathMatches(pkgPath string, suffixes []string) bool {
-	for _, s := range suffixes {
-		if pkgPath == s || strings.HasSuffix(pkgPath, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
-
-// ScopedTo returns an Applies predicate for the given path suffixes.
-func ScopedTo(suffixes ...string) func(string) bool {
-	return func(pkgPath string) bool { return pathMatches(pkgPath, suffixes) }
-}
-
-// NotIn returns an Applies predicate excluding the given path suffixes.
-func NotIn(suffixes ...string) func(string) bool {
-	return func(pkgPath string) bool { return !pathMatches(pkgPath, suffixes) }
 }

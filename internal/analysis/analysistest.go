@@ -11,9 +11,10 @@ import (
 // Fixture testing: a fixture package under testdata/src/<name> contains
 // files with `// want "regexp"` comments marking the lines where a check
 // must report, plus clean files with no comments that must produce zero
-// diagnostics. CheckFixture loads the package, runs the analyzer with
-// its scope widened to the fixture path, and returns one error per
-// mismatch in either direction.
+// diagnostics. CheckFixture loads the package, runs the analyzer exactly
+// as DefaultAnalyzers configures it (a fixture package is in no scoped
+// package set, so its roots come from annotations), and returns one error
+// per mismatch in either direction.
 
 var (
 	fixtureOnce   sync.Once
@@ -41,25 +42,15 @@ func fixtureLoad(dir string) (*Package, error) {
 var wantRE = regexp.MustCompile(`// want "((?:[^"\\]|\\.)*)"`)
 
 // CheckFixture runs one analyzer over testdata/src/<fixture> and
-// verifies its diagnostics against the `// want` expectations.
+// verifies its diagnostics against the `// want` expectations. Directive
+// hygiene ("directive" findings from RunAll) is included: fixtures assert
+// it with // want comments like any other check.
 func CheckFixture(a *Analyzer, fixture string) []error {
-	return CheckFixtureDir(a, filepath.Join("testdata", "src", fixture))
-}
-
-// CheckFixtureDir is CheckFixture with an explicit fixture directory; the
-// `texlint -fixtures` self-test mode uses it from outside this package's
-// working directory.
-func CheckFixtureDir(a *Analyzer, dir string) []error {
-	pkg, err := fixtureLoad(dir)
+	pkg, err := fixtureLoad(filepath.Join("testdata", "src", fixture))
 	if err != nil {
 		return []error{err}
 	}
-	// Widen the scope: fixture packages live outside the production
-	// package set the analyzer is normally restricted to. Directive
-	// hygiene ("directive" findings from RunAll) is kept: fixtures assert
-	// it with // want comments like any other check.
-	widened := &Analyzer{Name: a.Name, Doc: a.Doc, Run: a.Run, RunProgram: a.RunProgram}
-	diags := RunAll([]*Package{pkg}, []*Analyzer{widened})
+	diags := RunAll([]*Package{pkg}, []*Analyzer{a})
 
 	type want struct {
 		re   *regexp.Regexp

@@ -113,7 +113,7 @@ func (b *Baseline) Filter(diags []Diagnostic, root string) []Diagnostic {
 
 // Stale returns the unmatched entries for checks that were enabled this
 // run, sorted by file line. Entries for disabled checks are left alone so
-// `-checks determinism` does not report the hotalloc baseline as stale.
+// `-checks errcheck` does not report the hotalloc baseline as stale.
 func (b *Baseline) Stale(enabled map[string]bool) []string {
 	if b == nil {
 		return nil

@@ -17,9 +17,7 @@ func flowFixtureDiags(t *testing.T) []Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewWireTaint()
-	widened := &Analyzer{Name: a.Name, Doc: a.Doc, RunProgram: a.RunProgram}
-	diags := RunAll([]*Package{pkg}, []*Analyzer{widened})
+	diags := RunAll([]*Package{pkg}, []*Analyzer{NewWireTaint()})
 	if len(diags) == 0 {
 		t.Fatal("wiretaint fixture produced no diagnostics")
 	}

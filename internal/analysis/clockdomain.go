@@ -5,34 +5,47 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"strings"
 )
 
-// clockdomain: the discrete-event simulator keeps its own clock, and the
-// paper's calibrated timings depend on simulated time never mixing with
-// the machine's. The determinism check already bans time.Now inside the
-// simulator packages syntactically; clockdomain closes the transitive
-// hole: nothing *reachable* from simulator code — including the kernel
-// payload closures that knn hands to gpusim streams — may read the wall
-// clock. (The wall-clock benchmark harness is the dual: it must use real
-// time, and lives outside this domain by construction.)
+// clockdomain: the discrete-event simulator keeps its own clock and draws
+// its randomness from seeded generators, and the paper's calibrated
+// timings depend on neither mixing with the machine's. Nothing in, or
+// *reachable* from, simulator code — including the kernel payload closures
+// that knn hands to gpusim streams — may read the wall clock or the global
+// math/rand source. (The wall-clock benchmark harness is the dual: it must
+// use real time, and lives outside this domain by construction.)
 //
-// Roots are (a) every function declared in a package matched by the root
-// scope (production: internal/gpusim), (b) functions annotated
-// //texlint:clockdomain, and (c) the bodies of function literals passed to
-// gpusim Stream/Device methods (kernel payloads execute under the
-// simulated clock even though they are declared elsewhere).
+// Roots are (a) every function declared in a simulator package
+// (inSimulator), (b) functions annotated //texlint:clockdomain, and (c) the
+// bodies of function literals passed to gpusim Stream/Device methods
+// (kernel payloads execute under the simulated clock even though they are
+// declared elsewhere).
 
-// NewClockDomain returns the clock-domain check. rootScope selects the
-// packages whose functions are implicit roots; nil means only annotated
-// functions and kernel payloads are roots (used by fixtures).
-func NewClockDomain(rootScope func(pkgPath string) bool) *Analyzer {
+// simulatorPackages are the packages whose results must reproduce bit for
+// bit: the device model and the numeric path that runs on it. clockdomain
+// and maporder take every function declared in them as a root.
+var simulatorPackages = []string{
+	"internal/gpusim", "internal/engine", "internal/blas",
+	"internal/knn", "internal/half", "internal/cache",
+}
+
+// inSimulator reports whether the import path is one of simulatorPackages.
+func inSimulator(pkgPath string) bool {
+	for _, s := range simulatorPackages {
+		if hasSuffixPath(pkgPath, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// NewClockDomain returns the clock-domain check.
+func NewClockDomain() *Analyzer {
 	return &Analyzer{
 		Name: "clockdomain",
-		Doc:  "simulated-clock code must not read the wall clock (time.Now and friends)",
-		RunProgram: func(prog *Program) []Diagnostic {
-			return runClockDomain(prog, rootScope)
-		},
+		Doc:  "simulator code, and everything it reaches, must not read the wall clock or the global math/rand source",
+		Run:  runClockDomain,
 	}
 }
 
@@ -44,27 +57,29 @@ var wallClockFuncs = map[string]bool{
 	"AfterFunc": true,
 }
 
-func runClockDomain(prog *Program, rootScope func(string) bool) []Diagnostic {
-	type rootEntry struct {
-		fn  *types.Func
-		why string
+func runClockDomain(prog *Program) []Diagnostic {
+	// why names what put each root in the domain; a function that is a root
+	// for several reasons keeps the first (scope, annotation, then payload).
+	why := make(map[*types.Func]string)
+	var roots []*types.Func
+	addRoot := func(fn *types.Func, reason string) {
+		if _, ok := why[fn]; !ok {
+			why[fn] = reason
+			roots = append(roots, fn)
+		}
 	}
-	var roots []rootEntry
 	for fn, fi := range prog.Funcs {
 		switch {
-		case rootScope != nil && rootScope(fi.Pkg.Path):
-			roots = append(roots, rootEntry{fn, "declared in " + fi.Pkg.Path})
+		case inSimulator(fi.Pkg.Path):
+			addRoot(fn, "declared in "+fi.Pkg.Path)
 		case fi.Ann.ClockRoot:
-			roots = append(roots, rootEntry{fn, "annotated //texlint:clockdomain"})
+			addRoot(fn, "annotated //texlint:clockdomain")
 		}
 	}
 
 	var out []Diagnostic
-	report := func(pos token.Pos, format string, args ...any) {
-		out = append(out, Diagnostic{
-			Pos: prog.Fset.Position(pos), Check: "clockdomain",
-			Message: fmt.Sprintf(format, args...),
-		})
+	report := func(pos token.Pos, msg string) {
+		out = append(out, Diagnostic{Pos: prog.Fset.Position(pos), Check: "clockdomain", Message: msg})
 	}
 
 	// Kernel payloads: function literals passed to gpusim stream/device
@@ -78,7 +93,7 @@ func runClockDomain(prog *Program, rootScope func(string) bool) []Diagnostic {
 					return true
 				}
 				callee := calleeFunc(pkg.Info, call)
-				if callee == nil || !pathMatches(funcPkgPath(callee), []string{"internal/gpusim"}) {
+				if callee == nil || !hasSuffixPath(funcPkgPath(callee), gpusimPath) {
 					return true
 				}
 				if sig, ok := callee.Type().(*types.Signature); !ok || sig.Recv() == nil {
@@ -93,7 +108,7 @@ func runClockDomain(prog *Program, rootScope func(string) bool) []Diagnostic {
 					scanWallClock(pkg, lit.Body, label, report)
 					for _, cfn := range literalCallees(pkg, lit) {
 						if prog.Funcs[cfn] != nil {
-							roots = append(roots, rootEntry{cfn, "called from " + label})
+							addRoot(cfn, "called from "+label)
 						}
 					}
 				}
@@ -102,59 +117,30 @@ func runClockDomain(prog *Program, rootScope func(string) bool) []Diagnostic {
 		}
 	}
 
-	sort.Slice(roots, func(i, j int) bool {
-		return prog.Fset.Position(roots[i].fn.Pos()).Offset < prog.Fset.Position(roots[j].fn.Pos()).Offset
-	})
-
-	parent := make(map[*types.Func]*types.Func)
-	why := make(map[*types.Func]string)
-	seen := make(map[*types.Func]bool)
-	var order []*types.Func
-	for _, r := range roots {
-		if seen[r.fn] {
-			continue
-		}
-		seen[r.fn] = true
-		why[r.fn] = r.why
-		queue := []*types.Func{r.fn}
-		for len(queue) > 0 {
-			fn := queue[0]
-			queue = queue[1:]
-			order = append(order, fn)
-			for _, site := range prog.Callees(fn) {
-				if seen[site.Callee] || prog.Funcs[site.Callee] == nil {
-					continue
-				}
-				if prog.Suppressed("clockdomain", site.Pos) {
-					continue
-				}
-				seen[site.Callee] = true
-				parent[site.Callee] = fn
-				why[site.Callee] = why[r.fn]
-				queue = append(queue, site.Callee)
-			}
-		}
-	}
-
+	order, parent := prog.reach(roots, "clockdomain", nil)
 	for _, fn := range order {
 		fi := prog.Funcs[fn]
-		chain := clockChain(fn, parent)
-		scanWallClock(fi.Pkg, fi.Decl.Body, "", func(pos token.Pos, format string, args ...any) {
-			msg := fmt.Sprintf(format, args...)
-			if chain != "" {
-				msg += fmt.Sprintf(" (reached via %s; root %s)", chain, why[fn])
-			} else {
-				msg += fmt.Sprintf(" (%s)", why[fn])
-			}
-			report(pos, "%s", msg)
+		root := fn
+		for parent[root] != nil {
+			root = parent[root]
+		}
+		context := fmt.Sprintf(" (%s)", why[root])
+		if chain := chainPath(fn, parent); chain != "" {
+			context = fmt.Sprintf(" (reached via %s; root %s)", chain, why[root])
+		}
+		scanWallClock(fi.Pkg, fi.Decl.Body, "", func(pos token.Pos, msg string) {
+			report(pos, msg+context)
 		})
 	}
 	return out
 }
 
-// scanWallClock reports direct wall-clock reads in one body. label, when
-// non-empty, names the enclosing kernel payload.
-func scanWallClock(pkg *Package, body ast.Node, label string, report func(pos token.Pos, format string, args ...any)) {
+// scanWallClock reports direct reads of the machine's clock or of the
+// global math/rand source in one body. label, when non-empty, names the
+// enclosing kernel payload. Seeded *rand.Rand values passed explicitly are
+// allowed (their methods are not package-level functions), as are the
+// rand.New/rand.NewSource constructors.
+func scanWallClock(pkg *Package, body ast.Node, label string, report func(pos token.Pos, msg string)) {
 	if body == nil {
 		return
 	}
@@ -164,13 +150,20 @@ func scanWallClock(pkg *Package, body ast.Node, label string, report func(pos to
 			return true
 		}
 		fn := calleeFunc(pkg.Info, call)
-		if fn == nil || funcPkgPath(fn) != "time" || !wallClockFuncs[fn.Name()] {
+		if fn == nil {
 			return true
 		}
-		if label != "" {
-			report(call.Pos(), "time.%s inside %s: simulated-clock code must not read the wall clock", fn.Name(), label)
-		} else {
-			report(call.Pos(), "time.%s in simulated-clock code: sim time must flow from the device clock", fn.Name())
+		switch path := funcPkgPath(fn); {
+		case path == "time" && wallClockFuncs[fn.Name()]:
+			if label != "" {
+				report(call.Pos(), fmt.Sprintf("time.%s inside %s: simulated-clock code must not read the wall clock", fn.Name(), label))
+			} else {
+				report(call.Pos(), fmt.Sprintf("time.%s in simulated-clock code: sim time must flow from the device clock", fn.Name()))
+			}
+		case (path == "math/rand" || path == "math/rand/v2") && !strings.HasPrefix(fn.Name(), "New"):
+			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil {
+				report(call.Pos(), fmt.Sprintf("%s.%s draws from the global rand source; thread a seeded *rand.Rand instead", path, fn.Name()))
+			}
 		}
 		return true
 	})
@@ -191,20 +184,4 @@ func literalCallees(pkg *Package, lit *ast.FuncLit) []*types.Func {
 		return true
 	})
 	return out
-}
-
-// clockChain renders "a -> b -> c" from the BFS parent pointers, or "".
-func clockChain(fn *types.Func, parent map[*types.Func]*types.Func) string {
-	if parent[fn] == nil {
-		return ""
-	}
-	var chain []string
-	for f := fn; f != nil; f = parent[f] {
-		chain = append(chain, funcDisplayName(f))
-	}
-	s := chain[len(chain)-1]
-	for i := len(chain) - 2; i >= 0; i-- {
-		s += " -> " + chain[i]
-	}
-	return s
 }

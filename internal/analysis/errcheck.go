@@ -17,7 +17,7 @@ func NewErrCheck() *Analyzer {
 	return &Analyzer{
 		Name: "errcheck",
 		Doc:  "no silently dropped error returns in non-test code",
-		Run:  runErrCheck,
+		Run:  perPackage(nil, runErrCheck),
 	}
 }
 

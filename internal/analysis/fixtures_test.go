@@ -1,139 +1,81 @@
 package analysis
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
-// Each analyzer is exercised against a fixture package holding a file of
-// violations annotated with `// want "regexp"` comments and a clean file
-// (including a //texlint:ignore use) that must produce no diagnostics.
-
-func TestDeterminismFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewDeterminism(nil), "determinism") {
-		t.Error(err)
-	}
-}
-
-func TestLockCheckFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewLockCheck(), "lockcheck") {
-		t.Error(err)
-	}
-}
-
-func TestErrCheckFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewErrCheck(), "errcheck") {
-		t.Error(err)
-	}
-}
-
-func TestStreamPairFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewStreamPair(), "streampair") {
-		t.Error(err)
-	}
-}
-
-func TestFP16Fixture(t *testing.T) {
-	for _, err := range CheckFixture(NewFP16(), "fp16") {
-		t.Error(err)
-	}
-}
-
-func TestHotAllocFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewHotAlloc(), "hotalloc") {
-		t.Error(err)
-	}
-}
-
-// The fixture variant of clockdomain has no package-scope roots (nil
-// scope): roots come only from //texlint:clockdomain annotations and
-// gpusim payload closures, exactly as FixtureAnalyzers wires it.
-func TestClockDomainFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewClockDomain(nil), "clockdomain") {
-		t.Error(err)
-	}
-}
-
-func TestAliasRetFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewAliasRet(), "aliasret") {
-		t.Error(err)
-	}
-}
-
-func TestAtomicMixFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewAtomicMix(), "atomicmix") {
-		t.Error(err)
-	}
-}
-
-func TestLockOrderFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewLockOrder(), "lockorder") {
-		t.Error(err)
-	}
-}
-
-func TestGuardedByFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewGuardedBy(), "guardedby") {
-		t.Error(err)
-	}
-}
-
-func TestPoolLifeFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewPoolLife(), "poollife") {
-		t.Error(err)
-	}
-}
-
-func TestGoLeakFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewGoLeak(), "goleak") {
-		t.Error(err)
-	}
-}
-
-func TestWireTaintFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewWireTaint(), "wiretaint") {
-		t.Error(err)
-	}
-}
-
-func TestMapOrderFixture(t *testing.T) {
-	for _, err := range CheckFixture(NewMapOrder(), "maporder") {
-		t.Error(err)
-	}
-}
-
-// TestDefaultAnalyzersScope pins the production scoping: the determinism
-// check applies to the simulator packages and not to e.g. cmd/ tools,
-// while fp16 skips internal/half itself. The flow-aware and
-// concurrency-contract checks must all be present so the directive parser
-// knows their names.
-func TestDefaultAnalyzersScope(t *testing.T) {
-	byName := map[string]*Analyzer{}
+// fixture runs one registered check, configured exactly as DefaultAnalyzers
+// ships it, against testdata/src/<name>: a file of violations annotated
+// with `// want "regexp"` comments and a clean file (including a
+// //texlint:ignore use) that must produce no diagnostics.
+func fixture(t *testing.T, name string) {
+	t.Helper()
 	for _, a := range DefaultAnalyzers() {
-		byName[a.Name] = a
-	}
-	if len(byName) != 15 {
-		t.Fatalf("expected 15 analyzers, got %d", len(byName))
-	}
-	for _, name := range []string{"hotalloc", "clockdomain", "aliasret", "atomicmix",
-		"lockorder", "guardedby", "poollife", "goleak", "wiretaint", "maporder"} {
-		a := byName[name]
-		if a == nil {
-			t.Fatalf("missing analyzer %q", name)
+		if a.Name != name {
+			continue
 		}
-		if a.RunProgram == nil {
-			t.Errorf("%s must be flow-aware (RunProgram set)", name)
+		for _, err := range CheckFixture(a, name) {
+			t.Error(err)
+		}
+		return
+	}
+	t.Fatalf("no registered check named %q", name)
+}
+
+func TestLockCheckFixture(t *testing.T)   { fixture(t, "lockcheck") }
+func TestErrCheckFixture(t *testing.T)    { fixture(t, "errcheck") }
+func TestStreamPairFixture(t *testing.T)  { fixture(t, "streampair") }
+func TestFP16Fixture(t *testing.T)        { fixture(t, "fp16") }
+func TestHotAllocFixture(t *testing.T)    { fixture(t, "hotalloc") }
+func TestClockDomainFixture(t *testing.T) { fixture(t, "clockdomain") }
+func TestAliasRetFixture(t *testing.T)    { fixture(t, "aliasret") }
+func TestLockOrderFixture(t *testing.T)   { fixture(t, "lockorder") }
+func TestGuardedByFixture(t *testing.T)   { fixture(t, "guardedby") }
+func TestPoolLifeFixture(t *testing.T)    { fixture(t, "poollife") }
+func TestGoLeakFixture(t *testing.T)      { fixture(t, "goleak") }
+func TestWireTaintFixture(t *testing.T)   { fixture(t, "wiretaint") }
+func TestMapOrderFixture(t *testing.T)    { fixture(t, "maporder") }
+
+// TestEveryCheckHasFixture fails when a registered check ships no fixture
+// package: a check without one has no proof it still catches its true
+// positives. (The per-check tests above keep their names because the
+// suite's floor list pins them; a new check adds its line there.)
+func TestEveryCheckHasFixture(t *testing.T) {
+	for _, a := range DefaultAnalyzers() {
+		if _, err := os.Stat(filepath.Join("testdata", "src", a.Name)); err != nil {
+			t.Errorf("check %q has no fixture package: %v", a.Name, err)
 		}
 	}
-	det := byName["determinism"]
-	if !det.Applies("texid/internal/gpusim") {
-		t.Error("determinism must apply to internal/gpusim")
+}
+
+// TestDefaultAnalyzersScope pins the suite and its production scoping:
+// clockdomain and maporder root themselves at the simulator packages and
+// not at e.g. cmd/ tools, while fp16 skips internal/half itself.
+func TestDefaultAnalyzersScope(t *testing.T) {
+	names := map[string]bool{}
+	for _, a := range DefaultAnalyzers() {
+		names[a.Name] = true
 	}
-	if det.Applies("texid/cmd/texgen") {
-		t.Error("determinism must not apply to cmd/texgen")
+	if len(names) != 13 {
+		t.Fatalf("expected 13 analyzers, got %d", len(names))
 	}
-	fp := byName["fp16"]
-	if fp.Applies("texid/internal/half") {
+	for _, name := range []string{"clockdomain", "maporder", "lockcheck", "fp16"} {
+		if !names[name] {
+			t.Errorf("missing analyzer %q", name)
+		}
+	}
+	if !inSimulator("texid/internal/engine") || !inSimulator("texid/internal/gpusim") {
+		t.Error("clockdomain/maporder root scope must cover internal/engine and internal/gpusim")
+	}
+	if inSimulator("texid/cmd/texgen") {
+		t.Error("clockdomain/maporder root scope must not cover cmd/texgen")
+	}
+	if fp16Scope("texid/internal/half") {
 		t.Error("fp16 must not apply to internal/half")
 	}
-	if !fp.Applies("texid/internal/blas") {
+	if !fp16Scope("texid/internal/blas") {
 		t.Error("fp16 must apply to internal/blas")
 	}
 }

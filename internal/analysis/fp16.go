@@ -16,14 +16,17 @@ import (
 // simulated pre-Volta accumulation semantics stay faithful.
 func NewFP16() *Analyzer {
 	return &Analyzer{
-		Name:    "fp16",
-		Doc:     "no raw Float16 conversions or bit-pattern arithmetic outside internal/half",
-		Applies: NotIn("internal/half"),
-		Run:     runFP16,
+		Name: "fp16",
+		Doc:  "no raw Float16 conversions or bit-pattern arithmetic outside internal/half",
+		Run:  perPackage(fp16Scope, runFP16),
 	}
 }
 
 const halfPath = "internal/half"
+
+// fp16Scope is every package but internal/half, which implements the
+// conversions the rest of the tree must go through.
+func fp16Scope(pkgPath string) bool { return !hasSuffixPath(pkgPath, halfPath) }
 
 var fp16ArithOps = map[token.Token]bool{
 	token.ADD: true, token.SUB: true, token.MUL: true, token.QUO: true,
@@ -60,52 +63,4 @@ func runFP16(pass *Pass) []Diagnostic {
 		})
 	}
 	return diags
-}
-
-// DefaultAnalyzers returns the production check suite with the project's
-// package scoping: the determinism check covers the simulator and the
-// numeric hot path (timing results must be reproducible), the syntactic
-// checks cover all non-test code, the flow-aware checks (hotalloc,
-// clockdomain, aliasret, atomicmix) run whole-program with clockdomain
-// rooted at the simulator, the concurrency-contract checks (lockorder,
-// guardedby, poollife, goleak) run over the module-local lock-acquisition
-// graph, and the value-flow checks (wiretaint, maporder) run whole-program
-// over untrusted-input and deterministic-output closures.
-func DefaultAnalyzers() []*Analyzer {
-	simScope := ScopedTo(
-		"internal/gpusim", "internal/engine", "internal/blas",
-		"internal/knn", "internal/half", "internal/cache",
-	)
-	return []*Analyzer{
-		NewDeterminism(simScope),
-		NewLockCheck(),
-		NewErrCheck(),
-		NewStreamPair(),
-		NewFP16(),
-		NewHotAlloc(),
-		NewClockDomain(ScopedTo("internal/gpusim")),
-		NewAliasRet(),
-		NewAtomicMix(),
-		NewLockOrder(),
-		NewGuardedBy(),
-		NewPoolLife(),
-		NewGoLeak(),
-		NewWireTaint(),
-		NewMapOrder(),
-	}
-}
-
-// FixtureAnalyzers returns the suite configured for fixture packages:
-// identical to DefaultAnalyzers except that clockdomain takes its roots
-// only from //texlint:clockdomain annotations and stream payloads (the
-// fixture package is not internal/gpusim). Used by the fixture tests and
-// by `texlint -fixtures`.
-func FixtureAnalyzers() []*Analyzer {
-	out := DefaultAnalyzers()
-	for i, a := range out {
-		if a.Name == "clockdomain" {
-			out[i] = NewClockDomain(nil)
-		}
-	}
-	return out
 }

@@ -30,9 +30,7 @@ func NewGoLeak() *Analyzer {
 	return &Analyzer{
 		Name: "goleak",
 		Doc:  "require goroutines to have a provable exit path (closed channel, done signal, or bounded body)",
-		RunProgram: func(prog *Program) []Diagnostic {
-			return runGoLeak(prog)
-		},
+		Run:  runGoLeak,
 	}
 }
 

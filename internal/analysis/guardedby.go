@@ -28,9 +28,7 @@ func NewGuardedBy() *Analyzer {
 	return &Analyzer{
 		Name: "guardedby",
 		Doc:  "enforce //texlint:guards field annotations: guarded fields only reachable with the protecting mutex held",
-		RunProgram: func(prog *Program) []Diagnostic {
-			return runGuardedBy(prog)
-		},
+		Run:  runGuardedBy,
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // hotalloc: every function annotated //texlint:hotpath, and everything it
@@ -22,59 +21,20 @@ import (
 // NewHotAlloc returns the hot-path allocation check.
 func NewHotAlloc() *Analyzer {
 	return &Analyzer{
-		Name:       "hotalloc",
-		Doc:        "functions marked //texlint:hotpath (and their callees) must not heap-allocate",
-		RunProgram: runHotAlloc,
+		Name: "hotalloc",
+		Doc:  "functions marked //texlint:hotpath (and their callees) must not heap-allocate",
+		Run:  runHotAlloc,
 	}
 }
 
 func runHotAlloc(prog *Program) []Diagnostic {
-	// Roots: every annotated hot function, in deterministic order.
 	var roots []*types.Func
 	for fn, fi := range prog.Funcs {
 		if fi.Ann.Hot {
 			roots = append(roots, fn)
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool {
-		return prog.Fset.Position(roots[i].Pos()).Offset < prog.Fset.Position(roots[j].Pos()).Offset
-	})
-
-	// BFS over the module-local call graph, remembering the first parent
-	// so findings can name the chain back to a root.
-	parent := make(map[*types.Func]*types.Func)
-	rootOf := make(map[*types.Func]*types.Func)
-	var order []*types.Func
-	seen := make(map[*types.Func]bool)
-	for _, r := range roots {
-		if seen[r] {
-			continue
-		}
-		seen[r] = true
-		rootOf[r] = r
-		queue := []*types.Func{r}
-		for len(queue) > 0 {
-			fn := queue[0]
-			queue = queue[1:]
-			order = append(order, fn)
-			for _, site := range prog.Callees(fn) {
-				if seen[site.Callee] {
-					continue
-				}
-				fi := prog.Funcs[site.Callee]
-				if fi == nil || fi.Ann.Cold {
-					continue
-				}
-				if prog.Suppressed("hotalloc", site.Pos) {
-					continue // justified edge: traversal stops here
-				}
-				seen[site.Callee] = true
-				parent[site.Callee] = fn
-				rootOf[site.Callee] = rootOf[fn]
-				queue = append(queue, site.Callee)
-			}
-		}
-	}
+	order, parent := prog.reach(roots, "hotalloc", func(fi *FuncInfo) bool { return fi.Ann.Cold })
 
 	var out []Diagnostic
 	for _, fn := range order {
@@ -94,45 +54,4 @@ func runHotAlloc(prog *Program) []Diagnostic {
 		})
 	}
 	return out
-}
-
-// chainPath renders "root -> ... -> fn" along the recorded traversal
-// parents, or "" for roots (whose annotation is on the line above).
-func chainPath(fn *types.Func, parent map[*types.Func]*types.Func) string {
-	if parent[fn] == nil {
-		return ""
-	}
-	var chain []string
-	seen := make(map[*types.Func]bool)
-	for f := fn; f != nil && !seen[f]; f = parent[f] {
-		seen[f] = true
-		chain = append(chain, funcDisplayName(f))
-	}
-	// Reverse: root first.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	s := chain[0]
-	for _, c := range chain[1:] {
-		s += " -> " + c
-	}
-	return s
-}
-
-// funcDisplayName renders pkg.Func or pkg.(Recv).Method.
-func funcDisplayName(fn *types.Func) string {
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Name() + "."
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			return pkg + n.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return pkg + fn.Name()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // NewLockCheck builds the lock-hygiene check. It flags two patterns that
@@ -14,11 +15,13 @@ import (
 //     (net/os/bufio Read, Write, Flush, Accept, Sync), an HTTP round-trip
 //     (net/http Do/Get/Post/PostForm/Head), or a kvstore.Dial/DialTimeout
 //     TCP connect;
-//  2. Lock without an immediate defer Unlock when an early return can
-//     leave the function with the mutex held.
+//  2. a return that leaves the function with a mutex held that no deferred
+//     unlock will release.
 //
-// Statements inside `go func(){...}` literals are not scanned: the
-// spawned goroutine does not inherit the caller's critical section.
+// What is held where comes from lockVisitor (locks.go), the walker
+// lockorder and guardedby share: a `go func(){...}` body or any other
+// function literal does not inherit its creator's critical section, and a
+// mutex with no program-wide identity (a local variable) is not tracked.
 func NewLockCheck() *Analyzer {
 	return &Analyzer{
 		Name: "lockcheck",
@@ -38,214 +41,77 @@ var httpClientCalls = map[string]bool{
 	"Do": true, "Get": true, "Post": true, "PostForm": true, "Head": true,
 }
 
-func runLockCheck(pass *Pass) []Diagnostic {
+func runLockCheck(prog *Program) []Diagnostic {
 	var diags []Diagnostic
-	for _, fd := range funcDecls(pass) {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.BlockStmt:
-				diags = append(diags, scanStmtList(pass, n.List)...)
-			case *ast.CaseClause:
-				diags = append(diags, scanStmtList(pass, n.Body)...)
-			case *ast.CommClause:
-				diags = append(diags, scanStmtList(pass, n.Body)...)
-			}
-			return true
-		})
-	}
-	return diags
-}
-
-// lockCall matches an ExprStmt of the form X.Lock() / X.RLock() where the
-// method comes from package sync (covers embedded mutexes via method
-// promotion). It returns the receiver's rendered text and the matching
-// unlock method name.
-func lockCall(pass *Pass, stmt ast.Stmt) (recv string, unlock string, ok bool) {
-	es, isExpr := stmt.(*ast.ExprStmt)
-	if !isExpr {
-		return "", "", false
-	}
-	call, isCall := es.X.(*ast.CallExpr)
-	if !isCall {
-		return "", "", false
-	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	fn := calleeFunc(pass.Pkg, call)
-	if fn == nil || funcPkgPath(fn) != "sync" {
-		return "", "", false
-	}
-	switch fn.Name() {
-	case "Lock":
-		return exprText(sel.X), "Unlock", true
-	case "RLock":
-		return exprText(sel.X), "RUnlock", true
-	}
-	return "", "", false
-}
-
-// unlockStmt matches an ExprStmt calling recv.unlock().
-func unlockStmt(pass *Pass, stmt ast.Stmt, recv, unlock string) bool {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	return isUnlockCall(pass, es.X, recv, unlock)
-}
-
-func isUnlockCall(pass *Pass, e ast.Expr, recv, unlock string) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != unlock {
-		return false
-	}
-	fn := calleeFunc(pass.Pkg, call)
-	return fn != nil && funcPkgPath(fn) == "sync" && exprText(sel.X) == recv
-}
-
-// scanStmtList finds critical sections opened in one statement list and
-// checks them. Only sections opened and (statically) closed at this
-// nesting level are tracked; nested lists are handled by their own scan.
-func scanStmtList(pass *Pass, stmts []ast.Stmt) []Diagnostic {
-	var diags []Diagnostic
-	for i := 0; i < len(stmts); i++ {
-		recv, unlock, ok := lockCall(pass, stmts[i])
-		if !ok {
-			continue
-		}
-		deferUnlock := false
-		if i+1 < len(stmts) {
-			if ds, isDefer := stmts[i+1].(*ast.DeferStmt); isDefer {
-				if isUnlockCall(pass, ds.Call, recv, unlock) {
-					deferUnlock = true
-				}
-			}
-		}
-		// The critical section runs to the matching same-level Unlock, or
-		// to the end of the list when defer-unlocked (or when the unlock
-		// is buried in branches — conservative).
-		region := stmts[i+1:]
-		if !deferUnlock {
-			for j := i + 1; j < len(stmts); j++ {
-				if unlockStmt(pass, stmts[j], recv, unlock) {
-					region = stmts[i+1 : j]
-					break
-				}
-			}
-		}
-		for _, s := range region {
-			diags = append(diags, blockingOps(pass, s, recv)...)
-		}
-		if !deferUnlock {
-			diags = append(diags, earlyReturns(pass, region, recv, unlock, false)...)
-		}
-	}
-	return diags
-}
-
-// blockingOps walks one statement for operations that must not run under
-// a mutex. GoStmt bodies are skipped (the goroutine runs outside the
-// critical section).
-func blockingOps(pass *Pass, stmt ast.Stmt, recv string) []Diagnostic {
-	var diags []Diagnostic
-	report := func(pos token.Pos, what string) {
+	report := func(pos token.Pos, format string, args ...any) {
 		diags = append(diags, Diagnostic{
-			Pos:     pass.Fset.Position(pos),
+			Pos:     prog.Fset.Position(pos),
 			Check:   "lockcheck",
-			Message: fmt.Sprintf("%s is held across %s; shrink the critical section", recv, what),
+			Message: fmt.Sprintf(format, args...),
 		})
 	}
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			return false
-		case *ast.SendStmt:
-			report(n.Pos(), "a channel send")
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				report(n.Pos(), "a channel receive")
-			}
-		case *ast.SelectStmt:
-			report(n.Pos(), "a select statement")
-			return false
-		case *ast.CallExpr:
-			fn := calleeFunc(pass.Pkg, n)
-			if fn == nil {
-				return true
-			}
-			if isPkgFunc(fn, "time", "Sleep") {
-				report(n.Pos(), "time.Sleep")
-			}
-			if isMethodOf(fn, "sync", "Wait") {
-				report(n.Pos(), "sync.WaitGroup.Wait")
-			}
-			pkg := funcPkgPath(fn)
-			if (pkg == "net" || pkg == "os" || pkg == "bufio") && blockingIOMethods[fn.Name()] {
-				report(n.Pos(), fmt.Sprintf("blocking I/O (%s.%s)", pkg, fn.Name()))
-			}
-			// A mutex held across a whole HTTP round-trip or a TCP
-			// connect is the worst stall in the serving stack: every
-			// other request on that lock queues behind one slow peer.
-			if pkg == "net/http" && httpClientCalls[fn.Name()] {
-				report(n.Pos(), fmt.Sprintf("an HTTP round-trip (net/http %s)", fn.Name()))
-			}
-			if hasSuffixPath(pkg, "internal/kvstore") && (fn.Name() == "Dial" || fn.Name() == "DialTimeout") {
-				report(n.Pos(), fmt.Sprintf("kvstore.%s (a TCP connect)", fn.Name()))
-			}
+	heldAcross := func(pos token.Pos, held heldSet, what string) {
+		for _, l := range held.snapshot() {
+			report(pos, "%s is held across %s; shrink the critical section", l.expr, what)
 		}
-		return true
-	})
+	}
+	for _, fi := range prog.Funcs {
+		v := &lockVisitor{
+			info: fi.Pkg.Info,
+			onBlock: func(n ast.Node, held heldSet) {
+				switch n.(type) {
+				case *ast.SendStmt:
+					heldAcross(n.Pos(), held, "a channel send")
+				case *ast.UnaryExpr:
+					heldAcross(n.Pos(), held, "a channel receive")
+				case *ast.SelectStmt:
+					heldAcross(n.Pos(), held, "a select statement")
+				}
+			},
+			onCall: func(callee *types.Func, pos token.Pos, held heldSet, _ bool) {
+				if what := blockingOps(callee); what != "" {
+					heldAcross(pos, held, what)
+				}
+			},
+			onReturn: func(ret *ast.ReturnStmt, held heldSet) {
+				for _, l := range held.snapshot() {
+					if l.deferred {
+						continue
+					}
+					unlock := "Unlock"
+					if l.kind == 'R' {
+						unlock = "RUnlock"
+					}
+					report(ret.Pos(), "return with %s still held; use defer %s.%s() or unlock before returning", l.expr, l.expr, unlock)
+				}
+			},
+		}
+		v.walkBody(fi.Decl.Body)
+	}
 	return diags
 }
 
-// earlyReturns flags returns inside a critical section that is not
-// defer-unlocked, unless an explicit Unlock precedes the return on its
-// own path.
-func earlyReturns(pass *Pass, stmts []ast.Stmt, recv, unlock string, unlocked bool) []Diagnostic {
-	var diags []Diagnostic
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *ast.ExprStmt:
-			if isUnlockCall(pass, s.X, recv, unlock) {
-				unlocked = true
-			}
-		case *ast.ReturnStmt:
-			if !unlocked {
-				diags = append(diags, Diagnostic{
-					Pos:     pass.Fset.Position(s.Pos()),
-					Check:   "lockcheck",
-					Message: fmt.Sprintf("return with %s still held; use defer %s.%s() or unlock before returning", recv, recv, unlock),
-				})
-			}
-		case *ast.BlockStmt:
-			diags = append(diags, earlyReturns(pass, s.List, recv, unlock, unlocked)...)
-		case *ast.IfStmt:
-			diags = append(diags, earlyReturns(pass, s.Body.List, recv, unlock, unlocked)...)
-			if s.Else != nil {
-				diags = append(diags, earlyReturns(pass, []ast.Stmt{s.Else}, recv, unlock, unlocked)...)
-			}
-		case *ast.ForStmt:
-			diags = append(diags, earlyReturns(pass, s.Body.List, recv, unlock, unlocked)...)
-		case *ast.RangeStmt:
-			diags = append(diags, earlyReturns(pass, s.Body.List, recv, unlock, unlocked)...)
-		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					diags = append(diags, earlyReturns(pass, cc.Body, recv, unlock, unlocked)...)
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					diags = append(diags, earlyReturns(pass, cc.Body, recv, unlock, unlocked)...)
-				}
-			}
-		}
+// blockingOps names the operation a call to fn performs that must not run
+// under a mutex, or "" when the call does not block.
+func blockingOps(fn *types.Func) string {
+	if isPkgFunc(fn, "time", "Sleep") {
+		return "time.Sleep"
 	}
-	return diags
+	if isMethodOf(fn, "sync", "Wait") {
+		return "sync.WaitGroup.Wait"
+	}
+	pkg := funcPkgPath(fn)
+	if (pkg == "net" || pkg == "os" || pkg == "bufio") && blockingIOMethods[fn.Name()] {
+		return fmt.Sprintf("blocking I/O (%s.%s)", pkg, fn.Name())
+	}
+	// A mutex held across a whole HTTP round-trip or a TCP connect is the
+	// worst stall in the serving stack: every other request on that lock
+	// queues behind one slow peer.
+	if pkg == "net/http" && httpClientCalls[fn.Name()] {
+		return fmt.Sprintf("an HTTP round-trip (net/http %s)", fn.Name())
+	}
+	if hasSuffixPath(pkg, "internal/kvstore") && (fn.Name() == "Dial" || fn.Name() == "DialTimeout") {
+		return fmt.Sprintf("kvstore.%s (a TCP connect)", fn.Name())
+	}
+	return ""
 }

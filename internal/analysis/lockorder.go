@@ -26,9 +26,7 @@ func NewLockOrder() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",
 		Doc:  "detect lock-order cycles and RLock→Lock upgrades across the module-local call graph",
-		RunProgram: func(prog *Program) []Diagnostic {
-			return runLockOrder(prog)
-		},
+		Run:  runLockOrder,
 	}
 }
 

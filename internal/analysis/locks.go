@@ -8,27 +8,34 @@ import (
 )
 
 // Lock-class machinery shared by the concurrency-contract checks
-// (lockorder, guardedby): a lock *class* names one mutex per owning type
-// (or one package-level mutex), e.g. "texid/internal/engine.Engine.mu".
-// The walker below threads a set of held classes through a function body —
-// linearly through each statement list, cloning at branches, resetting at
-// function-literal boundaries (a closure does not inherit its creator's
-// critical section) — and reports acquisitions, module-local calls, and
-// struct-field accesses together with the locks held at that point.
+// (lockcheck, lockorder, guardedby): a lock *class* names one mutex per
+// owning type (or one package-level mutex), e.g.
+// "texid/internal/engine.Engine.mu". The walker below is the one place
+// that knows what a critical section is: it threads a set of held classes
+// through a function body — linearly through each statement list, cloning
+// at branches, resetting at function-literal and go-statement boundaries
+// (a closure does not inherit its creator's critical section) — and reports
+// acquisitions, calls, struct-field accesses, blocking channel operations
+// and returns together with the locks held at that point.
 //
-// The tracking is deliberately conservative in the same way lockcheck is:
-// a lock acquired inside a branch is considered released when the branch
-// joins (the common `if bad { mu.Unlock(); return }` shape keeps the outer
-// view correct, because the unlocking path leaves the function), and a
-// deferred unlock holds the class to the end of the function.
+// The tracking is deliberately conservative: a lock acquired inside a
+// branch is considered released when the branch joins (the common
+// `if bad { mu.Unlock(); return }` shape keeps the outer view correct,
+// because the unlocking path leaves the function), and a deferred unlock
+// holds the class to the end of the function.
 
-// heldLock is one acquired lock: its class, read/write kind, and the
-// rendered owner expression ("e" for e.mu.Lock) for instance matching.
+// heldLock is one acquired lock: its class, read/write kind, the rendered
+// owner expression ("e" for e.mu.Lock) for instance matching, and the
+// mutex operand as written ("e.mu") for messages.
 type heldLock struct {
 	class string
 	kind  byte // 'R' (RLock) or 'W' (Lock)
 	recv  string
+	expr  string
 	pos   token.Pos
+	// deferred: a deferred unlock releases this lock when the function
+	// exits, so returning with it held is fine.
+	deferred bool
 }
 
 // heldSet is the set of lock classes held at a program point.
@@ -90,6 +97,7 @@ func lockClassOf(info *PackageInfo, call *ast.CallExpr) (l heldLock, acquire, ok
 	}
 	l.kind = kind
 	l.pos = call.Pos()
+	l.expr = exprText(sel.X)
 
 	target := ast.Unparen(sel.X)
 	tv, hasType := info.Info.Types[target]
@@ -163,8 +171,21 @@ type lockVisitor struct {
 	onAcquire func(l *heldLock, held heldSet, inLit bool)
 	onCall    func(callee *types.Func, pos token.Pos, held heldSet, inLit bool)
 	onAccess  func(sel *ast.SelectorExpr, field *types.Var, write bool, held heldSet, inLit bool)
+	// onBlock sees each operation that parks the goroutine by itself: a
+	// channel send (*ast.SendStmt), a receive (*ast.UnaryExpr), a select
+	// (*ast.SelectStmt, reported once — its comm clauses are not reported
+	// again). Blocking calls arrive through onCall.
+	onBlock  func(n ast.Node, held heldSet)
+	onReturn func(ret *ast.ReturnStmt, held heldSet)
 
 	litDepth int
+	inComm   bool // walking a select clause's comm statement
+}
+
+func (v *lockVisitor) block(n ast.Node, held heldSet) {
+	if v.onBlock != nil && !v.inComm {
+		v.onBlock(n, held)
+	}
 }
 
 func (v *lockVisitor) walkBody(body *ast.BlockStmt) {
@@ -198,8 +219,12 @@ func (v *lockVisitor) walkStmt(s ast.Stmt, held heldSet) {
 	case *ast.DeferStmt:
 		if l, acquire, ok := lockClassOf(v.info, s.Call); ok && !acquire {
 			// Deferred unlock: the lock stays held to the end of the
-			// function; nothing to do.
-			_ = l
+			// function, and leaving the function releases it.
+			if h := held[l.class]; h != nil {
+				released := *h
+				released.deferred = true
+				held[l.class] = &released
+			}
 			return
 		}
 		v.scanExpr(s.Call, held)
@@ -216,7 +241,11 @@ func (v *lockVisitor) walkStmt(s ast.Stmt, held heldSet) {
 		for _, r := range s.Results {
 			v.scanExpr(r, held)
 		}
+		if v.onReturn != nil {
+			v.onReturn(s, held)
+		}
 	case *ast.SendStmt:
+		v.block(s, held)
 		v.scanExpr(s.Chan, held)
 		v.scanExpr(s.Value, held)
 	case *ast.GoStmt:
@@ -283,11 +312,14 @@ func (v *lockVisitor) walkStmt(s ast.Stmt, held heldSet) {
 			}
 		}
 	case *ast.SelectStmt:
+		v.block(s, held)
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
 				inner := held.clone()
 				if cc.Comm != nil {
+					v.inComm = true
 					v.walkStmt(cc.Comm, inner)
+					v.inComm = false
 				}
 				v.walkStmts(cc.Body, inner)
 			}
@@ -353,6 +385,9 @@ func (v *lockVisitor) scanExpr(e ast.Expr, held heldSet) {
 				// view; treat it as a write to the spine.
 				v.scanTarget(n.X, held, true)
 				return false
+			}
+			if n.Op == token.ARROW {
+				v.block(n, held)
 			}
 		case *ast.CallExpr:
 			if fn := calleeFunc(v.info, n); fn != nil {

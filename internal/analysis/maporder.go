@@ -3,18 +3,20 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
 // maporder: the byte-exact outputs the system promises — wire encodings,
 // /metrics and /v1/stats bodies, merged search reports — must not be shaped
 // by Go's randomized map iteration order or by which select case happened
-// to be ready first. Roots are the wire encoders, metrics exposition, and
-// every function annotated //texlint:deterministic; the check walks their
-// transitive module-local callees (like hotalloc walks hot paths) and flags
-// two constructs inside the closure:
+// to be ready first. Roots are the wire encoders, metrics exposition, every
+// function declared in a simulator package (inSimulator: the engine's
+// reports and the device's op stream are compared byte for byte across
+// runs), and every function annotated //texlint:deterministic; the check
+// walks their transitive module-local callees (like hotalloc walks hot
+// paths) and flags two constructs inside the closure:
 //
 //   - a range over a map that builds ordered output (append, prints,
 //     writer calls, string concatenation) with no subsequent sort in the
@@ -28,15 +30,19 @@ import (
 // NewMapOrder returns the output-determinism check.
 func NewMapOrder() *Analyzer {
 	return &Analyzer{
-		Name:       "maporder",
-		Doc:        "deterministic-output call closures must sort map iterations and avoid multi-way selects",
-		RunProgram: runMapOrder,
+		Name: "maporder",
+		Doc:  "deterministic-output call closures must sort map iterations and avoid multi-way selects",
+		Run:  runMapOrder,
 	}
 }
 
 // intrinsicDeterministicRoot reports whether fn promises deterministic
-// bytes by convention: wire encoders and the metrics text exposition.
+// bytes by convention: everything in a simulator package, wire encoders,
+// and the metrics text exposition.
 func intrinsicDeterministicRoot(fn *types.Func, fi *FuncInfo) bool {
+	if inSimulator(fi.Pkg.Path) {
+		return true
+	}
 	if hasSuffixPath(fi.Pkg.Path, "internal/wire") && strings.HasPrefix(fn.Name(), "Encode") {
 		return true
 	}
@@ -50,43 +56,12 @@ func runMapOrder(prog *Program) []Diagnostic {
 			roots = append(roots, fn)
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool {
-		return prog.Fset.Position(roots[i].Pos()).Offset < prog.Fset.Position(roots[j].Pos()).Offset
-	})
-
-	// BFS over the module-local call graph, exactly like hotalloc: first
-	// parent wins, ignore directives on call lines prune edges.
-	parent := make(map[*types.Func]*types.Func)
-	var order []*types.Func
-	seen := make(map[*types.Func]bool)
-	for _, r := range roots {
-		if seen[r] {
-			continue
-		}
-		seen[r] = true
-		queue := []*types.Func{r}
-		for len(queue) > 0 {
-			fn := queue[0]
-			queue = queue[1:]
-			order = append(order, fn)
-			for _, site := range prog.Callees(fn) {
-				if seen[site.Callee] || prog.Funcs[site.Callee] == nil {
-					continue
-				}
-				if prog.Suppressed("maporder", site.Pos) {
-					continue // reviewed edge: ordering immaterial past here
-				}
-				seen[site.Callee] = true
-				parent[site.Callee] = fn
-				queue = append(queue, site.Callee)
-			}
-		}
-	}
+	order, parent := prog.reach(roots, "maporder", nil)
 
 	var out []Diagnostic
 	for _, fn := range order {
 		fi := prog.Funcs[fn]
-		pass := &Pass{Fset: prog.Fset, Files: fi.Pkg.Files, Pkg: fi.Pkg.Info, PkgPath: fi.Pkg.Path}
+		info := fi.Pkg.Info
 		chain := chainPath(fn, parent)
 		suffix := ""
 		if chain != "" {
@@ -95,14 +70,14 @@ func runMapOrder(prog *Program) []Diagnostic {
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.RangeStmt:
-				tv, ok := pass.Pkg.Info.Types[n.X]
+				tv, ok := info.Info.Types[n.X]
 				if !ok || tv.Type == nil {
 					return true
 				}
 				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 					return true
 				}
-				if !buildsOrderedOutput(pass, n.Body) || sortedAfter(pass, fi.Decl, n.End()) {
+				if !buildsOrderedOutput(info, n.Body) || sortedAfter(info, fi.Decl, n.End()) {
 					return true
 				}
 				out = append(out, Diagnostic{
@@ -131,4 +106,68 @@ func runMapOrder(prog *Program) []Diagnostic {
 		})
 	}
 	return out
+}
+
+// buildsOrderedOutput reports whether the loop body performs an
+// order-sensitive accumulation: append, fmt output, writer calls, or
+// string concatenation.
+func buildsOrderedOutput(info *PackageInfo, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "append" {
+				if _, isBuiltin := info.Info.Uses[id].(*types.Builtin); isBuiltin {
+					found = true
+				}
+			}
+			if fn := calleeFunc(info, n); fn != nil {
+				name := fn.Name()
+				if funcPkgPath(fn) == "fmt" && strings.Contains(name, "rint") {
+					found = true
+				}
+				if strings.HasPrefix(name, "Write") {
+					found = true
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 {
+				if tv, ok := info.Info.Types[n.Lhs[0]]; ok && tv.Type != nil {
+					if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
+						found = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	return found
+}
+
+// sortedAfter reports whether the function calls a sorting/ranking
+// routine positioned after pos (the idiomatic collect-then-sort pattern).
+func sortedAfter(info *PackageInfo, fd *ast.FuncDecl, pos token.Pos) bool {
+	sorted := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if sorted {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || call.Pos() < pos {
+			return true
+		}
+		fn := calleeFunc(info, call)
+		if fn == nil {
+			return true
+		}
+		if funcPkgPath(fn) == "sort" || funcPkgPath(fn) == "slices" ||
+			strings.Contains(fn.Name(), "Sort") || strings.Contains(fn.Name(), "Rank") {
+			sorted = true
+		}
+		return true
+	})
+	return sorted
 }

@@ -24,9 +24,7 @@ func NewPoolLife() *Analyzer {
 	return &Analyzer{
 		Name: "poollife",
 		Doc:  "flag uses of pooled objects after they are returned to a sync.Pool or //texlint:freelist recycler",
-		RunProgram: func(prog *Program) []Diagnostic {
-			return runPoolLife(prog)
-		},
+		Run:  runPoolLife,
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// Whole-program analysis: the per-package checks inherited from texlint v1
-// see one package at a time, but the zero-alloc and clock-domain contracts
+// Whole-program analysis: the syntactic checks (perPackage) see one
+// package at a time, but the zero-alloc and clock-domain contracts
 // are properties of call *chains* that cross package boundaries
 // (engine.Search -> knn -> blas -> gpusim). Program indexes every function
 // declaration across the loaded packages, parses the texlint annotations
@@ -34,8 +34,9 @@ type FuncAnn struct {
 	// aliased slices.
 	ScratchAlias bool
 	// ClockRoot marks a //texlint:clockdomain root for the wall-clock
-	// reachability check (packages under internal/gpusim are roots
-	// implicitly; the annotation exists for fixtures and future domains).
+	// reachability check (functions declared in a simulator package are
+	// roots implicitly; the annotation puts code elsewhere — the sim-clock
+	// soak, the fault injector — on the same timeline).
 	ClockRoot bool
 	// Freelist marks a //texlint:freelist recycler: pointer arguments
 	// passed to this function return to a freelist, and the caller must
@@ -163,6 +164,84 @@ func (p *Program) Callees(fn *types.Func) []CallSite {
 	})
 	p.callees[fn] = sites
 	return sites
+}
+
+// reach walks the module-local call graph breadth-first from roots and
+// returns the functions visited in visit order plus the first caller that
+// reached each one (roots have no entry, which is what chainPath keys on).
+// A call site carrying //texlint:ignore <check> is a reviewed edge and is
+// not followed; stop, when non-nil, names callees the walk must not enter.
+//
+// Roots are taken by offset within their file, then by position: a
+// function reachable from several roots is attributed to the first, and
+// the chains recorded in texlint.baseline were rendered under this order.
+func (p *Program) reach(roots []*types.Func, check string, stop func(*FuncInfo) bool) (order []*types.Func, parent map[*types.Func]*types.Func) {
+	sort.Slice(roots, func(i, j int) bool {
+		oi, oj := p.Fset.Position(roots[i].Pos()).Offset, p.Fset.Position(roots[j].Pos()).Offset
+		if oi != oj {
+			return oi < oj
+		}
+		return roots[i].Pos() < roots[j].Pos()
+	})
+	parent = make(map[*types.Func]*types.Func)
+	seen := make(map[*types.Func]bool)
+	for _, r := range roots {
+		if seen[r] {
+			continue
+		}
+		seen[r] = true
+		queue := []*types.Func{r}
+		for len(queue) > 0 {
+			fn := queue[0]
+			queue = queue[1:]
+			order = append(order, fn)
+			for _, site := range p.Callees(fn) {
+				fi := p.Funcs[site.Callee]
+				if seen[site.Callee] || fi == nil || (stop != nil && stop(fi)) || p.Suppressed(check, site.Pos) {
+					continue
+				}
+				seen[site.Callee] = true
+				parent[site.Callee] = fn
+				queue = append(queue, site.Callee)
+			}
+		}
+	}
+	return order, parent
+}
+
+// chainPath renders "root -> ... -> fn" along reach's first-caller map, or
+// "" for roots (whose annotation is on the line above).
+func chainPath(fn *types.Func, parent map[*types.Func]*types.Func) string {
+	if parent[fn] == nil {
+		return ""
+	}
+	var chain []string
+	for f := fn; f != nil; f = parent[f] {
+		chain = append(chain, funcDisplayName(f))
+	}
+	// Reverse: root first.
+	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
+		chain[i], chain[j] = chain[j], chain[i]
+	}
+	return strings.Join(chain, " -> ")
+}
+
+// funcDisplayName renders pkg.Func or pkg.(Recv).Method.
+func funcDisplayName(fn *types.Func) string {
+	pkg := ""
+	if fn.Pkg() != nil {
+		pkg = fn.Pkg().Name() + "."
+	}
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			return pkg + n.Obj().Name() + "." + fn.Name()
+		}
+	}
+	return pkg + fn.Name()
 }
 
 // Annotation directives recognized on function doc comments.
@@ -323,24 +402,14 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// RunAll executes per-package analyzers over every package and
-// whole-program analyzers once, validates texlint directives, filters
-// suppressed diagnostics, and returns the rest sorted by position.
+// RunAll runs every analyzer once over the loaded packages, validates
+// texlint directives, filters suppressed diagnostics, and returns the rest
+// sorted by position.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	prog := BuildProgram(pkgs)
 	var out []Diagnostic
 	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			out = append(out, a.RunProgram(prog)...)
-			continue
-		}
-		for _, pkg := range pkgs {
-			if a.Applies != nil && !a.Applies(pkg.Path) {
-				continue
-			}
-			pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Info, PkgPath: pkg.Path}
-			out = append(out, a.Run(pass)...)
-		}
+		out = append(out, a.Run(prog)...)
 	}
 	out = append(out, prog.directiveDiags(knownCheckSet())...)
 	var kept []Diagnostic

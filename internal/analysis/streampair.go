@@ -16,7 +16,7 @@ func NewStreamPair() *Analyzer {
 	return &Analyzer{
 		Name: "streampair",
 		Doc:  "every gpusim launch/async copy is followed by a reachable stream sync in the same function",
-		Run:  runStreamPair,
+		Run:  perPackage(nil, runStreamPair),
 	}
 }
 

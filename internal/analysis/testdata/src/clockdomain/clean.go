@@ -1,6 +1,7 @@
 package fixture
 
 import (
+	"math/rand"
 	"time"
 
 	"texid/internal/gpusim"
@@ -26,4 +27,18 @@ func hostBenchmark() time.Duration {
 //texlint:clockdomain
 func traced() int64 {
 	return time.Now().UnixNano() //texlint:ignore clockdomain debug tracing stamp, stripped from production builds and never fed back into sim time
+}
+
+// A seeded generator threaded explicitly is the sanctioned pattern.
+//
+//texlint:clockdomain
+func seededDraw(seed int64) float64 {
+	rng := rand.New(rand.NewSource(seed))
+	return rng.Float64()
+}
+
+//texlint:clockdomain
+//texlint:ignore clockdomain fixture for the escape hatch: this draw is intentionally unseeded
+func suppressedDraw() float64 {
+	return rand.Float64()
 }

@@ -1,21 +1,15 @@
 package fixture
 
-import "sync/atomic"
+import "os"
 
 // docIgnored's doc-group directive names two checks; it must suppress
 // every finding of both checks anywhere in the declaration.
 //
-//texlint:ignore hotalloc,atomicmix fixture: a doc-group directive covers the whole declaration for every listed check
+//texlint:ignore hotalloc,errcheck fixture: a doc-group directive covers the whole declaration for every listed check
 //texlint:hotpath
 func docIgnored() []int {
-	plain = plain + 1
+	os.Remove("scratch")
 	return make([]int, 4)
-}
-
-var plain int64
-
-func touchAtomic() {
-	atomic.AddInt64(&plain, 1)
 }
 
 //texlint:hotpath
@@ -43,5 +37,5 @@ var sentinel int64
 func useAll() int64 {
 	_ = blockBuf
 	_ = blockTab
-	return atomic.LoadInt64(&sentinel)
+	return sentinel
 }

@@ -52,3 +52,15 @@ func (c *counter) waitLocked(wg *sync.WaitGroup) {
 	defer c.mu.Unlock()
 	wg.Wait() // want "c.mu is held across sync.WaitGroup.Wait"
 }
+
+// A select is one blocking operation: it is reported once, not again for
+// each of its comm clauses.
+func (c *counter) selectLocked(done chan struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select { // want "c.mu is held across a select statement"
+	case v := <-c.ch:
+		c.n = v
+	case <-done:
+	}
+}

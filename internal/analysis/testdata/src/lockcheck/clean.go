@@ -44,3 +44,23 @@ func (c *counter) suppressedSend() {
 	defer c.mu.Unlock()
 	c.ch <- c.n
 }
+
+// The deferred unlock need not be the statement right after the Lock: any
+// defer that releases the mutex covers every later return.
+func (c *counter) lateDefer(cond bool) int {
+	c.mu.Lock()
+	v := c.n
+	defer c.mu.Unlock()
+	if cond {
+		return 0
+	}
+	return v
+}
+
+// A function literal does not inherit its creator's critical section: it
+// runs whenever its caller decides, here after the mutex is released.
+func (c *counter) closureRunsLater() func() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return func() { c.ch <- 1 }
+}

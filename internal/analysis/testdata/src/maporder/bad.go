@@ -42,6 +42,34 @@ func race(a, b chan int) int {
 	}
 }
 
+// Every order-sensitive accumulation counts: append (emit above), printing,
+// and string concatenation.
+//
+//texlint:deterministic
+func appendedKeys(m map[string]int) []string {
+	var out []string
+	for k := range m { // want "map iteration order is random"
+		out = append(out, k)
+	}
+	return out
+}
+
+//texlint:deterministic
+func printedEntries(m map[string]int) {
+	for k, v := range m { // want "map iteration order is random"
+		fmt.Println(k, v)
+	}
+}
+
+//texlint:deterministic
+func concatenated(m map[string]int) string {
+	s := ""
+	for k := range m { // want "map iteration order is random"
+		s += k
+	}
+	return s
+}
+
 // badDetAnn: the annotation only means something on functions.
 //
 //texlint:deterministic // want "texlint:deterministic must be in the doc comment of a function declaration"

@@ -26,6 +26,17 @@ func total(m map[string]int) int {
 	return t
 }
 
+// Map-to-map copies do not observe iteration order.
+//
+//texlint:deterministic
+func invert(m map[string]int) map[int]string {
+	out := make(map[int]string, len(m))
+	for k, v := range m {
+		out[v] = k
+	}
+	return out
+}
+
 // guarded stops traversal at a reviewed call edge.
 //
 //texlint:deterministic

@@ -51,7 +51,7 @@ func isMethodOf(fn *types.Func, pkgSuffix, name string) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	return pathMatches(funcPkgPath(fn), []string{pkgSuffix})
+	return hasSuffixPath(funcPkgPath(fn), pkgSuffix)
 }
 
 // namedTypeIn reports whether t (after stripping pointers) is the named
@@ -72,7 +72,7 @@ func namedTypeIn(t types.Type, pkgSuffix, name string) bool {
 	if obj.Name() != name || obj.Pkg() == nil {
 		return false
 	}
-	return pathMatches(obj.Pkg().Path(), []string{pkgSuffix})
+	return hasSuffixPath(obj.Pkg().Path(), pkgSuffix)
 }
 
 // isErrorType reports whether t is the built-in error interface.

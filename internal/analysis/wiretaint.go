@@ -21,9 +21,9 @@ import (
 // NewWireTaint returns the untrusted-length taint check.
 func NewWireTaint() *Analyzer {
 	return &Analyzer{
-		Name:       "wiretaint",
-		Doc:        "untrusted wire lengths must pass a bound check before sizing memory",
-		RunProgram: runWireTaint,
+		Name: "wiretaint",
+		Doc:  "untrusted wire lengths must pass a bound check before sizing memory",
+		Run:  runWireTaint,
 	}
 }
 

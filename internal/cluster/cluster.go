@@ -521,7 +521,9 @@ func (c *Cluster) Compact() (int, error) {
 // path), updating the shard map. It restores full-coverage search after a
 // shard is declared dead — the in-process engine still holds the feature
 // data, standing in for the paper's Redis-backed re-shard — and is also the
-// drain step for planned worker removal. Returns how many references moved.
+// drain step for planned worker removal. Returns how many references moved;
+// draining a live worker while every other worker is dead moves nothing and
+// fails.
 func (c *Cluster) Rebalance(from int) (int, error) {
 	if from < 0 || from >= len(c.workers) {
 		return 0, fmt.Errorf("cluster: no worker %d", from)
@@ -534,14 +536,19 @@ func (c *Cluster) Rebalance(from int) (int, error) {
 	// Codes are intentionally dropped: each destination engine re-encodes
 	// under its own learned thresholds at seal time.
 	err := src.eng.Export(func(id int, feats *blas.Matrix, kps []sift.Keypoint, _ []binq.Code) error {
+		// One lap of the round-robin is enough to meet any other live
+		// worker; when every pick comes back as from, the rest are dead.
 		c.mu.Lock()
 		wi, err := c.pickWorkerLocked()
-		for err == nil && wi == from {
+		for lap := 1; err == nil && wi == from && lap < len(c.workers); lap++ {
 			wi, err = c.pickWorkerLocked()
 		}
 		c.mu.Unlock()
 		if err != nil {
 			return err
+		}
+		if wi == from {
+			return fmt.Errorf("cluster: nowhere to rebalance to")
 		}
 		if err := c.workers[wi].eng.Add(id, feats, kps); err != nil {
 			return fmt.Errorf("cluster: re-homing record %d: %w", id, err)

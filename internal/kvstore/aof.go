@@ -114,22 +114,6 @@ func (s *Store) replay(args [][]byte) error {
 			keys[i] = string(args[i+1])
 		}
 		s.Del(keys...)
-	case "HSET":
-		if len(args) != 4 {
-			return fmt.Errorf("bad HSET record")
-		}
-		s.HSet(string(args[1]), string(args[2]), args[3])
-	case "HDEL":
-		if len(args) < 3 {
-			return fmt.Errorf("bad HDEL record")
-		}
-		fields := make([]string, len(args)-2)
-		for i := range fields {
-			fields[i] = string(args[i+2])
-		}
-		s.HDel(string(args[1]), fields...)
-	case "FLUSHALL":
-		s.FlushAll()
 	default:
 		return fmt.Errorf("unknown record %q", cmd)
 	}

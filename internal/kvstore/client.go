@@ -106,32 +106,6 @@ func (c *Client) Get(key string) ([]byte, bool, error) {
 	return rep.bulk, rep.bulk != nil, nil
 }
 
-// SetNX stores value only when key is absent; true means it was stored.
-func (c *Client) SetNX(key string, value []byte) (bool, error) {
-	rep, err := c.do([]byte("SETNX"), []byte(key), value)
-	return rep.n == 1, err
-}
-
-// MGet fetches several keys; absent keys yield nil entries.
-func (c *Client) MGet(keys ...string) ([][]byte, error) {
-	args := append(bs("MGET"), bs(keys...)...)
-	rep, err := c.do(args...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(rep.array))
-	for i, r := range rep.array {
-		out[i] = r.bulk
-	}
-	return out, nil
-}
-
-// Incr increments the integer at key and returns the new value.
-func (c *Client) Incr(key string) (int, error) {
-	rep, err := c.do(bs("INCR", key)...)
-	return rep.n, err
-}
-
 // Del removes keys and returns how many existed.
 func (c *Client) Del(keys ...string) (int, error) {
 	args := append(bs("DEL"), bs(keys...)...)
@@ -156,45 +130,4 @@ func (c *Client) Keys(pattern string) ([]string, error) {
 func (c *Client) DBSize() (int, error) {
 	rep, err := c.do(bs("DBSIZE")...)
 	return rep.n, err
-}
-
-// FlushAll clears the database.
-func (c *Client) FlushAll() error {
-	_, err := c.do(bs("FLUSHALL")...)
-	return err
-}
-
-// HSet sets a hash field; true means the field was newly created.
-func (c *Client) HSet(key, field string, value []byte) (bool, error) {
-	rep, err := c.do([]byte("HSET"), []byte(key), []byte(field), value)
-	return rep.n == 1, err
-}
-
-// HGet fetches a hash field.
-func (c *Client) HGet(key, field string) ([]byte, bool, error) {
-	rep, err := c.do(bs("HGET", key, field)...)
-	if err != nil {
-		return nil, false, err
-	}
-	return rep.bulk, rep.bulk != nil, nil
-}
-
-// HDel removes hash fields, returning how many existed.
-func (c *Client) HDel(key string, fields ...string) (int, error) {
-	args := append(bs("HDEL", key), bs(fields...)...)
-	rep, err := c.do(args...)
-	return rep.n, err
-}
-
-// HKeys lists a hash's fields.
-func (c *Client) HKeys(key string) ([]string, error) {
-	rep, err := c.do(bs("HKEYS", key)...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(rep.array))
-	for i, r := range rep.array {
-		out[i] = string(r.bulk)
-	}
-	return out, nil
 }

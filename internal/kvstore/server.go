@@ -111,12 +111,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) bool {
 		} else {
 			writeSimple(w, "PONG")
 		}
-	case "ECHO":
-		if len(args) != 2 {
-			writeError(w, "wrong number of arguments for 'echo'")
-			break
-		}
-		writeBulk(w, args[1])
 	case "SET":
 		if len(args) != 3 {
 			writeError(w, "wrong number of arguments for 'set'")
@@ -135,41 +129,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) bool {
 		} else {
 			writeBulk(w, v)
 		}
-	case "SETNX":
-		if len(args) != 3 {
-			writeError(w, "wrong number of arguments for 'setnx'")
-			break
-		}
-		if s.store.SetNX(str(1), args[2]) {
-			writeInt(w, 1)
-		} else {
-			writeInt(w, 0)
-		}
-	case "MGET":
-		if len(args) < 2 {
-			writeError(w, "wrong number of arguments for 'mget'")
-			break
-		}
-		keys := make([]string, len(args)-1)
-		for i := range keys {
-			keys[i] = str(i + 1)
-		}
-		vals := s.store.MGet(keys...)
-		writeArrayHeader(w, len(vals))
-		for _, v := range vals {
-			writeBulk(w, v)
-		}
-	case "INCR":
-		if len(args) != 2 {
-			writeError(w, "wrong number of arguments for 'incr'")
-			break
-		}
-		n, err := s.store.Incr(str(1))
-		if err != nil {
-			writeError(w, err.Error())
-			break
-		}
-		writeInt(w, int(n))
 	case "DEL":
 		if len(args) < 2 {
 			writeError(w, "wrong number of arguments for 'del'")
@@ -180,16 +139,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) bool {
 			keys[i] = str(i + 1)
 		}
 		writeInt(w, s.store.Del(keys...))
-	case "EXISTS":
-		if len(args) < 2 {
-			writeError(w, "wrong number of arguments for 'exists'")
-			break
-		}
-		keys := make([]string, len(args)-1)
-		for i := range keys {
-			keys[i] = str(i + 1)
-		}
-		writeInt(w, s.store.Exists(keys...))
 	case "KEYS":
 		if len(args) != 2 {
 			writeError(w, "wrong number of arguments for 'keys'")
@@ -202,56 +151,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) bool {
 		}
 	case "DBSIZE":
 		writeInt(w, s.store.DBSize())
-	case "FLUSHALL":
-		s.store.FlushAll()
-		writeSimple(w, "OK")
-	case "HSET":
-		if len(args) != 4 {
-			writeError(w, "wrong number of arguments for 'hset'")
-			break
-		}
-		if s.store.HSet(str(1), str(2), args[3]) {
-			writeInt(w, 1)
-		} else {
-			writeInt(w, 0)
-		}
-	case "HGET":
-		if len(args) != 3 {
-			writeError(w, "wrong number of arguments for 'hget'")
-			break
-		}
-		v, ok := s.store.HGet(str(1), str(2))
-		if !ok {
-			writeBulk(w, nil)
-		} else {
-			writeBulk(w, v)
-		}
-	case "HDEL":
-		if len(args) < 3 {
-			writeError(w, "wrong number of arguments for 'hdel'")
-			break
-		}
-		fields := make([]string, len(args)-2)
-		for i := range fields {
-			fields[i] = str(i + 2)
-		}
-		writeInt(w, s.store.HDel(str(1), fields...))
-	case "HLEN":
-		if len(args) != 2 {
-			writeError(w, "wrong number of arguments for 'hlen'")
-			break
-		}
-		writeInt(w, s.store.HLen(str(1)))
-	case "HKEYS":
-		if len(args) != 2 {
-			writeError(w, "wrong number of arguments for 'hkeys'")
-			break
-		}
-		fields := s.store.HKeys(str(1))
-		writeArrayHeader(w, len(fields))
-		for _, f := range fields {
-			writeBulk(w, []byte(f))
-		}
 	case "QUIT":
 		writeSimple(w, "OK")
 		return false

@@ -2,17 +2,15 @@
 // the metadata service of the distributed search system (Fig. 6 runs one
 // Redis container; this package is the stdlib substitute). It speaks a
 // subset of RESP (REdis Serialization Protocol) over TCP — enough for the
-// system's needs: string keys holding serialized feature records, hashes
-// for per-shard metadata, and housekeeping commands.
+// system's needs, which are the paper's (Sec. 8): string keys holding
+// serialized feature records, listed and counted at restart.
 //
-// Supported commands: PING, ECHO, SET, GET, SETNX, MGET, INCR, DEL,
-// EXISTS, KEYS, DBSIZE, FLUSHALL, HSET, HGET, HDEL, HLEN, HKEYS.
+// Supported commands: PING, SET, GET, DEL, KEYS, DBSIZE, QUIT. Anything
+// else answers "unknown command".
 package kvstore
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -23,25 +21,18 @@ type Store struct {
 	mu sync.RWMutex
 	//texlint:guards mu
 	strings map[string][]byte
-	//texlint:guards mu
-	hashes map[string]map[string][]byte
-	aof    *aofLog // nil for purely in-memory stores
+	aof     *aofLog // nil for purely in-memory stores
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{
-		strings: make(map[string][]byte),
-		hashes:  make(map[string]map[string][]byte),
-	}
+	return &Store{strings: make(map[string][]byte)}
 }
 
-// Set stores value under key, replacing any previous value (and removing a
-// hash of the same name, as Redis does).
+// Set stores value under key, replacing any previous value.
 func (s *Store) Set(key string, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.hashes, key)
 	s.strings[key] = append([]byte(nil), value...)
 	s.log([]byte("SET"), []byte(key), value)
 }
@@ -57,59 +48,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
-// SetNX stores value under key only when the key is absent, reporting
-// whether it was stored (Redis SETNX, used for shard leader election and
-// idempotent enrollment).
-func (s *Store) SetNX(key string, value []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.strings[key]; ok {
-		return false
-	}
-	if _, ok := s.hashes[key]; ok {
-		return false
-	}
-	s.strings[key] = append([]byte(nil), value...)
-	s.log([]byte("SET"), []byte(key), value)
-	return true
-}
-
-// MGet fetches several keys at once; absent keys yield nil entries.
-func (s *Store) MGet(keys ...string) [][]byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([][]byte, len(keys))
-	for i, k := range keys {
-		if v, ok := s.strings[k]; ok {
-			out[i] = append([]byte(nil), v...)
-		}
-	}
-	return out
-}
-
-// Incr atomically increments the integer stored at key (initializing a
-// missing key to 0), returning the new value; non-integer values error.
-// The coordinator uses it for monotonically increasing texture ids.
-func (s *Store) Incr(key string) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v := s.strings[key]
-	n := int64(0)
-	if len(v) > 0 {
-		var err error
-		n, err = strconv.ParseInt(string(v), 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("kvstore: value at %q is not an integer", key)
-		}
-	}
-	n++
-	delete(s.hashes, key)
-	s.strings[key] = []byte(strconv.FormatInt(n, 10))
-	s.log([]byte("SET"), []byte(key), s.strings[key])
-	return n, nil
-}
-
-// Del removes keys (string or hash), returning how many existed.
+// Del removes keys, returning how many existed.
 func (s *Store) Del(keys ...string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -119,25 +58,6 @@ func (s *Store) Del(keys ...string) int {
 			delete(s.strings, k)
 			n++
 			s.log([]byte("DEL"), []byte(k))
-		} else if _, ok := s.hashes[k]; ok {
-			delete(s.hashes, k)
-			n++
-			s.log([]byte("DEL"), []byte(k))
-		}
-	}
-	return n
-}
-
-// Exists reports how many of the keys exist.
-func (s *Store) Exists(keys ...string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, k := range keys {
-		if _, ok := s.strings[k]; ok {
-			n++
-		} else if _, ok := s.hashes[k]; ok {
-			n++
 		}
 	}
 	return n
@@ -154,11 +74,6 @@ func (s *Store) Keys(pattern string) []string {
 			out = append(out, k)
 		}
 	}
-	for k := range s.hashes {
-		if globMatch(pattern, k) {
-			out = append(out, k)
-		}
-	}
 	sort.Strings(out)
 	return out
 }
@@ -167,89 +82,7 @@ func (s *Store) Keys(pattern string) []string {
 func (s *Store) DBSize() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.strings) + len(s.hashes)
-}
-
-// FlushAll removes every key.
-func (s *Store) FlushAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.strings = make(map[string][]byte)
-	s.hashes = make(map[string]map[string][]byte)
-	s.log([]byte("FLUSHALL"))
-}
-
-// HSet sets field in the hash at key, reporting whether the field is new.
-func (s *Store) HSet(key, field string, value []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.strings, key)
-	h, ok := s.hashes[key]
-	if !ok {
-		h = make(map[string][]byte)
-		s.hashes[key] = h
-	}
-	_, existed := h[field]
-	h[field] = append([]byte(nil), value...)
-	s.log([]byte("HSET"), []byte(key), []byte(field), value)
-	return !existed
-}
-
-// HGet returns field from the hash at key.
-func (s *Store) HGet(key, field string) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	h, ok := s.hashes[key]
-	if !ok {
-		return nil, false
-	}
-	v, ok := h[field]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
-}
-
-// HDel removes fields from the hash at key, returning how many existed.
-func (s *Store) HDel(key string, fields ...string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.hashes[key]
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, f := range fields {
-		if _, ok := h[f]; ok {
-			delete(h, f)
-			n++
-			s.log([]byte("HDEL"), []byte(key), []byte(f))
-		}
-	}
-	if len(h) == 0 {
-		delete(s.hashes, key)
-	}
-	return n
-}
-
-// HLen returns the number of fields in the hash at key.
-func (s *Store) HLen(key string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.hashes[key])
-}
-
-// HKeys returns the sorted field names of the hash at key.
-func (s *Store) HKeys(key string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	h := s.hashes[key]
-	out := make([]string, 0, len(h))
-	for f := range h {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
+	return len(s.strings)
 }
 
 // globMatch matches pattern against s where '*' matches any run of

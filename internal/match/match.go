@@ -204,14 +204,20 @@ func RankResults(results []SearchResult) []SearchResult {
 	return results
 }
 
-// Identify returns the best candidate and whether it clears the
-// MinMatches decision threshold (the one-to-many search decision).
+// Identify returns the best candidate — the one RankResults would put
+// first: highest score, lowest RefID among equals — and whether it clears
+// the MinMatches decision threshold (the one-to-many search decision). It
+// is one pass over results, which it leaves untouched.
 func Identify(results []SearchResult, cfg Config) (SearchResult, bool) {
 	if len(results) == 0 {
 		return SearchResult{RefID: -1}, false
 	}
-	ranked := RankResults(append([]SearchResult(nil), results...)) //texlint:ignore hotalloc Identify must not reorder the caller's slice, so it copies; one copy per search on the final ranking, not per batch
-	top := ranked[0]
+	top := results[0]
+	for _, r := range results[1:] {
+		if r.Score > top.Score || (r.Score == top.Score && r.RefID < top.RefID) {
+			top = r
+		}
+	}
 	return top, top.Score >= cfg.MinMatches
 }
 

@@ -133,6 +133,39 @@ func TestIdentify(t *testing.T) {
 	}
 }
 
+// TestIdentifyIsTopOfRanking holds Identify to its definition: the first
+// element of a ranked copy, with the caller's slice left in place.
+func TestIdentifyIsTopOfRanking(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MinMatches = 3
+	for _, results := range [][]SearchResult{
+		nil,
+		{},
+		{{RefID: 4, Score: 3}},
+		{{RefID: 9, Score: 5}, {RefID: 2, Score: 5}, {RefID: 5, Score: 5}},   // all tied
+		{{RefID: 1, Score: 2}, {RefID: 8, Score: 7}, {RefID: 3, Score: 7}},   // tie for the top, lower id later
+		{{RefID: 3, Score: 7}, {RefID: 8, Score: 7}, {RefID: 1, Score: 9}},   // best last
+		{{RefID: -1, Score: 0}, {RefID: 6, Score: -4}, {RefID: 2, Score: 0}}, // negatives, phantom id
+		{{RefID: 7, Score: -2}, {RefID: 7, Score: -2}},                       // duplicates
+	} {
+		before := append([]SearchResult(nil), results...)
+		got, ok := Identify(results, cfg)
+		want, wantOK := SearchResult{RefID: -1}, false
+		if len(results) > 0 {
+			want = RankResults(append([]SearchResult(nil), results...))[0]
+			wantOK = want.Score >= cfg.MinMatches
+		}
+		if got != want || ok != wantOK {
+			t.Errorf("Identify(%v) = %+v, %v; ranked copy says %+v, %v", before, got, ok, want, wantOK)
+		}
+		for i := range results {
+			if results[i] != before[i] {
+				t.Fatalf("Identify reordered its input: %v -> %v", before, results)
+			}
+		}
+	}
+}
+
 func TestRankDeterministicTieBreak(t *testing.T) {
 	r := RankResults([]SearchResult{{RefID: 9, Score: 5}, {RefID: 2, Score: 5}, {RefID: 5, Score: 5}})
 	if r[0].RefID != 2 || r[1].RefID != 5 || r[2].RefID != 9 {

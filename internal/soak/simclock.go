@@ -121,7 +121,7 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close() //texlint:ignore errcheck in-process fixture teardown; nothing to recover from here
+	defer c.Close()
 	for i, f := range refs {
 		//texlint:ignore clockdomain transport enrollment is host-side; its wall-clock use (kvstore timeouts) never reaches the virtual timeline
 		if err := c.Add(i, f, nil); err != nil {

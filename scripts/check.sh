@@ -40,19 +40,6 @@ if grep -E '^texid/internal/(cbir|orb|surf|bench|soak)$' <<<"$deps"; then
   exit 1
 fi
 
-# Every registered check must ship a fixture package: a check without one
-# has no proof it still catches its true positives.
-echo "==> fixture coverage"
-for c in $(go run ./cmd/texlint -list-checks); do
-  if [[ ! -d "internal/analysis/testdata/src/$c" ]]; then
-    echo "check.sh: check '$c' has no fixture directory under internal/analysis/testdata/src/" >&2
-    exit 1
-  fi
-done
-
-echo "==> texlint -fixtures"
-go run ./cmd/texlint -fixtures
-
 # Tier-1 on more than one core on purpose: the serving core's concurrency
 # tests (atomic Update, churn under search) only bite with real
 # interleavings, and a single-core runner would otherwise hide that class of
