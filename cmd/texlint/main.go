@@ -3,7 +3,6 @@
 //	go run ./cmd/texlint ./...
 //	go run ./cmd/texlint -checks hotalloc,clockdomain ./internal/...
 //	go run ./cmd/texlint -json ./... | jq .
-//	go run ./cmd/texlint -baseline texlint.baseline ./...
 //
 // It is stdlib-only and works from a clean checkout with no network
 // access: packages are discovered with go/build and type-checked from
@@ -57,9 +56,7 @@
 //
 // Suppress a finding with `//texlint:ignore <check> <reason>` on the
 // offending line or in the enclosing declaration's doc comment; the
-// reason is mandatory. Long-lived, reviewed exceptions live in
-// texlint.baseline (-baseline to apply, -write-baseline to regenerate);
-// stale baseline entries for enabled checks are themselves findings.
+// reason is mandatory. There is no other suppression mechanism.
 package main
 
 import (
@@ -75,14 +72,12 @@ import (
 
 func main() {
 	var (
-		verbose       = flag.Bool("v", false, "list packages as they are analyzed")
-		checksFlag    = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-		jsonOut       = flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-		baselinePath  = flag.String("baseline", "", "filter findings against this baseline file; stale entries are errors")
-		writeBaseline = flag.String("write-baseline", "", "write all findings to this baseline file and exit 0")
+		verbose    = flag.Bool("v", false, "list packages as they are analyzed")
+		checksFlag = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
+		jsonOut    = flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: texlint [-v] [-checks list] [-json] [-baseline file] [-write-baseline file] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: texlint [-v] [-checks list] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -122,41 +117,15 @@ func main() {
 
 	diags := analysis.RunAll(pkgs, analyzers)
 
-	if *writeBaseline != "" {
-		if err := analysis.WriteBaseline(*writeBaseline, diags, root); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "texlint: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-
-	var stale []string
-	if *baselinePath != "" {
-		bl, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		diags = bl.Filter(diags, root)
-		enabled := make(map[string]bool, len(analyzers)+1)
-		for _, a := range analyzers {
-			enabled[a.Name] = true
-		}
-		enabled["directive"] = true
-		stale = bl.Stale(enabled)
-	}
-
 	if *jsonOut {
-		emitJSON(diags, stale, *baselinePath)
+		emitJSON(diags)
 	} else {
 		for _, d := range diags {
 			fmt.Println(d.String())
 		}
-		for _, s := range stale {
-			fmt.Printf("%s: stale baseline entry (finding no longer produced): %s\n", *baselinePath, s)
-		}
 	}
-	if n := len(diags) + len(stale); n > 0 {
-		fmt.Fprintf(os.Stderr, "texlint: %d finding(s)\n", n)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "texlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }
@@ -204,18 +173,12 @@ type jsonDiag struct {
 	Chain   string `json:"chain,omitempty"`
 }
 
-func emitJSON(diags []analysis.Diagnostic, stale []string, baselinePath string) {
-	out := make([]jsonDiag, 0, len(diags)+len(stale))
+func emitJSON(diags []analysis.Diagnostic) {
+	out := make([]jsonDiag, 0, len(diags))
 	for _, d := range diags {
 		out = append(out, jsonDiag{
 			File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
 			Check: d.Check, Message: d.Message, Chain: d.Chain,
-		})
-	}
-	for _, s := range stale {
-		out = append(out, jsonDiag{
-			File: baselinePath, Check: "baseline",
-			Message: "stale baseline entry (finding no longer produced): " + s,
 		})
 	}
 	enc := json.NewEncoder(os.Stdout)

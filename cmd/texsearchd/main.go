@@ -50,10 +50,6 @@ func main() {
 	store := flag.String("kvstore", "", `feature persistence: "", "embedded", or a host:port of a RESP server`)
 	kvListen := flag.String("kvstore-listen", "127.0.0.1:0", "listen address for the embedded kvstore")
 	kvAOF := flag.String("kvstore-aof", "", "append-only file for the embedded kvstore (survives restarts)")
-	callDeadlineMS := flag.Float64("call-deadline-ms", 30e3, "per-attempt worker call deadline, virtual ms")
-	callRetries := flag.Int("call-retries", 3, "max attempts per worker call (1 = no retries)")
-	callBackoffMS := flag.Float64("call-backoff-ms", 5, "base retry backoff, virtual ms (doubles per attempt, jittered)")
-	hedgeAfterMS := flag.Float64("hedge-after-ms", 0, "hedge straggler worker calls after this many virtual ms (0 = off)")
 	minShards := flag.Int("min-shards", 1, "minimum shards that must answer before a search fails instead of degrading")
 	maxBatch := flag.Int("max-batch", 16, "max concurrent /v1/search requests coalesced into one batched scatter pass (<= 1 disables)")
 	batchWindowUS := flag.Int("batch-window-us", 200, "how long the first query of a batch waits for co-travellers, wall-clock µs")
@@ -105,12 +101,6 @@ func main() {
 		Workers:   *workers,
 		Engine:    cfg,
 		StoreAddr: storeAddr,
-		Call: cluster.CallPolicy{
-			DeadlineUS:   *callDeadlineMS * 1000,
-			MaxAttempts:  *callRetries,
-			BackoffUS:    *callBackoffMS * 1000,
-			HedgeAfterUS: *hedgeAfterMS * 1000,
-		},
 		MinShards: *minShards,
 		Serve: serve.Options{
 			MaxBatch: *maxBatch,

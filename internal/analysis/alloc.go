@@ -28,8 +28,8 @@ import (
 //   - filter-in-place: append to a slice introduced as `dst := src[:0]`
 //     never exceeds the donor's capacity and is allowed.
 //
-// Everything else on a hot path must be fixed, annotated away at a call
-// edge, or carried in texlint.baseline with a reason.
+// Everything else on a hot path must be fixed, or annotated away — at a
+// call edge or in place — with a reason.
 
 type allocScan struct {
 	pkg      *Package

@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -77,5 +78,38 @@ func TestDefaultAnalyzersScope(t *testing.T) {
 	}
 	if !fp16Scope("texid/internal/blas") {
 		t.Error("fp16 must apply to internal/blas")
+	}
+}
+
+// TestUntrustedDirectiveHygieneFindings pins that a //texlint:untrusted on
+// a non-source declaration comes back as a directive finding (and so must
+// be fixed or ignored in place like any other diagnostic).
+func TestUntrustedDirectiveHygieneFindings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks fixture + stdlib; skipped in -short mode")
+	}
+	pkg, err := fixtureLoad(filepath.Join("testdata", "src", "wiretaint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// RunAll always includes directive hygiene.
+	diags := RunAll([]*Package{pkg}, []*Analyzer{NewWireTaint()})
+	var onVar, onNoInputs bool
+	for _, d := range diags {
+		if d.Check != "directive" {
+			continue
+		}
+		if strings.Contains(d.Message, "texlint:untrusted must be in the doc comment of a function declaration") {
+			onVar = true
+		}
+		if strings.Contains(d.Message, "texlint:untrusted marks inputs as hostile, but this function has no receiver or parameters") {
+			onNoInputs = true
+		}
+	}
+	if !onVar {
+		t.Error("no directive finding for //texlint:untrusted on a var declaration")
+	}
+	if !onNoInputs {
+		t.Error("no directive finding for //texlint:untrusted on a zero-input function")
 	}
 }

@@ -173,8 +173,8 @@ func (p *Program) Callees(fn *types.Func) []CallSite {
 // not followed; stop, when non-nil, names callees the walk must not enter.
 //
 // Roots are taken by offset within their file, then by position: a
-// function reachable from several roots is attributed to the first, and
-// the chains recorded in texlint.baseline were rendered under this order.
+// function reachable from several roots is attributed to the first, so
+// the chain a finding prints is stable from run to run.
 func (p *Program) reach(roots []*types.Func, check string, stop func(*FuncInfo) bool) (order []*types.Func, parent map[*types.Func]*types.Func) {
 	sort.Slice(roots, func(i, j int) bool {
 		oi, oj := p.Fset.Position(roots[i].Pos()).Offset, p.Fset.Position(roots[j].Pos()).Offset
@@ -354,7 +354,7 @@ func (p *Program) directiveDiags(knownChecks map[string]bool) []Diagnostic {
 							}
 						}
 						if len(fields) == 1 {
-							report(c.Pos(), "texlint:ignore %s has no reason; bare ignores are not allowed — say why, or record it in texlint.baseline", fields[0])
+							report(c.Pos(), "texlint:ignore %s has no reason; bare ignores are not allowed — say why", fields[0])
 						}
 					case directiveIs(text, coldpathPrefix):
 						if strings.TrimSpace(strings.TrimPrefix(text, coldpathPrefix)) == "" {

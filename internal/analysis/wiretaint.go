@@ -14,9 +14,8 @@ import (
 // Unsanitized flows into make, slice bounds, indexing, or loop bounds are
 // reported with the source→sink call chain, like hotalloc's hot paths.
 //
-// The escape hatches are the usual ones: a //texlint:ignore wiretaint on a
-// call line stops interprocedural propagation through that edge, and
-// reviewed leftovers live in texlint.baseline.
+// The escape hatch is the usual one: a //texlint:ignore wiretaint on a call
+// line stops interprocedural propagation through that edge.
 
 // NewWireTaint returns the untrusted-length taint check.
 func NewWireTaint() *Analyzer {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"texid/internal/blas"
+	"texid/internal/engine"
 	"texid/internal/metrics"
 	"texid/internal/sift"
 	"texid/internal/wire"
@@ -175,22 +177,13 @@ func (c *Cluster) Handler() http.Handler {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		var req textureRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		rec := readRecord(w, r)
+		if rec == nil {
 			return
 		}
-		rec, err := decodeRecord(req.RecordB64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		id := req.ID
-		if id == 0 {
-			id = int(rec.ID)
-		}
+		id := int(rec.ID)
 		if err := c.Add(id, rec.Features, rec.Keypoints); err != nil {
-			httpError(w, http.StatusConflict, err.Error())
+			httpError(w, writeStatus(err), err.Error())
 			return
 		}
 		writeJSON(w, http.StatusCreated, map[string]int{"id": id})
@@ -209,18 +202,12 @@ func (c *Cluster) Handler() http.Handler {
 			}
 			writeJSON(w, http.StatusOK, map[string]int{"deleted": id})
 		case http.MethodPut:
-			var req textureRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-				return
-			}
-			rec, err := decodeRecord(req.RecordB64)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, err.Error())
+			rec := readRecord(w, r)
+			if rec == nil {
 				return
 			}
 			if err := c.Update(id, rec.Features, rec.Keypoints); err != nil {
-				httpError(w, http.StatusInternalServerError, err.Error())
+				httpError(w, writeStatus(err), err.Error())
 				return
 			}
 			writeJSON(w, http.StatusOK, map[string]int{"updated": id})
@@ -283,14 +270,8 @@ func (c *Cluster) Handler() http.Handler {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		var req textureRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-			return
-		}
-		rec, err := decodeRecord(req.RecordB64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+		rec := readRecord(w, r)
+		if rec == nil {
 			return
 		}
 		// Concurrent requests coalesce into shared scatter passes when the
@@ -322,6 +303,40 @@ func (c *Cluster) Handler() http.Handler {
 			c.mAPIErrors.Inc()
 		}
 	})
+}
+
+// readRecord decodes the body add, update and search share: a
+// textureRequest around a base64 feature record, a non-zero JSON id
+// overriding the record's own. On a malformed body it answers 400 and
+// returns nil.
+func readRecord(w http.ResponseWriter, r *http.Request) *wire.FeatureRecord {
+	var req textureRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		return nil
+	}
+	rec, err := decodeRecord(req.RecordB64)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return nil
+	}
+	if req.ID != 0 {
+		rec.ID = int64(req.ID)
+	}
+	return rec
+}
+
+// writeStatus is the HTTP status of a failed Add or Update: 409 for a
+// duplicate id, 400 for a mis-shaped record, 500 for anything else (kvstore
+// down, no live shard).
+func writeStatus(err error) int {
+	switch {
+	case errors.Is(err, errDuplicate):
+		return http.StatusConflict
+	case errors.Is(err, engine.ErrShape):
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 // decodeRecord turns a request-body base64 blob into a feature record: the

@@ -15,6 +15,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -206,49 +207,68 @@ func (c *Cluster) persist(id int, feats *blas.Matrix, kps []sift.Keypoint) error
 	return nil
 }
 
+// putMode is what put does with an id the shard map already holds.
+type putMode int
+
+const (
+	putAdd    putMode = iota // a known id is a duplicate
+	putUpdate                // a known id is replaced in place on its shard
+	putLoad                  // a known id is skipped; nothing is persisted
+)
+
+// errDuplicate marks an Add of an enrolled id (the REST tier's 409).
+var errDuplicate = errors.New("duplicate texture id")
+
+// put is the one write path behind Add, Update and LoadFromStore. It holds
+// c.mu from the shard-map lookup to the shard-map write, so writes serialise
+// against writes (searches never take c.mu) and an id is on exactly the
+// shard the map names, or on none. Order: shape check, kvstore write,
+// engine, map — a rejected record or a failed store write leaves a known id
+// serving its old features and a new one enrolled nowhere.
+func (c *Cluster) put(id int, feats *blas.Matrix, kps []sift.Keypoint, mode putMode) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	wi, known := c.shards[id]
+	switch {
+	case known && mode == putAdd:
+		return fmt.Errorf("cluster: %w %d", errDuplicate, id)
+	case known && mode == putLoad:
+		return nil // already resident
+	case !known:
+		var err error
+		if wi, err = c.pickWorkerLocked(); err != nil {
+			return err
+		}
+	}
+	w := c.workers[wi]
+	if err := w.eng.CheckShape(feats); err != nil {
+		return err
+	}
+	if mode != putLoad {
+		if err := c.persist(id, feats, kps); err != nil {
+			return err
+		}
+	}
+	if known {
+		return w.eng.Update(id, feats, kps)
+	}
+	if _, err := c.do(w, opAdd, func() (float64, error) { return 0, w.eng.Add(id, feats, kps) }); err != nil {
+		if mode != putLoad && c.store != nil {
+			_, _ = c.store.Del(storeKey(id)) // best-effort, as in Remove
+		}
+		return err
+	}
+	c.shards[id] = wi
+	return nil
+}
+
 // Add enrolls a texture: references are spread round-robin so all shards
 // stay equally loaded ("all the reference feature matrices are equally
 // allocated to those 14 GPU containers"), routing around workers the
-// failure detector has declared dead. The id is reserved in the shard map
-// in the same critical section that checks for a duplicate, so of several
-// concurrent Adds of one id exactly one proceeds; then shape check, the
-// kvstore write, the engine — Update's order. Any failure gives the
-// reservation back, so a failed Add leaves the id on no shard, in no map
-// and (best-effort) not in the store.
+// failure detector has declared dead. Of several concurrent Adds of one id
+// exactly one succeeds.
 func (c *Cluster) Add(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
-	c.mu.Lock()
-	if _, dup := c.shards[id]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: duplicate texture id %d", id)
-	}
-	wi, err := c.pickWorkerLocked()
-	if err == nil {
-		c.shards[id] = wi
-	}
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-
-	w := c.workers[wi]
-	err = w.eng.CheckShape(feats)
-	if err == nil {
-		err = c.persist(id, feats, kps)
-	}
-	if err == nil {
-		_, err = c.do(w, opAdd, func() (float64, error) { return 0, w.eng.Add(id, feats, kps) })
-		if err != nil && c.store != nil {
-			// Best-effort, as in Remove: an orphaned record is overwritten
-			// by the next enrollment under this id.
-			_, _ = c.store.Del(storeKey(id))
-		}
-	}
-	if err != nil {
-		c.mu.Lock()
-		delete(c.shards, id)
-		c.mu.Unlock()
-	}
-	return err
+	return c.put(id, feats, kps, putAdd)
 }
 
 // AddPhantom enrolls count phantom references spread evenly across the
@@ -273,17 +293,16 @@ func (c *Cluster) AddPhantom(count int) error {
 	return nil
 }
 
-// Remove deletes a texture from its shard (and the kvstore).
+// Remove deletes a texture from its shard (and the kvstore), under the
+// mutation lock so it cannot interleave with a put of the same id.
 func (c *Cluster) Remove(id int) bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	w, ok := c.shards[id]
-	if ok {
-		delete(c.shards, id)
-	}
-	c.mu.Unlock()
 	if !ok {
 		return false
 	}
+	delete(c.shards, id)
 	removed := c.workers[w].eng.Remove(id)
 	if c.store != nil {
 		// Best-effort: a failed delete leaves an orphaned record that the
@@ -293,25 +312,10 @@ func (c *Cluster) Remove(id int) bool {
 	return removed
 }
 
-// Update replaces a texture's features on its shard: shape check, then the
-// kvstore write, then the engine — a rejected record or a failed store
-// write returns with the shard still serving the old features, so engine
-// and store never diverge.
+// Update replaces a texture's features on its shard, or enrolls an id the
+// cluster does not hold.
 func (c *Cluster) Update(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
-	c.mu.Lock()
-	w, ok := c.shards[id]
-	c.mu.Unlock()
-	if !ok {
-		return c.Add(id, feats, kps)
-	}
-	eng := c.workers[w].eng
-	if err := eng.CheckShape(feats); err != nil {
-		return err
-	}
-	if err := c.persist(id, feats, kps); err != nil {
-		return err
-	}
-	return eng.Update(id, feats, kps)
+	return c.put(id, feats, kps, putUpdate)
 }
 
 // Report is the merged outcome of a distributed search.
@@ -531,44 +535,45 @@ func (c *Cluster) Rebalance(from int) (int, error) {
 	if len(c.workers) < 2 {
 		return 0, fmt.Errorf("cluster: nowhere to rebalance to")
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	src := c.workers[from]
-	var moved []int
-	// Codes are intentionally dropped: each destination engine re-encodes
-	// under its own learned thresholds at seal time.
-	err := src.eng.Export(func(id int, feats *blas.Matrix, kps []sift.Keypoint, _ []binq.Code) error {
+	// Collect, then move: Export has cloned every record before its first
+	// visit, which runs under the engine lock. Codes are dropped on purpose:
+	// each destination re-encodes under its own thresholds at seal time.
+	var recs []wire.FeatureRecord
+	if err := src.eng.Export(func(id int, feats *blas.Matrix, kps []sift.Keypoint, _ []binq.Code) error {
+		recs = append(recs, wire.FeatureRecord{ID: int64(id), Features: feats, Keypoints: kps})
+		return nil
+	}); err != nil {
+		return 0, err
+	}
+	moved := 0
+	for _, r := range recs {
 		// One lap of the round-robin is enough to meet any other live
 		// worker; when every pick comes back as from, the rest are dead.
-		c.mu.Lock()
 		wi, err := c.pickWorkerLocked()
 		for lap := 1; err == nil && wi == from && lap < len(c.workers); lap++ {
 			wi, err = c.pickWorkerLocked()
 		}
-		c.mu.Unlock()
 		if err != nil {
-			return err
+			return moved, err
 		}
 		if wi == from {
-			return fmt.Errorf("cluster: nowhere to rebalance to")
+			return moved, fmt.Errorf("cluster: nowhere to rebalance to")
 		}
-		if err := c.workers[wi].eng.Add(id, feats, kps); err != nil {
-			return fmt.Errorf("cluster: re-homing record %d: %w", id, err)
+		id := int(r.ID)
+		if err := c.workers[wi].eng.Add(id, r.Features, r.Keypoints); err != nil {
+			return moved, fmt.Errorf("cluster: re-homing record %d: %w", id, err)
 		}
-		c.mu.Lock()
 		c.shards[id] = wi
-		c.mu.Unlock()
-		moved = append(moved, id)
-		return nil
-	})
-	if err != nil {
-		return len(moved), err
-	}
-	for _, id := range moved {
 		src.eng.Remove(id)
+		moved++
 	}
 	if _, err := src.eng.Compact(); err != nil {
-		return len(moved), fmt.Errorf("cluster: compacting drained worker %d: %w", from, err)
+		return moved, fmt.Errorf("cluster: compacting drained worker %d: %w", from, err)
 	}
-	return len(moved), nil
+	return moved, nil
 }
 
 // Stats aggregates shard statistics.
@@ -626,31 +631,10 @@ func (c *Cluster) LoadFromStore() (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("cluster: record %s: %w", k, err)
 		}
-		if err := c.addLoaded(int(rec.ID), rec.Features, rec.Keypoints); err != nil {
+		if err := c.put(int(rec.ID), rec.Features, rec.Keypoints, putLoad); err != nil {
 			return n, err
 		}
 		n++
 	}
 	return n, nil
-}
-
-// addLoaded enrolls a restored record without re-persisting it.
-func (c *Cluster) addLoaded(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
-	c.mu.Lock()
-	if _, dup := c.shards[id]; dup {
-		c.mu.Unlock()
-		return nil // already resident
-	}
-	w, err := c.pickWorkerLocked()
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := c.workers[w].eng.Add(id, feats, kps); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.shards[id] = w
-	c.mu.Unlock()
-	return nil
 }

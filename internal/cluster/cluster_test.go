@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"encoding/base64"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -355,30 +357,61 @@ func TestRESTAPIEndToEnd(t *testing.T) {
 }
 
 func TestRESTRejectsBadInput(t *testing.T) {
-	c := smallCluster(t, 1)
+	srv, err := kvstore.Serve(kvstore.NewStore(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := New(Config{Workers: 1, Engine: smallEngine(), StoreAddr: srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
 	api := NewClient(ts.URL)
 
-	// Garbage base64 record.
-	err := api.doJSON("POST", "/v1/textures", textureRequest{ID: 1, RecordB64: "!!!"}, nil)
-	if err == nil {
-		t.Fatal("garbage base64 accepted")
+	rng := rand.New(rand.NewSource(9))
+	record := func(cols int) string {
+		rec := &wire.FeatureRecord{Precision: gpusim.FP32, Scale: 1, Features: unitFeatures(rng, 16, cols)}
+		return base64.StdEncoding.EncodeToString(wire.Encode(rec))
 	}
-	// Valid base64, garbage bytes.
-	err = api.doJSON("POST", "/v1/search", textureRequest{RecordB64: "AAAA"}, nil)
-	if err == nil {
-		t.Fatal("garbage record accepted")
+	good, misshaped := record(24), record(12)
+	if err := api.doJSON("POST", "/v1/textures", textureRequest{ID: 7, RecordB64: good}, nil); err != nil {
+		t.Fatal(err)
 	}
-	// Missing record.
-	err = api.doJSON("POST", "/v1/search", textureRequest{}, nil)
-	if err == nil {
-		t.Fatal("empty record accepted")
+
+	type badInput struct {
+		what, method, path string
+		body               any
+		status             int
 	}
-	// Bad id in path.
-	err = api.doJSON("DELETE", "/v1/textures/notanumber", nil, nil)
-	if err == nil {
-		t.Fatal("bad id accepted")
+	rejects := func(inputs []badInput) {
+		t.Helper()
+		for _, in := range inputs {
+			err := api.doJSON(in.method, in.path, in.body, nil)
+			if want := fmt.Sprintf(": %d ", in.status); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: got %v, want status %d", in.what, err, in.status)
+			}
+		}
+	}
+	rejects([]badInput{
+		{"garbage base64", "POST", "/v1/textures", textureRequest{ID: 1, RecordB64: "!!!"}, 400},
+		{"valid base64, garbage bytes", "POST", "/v1/search", textureRequest{RecordB64: "AAAA"}, 400},
+		{"missing record", "POST", "/v1/search", textureRequest{}, 400},
+		{"bad id in path", "DELETE", "/v1/textures/notanumber", nil, 400},
+		{"duplicate id", "POST", "/v1/textures", textureRequest{ID: 7, RecordB64: good}, 409},
+		{"mis-shaped add", "POST", "/v1/textures", textureRequest{ID: 8, RecordB64: misshaped}, 400},
+		{"mis-shaped update", "PUT", "/v1/textures/7", textureRequest{RecordB64: misshaped}, 400},
+	})
+	// With the kvstore down, a well-formed write fails on the server's side.
+	srv.Close()
+	rejects([]badInput{
+		{"add with the store down", "POST", "/v1/textures", textureRequest{ID: 8, RecordB64: good}, 500},
+		{"update with the store down", "PUT", "/v1/textures/7", textureRequest{RecordB64: good}, 500},
+	})
+	if got := c.Stats().References; got != 1 {
+		t.Fatalf("%d references after nine rejected requests, want the 1 enrolled", got)
 	}
 }
 

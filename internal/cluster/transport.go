@@ -14,7 +14,6 @@ const (
 	opSearch      = "search"
 	opSearchBatch = "searchbatch"
 	opAdd         = "add"
-	opCompact     = "compact"
 )
 
 // errShardDown is returned for calls the coordinator refuses to route

@@ -8,6 +8,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -280,14 +281,18 @@ func (e *Engine) AddEncoded(id int, feats *blas.Matrix, kps []sift.Keypoint, cod
 	return e.addLocked(id, feats, kps, codes)
 }
 
-// CheckShape reports whether feats has the Dim×RefFeatures shape every
-// enrolled reference must have. Callers that replace a reference (Update
-// here, the cluster's store-then-apply Update) check it before they touch
-// the old one.
+// ErrShape marks a feature matrix of the wrong shape, so callers can tell
+// a bad record (the REST tier's 400) from a write that failed.
+var ErrShape = errors.New("engine: bad feature shape")
+
+// CheckShape reports, with an error wrapping ErrShape, whether feats has
+// the Dim×RefFeatures shape every enrolled reference must have. Callers
+// that replace a reference (Update here, the cluster's store-then-apply
+// put) check it before they touch the old one.
 func (e *Engine) CheckShape(feats *blas.Matrix) error {
 	if feats.Rows != e.cfg.Dim || feats.Cols != e.cfg.RefFeatures {
-		return fmt.Errorf("engine: features are %dx%d, want %dx%d",
-			feats.Rows, feats.Cols, e.cfg.Dim, e.cfg.RefFeatures)
+		return fmt.Errorf("%w: features are %dx%d, want %dx%d",
+			ErrShape, feats.Rows, feats.Cols, e.cfg.Dim, e.cfg.RefFeatures)
 	}
 	return nil
 }

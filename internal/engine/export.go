@@ -2,13 +2,49 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"texid/internal/binq"
 	"texid/internal/blas"
 	"texid/internal/knn"
 	"texid/internal/sift"
 )
+
+// liveRef is one live batch slot copied out for re-enrollment or
+// persistence.
+type liveRef struct {
+	uid, public int
+	feats       *blas.Matrix
+	codes       []binq.Code
+}
+
+// liveLocked seals the pending references and copies every live slot out of
+// the sealed batches — the one walk behind Export and Compact — also
+// counting the tombstoned slots it skipped. The result is in enrollment
+// (uid) order without sorting: uids are handed out in pending order, batches
+// seal and queue in that order, and Compact re-feeds survivors in it.
+// Phantom batches carry no payload to copy, so an engine holding any
+// refuses.
+func (e *Engine) liveLocked() (live []liveRef, dead int, err error) {
+	if err := e.sealLocked(); err != nil {
+		return nil, 0, err
+	}
+	for _, it := range e.hybrid.Items() {
+		rb := it.Payload.(*sealedBatch).rb
+		if rb.Phantom() {
+			return nil, 0, fmt.Errorf("engine: cannot export or compact phantom references")
+		}
+		for slot, uid := range rb.IDs {
+			public, ok := e.uidToPublic[uid]
+			if !ok {
+				dead++
+				continue
+			}
+			feats, codes := slotPayload(rb, slot)
+			live = append(live, liveRef{uid: uid, public: public, feats: feats, codes: codes})
+		}
+	}
+	return live, dead, nil
+}
 
 // Export visits every live reference in enrollment order, passing its
 // public id, feature matrix (widened from FP16 with the storage scale
@@ -21,38 +57,12 @@ import (
 func (e *Engine) Export(visit func(id int, feats *blas.Matrix, kps []sift.Keypoint, codes []binq.Code) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.sealLocked(); err != nil {
+	live, _, err := e.liveLocked()
+	if err != nil {
 		return err
 	}
-	type entry struct {
-		uid    int
-		public int
-		feats  *blas.Matrix
-		codes  []binq.Code
-	}
-	var all []entry
-	for _, it := range e.hybrid.Items() {
-		sb := it.Payload.(*sealedBatch)
-		rb := sb.rb
-		if rb.Phantom() {
-			return fmt.Errorf("engine: cannot export phantom references")
-		}
-		for slot, uid := range rb.IDs {
-			public, ok := e.uidToPublic[uid]
-			if !ok {
-				continue // tombstoned
-			}
-			feats, codes := slotPayload(rb, slot)
-			all = append(all, entry{uid: uid, public: public, feats: feats, codes: codes})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].uid < all[j].uid })
-	for _, en := range all {
-		var kps []sift.Keypoint
-		if meta := e.refs[en.public]; meta != nil {
-			kps = meta.kps
-		}
-		if err := visit(en.public, en.feats, kps, en.codes); err != nil {
+	for _, l := range live {
+		if err := visit(l.public, l.feats, e.refs[l.public].kps, l.codes); err != nil {
 			return err
 		}
 	}

@@ -3,11 +3,14 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"texid/internal/binq"
 	"texid/internal/blas"
 	"texid/internal/match"
+	"texid/internal/sift"
 )
 
 func prunedConfig(c int) Config {
@@ -207,10 +210,14 @@ func TestPrunedPhantomSearch(t *testing.T) {
 }
 
 // TestPrunedCompactKeepsCodes: compaction must carry the enrolled codes
-// (and thresholds) through, so pruned searches keep working bit-for-bit.
+// (and thresholds) through, so pruned searches keep working bit-for-bit —
+// every live record Export hands out (features, keypoints, codes) is
+// byte-identical before and after, repacked into the fewest batches.
 func TestPrunedCompactKeepsCodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	e, err := New(prunedConfig(3))
+	cfg := prunedConfig(3)
+	cfg.KeepKeypoints = true
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,12 +232,37 @@ func TestPrunedCompactKeepsCodes(t *testing.T) {
 			t.Fatalf("remove %d failed", id)
 		}
 	}
+	// An Update tombstones a slot too; its keypoints must survive.
+	if err := e.Update(106, unitFeatures(rng, 16, 24), []sift.Keypoint{{X: 1, Y: 2, Sigma: 3, Octave: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	exported := func() []string {
+		var recs []string
+		err := e.Export(func(id int, feats *blas.Matrix, kps []sift.Keypoint, codes []binq.Code) error {
+			if len(codes) != cfg.RefFeatures {
+				t.Fatalf("reference %d exported %d codes, want %d", id, len(codes), cfg.RefFeatures)
+			}
+			recs = append(recs, fmt.Sprintf("%d %x %v %x", id, feats.Data, kps, codes))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	want := exported()
 	reclaimed, err := e.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reclaimed != 2 {
-		t.Fatalf("reclaimed %d, want 2", reclaimed)
+	if reclaimed != 3 {
+		t.Fatalf("reclaimed %d, want 3", reclaimed)
+	}
+	if got := exported(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Export changed across Compact:\n got %v\nwant %v", got, want)
+	}
+	if got, live := e.Stats().Batches, len(want); got != (live+cfg.BatchSize-1)/cfg.BatchSize {
+		t.Fatalf("%d batches hold %d live references at batch size %d", got, live, cfg.BatchSize)
 	}
 	after, err := e.Search(q, nil)
 	if err != nil {

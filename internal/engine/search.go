@@ -173,11 +173,9 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 		Accum:     e.cfg.Accum,
 	}
 	for qi := range reports {
-		reports[qi] = &Report{BestID: -1}
+		reports[qi] = &Report{BestID: -1} //texlint:ignore hotalloc the Report escapes to the caller by design — the one per-query allocation the zero-alloc contract concedes; the engine cannot recycle what it hands out
 		if !phantom {
-			// Ranked escapes to the caller, so it is the one per-query
-			// allocation; size it for every reference up front.
-			reports[qi].Ranked = make([]match.SearchResult, 0, len(e.refs))
+			reports[qi].Ranked = make([]match.SearchResult, 0, len(e.refs)) //texlint:ignore hotalloc Ranked escapes with its Report; sized for every reference up front
 		}
 	}
 
@@ -233,7 +231,7 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 					continue // tombstoned slot (it may even have won a candidate place; harmless)
 				}
 				score := match.PairScore(pair, e.refs[public].kps, kps, e.cfg.Match)
-				rep.Ranked = append(rep.Ranked, match.SearchResult{RefID: public, Score: score})
+				rep.Ranked = append(rep.Ranked, match.SearchResult{RefID: public, Score: score}) //texlint:ignore hotalloc never grows: Ranked was pre-sized to len(e.refs), a relationship the analyzer cannot see
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-2 verification gate: build, vet (root module and the nested benchmark
 # module), gofmt, project invariants (texlint), import hygiene of the serving
-# binaries, the serving core's tests at GOMAXPROCS 1 and 4, and the
+# binaries, the serving core's tests at GOMAXPROCS 1, 2 and 4, and the
 # race-detector test suite. Any diagnostic or failure exits non-zero.
 # Works from a clean checkout with no network access (texlint type-checks
 # against the source importer; nothing is downloaded).
@@ -29,7 +29,7 @@ if [[ -n "$unformatted" ]]; then
 fi
 
 echo "==> texlint"
-go run ./cmd/texlint -baseline texlint.baseline ./...
+go run ./cmd/texlint ./...
 
 # The serving binaries (the library and texsearchd) must not link the
 # paper-experiment descriptors or the measurement tooling.
@@ -41,11 +41,13 @@ if grep -E '^texid/internal/(cbir|orb|surf|bench|soak)$' <<<"$deps"; then
 fi
 
 # Tier-1 on more than one core on purpose: the serving core's concurrency
-# tests (atomic Update, churn under search) only bite with real
-# interleavings, and a single-core runner would otherwise hide that class of
-# bug. -cpu sets GOMAXPROCS, so this holds on any host.
-echo "==> go test -cpu 1,4 (engine, serve, cluster)"
-go test -cpu 1,4 ./internal/engine/... ./internal/serve/... ./internal/cluster/...
+# tests (atomic Update, churn under search, the write-path agreement
+# checker) only bite with real interleavings, and a single-core runner would
+# otherwise hide that class of bug; two cores is the schedule that exposed
+# the coordinator's Update/Remove ghost most often. -cpu sets GOMAXPROCS, so
+# this holds on any host.
+echo "==> go test -cpu 1,2,4 (engine, serve, cluster)"
+go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster/...
 
 # The race suite also runs as its own CI job; TEXID_SKIP_RACE lets that
 # job's sibling skip the duplicate run. Local runs always include it.
