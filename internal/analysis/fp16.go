@@ -11,9 +11,9 @@ import (
 // (half.Float16(x) reinterprets x as a bit pattern, skipping
 // round-to-nearest-even) nor apply native arithmetic operators to
 // Float16 operands (which would add bit patterns, not numbers). The
-// hgemm/cache path must go through half.FromFloat32/FromSlice/
-// ScaleFromSlice for storage and half.FMA/Dot for arithmetic, so the
-// simulated pre-Volta accumulation semantics stay faithful.
+// hgemm/cache path must go through half.FromFloat32 for storage and
+// half.FMA/Dot for arithmetic, so the simulated pre-Volta accumulation
+// semantics stay faithful.
 func NewFP16() *Analyzer {
 	return &Analyzer{
 		Name: "fp16",
@@ -52,7 +52,7 @@ func runFP16(pass *Pass) []Diagnostic {
 				// A conversion whose callee *is* the Float16 type.
 				tv, ok := pass.Pkg.Info.Types[ast.Unparen(n.Fun)]
 				if ok && tv.IsType() && namedTypeIn(tv.Type, halfPath, "Float16") {
-					report(n.Pos(), "half.Float16(...) conversion writes a raw bit pattern; use half.FromFloat32/FromSlice/ScaleFromSlice")
+					report(n.Pos(), "half.Float16(...) conversion writes a raw bit pattern; use half.FromFloat32")
 				}
 			case *ast.BinaryExpr:
 				if fp16ArithOps[n.Op] && (isFloat16(n.X) || isFloat16(n.Y)) {

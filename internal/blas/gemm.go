@@ -314,15 +314,3 @@ func Top2AddRows(C *Matrix, norms []float32, lo, hi int, best, second []float32,
 		best[j], second[j], bestIdx[j] = b, s, bi
 	}
 }
-
-// AddColScalar adds s to the first k elements of column j of C, in place
-// (step 6 of Algorithm 1: adding N_Q only to the k surviving candidates).
-func AddColScalar(C *Matrix, j, k int, s float32) {
-	col := C.Col(j)
-	if k > len(col) {
-		k = len(col)
-	}
-	for i := 0; i < k; i++ {
-		col[i] += s
-	}
-}

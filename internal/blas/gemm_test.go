@@ -98,7 +98,9 @@ func TestEq1Identity(t *testing.T) {
 	nq := SquaredNorms(Q)
 	AddRowVector(C, nr)
 	for j := 0; j < n; j++ {
-		AddColScalar(C, j, m, nq[j])
+		for i := range C.Col(j) {
+			C.Col(j)[i] += nq[j]
+		}
 	}
 	for j := 0; j < n; j++ {
 		for i := 0; i < m; i++ {

@@ -31,35 +31,36 @@ func (l Location) String() string {
 // ErrCapacity is returned when neither level can hold a new batch.
 var ErrCapacity = errors.New("cache: hybrid cache capacity exceeded")
 
-// Item is one cached reference batch.
-type Item struct {
+// Item is one cached reference batch; Loc is the only record of which level
+// holds it.
+type Item[T any] struct {
 	ID      int
 	Bytes   int64
 	Loc     Location
-	Payload any
+	Payload T
 }
 
 // Hybrid is the two-level FIFO cache. It tracks budgets and locations;
 // the owner supplies an eviction callback that releases the batch's device
 // memory when it is demoted to the host level.
-type Hybrid struct {
+type Hybrid[T any] struct {
 	gpuBudget  int64
 	hostBudget int64
 	gpuUsed    int64
 	hostUsed   int64
-	gpuFIFO    []*Item // oldest first
-	order      []*Item // insertion order of all items (stable iteration)
-	items      map[int]*Item
-	onDemote   func(*Item)
+	gpuFIFO    []*Item[T] // oldest first
+	order      []*Item[T] // insertion order of all items (stable iteration)
+	items      map[int]*Item[T]
+	onDemote   func(*Item[T])
 }
 
 // New creates a hybrid cache with the given per-level byte budgets.
 // onDemote (may be nil) is invoked when an item moves from GPU to host.
-func New(gpuBudget, hostBudget int64, onDemote func(*Item)) *Hybrid {
-	return &Hybrid{
+func New[T any](gpuBudget, hostBudget int64, onDemote func(*Item[T])) *Hybrid[T] {
+	return &Hybrid[T]{
 		gpuBudget:  gpuBudget,
 		hostBudget: hostBudget,
-		items:      make(map[int]*Item),
+		items:      make(map[int]*Item[T]),
 		onDemote:   onDemote,
 	}
 }
@@ -67,7 +68,7 @@ func New(gpuBudget, hostBudget int64, onDemote func(*Item)) *Hybrid {
 // Add enqueues a new batch. It is placed in GPU memory; if the GPU budget
 // would overflow, the oldest GPU-resident batches are demoted to host
 // memory first. Returns ErrCapacity when the batch fits in neither level.
-func (h *Hybrid) Add(id int, bytes int64, payload any) (*Item, error) {
+func (h *Hybrid[T]) Add(id int, bytes int64, payload T) (*Item[T], error) {
 	if _, dup := h.items[id]; dup {
 		return nil, fmt.Errorf("cache: duplicate batch id %d", id)
 	}
@@ -79,7 +80,7 @@ func (h *Hybrid) Add(id int, bytes int64, payload any) (*Item, error) {
 			return nil, err
 		}
 	}
-	it := &Item{ID: id, Bytes: bytes, Loc: OnGPU, Payload: payload}
+	it := &Item[T]{ID: id, Bytes: bytes, Loc: OnGPU, Payload: payload}
 	h.items[id] = it
 	h.order = append(h.order, it)
 	h.gpuFIFO = append(h.gpuFIFO, it)
@@ -88,7 +89,7 @@ func (h *Hybrid) Add(id int, bytes int64, payload any) (*Item, error) {
 }
 
 // demoteOldest moves the oldest GPU-resident batch to the host level.
-func (h *Hybrid) demoteOldest() error {
+func (h *Hybrid[T]) demoteOldest() error {
 	if len(h.gpuFIFO) == 0 {
 		return ErrCapacity
 	}
@@ -107,11 +108,11 @@ func (h *Hybrid) demoteOldest() error {
 }
 
 // Get returns the item with the given id, or nil.
-func (h *Hybrid) Get(id int) *Item { return h.items[id] }
+func (h *Hybrid[T]) Get(id int) *Item[T] { return h.items[id] }
 
 // Remove deletes an item from the cache, returning its former location.
 // Removing an unknown id is a no-op and returns false.
-func (h *Hybrid) Remove(id int) (Location, bool) {
+func (h *Hybrid[T]) Remove(id int) (Location, bool) {
 	it, ok := h.items[id]
 	if !ok {
 		return 0, false
@@ -127,7 +128,7 @@ func (h *Hybrid) Remove(id int) (Location, bool) {
 	return it.Loc, true
 }
 
-func removeItem(s []*Item, it *Item) []*Item {
+func removeItem[T any](s []*Item[T], it *Item[T]) []*Item[T] {
 	for i, v := range s {
 		if v == it {
 			return append(s[:i], s[i+1:]...)
@@ -137,12 +138,12 @@ func removeItem(s []*Item, it *Item) []*Item {
 }
 
 // Items returns all cached items in insertion order.
-func (h *Hybrid) Items() []*Item { return append([]*Item(nil), h.order...) }
+func (h *Hybrid[T]) Items() []*Item[T] { return append([]*Item[T](nil), h.order...) }
 
 // AppendItems appends all cached items in insertion order to dst and
 // returns the extended slice. Search loops pass a recycled buffer so the
 // steady-state snapshot allocates nothing.
-func (h *Hybrid) AppendItems(dst []*Item) []*Item {
+func (h *Hybrid[T]) AppendItems(dst []*Item[T]) []*Item[T] {
 	return append(dst, h.order...) //texlint:ignore hotalloc grows only when batches sealed since the caller's last search; steady state reuses the caller's buffer at full capacity
 }
 
@@ -154,7 +155,7 @@ type Stats struct {
 }
 
 // Stats returns the current occupancy.
-func (h *Hybrid) Stats() Stats {
+func (h *Hybrid[T]) Stats() Stats {
 	s := Stats{
 		GPUUsed: h.gpuUsed, GPUBudget: h.gpuBudget,
 		HostUsed: h.hostUsed, HostBudget: h.hostBudget,
@@ -172,11 +173,11 @@ func (h *Hybrid) Stats() Stats {
 // CapacityBytes returns the total cache capacity across both levels — the
 // paper's headline "5× larger memory capacity" is simply
 // (GPU budget + host budget) / GPU budget.
-func (h *Hybrid) CapacityBytes() int64 { return h.gpuBudget + h.hostBudget }
+func (h *Hybrid[T]) CapacityBytes() int64 { return h.gpuBudget + h.hostBudget }
 
 // CapacityImages converts the total capacity to a number of reference
 // images of the given per-image footprint.
-func (h *Hybrid) CapacityImages(bytesPerImage int64) int64 {
+func (h *Hybrid[T]) CapacityImages(bytesPerImage int64) int64 {
 	if bytesPerImage <= 0 {
 		return 0
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAddStaysOnGPUWithinBudget(t *testing.T) {
-	h := New(100, 1000, nil)
+	h := New[any](100, 1000, nil)
 	for i := 0; i < 4; i++ {
 		it, err := h.Add(i, 25, nil)
 		if err != nil {
@@ -24,7 +24,7 @@ func TestAddStaysOnGPUWithinBudget(t *testing.T) {
 
 func TestFIFODemotion(t *testing.T) {
 	demoted := []int{}
-	h := New(100, 1000, func(it *Item) { demoted = append(demoted, it.ID) })
+	h := New[any](100, 1000, func(it *Item[any]) { demoted = append(demoted, it.ID) })
 	for i := 0; i < 6; i++ {
 		if _, err := h.Add(i, 25, nil); err != nil {
 			t.Fatal(err)
@@ -45,7 +45,7 @@ func TestFIFODemotion(t *testing.T) {
 }
 
 func TestCapacityExceeded(t *testing.T) {
-	h := New(50, 50, nil)
+	h := New[any](50, 50, nil)
 	if _, err := h.Add(0, 50, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCapacityExceeded(t *testing.T) {
 }
 
 func TestDuplicateID(t *testing.T) {
-	h := New(100, 100, nil)
+	h := New[any](100, 100, nil)
 	h.Add(7, 10, nil)
 	if _, err := h.Add(7, 10, nil); err == nil {
 		t.Fatal("duplicate id must error")
@@ -70,7 +70,7 @@ func TestDuplicateID(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	h := New(50, 100, nil)
+	h := New[any](50, 100, nil)
 	h.Add(0, 25, nil)
 	h.Add(1, 25, nil)
 	h.Add(2, 25, nil) // demotes 0
@@ -99,7 +99,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestItemsInsertionOrder(t *testing.T) {
-	h := New(1000, 1000, nil)
+	h := New[any](1000, 1000, nil)
 	for i := 0; i < 5; i++ {
 		h.Add(i*10, 1, nil)
 	}
@@ -115,7 +115,7 @@ func TestCapacityMath(t *testing.T) {
 	// The paper's configuration: 16 GB GPU + 64 GB host = 5× capacity.
 	gpu := int64(16) << 30
 	host := int64(64) << 30
-	h := New(gpu, host, nil)
+	h := New[any](gpu, host, nil)
 	if h.CapacityBytes() != gpu+host {
 		t.Fatal("capacity bytes wrong")
 	}
@@ -138,7 +138,7 @@ func TestPropertyInvariants(t *testing.T) {
 	// Whatever the add/remove sequence, used bytes per level never exceed
 	// budgets and GPU items sum to gpuUsed.
 	f := func(ops []uint8) bool {
-		h := New(64, 256, nil)
+		h := New[any](64, 256, nil)
 		id := 0
 		live := map[int]bool{}
 		for _, op := range ops {

@@ -17,7 +17,7 @@ func TestHybridConcurrentUnderLock(t *testing.T) {
 	const gpuBudget, hostBudget, itemBytes = 8 * 64, 32 * 64, 64
 	var mu sync.Mutex
 	demoted := 0
-	h := New(gpuBudget, hostBudget, func(*Item) { demoted++ })
+	h := New[any](gpuBudget, hostBudget, func(*Item[any]) { demoted++ })
 
 	checkInvariants := func(s Stats) error {
 		if s.GPUUsed < 0 || s.GPUUsed > s.GPUBudget {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"texid/internal/binq"
 	"texid/internal/blas"
 	"texid/internal/engine"
 	"texid/internal/metrics"
@@ -177,7 +178,7 @@ func (c *Cluster) Handler() http.Handler {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		rec := readRecord(w, r)
+		rec := c.readRecord(w, r)
 		if rec == nil {
 			return
 		}
@@ -202,7 +203,7 @@ func (c *Cluster) Handler() http.Handler {
 			}
 			writeJSON(w, http.StatusOK, map[string]int{"deleted": id})
 		case http.MethodPut:
-			rec := readRecord(w, r)
+			rec := c.readRecord(w, r)
 			if rec == nil {
 				return
 			}
@@ -221,12 +222,11 @@ func (c *Cluster) Handler() http.Handler {
 			return
 		}
 		var req batchSearchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		if !readJSON(w, r, c.bodyLimit(maxBatchRecords), &req) {
 			return
 		}
-		if len(req.RecordsB64) == 0 || len(req.RecordsB64) > 256 {
-			httpError(w, http.StatusBadRequest, "records_b64 must hold 1..256 records")
+		if len(req.RecordsB64) == 0 || len(req.RecordsB64) > maxBatchRecords {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("records_b64 must hold 1..%d records", maxBatchRecords))
 			return
 		}
 		var queryFeats []*blas.Matrix
@@ -270,7 +270,7 @@ func (c *Cluster) Handler() http.Handler {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		rec := readRecord(w, r)
+		rec := c.readRecord(w, r)
 		if rec == nil {
 			return
 		}
@@ -305,14 +305,44 @@ func (c *Cluster) Handler() http.Handler {
 	})
 }
 
+// maxBatchRecords is the most records one /v1/search/batch body may carry.
+const maxBatchRecords = 256
+
+// bodyLimit is the largest request body the API reads for the given number
+// of records, computed from the engine shape rather than configured: the
+// base64 of the largest record that shape admits — a header, Dim FP32
+// values for each of max(RefFeatures, QueryFeatures) descriptors, and one
+// keypoint and one prefilter code per descriptor — plus the JSON around it.
+func (c *Cluster) bodyLimit(records int) int64 {
+	e := c.cfg.Engine
+	record := 64 + max(e.RefFeatures, e.QueryFeatures)*(e.Dim*4+20+binq.Bytes)
+	return int64(records) * int64((record+2)/3*4+256)
+}
+
+// readJSON decodes a request body of at most limit bytes into v. On failure
+// it answers 413 (nothing past the limit is ever buffered) or 400 and
+// reports false.
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", limit))
+	} else {
+		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	}
+	return false
+}
+
 // readRecord decodes the body add, update and search share: a
 // textureRequest around a base64 feature record, a non-zero JSON id
-// overriding the record's own. On a malformed body it answers 400 and
-// returns nil.
-func readRecord(w http.ResponseWriter, r *http.Request) *wire.FeatureRecord {
+// overriding the record's own. On an oversized or malformed body it answers
+// 413 or 400 and returns nil.
+func (c *Cluster) readRecord(w http.ResponseWriter, r *http.Request) *wire.FeatureRecord {
 	var req textureRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !readJSON(w, r, c.bodyLimit(1), &req) {
 		return nil
 	}
 	rec, err := decodeRecord(req.RecordB64)

@@ -32,12 +32,6 @@ func WithTimeout(d time.Duration) Option {
 	return func(c *Client) { c.http.Timeout = d }
 }
 
-// WithHTTPClient swaps the underlying *http.Client (custom transports,
-// proxies, instrumentation). Later WithTimeout options apply to it.
-func WithHTTPClient(h *http.Client) Option {
-	return func(c *Client) { c.http = h }
-}
-
 // NewClient targets a coordinator at baseURL (e.g. "http://127.0.0.1:8080").
 // Requests time out after DefaultClientTimeout unless overridden with
 // WithTimeout.

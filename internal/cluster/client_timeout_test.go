@@ -39,9 +39,4 @@ func TestClientDefaultTimeoutConfigured(t *testing.T) {
 	if c.http == http.DefaultClient {
 		t.Fatal("client shares http.DefaultClient")
 	}
-	custom := &http.Client{}
-	c = NewClient("http://example.invalid", WithHTTPClient(custom), WithTimeout(time.Second))
-	if c.http != custom || custom.Timeout != time.Second {
-		t.Fatal("options did not compose")
-	}
 }

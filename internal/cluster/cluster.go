@@ -492,14 +492,14 @@ func (c *Cluster) scatter(op string, queryFeats []*blas.Matrix, queryKps [][]sif
 		c.mComparisons.Add(float64(merged.Compared))
 		c.mSearchLatency.Observe(merged.ElapsedUS / 1000)
 		if queryFeats[qi] != nil {
-			top, ok := match.Identify(merged.Ranked, c.cfg.Engine.Match)
 			merged.Ranked = match.RankResults(merged.Ranked)
+			if len(merged.Ranked) > 0 {
+				merged.BestID, merged.Score = merged.Ranked[0].RefID, merged.Ranked[0].Score
+				merged.Accepted = merged.Score >= c.cfg.Engine.Match.MinMatches
+			}
 			if len(merged.Ranked) > 32 {
 				merged.Ranked = merged.Ranked[:32]
 			}
-			merged.BestID = top.RefID
-			merged.Score = top.Score
-			merged.Accepted = ok
 		}
 		out[qi] = merged
 	}

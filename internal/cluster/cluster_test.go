@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/base64"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -404,6 +405,34 @@ func TestRESTRejectsBadInput(t *testing.T) {
 		{"mis-shaped add", "POST", "/v1/textures", textureRequest{ID: 8, RecordB64: misshaped}, 400},
 		{"mis-shaped update", "PUT", "/v1/textures/7", textureRequest{RecordB64: misshaped}, 400},
 	})
+	// Bodies are bounded by the engine shape: one byte of JSON value past
+	// the limit is a 413 on every endpoint that reads a body, and a body
+	// exactly at the limit is still served.
+	query := record(32)
+	sized := func(body any, n int64) json.RawMessage {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pad := int(n) - len(raw) - len(`,"pad":""`) - len("\n") // doJSON ends the body with a newline
+		return json.RawMessage(fmt.Sprintf(`%s,"pad":%q}`, raw[:len(raw)-1], strings.Repeat("x", pad)))
+	}
+	one, many := c.bodyLimit(1), c.bodyLimit(maxBatchRecords)
+	batch := batchSearchRequest{RecordsB64: []string{query, query}}
+	rejects([]badInput{
+		{"oversized add", "POST", "/v1/textures", sized(textureRequest{ID: 9, RecordB64: good}, one+2), 413},
+		{"oversized update", "PUT", "/v1/textures/7", sized(textureRequest{RecordB64: good}, one+2), 413},
+		{"oversized search", "POST", "/v1/search", sized(textureRequest{RecordB64: query}, one+2), 413},
+		{"oversized batch search", "POST", "/v1/search/batch", sized(batch, many+2), 413},
+	})
+	for path, body := range map[string]json.RawMessage{
+		"/v1/search":       sized(textureRequest{RecordB64: query}, one),
+		"/v1/search/batch": sized(batch, many),
+	} {
+		if err := api.doJSON("POST", path, body, nil); err != nil {
+			t.Errorf("%s with a body at the limit: %v", path, err)
+		}
+	}
 	// With the kvstore down, a well-formed write fails on the server's side.
 	srv.Close()
 	rejects([]badInput{
@@ -411,7 +440,7 @@ func TestRESTRejectsBadInput(t *testing.T) {
 		{"update with the store down", "PUT", "/v1/textures/7", textureRequest{RecordB64: good}, 500},
 	})
 	if got := c.Stats().References; got != 1 {
-		t.Fatalf("%d references after nine rejected requests, want the 1 enrolled", got)
+		t.Fatalf("%d references after thirteen rejected requests, want the 1 enrolled", got)
 	}
 }
 

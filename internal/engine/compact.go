@@ -4,9 +4,9 @@ package engine
 // updated references leave tombstoned slots behind in their immutable
 // batches — searches skip them, but they still burn cache memory and GEMM
 // work. Compact drops every old batch and re-feeds the live references, in
-// enrollment order under their old uids and carrying their enrolled codes,
-// through the pending buffers into sealLocked, the one batch builder. It
-// returns the number of dead slots reclaimed.
+// enrollment order as the same records (so the id map is never touched) and
+// carrying their enrolled codes, through pending into sealLocked, the one
+// batch builder. It returns the number of dead slots reclaimed.
 //
 // Phantom batches carry no feature payload and cannot be rebuilt; engines
 // holding phantom references return an error.
@@ -18,19 +18,13 @@ func (e *Engine) Compact() (reclaimed int, err error) {
 		return 0, err
 	}
 	for _, it := range e.hybrid.Items() {
-		sb := it.Payload.(*sealedBatch)
-		if sb.resident {
-			sb.rb.Free()
-			sb.resident = false
-		}
-		sb.rb.FreeCodes()
+		it.Payload.rb.Free()
+		it.Payload.rb.FreeCodes()
 		e.hybrid.Remove(it.ID)
 	}
 	for _, l := range live {
-		e.pendingUIDs = append(e.pendingUIDs, l.uid)
-		e.pendingMats = append(e.pendingMats, l.feats)
-		e.pendingCodes = append(e.pendingCodes, l.codes)
-		if len(e.pendingUIDs) == e.cfg.BatchSize {
+		e.pending = append(e.pending, l)
+		if len(e.pending) == e.cfg.BatchSize {
 			if err := e.sealLocked(); err != nil {
 				return 0, err
 			}

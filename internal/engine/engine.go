@@ -89,18 +89,31 @@ func DefaultConfig() Config {
 	}
 }
 
-// sealedBatch is one cache entry: a RefBatch plus host-side metadata.
+// sealedBatch is one cache entry: a RefBatch plus, slot by slot, the record
+// enrolled there. Whether the batch holds device memory is the cache item's
+// Loc.
 type sealedBatch struct {
-	rb       *knn.RefBatch
-	resident bool // device memory currently held
+	rb   *knn.RefBatch
+	refs []*refMeta
 }
 
-// refMeta is the host-side record of one enrolled reference image. Batches
-// index references by an internal uid so that Update can re-enroll the same
-// public id without resurrecting the superseded batch slot.
+// refMeta is the host-side record of one enrollment of a reference image.
+// The id map is the only statement of liveness: a batch slot (or a pending
+// entry) holding ref is live iff e.refs[ref.id] == ref. Remove deletes the
+// entry and Update installs a new record, so the superseded slot goes dead
+// without anything being written to its immutable batch.
 type refMeta struct {
-	uid int
+	id  int
 	kps []sift.Keypoint
+}
+
+// pendingRef is one enrolled but not yet sealed reference; liveLocked
+// copies live slots back out in the same form. Non-nil codes are already
+// encoded (snapshot restore, Compact); nil encodes at seal time.
+type pendingRef struct {
+	ref   *refMeta
+	feats *blas.Matrix
+	codes []binq.Code
 }
 
 // Engine is a single-GPU texture search engine. Methods are safe for
@@ -110,7 +123,7 @@ type refMeta struct {
 // during compute (the GEMM/top-2 phase):
 //
 //   - mu (RWMutex) guards the index state: the hybrid cache layout, the
-//     id maps, and the pending (unsealed) enrollment buffers. Searches
+//     id map, and the pending (unsealed) enrollments. Searches
 //     hold only the read lock while matching, so enrollment on one shard
 //     no longer blocks searches on another through the cluster path;
 //     Add/Remove/Update/Compact/Export take the write lock and therefore
@@ -122,7 +135,7 @@ type refMeta struct {
 //
 // Lock order is execMu before mu; no path acquires execMu while holding
 // mu. Searches cannot drop mu entirely during compute: batch payloads and
-// the uid maps are read throughout scoring, and a concurrent Add could
+// the id map are read throughout scoring, and a concurrent Add could
 // demote (free) a device-resident batch mid-match.
 type Engine struct {
 	cfg Config
@@ -130,23 +143,13 @@ type Engine struct {
 
 	mu sync.RWMutex
 	//texlint:guards mu
-	hybrid *cache.Hybrid
+	hybrid *cache.Hybrid[sealedBatch]
 	//texlint:guards mu
-	refs map[int]*refMeta // public id -> meta
-	//texlint:guards mu
-	uidToPublic map[int]int // internal uid -> public id
-	//texlint:guards mu
-	nextUID int
+	refs map[int]*refMeta // id -> the record currently enrolled under it
 	//texlint:guards mu
 	nextBatchID int
 	//texlint:guards mu
-	pendingUIDs []int
-	//texlint:guards mu
-	pendingMats []*blas.Matrix
-	// pendingCodes parallels pendingMats: non-nil entries carry pre-encoded
-	// binary codes (snapshot restore); nil entries are encoded at seal time.
-	//texlint:guards mu
-	pendingCodes [][]binq.Code
+	pending []pendingRef
 	// thresh is the per-dimension binarization threshold vector, learned
 	// from the first sealed batch (or restored from a snapshot) and fixed
 	// for the life of the index so every enrolled code is comparable.
@@ -171,7 +174,7 @@ type Engine struct {
 	//texlint:guards execMu
 	queries []*knn.Query // the staged panel of the pass in flight
 	//texlint:guards execMu
-	itemsBuf []*cache.Item
+	itemsBuf []*cache.Item[sealedBatch]
 	//texlint:guards execMu
 	prune pruneScratch
 }
@@ -231,20 +234,15 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	e := &Engine{
-		cfg:         cfg,
-		dev:         dev,
-		refs:        make(map[int]*refMeta),
-		uidToPublic: make(map[int]int),
-		workspace:   workspace,
+		cfg:       cfg,
+		dev:       dev,
+		refs:      make(map[int]*refMeta),
+		workspace: workspace,
 	}
 	// Demotion releases the batch's device bytes; the payload stays in Go
 	// memory, which doubles as the host copy.
-	e.hybrid = cache.New(gpuBudget, cfg.HostCacheBytes, func(it *cache.Item) {
-		sb := it.Payload.(*sealedBatch)
-		if sb.resident {
-			sb.rb.Free()
-			sb.resident = false
-		}
+	e.hybrid = cache.New(gpuBudget, cfg.HostCacheBytes, func(it *cache.Item[sealedBatch]) {
+		it.Payload.rb.Free()
 	})
 	for i := 0; i < cfg.Streams; i++ {
 		e.streams = append(e.streams, dev.NewStream())
@@ -312,18 +310,14 @@ func (e *Engine) addLocked(id int, feats *blas.Matrix, kps []sift.Keypoint, code
 			return fmt.Errorf("engine: %d codes for %d features", len(codes), e.cfg.RefFeatures)
 		}
 	}
-	meta := &refMeta{uid: e.nextUID}
-	e.nextUID++
+	ref := &refMeta{id: id}
 	if e.cfg.KeepKeypoints {
-		meta.kps = kps
+		ref.kps = kps
 	}
-	e.refs[id] = meta
-	e.uidToPublic[meta.uid] = id
-	e.pendingUIDs = append(e.pendingUIDs, meta.uid)
-	e.pendingMats = append(e.pendingMats, feats)
-	e.pendingCodes = append(e.pendingCodes, codes)
-	if len(e.pendingUIDs) >= e.cfg.BatchSize {
-		return e.sealLocked()
+	e.refs[id] = ref
+	e.pending = append(e.pending, pendingRef{ref: ref, feats: feats, codes: codes})
+	if len(e.pending) >= e.cfg.BatchSize {
+		return e.sealLocked() //texlint:ignore wiretaint the request's id rides in e.pending only as a map key; no length sealLocked sizes from (len(e.pending) ≤ BatchSize, RefFeatures, batch bytes) derives from it
 	}
 	return nil
 }
@@ -351,7 +345,7 @@ func (e *Engine) SetThresholds(t binq.Thresholds) error {
 	if len(t) != e.cfg.Dim {
 		return fmt.Errorf("engine: %d thresholds for dim %d", len(t), e.cfg.Dim)
 	}
-	if len(e.refs) > 0 || len(e.pendingUIDs) > 0 {
+	if len(e.refs) > 0 || len(e.pending) > 0 {
 		return fmt.Errorf("engine: thresholds can only be set on an empty index")
 	}
 	e.thresh = append(binq.Thresholds(nil), t...)
@@ -374,13 +368,10 @@ func (e *Engine) AddPhantom(startID, count int) error {
 		if err != nil {
 			return err
 		}
-		for i := range rb.IDs {
-			uid := e.nextUID
-			e.nextUID++
-			public := startID + done + i
-			rb.IDs[i] = uid
-			e.refs[public] = &refMeta{uid: uid}
-			e.uidToPublic[uid] = public
+		refs := make([]*refMeta, chunk)
+		for i := range refs {
+			refs[i] = &refMeta{id: startID + done + i}
+			e.refs[refs[i].id] = refs[i]
 		}
 		if e.cfg.PruneC > 0 {
 			// Charge the device bytes of the (phantom) code panel so the
@@ -390,7 +381,7 @@ func (e *Engine) AddPhantom(startID, count int) error {
 				return err
 			}
 		}
-		if err := e.commitBatchLocked(rb); err != nil {
+		if err := e.commitBatchLocked(rb, refs); err != nil {
 			return err
 		}
 		done += chunk
@@ -411,10 +402,16 @@ func (e *Engine) Flush() error {
 //
 //texlint:coldpath sealing runs once per BatchSize enrolls (or on Flush), not per steady-state search; the early return makes searches after a flush free
 func (e *Engine) sealLocked() error {
-	if len(e.pendingUIDs) == 0 {
+	n := len(e.pending)
+	if n == 0 {
 		return nil
 	}
-	rb, err := knn.NewRefBatch(e.dev, e.pendingUIDs, e.pendingMats, e.cfg.Precision,
+	// The kernel knows references by slot number; refs says who is in each.
+	slots, mats, refs := make([]int, n), make([]*blas.Matrix, n), make([]*refMeta, n)
+	for i, p := range e.pending {
+		slots[i], mats[i], refs[i] = i, p.feats, p.ref
+	}
+	rb, err := knn.NewRefBatch(e.dev, slots, mats, e.cfg.Precision,
 		e.cfg.Scale, e.cfg.Algorithm != knn.RootSIFT)
 	if err != nil {
 		return err
@@ -424,38 +421,35 @@ func (e *Engine) sealLocked() error {
 			// Thresholds are learned once, from the first sealed batch,
 			// then frozen: every later code must be comparable to every
 			// earlier one.
-			e.thresh = binq.LearnThresholds(e.pendingMats)
+			e.thresh = binq.LearnThresholds(mats)
 		}
-		panel := make([]binq.Code, 0, len(e.pendingUIDs)*e.cfg.RefFeatures)
-		for i, mat := range e.pendingMats {
-			if pc := e.pendingCodes[i]; pc != nil {
-				panel = append(panel, pc...)
+		panel := make([]binq.Code, 0, n*e.cfg.RefFeatures)
+		for _, p := range e.pending {
+			if p.codes != nil {
+				panel = append(panel, p.codes...)
 			} else {
-				panel = e.thresh.Encode(mat, panel)
+				panel = e.thresh.Encode(p.feats, panel)
 			}
 		}
-		if err := rb.AttachCodes(panel, len(e.pendingUIDs)); err != nil {
+		if err := rb.AttachCodes(panel, n); err != nil {
 			rb.Free()
 			return err
 		}
 	}
-	e.pendingUIDs = nil
-	e.pendingMats = nil
-	e.pendingCodes = nil
-	return e.commitBatchLocked(rb)
+	e.pending = nil
+	return e.commitBatchLocked(rb, refs)
 }
 
-// commitBatchLocked inserts a built RefBatch into the hybrid cache,
-// handling FIFO demotion bookkeeping.
-func (e *Engine) commitBatchLocked(rb *knn.RefBatch) error {
-	sb := &sealedBatch{rb: rb, resident: true}
-	if _, err := e.hybrid.Add(e.nextBatchID, rb.Bytes(), sb); err != nil {
+// commitBatchLocked inserts a built RefBatch and the records enrolled in
+// its slots into the hybrid cache; when the cache refuses it, exactly those
+// records are unenrolled.
+func (e *Engine) commitBatchLocked(rb *knn.RefBatch, refs []*refMeta) error {
+	if _, err := e.hybrid.Add(e.nextBatchID, rb.Bytes(), sealedBatch{rb: rb, refs: refs}); err != nil {
 		rb.Free()
 		rb.FreeCodes()
-		for _, uid := range rb.IDs {
-			if public, ok := e.uidToPublic[uid]; ok {
-				delete(e.refs, public)
-				delete(e.uidToPublic, uid)
+		for _, ref := range refs {
+			if e.refs[ref.id] == ref {
+				delete(e.refs, ref.id)
 			}
 		}
 		return fmt.Errorf("engine: cache full: %w", err)
@@ -465,26 +459,18 @@ func (e *Engine) commitBatchLocked(rb *knn.RefBatch) error {
 }
 
 // Remove deletes a reference: its batch slot remains physically present
-// (FIFO batches are immutable) but is no longer mapped to any public id,
+// (FIFO batches are immutable) but the id map no longer names its record,
 // so searches skip it. Returns false for unknown ids.
 func (e *Engine) Remove(id int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.removeLocked(id)
-}
-
-func (e *Engine) removeLocked(id int) bool {
-	meta, ok := e.refs[id]
-	if !ok {
-		return false
-	}
+	_, ok := e.refs[id]
 	delete(e.refs, id)
-	delete(e.uidToPublic, meta.uid)
-	return true
+	return ok
 }
 
-// Update replaces a reference's features: the old batch slot is unmapped
-// and the new features enroll under the same public id, in one critical
+// Update replaces a reference's features: the old record leaves the id map
+// and the new features enroll under the same id, in one critical
 // section — concurrent Updates of one id serialize, and no search sees the
 // id absent in between. Mis-shaped features are rejected before the old
 // reference is unmapped, so a failed Update leaves the index as it was.
@@ -494,6 +480,6 @@ func (e *Engine) Update(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.removeLocked(id)
+	delete(e.refs, id)
 	return e.addLocked(id, feats, kps, nil)
 }

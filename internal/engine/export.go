@@ -9,45 +9,35 @@ import (
 	"texid/internal/sift"
 )
 
-// liveRef is one live batch slot copied out for re-enrollment or
-// persistence.
-type liveRef struct {
-	uid, public int
-	feats       *blas.Matrix
-	codes       []binq.Code
-}
-
 // liveLocked seals the pending references and copies every live slot out of
 // the sealed batches — the one walk behind Export and Compact — also
-// counting the tombstoned slots it skipped. The result is in enrollment
-// (uid) order without sorting: uids are handed out in pending order, batches
-// seal and queue in that order, and Compact re-feeds survivors in it.
-// Phantom batches carry no payload to copy, so an engine holding any
-// refuses.
-func (e *Engine) liveLocked() (live []liveRef, dead int, err error) {
+// counting the dead slots it skipped. The result is in enrollment order
+// without sorting: batches seal and queue in pending order, and Compact
+// re-feeds survivors in it. Phantom batches carry no payload to copy, so an
+// engine holding any refuses.
+func (e *Engine) liveLocked() (live []pendingRef, dead int, err error) {
 	if err := e.sealLocked(); err != nil {
 		return nil, 0, err
 	}
 	for _, it := range e.hybrid.Items() {
-		rb := it.Payload.(*sealedBatch).rb
-		if rb.Phantom() {
+		sb := it.Payload
+		if sb.rb.Phantom() {
 			return nil, 0, fmt.Errorf("engine: cannot export or compact phantom references")
 		}
-		for slot, uid := range rb.IDs {
-			public, ok := e.uidToPublic[uid]
-			if !ok {
+		for slot, ref := range sb.refs {
+			if e.refs[ref.id] != ref {
 				dead++
 				continue
 			}
-			feats, codes := slotPayload(rb, slot)
-			live = append(live, liveRef{uid: uid, public: public, feats: feats, codes: codes})
+			feats, codes := slotPayload(sb.rb, slot)
+			live = append(live, pendingRef{ref: ref, feats: feats, codes: codes})
 		}
 	}
 	return live, dead, nil
 }
 
 // Export visits every live reference in enrollment order, passing its
-// public id, feature matrix (widened from FP16 with the storage scale
+// id, feature matrix (widened from FP16 with the storage scale
 // divided out, so it is in original descriptor units), keypoints (nil
 // unless KeepKeypoints), and — when pruning is enabled — the reference's
 // binary code panel slice, so a snapshot can persist the exact enrolled
@@ -62,7 +52,7 @@ func (e *Engine) Export(visit func(id int, feats *blas.Matrix, kps []sift.Keypoi
 		return err
 	}
 	for _, l := range live {
-		if err := visit(l.public, l.feats, e.refs[l.public].kps, l.codes); err != nil {
+		if err := visit(l.ref.id, l.feats, l.ref.kps, l.codes); err != nil {
 			return err
 		}
 	}

@@ -58,10 +58,10 @@ func grown[T any](s []T, n int) []T {
 
 // layout records the per-batch global slot offsets and total image count,
 // and reports whether any batch lacks code data (forcing a phantom scan).
-func (ps *pruneScratch) layout(items []*cache.Item) (total int, phantomScan bool) {
+func (ps *pruneScratch) layout(items []*cache.Item[sealedBatch]) (total int, phantomScan bool) {
 	ps.base = ps.base[:0]
 	for _, it := range items {
-		rb := it.Payload.(*sealedBatch).rb
+		rb := it.Payload.rb
 		ps.base = append(ps.base, total) //texlint:ignore hotalloc engine-owned scratch reused via [:0]; reaches batch-count capacity after the first pass
 		total += rb.Count()
 		if rb.Codes() == nil {
@@ -104,7 +104,7 @@ func (ps *pruneScratch) firstC(c, total int) {
 //
 //texlint:hotpath
 //texlint:ignore streampair the search pass synchronizes the device after issuing every batch
-func (e *Engine) prefilter(queryFeats []*blas.Matrix, phantom bool, items []*cache.Item) int {
+func (e *Engine) prefilter(queryFeats []*blas.Matrix, phantom bool, items []*cache.Item[sealedBatch]) int {
 	ps := &e.prune
 	Bq := len(queryFeats)
 	total, phantomScan := ps.layout(items)
@@ -129,7 +129,7 @@ func (e *Engine) prefilter(queryFeats []*blas.Matrix, phantom bool, items []*cac
 		scores = ps.scores
 	}
 	for bi, it := range items {
-		rb := it.Payload.(*sealedBatch).rb
+		rb := it.Payload.rb
 		count, lo := rb.Count(), ps.base[bi]
 		e.streams[bi%len(e.streams)].BinaryScan(count*rb.M, probes, binq.Words, func() {
 			if phantomScan {

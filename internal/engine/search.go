@@ -136,7 +136,7 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 	// sealed). The steady state costs the one read lock; a dirty index
 	// drops it to seal under the write lock, then looks again.
 	var err error
-	for err == nil && len(e.pendingUIDs) > 0 {
+	for err == nil && len(e.pending) > 0 {
 		e.mu.RUnlock()
 		err = e.Flush()
 		e.mu.RLock()
@@ -188,7 +188,7 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 		}
 	}
 	for bi, it := range items {
-		rb := it.Payload.(*sealedBatch).rb
+		rb, refs := it.Payload.rb, it.Payload.refs
 		var slots []int32 // nil: the whole batch
 		h2d := rb.Bytes()
 		if pruned {
@@ -221,17 +221,17 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 				kps = queryKps[qi]
 			}
 			for k := 0; k < n; k++ {
-				at := k
+				at, slot := k, k // result row, batch slot
 				if pruned {
 					at = ps.resultAt(bi, qi, k)
+					slot = int(slots[at])
 				}
-				pair := res[qi][at]
-				public, live := e.uidToPublic[pair.RefID]
-				if !live {
-					continue // tombstoned slot (it may even have won a candidate place; harmless)
+				ref := refs[slot]
+				if e.refs[ref.id] != ref {
+					continue // dead slot (it may even have won a candidate place; harmless)
 				}
-				score := match.PairScore(pair, e.refs[public].kps, kps, e.cfg.Match)
-				rep.Ranked = append(rep.Ranked, match.SearchResult{RefID: public, Score: score}) //texlint:ignore hotalloc never grows: Ranked was pre-sized to len(e.refs), a relationship the analyzer cannot see
+				score := match.PairScore(res[qi][at], ref.kps, kps, e.cfg.Match)
+				rep.Ranked = append(rep.Ranked, match.SearchResult{RefID: ref.id, Score: score}) //texlint:ignore hotalloc never grows: Ranked was pre-sized to len(e.refs), a relationship the analyzer cannot see
 			}
 		}
 	}
@@ -243,9 +243,11 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 		rep.ElapsedUS = elapsed
 		br.Compared += rep.Compared
 		if !phantom {
-			top, ok := match.Identify(rep.Ranked, e.cfg.Match)
 			rep.Ranked = match.RankResults(rep.Ranked)
-			rep.BestID, rep.Score, rep.Accepted = top.RefID, top.Score, ok
+			if len(rep.Ranked) > 0 {
+				rep.BestID, rep.Score = rep.Ranked[0].RefID, rep.Ranked[0].Score
+				rep.Accepted = rep.Score >= e.cfg.Match.MinMatches
+			}
 		}
 	}
 	if elapsed > 0 {

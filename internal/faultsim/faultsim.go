@@ -141,9 +141,6 @@ type Peer struct {
 // Name returns the peer's name.
 func (p *Peer) Name() string { return p.name }
 
-// Calls returns how many calls the peer has been asked to decide.
-func (p *Peer) Calls() uint64 { return p.seq.Load() }
-
 // Outcome is the fate of one call.
 type Outcome int
 

@@ -214,9 +214,6 @@ func roundSlow(f float32) float32 { return FromFloat32(f).Float32() }
 // the sum is rounded to binary16).
 func Add(a, b Float16) Float16 { return FromFloat32(a.Float32() + b.Float32()) }
 
-// Mul returns a*b rounded to binary16.
-func Mul(a, b Float16) Float16 { return FromFloat32(a.Float32() * b.Float32()) }
-
 // FMA returns a*b+c with the product and the sum each rounded to binary16,
 // matching pre-Volta HGEMM accumulation (no wider accumulator).
 func FMA(a, b, c Float16) Float16 {

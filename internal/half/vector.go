@@ -6,57 +6,8 @@ import "fmt"
 // Vectors in column-major order when resident in simulated device memory.
 type Vector []Float16
 
-// FromSlice converts a float32 slice to binary16, element-wise, with
-// round-to-nearest-even.
-func FromSlice(src []float32) Vector {
-	dst := make(Vector, len(src))
-	for i, f := range src {
-		dst[i] = FromFloat32(f)
-	}
-	return dst
-}
-
-// ScaleFromSlice converts src to binary16 after multiplying every element by
-// scale. The paper applies a power-of-two scale factor (2^-7 in production)
-// before the FP32→FP16 conversion to keep the GEMM accumulation inside the
-// binary16 range. It returns the number of elements that overflowed to ±Inf
-// despite the scaling, so callers can detect an unusable scale factor.
-func ScaleFromSlice(src []float32, scale float32) (Vector, int) {
-	dst := make(Vector, len(src))
-	overflow := 0
-	for i, f := range src {
-		h := FromFloat32(f * scale)
-		if h.IsInf() {
-			overflow++
-		}
-		dst[i] = h
-	}
-	return dst, overflow
-}
-
-// ToSlice converts the vector back to float32, element-wise.
-func (v Vector) ToSlice() []float32 {
-	dst := make([]float32, len(v))
-	for i, h := range v {
-		dst[i] = h.Float32()
-	}
-	return dst
-}
-
 // Bytes returns the storage size of the vector in bytes (2 per element).
 func (v Vector) Bytes() int { return 2 * len(v) }
-
-// CountInf returns the number of ±Inf elements, used to report overflow in
-// distance matrices produced by FP16-accumulating GEMM.
-func (v Vector) CountInf() int {
-	n := 0
-	for _, h := range v {
-		if h.IsInf() {
-			n++
-		}
-	}
-	return n
-}
 
 // Dot computes the dot product of two equal-length binary16 vectors with
 // full FP16 accumulation semantics: each product and each partial sum is

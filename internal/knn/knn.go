@@ -233,9 +233,6 @@ func (rb *RefBatch) AttachCodes(codes []binq.Code, count int) error {
 // the batch is phantom).
 func (rb *RefBatch) Codes() []binq.Code { return rb.codes }
 
-// CodeBytes returns the device footprint of the attached code panel.
-func (rb *RefBatch) CodeBytes() int64 { return rb.codeBytes }
-
 // FreeCodes releases the code panel's device memory. Call it when the
 // batch leaves the index permanently; demotion must not.
 func (rb *RefBatch) FreeCodes() {

@@ -108,13 +108,7 @@ type Batcher[Q, R any] struct {
 	submitted uint64
 	//texlint:guards mu
 	batches uint64
-	//texlint:guards mu
-	sizeHist [len(sizeBuckets) + 1]uint64
 }
-
-// sizeBuckets are the achieved-batch-size histogram bucket upper bounds;
-// a final implicit bucket counts batches larger than the last bound.
-var sizeBuckets = [...]int{1, 2, 4, 8, 16, 32, 64, 128}
 
 // New builds a Batcher that executes coalesced batches with run.
 func New[Q, R any](run Runner[Q, R], opts Options) *Batcher[Q, R] {
@@ -273,7 +267,6 @@ func (b *Batcher[Q, R]) lead() {
 			b.queries = append(b.queries, c.query)
 		}
 		b.batches++
-		b.sizeHist[sizeBucket(n)]++
 		b.mu.Unlock()
 
 		// Execute with no lock held: submitters keep queueing into the
@@ -329,32 +322,15 @@ type Stats struct {
 	Submitted uint64
 	Batches   uint64
 	MeanBatch float64
-	// SizeHist is the achieved-batch-size histogram: SizeHist[i] counts
-	// batches with size ≤ SizeBuckets[i] (cumulative-free, per-bucket);
-	// the final entry counts batches larger than the last bound.
-	SizeHist [len(sizeBuckets) + 1]uint64
 }
-
-// SizeBuckets returns the histogram bucket upper bounds used by Stats.
-func SizeBuckets() []int { return append([]int(nil), sizeBuckets[:]...) }
 
 // Stats returns current admission counters.
 func (b *Batcher[Q, R]) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := Stats{Submitted: b.submitted, Batches: b.batches, SizeHist: b.sizeHist}
+	s := Stats{Submitted: b.submitted, Batches: b.batches}
 	if b.batches > 0 {
 		s.MeanBatch = float64(b.submitted) / float64(b.batches)
 	}
 	return s
-}
-
-// sizeBucket maps a batch size to its histogram bucket index.
-func sizeBucket(n int) int {
-	for i, le := range sizeBuckets {
-		if n <= le {
-			return i
-		}
-	}
-	return len(sizeBuckets)
 }

@@ -374,26 +374,6 @@ func TestBatcherPassThrough(t *testing.T) {
 	}
 }
 
-// TestBatcherStatsHistogram pins the size-bucket mapping.
-func TestBatcherStatsHistogram(t *testing.T) {
-	if got := sizeBucket(1); got != 0 {
-		t.Fatalf("sizeBucket(1) = %d", got)
-	}
-	if got := sizeBucket(2); got != 1 {
-		t.Fatalf("sizeBucket(2) = %d", got)
-	}
-	if got := sizeBucket(3); got != 2 {
-		t.Fatalf("sizeBucket(3) = %d (bucket le=4)", got)
-	}
-	if got := sizeBucket(129); got != len(sizeBuckets) {
-		t.Fatalf("sizeBucket(129) = %d (overflow bucket)", got)
-	}
-	buckets := SizeBuckets()
-	if len(buckets) != len(sizeBuckets) || buckets[0] != 1 || buckets[len(buckets)-1] != 128 {
-		t.Fatalf("SizeBuckets() = %v", buckets)
-	}
-}
-
 // TestBatcherPhantomQueries: all-phantom coalesced batches run the
 // timing-only SearchBatch path (the serving benchmark depends on this).
 func TestBatcherPhantomQueries(t *testing.T) {

@@ -94,31 +94,6 @@ func (im *Image) Clamp01() *Image {
 	return im
 }
 
-// Normalize linearly rescales pixels so the min maps to 0 and the max to 1.
-// Degenerate (constant) images become all zeros.
-func (im *Image) Normalize() *Image {
-	lo, hi := im.Pix[0], im.Pix[0]
-	for _, v := range im.Pix {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi-lo < 1e-12 {
-		for i := range im.Pix {
-			im.Pix[i] = 0
-		}
-		return im
-	}
-	inv := 1 / (hi - lo)
-	for i, v := range im.Pix {
-		im.Pix[i] = (v - lo) * inv
-	}
-	return im
-}
-
 // Blur returns a Gaussian-blurred copy of the image (separable kernel,
 // truncated at 3 sigma). It models capture defocus in the perturbation
 // pipeline; sigma <= 0 returns a plain copy.

@@ -36,23 +36,3 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeSummary covers the search-summary wire form the chaos suite and
-// REST layer rely on.
-func FuzzDecodeSummary(f *testing.F) {
-	f.Add(EncodeSummary(&SearchSummary{BestID: -1, ShardsTotal: 4}))
-	f.Add(EncodeSummary(&SearchSummary{BestID: 3, Score: 50, Accepted: true, Partial: true,
-		ShardsAnswered: 3, ShardsTotal: 4, Compared: 100, ElapsedUS: 17,
-		Ranked: []RankedMatch{{RefID: 3, Score: 50}}}))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSummary(data)
-		if err != nil {
-			return
-		}
-		if _, err := DecodeSummary(EncodeSummary(s)); err != nil {
-			t.Fatalf("re-encode of accepted summary rejected: %v", err)
-		}
-	})
-}

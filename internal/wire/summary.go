@@ -2,13 +2,10 @@ package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
-
-	"texid/internal/limits"
 )
 
-// summaryMagic and summaryVersion guard SearchSummary decoding.
+// summaryMagic and summaryVersion stamp the SearchSummary encoding.
 const (
 	summaryMagic   = 0x54585253 // "TXRS"
 	summaryVersion = 1
@@ -70,73 +67,4 @@ func EncodeSummary(s *SearchSummary) []byte {
 		b = appendVarint(b, m.Score)
 	}
 	return b
-}
-
-// varint reads a zigzag varint.
-func (r *reader) varint() int64 {
-	if r.err != nil || r.pos >= len(r.b) {
-		r.err = ErrCorrupt
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.pos:])
-	if n <= 0 {
-		r.err = ErrCorrupt
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-// u64 reads a little-endian uint64.
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.pos+8 > len(r.b) {
-		r.err = ErrCorrupt
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
-	return v
-}
-
-// DecodeSummary parses bytes produced by EncodeSummary. The input is
-// foreign bytes; the ranked count is hostile until bounds-checked.
-//
-//texlint:untrusted
-func DecodeSummary(b []byte) (*SearchSummary, error) {
-	r := &reader{b: b}
-	if r.u32() != summaryMagic {
-		return nil, fmt.Errorf("%w: bad summary magic", ErrCorrupt)
-	}
-	if v := r.byte(); v != summaryVersion {
-		return nil, fmt.Errorf("wire: unsupported summary version %d", v)
-	}
-	s := &SearchSummary{}
-	s.BestID = r.varint()
-	s.Score = r.varint()
-	flags := r.byte()
-	s.Accepted = flags&1 != 0
-	s.Partial = flags&2 != 0
-	s.ShardsAnswered = int(r.uvarint())
-	s.ShardsTotal = int(r.uvarint())
-	s.Compared = r.varint()
-	s.ElapsedUS = math.Float64frombits(r.u64())
-	n := int(r.uvarint())
-	if r.err != nil {
-		return nil, r.err
-	}
-	const maxRanked = 1 << 20
-	if limits.Check("ranked count", n, maxRanked) != nil || n*2 > len(b)-r.pos {
-		return nil, fmt.Errorf("%w: unreasonable ranked count %d", ErrCorrupt, n)
-	}
-	s.Ranked = make([]RankedMatch, n)
-	for i := range s.Ranked {
-		s.Ranked[i] = RankedMatch{RefID: r.varint(), Score: r.varint()}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-r.pos)
-	}
-	return s, nil
 }

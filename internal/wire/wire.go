@@ -154,6 +154,16 @@ func (r *reader) u32() uint32 {
 	return v
 }
 
+func (r *reader) u64() uint64 {
+	if r.err != nil || r.pos+8 > len(r.b) {
+		r.err = ErrCorrupt
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b[r.pos:])
+	r.pos += 8
+	return v
+}
+
 func (r *reader) byte() byte {
 	if r.err != nil || r.pos >= len(r.b) {
 		r.err = ErrCorrupt

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-2 verification gate: build, vet (root module and the nested benchmark
 # module), gofmt, project invariants (texlint), import hygiene of the serving
-# binaries, the serving core's tests at GOMAXPROCS 1, 2 and 4, and the
-# race-detector test suite. Any diagnostic or failure exits non-zero.
+# binaries, the serving core's tests at GOMAXPROCS 1, 2 and 4, the blas/half
+# tests on the portable (no-assembly) kernels, and the race-detector test
+# suite. Any diagnostic or failure exits non-zero.
 # Works from a clean checkout with no network access (texlint type-checks
 # against the source importer; nothing is downloaded).
 set -euo pipefail
@@ -48,6 +49,13 @@ fi
 # this holds on any host.
 echo "==> go test -cpu 1,2,4 (engine, serve, cluster)"
 go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster/...
+
+# Portable-kernel pass: every other run exercises the AVX2/F16C assembly
+# lanes of the half-precision GEMM; this rerun pins the pure-Go fallback
+# kernels (and the bit-identity tests that compare the two) with the
+# assembly disabled.
+echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half)"
+TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/...
 
 # The race suite also runs as its own CI job; TEXID_SKIP_RACE lets that
 # job's sibling skip the duplicate run. Local runs always include it.
