@@ -17,18 +17,15 @@
 //	             blocking I/O; no return that leaves a mutex held
 //	             without a deferred unlock
 //	errcheck     no silently dropped error returns
-//	streampair   every gpusim kernel launch/async copy is followed by a
-//	             stream sync in the same function
 //	fp16         no raw binary16 conversions or bit-pattern arithmetic
 //	             outside internal/half
 //	hotalloc     functions marked //texlint:hotpath, and everything they
 //	             transitively call, must not heap-allocate (flow-aware:
 //	             error paths and cap/len-guarded amortized grows allowed)
 //	clockdomain  nothing in or reachable from the simulator packages
-//	             (internal/gpusim, engine, blas, knn, half, cache), a
-//	             //texlint:clockdomain function or a kernel payload
-//	             closure may read the wall clock or the global math/rand
-//	             source
+//	             (internal/gpusim, engine, blas, knn, half, cache) or a
+//	             //texlint:clockdomain function may read the wall clock
+//	             or the global math/rand source
 //	aliasret     results of //texlint:scratchalias APIs must not be
 //	             retained across reuse of the same scratch
 //	lockorder    the module-local lock-acquisition graph (followed across

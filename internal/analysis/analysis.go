@@ -98,16 +98,15 @@ func perPackage(scope func(pkgPath string) bool, fn func(*Pass) []Diagnostic) fu
 	}
 }
 
-// DefaultAnalyzers returns the check suite. The three syntactic checks
-// (errcheck, streampair, fp16) look at one package at a time; the rest
-// follow call chains, lock sets or value flow across the whole program.
+// DefaultAnalyzers returns the check suite. The two syntactic checks
+// (errcheck, fp16) look at one package at a time; the rest follow call
+// chains, lock sets or value flow across the whole program.
 // Scoping lives with each check: clockdomain and maporder root themselves
 // at the simulator packages (inSimulator), fp16 skips internal/half.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		NewLockCheck(),
 		NewErrCheck(),
-		NewStreamPair(),
 		NewFP16(),
 		NewHotAlloc(),
 		NewClockDomain(),

@@ -3,17 +3,7 @@ package fixture
 import (
 	"math/rand"
 	"time"
-
-	"texid/internal/gpusim"
 )
-
-// launch hands a functional payload to a gpusim stream; the payload runs
-// on the simulated timeline and must not read the wall clock.
-func launch(s *gpusim.Stream) {
-	s.Elementwise("elementwise/scale", 4096, func() {
-		_ = time.Now() // want "time.Now inside gpusim.Stream.Elementwise payload"
-	})
-}
 
 // advance opts into the simulated-clock domain explicitly.
 //

@@ -122,19 +122,6 @@ func exprText(e ast.Expr) string {
 	return "<expr>"
 }
 
-// funcDecls yields every function declaration with a body in the pass.
-func funcDecls(pass *Pass) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				out = append(out, fd)
-			}
-		}
-	}
-	return out
-}
-
 // hasSuffixPath reports whether path equals suffix or ends in "/"+suffix.
 func hasSuffixPath(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)

@@ -159,15 +159,6 @@ func (s *Scanner) scanImage(img int) {
 	s.scores[img] = sum
 }
 
-// ScanMin is the convenience form of Scanner.Scan for one-off scans (tests,
-// oracles); it allocates a throwaway Scanner per call.
-//
-//texlint:coldpath one-off entry point; the engine and benchmarks reuse a Scanner
-func ScanMin(panel []Code, m int, probes []Code, scores []uint32) {
-	var s Scanner
-	s.Scan(panel, m, probes, scores)
-}
-
 // candidate is one selector entry.
 type candidate struct {
 	score uint32

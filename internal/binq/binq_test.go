@@ -61,7 +61,7 @@ func TestHamming(t *testing.T) {
 	}
 }
 
-// scanRef is the scalar oracle for ScanMin.
+// scanRef is the scalar oracle for Scanner.Scan.
 func scanRef(panel []Code, m int, probes []Code) []uint32 {
 	scores := make([]uint32, len(panel)/m)
 	for img := range scores {
@@ -93,7 +93,7 @@ func TestScanMinMatchesOracle(t *testing.T) {
 	}
 	want := scanRef(panel, m, probes)
 	got := make([]uint32, images)
-	ScanMin(panel, m, probes, got)
+	new(Scanner).Scan(panel, m, probes, got)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("score[%d] = %d, want %d", i, got[i], want[i])
@@ -116,7 +116,7 @@ func TestScanMinDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 4, 1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		scores := make([]uint32, images)
-		ScanMin(panel, m, probes, scores)
+		new(Scanner).Scan(panel, m, probes, scores)
 		runtime.GOMAXPROCS(prev)
 		runs = append(runs, scores)
 	}
@@ -149,7 +149,7 @@ func TestScanMinZeroAlloc(t *testing.T) {
 		sc.Scan(panel, m, probes, scores)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm ScanMin allocates %.1f times per op, want 0", allocs)
+		t.Fatalf("warm Scan allocates %.1f times per op, want 0", allocs)
 	}
 }
 

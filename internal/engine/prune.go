@@ -103,7 +103,6 @@ func (ps *pruneScratch) firstC(c, total int) {
 // held and mu read-locked, inside the pass's Synchronize() pair.
 //
 //texlint:hotpath
-//texlint:ignore streampair the search pass synchronizes the device after issuing every batch
 func (e *Engine) prefilter(queryFeats []*blas.Matrix, phantom bool, items []*cache.Item[sealedBatch]) int {
 	ps := &e.prune
 	Bq := len(queryFeats)
@@ -131,16 +130,14 @@ func (e *Engine) prefilter(queryFeats []*blas.Matrix, phantom bool, items []*cac
 	for bi, it := range items {
 		rb := it.Payload.rb
 		count, lo := rb.Count(), ps.base[bi]
-		e.streams[bi%len(e.streams)].BinaryScan(count*rb.M, probes, binq.Words, func() {
-			if phantomScan {
-				return
-			}
+		if !phantomScan {
 			for qi := 0; qi < Bq; qi++ {
 				ps.scanner.Scan(rb.Codes(), rb.M,
 					ps.qcodes[ps.probeOff[qi]:ps.probeOff[qi+1]],
 					scores[qi*total+lo:qi*total+lo+count])
 			}
-		})
+		}
+		e.streams[bi%len(e.streams)].BinaryScan(count*rb.M, probes, binq.Words)
 	}
 
 	// Per-query selection into the concatenated candidate list.

@@ -106,9 +106,9 @@ func (e *Engine) SearchBatchPhantom(count int) (*BatchReport, error) {
 // bi mod S), which approximates concurrent host threads while keeping the
 // simulation deterministic; host-resident batches stream over PCIe,
 // overlapping other streams' kernels. Each batch's results alias e.scratch,
-// so they are scored immediately, before the next issue reuses the buffers
-// (stream closures run eagerly at enqueue). Scoring batch-major preserves
-// each query's ranking order: its candidates still arrive in batch order.
+// so they are scored immediately, before the next issue reuses the buffers.
+// Scoring batch-major preserves each query's ranking order: its candidates
+// still arrive in batch order.
 //
 //texlint:hotpath
 func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, reports []*Report) (BatchReport, error) {
@@ -201,7 +201,7 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 		if it.Loc == cache.OnHost {
 			// Stream the batch (or its candidates' columns) into this
 			// stream's staging buffer.
-			stream.CopyH2D(h2d, e.cfg.PinnedHost, nil)
+			stream.CopyH2D(h2d, e.cfg.PinnedHost)
 		}
 		res, err := knn.Match(stream, rb, mq, slots, opts, &e.scratch)
 		if err != nil {

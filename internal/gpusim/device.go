@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -169,22 +168,6 @@ func (d *Device) Profile() map[string]OpStats {
 	return out
 }
 
-// ProfileString formats the profile sorted by descending total time.
-func (d *Device) ProfileString() string {
-	prof := d.Profile()
-	keys := make([]string, 0, len(prof))
-	for k := range prof {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return prof[keys[i]].TotalUS > prof[keys[j]].TotalUS })
-	out := ""
-	for _, k := range keys {
-		s := prof[k]
-		out += fmt.Sprintf("%-24s %8d ops %12.1f us\n", k, s.Count, s.TotalUS)
-	}
-	return out
-}
-
 // schedule places an operation of the given duration on a stream and
 // engine and returns its completion time. A nil engine means the operation
 // only occupies the stream (host-side work on the stream's CPU thread).
@@ -229,22 +212,11 @@ type Stream struct {
 	tailUS float64
 }
 
-// Device returns the stream's device.
-func (s *Stream) Device() *Device { return s.dev }
-
 // TailUS returns the stream's current completion horizon.
 func (s *Stream) TailUS() float64 {
 	s.dev.mu.Lock()
 	defer s.dev.mu.Unlock()
 	return s.tailUS
-}
-
-// run executes the functional payload (if any) eagerly: simulated results
-// are computed for real regardless of where they land on the timeline.
-func run(fn func()) {
-	if fn != nil {
-		fn()
-	}
 }
 
 // opName returns the precomputed profile key "<family>/<precision>".
@@ -258,65 +230,56 @@ func opName(fp32, fp16 string, prec Precision) string {
 }
 
 // Gemm enqueues a C = AᵀB kernel (A: k×m, B: k×n) on the compute engine.
-func (s *Stream) Gemm(m, n, k int, prec Precision, fn func()) float64 {
-	run(fn)
+func (s *Stream) Gemm(m, n, k int, prec Precision) float64 {
 	return s.dev.schedule(s, &s.dev.compute, opName("gemm/fp32", "gemm/fp16", prec), s.dev.Spec.GemmTimeUS(m, n, k, prec), s.dev.kernelCoV())
 }
 
 // Top2Scan enqueues the register-resident top-2 selection over a
 // (rows)×(cols·batch) distance matrix.
-func (s *Stream) Top2Scan(rows, cols, batch int, prec Precision, fn func()) float64 {
-	run(fn)
+func (s *Stream) Top2Scan(rows, cols, batch int, prec Precision) float64 {
 	return s.dev.schedule(s, &s.dev.compute, opName("top2scan/fp32", "top2scan/fp16", prec), s.dev.Spec.Top2ScanTimeUS(rows, cols, batch, prec), s.dev.kernelCoV())
 }
 
 // InsertionSort enqueues the reference implementation's modified insertion
 // sort (the pre-optimization Algorithm 1 step 5).
-func (s *Stream) InsertionSort(rows, cols, batch int, prec Precision, fn func()) float64 {
-	run(fn)
+func (s *Stream) InsertionSort(rows, cols, batch int, prec Precision) float64 {
 	return s.dev.schedule(s, &s.dev.compute, opName("insertionsort/fp32", "insertionsort/fp16", prec), s.dev.Spec.InsertionSortTimeUS(rows, cols, batch, prec), s.dev.kernelCoV())
 }
 
 // Elementwise enqueues a streaming kernel touching the given bytes. op is
 // the full profile key (e.g. "elementwise/addNR"); callers pass constants
 // so the scheduling path performs no string concatenation.
-func (s *Stream) Elementwise(op string, bytes int64, fn func()) float64 {
-	run(fn)
+func (s *Stream) Elementwise(op string, bytes int64) float64 {
 	return s.dev.schedule(s, &s.dev.compute, op, s.dev.Spec.ElementwiseTimeUS(bytes), s.dev.kernelCoV())
 }
 
 // BinaryScan enqueues the Hamming prefilter scan (codes packed binary
 // codes × probes query codes) on the compute engine.
-func (s *Stream) BinaryScan(codes, probes, words int, fn func()) float64 {
-	run(fn)
+func (s *Stream) BinaryScan(codes, probes, words int) float64 {
 	return s.dev.schedule(s, &s.dev.compute, "binscan", s.dev.Spec.BinaryScanTimeUS(codes, probes, words), s.dev.kernelCoV())
 }
 
 // BaselineMatch enqueues the monolithic OpenCV-CUDA brute-force 2-NN
 // kernel for one image pair.
-func (s *Stream) BaselineMatch(m, n, k int, fn func()) float64 {
-	run(fn)
+func (s *Stream) BaselineMatch(m, n, k int) float64 {
 	return s.dev.schedule(s, &s.dev.compute, "baseline-match", s.dev.Spec.BaselineMatchTimeUS(m, n, k), s.dev.kernelCoV())
 }
 
 // CopyH2D enqueues a host-to-device transfer on the H2D DMA engine.
-func (s *Stream) CopyH2D(bytes int64, pinned bool, fn func()) float64 {
-	run(fn)
+func (s *Stream) CopyH2D(bytes int64, pinned bool) float64 {
 	return s.dev.schedule(s, &s.dev.h2d, "copy/h2d", s.dev.Spec.CopyTimeUS(bytes, pinned), s.dev.Spec.Jitter.CopyCoV)
 }
 
 // CopyD2H enqueues a device-to-host transfer on the D2H DMA engine.
 // Result copies use pageable host memory, as in the paper's measurement.
-func (s *Stream) CopyD2H(bytes int64, pinned bool, fn func()) float64 {
-	run(fn)
+func (s *Stream) CopyD2H(bytes int64, pinned bool) float64 {
 	return s.dev.schedule(s, &s.dev.d2h, "copy/d2h", s.dev.Spec.CopyTimeUS(bytes, pinned), s.dev.Spec.Jitter.CopyCoV)
 }
 
 // HostPost enqueues CPU post-processing (ratio test, edge removal) on the
 // stream's dedicated host thread: it occupies the stream but no device
 // engine.
-func (s *Stream) HostPost(batch int, prec Precision, fn func()) float64 {
-	run(fn)
+func (s *Stream) HostPost(batch int, prec Precision) float64 {
 	return s.dev.schedule(s, nil, "host/post", s.dev.Spec.HostPostTimeUS(batch, prec), 0)
 }
 

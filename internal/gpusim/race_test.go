@@ -20,9 +20,9 @@ func TestConcurrentStreamsAndObservers(t *testing.T) {
 		go func(st *Stream) {
 			defer wg.Done()
 			for j := 0; j < ops; j++ {
-				st.CopyH2D(1<<14, true, nil)
-				st.Gemm(32, 32, 32, FP16, nil)
-				st.CopyD2H(1<<12, false, nil)
+				st.CopyH2D(1<<14, true)
+				st.Gemm(32, 32, 32, FP16)
+				st.CopyD2H(1<<12, false)
 				_ = st.TailUS()
 			}
 		}(st)

@@ -1,7 +1,9 @@
-// Package gpusim is a functional-plus-timing simulator of the CUDA devices
-// the paper runs on (Tesla P100 and V100). Kernels enqueued on simulated
-// streams really execute — their Go closures compute actual results on
-// actual data — while a discrete-event timeline advances per-device clocks
+// Package gpusim is the timing half of a functional-plus-timing simulation
+// of the CUDA devices the paper runs on (Tesla P100 and V100). It is a cost
+// ledger: callers (internal/knn, the engine's prefilter) really execute
+// their kernels — pure-Go math on actual data, as ordinary statements —
+// and then charge the matching op to a simulated stream, which runs
+// nothing and only advances a discrete-event timeline of per-device clocks
 // using an analytical cost model (compute-efficiency curves for GEMM,
 // occupancy/bandwidth curves for the top-2 scan, DMA engines for PCIe
 // transfers). Streams contend for shared engines (compute, H2D copy, D2H

@@ -180,12 +180,6 @@ func (h Float16) IsInf() bool { return h&0x7FFF == 0x7C00 }
 // IsNaN reports whether h is a NaN.
 func (h Float16) IsNaN() bool { return h&0x7C00 == 0x7C00 && h&0x3FF != 0 }
 
-// IsFinite reports whether h is neither Inf nor NaN.
-func (h Float16) IsFinite() bool { return h&0x7C00 != 0x7C00 }
-
-// Neg returns -h.
-func (h Float16) Neg() Float16 { return h ^ 0x8000 }
-
 // Round rounds a float32 through binary16 and back — how every
 // intermediate value behaves inside an FP16-accumulating GEMM. It is the
 // hot operation of the functional FP16 experiments, so the normal range

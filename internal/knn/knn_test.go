@@ -1,8 +1,10 @@
 package knn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -403,5 +405,93 @@ func TestPropertyBlockOffsets(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPhantomAndRealChargeTheSameOps pins the ledger contract: a match
+// computes (or, phantom, does not) and then charges the device, and the
+// charges depend on the shape alone. A phantom and a real match of one
+// shape on fresh devices must leave equal profiles and equal clocks.
+func TestPhantomAndRealChargeTheSameOps(t *testing.T) {
+	const d, m, n, B = 32, 24, 16, 4
+	type ledger struct {
+		prof  map[string]gpusim.OpStats
+		clock float64
+	}
+	charge := func(t *testing.T, phantom bool, opts Options, slots []int32, Bq int) ledger {
+		t.Helper()
+		dev := newTestDevice()
+		withNorms := opts.Algorithm == Garcia || opts.Algorithm == Eq1Top2
+		refPrec := opts.Precision
+		if opts.Algorithm == Baseline {
+			refPrec = gpusim.FP32 // the brute-force kernel reads FP32 operands only
+		}
+		rng := rand.New(rand.NewSource(77))
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var rb *RefBatch
+		var err error
+		if phantom {
+			rb, err = PhantomRefBatch(dev, B, m, d, refPrec, withNorms)
+		} else {
+			refs, ids := make([]*blas.Matrix, B), make([]int, B)
+			for i := range refs {
+				refs[i], ids[i] = rootSIFTFeatures(rng, d, m), i
+			}
+			rb, err = NewRefBatch(dev, ids, refs, refPrec, 1, withNorms)
+		}
+		must(err)
+		queries := make([]*Query, Bq)
+		for i := range queries {
+			if phantom {
+				queries[i], err = PhantomQuery(dev, n, d)
+			} else {
+				queries[i], err = NewQuery(dev, rootSIFTFeatures(rng, d, n), opts.Precision, 1)
+			}
+			must(err)
+		}
+		mq, err := BuildMultiQuery(queries, opts.Precision, nil)
+		must(err)
+		res, err := Match(dev.NewStream(), rb, mq, slots, opts, nil)
+		must(err)
+		blocks := B
+		if slots != nil {
+			blocks = len(slots)
+		}
+		if len(res) != Bq || len(res[0]) != blocks {
+			t.Fatalf("result shape [%d][%d], want [%d][%d]", len(res), len(res[0]), Bq, blocks)
+		}
+		return ledger{dev.Profile(), dev.Synchronize()}
+	}
+
+	for _, algo := range []Algorithm{Baseline, Garcia, Eq1Top2, RootSIFT} {
+		for _, prec := range []gpusim.Precision{gpusim.FP32, gpusim.FP16} {
+			slotSets, panels := [][]int32{nil}, []int{1}
+			if algo == RootSIFT { // the only path that takes a slot set or a panel
+				slotSets, panels = append(slotSets, []int32{1, 3}), append(panels, 3)
+			}
+			for _, slots := range slotSets {
+				for _, Bq := range panels {
+					name := fmt.Sprintf("%v/%v/slots=%v/Bq=%d", algo, prec, slots, Bq)
+					t.Run(name, func(t *testing.T) {
+						opts := Options{Algorithm: algo, Precision: prec}
+						real, ph := charge(t, false, opts, slots, Bq), charge(t, true, opts, slots, Bq)
+						if len(real.prof) == 0 {
+							t.Fatal("a real match charged nothing")
+						}
+						if !reflect.DeepEqual(real.prof, ph.prof) {
+							t.Errorf("profiles differ:\n real    %+v\n phantom %+v", real.prof, ph.prof)
+						}
+						if real.clock != ph.clock {
+							t.Errorf("device clock: real %v, phantom %v", real.clock, ph.clock)
+						}
+					})
+				}
+			}
+		}
 	}
 }

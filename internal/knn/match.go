@@ -106,22 +106,18 @@ func Match(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []int32, o
 
 // matchBaseline models the OpenCV-CUDA path: one monolithic brute-force
 // kernel per reference image (no batching, no GEMM decomposition).
-//
-//texlint:ignore streampair the engine synchronizes the device after issuing every batch
 func matchBaseline(stream *gpusim.Stream, rb *RefBatch, q *Query) ([]Pair2NN, error) {
+	phantom := rb.phantom || q.phantom
 	results := make([]Pair2NN, rb.Count())
-	for b := 0; b < rb.Count(); b++ {
-		b := b
-		stream.BaselineMatch(rb.M, q.N, rb.D, func() {
-			if rb.phantom || q.phantom {
-				results[b] = Pair2NN{RefID: rb.IDs[b]}
-				return
-			}
-			R := rb.F32.Slice(b*rb.M, (b+1)*rb.M)
-			results[b] = bruteForce2NN(rb.IDs[b], R, q.F32)
-		})
-		stream.CopyD2H(resultBytes(q.N, gpusim.FP32), false, nil)
-		stream.HostPost(1, gpusim.FP32, nil)
+	for b := range results {
+		if phantom {
+			results[b] = Pair2NN{RefID: rb.IDs[b]}
+		} else {
+			results[b] = bruteForce2NN(rb.IDs[b], rb.F32.Slice(b*rb.M, (b+1)*rb.M), q.F32)
+		}
+		stream.BaselineMatch(rb.M, q.N, rb.D)
+		stream.CopyD2H(resultBytes(q.N, gpusim.FP32), false)
+		stream.HostPost(1, gpusim.FP32)
 	}
 	return results, nil
 }
@@ -129,8 +125,6 @@ func matchBaseline(stream *gpusim.Stream, rb *RefBatch, q *Query) ([]Pair2NN, er
 // matchEq1 runs Algorithm 1: GEMM, add N_R, sort (insertion or top-2
 // scan), add N_Q + sqrt, D2H. Used by both the Garcia reference variant
 // and the paper's top-2 optimization.
-//
-//texlint:ignore streampair the engine synchronizes the device after issuing every batch
 func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *Scratch) ([]Pair2NN, error) {
 	B := rb.Count()
 	m, n, d := rb.M, q.N, rb.D
@@ -146,20 +140,10 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 		return nil, fmt.Errorf("knn: Algorithm 1 requires reference norms (withNorms=true)")
 	}
 
-	// The functional payload computes the full similarity matrix and the
-	// per-item top-2 in one closure chain; the timing model charges each
-	// pipeline step separately.
-	var C *blas.Matrix
 	results := sc.pairSlab(rb.IDs, n, phantom)
 	if !phantom {
-		C = sc.matrix(B*m, n)
-	}
-
-	// Steps 1-3: norms (amortized/offline for refs, tiny for query) + GEMM.
-	stream.Gemm(B*m, n, d, prec, func() {
-		if phantom {
-			return
-		}
+		// Steps 1-3: norms (amortized/offline for refs, tiny for query) + GEMM.
+		C := sc.matrix(B*m, n)
 		if prec == gpusim.FP16 {
 			blas.HGemmTN(-2, rb.F16, q.F16, opts.Accum, C)
 			// Undo the feature scale: A holds -2·s²·RᵀQ.
@@ -170,44 +154,32 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 		} else {
 			blas.GemmTN(-2, rb.F32, q.F32, 0, C)
 		}
-	})
-
-	// Step 4: add N_R to every row. The device still charges the
-	// elementwise traversal here, but the host-side arithmetic is fused
-	// into the selection pass below (Top2AddRows), which adds N_R on the
-	// fly — one sweep over the m×n block instead of two.
-	stream.Elementwise("elementwise/addNR", 2*int64(B)*int64(m)*int64(n)*int64(prec.ElemBytes()), nil)
-
-	// Step 5: per-column top-2 selection within each reference block,
-	// with the step-4 row add fused in.
-	sel := func() { //texlint:ignore hotalloc the payload closure runs eagerly inside the stream call and is never retained, so it stays on the stack
-		if phantom {
-			return
-		}
+		// Steps 4-5: per-column top-2 selection within each reference block.
+		// The row add of N_R is fused into the selection pass (Top2AddRows
+		// adds it on the fly) — one sweep over the m×n block instead of two —
+		// though the device below still charges both traversals.
 		blas.Parallel(B, func(b int) {
 			p := &results[b]
 			blas.Top2AddRows(C, rb.Norms, b*m, (b+1)*m, p.Best, p.Second, p.BestIdx)
 		})
-	}
-	if opts.Algorithm == Garcia {
-		stream.InsertionSort(m, n, B, prec, sel)
-	} else {
-		stream.Top2Scan(m, n, B, prec, sel)
-	}
-
-	// Steps 6-7: add N_Q to the two survivors and square-root (fused).
-	stream.Elementwise("elementwise/addNQ-sqrt", 2*int64(B)*2*int64(n)*int64(prec.ElemBytes()), func() {
-		if phantom {
-			return
-		}
+		// Steps 6-7: add N_Q to the two survivors and square-root (fused).
 		for b := 0; b < B; b++ {
 			finishDistances(&results[b], q.Norms)
 		}
-	})
+	}
 
+	// The device charges each pipeline step separately, phantom or not.
+	stream.Gemm(B*m, n, d, prec)
+	stream.Elementwise("elementwise/addNR", 2*int64(B)*int64(m)*int64(n)*int64(prec.ElemBytes()))
+	if opts.Algorithm == Garcia {
+		stream.InsertionSort(m, n, B, prec)
+	} else {
+		stream.Top2Scan(m, n, B, prec)
+	}
+	stream.Elementwise("elementwise/addNQ-sqrt", 2*int64(B)*2*int64(n)*int64(prec.ElemBytes()))
 	// Step 8: move the 2×n result and indices to host, then post-process.
-	stream.CopyD2H(int64(B)*resultBytes(n, prec), false, nil)
-	stream.HostPost(B, prec, nil)
+	stream.CopyD2H(int64(B)*resultBytes(n, prec), false)
+	stream.HostPost(B, prec)
 	return results, nil
 }
 
@@ -232,7 +204,6 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 //
 //texlint:hotpath
 //texlint:scratchalias
-//texlint:ignore streampair the engine synchronizes the device after issuing every batch
 func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []int32, opts Options, sc *Scratch) ([][]Pair2NN, error) {
 	Bq := len(mq.queries)
 	m, n, d := rb.M, mq.n, rb.D
@@ -244,53 +215,39 @@ func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []in
 	ids := rb.IDs
 	if slots != nil {
 		ids = sc.candSlots(rb, slots)
-		stream.Elementwise("binq/gather", 2*int64(len(ids))*int64(m)*int64(d)*int64(prec.ElemBytes()), nil)
 	}
 	nb := len(ids) // reference blocks matched: the whole batch, or one per slot
 
 	results := sc.multiSlab(ids, Bq, n, phantom)
-	var C *blas.Matrix
 	if !phantom {
-		C = sc.matrix(nb*m, Bq*n)
-	}
-
-	stream.Gemm(nb*m, Bq*n, d, prec, func() {
-		if phantom {
-			return
-		}
-		if prec != gpusim.FP16 {
+		C := sc.matrix(nb*m, Bq*n)
+		switch {
+		case prec == gpusim.FP16:
 			if slots == nil {
-				blas.GemmTN(-2, rb.F32, mq.catF32, 0, C)
-				return
+				sc.rstage = blas.StageHalf(rb.F16, sc.rstage)
+			} else {
+				sc.rstage = blas.StageHalfBlocks(rb.F16, m, slots, sc.rstage)
 			}
+			sc.qstage = blas.StageHalf(mq.catF16, sc.qstage)
+			blas.HGemmTNStaged(-2, sc.rstage, sc.qstage, nb*m, Bq*n, d, opts.Accum, C)
+			// Undo the feature scale: C holds -2·s²·RᵀQ.
+			inv := 1 / (rb.Scale * mq.queries[0].Scale)
+			for i := range C.Data {
+				C.Data[i] *= inv
+			}
+		case slots == nil:
+			blas.GemmTN(-2, rb.F32, mq.catF32, 0, C)
+		default:
 			for si, slot := range slots {
 				av, cv := rb.F32.SliceView(int(slot)*m, (int(slot)+1)*m), rowBlockView(C, si*m, m)
 				blas.GemmTN(-2, &av, mq.catF32, 0, &cv)
 			}
-			return
 		}
-		if slots == nil {
-			sc.rstage = blas.StageHalf(rb.F16, sc.rstage)
-		} else {
-			sc.rstage = blas.StageHalfBlocks(rb.F16, m, slots, sc.rstage)
-		}
-		sc.qstage = blas.StageHalf(mq.catF16, sc.qstage)
-		blas.HGemmTNStaged(-2, sc.rstage, sc.qstage, nb*m, Bq*n, d, opts.Accum, C)
-		// Undo the feature scale: C holds -2·s²·RᵀQ.
-		inv := 1 / (rb.Scale * mq.queries[0].Scale)
-		for i := range C.Data {
-			C.Data[i] *= inv
-		}
-	})
 
-	// Fused steps 2-3: top-2 per column per block, then sqrt(2 + a) in
-	// registers. Every (query, block) cell is independent, so the sweep
-	// parallelises over all B_q·blocks of them — a lone query still fans out
-	// over its blocks — and stays bit-identical at any GOMAXPROCS.
-	stream.Top2Scan(m, n*Bq, nb, prec, func() {
-		if phantom {
-			return
-		}
+		// Fused steps 2-3: top-2 per column per block, then sqrt(2 + a) in
+		// registers. Every (query, block) cell is independent, so the sweep
+		// parallelises over all B_q·blocks of them — a lone query still fans out
+		// over its blocks — and stays bit-identical at any GOMAXPROCS.
 		blas.Parallel(Bq*nb, func(cell int) {
 			qi, b := cell/nb, cell%nb
 			sub := C.SliceView(qi*n, (qi+1)*n)
@@ -301,10 +258,16 @@ func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []in
 				p.Second[j] = sqrt32(2 + p.Second[j])
 			}
 		})
-	})
+	}
 
-	stream.CopyD2H(int64(nb)*int64(Bq)*resultBytes(n, prec), false, nil)
-	stream.HostPost(nb*Bq, prec, nil)
+	// The device charges the same ops in the same order, phantom or not.
+	if slots != nil {
+		stream.Elementwise("binq/gather", 2*int64(nb)*int64(m)*int64(d)*int64(prec.ElemBytes()))
+	}
+	stream.Gemm(nb*m, Bq*n, d, prec)
+	stream.Top2Scan(m, n*Bq, nb, prec)
+	stream.CopyD2H(int64(nb)*int64(Bq)*resultBytes(n, prec), false)
+	stream.HostPost(nb*Bq, prec)
 	return results, nil
 }
 

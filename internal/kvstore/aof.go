@@ -82,12 +82,16 @@ func OpenAOF(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.mu.Lock()
 	s.aof = &aofLog{f: f, w: bufio.NewWriter(f)}
+	s.mu.Unlock()
 	return s, nil
 }
 
 // CloseAOF flushes and closes the store's log (no-op for in-memory stores).
 func (s *Store) CloseAOF() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.aof == nil {
 		return nil
 	}
@@ -96,7 +100,8 @@ func (s *Store) CloseAOF() error {
 	return a.close()
 }
 
-// replay applies one logged mutation.
+// replay applies one logged mutation (s.aof is still nil, so nothing is
+// logged back).
 func (s *Store) replay(args [][]byte) error {
 	if len(args) == 0 {
 		return fmt.Errorf("empty record")
@@ -107,26 +112,28 @@ func (s *Store) replay(args [][]byte) error {
 		if len(args) != 3 {
 			return fmt.Errorf("bad SET record")
 		}
-		s.Set(string(args[1]), args[2])
+		return s.Set(string(args[1]), args[2])
 	case "DEL":
 		keys := make([]string, len(args)-1)
 		for i := range keys {
 			keys[i] = string(args[i+1])
 		}
-		s.Del(keys...)
+		_, err := s.Del(keys...)
+		return err
 	default:
 		return fmt.Errorf("unknown record %q", cmd)
 	}
-	return nil
 }
 
-// log appends a mutation record when AOF is enabled.
-func (s *Store) log(args ...[]byte) {
-	if s.aof != nil {
-		// Logging failures are surfaced loudly: losing durability silently
-		// would defeat the point of an AOF.
-		if err := s.aof.append(args...); err != nil {
-			panic(fmt.Sprintf("kvstore: AOF write failed: %v", err))
-		}
+// log appends a mutation record when AOF is enabled. Callers hold s.mu and
+// apply the mutation only if it returns nil, so memory never runs ahead of
+// the log.
+func (s *Store) log(args ...[]byte) error {
+	if s.aof == nil {
+		return nil
 	}
+	if err := s.aof.append(args...); err != nil {
+		return fmt.Errorf("kvstore: AOF write failed: %w", err)
+	}
+	return nil
 }

@@ -21,8 +21,8 @@ func TestStoreBasics(t *testing.T) {
 	if _, ok := s.Get("missing"); ok {
 		t.Fatal("missing key found")
 	}
-	if n := s.Del("a", "missing"); n != 1 {
-		t.Fatalf("Del = %d", n)
+	if n, err := s.Del("a", "missing"); n != 1 || err != nil {
+		t.Fatalf("Del = %d, %v", n, err)
 	}
 	if s.DBSize() != 0 {
 		t.Fatalf("DBSize = %d", s.DBSize())
@@ -280,5 +280,51 @@ func TestAOFServedOverTCP(t *testing.T) {
 	defer r.CloseAOF()
 	if v, ok := r.Get("k"); !ok || string(v) != "v" {
 		t.Fatalf("TCP-written key not persisted: %q %v", v, ok)
+	}
+}
+
+// TestAOFWriteFailureIsAnErrorReply: a log write that fails (a full disk;
+// here the file closed out from under the writer) must not take the server
+// down or leave memory ahead of the log — the command is refused, the key
+// stays absent, and the connection keeps serving.
+func TestAOFWriteFailureIsAnErrorReply(t *testing.T) {
+	s, err := OpenAOF(t.TempDir() + "/store.aof")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(s, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Set("kept", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := s.aof.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set("lost", []byte("v")); err == nil || !strings.Contains(err.Error(), "AOF write failed") {
+		t.Fatalf("SET with a failing log: err = %v, want an AOF write error reply", err)
+	}
+	if n, err := c.Del("kept"); err == nil {
+		t.Fatalf("DEL with a failing log removed %d keys without an error", n)
+	}
+	if _, ok, err := c.Get("lost"); ok || err != nil {
+		t.Fatalf("refused key visible: ok=%v err=%v", ok, err)
+	}
+	if v, ok, err := c.Get("kept"); !ok || string(v) != "v" || err != nil {
+		t.Fatalf("key whose DEL was refused: %q ok=%v err=%v", v, ok, err)
+	}
+	if n, err := c.DBSize(); n != 1 || err != nil {
+		t.Fatalf("DBSIZE = %d, %v; want 1", n, err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("server stopped serving after a log failure: %v", err)
 	}
 }

@@ -116,7 +116,10 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) bool {
 			writeError(w, "wrong number of arguments for 'set'")
 			break
 		}
-		s.store.Set(str(1), args[2])
+		if err := s.store.Set(str(1), args[2]); err != nil {
+			writeError(w, err.Error())
+			break
+		}
 		writeSimple(w, "OK")
 	case "GET":
 		if len(args) != 2 {
@@ -138,7 +141,12 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) bool {
 		for i := range keys {
 			keys[i] = str(i + 1)
 		}
-		writeInt(w, s.store.Del(keys...))
+		n, err := s.store.Del(keys...)
+		if err != nil {
+			writeError(w, err.Error())
+			break
+		}
+		writeInt(w, n)
 	case "KEYS":
 		if len(args) != 2 {
 			writeError(w, "wrong number of arguments for 'keys'")

@@ -21,7 +21,8 @@ type Store struct {
 	mu sync.RWMutex
 	//texlint:guards mu
 	strings map[string][]byte
-	aof     *aofLog // nil for purely in-memory stores
+	//texlint:guards mu
+	aof *aofLog // nil for purely in-memory stores
 }
 
 // NewStore creates an empty store.
@@ -29,12 +30,17 @@ func NewStore() *Store {
 	return &Store{strings: make(map[string][]byte)}
 }
 
-// Set stores value under key, replacing any previous value.
-func (s *Store) Set(key string, value []byte) {
+// Set stores value under key, replacing any previous value. With an AOF
+// the record is logged first and the store changes only once the log has
+// it: a failed write leaves the key as it was.
+func (s *Store) Set(key string, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.log([]byte("SET"), []byte(key), value); err != nil {
+		return err
+	}
 	s.strings[key] = append([]byte(nil), value...)
-	s.log([]byte("SET"), []byte(key), value)
+	return nil
 }
 
 // Get returns the value under key, with a presence flag.
@@ -48,19 +54,23 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
-// Del removes keys, returning how many existed.
-func (s *Store) Del(keys ...string) int {
+// Del removes keys, returning how many existed. Each removal is logged
+// before it is applied; on a log failure the keys not yet removed stay.
+func (s *Store) Del(keys ...string) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for _, k := range keys {
-		if _, ok := s.strings[k]; ok {
-			delete(s.strings, k)
-			n++
-			s.log([]byte("DEL"), []byte(k))
+		if _, ok := s.strings[k]; !ok {
+			continue
 		}
+		if err := s.log([]byte("DEL"), []byte(k)); err != nil {
+			return n, err
+		}
+		delete(s.strings, k)
+		n++
 	}
-	return n
+	return n, nil
 }
 
 // Keys returns all keys matching the glob pattern (only "*" wildcards are

@@ -120,17 +120,11 @@ func PairScoreRand(r knn.Pair2NN, refKps, queryKps []sift.Keypoint, cfg Config, 
 	return VerifySimilarityRand(cs, refKps, queryKps, cfg, rng)
 }
 
-// VerifySimilarity runs RANSAC over a 4-DOF similarity transform
+// VerifySimilarityRand runs RANSAC over a 4-DOF similarity transform
 // (rotation, isotropic scale, translation) mapping reference keypoints to
-// query keypoints, returning the inlier count of the best model. RANSAC
-// sampling is seeded from cfg.Seed.
-func VerifySimilarity(cs []Correspondence, refKps, queryKps []sift.Keypoint, cfg Config) int {
-	return VerifySimilarityRand(cs, refKps, queryKps, cfg, rand.New(rand.NewSource(cfg.Seed)))
-}
-
-// VerifySimilarityRand is VerifySimilarity with an explicit generator for
-// the RANSAC pair sampling; identically seeded generators pick the same
-// hypotheses and return the same inlier count.
+// query keypoints, returning the inlier count of the best model. rng drives
+// the pair sampling; identically seeded generators pick the same hypotheses
+// and return the same inlier count.
 func VerifySimilarityRand(cs []Correspondence, refKps, queryKps []sift.Keypoint, cfg Config, rng *rand.Rand) int {
 	if len(cs) < 2 {
 		return 0

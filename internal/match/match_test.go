@@ -92,14 +92,14 @@ func TestVerifySimilarityRecoversTransform(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Geometric = true
-	inl := VerifySimilarity(cs, refKps, queryKps, cfg)
+	inl := VerifySimilarityRand(cs, refKps, queryKps, cfg, rand.New(rand.NewSource(cfg.Seed)))
 	if inl < 19 || inl > 22 {
 		t.Fatalf("RANSAC found %d inliers, want ~20", inl)
 	}
 }
 
 func TestVerifySimilarityTooFew(t *testing.T) {
-	if got := VerifySimilarity([]Correspondence{{QueryIdx: 0, RefIdx: 0}}, nil, nil, DefaultConfig()); got != 0 {
+	if got := VerifySimilarityRand([]Correspondence{{QueryIdx: 0, RefIdx: 0}}, nil, nil, DefaultConfig(), rand.New(rand.NewSource(1))); got != 0 {
 		t.Fatalf("single correspondence should verify to 0, got %d", got)
 	}
 }

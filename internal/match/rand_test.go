@@ -42,17 +42,6 @@ func TestVerifySimilarityRandReproducible(t *testing.T) {
 	}
 }
 
-func TestVerifySimilarityMatchesSeededRand(t *testing.T) {
-	cs, refKps, queryKps := transformScene(13)
-	cfg := DefaultConfig()
-	cfg.Geometric = true
-	a := VerifySimilarity(cs, refKps, queryKps, cfg)
-	b := VerifySimilarityRand(cs, refKps, queryKps, cfg, rand.New(rand.NewSource(cfg.Seed)))
-	if a != b {
-		t.Fatalf("VerifySimilarity (%d) must equal VerifySimilarityRand with a cfg.Seed-seeded generator (%d)", a, b)
-	}
-}
-
 func TestPairScoreRandThreadsGenerator(t *testing.T) {
 	cs, refKps, queryKps := transformScene(14)
 	cfg := DefaultConfig()

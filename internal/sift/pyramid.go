@@ -233,12 +233,8 @@ func clampRow(y, h int) int {
 	return y
 }
 
-// downsample halves the image by taking every other pixel, as in Lowe's
+// downsampleArena halves the image by taking every other pixel, as in Lowe's
 // pyramid construction (the source is already blurred past the Nyquist rate).
-func downsample(im *texture.Image) *texture.Image {
-	return downsampleArena(nil, im)
-}
-
 func downsampleArena(a *arena, im *texture.Image) *texture.Image {
 	w, h := im.W/2, im.H/2
 	if w < 1 {
@@ -279,13 +275,9 @@ func upsample2x(a *arena, im *texture.Image) *texture.Image {
 	return out
 }
 
-// buildPyramid constructs the Gaussian and DoG scale spaces.
-func buildPyramid(im *texture.Image, cfg Config) *pyramid {
-	return buildPyramidArena(nil, im, cfg)
-}
-
-// buildPyramidArena is buildPyramid drawing every level from a; the caller
-// recycles them with pyramid.release once detection is done.
+// buildPyramidArena constructs the Gaussian and DoG scale spaces, drawing
+// every level from a; the caller recycles them with pyramid.release once
+// detection is done.
 func buildPyramidArena(a *arena, im *texture.Image, cfg Config) *pyramid {
 	s := cfg.OctaveScales
 	levels := s + 3

@@ -219,8 +219,11 @@ func TestBlurReducesVariance(t *testing.T) {
 	im := testImage(6)
 	blurred := blur(im, 2.0)
 	varOf := func(im *texture.Image) float64 {
-		mean := im.Mean()
-		var s float64
+		var mean, s float64
+		for _, v := range im.Pix {
+			mean += float64(v)
+		}
+		mean /= float64(len(im.Pix))
 		for _, v := range im.Pix {
 			d := float64(v) - mean
 			s += d * d
@@ -234,7 +237,7 @@ func TestBlurReducesVariance(t *testing.T) {
 
 func TestDownsampleHalves(t *testing.T) {
 	im := texture.NewImage(8, 6)
-	out := downsample(im)
+	out := downsampleArena(nil, im)
 	if out.W != 4 || out.H != 3 {
 		t.Fatalf("downsample 8x6 -> %dx%d", out.W, out.H)
 	}
@@ -242,7 +245,7 @@ func TestDownsampleHalves(t *testing.T) {
 
 func TestPyramidShape(t *testing.T) {
 	cfg := testConfig()
-	p := buildPyramid(testImage(7), cfg)
+	p := buildPyramidArena(nil, testImage(7), cfg)
 	if p.nOctaves < 3 {
 		t.Fatalf("only %d octaves for a 128px image", p.nOctaves)
 	}

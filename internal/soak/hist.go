@@ -105,21 +105,3 @@ func (h *hist) mean() float64 {
 	}
 	return float64(h.sum) / float64(h.count)
 }
-
-// merge folds other into h (used to combine per-worker histograms).
-func (h *hist) merge(other *hist) {
-	if other.count == 0 {
-		return
-	}
-	for i := range h.buckets {
-		h.buckets[i] += other.buckets[i]
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.count += other.count
-	h.sum += other.sum
-}

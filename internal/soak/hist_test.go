@@ -65,29 +65,3 @@ func TestHistQuantileError(t *testing.T) {
 		t.Fatalf("q=1 returned %d, want exact max %d", h.quantile(1), h.max)
 	}
 }
-
-// TestHistMerge pins that merging two histograms equals recording the
-// union, including exact min/max.
-func TestHistMerge(t *testing.T) {
-	var a, b, all hist
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 5000; i++ {
-		v := int64(rng.Intn(1 << 16))
-		if i%2 == 0 {
-			a.record(v)
-		} else {
-			b.record(v)
-		}
-		all.record(v)
-	}
-	a.merge(&b)
-	if a.count != all.count || a.sum != all.sum || a.min != all.min || a.max != all.max {
-		t.Fatalf("merge mismatch: got (%d,%d,%d,%d) want (%d,%d,%d,%d)",
-			a.count, a.sum, a.min, a.max, all.count, all.sum, all.min, all.max)
-	}
-	for q := 1; q < 100; q++ {
-		if a.quantile(float64(q)/100) != all.quantile(float64(q)/100) {
-			t.Fatalf("merged q%d differs from union", q)
-		}
-	}
-}

@@ -138,12 +138,3 @@ func (im *Image) Blur(sigma float64) *Image {
 	}
 	return out
 }
-
-// Mean returns the average pixel intensity.
-func (im *Image) Mean() float64 {
-	var s float64
-	for _, v := range im.Pix {
-		s += float64(v)
-	}
-	return s / float64(len(im.Pix))
-}

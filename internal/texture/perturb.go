@@ -24,9 +24,6 @@ type Perturbation struct {
 	NoiseSeed  int64   // seed for the sensor-noise field
 }
 
-// Identity returns the no-op perturbation.
-func Identity() Perturbation { return Perturbation{Scale: 1, Gain: 1} }
-
 // RandomPerturbation draws a perturbation whose strength grows with
 // difficulty in [0, 1]. difficulty 0 is a near-identical re-capture;
 // difficulty 1 combines a large viewpoint change with strong illumination

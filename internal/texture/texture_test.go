@@ -105,9 +105,7 @@ func TestBilinear(t *testing.T) {
 
 func TestIdentityPerturbationIsNoOp(t *testing.T) {
 	im := Generate(3, smallParams())
-	p := Identity()
-	p.NoiseSigma = 0
-	out := p.Apply(im)
+	out := Perturbation{Scale: 1, Gain: 1}.Apply(im)
 	for i := range im.Pix {
 		if math.Abs(float64(im.Pix[i]-out.Pix[i])) > 1e-5 {
 			t.Fatalf("identity perturbation changed pixel %d: %g -> %g", i, im.Pix[i], out.Pix[i])
