@@ -127,8 +127,10 @@ func (c *ClusterSystem) SearchImages(imgs []*Image) ([]*Result, error) {
 // Compact reclaims tombstoned slots on every shard.
 func (c *ClusterSystem) Compact() (int, error) { return c.cl.Compact() }
 
-// Remove deletes a reference from its shard.
-func (c *ClusterSystem) Remove(id int) bool { return c.cl.Remove(id) }
+// Remove deletes a reference from the kvstore and its shard and reports
+// whether it was enrolled; a delete the store refused is an error and
+// leaves the reference in place.
+func (c *ClusterSystem) Remove(id int) (bool, error) { return c.cl.Remove(id) }
 
 // Stats aggregates shard statistics.
 func (c *ClusterSystem) Stats() cluster.Stats { return c.cl.Stats() }

@@ -1,7 +1,7 @@
 // Command texlint runs texid's project-invariant static-analysis suite.
 //
 //	go run ./cmd/texlint ./...
-//	go run ./cmd/texlint -checks hotalloc,clockdomain ./internal/...
+//	go run ./cmd/texlint -checks lockorder,clockdomain ./internal/...
 //	go run ./cmd/texlint -json ./... | jq .
 //
 // It is stdlib-only and works from a clean checkout with no network
@@ -19,9 +19,6 @@
 //	errcheck     no silently dropped error returns
 //	fp16         no raw binary16 conversions or bit-pattern arithmetic
 //	             outside internal/half
-//	hotalloc     functions marked //texlint:hotpath, and everything they
-//	             transitively call, must not heap-allocate (flow-aware:
-//	             error paths and cap/len-guarded amortized grows allowed)
 //	clockdomain  nothing in or reachable from the simulator packages
 //	             (internal/gpusim, engine, blas, knn, half, cache) or a
 //	             //texlint:clockdomain function may read the wall clock

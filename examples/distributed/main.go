@@ -83,7 +83,9 @@ func main() {
 		out.BestID, out.Score, out.Accepted, out.Speed)
 
 	// Shard management: delete and confirm.
-	cs.Remove(17)
+	if _, err := cs.Remove(17); err != nil {
+		log.Fatal(err)
+	}
 	res, _ = cs.SearchImage(query)
 	fmt.Printf("after delete:  accepted=%v (best %d, %d matches)\n", res.Accepted, res.ID, res.Score)
 }

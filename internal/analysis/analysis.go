@@ -14,8 +14,8 @@
 // binary16 bit pattern is manipulated outside internal/half.
 //
 // Every mechanism exists once: Program.reach is the only call-graph walk
-// (hotalloc, clockdomain and maporder differ in their roots and in what
-// they scan per function), chainPath the only chain renderer, and
+// (clockdomain and maporder differ in their roots and in what they scan
+// per function), chainPath the only chain renderer, and
 // lockVisitor the only critical-section tracker (lockcheck, lockorder and
 // guardedby are callbacks on it).
 //
@@ -28,12 +28,9 @@
 // declaration. The reason is mandatory: a bare ignore, or one naming an
 // unknown check, is itself reported under the "directive" check.
 //
-// Flow-aware checks (hotalloc, clockdomain, aliasret, wiretaint, maporder)
-// follow call chains across packages; they are driven by function
-// annotations:
+// Flow-aware checks (clockdomain, aliasret, wiretaint, maporder) follow
+// call chains across packages; they are driven by function annotations:
 //
-//	//texlint:hotpath               — this function and all callees must not allocate
-//	//texlint:coldpath <reason>     — hot-path traversal stops here (reason required)
 //	//texlint:scratchalias          — results alias a reusable scratch; callers are checked
 //	//texlint:clockdomain           — extra root for the wall-clock reachability check
 //	//texlint:untrusted             — parameters carry attacker-controlled data (wiretaint source)
@@ -108,7 +105,6 @@ func DefaultAnalyzers() []*Analyzer {
 		NewLockCheck(),
 		NewErrCheck(),
 		NewFP16(),
-		NewHotAlloc(),
 		NewClockDomain(),
 		NewAliasRet(),
 		NewLockOrder(),

@@ -28,7 +28,6 @@ func fixture(t *testing.T, name string) {
 func TestLockCheckFixture(t *testing.T)   { fixture(t, "lockcheck") }
 func TestErrCheckFixture(t *testing.T)    { fixture(t, "errcheck") }
 func TestFP16Fixture(t *testing.T)        { fixture(t, "fp16") }
-func TestHotAllocFixture(t *testing.T)    { fixture(t, "hotalloc") }
 func TestClockDomainFixture(t *testing.T) { fixture(t, "clockdomain") }
 func TestAliasRetFixture(t *testing.T)    { fixture(t, "aliasret") }
 func TestLockOrderFixture(t *testing.T)   { fixture(t, "lockorder") }
@@ -58,8 +57,8 @@ func TestDefaultAnalyzersScope(t *testing.T) {
 	for _, a := range DefaultAnalyzers() {
 		names[a.Name] = true
 	}
-	if len(names) != 12 {
-		t.Fatalf("expected 12 analyzers, got %d", len(names))
+	if len(names) != 11 {
+		t.Fatalf("expected 11 analyzers, got %d", len(names))
 	}
 	for _, name := range []string{"clockdomain", "maporder", "lockcheck", "fp16"} {
 		if !names[name] {

@@ -18,8 +18,7 @@ import (
 // passing a tainted argument taints the callee's parameter, a callee whose
 // results are tainted taints its callers, and the module iterates to a
 // fixpoint over monotone per-function summaries. The call edges taint
-// travelled are recorded so findings can render a source→sink chain the
-// way hotalloc renders hot paths.
+// travelled are recorded so findings can render a source→sink chain.
 //
 // Two scoping rules keep the propagation honest instead of explosive:
 //
@@ -829,7 +828,7 @@ func (st *taintState) callEffects(call *ast.CallExpr) {
 		}
 		if st.fg.sums[callee] != nil {
 			// An ignore on the call line is the edge-level escape hatch:
-			// taint stops here, exactly like hotalloc traversal.
+			// taint stops here, exactly like Program.reach's traversal.
 			if st.fg.prog.Suppressed(st.fg.check, call.Pos()) {
 				return
 			}

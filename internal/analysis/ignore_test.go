@@ -16,7 +16,7 @@ func TestIgnoreEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunAll([]*Package{pkg}, []*Analyzer{NewHotAlloc(), NewErrCheck()})
+	diags := RunAll([]*Package{pkg}, []*Analyzer{NewClockDomain(), NewErrCheck()})
 
 	byCheck := map[string][]Diagnostic{}
 	for _, d := range diags {
@@ -28,53 +28,55 @@ func TestIgnoreEdgeCases(t *testing.T) {
 	if got := byCheck["errcheck"]; len(got) != 0 {
 		t.Errorf("errcheck findings survived the comma-list ignore: %v", got)
 	}
-	// The only hotalloc survivor is notIgnored's make: docIgnored is
-	// suppressed by its doc group, trailingIgnored by its trailing
-	// directive, and the var block by its GenDecl doc directive.
-	hot := byCheck["hotalloc"]
-	if len(hot) != 1 || !strings.Contains(hot[0].Message, "make allocates on the hot path") {
-		t.Errorf("want exactly one surviving hotalloc finding (notIgnored's make), got %v", hot)
+	// The only clockdomain survivor is notIgnored's time.Now: docIgnored
+	// is suppressed by its doc group and trailingIgnored by its trailing
+	// directive (the var block is outside any function, so only the
+	// suppression-index probes below reach it).
+	clock := byCheck["clockdomain"]
+	if len(clock) != 1 || !strings.Contains(clock[0].Message, "time.Now in simulated-clock code") ||
+		clock[0].Pos.Line != pkg.Fset.Position(nowPosUnder(t, pkg, "notIgnored")).Line {
+		t.Errorf("want exactly one surviving clockdomain finding (notIgnored's time.Now), got %v", clock)
 	}
 	// The bogus check name in the last directive is itself a finding.
 	dir := byCheck["directive"]
 	if len(dir) != 1 || !strings.Contains(dir[0].Message, `unknown check "nosuchcheck"`) {
 		t.Errorf(`want exactly one directive finding about unknown check "nosuchcheck", got %v`, dir)
 	}
-	if extra := len(diags) - len(hot) - len(dir); extra != 0 {
+	if extra := len(diags) - len(clock) - len(dir); extra != 0 {
 		t.Errorf("unexpected findings from other checks: %v", diags)
 	}
 
 	// Placement semantics, probed directly through the suppression index.
 	prog := BuildProgram([]*Package{pkg})
-	docMake := makePosUnder(t, pkg, "docIgnored")
+	docNow := nowPosUnder(t, pkg, "docIgnored")
 	for _, tc := range []struct {
 		check string
 		want  bool
 	}{
-		{"hotalloc", true},  // named in the comma list
-		{"errcheck", true},  // named in the comma list
-		{"aliasret", false}, // not named: the list scopes the ignore
+		{"clockdomain", true}, // named in the comma list
+		{"errcheck", true},    // named in the comma list
+		{"aliasret", false},   // not named: the list scopes the ignore
 	} {
-		if got := prog.Suppressed(tc.check, docMake); got != tc.want {
+		if got := prog.Suppressed(tc.check, docNow); got != tc.want {
 			t.Errorf("doc-group ignore: Suppressed(%q) = %v, want %v", tc.check, got, tc.want)
 		}
 	}
-	if !prog.Suppressed("hotalloc", makePosUnder(t, pkg, "trailingIgnored")) {
+	if !prog.Suppressed("clockdomain", nowPosUnder(t, pkg, "trailingIgnored")) {
 		t.Error("trailing ignore must suppress its own line")
 	}
-	if prog.Suppressed("hotalloc", makePosUnder(t, pkg, "notIgnored")) {
+	if prog.Suppressed("clockdomain", nowPosUnder(t, pkg, "notIgnored")) {
 		t.Error("notIgnored has no directive; nothing may be suppressed there")
 	}
-	// blockTab sits two lines below the directive comment: only the
+	// blockStamp sits two lines below the directive comment: only the
 	// GenDecl-range rule (not line+1 adjacency) can cover it.
-	if !prog.Suppressed("hotalloc", makePosUnder(t, pkg, "blockTab")) {
+	if !prog.Suppressed("clockdomain", nowPosUnder(t, pkg, "blockStamp")) {
 		t.Error("var-block doc ignore must cover the whole GenDecl")
 	}
 }
 
-// makePosUnder returns the position of the first make(...) call inside the
+// nowPosUnder returns the position of the first time.Now() call inside the
 // top-level declaration that declares name (a func or a var in a block).
-func makePosUnder(t *testing.T, pkg *Package, name string) token.Pos {
+func nowPosUnder(t *testing.T, pkg *Package, name string) token.Pos {
 	t.Helper()
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -87,7 +89,7 @@ func makePosUnder(t *testing.T, pkg *Package, name string) token.Pos {
 					return false
 				}
 				if call, ok := n.(*ast.CallExpr); ok {
-					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "make" {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Now" {
 						pos = call.Pos()
 						return false
 					}
@@ -99,7 +101,7 @@ func makePosUnder(t *testing.T, pkg *Package, name string) token.Pos {
 			}
 		}
 	}
-	t.Fatalf("no make call under declaration %q", name)
+	t.Fatalf("no time.Now call under declaration %q", name)
 	return token.NoPos
 }
 

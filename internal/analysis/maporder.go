@@ -15,8 +15,8 @@ import (
 // function declared in a simulator package (inSimulator: the engine's
 // reports and the device's op stream are compared byte for byte across
 // runs), and every function annotated //texlint:deterministic; the check
-// walks their transitive module-local callees (like hotalloc walks hot
-// paths) and flags two constructs inside the closure:
+// walks their transitive module-local callees and flags two constructs
+// inside the closure:
 //
 //   - a range over a map that builds ordered output (append, prints,
 //     writer calls, string concatenation) with no subsequent sort in the

@@ -10,11 +10,11 @@ import (
 )
 
 // Whole-program analysis: the syntactic checks (perPackage) see one
-// package at a time, but the zero-alloc and clock-domain contracts
+// package at a time, but the clock-domain and ordering contracts
 // are properties of call *chains* that cross package boundaries
 // (engine.Search -> knn -> blas -> gpusim). Program indexes every function
 // declaration across the loaded packages, parses the texlint annotations
-// that mark hot paths and scratch-aliasing APIs, and builds a module-local
+// that mark roots and scratch-aliasing APIs, and builds a module-local
 // call graph on demand. All packages share one Loader and FileSet, so
 // types.Object identity is consistent program-wide and the graph can be
 // keyed directly on *types.Func.
@@ -22,13 +22,6 @@ import (
 // FuncAnn carries the texlint annotations parsed from a function's doc
 // comment.
 type FuncAnn struct {
-	// Hot marks a //texlint:hotpath root: the function and everything it
-	// transitively calls must be allocation-free.
-	Hot bool
-	// Cold marks a //texlint:coldpath function: hot-path traversal stops
-	// here. A reason is mandatory.
-	Cold       bool
-	ColdReason string
 	// ScratchAlias marks an API whose results alias a reusable scratch;
 	// aliasret tracks its callers, and the function itself may return
 	// aliased slices.
@@ -126,7 +119,7 @@ func (p *Program) InModule(path string) bool { return p.pkgPaths[path] }
 // Suppressed reports whether a //texlint:ignore directive covers the given
 // check at the given position. Whole-program checks use it to prune call
 // edges: an ignore on a call line both silences diagnostics there and stops
-// hot-path traversal into the callee.
+// traversal into the callee.
 func (p *Program) Suppressed(check string, pos token.Pos) bool {
 	if p.ignore == nil || !pos.IsValid() {
 		return false
@@ -246,8 +239,6 @@ func funcDisplayName(fn *types.Func) string {
 
 // Annotation directives recognized on function doc comments.
 const (
-	hotpathPrefix       = "//texlint:hotpath"
-	coldpathPrefix      = "//texlint:coldpath"
 	scratchaliasPrefix  = "//texlint:scratchalias"
 	clockdomainPrefix   = "//texlint:clockdomain"
 	freelistPrefix      = "//texlint:freelist"
@@ -264,11 +255,6 @@ func parseFuncAnn(doc *ast.CommentGroup) FuncAnn {
 	}
 	for _, c := range doc.List {
 		switch {
-		case directiveIs(c.Text, hotpathPrefix):
-			ann.Hot = true
-		case directiveIs(c.Text, coldpathPrefix):
-			ann.Cold = true
-			ann.ColdReason = strings.TrimSpace(strings.TrimPrefix(c.Text, coldpathPrefix))
 		case directiveIs(c.Text, scratchaliasPrefix):
 			ann.ScratchAlias = true
 		case directiveIs(c.Text, clockdomainPrefix):
@@ -285,8 +271,8 @@ func parseFuncAnn(doc *ast.CommentGroup) FuncAnn {
 }
 
 // directiveIs matches a comment against one directive, requiring the name
-// to end at a word boundary so //texlint:hotpath does not match a future
-// //texlint:hotpath2.
+// to end at a word boundary so //texlint:guards does not match a future
+// //texlint:guards2.
 func directiveIs(text, prefix string) bool {
 	if !strings.HasPrefix(text, prefix) {
 		return false
@@ -297,8 +283,8 @@ func directiveIs(text, prefix string) bool {
 
 // directiveDiags validates every //texlint: comment in the program:
 // unknown directive names, ignores with no check list, ignores naming an
-// unknown check, bare ignores with no reason, and coldpath annotations
-// with no reason all become findings under the "directive" check.
+// unknown check, bare ignores with no reason, and guards annotations
+// naming no mutex all become findings under the "directive" check.
 func (p *Program) directiveDiags(knownChecks map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	report := func(pos token.Pos, format string, args ...any) {
@@ -356,10 +342,6 @@ func (p *Program) directiveDiags(knownChecks map[string]bool) []Diagnostic {
 						if len(fields) == 1 {
 							report(c.Pos(), "texlint:ignore %s has no reason; bare ignores are not allowed — say why", fields[0])
 						}
-					case directiveIs(text, coldpathPrefix):
-						if strings.TrimSpace(strings.TrimPrefix(text, coldpathPrefix)) == "" {
-							report(c.Pos(), "texlint:coldpath needs a reason explaining why this function is off the hot path")
-						}
 					case directiveIs(text, guardsPrefix):
 						if strings.TrimSpace(strings.TrimPrefix(text, guardsPrefix)) == "" {
 							report(c.Pos(), "texlint:guards needs the name of the protecting mutex field: //texlint:guards <mutex>")
@@ -374,8 +356,7 @@ func (p *Program) directiveDiags(knownChecks map[string]bool) []Diagnostic {
 						if !funcDocPos[c.Pos()] {
 							report(c.Pos(), "texlint:deterministic must be in the doc comment of a function declaration")
 						}
-					case directiveIs(text, hotpathPrefix),
-						directiveIs(text, scratchaliasPrefix),
+					case directiveIs(text, scratchaliasPrefix),
 						directiveIs(text, clockdomainPrefix),
 						directiveIs(text, freelistPrefix):
 						// Valid annotations; nothing to check.
@@ -384,7 +365,7 @@ func (p *Program) directiveDiags(knownChecks map[string]bool) []Diagnostic {
 						if i := strings.IndexAny(name, " \t"); i >= 0 {
 							name = name[:i]
 						}
-						report(c.Pos(), "unknown texlint directive %q (known: ignore, hotpath, coldpath, scratchalias, clockdomain, freelist, guards, untrusted, deterministic)", name)
+						report(c.Pos(), "unknown texlint directive %q (known: ignore, scratchalias, clockdomain, freelist, guards, untrusted, deterministic)", name)
 					}
 				}
 			}

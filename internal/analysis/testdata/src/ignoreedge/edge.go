@@ -1,41 +1,44 @@
 package fixture
 
-import "os"
+import (
+	"os"
+	"time"
+)
 
 // docIgnored's doc-group directive names two checks; it must suppress
 // every finding of both checks anywhere in the declaration.
 //
-//texlint:ignore hotalloc,errcheck fixture: a doc-group directive covers the whole declaration for every listed check
-//texlint:hotpath
-func docIgnored() []int {
+//texlint:ignore clockdomain,errcheck fixture: a doc-group directive covers the whole declaration for every listed check
+//texlint:clockdomain
+func docIgnored() time.Time {
 	os.Remove("scratch")
-	return make([]int, 4)
+	return time.Now()
 }
 
-//texlint:hotpath
-func trailingIgnored() []int {
-	return make([]int, 4) //texlint:ignore hotalloc fixture: a trailing directive covers exactly its own line
+//texlint:clockdomain
+func trailingIgnored() time.Time {
+	return time.Now() //texlint:ignore clockdomain fixture: a trailing directive covers exactly its own line
 }
 
-//texlint:hotpath
-func notIgnored() []int {
-	return make([]int, 8)
+//texlint:clockdomain
+func notIgnored() time.Time {
+	return time.Now()
 }
 
 // A directive in a var block's doc group spans the whole GenDecl, not
 // just the line below the comment.
 //
-//texlint:ignore hotalloc fixture: var-block doc directive spans the declaration
+//texlint:ignore clockdomain fixture: var-block doc directive spans the declaration
 var (
-	blockBuf = make([]int, 16)
-	blockTab = make([]int, 32)
+	blockStart = time.Now()
+	blockStamp = time.Now()
 )
 
 //texlint:ignore nosuchcheck fixture: unknown check names must be diagnosed
 var sentinel int64
 
 func useAll() int64 {
-	_ = blockBuf
-	_ = blockTab
+	_ = blockStart
+	_ = blockStamp
 	return sentinel
 }

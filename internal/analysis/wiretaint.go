@@ -12,7 +12,7 @@ import (
 // memory: a comparison against a constant or len/cap-derived bound, the
 // builtin min/max with a constant operand, or an internal/limits helper.
 // Unsanitized flows into make, slice bounds, indexing, or loop bounds are
-// reported with the source→sink call chain, like hotalloc's hot paths.
+// reported with the source→sink call chain.
 //
 // The escape hatch is the usual one: a //texlint:ignore wiretaint on a call
 // line stops interprocedural propagation through that edge.

@@ -8,6 +8,7 @@ import (
 	"texid/internal/blas"
 	"texid/internal/cluster"
 	"texid/internal/engine"
+	"texid/internal/gpusim"
 	"texid/internal/serve"
 	"texid/internal/sift"
 	"texid/internal/soak"
@@ -175,8 +176,8 @@ func soakSimOp() Op {
 }
 
 // probeOp measures the steady-state heap allocations per call of a serving
-// hot path: a code-shape property, so it gates at zero drift (0.5 is
-// rounding slack) against a baseline from any machine. setup returns the
+// hot path: a code-shape property, so it gates at zero upward drift (0.5
+// is rounding slack) against a baseline from any machine. setup returns the
 // probed body and its teardown; Verify is that no call failed.
 func probeOp(name string, runs int, setup func() (body func() error, done func(), err error)) Op {
 	var bodyErr error
@@ -202,12 +203,35 @@ func probeOp(name string, runs int, setup func() (body func() error, done func()
 	}
 }
 
-// probeOps are the three allocation probes, over the soak fixture data.
+// engineProbes are the engine shapes the search probe runs over one
+// fixture: storage precision × Hamming prefilter, so every kernel family on
+// the serving path (GEMM, HGEMM and its staging, code encode, scan, top-C
+// and slot gathering) sits under an exact row, and once more through the
+// admission wrapper (serve.EngineBatcher at MaxBatch 1).
+var engineProbes = []struct {
+	name      string
+	precision gpusim.Precision
+	pruneC    int
+	batcher   bool
+}{
+	{"engine_search_steady", gpusim.FP32, 0, false},
+	{"engine_search_steady_fp16", gpusim.FP16, 0, false},
+	{"engine_search_steady_pruned", gpusim.FP32, 4, false},
+	{"engine_search_steady_fp16_pruned", gpusim.FP16, 4, false},
+	{"serve_engine_search", gpusim.FP32, 0, true},
+}
+
+// probeOps are the allocation probes, over the soak fixture data. Together
+// their rows are the host search path's allocation contract: a change that
+// adds a steady-state allocation anywhere under them moves a row.
 func probeOps() []Op {
-	return []Op{
-		// One warm Engine.Search (the knn hot path).
-		probeOp("engine_search_steady", 20, func() (func() error, func(), error) {
-			eng, err := engine.New(soak.TinyEngineConfig())
+	var ops []Op
+	// One warm search per engine shape (the knn hot path).
+	for _, p := range engineProbes {
+		ops = append(ops, probeOp(p.name, 20, func() (func() error, func(), error) {
+			cfg := soak.TinyEngineConfig()
+			cfg.Precision, cfg.PruneC = p.precision, p.pruneC
+			eng, err := engine.New(cfg)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -220,8 +244,15 @@ func probeOps() []Op {
 			if err := eng.Flush(); err != nil {
 				return nil, nil, err
 			}
-			return func() error { _, err := eng.Search(queries[0], nil); return err }, func() {}, nil
-		}),
+			search, done := eng.Search, func() {}
+			if p.batcher {
+				eb := serve.ForEngine(eng, serve.Options{MaxBatch: 1})
+				search, done = eb.Search, eb.Close
+			}
+			return func() error { _, err := search(queries[0], nil); return err }, done, nil
+		}))
+	}
+	return append(ops,
 		// One Batcher.Do round trip through the pooled call freelist
 		// (identity runner, MaxBatch=1, so no coalescing noise — the pure
 		// submit/demux overhead, which must stay at zero).
@@ -252,5 +283,5 @@ func probeOps() []Op {
 			kps := make([][]sift.Keypoint, len(batch))
 			return func() error { _, err := c.SearchBatch(batch, kps); return err }, done, nil
 		}),
-	}
+	)
 }

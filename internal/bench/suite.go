@@ -26,7 +26,8 @@ const (
 	// GOMAXPROCS, and gated only on the machine that recorded the baseline.
 	ClockWall = "wall"
 	// ClockCount is an event count (allocations per op): a code-shape
-	// property, exact on any machine.
+	// property, identical wherever the same kernels run and lower on the
+	// portable (TEXID_NOASM) kernels, so it is gated one-sided.
 	ClockCount = "count"
 )
 
@@ -218,8 +219,8 @@ type Op struct {
 type SuiteOptions struct {
 	// Count is the number of timed runs per host-kernel op (best reported).
 	Count int
-	// Portable keeps only sim and count ops: the rows that are identical
-	// on any machine.
+	// Portable keeps only sim and count ops: the rows a baseline from
+	// another machine can gate.
 	Portable bool
 	// Filter, when non-nil, keeps only ops whose name matches (fixtures
 	// for skipped ops are never built).

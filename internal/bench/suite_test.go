@@ -151,6 +151,7 @@ func TestCommittedBaselineGates(t *testing.T) {
 		{"alloc drift +0.4", at("probe_cluster_searchbatch_scatter/allocs_per_op", 1, 0.4), false},
 		{"alloc drift +1", at("probe_cluster_searchbatch_scatter/allocs_per_op", 1, 1), true},
 		{"alloc drift +1 from zero", at("probe_serve_submit_demux/allocs_per_op", 1, 1), true},
+		{"alloc drift +1 on the pruned FP16 shape", at("probe_engine_search_steady_fp16_pruned/allocs_per_op", 1, 1), true},
 		{"soak read p99 +49%", at("soak_steady/read_p99_ms", 1.49, 0), false},
 		{"soak read p99 +51%", at("soak_churn/read_p99_ms", 1.51, 0), true},
 		{"soak achieved 0.8x offered, met", beyond("soak_steady/achieved_qps", 1), false},
@@ -168,10 +169,12 @@ func TestCommittedBaselineGates(t *testing.T) {
 
 // TestPortableSuite runs the part of the op table CI gates — the soak
 // sim-clock op and the allocation probes (the serving levels have their own
-// tests) — and pins the probe-level contracts: the pure submit/demux round
-// trip must not allocate, and the engine's steady-state search stays under
-// its pinned bound.
+// tests) — and gates the rows through Compare against the committed
+// BENCH_BASELINE.json, so tier-1 enforces the same zero drift on the probe
+// rows as the measurement gate. A gated row the baseline does not name
+// would pass Compare unexamined, so that is a failure too.
 func TestPortableSuite(t *testing.T) {
+	var all []Row
 	values := map[string]float64{}
 	for _, op := range append(probeOps(), soakSimOp()) {
 		rows, err := runOp(op, 0)
@@ -187,17 +190,36 @@ func TestPortableSuite(t *testing.T) {
 		if err := validate(rows); err != nil {
 			t.Errorf("%s emits rows Load would refuse: %v", op.Name, err)
 		}
-	}
-	if _, ok := values["probe_cluster_searchbatch_scatter/allocs_per_op"]; !ok {
-		t.Errorf("scatter probe emitted no row: %v", values)
-	}
-	if a, ok := values["probe_serve_submit_demux/allocs_per_op"]; !ok || a > 0.5 {
-		t.Errorf("batcher submit/demux allocates %.1f/op (present=%v), want 0", a, ok)
-	}
-	if a, ok := values["probe_engine_search_steady/allocs_per_op"]; !ok || a > 50 {
-		t.Errorf("engine steady-state search allocates %.1f/op (present=%v), drifted above the pinned bound", a, ok)
+		all = append(all, rows...)
 	}
 	if values["soak_sim/ops"] != float64(soakSimConfig.Ops) {
 		t.Errorf("sim soak replayed %.0f ops, want %d", values["soak_sim/ops"], soakSimConfig.Ops)
+	}
+	if raceDetector {
+		// The detector's instrumentation allocates (39.3 against 37 on the
+		// engine probe), so under it only the loose bounds hold.
+		if a := values["probe_serve_submit_demux/allocs_per_op"]; a > 0.5 {
+			t.Errorf("batcher submit/demux allocates %.1f/op, want 0", a)
+		}
+		if a := values["probe_engine_search_steady/allocs_per_op"]; a > 50 {
+			t.Errorf("engine steady-state search allocates %.1f/op, drifted above the pinned bound", a)
+		}
+		return
+	}
+	baseline, err := Load(filepath.Join("..", "..", "BENCH_BASELINE.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, problem := range Compare(baseline, all) {
+		t.Errorf("REGRESSION: %s", problem)
+	}
+	committed := map[string]bool{}
+	for _, b := range baseline {
+		committed[b.Op] = true
+	}
+	for _, r := range all {
+		if r.Tolerance != nil && !committed[r.Op] {
+			t.Errorf("%s is gated against a baseline row BENCH_BASELINE.json does not have", r.Op)
+		}
 	}
 }

@@ -85,7 +85,7 @@ func (t Thresholds) Encode(mat *blas.Matrix, dst []Code) []Code {
 				c[i>>6] |= 1 << (uint(i) & 63)
 			}
 		}
-		dst = append(dst, c) //texlint:ignore hotalloc callers append onto a reused scratch whose capacity is retained across searches; growth amortizes to zero warm (TestScanZeroAlloc, TestSearchSteadyStateAllocs)
+		dst = append(dst, c)
 	}
 	return dst
 }
@@ -124,14 +124,12 @@ type Scanner struct {
 //
 // len(panel) must be a multiple of m and len(scores) = len(panel)/m. The
 // warm path performs zero allocations.
-//
-//texlint:hotpath
 func (s *Scanner) Scan(panel []Code, m int, probes []Code, scores []uint32) {
 	if m <= 0 || len(panel) == 0 {
 		return
 	}
 	if s.fn == nil {
-		s.fn = s.scanImage //texlint:ignore hotalloc the method value is bound once on first use and reused for the scanner's lifetime
+		s.fn = s.scanImage
 	}
 	s.panel, s.m, s.probes, s.scores = panel, m, probes, scores
 	blas.Parallel(len(panel)/m, s.fn)
@@ -139,8 +137,6 @@ func (s *Scanner) Scan(panel []Code, m int, probes []Code, scores []uint32) {
 }
 
 // scanImage scores one image block against every probe.
-//
-//texlint:hotpath
 func (s *Scanner) scanImage(img int) {
 	m := s.m
 	block := s.panel[img*m : (img+1)*m]
@@ -196,8 +192,6 @@ func worse(a, b candidate) bool {
 // Offer considers one (index, score) entry. Entries must be offered in
 // ascending index order for the tie-break to be meaningful; the selection
 // is then a pure function of the score slice.
-//
-//texlint:hotpath
 func (t *TopC) Offer(idx int32, score uint32) {
 	e := candidate{score: score, idx: idx}
 	if len(t.heap) < t.c {
@@ -250,7 +244,7 @@ func (t *TopC) siftDown(i int) {
 func (t *TopC) AppendSorted(dst []int32) []int32 {
 	base := len(dst)
 	for _, e := range t.heap {
-		dst = append(dst, e.idx) //texlint:ignore hotalloc dst is a reused candidate scratch capped at C entries per query; capacity is retained across searches
+		dst = append(dst, e.idx)
 	}
 	sorted := dst[base:]
 	for i := 1; i < len(sorted); i++ {

@@ -19,8 +19,6 @@ import (
 // invariance is what lets batched-vs-single and multi-vs-single query tests
 // demand bitwise equality, and makes the result independent of GOMAXPROCS.
 // The portable fallback keeps the same property with scalar chains.
-//
-//texlint:hotpath
 func GemmTN(alpha float32, A, B *Matrix, beta float32, C *Matrix) {
 	if A.Rows != B.Rows {
 		panic(fmt.Sprintf("blas: GemmTN inner dimension mismatch %d != %d", A.Rows, B.Rows))
@@ -273,8 +271,6 @@ func AddRowVector(C *Matrix, v []float32) {
 // strict-< comparisons — but traverses the m×n block once and leaves C
 // untouched. A nil norms skips the addition (the RootSIFT path, where the
 // norm terms vanish).
-//
-//texlint:hotpath
 func Top2AddRows(C *Matrix, norms []float32, lo, hi int, best, second []float32, bestIdx []int32) {
 	n := C.Cols
 	if len(best) < n || len(second) < n || len(bestIdx) < n {

@@ -150,8 +150,6 @@ func (m *HalfMatrix) Slice(from, to int) *HalfMatrix {
 //
 // Both operands are widened into pooled float32 scratch per call; a caller
 // that owns its staging buffers uses StageHalf + HGemmTNStaged instead.
-//
-//texlint:hotpath
 func HGemmTN(alpha float32, A, B *HalfMatrix, mode AccumMode, C *Matrix) {
 	m, n, k := hgemmShape(A, B, C)
 	if m == 0 || n == 0 {
@@ -171,8 +169,6 @@ func HGemmTN(alpha float32, A, B *HalfMatrix, mode AccumMode, C *Matrix) {
 // capacity is insufficient, and returns the resized slice. Widening is
 // cheap next to the GEMM it feeds (0.3% at 6144×768×128), so callers stage
 // operands per call into buffers they own rather than caching the result.
-//
-//texlint:hotpath
 func StageHalf(h *HalfMatrix, dst []float32) []float32 {
 	dst = growF32(dst, h.Rows*h.Cols)
 	widenHalf(h, dst)
@@ -184,8 +180,6 @@ func StageHalf(h *HalfMatrix, dst []float32) []float32 {
 // side by side in list order, so the staging holds len(blocks)*width
 // columns. It reads h's columns in place — no view, no copy of the
 // binary16 data.
-//
-//texlint:hotpath
 func StageHalfBlocks(h *HalfMatrix, width int, blocks []int32, dst []float32) []float32 {
 	dst = growF32(dst, len(blocks)*width*h.Rows)
 	widenBlocks(h, width, blocks, dst)
@@ -211,8 +205,6 @@ func growF32(dst []float32, n int) []float32 {
 // over the full operand. That slice-invariance is what lets the Hamming
 // prefilter rerank a candidate subset and still be byte-identical to the
 // whole-batch match.
-//
-//texlint:hotpath
 func HGemmTNStaged(alpha float32, aw, bw []float32, m, n, k int, mode AccumMode, C *Matrix) {
 	if k > 0 && (len(aw) < m*k || len(bw) < n*k) {
 		panic(fmt.Sprintf("blas: HGemmTNStaged stagings %d/%d too short for %dx%dx%d", len(aw), len(bw), m, n, k))
@@ -242,8 +234,6 @@ func hgemmShape(A, B *HalfMatrix, C *Matrix) (m, n, k int) {
 // is one sequential rounding chain over k inside its block, so the result
 // is bitwise independent of GOMAXPROCS and of which kernel (asm or
 // portable) computes it.
-//
-//texlint:hotpath
 func hgemmCore(alpha float32, aw, bw []float32, m, n, k int, mode AccumMode, C *Matrix) {
 	const jBlock = 8
 	Parallel((n+jBlock-1)/jBlock, func(blk int) {

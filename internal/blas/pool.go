@@ -32,7 +32,7 @@ func (job *poolJob) runOne() bool {
 	if b >= job.blocks {
 		return false
 	}
-	job.fn(b) //texlint:ignore hotalloc fn is the caller's block closure, already scanned at the Parallel call site; the field indirection only exists so workers can share it
+	job.fn(b)
 	job.done.Add(1)
 	return true
 }
@@ -69,8 +69,6 @@ func poolWorker() {
 // (a batch extraction whose per-image work is itself parallel) cannot
 // deadlock even with every worker busy. See the deterministic-parallelism
 // contract above: fn must not care which goroutine runs which block.
-//
-//texlint:hotpath
 func Parallel(blocks int, fn func(block int)) {
 	if blocks <= 0 {
 		return
@@ -82,7 +80,7 @@ func Parallel(blocks int, fn func(block int)) {
 		return
 	}
 	poolOnce.Do(poolInit)
-	job := &poolJob{blocks: blocks, fn: fn} //texlint:ignore hotalloc one fixed-size job header per parallel kernel launch, shared by every worker; amortized over the whole block sweep
+	job := &poolJob{blocks: blocks, fn: fn}
 	// Offer the job to at most blocks-1 workers without blocking: if the
 	// pool queue is full the caller simply runs more blocks itself. A
 	// worker that dequeues an already-exhausted job moves on immediately.

@@ -144,7 +144,7 @@ func (h *Hybrid[T]) Items() []*Item[T] { return append([]*Item[T](nil), h.order.
 // returns the extended slice. Search loops pass a recycled buffer so the
 // steady-state snapshot allocates nothing.
 func (h *Hybrid[T]) AppendItems(dst []*Item[T]) []*Item[T] {
-	return append(dst, h.order...) //texlint:ignore hotalloc grows only when batches sealed since the caller's last search; steady state reuses the caller's buffer at full capacity
+	return append(dst, h.order...)
 }
 
 // Stats summarizes cache occupancy.

@@ -197,7 +197,12 @@ func (c *Cluster) Handler() http.Handler {
 		}
 		switch r.Method {
 		case http.MethodDelete:
-			if !c.Remove(id) {
+			removed, err := c.Remove(id)
+			if err != nil {
+				httpError(w, writeStatus(err), err.Error())
+				return
+			}
+			if !removed {
 				httpError(w, http.StatusNotFound, fmt.Sprintf("texture %d not found", id))
 				return
 			}

@@ -254,7 +254,9 @@ func (c *Cluster) put(id int, feats *blas.Matrix, kps []sift.Keypoint, mode putM
 	}
 	if _, err := c.do(w, opAdd, func() (float64, error) { return 0, w.eng.Add(id, feats, kps) }); err != nil {
 		if mode != putLoad && c.store != nil {
-			_, _ = c.store.Del(storeKey(id)) // best-effort, as in Remove
+			// Best-effort: a failed delete leaves an orphaned record that the
+			// next enrollment under this id overwrites.
+			_, _ = c.store.Del(storeKey(id))
 		}
 		return err
 	}
@@ -293,23 +295,25 @@ func (c *Cluster) AddPhantom(count int) error {
 	return nil
 }
 
-// Remove deletes a texture from its shard (and the kvstore), under the
-// mutation lock so it cannot interleave with a put of the same id.
-func (c *Cluster) Remove(id int) bool {
+// Remove deletes a texture from the kvstore and its shard, under the
+// mutation lock so it cannot interleave with a put of the same id, and
+// reports whether the id was enrolled. Write-ahead like put: a delete the
+// store refused is returned with the index untouched, or the next
+// LoadFromStore would resurrect a texture the caller was told is gone.
+func (c *Cluster) Remove(id int) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w, ok := c.shards[id]
 	if !ok {
-		return false
+		return false, nil
+	}
+	if c.store != nil {
+		if _, err := c.store.Del(storeKey(id)); err != nil {
+			return false, fmt.Errorf("cluster: deleting record %d: %w", id, err)
+		}
 	}
 	delete(c.shards, id)
-	removed := c.workers[w].eng.Remove(id)
-	if c.store != nil {
-		// Best-effort: a failed delete leaves an orphaned record that the
-		// next enrollment under this id overwrites.
-		_, _ = c.store.Del(storeKey(id))
-	}
-	return removed
+	return c.workers[w].eng.Remove(id), nil
 }
 
 // Update replaces a texture's features on its shard, or enrolls an id the

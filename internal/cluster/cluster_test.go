@@ -133,11 +133,11 @@ func TestClusterRemoveAndUpdate(t *testing.T) {
 	c := smallCluster(t, 2)
 	ref := unitFeatures(rng, 16, 24)
 	c.Add(5, ref, nil)
-	if !c.Remove(5) {
-		t.Fatal("Remove failed")
+	if ok, err := c.Remove(5); !ok || err != nil {
+		t.Fatalf("Remove = %v, %v", ok, err)
 	}
-	if c.Remove(5) {
-		t.Fatal("double remove reported true")
+	if ok, err := c.Remove(5); ok || err != nil {
+		t.Fatalf("double remove = %v, %v; want false", ok, err)
 	}
 	// Update on a missing id enrolls it.
 	newRef := unitFeatures(rng, 16, 24)

@@ -92,8 +92,6 @@ func newHealthFSM(pol HealthPolicy) *healthFSM {
 // allow reports whether the next call should be routed to the worker.
 // Dead workers decline, except that every ProbeEvery-th declined call is
 // converted into a probe (state Probing, call allowed).
-//
-//texlint:hotpath
 func (h *healthFSM) allow() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -110,8 +108,6 @@ func (h *healthFSM) allow() bool {
 }
 
 // onSuccess records a successful call: any state returns to Healthy.
-//
-//texlint:hotpath
 func (h *healthFSM) onSuccess() {
 	h.mu.Lock()
 	h.state = Healthy
@@ -121,8 +117,6 @@ func (h *healthFSM) onSuccess() {
 
 // onFailure records a failed call (after retries were exhausted for that
 // attempt) and advances the detector.
-//
-//texlint:hotpath
 func (h *healthFSM) onFailure() {
 	h.mu.Lock()
 	defer h.mu.Unlock()

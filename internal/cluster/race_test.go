@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,8 +84,8 @@ func TestClusterConcurrentMixedOps(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !c.Remove(id) {
-					errs <- fmt.Errorf("churn id %d vanished before Remove", id)
+				if ok, err := c.Remove(id); !ok || err != nil {
+					errs <- fmt.Errorf("churn id %d vanished before Remove (%v)", id, err)
 					return
 				}
 			}
@@ -294,7 +296,8 @@ func TestConcurrentMutationsAgree(t *testing.T) {
 					case 1:
 						return c.Update(o.id, feats[o.id], nil)
 					default:
-						c.Remove(o.id)
+						_, err := c.Remove(o.id)
+						return err
 					}
 					return nil
 				})
@@ -317,8 +320,8 @@ func TestConcurrentMutationsAgree(t *testing.T) {
 		select {
 		case <-done:
 			for _, id := range agreement(t, c) {
-				if !c.Remove(id) {
-					t.Errorf("mapped id %d could not be removed", id)
+				if ok, err := c.Remove(id); !ok || err != nil {
+					t.Errorf("mapped id %d could not be removed (%v)", id, err)
 				}
 			}
 			if got := c.Stats().References; got != 0 {
@@ -336,4 +339,50 @@ func TestConcurrentMutationsAgree(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestRefusedDeleteLeavesTheTextureServing: Remove is write-ahead like put.
+// With the kvstore gone a DELETE is a 500 and changes nothing — answering
+// 200 after dropping the id from the index would let the next restart's
+// LoadFromStore resurrect a texture the caller was told is deleted.
+func TestRefusedDeleteLeavesTheTextureServing(t *testing.T) {
+	srv, err := kvstore.Serve(kvstore.NewStore(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := New(Config{Workers: 2, Engine: smallEngine(), StoreAddr: srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	rng := rand.New(rand.NewSource(73))
+	ref := unitFeatures(rng, 16, 24)
+	if err := c.Add(4, ref, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	err = NewClient(ts.URL).doJSON("DELETE", "/v1/textures/4", nil, nil)
+	if err == nil || !strings.Contains(err.Error(), ": 500 ") {
+		t.Fatalf("DELETE with the store down: %v, want status 500", err)
+	}
+	rep, err := c.Search(queryFor(rng, ref, 32), nil)
+	if err != nil || rep.BestID != 4 || !rep.Accepted {
+		t.Fatalf("search after the refused delete: %+v, %v; want texture 4 accepted", rep, err)
+	}
+	if got := c.Stats().References; got != 1 {
+		t.Fatalf("References = %d after the refused delete, want 1", got)
+	}
+	c.mu.Lock()
+	_, mapped := c.shards[4]
+	c.mu.Unlock()
+	if !mapped {
+		t.Fatal("the refused delete dropped id 4 from the shard map")
+	}
 }

@@ -36,10 +36,10 @@ func (c *Cluster) newBatcher(opts serve.Options) *serve.Batcher[serve.Query, ser
 // a direct scatter-gather Search otherwise. Safe for concurrent use; under
 // load, concurrent callers share batched GEMM passes.
 //
-// The coordinator path is deliberately outside the zero-alloc contract:
-// scatter-gather allocates per-worker goroutines and merged reports by
-// design. The hot-path guards live on the admission layer itself
-// (serve.Batcher) and on the engine search path the workers run.
+// The coordinator path allocates per-worker goroutines and merged reports
+// by design; its budget is the probe_cluster_searchbatch_scatter row of
+// BENCH_BASELINE.json, beside the admission layer's (serve.Batcher) and the
+// engine search path's own probe rows.
 func (c *Cluster) SearchCoalesced(feats *blas.Matrix, kps []sift.Keypoint) (*Report, error) {
 	if c.batcher == nil {
 		return c.Search(feats, kps)

@@ -161,9 +161,11 @@ type Engine struct {
 	// execMu serializes one batch pass at a time over the streams and the
 	// reusable host-side working sets: the match kernels' distance matrix
 	// and top-2 slabs plus the query staging buffers. Threading these
-	// through the search paths makes steady-state Search allocation-free
-	// on the host hot path (Report.Ranked is the one fresh allocation,
-	// since it escapes to the caller).
+	// through the search paths leaves a steady-state Search only its small
+	// fixed allocations — the Report and its Ranked list, which escape to
+	// the caller, the ratio-test survivors, the kernels' launch headers and
+	// the final sort — which is what BENCH_BASELINE.json's
+	// probe_engine_search_steady* rows count and gate at zero drift.
 	execMu sync.Mutex
 	//texlint:guards execMu
 	streams []*gpusim.Stream
@@ -399,8 +401,6 @@ func (e *Engine) Flush() error {
 
 // sealLocked turns the pending references into a device batch and inserts
 // it into the hybrid cache.
-//
-//texlint:coldpath sealing runs once per BatchSize enrolls (or on Flush), not per steady-state search; the early return makes searches after a flush free
 func (e *Engine) sealLocked() error {
 	n := len(e.pending)
 	if n == 0 {

@@ -62,7 +62,7 @@ func (ps *pruneScratch) layout(items []*cache.Item[sealedBatch]) (total int, pha
 	ps.base = ps.base[:0]
 	for _, it := range items {
 		rb := it.Payload.rb
-		ps.base = append(ps.base, total) //texlint:ignore hotalloc engine-owned scratch reused via [:0]; reaches batch-count capacity after the first pass
+		ps.base = append(ps.base, total)
 		total += rb.Count()
 		if rb.Codes() == nil {
 			phantomScan = true
@@ -93,7 +93,7 @@ func (ps *pruneScratch) selectTopC(scores []uint32, c int) {
 // firstC appends slots 0..min(c,total)-1 — the phantom-scan selection.
 func (ps *pruneScratch) firstC(c, total int) {
 	for g := 0; g < min(c, total); g++ {
-		ps.cand = append(ps.cand, int32(g)) //texlint:ignore hotalloc engine-owned scratch reused via [:0]; bounded by Bq*PruneC entries
+		ps.cand = append(ps.cand, int32(g))
 	}
 }
 
@@ -101,8 +101,6 @@ func (ps *pruneScratch) firstC(c, total int) {
 // returns the number of images scanned. One scan op per batch covers every
 // query's probe set; demoted batches need no transfer. Called with execMu
 // held and mu read-locked, inside the pass's Synchronize() pair.
-//
-//texlint:hotpath
 func (e *Engine) prefilter(queryFeats []*blas.Matrix, phantom bool, items []*cache.Item[sealedBatch]) int {
 	ps := &e.prune
 	Bq := len(queryFeats)
@@ -179,7 +177,7 @@ func (ps *pruneScratch) batchSlots(bi, count int) []int32 {
 	for s := 0; s < count; s++ {
 		if ps.mark[s] {
 			ps.slotIdx[s] = int32(len(ps.slots))
-			ps.slots = append(ps.slots, int32(s)) //texlint:ignore hotalloc engine-owned scratch reused via [:0]; bounded by the batch image count
+			ps.slots = append(ps.slots, int32(s))
 			ps.mark[s] = false
 		}
 	}

@@ -51,8 +51,6 @@ type BatchReport struct {
 // to QueryFeatures) against every cached reference: the search pass with a
 // panel of one. queryKps may be nil unless geometric verification is
 // enabled; a nil queryFeats runs a phantom (timing-only) search.
-//
-//texlint:hotpath
 func (e *Engine) Search(queryFeats *blas.Matrix, queryKps []sift.Keypoint) (*Report, error) {
 	// Fixed-size panels of one: the pass retains none of its inputs, so
 	// these stay on the stack.
@@ -109,8 +107,6 @@ func (e *Engine) SearchBatchPhantom(count int) (*BatchReport, error) {
 // so they are scored immediately, before the next issue reuses the buffers.
 // Scoring batch-major preserves each query's ranking order: its candidates
 // still arrive in batch order.
-//
-//texlint:hotpath
 func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, reports []*Report) (BatchReport, error) {
 	Bq := len(queryFeats)
 	phantom := queryFeats[0] == nil
@@ -148,7 +144,7 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 	// Stage the panel through engine-owned scratch, one QueryScratch per
 	// panel slot, grown to the largest batch seen.
 	if len(e.qscratch) < Bq {
-		e.qscratch = append(e.qscratch, make([]knn.QueryScratch, Bq-len(e.qscratch))...) //texlint:ignore hotalloc engine-owned staging scratch; grows only when a larger batch than any before arrives
+		e.qscratch = append(e.qscratch, make([]knn.QueryScratch, Bq-len(e.qscratch))...)
 	}
 	e.queries = e.queries[:0]
 	defer e.freeQueries()
@@ -157,7 +153,7 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 		if err != nil {
 			return BatchReport{}, err
 		}
-		e.queries = append(e.queries, q) //texlint:ignore hotalloc,aliasret engine-owned scratch reused via [:0]; every panel slot stages through its own QueryScratch, so slot i's query outlives slot i+1's staging
+		e.queries = append(e.queries, q) //texlint:ignore aliasret engine-owned scratch reused via [:0]; every panel slot stages through its own QueryScratch, so slot i's query outlives slot i+1's staging
 	}
 	mq, err := knn.BuildMultiQuery(e.queries, e.cfg.Precision, &e.scratch)
 	if err != nil {
@@ -173,9 +169,9 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 		Accum:     e.cfg.Accum,
 	}
 	for qi := range reports {
-		reports[qi] = &Report{BestID: -1} //texlint:ignore hotalloc the Report escapes to the caller by design — the one per-query allocation the zero-alloc contract concedes; the engine cannot recycle what it hands out
+		reports[qi] = &Report{BestID: -1}
 		if !phantom {
-			reports[qi].Ranked = make([]match.SearchResult, 0, len(e.refs)) //texlint:ignore hotalloc Ranked escapes with its Report; sized for every reference up front
+			reports[qi].Ranked = make([]match.SearchResult, 0, len(e.refs))
 		}
 	}
 
@@ -231,7 +227,7 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 					continue // dead slot (it may even have won a candidate place; harmless)
 				}
 				score := match.PairScore(res[qi][at], ref.kps, kps, e.cfg.Match)
-				rep.Ranked = append(rep.Ranked, match.SearchResult{RefID: ref.id, Score: score}) //texlint:ignore hotalloc never grows: Ranked was pre-sized to len(e.refs), a relationship the analyzer cannot see
+				rep.Ranked = append(rep.Ranked, match.SearchResult{RefID: ref.id, Score: score})
 			}
 		}
 	}

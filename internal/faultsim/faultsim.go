@@ -192,7 +192,6 @@ type Decision struct {
 // reading, evaluated against partition windows. Purely arithmetic: no wall
 // clock, no global randomness, no allocation.
 //
-//texlint:hotpath
 //texlint:clockdomain
 func (p *Peer) Next(op string, nowUS float64) Decision {
 	seq := p.seq.Add(1)
@@ -269,7 +268,6 @@ func (p *Peer) Do(op string, deadlineUS, nowUS float64, invoke func() (float64, 
 // jitter factor in [0.5, 1.5) derived from (seed, peer, attempt) — spread
 // enough to de-synchronize retry storms, deterministic enough to replay.
 //
-//texlint:hotpath
 //texlint:clockdomain
 func Backoff(seed int64, peer string, attempt int, baseUS float64) float64 {
 	if attempt < 2 || baseUS <= 0 {

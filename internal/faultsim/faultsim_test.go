@@ -225,3 +225,17 @@ func TestInjectedClassifier(t *testing.T) {
 		t.Fatal("misclassified non-injected error")
 	}
 }
+
+// TestNextAndBackoffDoNotAllocate holds the claim in Next's doc comment:
+// drawing a decision and a backoff is arithmetic on the call's own values.
+// No probe row runs under a fault plan, so this is the only guard on it.
+func TestNextAndBackoffDoNotAllocate(t *testing.T) {
+	p := New(Plan{Seed: 7, DropRate: 0.2, HangRate: 0.1, ReplyLossRate: 0.1, SlowRate: 0.3, SlowUS: 1000}).Peer("worker-0")
+	var sink float64
+	if allocs := testing.AllocsPerRun(200, func() {
+		sink += p.Next("search", 0).ExtraUS + Backoff(7, "worker-0", 3, 100)
+	}); allocs != 0 {
+		t.Errorf("Peer.Next + Backoff allocate %.1f/op, want 0", allocs)
+	}
+	_ = sink
+}

@@ -172,8 +172,6 @@ func (d *Device) Profile() map[string]OpStats {
 // engine and returns its completion time. A nil engine means the operation
 // only occupies the stream (host-side work on the stream's CPU thread).
 // cov is the jitter coefficient of variation for this operation class.
-//
-//texlint:hotpath
 func (d *Device) schedule(s *Stream, e *engine, name string, durUS float64, cov float64) float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -198,8 +196,6 @@ func (d *Device) schedule(s *Stream, e *engine, name string, durUS float64, cov 
 }
 
 // newOpStats creates and registers the profile bucket for an op name.
-//
-//texlint:coldpath one bucket per distinct op name, created on its first occurrence and amortized across the run
 func (d *Device) newOpStats(name string) *OpStats {
 	st := &OpStats{}
 	d.prof[name] = st

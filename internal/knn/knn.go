@@ -279,8 +279,6 @@ func NewQuery(dev *gpusim.Device, mat *blas.Matrix, prec gpusim.Precision, scale
 }
 
 // PhantomQuery reserves query dimensions without payload.
-//
-//texlint:coldpath phantom timing mode trades one shell allocation per query for skipping all host arithmetic; it is not the steady-state serving path
 func PhantomQuery(dev *gpusim.Device, n, d int) (*Query, error) {
 	q := &Query{dev: dev, N: n, D: d, Scale: 1, bytes: int64(n) * int64(d) * 6, phantom: true}
 	if err := dev.Alloc(q.bytes); err != nil {

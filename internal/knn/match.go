@@ -22,7 +22,6 @@ func MatchBatch(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options) ([]
 // before the next call reusing it; a nil sc means a fresh Scratch for this
 // call.
 //
-//texlint:hotpath
 //texlint:scratchalias
 func MatchBatchScratch(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *Scratch) ([]Pair2NN, error) {
 	sc = sc.orFresh()
@@ -34,7 +33,6 @@ func MatchBatchScratch(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Optio
 // order, bitwise identical to the corresponding MatchBatchScratch entries.
 // RootSIFT only.
 //
-//texlint:hotpath
 //texlint:scratchalias
 func MatchCandidatesScratch(stream *gpusim.Stream, rb *RefBatch, q *Query, slots []int32, opts Options, sc *Scratch) ([]Pair2NN, error) {
 	if len(slots) == 0 {
@@ -48,7 +46,6 @@ func MatchCandidatesScratch(stream *gpusim.Stream, rb *RefBatch, q *Query, slots
 // batch (RootSIFT only). The result is indexed [query][reference] and
 // aliases sc like every *Scratch variant.
 //
-//texlint:hotpath
 //texlint:scratchalias
 func MatchMultiQueryInto(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, opts Options, sc *Scratch) ([][]Pair2NN, error) {
 	if opts.Algorithm != RootSIFT {
@@ -73,7 +70,6 @@ func firstQuery(res [][]Pair2NN, err error) ([]Pair2NN, error) {
 // (Algorithm 2) takes panels wider than one query or a slot set; the
 // Algorithm-1 and baseline variants match one query against whole batches.
 //
-//texlint:hotpath
 //texlint:scratchalias
 func Match(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []int32, opts Options, sc *Scratch) ([][]Pair2NN, error) {
 	for i, q := range mq.queries {
@@ -92,7 +88,7 @@ func Match(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []int32, o
 	var err error
 	switch opts.Algorithm {
 	case Baseline:
-		res, err = matchBaseline(stream, rb, mq.queries[0]) //texlint:ignore hotalloc the baseline variant allocates per batch by design; it exists to be measured against, not to meet the zero-alloc contract
+		res, err = matchBaseline(stream, rb, mq.queries[0])
 	case Garcia, Eq1Top2:
 		res, err = matchEq1(stream, rb, mq.queries[0], opts, sc)
 	default:
@@ -202,7 +198,6 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 //     blas.HGemmTNStaged runs over all nb·m of them (see its
 //     slice-invariance note). Nothing widened outlives the call.
 //
-//texlint:hotpath
 //texlint:scratchalias
 func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []int32, opts Options, sc *Scratch) ([][]Pair2NN, error) {
 	Bq := len(mq.queries)

@@ -26,7 +26,6 @@ type MultiQuery struct {
 // slice and the queries' matrices, and is valid until sc's next
 // BuildMultiQuery call.
 //
-//texlint:hotpath
 //texlint:scratchalias
 func BuildMultiQuery(queries []*Query, prec gpusim.Precision, sc *Scratch) (*MultiQuery, error) {
 	if len(queries) == 0 {
@@ -50,13 +49,13 @@ func BuildMultiQuery(queries []*Query, prec gpusim.Precision, sc *Scratch) (*Mul
 	case prec == gpusim.FP16:
 		sc.hdrF16 = sc.hdrF16[:0]
 		for _, q := range queries {
-			sc.hdrF16 = append(sc.hdrF16, q.F16) //texlint:ignore hotalloc scratch-owned header slice reused via [:0]; reaches the largest batch seen
+			sc.hdrF16 = append(sc.hdrF16, q.F16)
 		}
 		mq.catF16 = blas.ConcatHalfColumnsInto(&sc.catF16, sc.hdrF16...)
 	default:
 		sc.hdrF32 = sc.hdrF32[:0]
 		for _, q := range queries {
-			sc.hdrF32 = append(sc.hdrF32, q.F32) //texlint:ignore hotalloc scratch-owned header slice reused via [:0]; reaches the largest batch seen
+			sc.hdrF32 = append(sc.hdrF32, q.F32)
 		}
 		mq.catF32 = blas.ConcatColumnsInto(&sc.catF32, sc.hdrF32...)
 		clear(sc.hdrF32) // copied; do not pin the callers' matrices

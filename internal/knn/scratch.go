@@ -51,7 +51,7 @@ type Scratch struct {
 // orFresh substitutes a fresh Scratch for nil.
 func (sc *Scratch) orFresh() *Scratch {
 	if sc == nil {
-		return &Scratch{} //texlint:ignore hotalloc nil-scratch fallback (MatchBatch, tests); the engine always threads a scratch
+		return &Scratch{}
 	}
 	return sc
 }
@@ -66,7 +66,7 @@ func (sc *Scratch) panelOf(q *Query) *MultiQuery {
 // oneRow presents a single query's results in Match's [query][reference]
 // shape.
 func (sc *Scratch) oneRow(res []Pair2NN) [][]Pair2NN {
-	sc.multi = append(sc.multi[:0], res) //texlint:ignore hotalloc scratch-owned header reused via [:0]
+	sc.multi = append(sc.multi[:0], res)
 	return sc.multi
 }
 
@@ -75,7 +75,7 @@ func (sc *Scratch) oneRow(res []Pair2NN) [][]Pair2NN {
 func (sc *Scratch) candSlots(rb *RefBatch, slots []int32) []int {
 	sc.candIDs = sc.candIDs[:0]
 	for _, s := range slots {
-		sc.candIDs = append(sc.candIDs, rb.IDs[s]) //texlint:ignore hotalloc scratch-owned id buffer reused via [:0]; bounded by the batch image count
+		sc.candIDs = append(sc.candIDs, rb.IDs[s])
 	}
 	return sc.candIDs
 }
@@ -187,11 +187,10 @@ func (qs *QueryScratch) Padded(mat *blas.Matrix, n int) *blas.Matrix {
 // conversion (and its device bytes) are only paid when the engine precision
 // is FP16.
 //
-//texlint:hotpath
 //texlint:scratchalias
 func NewQueryScratch(dev *gpusim.Device, mat *blas.Matrix, prec gpusim.Precision, scale float32, qs *QueryScratch) (*Query, error) {
 	if qs == nil {
-		qs = &QueryScratch{} //texlint:ignore hotalloc nil-scratch fallback; the engine always threads a scratch
+		qs = &QueryScratch{}
 	}
 	if scale == 0 {
 		scale = 1

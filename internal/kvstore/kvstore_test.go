@@ -252,15 +252,73 @@ func TestAOFPersistence(t *testing.T) {
 
 func TestAOFCorruptLog(t *testing.T) {
 	path := t.TempDir() + "/store.aof"
+	// A log that ends inside its only record is a torn tail, not corruption:
+	// it opens empty (TestAOFTornTail cuts at every offset).
 	os.WriteFile(path, []byte("*2\r\n$3\r\nSET\r\n$1"), 0o644)
-	if _, err := OpenAOF(path); err == nil {
-		t.Fatal("corrupt AOF accepted")
+	s, err := OpenAOF(path)
+	if err != nil || s.DBSize() != 0 {
+		t.Fatalf("torn one-record AOF: err = %v, want an empty store", err)
 	}
+	s.CloseAOF()
 	// A well-formed record of a command the store does not log (a file from
 	// another writer) is refused, not skipped.
 	os.WriteFile(path, []byte("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n*1\r\n$8\r\nFLUSHALL\r\n"), 0o644)
 	if _, err := OpenAOF(path); err == nil || !strings.Contains(err.Error(), `unknown record "FLUSHALL"`) {
 		t.Fatalf("AOF holding FLUSHALL: err = %v, want unknown record", err)
+	}
+}
+
+// TestAOFTornTail: power loss mid-enroll leaves a prefix of the last record
+// at the end of the log. Wherever the cut falls, the store must reopen with
+// every acknowledged record, drop the unacknowledged one, and keep logging
+// onto a file that replays again; damage anywhere else is still refused.
+func TestAOFTornTail(t *testing.T) {
+	records := []string{
+		"*3\r\n$3\r\nSET\r\n$5\r\ntex:1\r\n$4\r\n\x00\r\n\xff\r\n",
+		"*3\r\n$3\r\nSET\r\n$5\r\ntex:2\r\n$1\r\nb\r\n",
+		"*3\r\n$3\r\nSET\r\n$5\r\ntex:3\r\n$10\r\n0123456789\r\n",
+	}
+	whole := records[0] + records[1]
+	path := t.TempDir() + "/store.aof"
+	for cut := 0; cut < len(records[2]); cut++ {
+		if err := os.WriteFile(path, []byte(whole+records[2][:cut]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenAOF(path)
+		if err != nil {
+			t.Fatalf("cut %d bytes into the last record: %v", cut, err)
+		}
+		v1, ok1 := s.Get("tex:1")
+		v2, ok2 := s.Get("tex:2")
+		if !ok1 || string(v1) != "\x00\r\n\xff" || !ok2 || string(v2) != "b" || s.DBSize() != 2 {
+			t.Fatalf("cut %d: tex:1 = %q %v, tex:2 = %q %v, DBSIZE %d; want both acknowledged keys and nothing else",
+				cut, v1, ok1, v2, ok2, s.DBSize())
+		}
+		if err := s.Set("tex:9", []byte("z")); err != nil {
+			t.Fatalf("cut %d: SET after recovery: %v", cut, err)
+		}
+		if err := s.CloseAOF(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenAOF(path)
+		if err != nil {
+			t.Fatalf("cut %d: reopening after a post-recovery SET: %v", cut, err)
+		}
+		if v, ok := r.Get("tex:9"); !ok || string(v) != "z" || r.DBSize() != 3 {
+			t.Fatalf("cut %d: post-recovery SET replayed as %q %v, DBSIZE %d", cut, v, ok, r.DBSize())
+		}
+		r.CloseAOF()
+	}
+
+	// The same three records whole, with one byte of the middle one flipped
+	// ("$3" no longer introduces a bulk string): not a tail, so not repaired.
+	flipped := []byte(whole + records[2])
+	flipped[len(records[0])+4] ^= 0x01
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenAOF(path); err == nil || !strings.Contains(err.Error(), "corrupt AOF") {
+		t.Fatalf("AOF with a damaged middle record: err = %v, want corrupt AOF", err)
 	}
 }
 
@@ -288,7 +346,8 @@ func TestAOFServedOverTCP(t *testing.T) {
 // down or leave memory ahead of the log — the command is refused, the key
 // stays absent, and the connection keeps serving.
 func TestAOFWriteFailureIsAnErrorReply(t *testing.T) {
-	s, err := OpenAOF(t.TempDir() + "/store.aof")
+	path := t.TempDir() + "/store.aof"
+	s, err := OpenAOF(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,5 +385,29 @@ func TestAOFWriteFailureIsAnErrorReply(t *testing.T) {
 	}
 	if err := c.Ping(); err != nil {
 		t.Fatalf("server stopped serving after a log failure: %v", err)
+	}
+
+	// The failure is not sticky: once the file takes writes again so does
+	// the log, and what it holds is the acknowledged records only.
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.aof.mu.Lock()
+	s.aof.f.File = f
+	s.aof.mu.Unlock()
+	if err := c.Set("after", []byte("v")); err != nil {
+		t.Fatalf("SET once the log is writable again: %v", err)
+	}
+	if err := s.CloseAOF(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenAOF(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.CloseAOF()
+	if _, kept := r.Get("kept"); !kept || r.DBSize() != 2 {
+		t.Fatalf("replay after a refused write: kept=%v DBSIZE=%d, want kept + after", kept, r.DBSize())
 	}
 }

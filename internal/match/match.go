@@ -72,7 +72,7 @@ func RatioTest(r knn.Pair2NN, ratio float64) []Correspondence {
 			continue
 		}
 		if b < ratio*s {
-			out = append(out, Correspondence{QueryIdx: j, RefIdx: int(r.BestIdx[j]), Dist: b}) //texlint:ignore hotalloc survivors are a small data-dependent subset; the slice is consumed immediately by scoring and the zero-alloc contract covers the O(m·n) kernels, not this epilogue
+			out = append(out, Correspondence{QueryIdx: j, RefIdx: int(r.BestIdx[j]), Dist: b})
 		}
 	}
 	return out
@@ -115,7 +115,7 @@ func PairScoreRand(r knn.Pair2NN, refKps, queryKps []sift.Keypoint, cfg Config, 
 		return len(cs)
 	}
 	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed)) //texlint:ignore hotalloc geometric verification is explicitly outside the zero-alloc contract; production config runs with Geometric=false
+		rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	return VerifySimilarityRand(cs, refKps, queryKps, cfg, rng)
 }
@@ -189,7 +189,7 @@ type SearchResult struct {
 // RankResults sorts candidates by descending score with deterministic
 // RefID tie-breaking and returns them.
 func RankResults(results []SearchResult) []SearchResult {
-	sort.Slice(results, func(i, j int) bool { //texlint:ignore hotalloc one sort of the final ranking per search, after the device timeline is closed; not part of the per-batch kernel loop
+	sort.Slice(results, func(i, j int) bool {
 		if results[i].Score != results[j].Score {
 			return results[i].Score > results[j].Score
 		}

@@ -102,8 +102,6 @@ func ForEngine(e *engine.Engine, opts Options) *EngineBatcher {
 // demultiplexed per-query report. Results are bitwise identical to
 // calling Engine.Search directly; only the simulated latency attribution
 // differs (a coalesced query's ElapsedUS is its batch's completion time).
-//
-//texlint:hotpath
 func (eb *EngineBatcher) Search(queryFeats *blas.Matrix, queryKps []sift.Keypoint) (*engine.Report, error) {
 	r, err := eb.b.Do(Query{Feats: queryFeats, Kps: queryKps})
 	if err != nil {

@@ -133,8 +133,6 @@ func New[Q, R any](run Runner[Q, R], opts Options) *Batcher[Q, R] {
 
 // Do submits one query, waits for the coalesced execution it lands in,
 // and returns its demultiplexed result. Safe for concurrent use.
-//
-//texlint:hotpath
 func (b *Batcher[Q, R]) Do(query Q) (R, error) {
 	c, lead, signal := b.submit(query)
 	if c == nil {
@@ -161,8 +159,6 @@ func (b *Batcher[Q, R]) Do(query Q) (R, error) {
 // submit enqueues a call, electing the caller leader if none is active.
 // It reports whether a window-waiting leader should be woken (the queue
 // just filled to MaxBatch while someone else leads).
-//
-//texlint:hotpath
 func (b *Batcher[Q, R]) submit(query Q) (c *call[Q, R], lead, signal bool) {
 	b.mu.Lock()
 	if b.closed {
@@ -174,7 +170,7 @@ func (b *Batcher[Q, R]) submit(query Q) (c *call[Q, R], lead, signal bool) {
 		b.free[n-1] = nil
 		b.free = b.free[:n-1]
 	} else {
-		c = &call[Q, R]{done: make(chan struct{}, 1)} //texlint:ignore hotalloc freelist warm-up: each call object is allocated once at peak concurrency and recycled forever after
+		c = &call[Q, R]{done: make(chan struct{}, 1)}
 		b.created++
 	}
 	c.query = query
@@ -200,7 +196,6 @@ func (b *Batcher[Q, R]) submit(query Q) (c *call[Q, R], lead, signal bool) {
 // Do immediately (poollife enforces this at every call site).
 //
 //texlint:freelist
-//texlint:hotpath
 func (b *Batcher[Q, R]) release(c *call[Q, R]) {
 	var zeroQ Q
 	var zeroR R
@@ -219,8 +214,6 @@ func (b *Batcher[Q, R]) release(c *call[Q, R]) {
 // lead runs the batching loop: wait (bounded) for the batch to fill,
 // collect up to MaxBatch queued calls, execute them as one batch, demux,
 // and repeat until the queue drains.
-//
-//texlint:coldpath leader machinery runs once per coalesced batch, not per query; the per-query work is in submit/complete
 func (b *Batcher[Q, R]) lead() {
 	for {
 		if b.opts.Window > 0 {
@@ -291,8 +284,6 @@ func (b *Batcher[Q, R]) lead() {
 // complete demultiplexes one executed batch: each call gets its own
 // result (or the shared error) and its waiter is woken. The done channel
 // is buffered with exactly one waiter, so the send never blocks.
-//
-//texlint:hotpath
 func (b *Batcher[Q, R]) complete(batch []*call[Q, R], results []R, err error) {
 	for i, c := range batch {
 		if err != nil {

@@ -154,8 +154,6 @@ func computeDescriptorInto(p *pyramid, kp Keypoint, dst []float32) {
 }
 
 // normalize scales v to unit L2 norm in place (no-op for the zero vector).
-//
-//texlint:hotpath
 func normalize(v []float64) {
 	var n float64
 	for _, x := range v {

@@ -87,8 +87,6 @@ func detectExtrema(p *pyramid, a *arena, cfg Config) []Keypoint {
 // isExtremum reports whether d1(x,y)=v is a strict maximum or minimum over
 // its 26 scale-space neighbors. Callers guarantee (x, y) is at least one
 // pixel inside the image, so neighbors are read without border clamping.
-//
-//texlint:hotpath
 func isExtremum(d0, d1, d2 *texture.Image, x, y int, v float32) bool {
 	w := d1.W
 	c := y*w + x

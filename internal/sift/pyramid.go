@@ -221,8 +221,6 @@ func blurArena(a *arena, im *texture.Image, sigma float64) *texture.Image {
 }
 
 // clampRow clamps a row index to [0, h).
-//
-//texlint:hotpath
 func clampRow(y, h int) int {
 	if y < 0 {
 		return 0

@@ -2,7 +2,8 @@
 # Tier-2 verification gate: build, vet (root module and the nested benchmark
 # module), gofmt, project invariants (texlint), import hygiene of the serving
 # binaries, the serving core's tests at GOMAXPROCS 1, 2 and 4, the blas/half
-# tests on the portable (no-assembly) kernels, and the race-detector test
+# tests on the portable (no-assembly) kernels, the portable rows of the
+# measurement suite against BENCH_BASELINE.json, and the race-detector test
 # suite. Any diagnostic or failure exits non-zero.
 # Works from a clean checkout with no network access (texlint type-checks
 # against the source importer; nothing is downloaded).
@@ -56,6 +57,16 @@ go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster
 # assembly disabled.
 echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half)"
 TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/...
+
+# Measurement gate, portable half: the sim-clock ops (serving levels, sim
+# soak) and the allocation probes gate on any machine. Fails on lost result
+# identity or determinism, a sub-3x speedup at concurrency 16, a >10%
+# batched-QPS drop, or any upward allocs/op drift vs the committed
+# BENCH_BASELINE.json (the probe rows are the host search path's
+# allocation contract); a missing or malformed baseline fails before any
+# op runs. Wall rows are gated by scripts/bench.sh on the baseline machine.
+echo "==> measurement gate (portable rows)"
+go run ./cmd/texbench -suite -portable -baseline BENCH_BASELINE.json
 
 # The race suite also runs as its own CI job; TEXID_SKIP_RACE lets that
 # job's sibling skip the duplicate run. Local runs always include it.
