@@ -38,7 +38,7 @@ func main() {
 		"run the measurement suite instead of the experiments: host kernels and soak scenarios (wall clock, at GOMAXPROCS 1 and NumCPU), serving levels and the sim-clock soak (simulated clock), allocation probes (counts)")
 	var so bench.SuiteOptions
 	flag.BoolVar(&so.Portable, "portable", false,
-		"with -suite: only sim- and count-clock ops, whose rows are identical on any machine (what CI gates)")
+		"with -suite: only sim- and count-clock ops, which gate on any machine: sim rows are bit-identical, count rows are lower on the portable kernels and gated one-sided (what CI gates)")
 	flag.IntVar(&so.Count, "count", 3, "with -suite: timed runs per host-kernel op (best is reported)")
 	opFilter := flag.String("op", "",
 		"with -suite: only run ops whose name matches this regexp (fixtures for skipped ops are not built)")

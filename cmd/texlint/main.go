@@ -37,14 +37,6 @@
 //	goleak       goroutines spawned from non-test code need a provable
 //	             exit path: a close()d channel range, a done/context
 //	             select arm, or a bounded body
-//	wiretaint    lengths originating at untrusted sources (net.Conn,
-//	             *http.Request, //texlint:untrusted parameters) must pass
-//	             a bound check or internal/limits helper before sizing
-//	             memory (flow-aware: findings carry source→sink chains)
-//	maporder     call closures rooted at the simulator packages, wire
-//	             encoders, metrics exposition, and
-//	             //texlint:deterministic functions must sort map
-//	             iterations that build output and avoid multi-way selects
 //	directive    texlint comment hygiene: bare ignores (no reason),
 //	             unknown check names, malformed annotations
 //
@@ -155,16 +147,13 @@ func selectAnalyzers(list string) ([]*analysis.Analyzer, error) {
 	return out, nil
 }
 
-// jsonDiag is the -json wire form of one finding. Chain is present only for
-// flow-aware findings and names the call path from the root to the reported
-// function ("root -> ... -> fn").
+// jsonDiag is the -json wire form of one finding.
 type jsonDiag struct {
 	File    string `json:"file"`
 	Line    int    `json:"line"`
 	Col     int    `json:"col"`
 	Check   string `json:"check"`
 	Message string `json:"message"`
-	Chain   string `json:"chain,omitempty"`
 }
 
 func emitJSON(diags []analysis.Diagnostic) {
@@ -172,7 +161,7 @@ func emitJSON(diags []analysis.Diagnostic) {
 	for _, d := range diags {
 		out = append(out, jsonDiag{
 			File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
-			Check: d.Check, Message: d.Message, Chain: d.Chain,
+			Check: d.Check, Message: d.Message,
 		})
 	}
 	enc := json.NewEncoder(os.Stdout)

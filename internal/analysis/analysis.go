@@ -8,16 +8,14 @@
 // The paper's results depend on a deterministic, calibrated timing model
 // and a concurrent serving stack; the checks here encode the invariants
 // that keep those properties from rotting: nothing reachable from simulator
-// code reads the wall clock, the global math/rand source or map iteration
-// order, no mutex is held across a blocking operation, no error is
-// dropped, every kernel launch is paired with a stream sync, and no raw
+// code reads the wall clock or the global math/rand source, no mutex is
+// held across a blocking operation, no error is dropped, and no raw
 // binary16 bit pattern is manipulated outside internal/half.
 //
-// Every mechanism exists once: Program.reach is the only call-graph walk
-// (clockdomain and maporder differ in their roots and in what they scan
-// per function), chainPath the only chain renderer, and
-// lockVisitor the only critical-section tracker (lockcheck, lockorder and
-// guardedby are callbacks on it).
+// Every mechanism exists once: Program.reach is the only call-graph walk,
+// chainPath the only chain renderer, and lockVisitor the only
+// critical-section tracker (lockcheck, lockorder and guardedby are
+// callbacks on it).
 //
 // Diagnostics may be suppressed with an escape hatch comment:
 //
@@ -28,13 +26,11 @@
 // declaration. The reason is mandatory: a bare ignore, or one naming an
 // unknown check, is itself reported under the "directive" check.
 //
-// Flow-aware checks (clockdomain, aliasret, wiretaint, maporder) follow
-// call chains across packages; they are driven by function annotations:
+// Flow-aware checks (clockdomain, aliasret) follow call chains across
+// packages; they are driven by function annotations:
 //
 //	//texlint:scratchalias          — results alias a reusable scratch; callers are checked
 //	//texlint:clockdomain           — extra root for the wall-clock reachability check
-//	//texlint:untrusted             — parameters carry attacker-controlled data (wiretaint source)
-//	//texlint:deterministic         — output must not depend on map/select ordering (maporder root)
 package analysis
 
 import (
@@ -49,12 +45,6 @@ type Diagnostic struct {
 	Pos     token.Position
 	Check   string
 	Message string
-	// Chain, when set, is the call path a flow-aware check followed from
-	// its root to the reported function ("root -> ... -> fn"). It is also
-	// rendered into Message; the separate field exists for -json consumers.
-	// Kept a plain string so Diagnostic stays comparable (sortDiags dedups
-	// with ==).
-	Chain string
 }
 
 func (d Diagnostic) String() string {
@@ -97,9 +87,9 @@ func perPackage(scope func(pkgPath string) bool, fn func(*Pass) []Diagnostic) fu
 
 // DefaultAnalyzers returns the check suite. The two syntactic checks
 // (errcheck, fp16) look at one package at a time; the rest follow call
-// chains, lock sets or value flow across the whole program.
-// Scoping lives with each check: clockdomain and maporder root themselves
-// at the simulator packages (inSimulator), fp16 skips internal/half.
+// chains or lock sets across the whole program.
+// Scoping lives with each check: clockdomain roots itself at the simulator
+// packages (inSimulator), fp16 skips internal/half.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		NewLockCheck(),
@@ -111,8 +101,6 @@ func DefaultAnalyzers() []*Analyzer {
 		NewGuardedBy(),
 		NewPoolLife(),
 		NewGoLeak(),
-		NewWireTaint(),
-		NewMapOrder(),
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 
 // simulatorPackages are the packages whose results must reproduce bit for
 // bit: the device model and the numeric path that runs on it. clockdomain
-// and maporder take every function declared in them as a root.
+// takes every function declared in them as a root.
 var simulatorPackages = []string{
 	"internal/gpusim", "internal/engine", "internal/blas",
 	"internal/knn", "internal/half", "internal/cache",
@@ -70,7 +70,7 @@ func runClockDomain(prog *Program) []Diagnostic {
 	}
 
 	var out []Diagnostic
-	order, parent := prog.reach(roots, "clockdomain", nil)
+	order, parent := prog.reach(roots, "clockdomain")
 	for _, fn := range order {
 		fi := prog.Funcs[fn]
 		root := fn

@@ -3,7 +3,6 @@ package analysis
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -34,8 +33,6 @@ func TestLockOrderFixture(t *testing.T)   { fixture(t, "lockorder") }
 func TestGuardedByFixture(t *testing.T)   { fixture(t, "guardedby") }
 func TestPoolLifeFixture(t *testing.T)    { fixture(t, "poollife") }
 func TestGoLeakFixture(t *testing.T)      { fixture(t, "goleak") }
-func TestWireTaintFixture(t *testing.T)   { fixture(t, "wiretaint") }
-func TestMapOrderFixture(t *testing.T)    { fixture(t, "maporder") }
 
 // TestEveryCheckHasFixture fails when a registered check ships no fixture
 // package: a check without one has no proof it still catches its true
@@ -50,64 +47,31 @@ func TestEveryCheckHasFixture(t *testing.T) {
 }
 
 // TestDefaultAnalyzersScope pins the suite and its production scoping:
-// clockdomain and maporder root themselves at the simulator packages and
-// not at e.g. cmd/ tools, while fp16 skips internal/half itself.
+// clockdomain roots itself at the simulator packages and not at e.g. cmd/
+// tools, while fp16 skips internal/half itself.
 func TestDefaultAnalyzersScope(t *testing.T) {
 	names := map[string]bool{}
 	for _, a := range DefaultAnalyzers() {
 		names[a.Name] = true
 	}
-	if len(names) != 11 {
-		t.Fatalf("expected 11 analyzers, got %d", len(names))
+	if len(names) != 9 {
+		t.Fatalf("expected 9 analyzers, got %d", len(names))
 	}
-	for _, name := range []string{"clockdomain", "maporder", "lockcheck", "fp16"} {
+	for _, name := range []string{"clockdomain", "lockcheck", "fp16"} {
 		if !names[name] {
 			t.Errorf("missing analyzer %q", name)
 		}
 	}
 	if !inSimulator("texid/internal/engine") || !inSimulator("texid/internal/gpusim") {
-		t.Error("clockdomain/maporder root scope must cover internal/engine and internal/gpusim")
+		t.Error("clockdomain root scope must cover internal/engine and internal/gpusim")
 	}
 	if inSimulator("texid/cmd/texgen") {
-		t.Error("clockdomain/maporder root scope must not cover cmd/texgen")
+		t.Error("clockdomain root scope must not cover cmd/texgen")
 	}
 	if fp16Scope("texid/internal/half") {
 		t.Error("fp16 must not apply to internal/half")
 	}
 	if !fp16Scope("texid/internal/blas") {
 		t.Error("fp16 must apply to internal/blas")
-	}
-}
-
-// TestUntrustedDirectiveHygieneFindings pins that a //texlint:untrusted on
-// a non-source declaration comes back as a directive finding (and so must
-// be fixed or ignored in place like any other diagnostic).
-func TestUntrustedDirectiveHygieneFindings(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks fixture + stdlib; skipped in -short mode")
-	}
-	pkg, err := fixtureLoad(filepath.Join("testdata", "src", "wiretaint"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// RunAll always includes directive hygiene.
-	diags := RunAll([]*Package{pkg}, []*Analyzer{NewWireTaint()})
-	var onVar, onNoInputs bool
-	for _, d := range diags {
-		if d.Check != "directive" {
-			continue
-		}
-		if strings.Contains(d.Message, "texlint:untrusted must be in the doc comment of a function declaration") {
-			onVar = true
-		}
-		if strings.Contains(d.Message, "texlint:untrusted marks inputs as hostile, but this function has no receiver or parameters") {
-			onNoInputs = true
-		}
-	}
-	if !onVar {
-		t.Error("no directive finding for //texlint:untrusted on a var declaration")
-	}
-	if !onNoInputs {
-		t.Error("no directive finding for //texlint:untrusted on a zero-input function")
 	}
 }

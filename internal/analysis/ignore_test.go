@@ -10,7 +10,8 @@ import (
 // TestIgnoreEdgeCases pins the //texlint:ignore placement semantics on a
 // dedicated fixture: comma-separated check lists, doc-group directives
 // covering whole declarations (func and var block), trailing directives
-// covering one line, and the directive check rejecting unknown names.
+// covering one line, and the directive check rejecting unknown check and
+// directive names.
 func TestIgnoreEdgeCases(t *testing.T) {
 	pkg, err := fixtureLoad("testdata/src/ignoreedge")
 	if err != nil {
@@ -37,10 +38,12 @@ func TestIgnoreEdgeCases(t *testing.T) {
 		clock[0].Pos.Line != pkg.Fset.Position(nowPosUnder(t, pkg, "notIgnored")).Line {
 		t.Errorf("want exactly one surviving clockdomain finding (notIgnored's time.Now), got %v", clock)
 	}
-	// The bogus check name in the last directive is itself a finding.
+	// The bogus check name and the retired directive are themselves
+	// findings (RunAll sorts by line: the ignore comes first).
 	dir := byCheck["directive"]
-	if len(dir) != 1 || !strings.Contains(dir[0].Message, `unknown check "nosuchcheck"`) {
-		t.Errorf(`want exactly one directive finding about unknown check "nosuchcheck", got %v`, dir)
+	if len(dir) != 2 || !strings.Contains(dir[0].Message, `unknown check "nosuchcheck"`) ||
+		!strings.Contains(dir[1].Message, `unknown texlint directive "untrusted"`) {
+		t.Errorf(`want two directive findings, unknown check "nosuchcheck" and unknown directive "untrusted", got %v`, dir)
 	}
 	if extra := len(diags) - len(clock) - len(dir); extra != 0 {
 		t.Errorf("unexpected findings from other checks: %v", diags)

@@ -10,7 +10,7 @@ import (
 )
 
 // Whole-program analysis: the syntactic checks (perPackage) see one
-// package at a time, but the clock-domain and ordering contracts
+// package at a time, but the clock-domain and scratch-aliasing contracts
 // are properties of call *chains* that cross package boundaries
 // (engine.Search -> knn -> blas -> gpusim). Program indexes every function
 // declaration across the loaded packages, parses the texlint annotations
@@ -35,14 +35,6 @@ type FuncAnn struct {
 	// passed to this function return to a freelist, and the caller must
 	// not touch them afterwards (poollife enforces the callers).
 	Freelist bool
-	// Untrusted marks a //texlint:untrusted seam: every parameter (and the
-	// receiver) carries attacker-controlled data, and wiretaint taints them
-	// as sources.
-	Untrusted bool
-	// Deterministic marks a //texlint:deterministic root: output produced
-	// by this function and everything it transitively calls must not depend
-	// on map iteration or select ordering (maporder enforces the closure).
-	Deterministic bool
 }
 
 // FuncInfo is one function declaration in the program.
@@ -163,12 +155,12 @@ func (p *Program) Callees(fn *types.Func) []CallSite {
 // returns the functions visited in visit order plus the first caller that
 // reached each one (roots have no entry, which is what chainPath keys on).
 // A call site carrying //texlint:ignore <check> is a reviewed edge and is
-// not followed; stop, when non-nil, names callees the walk must not enter.
+// not followed.
 //
 // Roots are taken by offset within their file, then by position: a
 // function reachable from several roots is attributed to the first, so
 // the chain a finding prints is stable from run to run.
-func (p *Program) reach(roots []*types.Func, check string, stop func(*FuncInfo) bool) (order []*types.Func, parent map[*types.Func]*types.Func) {
+func (p *Program) reach(roots []*types.Func, check string) (order []*types.Func, parent map[*types.Func]*types.Func) {
 	sort.Slice(roots, func(i, j int) bool {
 		oi, oj := p.Fset.Position(roots[i].Pos()).Offset, p.Fset.Position(roots[j].Pos()).Offset
 		if oi != oj {
@@ -189,8 +181,7 @@ func (p *Program) reach(roots []*types.Func, check string, stop func(*FuncInfo) 
 			queue = queue[1:]
 			order = append(order, fn)
 			for _, site := range p.Callees(fn) {
-				fi := p.Funcs[site.Callee]
-				if seen[site.Callee] || fi == nil || (stop != nil && stop(fi)) || p.Suppressed(check, site.Pos) {
+				if seen[site.Callee] || p.Funcs[site.Callee] == nil || p.Suppressed(check, site.Pos) {
 					continue
 				}
 				seen[site.Callee] = true
@@ -239,12 +230,10 @@ func funcDisplayName(fn *types.Func) string {
 
 // Annotation directives recognized on function doc comments.
 const (
-	scratchaliasPrefix  = "//texlint:scratchalias"
-	clockdomainPrefix   = "//texlint:clockdomain"
-	freelistPrefix      = "//texlint:freelist"
-	guardsPrefix        = "//texlint:guards"
-	untrustedPrefix     = "//texlint:untrusted"
-	deterministicPrefix = "//texlint:deterministic"
+	scratchaliasPrefix = "//texlint:scratchalias"
+	clockdomainPrefix  = "//texlint:clockdomain"
+	freelistPrefix     = "//texlint:freelist"
+	guardsPrefix       = "//texlint:guards"
 )
 
 // parseFuncAnn extracts texlint annotations from a doc comment group.
@@ -261,10 +250,6 @@ func parseFuncAnn(doc *ast.CommentGroup) FuncAnn {
 			ann.ClockRoot = true
 		case directiveIs(c.Text, freelistPrefix):
 			ann.Freelist = true
-		case directiveIs(c.Text, untrustedPrefix):
-			ann.Untrusted = true
-		case directiveIs(c.Text, deterministicPrefix):
-			ann.Deterministic = true
 		}
 	}
 	return ann
@@ -292,30 +277,6 @@ func (p *Program) directiveDiags(knownChecks map[string]bool) []Diagnostic {
 			Pos: p.Fset.Position(pos), Check: "directive",
 			Message: fmt.Sprintf(format, args...),
 		})
-	}
-	// Placement hygiene for the value-flow annotations: both only mean
-	// something in the doc comment of a function declaration, and
-	// //texlint:untrusted additionally needs inputs to taint (a receiver or
-	// at least one parameter).
-	funcDocPos := make(map[token.Pos]bool)
-	untrustedOKPos := make(map[token.Pos]bool)
-	for _, pkg := range p.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil {
-					continue
-				}
-				hasInputs := fd.Recv != nil ||
-					(fd.Type.Params != nil && len(fd.Type.Params.List) > 0)
-				for _, c := range fd.Doc.List {
-					funcDocPos[c.Pos()] = true
-					if hasInputs {
-						untrustedOKPos[c.Pos()] = true
-					}
-				}
-			}
-		}
 	}
 	for _, pkg := range p.Pkgs {
 		for _, f := range pkg.Files {
@@ -346,16 +307,6 @@ func (p *Program) directiveDiags(knownChecks map[string]bool) []Diagnostic {
 						if strings.TrimSpace(strings.TrimPrefix(text, guardsPrefix)) == "" {
 							report(c.Pos(), "texlint:guards needs the name of the protecting mutex field: //texlint:guards <mutex>")
 						}
-					case directiveIs(text, untrustedPrefix):
-						if !funcDocPos[c.Pos()] {
-							report(c.Pos(), "texlint:untrusted must be in the doc comment of a function declaration")
-						} else if !untrustedOKPos[c.Pos()] {
-							report(c.Pos(), "texlint:untrusted marks inputs as hostile, but this function has no receiver or parameters")
-						}
-					case directiveIs(text, deterministicPrefix):
-						if !funcDocPos[c.Pos()] {
-							report(c.Pos(), "texlint:deterministic must be in the doc comment of a function declaration")
-						}
 					case directiveIs(text, scratchaliasPrefix),
 						directiveIs(text, clockdomainPrefix),
 						directiveIs(text, freelistPrefix):
@@ -365,7 +316,7 @@ func (p *Program) directiveDiags(knownChecks map[string]bool) []Diagnostic {
 						if i := strings.IndexAny(name, " \t"); i >= 0 {
 							name = name[:i]
 						}
-						report(c.Pos(), "unknown texlint directive %q (known: ignore, scratchalias, clockdomain, freelist, guards, untrusted, deterministic)", name)
+						report(c.Pos(), "unknown texlint directive %q (known: ignore, scratchalias, clockdomain, freelist, guards)", name)
 					}
 				}
 			}

@@ -377,8 +377,6 @@ func writeStatus(err error) int {
 // decodeRecord turns a request-body base64 blob into a feature record: the
 // blob is attacker-controlled, so every length inside it is hostile until
 // wire.Decode's limits checks have run.
-//
-//texlint:untrusted
 func decodeRecord(b64 string) (*wire.FeatureRecord, error) {
 	if b64 == "" {
 		return nil, fmt.Errorf("missing record_b64")

@@ -350,8 +350,6 @@ type Report struct {
 // Summary converts the report to its stable wire form. The chaos suite
 // serializes summaries to assert byte-identical results across runs and
 // GOMAXPROCS settings.
-//
-//texlint:deterministic
 func (r *Report) Summary() *wire.SearchSummary {
 	s := &wire.SearchSummary{
 		BestID:         int64(r.BestID),
@@ -391,8 +389,6 @@ func (r *shardResult) query(qi int) *engine.Report {
 // fail after retries are routed around: the merged report covers the
 // survivors and is marked Partial. The search fails only when fewer than
 // MinShards shards answer.
-//
-//texlint:deterministic
 func (c *Cluster) Search(feats *blas.Matrix, kps []sift.Keypoint) (*Report, error) {
 	reps, err := c.scatter(opSearch, []*blas.Matrix{feats}, [][]sift.Keypoint{kps})
 	if err != nil {
@@ -406,8 +402,6 @@ func (c *Cluster) Search(feats *blas.Matrix, kps []sift.Keypoint) (*Report, erro
 // batch) and merges per-query results, degrading to partial results like
 // Search. All query matrices must have the engine's descriptor dimension;
 // shorter feature counts are padded by the engine.
-//
-//texlint:deterministic
 func (c *Cluster) SearchBatch(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint) ([]*Report, error) {
 	return c.scatter(opSearchBatch, queryFeats, queryKps)
 }
@@ -416,8 +410,6 @@ func (c *Cluster) SearchBatch(queryFeats []*blas.Matrix, queryKps [][]sift.Keypo
 // selects the worker call — Engine.Search of the only query, or
 // Engine.SearchBatch — and is the name the fault injector keys its
 // schedule on, so the two stay distinct operations on the wire.
-//
-//texlint:deterministic
 func (c *Cluster) scatter(op string, queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint) ([]*Report, error) {
 	results := make([]shardResult, len(c.workers))
 	var wg sync.WaitGroup

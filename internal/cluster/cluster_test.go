@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -204,7 +206,7 @@ func TestKVStorePersistenceAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := make([]*blas.Matrix, 6)
+	refs := make([]*blas.Matrix, 40)
 	for i := range refs {
 		refs[i] = unitFeatures(rng, 16, 24)
 		if err := c.Add(i, refs[i], nil); err != nil {
@@ -214,24 +216,40 @@ func TestKVStorePersistenceAndReload(t *testing.T) {
 	c.Remove(3)
 	c.Close()
 
-	// A fresh cluster restores from the store.
-	c2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// A fresh cluster restores from the store — the same cluster every
+	// time: ids land on the same shards in the same order, so a restart
+	// answers a query with the same bytes as the restart before it.
+	query := queryFor(rng, refs[1], 32)
+	var shards []map[int]int
+	var answers [][]byte
+	for restart := 0; restart < 2; restart++ {
+		c2, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c2.Close()
+		n, err := c2.LoadFromStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 39 {
+			t.Fatalf("restored %d records, want 39 (one was deleted)", n)
+		}
+		rep, err := c2.Search(query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.BestID != 1 || !rep.Accepted {
+			t.Fatalf("restored texture not found: %+v", rep)
+		}
+		shards = append(shards, c2.shards)
+		answers = append(answers, wire.EncodeSummary(rep.Summary()))
 	}
-	n, err := c2.LoadFromStore()
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(shards[0], shards[1]) {
+		t.Errorf("two restarts from one store placed ids differently:\n%v\n%v", shards[0], shards[1])
 	}
-	if n != 5 {
-		t.Fatalf("restored %d records, want 5 (one was deleted)", n)
-	}
-	rep, err := c2.Search(queryFor(rng, refs[1], 32), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BestID != 1 || !rep.Accepted {
-		t.Fatalf("restored texture not found: %+v", rep)
+	if !bytes.Equal(answers[0], answers[1]) {
+		t.Error("two restarts from one store answered the same query with different bytes")
 	}
 }
 
@@ -419,7 +437,12 @@ func TestRESTRejectsBadInput(t *testing.T) {
 	}
 	one, many := c.bodyLimit(1), c.bodyLimit(maxBatchRecords)
 	batch := batchSearchRequest{RecordsB64: []string{query, query}}
+	tooMany := batchSearchRequest{RecordsB64: make([]string, maxBatchRecords+1)}
+	for i := range tooMany.RecordsB64 {
+		tooMany.RecordsB64[i] = query
+	}
 	rejects([]badInput{
+		{"one record too many in a batch, body under the limit", "POST", "/v1/search/batch", tooMany, 400},
 		{"oversized add", "POST", "/v1/textures", sized(textureRequest{ID: 9, RecordB64: good}, one+2), 413},
 		{"oversized update", "PUT", "/v1/textures/7", sized(textureRequest{RecordB64: good}, one+2), 413},
 		{"oversized search", "POST", "/v1/search", sized(textureRequest{RecordB64: query}, one+2), 413},
@@ -440,7 +463,7 @@ func TestRESTRejectsBadInput(t *testing.T) {
 		{"update with the store down", "PUT", "/v1/textures/7", textureRequest{RecordB64: good}, 500},
 	})
 	if got := c.Stats().References; got != 1 {
-		t.Fatalf("%d references after thirteen rejected requests, want the 1 enrolled", got)
+		t.Fatalf("%d references after fourteen rejected requests, want the 1 enrolled", got)
 	}
 }
 

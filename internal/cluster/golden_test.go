@@ -31,8 +31,8 @@ func get(t *testing.T, url string) string {
 	return string(b)
 }
 
-// TestMetricsAndStatsGolden pins the determinism contract maporder enforces
-// statically: /metrics and /v1/stats emission must not be shaped by map
+// TestMetricsAndStatsGolden pins the determinism contract of the scrape
+// endpoints: /metrics and /v1/stats emission must not be shaped by map
 // iteration order. Two scrapes with no traffic in between are
 // byte-identical, and the exposition lists metric families in sorted order.
 func TestMetricsAndStatsGolden(t *testing.T) {

@@ -319,7 +319,7 @@ func (e *Engine) addLocked(id int, feats *blas.Matrix, kps []sift.Keypoint, code
 	e.refs[id] = ref
 	e.pending = append(e.pending, pendingRef{ref: ref, feats: feats, codes: codes})
 	if len(e.pending) >= e.cfg.BatchSize {
-		return e.sealLocked() //texlint:ignore wiretaint the request's id rides in e.pending only as a map key; no length sealLocked sizes from (len(e.pending) ≤ BatchSize, RefFeatures, batch bytes) derives from it
+		return e.sealLocked()
 	}
 	return nil
 }

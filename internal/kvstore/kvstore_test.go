@@ -1,14 +1,20 @@
 package kvstore
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"texid/internal/limits"
 )
 
 func TestStoreBasics(t *testing.T) {
@@ -26,6 +32,14 @@ func TestStoreBasics(t *testing.T) {
 	}
 	if s.DBSize() != 0 {
 		t.Fatalf("DBSize = %d", s.DBSize())
+	}
+	// Keys is the order a restarted cluster re-enrolls in, so it is sorted,
+	// not whatever the map yields.
+	for i := 0; i < 100; i++ {
+		s.Set(fmt.Sprintf("tex:%d", i*37%100), nil)
+	}
+	if keys := s.Keys("tex:*"); len(keys) != 100 || !sort.StringsAreSorted(keys) {
+		t.Fatalf("Keys returned %d keys, sorted=%v", len(keys), sort.StringsAreSorted(keys))
 	}
 }
 
@@ -165,6 +179,46 @@ func TestServerRejectsUnknownCommand(t *testing.T) {
 	// Connection must still work after an error reply.
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHostileFramesRefused feeds both parsers frames whose header is a
+// claim the peer never backs with payload. One row per bound in resp.go: a
+// count or length over its cap is a protocol error on the header itself,
+// and one at the cap commits memory only as bytes arrive. Removing a bound
+// turns its row into a different error, a success, or megabytes allocated.
+func TestHostileFramesRefused(t *testing.T) {
+	command := func(r *bufio.Reader) error { _, err := readCommand(r); return err }
+	rep := func(r *bufio.Reader) error { _, err := readReply(r); return err }
+	for _, f := range []struct {
+		what     string
+		parse    func(*bufio.Reader) error
+		frame    string
+		protocol bool // errProtocol, not merely an error
+		maxAlloc uint64
+	}{
+		{"command: element count over the cap", command, "*1048577\r\n", true, 64 << 10},
+		{"command: empty array", command, "*0\r\n", true, 64 << 10},
+		{"command: element count at the cap, nothing sent", command, "*1048576\r\n", false, 64 << 10},
+		{"command: bulk length over the cap", command, "*1\r\n$536870913\r\n", true, 64 << 10},
+		{"command: bulk length at the cap, 2 bytes sent", command, "*1\r\n$536870912\r\nhi\r\n", false, 4 * limits.DefaultChunk},
+		{"reply: bulk length over the cap", rep, "$536870913\r\n", true, 64 << 10},
+		{"reply: bulk length at the cap, 1 byte sent", rep, "$536870912\r\nx\r\n", false, 4 * limits.DefaultChunk},
+		{"reply: element count over the cap", rep, "*1048577\r\n", true, 64 << 10},
+		{"reply: element count at the cap, nothing sent", rep, "*1048576\r\n", false, 64 << 10},
+		{"reply: arrays nested past the depth cap", rep, strings.Repeat("*1\r\n", maxReplyDepth+2) + ":0\r\n", true, 64 << 10},
+	} {
+		r := bufio.NewReader(strings.NewReader(f.frame))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := f.parse(r)
+		runtime.ReadMemStats(&after)
+		if err == nil || f.protocol && !errors.Is(err, errProtocol) {
+			t.Errorf("%s: err = %v, want protocol error = %v", f.what, err, f.protocol)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > f.maxAlloc {
+			t.Errorf("%s: parser allocated %d bytes for a %d-byte frame, want <= %d", f.what, grew, len(f.frame), f.maxAlloc)
+		}
 	}
 }
 

@@ -22,8 +22,6 @@ const maxBulkLen = 512 << 20
 // It also accepts the inline format ("PING\r\n") for debugging with nc.
 // The reader is a network peer (or a possibly corrupt AOF): every count and
 // length parsed here is hostile until bounds-checked.
-//
-//texlint:untrusted
 func readCommand(r *bufio.Reader) ([][]byte, error) {
 	line, err := readLine(r)
 	if err != nil {
@@ -161,8 +159,6 @@ const maxReplyDepth = 32
 
 // readReply parses one server reply. The reader is a network peer: counts
 // and lengths are hostile until bounds-checked.
-//
-//texlint:untrusted
 func readReply(r *bufio.Reader) (reply, error) {
 	return readReplyDepth(r, 0)
 }

@@ -6,11 +6,10 @@
 //
 // The package exists for two reasons. First, it deduplicates the hand-rolled
 // chunked-allocation code that grew independently in the RESP parser, the
-// wire decoders, and snapshot loading. Second, it gives the static checker a
-// single seam: texlint's wiretaint check recognizes calls into this package
-// as canonical sanitizers, so a decoder that routes its untrusted lengths
-// through Check/Cap/ReadChunked passes the whole-program taint analysis
-// without per-site escape hatches.
+// wire decoders, and snapshot loading. Second, it gives review one seam to
+// look for: a decoder routes every untrusted length through
+// Check/Cap/ReadChunked, and each such call is pinned by a hostile-input
+// test row that fails when it is removed (the kill table in DESIGN.md).
 package limits
 
 import (

@@ -58,7 +58,7 @@ func TestGauge(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("latency_ms", "", []float64{10, 100, 1000})
+	h := r.Histogram("latency_ms", "", []float64{1000, 10, 100}) // bounds are sorted on registration
 	for _, v := range []float64{1, 5, 50, 500, 5000} {
 		h.Observe(v)
 	}
@@ -149,7 +149,11 @@ func TestRegistryCapsDistinctNames(t *testing.T) {
 		t.Fatalf("overflow counter not usable: %v", got)
 	}
 	r.Gauge("texid_overflow_gauge", "refused").Set(1)
-	r.Histogram("texid_overflow_hist", "refused", DefBuckets).Observe(2)
+	refused := r.Histogram("texid_overflow_hist", "refused", []float64{100, 1})
+	refused.Observe(0.5)
+	if q := refused.Quantile(1); q != 1 {
+		t.Fatalf("overflow histogram p100 = %g, want 1: bounds not sorted", q)
+	}
 	if d := r.Dropped(); d != 3 {
 		t.Fatalf("dropped = %v, want 3", d)
 	}

@@ -21,8 +21,14 @@ func TestExtractSteadyStateAllocs(t *testing.T) {
 	Extract(im, cfg)
 
 	allocs := testing.AllocsPerRun(5, func() { Extract(im, cfg) })
-	const bound = 200
+	bound := 200.0
+	if raceDetector {
+		// A dropped Put makes the next Extract grow a fresh arena (~250
+		// allocations), so under the detector only the cold cost holds —
+		// still well under the unpooled ~1000.
+		bound = 400
+	}
 	if allocs > bound {
-		t.Fatalf("steady-state Extract allocates %.0f times per op, want <= %d", allocs, bound)
+		t.Fatalf("steady-state Extract allocates %.0f times per op, want <= %.0f", allocs, bound)
 	}
 }

@@ -81,6 +81,14 @@ func TestCorruptCodesRejected(t *testing.T) {
 		t.Fatal("code count 3 for 5 descriptors accepted")
 	}
 
+	// Fewer codes than descriptors is refused even when exactly that many
+	// follow: a code panel indexes by descriptor column.
+	mut3 := append([]byte(nil), b[:len(b)-2*16]...)
+	mut3[len(b)-5*16-1] = 3
+	if _, err := Decode(mut3); err == nil {
+		t.Fatal("3 codes, all present, accepted for 5 descriptors")
+	}
+
 	// A count claiming far more payload than present must not allocate.
 	mut2 := append([]byte(nil), b[:len(b)-5*16]...)
 	mut2[len(mut2)-1] = 200

@@ -181,8 +181,6 @@ func (r *reader) f32() float32 { return math.Float32frombits(r.u32()) }
 // in original descriptor units (the FP16 quantization itself is of course
 // not undone). The input is foreign bytes (kvstore values, HTTP bodies,
 // snapshot records): every dimension and count is hostile until checked.
-//
-//texlint:untrusted
 func Decode(b []byte) (*FeatureRecord, error) {
 	r := &reader{b: b}
 	if r.u32() != magic {

@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -25,6 +28,27 @@ func record(rng *rand.Rand, prec gpusim.Precision, d, m, nk int) *FeatureRecord 
 		}
 	}
 	return &FeatureRecord{ID: rng.Int63(), Precision: prec, Scale: 1, Features: f, Keypoints: kps}
+}
+
+// header is the head of a record that claims a d×m matrix, with nothing
+// behind it.
+func header(ver byte, d, m uint64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, magic)
+	b = append(b, ver)
+	b = appendUvarint(b, 1) // id
+	b = append(b, byte(gpusim.FP32))
+	b = binary.LittleEndian.AppendUint32(b, math.Float32bits(1))
+	b = appendUvarint(b, d)
+	return appendUvarint(b, m)
+}
+
+// allocated is how many bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestRoundTripFP32(t *testing.T) {
@@ -93,6 +117,31 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	// Trailing bytes must be rejected too.
 	if _, err := Decode(append(full, 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+	// A header is a claim, not a size: each of these is a few bytes long,
+	// and must be refused before anything is sized from it. One row per
+	// bound in Decode; removing the bound turns its row into a panic, an
+	// accepted record or a multi-megabyte allocation.
+	empty := header(version, 0, 0)
+	for _, h := range []struct {
+		what string
+		b    []byte
+	}{
+		{"dimensions whose product wraps to zero", header(version, 1<<32, 1<<32)},
+		{"a negative dimension", header(version, 1<<63, 1)},
+		{"16M elements claimed, none sent", header(version, 1<<12, 1<<12)},
+		{"a keypoint count whose byte size wraps to zero", appendUvarint(empty, 1<<62)},
+		{"1M keypoints claimed, none sent", appendUvarint(empty, 1<<20)},
+		{"1M codes claimed, none sent", appendUvarint(appendUvarint(header(version2, 0, 1<<20), 0), 1<<20)},
+	} {
+		var err error
+		grew := allocated(func() { _, err = Decode(h.b) })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", h.what, err)
+		}
+		if grew > 64<<10 {
+			t.Errorf("%s: Decode allocated %d bytes for a %d-byte input", h.what, grew, len(h.b))
+		}
 	}
 }
 

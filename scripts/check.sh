@@ -3,8 +3,8 @@
 # module), gofmt, project invariants (texlint), import hygiene of the serving
 # binaries, the serving core's tests at GOMAXPROCS 1, 2 and 4, the blas/half
 # tests on the portable (no-assembly) kernels, the portable rows of the
-# measurement suite against BENCH_BASELINE.json, and the race-detector test
-# suite. Any diagnostic or failure exits non-zero.
+# measurement suite against BENCH_BASELINE.json, the fuzz smoke, and the
+# race-detector test suite. Any diagnostic or failure exits non-zero.
 # Works from a clean checkout with no network access (texlint type-checks
 # against the source importer; nothing is downloaded).
 set -euo pipefail
@@ -67,6 +67,13 @@ TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/...
 # op runs. Wall rows are gated by scripts/bench.sh on the baseline machine.
 echo "==> measurement gate (portable rows)"
 go run ./cmd/texbench -suite -portable -baseline BENCH_BASELINE.json
+
+# Fuzz smoke: every Fuzz* target replays its committed corpus and fuzzes
+# live for FUZZTIME (default 10s each). The decode seams' bounds are pinned
+# by hostile-input table rows in tier-1; this is the part that looks for an
+# input nobody wrote a row for.
+echo "==> fuzz smoke"
+scripts/fuzz.sh
 
 # The race suite also runs as its own CI job; TEXID_SKIP_RACE lets that
 # job's sibling skip the duplicate run. Local runs always include it.

