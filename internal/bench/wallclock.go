@@ -105,7 +105,8 @@ func mustSearch(eng *engine.Engine, q *blas.Matrix, kps []sift.Keypoint) {
 }
 
 // hostOps is the wall-clock part of the op table: the packed GEMM
-// micro-kernel, the FP16 GEMM (both accumulator modes), the separable blur,
+// micro-kernel, the FP16 GEMM (both accumulator modes, and AccumFP16 at the
+// resident batch shape), the separable blur,
 // full SIFT extraction, the Hamming scan, steady-state engine search (FP32,
 // FP16, pruned and unpruned on a 10x shard), and the end-to-end
 // extract+search path.
@@ -118,14 +119,33 @@ func mustSearch(eng *engine.Engine, q *blas.Matrix, kps []sift.Keypoint) {
 // to >=5x under that; binq_scan_1m keeps the raw 1M-code scan under 300 ms
 // even single-threaded.
 func hostOps(count int) []Op {
-	hgemm := func(acc blas.AccumMode) func() (func(), float64) {
-		return func() (func(), float64) {
-			const m, n, d = 256, 256, 128
-			A, _ := blas.HalfFromMatrix(randMatrix(3, d, m), 1)
-			B, _ := blas.HalfFromMatrix(randMatrix(4, d, n), 1)
-			C := blas.NewMatrix(m, n)
+	// An FP16 GEMM op runs whichever kernel tier the host selects; its
+	// Verify checks the first (up to) 256 rows of the measured output
+	// against blas.HGemmTNPortable over the matching columns of A, bit for
+	// bit (the tiers' slice-invariance makes those rows the whole story).
+	hgemm := func(name string, ceilingNS float64, m, n int, acc blas.AccumMode) Op {
+		const d = 128
+		var A, B *blas.HalfMatrix
+		var C *blas.Matrix
+		op := hostOp(name, count, ceilingNS, func() (func(), float64) {
+			A, _ = blas.HalfFromMatrix(randMatrix(3, d, m), 1)
+			B, _ = blas.HalfFromMatrix(randMatrix(4, d, n), 1)
+			C = blas.NewMatrix(m, n)
 			return func() { blas.HGemmTN(-2, A, B, acc, C) }, float64(2*(m*d+n*d) + 4*m*n)
+		})
+		op.Verify = func() bool {
+			want := blas.NewMatrix(min(m, 256), n)
+			blas.HGemmTNPortable(-2, A.Slice(0, want.Rows), B, acc, want)
+			for j := 0; j < n; j++ {
+				for i, w := range want.Col(j) {
+					if math.Float32bits(C.Col(j)[i]) != math.Float32bits(w) {
+						return false
+					}
+				}
+			}
+			return true
 		}
+		return op
 	}
 	// The SIFT-extracting search fixture is the slow one, so it is built
 	// once per precision and shared: by engine_search_steady_fp32 and
@@ -157,12 +177,15 @@ func hostOps(count int) []Op {
 			C := blas.NewMatrix(m, n)
 			return func() { blas.GemmTN(-2, A, B, 0, C) }, float64(4 * (m*d + n*d + m*n))
 		}),
-		// FP16 GEMM, both accumulator modes (the F16C fused-rounding
-		// kernels; staging is pooled, and the fp32acc variant pins the
-		// tensor-core-mode lane that the steady-state fixtures don't
-		// exercise).
-		hostOp("hgemm_tn_256x256x128", count, 5509981, hgemm(blas.AccumFP16)),
-		hostOp("hgemm_tn_256x256x128_fp32acc", count, 0, hgemm(blas.AccumFP32)),
+		// FP16 GEMM, both accumulator modes (AccumFP16 on the native
+		// AVX512-FP16 tier where the host has it, else the F16C
+		// fused-rounding kernels with pooled staging; the fp32acc variant
+		// pins the tensor-core-mode lane that the steady-state fixtures
+		// don't exercise), and AccumFP16 at rest_search_resident's batch
+		// shape: 8 references × 384 features against a 768-feature query.
+		hgemm("hgemm_tn_256x256x128", 5509981, 256, 256, blas.AccumFP16),
+		hgemm("hgemm_tn_256x256x128_fp32acc", 0, 256, 256, blas.AccumFP32),
+		hgemm("hgemm_tn_3072x768x128", 0, 3072, 768, blas.AccumFP16),
 		// Separable Gaussian blur on a pyramid-base-sized image.
 		hostOp("blur_512_sigma1.6", count, 0, func() (func(), float64) {
 			p := texture.DefaultGenParams()

@@ -7,7 +7,7 @@
 // features to m·16 bytes of codes — a 16× smaller operand that a blocked
 // XOR + popcount scan walks at memory bandwidth. The scan keeps a
 // deterministic top-C candidate set per query; only those candidates go
-// through the exact GemmTN/HGemmTNStaged + Top2AddRows rerank, which is why
+// through the exact GemmTN/HGemmTNBlocks + Top2AddRows rerank, which is why
 // pruned scores are bitwise identical to unpruned ones (see the engine's
 // pruning pipeline).
 //

@@ -3,6 +3,7 @@ package blas
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"texid/internal/half"
 )
@@ -148,41 +149,86 @@ func (m *HalfMatrix) Slice(from, to int) *HalfMatrix {
 // alpha is applied after accumulation in float32, matching cuBLAS's
 // epilogue, so alpha = -2 cannot itself overflow the FP16 accumulator.
 //
-// Both operands are widened into pooled float32 scratch per call; a caller
-// that owns its staging buffers uses StageHalf + HGemmTNStaged instead.
+// HGemmTN is HGemmTNBlocks over all of A with pooled staging.
 func HGemmTN(alpha float32, A, B *HalfMatrix, mode AccumMode, C *Matrix) {
-	m, n, k := hgemmShape(A, B, C)
+	HGemmTNBlocks(alpha, A, 0, nil, B, mode, C, nil)
+}
+
+// Staging is the float32 scratch of the tiers that compute on widened
+// operands (F16C and portable): HGemmTNBlocks widens the A columns it
+// multiplies and all of B into it, growing it only when it is too small.
+// The AVX512-FP16 tier computes on the binary16 storage directly and never
+// touches it. The zero value is ready to use; a Staging is not safe for
+// concurrent use.
+type Staging struct{ a, b []float32 }
+
+var stagingPool = sync.Pool{New: func() any { return new(Staging) }}
+
+// HGemmTNBlocks is HGemmTN over a gathered A: block b of A is its columns
+// [b*width, (b+1)*width), and the blocks named by blocks stand side by side
+// in list order, so C has len(blocks)*width rows. A nil blocks means all of
+// A (width is then ignored). A's columns are gathered straight from its
+// storage — no view, no copy of the operand; st (nil = pooled) holds the
+// widened operands on the tiers that need them.
+//
+// Which tier runs — AVX512-FP16 (AccumFP16 only), F16C, portable — is
+// invisible in the output: every C element is one sequential rounding chain
+// over k of one A column against one B column, identical on all three, so
+// C[i,j] depends on nothing but those two columns. A GEMM over any subset
+// of A's columns therefore produces output bits identical to the matching
+// rows of a GEMM over all of A. That slice-invariance is what lets the
+// Hamming prefilter rerank a candidate subset and still be byte-identical
+// to the whole-batch match.
+func HGemmTNBlocks(alpha float32, A *HalfMatrix, width int, blocks []int32, B *HalfMatrix, mode AccumMode, C *Matrix, st *Staging) {
+	if blocks == nil {
+		width, blocks = A.Cols, wholeOperand
+	}
+	m := len(blocks) * width
+	n, k := hgemmShape(A, m, B, C)
 	if m == 0 || n == 0 {
 		return
 	}
-	pa, aw := getF32(m * k)
-	defer f32Pool.Put(pa)
-	widenHalf(A, aw)
-	pb, bw := getF32(n * k)
-	defer f32Pool.Put(pb)
-	widenHalf(B, bw)
-	hgemmCore(alpha, aw, bw, m, n, k, mode, C)
+	if useFP16 && mode == AccumFP16 && k > 0 {
+		hgemmNative(alpha, A, width, blocks, B, C)
+		return
+	}
+	if st == nil {
+		st = stagingPool.Get().(*Staging)
+		defer stagingPool.Put(st)
+	}
+	st.a = growF32(st.a, m*k)
+	widenBlocks(A, width, blocks, st.a)
+	st.b = StageHalf(B, st.b)
+	hgemmCore(alpha, st.a, st.b, m, n, k, mode, C)
 }
 
-// StageHalf widens h into dst as the k-stride float32 staging the HGemmTN
-// kernels consume (dst[j*k+i] = widen(h[i,j])), growing dst only when its
-// capacity is insufficient, and returns the resized slice. Widening is
-// cheap next to the GEMM it feeds (0.3% at 6144×768×128), so callers stage
-// operands per call into buffers they own rather than caching the result.
+// HGemmTNPortable is HGemmTN on the portable kernel whatever the host — the
+// kernel TEXID_NOASM=1 selects — on one goroutine with freshly allocated
+// staging: the oracle a measured asm run is checked against.
+func HGemmTNPortable(alpha float32, A, B *HalfMatrix, mode AccumMode, C *Matrix) {
+	m := A.Cols
+	n, k := hgemmShape(A, m, B, C)
+	hgemmBlockGo(alpha, StageHalf(A, nil), StageHalf(B, nil), 0, m, k, 0, n, mode, C)
+}
+
+// hgemmShape validates an m-column gather of A against B and C and returns
+// (n, k).
+func hgemmShape(A *HalfMatrix, m int, B *HalfMatrix, C *Matrix) (n, k int) {
+	if A.Rows != B.Rows {
+		panic(fmt.Sprintf("blas: HGemmTN inner dimension mismatch %d != %d", A.Rows, B.Rows))
+	}
+	if C.Rows != m || C.Cols != B.Cols {
+		panic(fmt.Sprintf("blas: HGemmTN output %dx%d, want %dx%d", C.Rows, C.Cols, m, B.Cols))
+	}
+	return B.Cols, A.Rows
+}
+
+// StageHalf widens h into dst as the k-stride float32 staging the F16C and
+// portable kernels consume (dst[j*k+i] = widen(h[i,j])), growing dst only
+// when its capacity is insufficient, and returns the resized slice.
 func StageHalf(h *HalfMatrix, dst []float32) []float32 {
 	dst = growF32(dst, h.Rows*h.Cols)
 	widenHalf(h, dst)
-	return dst
-}
-
-// StageHalfBlocks is StageHalf over a gathered operand. Block b of h is its
-// columns [b*width, (b+1)*width); the blocks named by blocks are widened
-// side by side in list order, so the staging holds len(blocks)*width
-// columns. It reads h's columns in place — no view, no copy of the
-// binary16 data.
-func StageHalfBlocks(h *HalfMatrix, width int, blocks []int32, dst []float32) []float32 {
-	dst = growF32(dst, len(blocks)*width*h.Rows)
-	widenBlocks(h, width, blocks, dst)
 	return dst
 }
 
@@ -195,38 +241,62 @@ func growF32(dst []float32, n int) []float32 {
 	return dst[:n]
 }
 
-// HGemmTNStaged runs the HGemmTN kernel directly over pre-widened k-stride
-// stagings: aw holds m columns and bw n columns of k floats each, as built
-// by StageHalf or StageHalfBlocks. hgemmCore only ever consumes the widened
-// staging and every output element is one sequential rounding chain over k
-// of one aw column against one bw column, so C[i,j] depends on nothing but
-// those two columns: a staging gathered from any subset of an operand's
-// columns produces output bits identical to the matching rows of a GEMM
-// over the full operand. That slice-invariance is what lets the Hamming
-// prefilter rerank a candidate subset and still be byte-identical to the
-// whole-batch match.
-func HGemmTNStaged(alpha float32, aw, bw []float32, m, n, k int, mode AccumMode, C *Matrix) {
-	if k > 0 && (len(aw) < m*k || len(bw) < n*k) {
-		panic(fmt.Sprintf("blas: HGemmTNStaged stagings %d/%d too short for %dx%dx%d", len(aw), len(bw), m, n, k))
-	}
-	if C.Rows != m || C.Cols != n {
-		panic(fmt.Sprintf("blas: HGemmTNStaged output %dx%d, want %dx%d", C.Rows, C.Cols, m, n))
-	}
-	if m == 0 || n == 0 {
-		return
-	}
-	hgemmCore(alpha, aw, bw, m, n, k, mode, C)
+// The native tile: 32 A columns (one ZMM of binary16 lanes) × 8 B columns
+// (eight accumulators).
+const (
+	nativeRows = 32
+	nativeCols = 8
+)
+
+var panelPool = sync.Pool{New: func() any { return new(half.Vector) }}
+
+// hgemmNative is the AVX512-FP16 tier of AccumFP16: binary16 is the compute
+// format, not only the storage format (see hkernPH for why the chain is the
+// F16C one bit for bit). Work is partitioned into fixed 32-row panels of C;
+// each packs its A columns row-interleaved into pooled scratch (8 KiB at
+// k = 128) and sweeps all of B eight columns at a time, broadcasting B from
+// its storage in place. A short final panel masks its stores; a short final
+// B octet repeats its last column, which recomputes and rewrites that
+// column's own values. Nothing float32-sized is staged.
+func hgemmNative(alpha float32, A *HalfMatrix, width int, blocks []int32, B *HalfMatrix, C *Matrix) {
+	m, n, k := len(blocks)*width, B.Cols, A.Rows
+	Parallel((m+nativeRows-1)/nativeRows, func(t int) {
+		pp := panelPool.Get().(*half.Vector)
+		defer panelPool.Put(pp)
+		if cap(*pp) < nativeRows*k {
+			*pp = make(half.Vector, nativeRows*k)
+		}
+		panel := (*pp)[:nativeRows*k]
+		i0 := t * nativeRows
+		rows := min(nativeRows, m-i0)
+		packPanel(panel, A, width, blocks, i0, rows)
+		mask := uint32(uint64(1)<<rows - 1)
+		var bp [nativeCols]*half.Float16
+		var cp [nativeCols]*float32
+		for j0 := 0; j0 < n; j0 += nativeCols {
+			for c := range bp {
+				j := min(j0+c, n-1)
+				bp[c] = &B.Col(j)[0]
+				cp[c] = &C.Col(j)[i0]
+			}
+			hkernPH(&panel[0], k, &bp, &cp, mask, alpha)
+		}
+	})
 }
 
-// hgemmShape validates the operand shapes and returns (m, n, k).
-func hgemmShape(A, B *HalfMatrix, C *Matrix) (m, n, k int) {
-	if A.Rows != B.Rows {
-		panic(fmt.Sprintf("blas: HGemmTN inner dimension mismatch %d != %d", A.Rows, B.Rows))
+// packPanel interleaves the gathered A columns [i0, i0+rows) into dst,
+// dst[l*32+r] = A[l, i0+r], reading each column in place. The lanes of a
+// short panel are zeroed; their results are never stored.
+func packPanel(dst half.Vector, A *HalfMatrix, width int, blocks []int32, i0, rows int) {
+	if rows < nativeRows {
+		clear(dst)
 	}
-	if C.Rows != A.Cols || C.Cols != B.Cols {
-		panic(fmt.Sprintf("blas: HGemmTN output %dx%d, want %dx%d", C.Rows, C.Cols, A.Cols, B.Cols))
+	for r := 0; r < rows; r++ {
+		i := i0 + r
+		for l, v := range A.Col(int(blocks[i/width])*width + i%width) {
+			dst[l*nativeRows+r] = v
+		}
 	}
-	return A.Cols, B.Cols, A.Rows
 }
 
 // hgemmCore runs the blocked kernel over pre-widened k-stride operands.

@@ -40,3 +40,36 @@ func haveF16C() bool {
 // useF16C gates the F16C HGemm kernels and the widen lane. It implies
 // useAVX2, so TEXID_NOASM=1 disables both GEMM asm paths together.
 var useF16C = useAVX2 && haveF16C()
+
+// hkernPH computes one 32(i)×8(j) tile of C = alpha·AᵀB with AccumFP16 in
+// native binary16 arithmetic (AVX512-FP16). See hgemm_amd64.s.
+//
+// ap is the A panel packed row-interleaved, ap[l*32+r] = A[l, i0+r]; b[c]
+// points at B column j0+c and c[c] at C[i0, j0+c]. Bit r of mask
+// enables the store of row i0+r, so a short final panel writes only its
+// rows.
+//
+//go:noescape
+func hkernPH(ap *half.Float16, k int, b *[8]*half.Float16, c *[8]*float32, mask uint32, alpha float32)
+
+// haveAVX512FP16 reports whether the CPU and OS support the native binary16
+// tier: AVX512F and AVX512BW (CPUID.7.0:EBX bits 16 and 30), AVX512-FP16
+// (CPUID.7.0:EDX bit 23), and OS-enabled opmask and ZMM state (XCR0 bits 5-7
+// on top of the SSE/AVX bits 1-2). OSXSAVE and TEXID_NOASM are covered by
+// useAVX2, which gates useFP16 alongside this.
+func haveAVX512FP16() bool {
+	_, b7, _, d7 := cpuidx(7, 0)
+	const (
+		avx512f    = 1 << 16
+		avx512bw   = 1 << 30
+		avx512fp16 = 1 << 23
+	)
+	if b7&avx512f == 0 || b7&avx512bw == 0 || d7&avx512fp16 == 0 {
+		return false
+	}
+	lo, _ := xgetbv0()
+	return lo&0xE6 == 0xE6
+}
+
+// useFP16 gates the AVX512-FP16 HGemm tier, tried before the F16C one.
+var useFP16 = useAVX2 && haveAVX512FP16()

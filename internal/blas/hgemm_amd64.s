@@ -172,3 +172,151 @@ wloop:
 wdone:
 	VZEROUPPER
 	RET
+
+// func hkernPH(ap *half.Float16, k int, b *[8]*half.Float16, c *[8]*float32, mask uint32, alpha float32)
+//
+// 32(i)×8(j) tile of AccumFP16 in native binary16 arithmetic (AVX512-FP16).
+// Z8 holds A[l, i0..i0+31] (one 64-byte row of the packed panel); B column
+// j0+r is based at R8, R9, R10, R11, R12, DX, BX, DI (r = 0..7) and AX is
+// the byte offset of row l in each, so VMULPH's {1to32} broadcast operand
+// reads B[l, j0+r] from storage in place (a separate VPBROADCASTW would
+// cost a port-5 shuffle per broadcast); Z16+r holds the product and Z0..Z7
+// are the eight 32-lane accumulators, one per B column. Each lane is one C
+// element's chain, d = round16(d + round16(a·b)),
+// over l = 0..k-1 in order — the F16C chain exactly: a binary16 product is
+// exact in float32, so VMULPH's single rounding equals VMULPS + VCVTPS2PH,
+// and 24 ≥ 2·11+1 makes the float32 round inside VADDPS + VCVTPS2PH
+// innocuous (Figueroa's bound for addition), so VADDPH's single rounding
+// equals that pair too.
+// Operand order matches hkernOct16 — src1 = A in the multiply, src1 = the
+// accumulator in the add — so a NaN input propagates the same payload.
+//
+// Go 1.24's assembler has no *PH arithmetic mnemonics, so VMULPH/VADDPH are
+// BYTE-encoded (EVEX map 5: 0x59 mul, 0x58 add), each line commented with
+// the Intel-syntax instruction binutils 2.40 assembles to those bytes (and
+// objdump -d prints back from the linked test binary). The base registers
+// above are fixed by those bytes. Everything else is a native mnemonic.
+// k = 0 skips the loop: C = alpha·0. The epilogue widens each
+// accumulator (VCVTPH2PS, exact), multiplies by alpha in float32 as
+// hgemmOctAsm's Go epilogue does, and stores the rows mask enables.
+TEXT ·hkernPH(SB), NOSPLIT, $0-40
+	MOVQ ap+0(FP), SI
+	MOVQ k+8(FP), CX
+	MOVQ b+16(FP), AX
+	MOVQ 0(AX), R8
+	MOVQ 8(AX), R9
+	MOVQ 16(AX), R10
+	MOVQ 24(AX), R11
+	MOVQ 32(AX), R12
+	MOVQ 40(AX), DX
+	MOVQ 48(AX), BX
+	MOVQ 56(AX), DI
+	XORQ AX, AX // byte offset of row l in every B column
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	TESTQ CX, CX
+	JE   donePH
+
+loopPH:
+	VMOVDQU16 (SI), Z8 // A[l, i0..i0+31]
+	BYTE $0x62; BYTE $0xc5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x04; BYTE $0x00 // vmulph zmm16,zmm8,WORD BCST [r8+rax*1]
+	BYTE $0x62; BYTE $0xb5; BYTE $0x7c; BYTE $0x48; BYTE $0x58; BYTE $0xc0 // vaddph zmm0,zmm0,zmm16
+	BYTE $0x62; BYTE $0xc5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x0c; BYTE $0x01 // vmulph zmm17,zmm8,WORD BCST [r9+rax*1]
+	BYTE $0x62; BYTE $0xb5; BYTE $0x74; BYTE $0x48; BYTE $0x58; BYTE $0xc9 // vaddph zmm1,zmm1,zmm17
+	BYTE $0x62; BYTE $0xc5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x14; BYTE $0x02 // vmulph zmm18,zmm8,WORD BCST [r10+rax*1]
+	BYTE $0x62; BYTE $0xb5; BYTE $0x6c; BYTE $0x48; BYTE $0x58; BYTE $0xd2 // vaddph zmm2,zmm2,zmm18
+	BYTE $0x62; BYTE $0xc5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x1c; BYTE $0x03 // vmulph zmm19,zmm8,WORD BCST [r11+rax*1]
+	BYTE $0x62; BYTE $0xb5; BYTE $0x64; BYTE $0x48; BYTE $0x58; BYTE $0xdb // vaddph zmm3,zmm3,zmm19
+	BYTE $0x62; BYTE $0xc5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x24; BYTE $0x04 // vmulph zmm20,zmm8,WORD BCST [r12+rax*1]
+	BYTE $0x62; BYTE $0xb5; BYTE $0x5c; BYTE $0x48; BYTE $0x58; BYTE $0xe4 // vaddph zmm4,zmm4,zmm20
+	BYTE $0x62; BYTE $0xe5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x2c; BYTE $0x02 // vmulph zmm21,zmm8,WORD BCST [rdx+rax*1]
+	BYTE $0x62; BYTE $0xb5; BYTE $0x54; BYTE $0x48; BYTE $0x58; BYTE $0xed // vaddph zmm5,zmm5,zmm21
+	BYTE $0x62; BYTE $0xe5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x34; BYTE $0x03 // vmulph zmm22,zmm8,WORD BCST [rbx+rax*1]
+	BYTE $0x62; BYTE $0xb5; BYTE $0x4c; BYTE $0x48; BYTE $0x58; BYTE $0xf6 // vaddph zmm6,zmm6,zmm22
+	BYTE $0x62; BYTE $0xe5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x3c; BYTE $0x07 // vmulph zmm23,zmm8,WORD BCST [rdi+rax*1]
+	BYTE $0x62; BYTE $0xb5; BYTE $0x44; BYTE $0x48; BYTE $0x58; BYTE $0xff // vaddph zmm7,zmm7,zmm23
+	ADDQ $64, SI
+	ADDQ $2, AX
+	DECQ CX
+	JNE  loopPH
+
+donePH:
+	MOVQ c+24(FP), DI
+	MOVL mask+32(FP), AX
+	KMOVW AX, K1 // rows 0..15
+	SHRL $16, AX
+	KMOVW AX, K2 // rows 16..31
+	VBROADCASTSS alpha+36(FP), Z31
+	MOVQ 0(DI), R8
+	VCVTPH2PS Y0, Z16
+	VEXTRACTI64X4 $1, Z0, Y17
+	VCVTPH2PS Y17, Z17
+	VMULPS Z31, Z16, Z16
+	VMULPS Z31, Z17, Z17
+	VMOVUPS Z16, K1, (R8)
+	VMOVUPS Z17, K2, 64(R8)
+	MOVQ 8(DI), R8
+	VCVTPH2PS Y1, Z16
+	VEXTRACTI64X4 $1, Z1, Y17
+	VCVTPH2PS Y17, Z17
+	VMULPS Z31, Z16, Z16
+	VMULPS Z31, Z17, Z17
+	VMOVUPS Z16, K1, (R8)
+	VMOVUPS Z17, K2, 64(R8)
+	MOVQ 16(DI), R8
+	VCVTPH2PS Y2, Z16
+	VEXTRACTI64X4 $1, Z2, Y17
+	VCVTPH2PS Y17, Z17
+	VMULPS Z31, Z16, Z16
+	VMULPS Z31, Z17, Z17
+	VMOVUPS Z16, K1, (R8)
+	VMOVUPS Z17, K2, 64(R8)
+	MOVQ 24(DI), R8
+	VCVTPH2PS Y3, Z16
+	VEXTRACTI64X4 $1, Z3, Y17
+	VCVTPH2PS Y17, Z17
+	VMULPS Z31, Z16, Z16
+	VMULPS Z31, Z17, Z17
+	VMOVUPS Z16, K1, (R8)
+	VMOVUPS Z17, K2, 64(R8)
+	MOVQ 32(DI), R8
+	VCVTPH2PS Y4, Z16
+	VEXTRACTI64X4 $1, Z4, Y17
+	VCVTPH2PS Y17, Z17
+	VMULPS Z31, Z16, Z16
+	VMULPS Z31, Z17, Z17
+	VMOVUPS Z16, K1, (R8)
+	VMOVUPS Z17, K2, 64(R8)
+	MOVQ 40(DI), R8
+	VCVTPH2PS Y5, Z16
+	VEXTRACTI64X4 $1, Z5, Y17
+	VCVTPH2PS Y17, Z17
+	VMULPS Z31, Z16, Z16
+	VMULPS Z31, Z17, Z17
+	VMOVUPS Z16, K1, (R8)
+	VMOVUPS Z17, K2, 64(R8)
+	MOVQ 48(DI), R8
+	VCVTPH2PS Y6, Z16
+	VEXTRACTI64X4 $1, Z6, Y17
+	VCVTPH2PS Y17, Z17
+	VMULPS Z31, Z16, Z16
+	VMULPS Z31, Z17, Z17
+	VMOVUPS Z16, K1, (R8)
+	VMOVUPS Z17, K2, 64(R8)
+	MOVQ 56(DI), R8
+	VCVTPH2PS Y7, Z16
+	VEXTRACTI64X4 $1, Z7, Y17
+	VCVTPH2PS Y17, Z17
+	VMULPS Z31, Z16, Z16
+	VMULPS Z31, Z17, Z17
+	VMOVUPS Z16, K1, (R8)
+	VMOVUPS Z17, K2, 64(R8)
+	VZEROUPPER
+	RET
+

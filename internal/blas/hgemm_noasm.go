@@ -5,7 +5,14 @@ package blas
 import "texid/internal/half"
 
 // Non-amd64 builds always take the portable HGemm kernels in hgemm.go.
-const useF16C = false
+const (
+	useF16C = false
+	useFP16 = false
+)
+
+func hkernPH(ap *half.Float16, k int, b *[8]*half.Float16, c *[8]*float32, mask uint32, alpha float32) {
+	panic("blas: asm kernel on non-amd64 build")
+}
 
 func hkernOct16(a *float32, k int, bo *float32, out *float32) {
 	panic("blas: asm kernel on non-amd64 build")

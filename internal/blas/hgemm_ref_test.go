@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -77,28 +78,32 @@ func sameBits(a, b *Matrix) (int, int, bool) {
 }
 
 // TestHGemmTNMatchesReference pins the rewritten kernels — portable 4-wide,
-// scalar tails, and (when the host has F16C) the assembly octet kernel —
-// bit-for-bit to the original scalar algorithm, across shapes that exercise
-// every tail combination, both accumulation modes, and a GOMAXPROCS sweep.
+// scalar tails, and whichever asm tiers the host has (the F16C octet kernel,
+// the AVX512-FP16 32×8 tile) — bit-for-bit to the original scalar
+// algorithm, across shapes that exercise every tail combination of both asm
+// tiles ({68,130,128} is two native panels plus a 4-row tail by sixteen
+// octets plus a 2-column tail; {768,256,128} is all full tiles over 24
+// parallel panels), both accumulation modes, and a GOMAXPROCS sweep.
 func TestHGemmTNMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	shapes := []struct{ m, n, k int }{
 		{1, 1, 1}, {1, 1, 0}, {3, 5, 7}, {4, 8, 16}, {5, 9, 33},
 		{8, 8, 64}, {13, 17, 96}, {16, 24, 128}, {33, 7, 40},
+		{68, 130, 128}, {768, 256, 128},
 	}
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, mode := range []AccumMode{AccumFP16, AccumFP32} {
-			for si, sh := range shapes {
-				rng := rand.New(rand.NewSource(int64(1000*si) + int64(mode)))
-				A := NewHalfMatrix(sh.k, sh.m)
-				B := NewHalfMatrix(sh.k, sh.n)
-				fillHalfStress(A, rng)
-				fillHalfStress(B, rng)
+	for _, mode := range []AccumMode{AccumFP16, AccumFP32} {
+		for si, sh := range shapes {
+			rng := rand.New(rand.NewSource(int64(1000*si) + int64(mode)))
+			A := NewHalfMatrix(sh.k, sh.m)
+			B := NewHalfMatrix(sh.k, sh.n)
+			fillHalfStress(A, rng)
+			fillHalfStress(B, rng)
+			want := NewMatrix(sh.m, sh.n)
+			hgemmRef(-2, A, B, mode, want)
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
 				got := NewMatrix(sh.m, sh.n)
-				want := NewMatrix(sh.m, sh.n)
 				HGemmTN(-2, A, B, mode, got)
-				hgemmRef(-2, A, B, mode, want)
 				if i, j, ok := sameBits(got, want); !ok {
 					t.Fatalf("procs=%d mode=%v shape=%dx%dx%d: C[%d,%d] = %x, reference %x",
 						procs, mode, sh.m, sh.n, sh.k, i, j,
@@ -110,10 +115,10 @@ func TestHGemmTNMatchesReference(t *testing.T) {
 }
 
 // TestHGemmTNStagedGatherMatchesFullRows pins the slice-invariance the
-// pruned rerank rests on: a staging gathered by StageHalfBlocks from a
-// non-contiguous, ascending subset of A's column blocks, run through
-// HGemmTNStaged against StageHalf(B), equals the matching rows of HGemmTN
-// over the full operands, bit for bit. Stress inputs put ±Inf, subnormals
+// pruned rerank rests on: HGemmTNBlocks over a non-contiguous, ascending
+// subset of A's column blocks, with caller-owned staging, equals the
+// matching rows of HGemmTN over the full operands, bit for bit, on whichever
+// tier the host runs. Stress inputs put ±Inf, subnormals
 // and accumulator-overflowing products into the chains, so Inf−Inf NaNs
 // arise and propagate; widths that are not multiples of four move the
 // kernels' row tail across block boundaries. NaN *inputs* are left out on
@@ -132,7 +137,7 @@ func TestHGemmTNStagedGatherMatchesFullRows(t *testing.T) {
 		{5, []int32{1, 6}},
 		{3, []int32{2, 5, 7, 8, 11}},
 		{7, []int32{11}},
-		{6, nil},
+		{6, []int32{}}, // an empty gather, not nil's whole operand
 	}
 	nans := 0
 	for _, procs := range []int{1, 4} {
@@ -143,15 +148,13 @@ func TestHGemmTNStagedGatherMatchesFullRows(t *testing.T) {
 			B := NewHalfMatrix(k, n)
 			fillHalfStress(A, rng)
 			fillHalfStress(B, rng)
-			var aw, bw []float32
+			var st Staging
 			for _, mode := range []AccumMode{AccumFP16, AccumFP32} {
 				full := NewMatrix(A.Cols, n)
 				HGemmTN(-2, A, B, mode, full)
-				aw = StageHalfBlocks(A, tc.width, tc.blocks, aw)
-				bw = StageHalf(B, bw)
 				m := len(tc.blocks) * tc.width
 				got := NewMatrix(m, n)
-				HGemmTNStaged(-2, aw, bw, m, n, k, mode, got)
+				HGemmTNBlocks(-2, A, tc.width, tc.blocks, B, mode, got, &st)
 				for j := 0; j < n; j++ {
 					for i := 0; i < m; i++ {
 						src := int(tc.blocks[i/tc.width])*tc.width + i%tc.width
@@ -202,6 +205,131 @@ func TestHGemmAsmMatchesPortable(t *testing.T) {
 		if i, j, ok := sameBits(gotM, wantM); !ok {
 			t.Fatalf("mode=%v: asm C[%d,%d] = %x, portable %x", mode, i, j,
 				math.Float32bits(gotM.Col(j)[i]), math.Float32bits(wantM.Col(j)[i]))
+		}
+	}
+}
+
+// TestHGemmTiersMatch runs the three AccumFP16 tiers — AVX512-FP16, F16C,
+// portable — on the same operands in-process. k sweeps {1, 2, 3, 5, 8, 16,
+// 33, 128} at value scales 1e-4 … 300, so subnormal, ±Inf and NaN outputs
+// all occur, and all three tiers must agree bit for bit. Random binary16
+// bit patterns, NaN payloads included, must agree between the two asm
+// tiers, which propagate payloads with the same operand order; the portable
+// kernel sits that part out, since half.Round canonicalises every NaN to
+// sign|0x7E00. The bit-pattern shape is whole F16C octets and quads so no
+// element of it falls back to the portable kernel. Skips where the host
+// lacks the native tier; CI hosts do, so the log of scripts/check.sh's -v
+// run says so.
+func TestHGemmTiersMatch(t *testing.T) {
+	if !useFP16 || !useF16C {
+		t.Skip("no AVX512-FP16 tier on this host/build")
+	}
+	var subnormal, inf, nan int
+	run := func(A, B *HalfMatrix, portable bool, what string) {
+		t.Helper()
+		m, n, k := A.Cols, B.Cols, A.Rows
+		aw, bw := StageHalf(A, nil), StageHalf(B, nil)
+		tiers := map[string]*Matrix{"avx512fp16": NewMatrix(m, n), "f16c": NewMatrix(m, n)}
+		hgemmNative(-2, A, m, wholeOperand, B, tiers["avx512fp16"])
+		hgemmCore(-2, aw, bw, m, n, k, AccumFP16, tiers["f16c"])
+		if portable {
+			tiers["portable"] = NewMatrix(m, n)
+			hgemmBlockGo(-2, aw, bw, 0, m, k, 0, n, AccumFP16, tiers["portable"])
+		}
+		native := tiers["avx512fp16"]
+		for name, got := range tiers {
+			if i, j, ok := sameBits(native, got); !ok {
+				t.Fatalf("%s: avx512fp16 C[%d,%d] = %x, %s %x", what, i, j,
+					math.Float32bits(native.Col(j)[i]), name, math.Float32bits(got.Col(j)[i]))
+			}
+		}
+		for _, v := range native.Data {
+			switch d := math.Abs(float64(v / -2)); {
+			case d != d:
+				nan++
+			case math.IsInf(d, 0):
+				inf++
+			case d != 0 && d < float64(half.SmallestNormal.Float32()):
+				subnormal++
+			}
+		}
+	}
+	for _, k := range []int{1, 2, 3, 5, 8, 16, 33, 128} {
+		for _, scale := range []float64{1e-4, 1e-2, 1, 30, 300} {
+			rng := rand.New(rand.NewSource(int64(k)*1000 + int64(scale*100)))
+			A, B := NewHalfMatrix(k, 68), NewHalfMatrix(k, 27) // native row and column tails
+			for _, h := range []*HalfMatrix{A, B} {
+				for i := range h.Data {
+					h.Data[i] = half.FromFloat32(float32(rng.NormFloat64() * scale))
+				}
+			}
+			run(A, B, true, fmt.Sprintf("k=%d scale=%g", k, scale))
+		}
+		for seed := 0; seed < 3; seed++ {
+			rng := rand.New(rand.NewSource(int64(k)*100 + int64(seed)))
+			A, B := NewHalfMatrix(k, 68), NewHalfMatrix(k, 24)
+			for _, h := range []*HalfMatrix{A, B} {
+				for i := range h.Data {
+					h.Data[i] = half.Float16(rng.Uint32())
+				}
+			}
+			run(A, B, false, fmt.Sprintf("k=%d bit patterns seed=%d", k, seed))
+		}
+	}
+	if subnormal == 0 || inf == 0 || nan == 0 {
+		t.Fatalf("outputs: %d subnormal, %d ±Inf, %d NaN; every class must occur", subnormal, inf, nan)
+	}
+	t.Logf("tiers agree; outputs covered %d subnormal, %d ±Inf, %d NaN", subnormal, inf, nan)
+}
+
+// TestNativeAddIsDoubleRounded pins the exactness argument behind the
+// AVX512-FP16 tier where it is tightest, the add, at k = 2 through the real
+// kernel: A = (d, 1) and B = (1, p), so the first step sets the accumulator
+// to d, every one of the 2^16 binary16 values (−0 and signalling NaNs
+// canonicalised the way the chain does it), and the second adds p, drawn
+// from 1,024 patterns spread across the encoding plus every special. VADDPH's
+// one rounding must equal round16(round32(d+p)), the F16C and portable
+// chain. A NaN's payload is propagation, not rounding (the reference
+// canonicalises it; TestHGemmTiersMatch pins the asm tiers' payloads
+// against each other), so where the reference is NaN the sweep demands a
+// NaN.
+func TestNativeAddIsDoubleRounded(t *testing.T) {
+	if !useFP16 {
+		t.Skip("no AVX512-FP16 tier on this host/build")
+	}
+	var ps []half.Float16
+	for j := 0; j < 1024; j++ {
+		ps = append(ps, half.Float16(j*64+37))
+	}
+	for _, s := range []half.Float16{0x0000, 0x0001, 0x03FF, 0x0400, 0x3BFF, 0x3C00, 0x3C01, 0x7BFF, 0x7C00, 0x7C01, 0x7E00, 0x7FFF} {
+		ps = append(ps, s, s|0x8000)
+	}
+	one := half.FromFloat32(1)
+	B := NewHalfMatrix(2, len(ps))
+	pw := make([]float32, len(ps))
+	for j, p := range ps {
+		B.Data[2*j], B.Data[2*j+1] = one, p
+		pw[j] = roundHalf(p.Float32())
+	}
+	const chunk = 2048
+	A := NewHalfMatrix(2, chunk)
+	C := NewMatrix(chunk, len(ps))
+	ds := make([]float32, chunk)
+	for base := 0; base < 1<<16; base += chunk {
+		for i := range ds {
+			A.Data[2*i], A.Data[2*i+1] = half.Float16(base+i), one
+			ds[i] = roundHalf(0 + roundHalf(half.Float16(base+i).Float32()))
+		}
+		hgemmNative(1, A, chunk, wholeOperand, B, C)
+		for j, p := range pw {
+			for i, got := range C.Col(j) {
+				want := roundHalf(ds[i] + p)
+				if math.Float32bits(got) == math.Float32bits(want) || got != got && want != want {
+					continue
+				}
+				t.Fatalf("d=%#04x p=%#04x: VADDPH %#08x, round16(round32(d+p)) %#08x",
+					base+i, uint16(ps[j]), math.Float32bits(got), math.Float32bits(want))
+			}
 		}
 	}
 }

@@ -143,10 +143,7 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 		if prec == gpusim.FP16 {
 			blas.HGemmTN(-2, rb.F16, q.F16, opts.Accum, C)
 			// Undo the feature scale: A holds -2·s²·RᵀQ.
-			inv := 1 / (rb.Scale * q.Scale)
-			for i := range C.Data {
-				C.Data[i] *= inv
-			}
+			unscale(C, 1/(rb.Scale*q.Scale))
 		} else {
 			blas.GemmTN(-2, rb.F32, q.F32, 0, C)
 		}
@@ -192,11 +189,11 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 //   - FP32: GemmTN's per-element value is one sequential FMA chain over
 //     the two operand columns (see gemm.go), so each slot runs GemmTN over
 //     a column view of the operand and reproduces those rows exactly.
-//   - FP16: binary16 is the storage format only. The reference columns
-//     being matched — every column, or the slots' gathered contiguously —
-//     are widened into sc beside the query staging, and one
-//     blas.HGemmTNStaged runs over all nb·m of them (see its
-//     slice-invariance note). Nothing widened outlives the call.
+//   - FP16: one blas.HGemmTNBlocks over the slots' column blocks of the
+//     resident operand (nil = every column), read from storage (see its
+//     slice-invariance note). Whether anything is widened — into sc's
+//     staging — is blas's choice of kernel tier; nothing widened outlives
+//     the call.
 //
 //texlint:scratchalias
 func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []int32, opts Options, sc *Scratch) ([][]Pair2NN, error) {
@@ -218,18 +215,9 @@ func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []in
 		C := sc.matrix(nb*m, Bq*n)
 		switch {
 		case prec == gpusim.FP16:
-			if slots == nil {
-				sc.rstage = blas.StageHalf(rb.F16, sc.rstage)
-			} else {
-				sc.rstage = blas.StageHalfBlocks(rb.F16, m, slots, sc.rstage)
-			}
-			sc.qstage = blas.StageHalf(mq.catF16, sc.qstage)
-			blas.HGemmTNStaged(-2, sc.rstage, sc.qstage, nb*m, Bq*n, d, opts.Accum, C)
+			blas.HGemmTNBlocks(-2, rb.F16, m, slots, mq.catF16, opts.Accum, C, &sc.stage)
 			// Undo the feature scale: C holds -2·s²·RᵀQ.
-			inv := 1 / (rb.Scale * mq.queries[0].Scale)
-			for i := range C.Data {
-				C.Data[i] *= inv
-			}
+			unscale(C, 1/(rb.Scale*mq.queries[0].Scale))
 		case slots == nil:
 			blas.GemmTN(-2, rb.F32, mq.catF32, 0, C)
 		default:
@@ -264,6 +252,18 @@ func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []in
 	stream.CopyD2H(int64(nb)*int64(Bq)*resultBytes(n, prec), false)
 	stream.HostPost(nb*Bq, prec)
 	return results, nil
+}
+
+// unscale multiplies C by inv, the reciprocal of the two feature scales. The
+// default Scale of 1 skips the pass: x·1 == x for every float32 a kernel
+// emits, NaN payloads included, so the skip is bit-identical.
+func unscale(C *blas.Matrix, inv float32) {
+	if inv == 1 {
+		return
+	}
+	for i := range C.Data {
+		C.Data[i] *= inv
+	}
 }
 
 // rowBlockView returns rows [lo, lo+rows) of C as a strided view (no

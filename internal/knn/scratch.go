@@ -42,10 +42,9 @@ type Scratch struct {
 	oneQ [1]*Query
 	// candIDs holds the gathered reference ids of a slot set.
 	candIDs []int
-	// FP16 operand stagings, widened per Match call: the reference columns
-	// being matched (whole batch or gathered slots) and the query panel.
-	rstage []float32
-	qstage []float32
+	// stage is the FP16 GEMM's float32 staging, filled per Match call only
+	// on the kernel tiers that widen (see blas.Staging).
+	stage blas.Staging
 }
 
 // orFresh substitutes a fresh Scratch for nil.

@@ -51,10 +51,20 @@ fi
 echo "==> go test -cpu 1,2,4 (engine, serve, cluster)"
 go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster/...
 
-# Portable-kernel pass: every other run exercises the AVX2/F16C assembly
-# lanes of the half-precision GEMM; this rerun pins the pure-Go fallback
-# kernels (and the bit-identity tests that compare the two) with the
-# assembly disabled.
+# Kernel tiers: the half-precision GEMM runs AccumFP16 on one of three
+# bit-identical tiers picked from CPUID — AVX512-FP16 (native binary16
+# arithmetic), F16C (float32 round trips), portable Go. The equivalence
+# tests skip a tier the host lacks (hosted CI runners have no AVX512-FP16),
+# so they run verbose: the log names every tier test that ran and every one
+# that skipped, and a green run is never mistaken for coverage of a tier
+# the host does not have.
+echo "==> blas kernel tiers (go test -v)"
+go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable)$' ./internal/blas
+
+# Portable-kernel pass: every other run exercises the host's assembly tiers
+# (AVX512-FP16 and/or F16C); this rerun pins the pure-Go fallback kernels
+# (and the bit-identity tests that compare the tiers) with every assembly
+# tier disabled.
 echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half)"
 TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/...
 
