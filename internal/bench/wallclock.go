@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"time"
 
 	"texid/internal/binq"
@@ -202,30 +203,8 @@ func hostOps(count int) []Op {
 			cfg.RootSIFT = true
 			return func() { sift.Extract(im, cfg) }, float64(4 * 128 * 128)
 		}),
-		// Binary Hamming prefilter scan over a ~1M-descriptor shard: the
-		// pruning hot loop (XOR + popcount over packed 128-bit codes,
-		// blocked and parallel), isolated from the rerank.
-		hostOp("binq_scan_1m", count, 300e6, func() (func(), float64) {
-			const m, images, probes = 384, 2604, 64 // 999,936 codes
-			state := uint64(0x9E3779B97F4A7C15)
-			next := func() uint64 {
-				state ^= state << 13
-				state ^= state >> 7
-				state ^= state << 17
-				return state
-			}
-			panel := make([]binq.Code, images*m)
-			for i := range panel {
-				panel[i] = binq.Code{next(), next()}
-			}
-			q := make([]binq.Code, probes)
-			for i := range q {
-				q[i] = binq.Code{next(), next()}
-			}
-			scores := make([]uint32, images)
-			var sc binq.Scanner
-			return func() { sc.Scan(panel, m, q, scores) }, float64(len(panel) * binq.Bytes)
-		}),
+		// Binary Hamming prefilter scan over a ~1M-descriptor shard.
+		scan1M(count),
 		// Steady-state search on a 10x-larger reference set, pruned vs
 		// not: the pair that backs the capacity claim (the prefilter
 		// reranks only PruneC of the 160 images, so the pruned op must stay
@@ -246,6 +225,43 @@ func hostOps(count int) []Op {
 		hostOp("extract_search_e2e", count, 0, steady(gpusim.FP32, true)),
 		hostOp("engine_search_steady_fp16", count, 200e6, steady(gpusim.FP16, false)),
 	}
+}
+
+// scan1M is the binary Hamming prefilter scan over a ~1M-descriptor shard:
+// the pruning hot loop (XOR + popcount over packed 128-bit codes, blocked
+// and parallel), isolated from the rerank. It runs whichever scan tier the
+// host selects; its Verify checks every measured score against
+// binq.ScanPortable, the scalar reference.
+func scan1M(count int) Op {
+	const m, images, probes = 384, 2604, 64 // 999,936 codes
+	var panel, q []binq.Code
+	var scores []uint32
+	op := hostOp("binq_scan_1m", count, 300e6, func() (func(), float64) {
+		state := uint64(0x9E3779B97F4A7C15)
+		next := func() uint64 {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			return state
+		}
+		panel = make([]binq.Code, images*m)
+		for i := range panel {
+			panel[i] = binq.Code{next(), next()}
+		}
+		q = make([]binq.Code, probes)
+		for i := range q {
+			q[i] = binq.Code{next(), next()}
+		}
+		scores = make([]uint32, images)
+		var sc binq.Scanner
+		return func() { sc.Scan(panel, m, q, scores) }, float64(len(panel) * binq.Bytes)
+	})
+	op.Verify = func() bool {
+		want := make([]uint32, images)
+		binq.ScanPortable(panel, m, q, want)
+		return slices.Equal(scores, want)
+	}
+	return op
 }
 
 const (

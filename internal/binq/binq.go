@@ -4,8 +4,11 @@
 // packed 128-bit code (bit i = sign of the mean-centered component i, the
 // "sign-of-mean" quantizer of Jian et al.'s XOR-friendly binary
 // quantization), so one reference image collapses from m·d·2 bytes of FP16
-// features to m·16 bytes of codes — a 16× smaller operand that a blocked
-// XOR + popcount scan walks at memory bandwidth. The scan keeps a
+// features to m·16 bytes of codes, a 16× smaller operand. A blocked XOR +
+// popcount scan keeps each image's codes in L1 across all probes, so
+// popcount throughput, not memory bandwidth, bounds it; an AVX-512 VPOPCNTQ
+// tier (scan_amd64.s) runs it eight codes at a time, bit-identical to the
+// scalar loop. The scan keeps a
 // deterministic top-C candidate set per query; only those candidates go
 // through the exact GemmTN/HGemmTNBlocks + Top2AddRows rerank, which is why
 // pruned scores are bitwise identical to unpruned ones (see the engine's
@@ -117,10 +120,14 @@ type Scanner struct {
 // so a matching reference accumulates a small score. The loop blocks by
 // image: one image's 6 KB code block stays cache-resident across all
 // probes, which is what makes the host kernel compute-bound rather than
-// re-streaming the panel per probe. Parallelism is per image via
-// blas.Parallel (shape-only partition, disjoint score writes), so results
-// are bitwise independent of GOMAXPROCS; the integer arithmetic has no
-// rounding to reorder in the first place.
+// re-streaming the panel per probe. Each image block runs on the first
+// kernel tier the host has, chosen once from CPUID: AVX-512 VPOPCNTQ
+// (scanVPOPCNTQ, eight codes per probe per step), else the scalar loop,
+// which is the reference (ScanPortable). Integer minima and sums have no
+// rounding to reorder, so the tiers agree bit for bit by construction.
+// Parallelism is per image via blas.Parallel (shape-only partition,
+// disjoint score writes), so results are bitwise independent of GOMAXPROCS
+// too.
 //
 // len(panel) must be a multiple of m and len(scores) = len(panel)/m. The
 // warm path performs zero allocations.
@@ -136,12 +143,32 @@ func (s *Scanner) Scan(panel []Code, m int, probes []Code, scores []uint32) {
 	s.panel, s.probes, s.scores = nil, nil, nil
 }
 
+// ScanPortable is Scan on the scalar kernel whatever the host — the kernel
+// TEXID_NOASM=1 selects — on one goroutine: the oracle a measured native
+// scan is checked against.
+func ScanPortable(panel []Code, m int, probes []Code, scores []uint32) {
+	if m <= 0 {
+		return
+	}
+	for img := range len(panel) / m {
+		scores[img] = scanScalar(panel[img*m:(img+1)*m], probes)
+	}
+}
+
 // scanImage scores one image block against every probe.
 func (s *Scanner) scanImage(img int) {
-	m := s.m
-	block := s.panel[img*m : (img+1)*m]
+	block := s.panel[img*s.m : (img+1)*s.m]
+	if useVPOPCNTQ {
+		s.scores[img] = scanVPOPCNTQ(block, s.probes)
+		return
+	}
+	s.scores[img] = scanScalar(block, s.probes)
+}
+
+// scanScalar is the reference kernel: Σ_p min_j Hamming(probes[p], block[j]).
+func scanScalar(block, probes []Code) uint32 {
 	var sum uint32
-	for _, p := range s.probes {
+	for _, p := range probes {
 		p0, p1 := p[0], p[1]
 		minD := uint32(MaxDim + 1)
 		for _, c := range block {
@@ -152,7 +179,7 @@ func (s *Scanner) scanImage(img int) {
 		}
 		sum += minD
 	}
-	s.scores[img] = sum
+	return sum
 }
 
 // candidate is one selector entry.

@@ -153,6 +153,84 @@ func TestScanMinZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestScanTiersMatch runs the native VPOPCNTQ scan (through Scanner.Scan, at
+// GOMAXPROCS 1 and 4) against ScanPortable, the scalar reference, on the
+// same operands in-process: every m in 1…17 and 383…385 (so every masked
+// last step), probe counts 0…5 and 63…65 (so every remainder of the
+// four-probe loop), 1…40 images, and random, all-zero and all-one codes
+// with probes copied from the panel, so distances 0 and 128 both occur.
+// Skips where the host lacks the native tier; scripts/check.sh runs it with
+// -v, so the log says which.
+func TestScanTiersMatch(t *testing.T) {
+	if !useVPOPCNTQ {
+		t.Skip("no AVX-512 VPOPCNTQ tier on this host/build")
+	}
+	ms := []int{383, 384, 385}
+	for m := 1; m <= 17; m++ {
+		ms = append(ms, m)
+	}
+	var zero, full int
+	var sc Scanner
+	rng := rand.New(rand.NewSource(6))
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, m := range ms {
+			for _, nProbes := range []int{0, 1, 2, 3, 4, 5, 63, 64, 65} {
+				images := 1 + rng.Intn(40)
+				panel := make([]Code, m*images)
+				for i := range panel {
+					switch rng.Intn(4) {
+					case 0:
+						panel[i] = Code{}
+					case 1:
+						panel[i] = Code{^uint64(0), ^uint64(0)}
+					default:
+						panel[i] = Code{rng.Uint64(), rng.Uint64()}
+					}
+				}
+				probes := make([]Code, nProbes)
+				for i := range probes {
+					switch rng.Intn(4) {
+					case 0:
+						probes[i] = panel[rng.Intn(len(panel))]
+					case 1:
+						probes[i] = Code{}
+					case 2:
+						probes[i] = Code{^uint64(0), ^uint64(0)}
+					default:
+						probes[i] = Code{rng.Uint64(), rng.Uint64()}
+					}
+				}
+				got, want := make([]uint32, images), make([]uint32, images)
+				sc.Scan(panel, m, probes, got)
+				ScanPortable(panel, m, probes, want)
+				for i := range want {
+					if got[i] != want[i] {
+						runtime.GOMAXPROCS(prev)
+						t.Fatalf("GOMAXPROCS=%d m=%d probes=%d images=%d: native score[%d] = %d, scalar %d",
+							procs, m, nProbes, images, i, got[i], want[i])
+					}
+				}
+				for _, p := range probes {
+					for _, c := range panel {
+						switch Hamming(p, c) {
+						case 0:
+							zero++
+						case MaxDim:
+							full++
+						}
+					}
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+	if zero == 0 || full == 0 {
+		t.Fatalf("distances 0 occurred %d times and 128 %d times; both must occur", zero, full)
+	}
+	t.Logf("tiers agree; distance 0 occurred %d times, 128 %d times", zero, full)
+}
+
 func TestTopCSelection(t *testing.T) {
 	scores := []uint32{9, 3, 7, 3, 1, 8, 3}
 	var sel TopC

@@ -49,3 +49,28 @@ func haveAVX2FMA() bool {
 }
 
 var useAVX2 = haveAVX2FMA()
+
+// haveVPOPCNTQ reports whether the CPU and OS support AVX512F and AVX512VL
+// (CPUID.7.0:EBX bits 16 and 31), AVX512_VPOPCNTDQ (CPUID.7.0:ECX bit 14)
+// and OS-enabled opmask and ZMM state (XCR0 0xE6). OSXSAVE and TEXID_NOASM
+// are covered by useAVX2, which gates UseVPOPCNTQ alongside this.
+func haveVPOPCNTQ() bool {
+	_, b7, c7, _ := cpuidx(7, 0)
+	const (
+		avx512f   = 1 << 16
+		avx512vl  = 1 << 31
+		vpopcntdq = 1 << 14
+	)
+	if b7&avx512f == 0 || b7&avx512vl == 0 || c7&vpopcntdq == 0 {
+		return false
+	}
+	lo, _ := xgetbv0()
+	return lo&0xE6 == 0xE6
+}
+
+// UseVPOPCNTQ reports whether assembly kernels outside this package may use
+// AVX-512 VPOPCNTQ (with AVX512F/VL arithmetic on ZMM/YMM/XMM registers).
+// It is false under TEXID_NOASM=1, like every assembly tier here, so this
+// package's CPUID probe stays the only one in the tree. Callers read it
+// once, at package initialisation.
+func UseVPOPCNTQ() bool { return useAVX2 && haveVPOPCNTQ() }

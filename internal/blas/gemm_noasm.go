@@ -5,6 +5,10 @@ package blas
 // Non-amd64 builds always take the portable kernels in gemm.go.
 const useAVX2 = false
 
+// UseVPOPCNTQ reports whether assembly kernels outside this package may use
+// AVX-512 VPOPCNTQ; never on a non-amd64 build.
+func UseVPOPCNTQ() bool { return false }
+
 func kern8x8(apack *float32, b *float32, bstride uintptr, c *float32, cstride uintptr, k int64, alpha float32, beta float32, mask *int32) {
 	panic("blas: asm kernel on non-amd64 build")
 }

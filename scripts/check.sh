@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-2 verification gate: build, vet (root module and the nested benchmark
 # module), gofmt, project invariants (texlint), import hygiene of the serving
-# binaries, the serving core's tests at GOMAXPROCS 1, 2 and 4, the blas/half
-# tests on the portable (no-assembly) kernels, the portable rows of the
-# measurement suite against BENCH_BASELINE.json, the fuzz smoke, and the
-# race-detector test suite. Any diagnostic or failure exits non-zero.
+# binaries, the serving core's tests at GOMAXPROCS 1, 2 and 4, the blas and
+# binq kernel-tier equivalence tests, the blas/half/binq tests and the
+# engine's pruning tests on the portable (no-assembly) kernels, the portable
+# rows of the measurement suite against BENCH_BASELINE.json, the fuzz smoke,
+# and the race-detector test suite. Any diagnostic or failure exits non-zero.
 # Works from a clean checkout with no network access (texlint type-checks
 # against the source importer; nothing is downloaded).
 set -euo pipefail
@@ -53,20 +54,23 @@ go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster
 
 # Kernel tiers: the half-precision GEMM runs AccumFP16 on one of three
 # bit-identical tiers picked from CPUID — AVX512-FP16 (native binary16
-# arithmetic), F16C (float32 round trips), portable Go. The equivalence
-# tests skip a tier the host lacks (hosted CI runners have no AVX512-FP16),
-# so they run verbose: the log names every tier test that ran and every one
-# that skipped, and a green run is never mistaken for coverage of a tier
-# the host does not have.
-echo "==> blas kernel tiers (go test -v)"
+# arithmetic), F16C (float32 round trips), portable Go — and the Hamming
+# prefilter scan on one of two, AVX-512 VPOPCNTQ or the scalar loop. The
+# equivalence tests skip a tier the host lacks (hosted CI runners have no
+# AVX512-FP16), so they run verbose: the log names every tier test that ran
+# and every one that skipped, and a green run is never mistaken for
+# coverage of a tier the host does not have.
+echo "==> kernel tiers: blas, binq (go test -v)"
 go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable)$' ./internal/blas
+go test -count=1 -v -run '^TestScanTiersMatch$' ./internal/binq
 
 # Portable-kernel pass: every other run exercises the host's assembly tiers
-# (AVX512-FP16 and/or F16C); this rerun pins the pure-Go fallback kernels
-# (and the bit-identity tests that compare the tiers) with every assembly
-# tier disabled.
-echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half)"
-TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/...
+# (AVX512-FP16 and/or F16C, VPOPCNTQ); this rerun pins the pure-Go fallback
+# kernels (and the bit-identity tests that compare the tiers) with every
+# assembly tier disabled, plus the whole pruned search on the scalar scan.
+echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half, binq, engine Prune*)"
+TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/... ./internal/binq/...
+TEXID_NOASM=1 go test -run 'Prune' ./internal/engine
 
 # Measurement gate, portable half: the sim-clock ops (serving levels, sim
 # soak) and the allocation probes gate on any machine. Fails on lost result
