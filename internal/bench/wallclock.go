@@ -107,8 +107,8 @@ func mustSearch(eng *engine.Engine, q *blas.Matrix, kps []sift.Keypoint) {
 
 // hostOps is the wall-clock part of the op table: the packed GEMM
 // micro-kernel, the FP16 GEMM (both accumulator modes, and AccumFP16 at the
-// resident batch shape), the separable blur,
-// full SIFT extraction, the Hamming scan, steady-state engine search (FP32,
+// resident batch shape), the separable blur, full SIFT extraction, the
+// fused FP32 GEMM + top-2, the Hamming scan, steady-state engine search (FP32,
 // FP16, pruned and unpruned on a 10x shard), and the end-to-end
 // extract+search path.
 //
@@ -203,6 +203,9 @@ func hostOps(count int) []Op {
 			cfg.RootSIFT = true
 			return func() { sift.Extract(im, cfg) }, float64(4 * 128 * 128)
 		}),
+		// FP32 GEMM with the top-2 folded in, at rest_batch_churn's batch
+		// shape.
+		gemmTop2(count),
 		// Binary Hamming prefilter scan over a ~1M-descriptor shard.
 		scan1M(count),
 		// Steady-state search on a 10x-larger reference set, pruned vs
@@ -225,6 +228,40 @@ func hostOps(count int) []Op {
 		hostOp("extract_search_e2e", count, 0, steady(gpusim.FP32, true)),
 		hostOp("engine_search_steady_fp16", count, 200e6, steady(gpusim.FP16, false)),
 	}
+}
+
+// gemmTop2 is blas.GemmTop2 at rest_batch_churn's batch shape: 8 reference
+// images × 384 features against a 4-query panel of 768 features each, the
+// RootSIFT match's GEMM and top-2 in one call. It runs whichever tier the
+// host selects; its Verify checks every best, second and index against
+// GemmTN followed by Top2AddRows per block, bit for bit.
+func gemmTop2(count int) Op {
+	const d, width, blocks, n = 128, 384, 8, 3072
+	var A, B *blas.Matrix
+	best, second, idx := make([]float32, blocks*n), make([]float32, blocks*n), make([]int32, blocks*n)
+	op := hostOp("gemm_top2_3072x3072x128", count, 0, func() (func(), float64) {
+		A, B = randMatrix(5, d, blocks*width), randMatrix(6, d, n)
+		var c blas.Matrix
+		return func() { blas.GemmTop2(-2, A, width, nil, B, nil, best, second, idx, &c) },
+			float64(4 * (blocks*width*d + n*d + 3*blocks*n))
+	})
+	op.Verify = func() bool {
+		C := blas.NewMatrix(blocks*width, n)
+		blas.GemmTN(-2, A, B, 0, C)
+		wb, ws, wi := make([]float32, n), make([]float32, n), make([]int32, n)
+		for b := 0; b < blocks; b++ {
+			blas.Top2AddRows(C, nil, b*width, (b+1)*width, wb, ws, wi)
+			for j := 0; j < n; j++ {
+				at := b*n + j
+				if math.Float32bits(best[at]) != math.Float32bits(wb[j]) ||
+					math.Float32bits(second[at]) != math.Float32bits(ws[j]) || idx[at] != wi[j] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	return op
 }
 
 // scan1M is the binary Hamming prefilter scan over a ~1M-descriptor shard:

@@ -10,7 +10,8 @@
 // tier (scan_amd64.s) runs it eight codes at a time, bit-identical to the
 // scalar loop. The scan keeps a
 // deterministic top-C candidate set per query; only those candidates go
-// through the exact GemmTN/HGemmTNBlocks + Top2AddRows rerank, which is why
+// through the exact GemmTop2 (FP32) or HGemmTNBlocks + Top2AddRows (FP16)
+// rerank, which is why
 // pruned scores are bitwise identical to unpruned ones (see the engine's
 // pruning pipeline).
 //

@@ -271,6 +271,18 @@ func AddRowVector(C *Matrix, v []float32) {
 // strict-< comparisons — but traverses the m×n block once and leaves C
 // untouched. A nil norms skips the addition (the RootSIFT path, where the
 // norm terms vanish).
+//
+// The selection, which GemmTop2's fused tier reproduces bit for bit and
+// TestTop2AddRowsSemantics pins rule by rule: rows are visited in
+// ascending order starting from (best, second, index) = (MaxFloat32,
+// MaxFloat32, −1); v = C[i,j] + norms[i] is rounded once; if v < best,
+// second takes best and best takes v and i − lo, else if v < second,
+// second takes v. So the comparison is strict: the lowest index wins a tie
+// for best and a value equal to best becomes second. NaN compares false
+// and is never selected, so an empty or all-NaN block returns the start
+// state. ±Inf compare like any other value (+Inf never beats the
+// MaxFloat32 start), and −0 and +0 compare equal, so whichever comes first
+// keeps its sign bit.
 func Top2AddRows(C *Matrix, norms []float32, lo, hi int, best, second []float32, bestIdx []int32) {
 	n := C.Cols
 	if len(best) < n || len(second) < n || len(bestIdx) < n {

@@ -50,22 +50,32 @@ func haveAVX2FMA() bool {
 
 var useAVX2 = haveAVX2FMA()
 
-// haveVPOPCNTQ reports whether the CPU and OS support AVX512F and AVX512VL
-// (CPUID.7.0:EBX bits 16 and 31), AVX512_VPOPCNTDQ (CPUID.7.0:ECX bit 14)
-// and OS-enabled opmask and ZMM state (XCR0 0xE6). OSXSAVE and TEXID_NOASM
-// are covered by useAVX2, which gates UseVPOPCNTQ alongside this.
-func haveVPOPCNTQ() bool {
-	_, b7, c7, _ := cpuidx(7, 0)
-	const (
-		avx512f   = 1 << 16
-		avx512vl  = 1 << 31
-		vpopcntdq = 1 << 14
-	)
-	if b7&avx512f == 0 || b7&avx512vl == 0 || c7&vpopcntdq == 0 {
+// haveAVX512F reports whether the CPU and OS support AVX512F (CPUID.7.0:EBX
+// bit 16) with OS-enabled opmask and ZMM state (XCR0 0xE6: bits 5-7 on top
+// of the SSE/AVX bits 1-2). OSXSAVE and TEXID_NOASM are covered by useAVX2,
+// which gates every AVX-512 tier alongside this.
+func haveAVX512F() bool {
+	_, b7, _, _ := cpuidx(7, 0)
+	if b7&(1<<16) == 0 {
 		return false
 	}
 	lo, _ := xgetbv0()
 	return lo&0xE6 == 0xE6
+}
+
+// useAVX512 gates GemmTop2's native tier (fused_amd64.s).
+var useAVX512 = useAVX2 && haveAVX512F()
+
+// haveVPOPCNTQ reports whether the host has AVX512F (haveAVX512F) plus
+// AVX512VL (CPUID.7.0:EBX bit 31) and AVX512_VPOPCNTDQ (CPUID.7.0:ECX
+// bit 14).
+func haveVPOPCNTQ() bool {
+	_, b7, c7, _ := cpuidx(7, 0)
+	const (
+		avx512vl  = 1 << 31
+		vpopcntdq = 1 << 14
+	)
+	return haveAVX512F() && b7&avx512vl != 0 && c7&vpopcntdq != 0
 }
 
 // UseVPOPCNTQ reports whether assembly kernels outside this package may use

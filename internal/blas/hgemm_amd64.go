@@ -53,22 +53,16 @@ var useF16C = useAVX2 && haveF16C()
 func hkernPH(ap *half.Float16, k int, b *[8]*half.Float16, c *[8]*float32, mask uint32, alpha float32)
 
 // haveAVX512FP16 reports whether the CPU and OS support the native binary16
-// tier: AVX512F and AVX512BW (CPUID.7.0:EBX bits 16 and 30), AVX512-FP16
-// (CPUID.7.0:EDX bit 23), and OS-enabled opmask and ZMM state (XCR0 bits 5-7
-// on top of the SSE/AVX bits 1-2). OSXSAVE and TEXID_NOASM are covered by
-// useAVX2, which gates useFP16 alongside this.
+// tier: AVX512F with ZMM state (haveAVX512F), AVX512BW (CPUID.7.0:EBX bit
+// 30) and AVX512-FP16 (CPUID.7.0:EDX bit 23). OSXSAVE and TEXID_NOASM are
+// covered by useAVX2, which gates useFP16 alongside this.
 func haveAVX512FP16() bool {
 	_, b7, _, d7 := cpuidx(7, 0)
 	const (
-		avx512f    = 1 << 16
 		avx512bw   = 1 << 30
 		avx512fp16 = 1 << 23
 	)
-	if b7&avx512f == 0 || b7&avx512bw == 0 || d7&avx512fp16 == 0 {
-		return false
-	}
-	lo, _ := xgetbv0()
-	return lo&0xE6 == 0xE6
+	return haveAVX512F() && b7&avx512bw != 0 && d7&avx512fp16 != 0
 }
 
 // useFP16 gates the AVX512-FP16 HGemm tier, tried before the F16C one.

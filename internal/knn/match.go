@@ -138,23 +138,21 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 
 	results := sc.pairSlab(rb.IDs, n, phantom)
 	if !phantom {
-		// Steps 1-3: norms (amortized/offline for refs, tiny for query) + GEMM.
-		C := sc.matrix(B*m, n)
+		// Steps 1-5: norms (amortized/offline for refs, tiny for query),
+		// GEMM, add N_R, per-column top-2 selection within each reference
+		// block. The row add of N_R rides in the selection pass — fused
+		// into the GEMM tile on the FP32 native tier, an on-the-fly add
+		// in Top2AddRows otherwise — though the device below still charges
+		// each step.
 		if prec == gpusim.FP16 {
+			C := sc.matrix(B*m, n)
 			blas.HGemmTN(-2, rb.F16, q.F16, opts.Accum, C)
 			// Undo the feature scale: A holds -2·s²·RᵀQ.
 			unscale(C, 1/(rb.Scale*q.Scale))
+			sc.top2Blocks(C, rb.Norms, m)
 		} else {
-			blas.GemmTN(-2, rb.F32, q.F32, 0, C)
+			blas.GemmTop2(-2, rb.F32, m, nil, q.F32, rb.Norms, sc.best, sc.second, sc.idx, &sc.c)
 		}
-		// Steps 4-5: per-column top-2 selection within each reference block.
-		// The row add of N_R is fused into the selection pass (Top2AddRows
-		// adds it on the fly) — one sweep over the m×n block instead of two —
-		// though the device below still charges both traversals.
-		blas.Parallel(B, func(b int) {
-			p := &results[b]
-			blas.Top2AddRows(C, rb.Norms, b*m, (b+1)*m, p.Best, p.Second, p.BestIdx)
-		})
 		// Steps 6-7: add N_Q to the two survivors and square-root (fused).
 		for b := 0; b < B; b++ {
 			finishDistances(&results[b], q.Norms)
@@ -181,17 +179,18 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 // A = -2·RᵀQ, so the pipeline is one GEMM of shape (blocks·m)×(B_q·n) plus
 // one fused top-2/sqrt kernel.
 //
-// Whole batch (slots == nil): one GEMM over the resident operand. Slot
-// set: the selected images' feature columns are gathered (charged as one
-// elementwise pass) and matched, writing the same bits as the
-// corresponding rows of the whole-batch GEMM:
+// Whole batch (slots == nil) or slot set, each precision is one call over
+// the resident operand, read from storage: a slot set names the selected
+// images' column blocks (their gather is charged as one elementwise pass),
+// and every tier's per-element value depends only on the two operand
+// columns, so a slot's results are bit for bit its whole-batch ones.
 //
-//   - FP32: GemmTN's per-element value is one sequential FMA chain over
-//     the two operand columns (see gemm.go), so each slot runs GemmTN over
-//     a column view of the operand and reproduces those rows exactly.
-//   - FP16: one blas.HGemmTNBlocks over the slots' column blocks of the
-//     resident operand (nil = every column), read from storage (see its
-//     slice-invariance note). Whether anything is widened — into sc's
+//   - FP32: one blas.GemmTop2, which returns the top-2 of every (block,
+//     query column) straight into sc's result slabs. On its native tier the
+//     distance matrix is never written; elsewhere it is GemmTN into sc's
+//     matrix, then Top2AddRows.
+//   - FP16: one blas.HGemmTNBlocks into sc's matrix, then Top2AddRows per
+//     block into the same slabs. Whether anything is widened — into sc's
 //     staging — is blas's choice of kernel tier; nothing widened outlives
 //     the call.
 //
@@ -212,35 +211,21 @@ func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []in
 
 	results := sc.multiSlab(ids, Bq, n, phantom)
 	if !phantom {
-		C := sc.matrix(nb*m, Bq*n)
-		switch {
-		case prec == gpusim.FP16:
+		if prec == gpusim.FP16 {
+			C := sc.matrix(nb*m, Bq*n)
 			blas.HGemmTNBlocks(-2, rb.F16, m, slots, mq.catF16, opts.Accum, C, &sc.stage)
 			// Undo the feature scale: C holds -2·s²·RᵀQ.
 			unscale(C, 1/(rb.Scale*mq.queries[0].Scale))
-		case slots == nil:
-			blas.GemmTN(-2, rb.F32, mq.catF32, 0, C)
-		default:
-			for si, slot := range slots {
-				av, cv := rb.F32.SliceView(int(slot)*m, (int(slot)+1)*m), rowBlockView(C, si*m, m)
-				blas.GemmTN(-2, &av, mq.catF32, 0, &cv)
-			}
+			sc.top2Blocks(C, nil, m)
+		} else {
+			blas.GemmTop2(-2, rb.F32, m, slots, mq.catF32, nil, sc.best, sc.second, sc.idx, &sc.c)
 		}
-
-		// Fused steps 2-3: top-2 per column per block, then sqrt(2 + a) in
-		// registers. Every (query, block) cell is independent, so the sweep
-		// parallelises over all B_q·blocks of them — a lone query still fans out
-		// over its blocks — and stays bit-identical at any GOMAXPROCS.
-		blas.Parallel(Bq*nb, func(cell int) {
-			qi, b := cell/nb, cell%nb
-			sub := C.SliceView(qi*n, (qi+1)*n)
-			p := &results[qi][b]
-			blas.Top2AddRows(&sub, nil, b*m, (b+1)*m, p.Best, p.Second, p.BestIdx)
-			for j := range p.Best {
-				p.Best[j] = sqrt32(2 + p.Best[j])
-				p.Second[j] = sqrt32(2 + p.Second[j])
-			}
-		})
+		// Step 3: sqrt(2 + a) on the two survivors of every (query, block)
+		// cell.
+		for i := range sc.best {
+			sc.best[i] = sqrt32(2 + sc.best[i])
+			sc.second[i] = sqrt32(2 + sc.second[i])
+		}
 	}
 
 	// The device charges the same ops in the same order, phantom or not.
@@ -264,12 +249,6 @@ func unscale(C *blas.Matrix, inv float32) {
 	for i := range C.Data {
 		C.Data[i] *= inv
 	}
-}
-
-// rowBlockView returns rows [lo, lo+rows) of C as a strided view (no
-// allocation; the value aliases C's storage).
-func rowBlockView(C *blas.Matrix, lo, rows int) blas.Matrix {
-	return blas.Matrix{Rows: rows, Cols: C.Cols, Stride: C.Stride, Data: C.Data[lo:]}
 }
 
 // bruteForce2NN is the functional baseline: direct O(d·m·n) squared

@@ -22,7 +22,8 @@ import (
 // the next batch, which is exactly what the engine's incremental scoring
 // loop does.
 type Scratch struct {
-	cbuf   []float32
+	// c is the distance matrix, written only by the FP16 GEMM and by
+	// blas.GemmTop2's fallback tiers.
 	c      blas.Matrix
 	best   []float32
 	second []float32
@@ -83,10 +84,10 @@ func (sc *Scratch) candSlots(rb *RefBatch, slots []int32) []int {
 // are undefined; callers must fully overwrite it.
 func (sc *Scratch) matrix(rows, cols int) *blas.Matrix {
 	need := rows * cols
-	if cap(sc.cbuf) < need {
-		sc.cbuf = make([]float32, need)
+	if cap(sc.c.Data) < need {
+		sc.c.Data = make([]float32, need)
 	}
-	sc.c = blas.Matrix{Rows: rows, Cols: cols, Stride: rows, Data: sc.cbuf[:need]}
+	sc.c = blas.Matrix{Rows: rows, Cols: cols, Stride: rows, Data: sc.c.Data[:need]}
 	return &sc.c
 }
 
@@ -102,14 +103,30 @@ func (sc *Scratch) grow(cnt, n int) {
 	sc.idx = sc.idx[:cnt*n]
 }
 
+// top2Blocks is the selection half of blas.GemmTop2 for a GEMM that wrote
+// C: Top2AddRows over each m-row block of C, norms added when non-nil,
+// block b's results for all of C's columns landing at b·C.Cols in the
+// slabs (multiSlab's layout). Blocks are independent, so the sweep
+// parallelises over them and stays bit-identical at any GOMAXPROCS.
+func (sc *Scratch) top2Blocks(C *blas.Matrix, norms []float32, m int) {
+	n := C.Cols
+	blas.Parallel(C.Rows/m, func(b int) {
+		at := b * n
+		blas.Top2AddRows(C, norms, b*m, (b+1)*m, sc.best[at:at+n], sc.second[at:at+n], sc.idx[at:at+n])
+	})
+}
+
 // pairSlab returns B result shells for one query: multiSlab's only row.
 func (sc *Scratch) pairSlab(ids []int, n int, phantom bool) []Pair2NN {
 	return sc.multiSlab(ids, 1, n, phantom)[0]
 }
 
 // multiSlab returns Bq rows of B result shells each. For real matches the
-// Best/Second/BestIdx slices are carved out of the scratch slabs; phantom
-// shells carry the reference ID only.
+// Best/Second/BestIdx slices are carved out of the scratch slabs, block
+// major: reference b's results for query qi sit at (b·Bq + qi)·n, so block
+// b's row of the slab covers every column of the B_q·n-column query panel,
+// which is the layout blas.GemmTop2 writes. Phantom shells carry the
+// reference ID only.
 func (sc *Scratch) multiSlab(ids []int, Bq, n int, phantom bool) [][]Pair2NN {
 	B := len(ids)
 	if cap(sc.multi) < Bq {
@@ -130,7 +147,7 @@ func (sc *Scratch) multiSlab(ids []int, Bq, n int, phantom bool) [][]Pair2NN {
 				row[b] = Pair2NN{RefID: id}
 				continue
 			}
-			at := qi*B + b
+			at := b*Bq + qi
 			row[b] = Pair2NN{
 				RefID:   id,
 				Best:    sc.best[at*n : (at+1)*n : (at+1)*n],

@@ -2,7 +2,7 @@
 # Tier-2 verification gate: build, vet (root module and the nested benchmark
 # module), gofmt, project invariants (texlint), import hygiene of the serving
 # binaries, the serving core's tests at GOMAXPROCS 1, 2 and 4, the blas and
-# binq kernel-tier equivalence tests, the blas/half/binq tests and the
+# binq kernel-tier equivalence tests, the blas/half/binq/knn tests and the
 # engine's pruning tests on the portable (no-assembly) kernels, the portable
 # rows of the measurement suite against BENCH_BASELINE.json, the fuzz smoke,
 # and the race-detector test suite. Any diagnostic or failure exits non-zero.
@@ -54,22 +54,27 @@ go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster
 
 # Kernel tiers: the half-precision GEMM runs AccumFP16 on one of three
 # bit-identical tiers picked from CPUID — AVX512-FP16 (native binary16
-# arithmetic), F16C (float32 round trips), portable Go — and the Hamming
-# prefilter scan on one of two, AVX-512 VPOPCNTQ or the scalar loop. The
-# equivalence tests skip a tier the host lacks (hosted CI runners have no
-# AVX512-FP16), so they run verbose: the log names every tier test that ran
-# and every one that skipped, and a green run is never mistaken for
-# coverage of a tier the host does not have.
+# arithmetic), F16C (float32 round trips), portable Go — the FP32 GEMM +
+# top-2 on one of three — AVX-512 with the top-2 folded into the tile,
+# AVX2 GemmTN + Top2AddRows, portable — and the Hamming prefilter scan on
+# one of two, AVX-512 VPOPCNTQ or the scalar loop. The equivalence tests
+# skip a tier the host lacks (hosted CI runners have no AVX512-FP16), so
+# they run verbose: the log names every tier test that ran and every one
+# that skipped, and a green run is never mistaken for coverage of a tier
+# the host does not have. Top2AddRowsSemantics states the rules the fused
+# tier is held to.
 echo "==> kernel tiers: blas, binq (go test -v)"
-go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable)$' ./internal/blas
+go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable|GemmTop2TiersMatch|Top2AddRowsSemantics)$' ./internal/blas
 go test -count=1 -v -run '^TestScanTiersMatch$' ./internal/binq
 
 # Portable-kernel pass: every other run exercises the host's assembly tiers
-# (AVX512-FP16 and/or F16C, VPOPCNTQ); this rerun pins the pure-Go fallback
-# kernels (and the bit-identity tests that compare the tiers) with every
-# assembly tier disabled, plus the whole pruned search on the scalar scan.
-echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half, binq, engine Prune*)"
-TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/... ./internal/binq/...
+# (AVX512-FP16 and/or F16C, the fused FP32 GEMM + top-2, VPOPCNTQ); this
+# rerun pins the pure-Go fallback kernels (and the bit-identity tests that
+# compare the tiers) with every assembly tier disabled, the knn matches on
+# blas.GemmTop2's GemmTN + Top2AddRows route, plus the whole pruned search
+# on the scalar scan.
+echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half, binq, knn, engine Prune*)"
+TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/... ./internal/binq/... ./internal/knn/...
 TEXID_NOASM=1 go test -run 'Prune' ./internal/engine
 
 # Measurement gate, portable half: the sim-clock ops (serving levels, sim
