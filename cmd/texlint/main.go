@@ -1,7 +1,7 @@
 // Command texlint runs texid's project-invariant static-analysis suite.
 //
 //	go run ./cmd/texlint ./...
-//	go run ./cmd/texlint -checks lockorder,clockdomain ./internal/...
+//	go run ./cmd/texlint -checks aliasret,clockdomain ./internal/...
 //	go run ./cmd/texlint -json ./... | jq .
 //
 // It is stdlib-only and works from a clean checkout with no network
@@ -13,9 +13,6 @@
 //
 // Checks (see internal/analysis for details):
 //
-//	lockcheck    no mutex held across channel ops, time.Sleep, or
-//	             blocking I/O; no return that leaves a mutex held
-//	             without a deferred unlock
 //	errcheck     no silently dropped error returns
 //	fp16         no raw binary16 conversions or bit-pattern arithmetic
 //	             outside internal/half
@@ -25,12 +22,6 @@
 //	             or the global math/rand source
 //	aliasret     results of //texlint:scratchalias APIs must not be
 //	             retained across reuse of the same scratch
-//	lockorder    the module-local lock-acquisition graph (followed across
-//	             function boundaries) must be acyclic; no RLock→Lock
-//	             upgrades or reacquisition of a held mutex
-//	guardedby    fields bound to a mutex with //texlint:guards <mutex>
-//	             are only touched with that lock held (reads accept the
-//	             read half; constructor and sync/atomic access exempt)
 //	poollife     objects handed to sync.Pool.Put or a //texlint:freelist
 //	             recycler are never used, returned, or recycled again
 //	             afterwards
@@ -38,7 +29,11 @@
 //	             exit path: a close()d channel range, a done/context
 //	             select arm, or a bounded body
 //	directive    texlint comment hygiene: bare ignores (no reason),
-//	             unknown check names, malformed annotations
+//	             unknown check names, unknown or retired directives
+//
+// Lock contracts (acquisition order, the fields a mutex owns, nothing held
+// across a blocking call) are held by tests that drive the interleaving
+// under -race, not by a check here; see DESIGN.md, "Concurrency contracts".
 //
 // Suppress a finding with `//texlint:ignore <check> <reason>` on the
 // offending line or in the enclosing declaration's doc comment; the

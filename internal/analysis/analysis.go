@@ -8,14 +8,15 @@
 // The paper's results depend on a deterministic, calibrated timing model
 // and a concurrent serving stack; the checks here encode the invariants
 // that keep those properties from rotting: nothing reachable from simulator
-// code reads the wall clock or the global math/rand source, no mutex is
-// held across a blocking operation, no error is dropped, and no raw
-// binary16 bit pattern is manipulated outside internal/half.
+// code reads the wall clock or the global math/rand source, no scratch
+// alias or recycled object outlives its reuse, no goroutine lacks an exit,
+// no error is dropped, and no raw binary16 bit pattern is manipulated
+// outside internal/half. Lock contracts (order, owned fields, nothing held
+// across a blocking call) are not checked here: tests that drive the
+// interleaving under -race hold them (DESIGN.md, "Concurrency contracts").
 //
-// Every mechanism exists once: Program.reach is the only call-graph walk,
-// chainPath the only chain renderer, and lockVisitor the only
-// critical-section tracker (lockcheck, lockorder and guardedby are
-// callbacks on it).
+// Every mechanism exists once: Program.reach is the only call-graph walk
+// and chainPath the only chain renderer.
 //
 // Diagnostics may be suppressed with an escape hatch comment:
 //
@@ -86,19 +87,16 @@ func perPackage(scope func(pkgPath string) bool, fn func(*Pass) []Diagnostic) fu
 }
 
 // DefaultAnalyzers returns the check suite. The two syntactic checks
-// (errcheck, fp16) look at one package at a time; the rest follow call
-// chains or lock sets across the whole program.
+// (errcheck, fp16) look at one package at a time; the rest run over the
+// whole Program.
 // Scoping lives with each check: clockdomain roots itself at the simulator
 // packages (inSimulator), fp16 skips internal/half.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		NewLockCheck(),
 		NewErrCheck(),
 		NewFP16(),
 		NewClockDomain(),
 		NewAliasRet(),
-		NewLockOrder(),
-		NewGuardedBy(),
 		NewPoolLife(),
 		NewGoLeak(),
 	}

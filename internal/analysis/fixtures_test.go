@@ -3,6 +3,8 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -24,13 +26,10 @@ func fixture(t *testing.T, name string) {
 	t.Fatalf("no registered check named %q", name)
 }
 
-func TestLockCheckFixture(t *testing.T)   { fixture(t, "lockcheck") }
 func TestErrCheckFixture(t *testing.T)    { fixture(t, "errcheck") }
 func TestFP16Fixture(t *testing.T)        { fixture(t, "fp16") }
 func TestClockDomainFixture(t *testing.T) { fixture(t, "clockdomain") }
 func TestAliasRetFixture(t *testing.T)    { fixture(t, "aliasret") }
-func TestLockOrderFixture(t *testing.T)   { fixture(t, "lockorder") }
-func TestGuardedByFixture(t *testing.T)   { fixture(t, "guardedby") }
 func TestPoolLifeFixture(t *testing.T)    { fixture(t, "poollife") }
 func TestGoLeakFixture(t *testing.T)      { fixture(t, "goleak") }
 
@@ -50,17 +49,13 @@ func TestEveryCheckHasFixture(t *testing.T) {
 // clockdomain roots itself at the simulator packages and not at e.g. cmd/
 // tools, while fp16 skips internal/half itself.
 func TestDefaultAnalyzersScope(t *testing.T) {
-	names := map[string]bool{}
+	var names []string
 	for _, a := range DefaultAnalyzers() {
-		names[a.Name] = true
+		names = append(names, a.Name)
 	}
-	if len(names) != 9 {
-		t.Fatalf("expected 9 analyzers, got %d", len(names))
-	}
-	for _, name := range []string{"clockdomain", "lockcheck", "fp16"} {
-		if !names[name] {
-			t.Errorf("missing analyzer %q", name)
-		}
+	sort.Strings(names)
+	if want := []string{"aliasret", "clockdomain", "errcheck", "fp16", "goleak", "poollife"}; !slices.Equal(names, want) {
+		t.Fatalf("analyzers = %v, want the 6 checks %v", names, want)
 	}
 	if !inSimulator("texid/internal/engine") || !inSimulator("texid/internal/gpusim") {
 		t.Error("clockdomain root scope must cover internal/engine and internal/gpusim")

@@ -61,11 +61,6 @@ type Program struct {
 	pkgPaths map[string]bool
 	ignore   *ignoreIndex
 	callees  map[*types.Func][]CallSite
-
-	// Memoized concurrency-contract summaries (locks.go).
-	locksums  map[*types.Func]*lockSummary
-	entryheld map[*types.Func]map[string]entryInfo
-	transacq  map[*types.Func]map[string]token.Pos
 }
 
 // BuildProgram indexes the packages (all loaded through one shared
@@ -233,7 +228,6 @@ const (
 	scratchaliasPrefix = "//texlint:scratchalias"
 	clockdomainPrefix  = "//texlint:clockdomain"
 	freelistPrefix     = "//texlint:freelist"
-	guardsPrefix       = "//texlint:guards"
 )
 
 // parseFuncAnn extracts texlint annotations from a doc comment group.
@@ -256,8 +250,8 @@ func parseFuncAnn(doc *ast.CommentGroup) FuncAnn {
 }
 
 // directiveIs matches a comment against one directive, requiring the name
-// to end at a word boundary so //texlint:guards does not match a future
-// //texlint:guards2.
+// to end at a word boundary so //texlint:freelist does not match a future
+// //texlint:freelist2.
 func directiveIs(text, prefix string) bool {
 	if !strings.HasPrefix(text, prefix) {
 		return false
@@ -268,8 +262,8 @@ func directiveIs(text, prefix string) bool {
 
 // directiveDiags validates every //texlint: comment in the program:
 // unknown directive names, ignores with no check list, ignores naming an
-// unknown check, bare ignores with no reason, and guards annotations
-// naming no mutex all become findings under the "directive" check.
+// unknown check, and bare ignores with no reason all become findings under
+// the "directive" check.
 func (p *Program) directiveDiags(knownChecks map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	report := func(pos token.Pos, format string, args ...any) {
@@ -303,10 +297,6 @@ func (p *Program) directiveDiags(knownChecks map[string]bool) []Diagnostic {
 						if len(fields) == 1 {
 							report(c.Pos(), "texlint:ignore %s has no reason; bare ignores are not allowed — say why", fields[0])
 						}
-					case directiveIs(text, guardsPrefix):
-						if strings.TrimSpace(strings.TrimPrefix(text, guardsPrefix)) == "" {
-							report(c.Pos(), "texlint:guards needs the name of the protecting mutex field: //texlint:guards <mutex>")
-						}
 					case directiveIs(text, scratchaliasPrefix),
 						directiveIs(text, clockdomainPrefix),
 						directiveIs(text, freelistPrefix):
@@ -316,7 +306,7 @@ func (p *Program) directiveDiags(knownChecks map[string]bool) []Diagnostic {
 						if i := strings.IndexAny(name, " \t"); i >= 0 {
 							name = name[:i]
 						}
-						report(c.Pos(), "unknown texlint directive %q (known: ignore, scratchalias, clockdomain, freelist, guards)", name)
+						report(c.Pos(), "unknown texlint directive %q (known: ignore, scratchalias, clockdomain, freelist)", name)
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package fixture
 
 import (
 	"os"
+	"sync"
 	"time"
 )
 
@@ -45,4 +46,12 @@ func useAll() int64 {
 	_ = blockStart
 	_ = blockStamp
 	return sentinel
+}
+
+// So is a field annotation of a retired check: lock ownership is now a
+// plain comment, and a leftover directive must not read as enforced.
+type counter struct {
+	mu sync.Mutex
+	//texlint:guards mu
+	n int
 }

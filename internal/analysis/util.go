@@ -31,16 +31,6 @@ func funcPkgPath(fn *types.Func) string {
 	return fn.Pkg().Path()
 }
 
-// isPkgFunc reports whether fn is the package-level function pkgPath.name
-// (methods never match).
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Name() != name || funcPkgPath(fn) != pkgPath {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // isMethodOf reports whether fn is a method named name whose declaring
 // package path equals or has the given suffix.
 func isMethodOf(fn *types.Func, pkgSuffix, name string) bool {

@@ -84,11 +84,12 @@ type Cluster struct {
 	store     *kvstore.Client
 	batcher   *serve.Batcher[serve.Query, serve.Result[*Report]]
 
-	mu sync.Mutex
-	//texlint:guards mu
+	// mu owns shards and next, and is held by every mutation from the
+	// shard-map lookup to the shard-map write. Order: mu before any
+	// engine's mu; nothing holding an engine lock takes mu.
+	mu     sync.Mutex
 	shards map[int]int // texture id -> worker index
-	//texlint:guards mu
-	next int // round-robin cursor
+	next   int         // round-robin cursor
 
 	// Service metrics, exposed at /metrics.
 	reg              *metrics.Registry

@@ -76,12 +76,10 @@ func (p HealthPolicy) withDefaults() HealthPolicy {
 type healthFSM struct {
 	pol HealthPolicy
 
-	mu sync.Mutex
-	//texlint:guards mu
-	state HealthState
-	//texlint:guards mu
-	fails int // consecutive failures
-	//texlint:guards mu
+	// mu owns state, fails and skipped; it is a leaf lock.
+	mu      sync.Mutex
+	state   HealthState
+	fails   int // consecutive failures
 	skipped int // calls skipped while Dead, counts toward the next probe
 }
 

@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 func TestHealthFSMTransitions(t *testing.T) {
 	h := newHealthFSM(HealthPolicy{SuspectAfter: 1, DeadAfter: 3, ProbeEvery: 2})
@@ -61,5 +64,38 @@ func TestHealthPolicyDefaults(t *testing.T) {
 	p = HealthPolicy{SuspectAfter: 5, DeadAfter: 2}.withDefaults()
 	if p.DeadAfter != 5 {
 		t.Fatalf("DeadAfter not clamped: %+v", p)
+	}
+}
+
+// TestHealthFSMTransitionsAreOrderedByMu: scatter-gather calls drive one
+// worker's detector from several goroutines at once. Each transition runs
+// first in its own goroutine, and a second transition follows it with
+// only mu between them, so -race reports any field the first one touched
+// outside its critical section, on every run. The sleep only lets the
+// first step go first; waiting on it would order it before the second.
+func TestHealthFSMTransitionsAreOrderedByMu(t *testing.T) {
+	steps := map[string]func(*healthFSM){
+		"allow":     func(h *healthFSM) { h.allow() },
+		"onSuccess": (*healthFSM).onSuccess,
+		"onFailure": (*healthFSM).onFailure,
+		"State":     func(h *healthFSM) { _ = h.State() },
+	}
+	for first, step := range steps {
+		for second, then := range steps {
+			h := newHealthFSM(HealthPolicy{SuspectAfter: 1, DeadAfter: 2, ProbeEvery: 1})
+			h.onFailure()
+			h.onFailure() // Dead: allow takes its probe path
+			done := make(chan struct{})
+			go func() {
+				step(h)
+				close(done)
+			}()
+			time.Sleep(5 * time.Millisecond) // the first step has run; only mu orders it before the second
+			then(h)
+			<-done
+			if t.Failed() {
+				t.Fatalf("%s then %s", first, second)
+			}
+		}
 	}
 }

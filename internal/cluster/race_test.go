@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"texid/internal/binq"
 	"texid/internal/blas"
@@ -339,6 +340,46 @@ func TestConcurrentMutationsAgree(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestRebalanceTakesTheMutationLockFirst pins the coordinator's lock order,
+// c.mu before any engine's mu. The test holds c.mu, as a put in flight
+// would, and starts a Rebalance: it must wait for c.mu before it touches an
+// engine, so the worker it drains keeps answering meanwhile. A Rebalance
+// that exported first and took c.mu inside Export's visit would sit on that
+// worker's write lock waiting for c.mu, and a put to the worker, which
+// holds c.mu and waits for the engine, would deadlock against it.
+func TestRebalanceTakesTheMutationLockFirst(t *testing.T) {
+	c := smallCluster(t, 2)
+	rng := rand.New(rand.NewSource(74))
+	for id := 0; id < 4; id++ {
+		if err := c.Add(id, unitFeatures(rng, 16, 24), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.mu.Lock()
+	moved := make(chan error, 1)
+	go func() {
+		_, err := c.Rebalance(0)
+		moved <- err
+	}()
+	for start := time.Now(); time.Since(start) < 100*time.Millisecond; time.Sleep(time.Millisecond) {
+		answered := make(chan struct{})
+		go func() {
+			_ = c.workers[0].eng.Stats()
+			close(answered)
+		}()
+		select {
+		case <-answered:
+		case <-time.After(2 * time.Second):
+			c.mu.Unlock()
+			t.Fatal("Rebalance holds the draining worker's lock while it waits for c.mu")
+		}
+	}
+	c.mu.Unlock()
+	if err := <-moved; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRefusedDeleteLeavesTheTextureServing: Remove is write-ahead like put.

@@ -141,19 +141,15 @@ type Engine struct {
 	cfg Config
 	dev *gpusim.Device
 
-	mu sync.RWMutex
-	//texlint:guards mu
-	hybrid *cache.Hybrid[sealedBatch]
-	//texlint:guards mu
-	refs map[int]*refMeta // id -> the record currently enrolled under it
-	//texlint:guards mu
+	// mu owns hybrid, refs, nextBatchID, pending and thresh.
+	mu          sync.RWMutex
+	hybrid      *cache.Hybrid[sealedBatch]
+	refs        map[int]*refMeta // id -> the record currently enrolled under it
 	nextBatchID int
-	//texlint:guards mu
-	pending []pendingRef
+	pending     []pendingRef
 	// thresh is the per-dimension binarization threshold vector, learned
 	// from the first sealed batch (or restored from a snapshot) and fixed
 	// for the life of the index so every enrolled code is comparable.
-	//texlint:guards mu
 	thresh    binq.Thresholds
 	workspace int64
 	searches  atomic.Int64
@@ -165,20 +161,15 @@ type Engine struct {
 	// fixed allocations — the Report and its Ranked list, which escape to
 	// the caller, the ratio-test survivors, the kernels' launch headers and
 	// the final sort — which is what BENCH_BASELINE.json's
-	// probe_engine_search_steady* rows count and gate at zero drift.
-	execMu sync.Mutex
-	//texlint:guards execMu
-	streams []*gpusim.Stream
-	//texlint:guards execMu
-	scratch knn.Scratch
-	//texlint:guards execMu
+	// probe_engine_search_steady* rows count and gate at zero drift. It
+	// owns streams, scratch, qscratch, queries, itemsBuf and prune.
+	execMu   sync.Mutex
+	streams  []*gpusim.Stream
+	scratch  knn.Scratch
 	qscratch []knn.QueryScratch // one per query-panel slot
-	//texlint:guards execMu
-	queries []*knn.Query // the staged panel of the pass in flight
-	//texlint:guards execMu
+	queries  []*knn.Query       // the staged panel of the pass in flight
 	itemsBuf []*cache.Item[sealedBatch]
-	//texlint:guards execMu
-	prune pruneScratch
+	prune    pruneScratch
 }
 
 // New creates an engine, allocating per-stream device workspace (the

@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
+	"texid/internal/binq"
 	"texid/internal/blas"
 	"texid/internal/gpusim"
 	"texid/internal/knn"
@@ -840,6 +842,148 @@ func TestConcurrentUpdatesOfOneIDAreAtomic(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// TestLockContracts holds the engine's two locks from the test, so each
+// contract fails the same way on every run instead of when a schedule
+// cooperates:
+//   - every writer takes mu's write half: it waits while a reader holds
+//     the read half (a writer under RLock races every search);
+//   - no writer takes execMu: a writer holding mu while it waits for a
+//     search pass's execMu deadlocks against that search, which holds
+//     execMu and waits for mu;
+//   - a search takes execMu before mu, so one parked on execMu holds no
+//     mu and blocks no writer;
+//   - Remove looks its id up under mu (caught by -race: the test enrolls
+//     under mu while Remove is already running).
+func TestLockContracts(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	feats := unitFeatures(rng, 16, 24)
+	q := queryFor(rng, feats, 32, 0.02)
+	// populated holds sealed batches with a dead slot and one pending
+	// reference, so Flush, Export and Compact all have work to do.
+	populated := func(t *testing.T) *Engine {
+		e, err := New(prunedConfig(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		enrollTestRefs(t, e, rng, 6)
+		e.Remove(101)
+		if err := e.Add(200, feats, nil); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	empty := func(t *testing.T) *Engine {
+		e, err := New(prunedConfig(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	writers := []struct {
+		name  string
+		setup func(*testing.T) *Engine
+		op    func(*Engine) error
+	}{
+		{"Add", populated, func(e *Engine) error { return e.Add(300, feats, nil) }},
+		{"Update", populated, func(e *Engine) error { return e.Update(102, feats, nil) }},
+		{"Remove", populated, func(e *Engine) error { e.Remove(103); return nil }},
+		{"Flush", populated, (*Engine).Flush},
+		{"Compact", populated, func(e *Engine) error { _, err := e.Compact(); return err }},
+		{"Export", populated, func(e *Engine) error {
+			return e.Export(func(int, *blas.Matrix, []sift.Keypoint, []binq.Code) error { return nil })
+		}},
+		{"SetThresholds", empty, func(e *Engine) error { return e.SetThresholds(make(binq.Thresholds, 16)) }},
+	}
+	wait := func(t *testing.T, done <-chan error, what string) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not finish", what)
+		}
+	}
+	for _, w := range writers {
+		t.Run(w.name+"/waits_for_readers", func(t *testing.T) {
+			e := w.setup(t)
+			e.mu.RLock()
+			done := make(chan error, 1)
+			go func() { done <- w.op(e) }()
+			select {
+			case <-done:
+				e.mu.RUnlock()
+				t.Fatalf("%s finished while a reader held mu: it does not take the write lock", w.name)
+			case <-time.After(50 * time.Millisecond):
+			}
+			e.mu.RUnlock()
+			wait(t, done, w.name+" after the reader left")
+		})
+		t.Run(w.name+"/never_waits_for_execMu", func(t *testing.T) {
+			e := w.setup(t)
+			e.execMu.Lock()
+			defer e.execMu.Unlock()
+			done := make(chan error, 1)
+			go func() { done <- w.op(e) }()
+			wait(t, done, w.name+" while a search pass held execMu")
+		})
+	}
+
+	t.Run("Search/takes_execMu_before_mu", func(t *testing.T) {
+		e := populated(t)
+		e.execMu.Lock()
+		searched := make(chan error, 1)
+		go func() { _, err := e.Search(q, nil); searched <- err }()
+		for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if !e.mu.TryLock() {
+				e.execMu.Unlock()
+				t.Fatal("a search waiting for execMu already holds mu: the order is execMu before mu")
+			}
+			e.mu.Unlock()
+		}
+		e.execMu.Unlock()
+		wait(t, searched, "the search")
+	})
+
+	t.Run("Remove/looks_up_under_mu", func(t *testing.T) {
+		e := populated(t)
+		e.mu.Lock()
+		removed := make(chan error, 1)
+		go func() { e.Remove(104); removed <- nil }()
+		err := e.addLocked(301, feats, nil, nil)
+		e.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait(t, removed, "Remove")
+	})
+
+	// Thresholds copies thresh under the read lock. A reader runs first,
+	// and the first seal (which learns thresh) follows with only mu
+	// between them, so -race reports a copy made outside the lock. The
+	// sleep only lets the read go first: waiting on its result would order
+	// it before the seal and hide the race.
+	t.Run("Thresholds/reads_under_mu", func(t *testing.T) {
+		e := empty(t)
+		read := make(chan struct{})
+		go func() {
+			_ = e.Thresholds()
+			close(read)
+		}()
+		time.Sleep(10 * time.Millisecond) // the read has run; only mu orders it before the seal
+		for id := 0; id < e.cfg.BatchSize; id++ {
+			if err := e.Add(id, feats, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		<-read
+		if e.Thresholds() == nil {
+			t.Fatal("no thresholds after the first seal")
+		}
+	})
 }
 
 func TestNewFailsWhenWorkspaceExceedsDevice(t *testing.T) {

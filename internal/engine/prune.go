@@ -28,9 +28,7 @@ import (
 // select the first C global slots.
 
 // pruneScratch is the reusable working set of the pruned search path,
-// owned by the engine alongside knn.Scratch.
-//
-//texlint:guards execMu
+// owned by the engine alongside knn.Scratch, under execMu.
 type pruneScratch struct {
 	scanner  binq.Scanner
 	qcodes   []binq.Code // encoded probes, all queries concatenated

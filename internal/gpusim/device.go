@@ -19,25 +19,21 @@ import (
 type Device struct {
 	Spec DeviceSpec
 
-	mu sync.Mutex
-	//texlint:guards mu
+	// mu owns allocated, peakAlloc, streams, prof, opSeq, every stream's
+	// tailUS, and the three engines' free times.
+	mu        sync.Mutex
 	allocated int64
-	//texlint:guards mu
 	peakAlloc int64
 	// The three engines are mutated only inside schedule/Synchronize/
 	// ResetClock under mu, but the Stream kernel wrappers take their
-	// addresses unlocked to tell schedule which engine an op occupies —
-	// a handoff //texlint:guards cannot express, so the contract is
-	// enforced by keeping engine mutation confined to those methods.
+	// addresses unlocked to tell schedule which engine an op occupies, so
+	// the contract is kept by confining engine mutation to those methods.
 	compute engine
 	h2d     engine
 	d2h     engine
-	//texlint:guards mu
 	streams []*Stream
-	//texlint:guards mu
-	prof map[string]*OpStats
-	//texlint:guards mu
-	opSeq uint64
+	prof    map[string]*OpStats
+	opSeq   uint64
 }
 
 // engine is a serially-reusable resource on the device timeline.

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestConcurrentStreamsAndObservers mixes per-stream enqueues with the
@@ -54,5 +55,26 @@ func TestConcurrentStreamsAndObservers(t *testing.T) {
 	if d.Allocated() != d.Spec.RuntimeOverhead {
 		t.Fatalf("leaked %d bytes of device memory beyond the runtime overhead",
 			d.Allocated()-d.Spec.RuntimeOverhead)
+	}
+
+	// Each memory counter read is ordered against a later Alloc by mu
+	// alone: the observer reads once, and the Alloc runs after it with no
+	// other synchronization in between, so -race reports a read made
+	// outside the critical section on every run. The sleep only lets the
+	// read go first: waiting on its result would order it before the Alloc
+	// and hide the race.
+	for name, read := range map[string]func(*Device) int64{
+		"Allocated": (*Device).Allocated, "PeakAllocated": (*Device).PeakAllocated, "FreeBytes": (*Device).FreeBytes,
+	} {
+		d := NewDevice(TeslaV100(true))
+		got := make(chan int64, 1)
+		go func() { got <- read(d) }()
+		time.Sleep(10 * time.Millisecond) // the read has run; only mu orders it before the Alloc
+		if err := d.Alloc(1 << 10); err != nil {
+			t.Fatal(err)
+		}
+		if v := <-got; v <= 0 {
+			t.Fatalf("%s = %d before the Alloc", name, v)
+		}
 	}
 }

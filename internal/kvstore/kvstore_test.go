@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"texid/internal/limits"
 )
@@ -159,6 +160,148 @@ func TestServerConcurrentClients(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreLockContracts holds the store's RWMutex from the test, so each
+// contract fails the same way on every run:
+//   - a writer takes the write half: it waits while a reader holds the
+//     read half (a map write under RLock races every reader);
+//   - a reader reads the map inside its critical section: it runs first,
+//     and a Set follows it with only mu between them, so -race reports a
+//     read made after the unlock. The sleep only lets the read go first;
+//     waiting on it would order it before the Set and hide the race.
+func TestStoreLockContracts(t *testing.T) {
+	writers := map[string]func(*Store) error{
+		"Set": func(s *Store) error { return s.Set("k", []byte("v2")) },
+		"Del": func(s *Store) error { _, err := s.Del("k"); return err },
+	}
+	for name, write := range writers {
+		s := NewStore()
+		if err := s.Set("k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.RLock()
+		done := make(chan error, 1)
+		go func() { done <- write(s) }()
+		select {
+		case <-done:
+			s.mu.RUnlock()
+			t.Fatalf("%s finished while a reader held mu: it does not take the write lock", name)
+		case <-time.After(50 * time.Millisecond):
+		}
+		s.mu.RUnlock()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	readers := map[string]func(*Store){
+		"Get":    func(s *Store) { _, _ = s.Get("k") },
+		"Keys":   func(s *Store) { _ = s.Keys("*") },
+		"DBSize": func(s *Store) { _ = s.DBSize() },
+	}
+	for name, read := range readers {
+		s := NewStore()
+		if err := s.Set("k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			read(s)
+			close(done)
+		}()
+		time.Sleep(10 * time.Millisecond) // the read has run; only mu orders it before the Set
+		if err := s.Set("k2", []byte("v")); err != nil {
+			t.Fatalf("%s then Set: %v", name, err)
+		}
+		<-done
+	}
+}
+
+// TestReadersAndWriterKeepMoving: a reader that takes the read half twice
+// (Keys asking DBSize for a capacity, say) deadlocks as soon as a writer
+// queues between its two acquisitions, because a queued writer blocks new
+// readers. Nothing can park a reader between two acquisitions inside one
+// method, so this test loops: two readers spin on Keys while a writer
+// Sets 20,000 times, and all three must finish.
+func TestReadersAndWriterKeepMoving(t *testing.T) {
+	s := NewStore()
+	for _, k := range []string{"a", "b", "c", "d"} {
+		if err := s.Set(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = s.Keys("*")
+				}
+			}
+		}()
+	}
+	go func() {
+		defer close(done)
+		for i := 0; i < 20000; i++ {
+			if err := s.Set("w", []byte("v")); err != nil {
+				t.Error(err)
+				break
+			}
+		}
+		close(stop)
+		readers.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Keys and Set stopped making progress: a reader re-acquired the read lock under a queued writer")
+	}
+}
+
+// TestAcceptAfterCloseReleasesTheLock forces the accept loop's closed path,
+// which otherwise needs Close to land between an Accept and the loop's
+// lock: the test holds mu as Close does, lets a connection arrive, and
+// marks the server closed before releasing it. The loop must drop the
+// connection, exit, and leave mu free.
+func TestAcceptAfterCloseReleasesTheLock(t *testing.T) {
+	srv, err := Serve(NewStore(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		srv.mu.Unlock()
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	srv.closed = true
+	srv.mu.Unlock()
+
+	exited := make(chan struct{})
+	go func() {
+		srv.wg.Wait() // only the accept loop is counted: no connection registered
+		close(exited)
+	}()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the accept loop did not exit on a closed server")
+	}
+	if !srv.mu.TryLock() {
+		t.Fatal("the accept loop exited holding mu")
+	}
+	srv.mu.Unlock()
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,10 +13,10 @@ type Server struct {
 	store *Store
 	ln    net.Listener
 
-	mu sync.Mutex
-	//texlint:guards mu
-	conns map[net.Conn]struct{}
-	//texlint:guards mu
+	// mu owns conns and closed. Close releases it before waiting on wg:
+	// every connection goroutine takes it on the way out.
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
 }

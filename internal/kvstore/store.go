@@ -18,11 +18,11 @@ import (
 // Store is the in-memory database. It is safe for concurrent use and can
 // be used directly (embedded) or served over TCP.
 type Store struct {
-	mu sync.RWMutex
-	//texlint:guards mu
+	// mu owns strings and aof. Writers hold it across the AOF append, so
+	// memory never runs ahead of the log.
+	mu      sync.RWMutex
 	strings map[string][]byte
-	//texlint:guards mu
-	aof *aofLog // nil for purely in-memory stores
+	aof     *aofLog // nil for purely in-memory stores
 }
 
 // NewStore creates an empty store.

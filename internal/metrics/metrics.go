@@ -36,15 +36,12 @@ const DroppedMetricName = "texid_metrics_dropped_total"
 // Registry holds named metrics. The zero value is not usable; call
 // NewRegistry.
 type Registry struct {
-	mu sync.Mutex
-	//texlint:guards mu
-	counters map[string]*Counter
-	//texlint:guards mu
-	gauges map[string]*Gauge
-	//texlint:guards mu
+	// mu owns the four maps. Order: mu before a Histogram's mu (Expose).
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	//texlint:guards mu
-	help map[string]string
+	help       map[string]string
 
 	// dropped counts registrations refused by the MaxMetrics cap (also
 	// exposed as DroppedMetricName; the field keeps the hot path free of
@@ -111,6 +108,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a cumulative histogram with fixed upper bounds.
 type Histogram struct {
+	// mu owns buckets, count and sum; bounds is fixed at registration.
 	mu      sync.Mutex
 	bounds  []float64
 	buckets []uint64

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestRegistryConcurrentMixed exercises the whole registry surface at
@@ -45,6 +46,37 @@ func TestRegistryConcurrentMixed(t *testing.T) {
 	for _, want := range []string{"hits_total", "occupancy", "latency_ms_bucket"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRegistryReadsAreOrderedByMu: a lookup or scrape runs first, and a
+// registration of a new name follows it with only mu between them, so
+// -race reports a map read made outside the critical section on every run.
+// The sleep only lets the read go first; waiting on it would order it
+// before the registration and hide the race.
+func TestRegistryReadsAreOrderedByMu(t *testing.T) {
+	reads := map[string]func(*Registry){
+		"Counter":   func(r *Registry) { r.Counter("a_total", "") },
+		"Gauge":     func(r *Registry) { r.Gauge("b", "") },
+		"Histogram": func(r *Registry) { r.Histogram("c", "", DefBuckets) },
+		"Expose":    func(r *Registry) { _ = r.Expose() },
+	}
+	for name, read := range reads {
+		r := NewRegistry()
+		r.Counter("a_total", "")
+		r.Gauge("b", "")
+		r.Histogram("c", "", DefBuckets)
+		done := make(chan struct{})
+		go func() {
+			read(r)
+			close(done)
+		}()
+		time.Sleep(5 * time.Millisecond) // the read has run; only mu orders it before the registration
+		r.Counter("d_total", "")
+		<-done
+		if t.Failed() {
+			t.Fatalf("%s then a registration", name)
 		}
 	}
 }

@@ -86,6 +86,14 @@ func TestBatcherEdgeWindowZero(t *testing.T) {
 	}, Options{MaxBatch: 8, Window: 0})
 	defer b.Close()
 
+	// A scrape runs first, and the submits below follow it with only mu
+	// between them: under -race, a counter read outside mu races them.
+	// The sleep only lets the scrape go first; waiting on its result would
+	// order it before the submits and hide the race.
+	scraped := make(chan Stats, 1)
+	go func() { scraped <- b.Stats() }()
+	time.Sleep(10 * time.Millisecond)
+
 	const n = 64
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -101,6 +109,7 @@ func TestBatcherEdgeWindowZero(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	<-scraped
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("Do(%d): %v", i, err)
@@ -271,4 +280,75 @@ func TestBatcherFreelistUnderChurn(t *testing.T) {
 	}
 	b.Close()
 	checkFreelist(t, b)
+}
+
+// TestBatcherMuNotHeldAcrossBlockingWaits parks the batcher inside each of
+// its two blocking waits and shows a second caller of mu still returns: a
+// Runner that does not finish until a concurrent Stats has returned, and a
+// leader waiting out a Window it cannot fill alone. Holding mu across
+// either would stall every submitter and scraper for a whole batch or
+// window (the Runner case would never finish at all).
+func TestBatcherMuNotHeldAcrossBlockingWaits(t *testing.T) {
+	// returns reports whether f finished within the bound. It fails the
+	// test with t.Errorf, not t.Fatalf, because the Runner row calls it
+	// from the batch leader's goroutine, which must go on to release mu.
+	returns := func(t *testing.T, what string, f func(), within time.Duration) bool {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			f()
+			close(done)
+		}()
+		select {
+		case <-done:
+			return true
+		case <-time.After(within):
+			t.Errorf("%s blocked on mu", what)
+			return false
+		}
+	}
+
+	t.Run("Runner", func(t *testing.T) {
+		var b *Batcher[int, int]
+		b = New(func(qs []int) ([]int, error) {
+			returns(t, "Stats during a Runner", func() { _ = b.Stats() }, 5*time.Second)
+			return qs, nil
+		}, Options{MaxBatch: 4})
+		defer b.Close()
+		returns(t, "Do", func() {
+			if got, err := b.Do(7); err != nil || got != 7 {
+				t.Errorf("Do(7) = %d, %v", got, err)
+			}
+		}, 10*time.Second)
+	})
+
+	t.Run("Window", func(t *testing.T) {
+		const window = 2 * time.Second
+		b := New(func(qs []int) ([]int, error) { return qs, nil },
+			Options{MaxBatch: 2, Window: window})
+		defer b.Close()
+		first := make(chan error, 1)
+		go func() {
+			_, err := b.Do(1)
+			first <- err
+		}()
+		// The first Do leads and waits out the Window for a second query.
+		// Scrape throughout the leader's first 100ms: each Stats must
+		// return long before the Window ends.
+		for start := time.Now(); time.Since(start) < 100*time.Millisecond; time.Sleep(time.Millisecond) {
+			if !returns(t, "Stats during the Window", func() { _ = b.Stats() }, window/4) {
+				return
+			}
+		}
+		// The second query fills the batch and wakes the leader early
+		// (Close then waits out the leader's next, empty, Window).
+		returns(t, "the batch", func() {
+			if _, err := b.Do(2); err != nil {
+				t.Error(err)
+			}
+			if err := <-first; err != nil {
+				t.Error(err)
+			}
+		}, 2*window)
+	})
 }

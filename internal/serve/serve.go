@@ -78,16 +78,14 @@ type Batcher[Q, R any] struct {
 	run  Runner[Q, R]
 	opts Options
 
-	mu   sync.Mutex
-	idle sync.Cond // signaled when the leader resigns
-	//texlint:guards mu
-	queue []*call[Q, R]
-	//texlint:guards mu
-	free []*call[Q, R]
-	//texlint:guards mu
+	// mu owns queue, free, leading, closed, created, submitted and
+	// batches. It is never held across the Runner or the Window wait.
+	mu      sync.Mutex
+	idle    sync.Cond // signaled when the leader resigns
+	queue   []*call[Q, R]
+	free    []*call[Q, R]
 	leading bool
-	//texlint:guards mu
-	closed bool
+	closed  bool
 
 	// full wakes a Window-waiting leader early when the queue reaches
 	// MaxBatch (buffered(1); signaled outside mu, best-effort).
@@ -100,14 +98,11 @@ type Batcher[Q, R any] struct {
 	// created counts call objects ever allocated; when the batcher is
 	// idle every one of them must sit on the freelist, which is the
 	// leak/double-recycle invariant the edge-case tests pin.
-	//texlint:guards mu
 	created uint64
 
 	// Stats, guarded by mu.
-	//texlint:guards mu
 	submitted uint64
-	//texlint:guards mu
-	batches uint64
+	batches   uint64
 }
 
 // New builds a Batcher that executes coalesced batches with run.
@@ -301,7 +296,7 @@ func (b *Batcher[Q, R]) Close() {
 	b.mu.Lock()
 	b.closed = true
 	for b.leading {
-		b.idle.Wait() //texlint:ignore lockcheck sync.Cond.Wait requires holding mu and releases it while parked
+		b.idle.Wait() // sync.Cond.Wait requires holding mu and releases it while parked
 	}
 	b.mu.Unlock()
 }

@@ -46,10 +46,9 @@ const (
 type telemetry struct {
 	start []metrics.Sample
 
-	mu sync.Mutex
-	//texlint:guards mu
-	heapPeak uint64
-	//texlint:guards mu
+	// mu owns heapPeak and goroutinePeak.
+	mu            sync.Mutex
+	heapPeak      uint64
 	goroutinePeak uint64
 
 	done chan struct{}

@@ -2,10 +2,12 @@
 # Tier-2 verification gate: build, vet (root module and the nested benchmark
 # module), gofmt, project invariants (texlint), import hygiene of the serving
 # binaries, the serving core's tests at GOMAXPROCS 1, 2 and 4, the blas and
-# binq kernel-tier equivalence tests, the blas/half/binq/knn tests and the
-# engine's pruning tests on the portable (no-assembly) kernels, the portable
-# rows of the measurement suite against BENCH_BASELINE.json, the fuzz smoke,
-# and the race-detector test suite. Any diagnostic or failure exits non-zero.
+# binq kernel-tier equivalence tests (no tier the host's CPU flags advertise
+# may skip), the blas/half/binq/knn tests and the engine's pruning tests on
+# the portable (no-assembly) kernels, the portable rows of the measurement
+# suite against BENCH_BASELINE.json, the fuzz smoke, and the race-detector
+# test suite, whose interleaving tests hold the lock contracts. Any
+# diagnostic or failure exits non-zero.
 # Works from a clean checkout with no network access (texlint type-checks
 # against the source importer; nothing is downloaded).
 set -euo pipefail
@@ -64,8 +66,24 @@ go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster
 # the host does not have. Top2AddRowsSemantics states the rules the fused
 # tier is held to.
 echo "==> kernel tiers: blas, binq (go test -v)"
-go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable|GemmTop2TiersMatch|Top2AddRowsSemantics)$' ./internal/blas
-go test -count=1 -v -run '^TestScanTiersMatch$' ./internal/binq
+tierlog=$(mktemp)
+trap 'rm -f "$tierlog"' EXIT
+go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable|GemmTop2TiersMatch|Top2AddRowsSemantics)$' ./internal/blas | tee "$tierlog"
+go test -count=1 -v -run '^TestScanTiersMatch$' ./internal/binq | tee -a "$tierlog"
+# A tier the host has may not skip: when /proc/cpuinfo lists the CPU flag
+# and the tier's test still skipped, the CPUID or XCR0 probe, a build tag
+# or the useAVX2 gate is wrong. Hosts without /proc/cpuinfo skip the gate.
+if [[ -r /proc/cpuinfo ]]; then
+  cpuflags=" $(grep -m1 '^flags' /proc/cpuinfo | cut -d: -f2) "
+  for tier in avx512f:TestGemmTop2TiersMatch avx512_fp16:TestHGemmTiersMatch \
+              avx512_fp16:TestNativeAddIsDoubleRounded avx512_vpopcntdq:TestScanTiersMatch; do
+    flag=${tier%%:*} test=${tier#*:}
+    if [[ $cpuflags == *" $flag "* ]] && grep -q -- "--- SKIP: $test (" "$tierlog"; then
+      echo "check.sh: this host has $flag but $test skipped its tier" >&2
+      exit 1
+    fi
+  done
+fi
 
 # Portable-kernel pass: every other run exercises the host's assembly tiers
 # (AVX512-FP16 and/or F16C, the fused FP32 GEMM + top-2, VPOPCNTQ); this
