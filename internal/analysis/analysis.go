@@ -1,43 +1,34 @@
-// Package analysis is texid's project-invariant static-analysis framework.
-// It is deliberately stdlib-only: packages are discovered with go/build
-// (no go/packages dependency), parsed with go/parser, and type-checked
-// with go/types against a recursive source importer, so
-// `go run ./cmd/texlint ./...` works from a clean checkout with no
-// network access.
+// Package analysis is texid's static check for dropped errors. It is
+// deliberately stdlib-only: packages are discovered with go/build (no
+// go/packages dependency), parsed with go/parser, and type-checked with
+// go/types against a recursive source importer, so
+// `go run ./cmd/texlint ./...` works from a clean checkout with no network
+// access.
 //
-// The paper's results depend on a deterministic, calibrated timing model
-// and a concurrent serving stack; the checks here encode the invariants
-// that keep those properties from rotting: nothing reachable from simulator
-// code reads the wall clock or the global math/rand source, no scratch
-// alias or recycled object outlives its reuse, no goroutine lacks an exit,
-// no error is dropped, and no raw binary16 bit pattern is manipulated
-// outside internal/half. Lock contracts (order, owned fields, nothing held
-// across a blocking call) are not checked here: tests that drive the
-// interleaving under -race hold them (DESIGN.md, "Concurrency contracts").
+// One check is left, errcheck: no error result is silently dropped in
+// non-test code. Every other project invariant is held by a test or by the
+// type system (DESIGN.md, "Correctness invariants & texlint"): the
+// simulated clock by the determinism digests, scratch aliasing and pooled
+// lifetimes by reuse rows, goroutine exits by each spawning package's leak
+// check, binary16 discipline by half.Float16 being an opaque struct, lock
+// contracts by interleaving tests under -race.
 //
-// Every mechanism exists once: Program.reach is the only call-graph walk
-// and chainPath the only chain renderer.
-//
-// Diagnostics may be suppressed with an escape hatch comment:
+// A finding may be suppressed with an escape hatch comment:
 //
 //	//texlint:ignore <check>[,<check>...] <reason>
 //
 // A trailing comment suppresses matching diagnostics on its own line; a
 // comment in a declaration's doc group suppresses them for the entire
-// declaration. The reason is mandatory: a bare ignore, or one naming an
-// unknown check, is itself reported under the "directive" check.
-//
-// Flow-aware checks (clockdomain, aliasret) follow call chains across
-// packages; they are driven by function annotations:
-//
-//	//texlint:scratchalias          — results alias a reusable scratch; callers are checked
-//	//texlint:clockdomain           — extra root for the wall-clock reachability check
+// declaration. The reason is mandatory: a bare ignore, one naming an
+// unknown check, or any other //texlint: directive is itself reported
+// under the "directive" check.
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"sort"
 	"strings"
 )
 
@@ -52,66 +43,26 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// Pass carries one type-checked package through a per-package check.
+// Pass carries one type-checked package through a check.
 type Pass struct {
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *PackageInfo
 }
 
-// Analyzer is one pluggable check.
+// Analyzer is one pluggable check. It looks at one package at a time.
 type Analyzer struct {
 	// Name identifies the check in diagnostics and ignore directives.
 	Name string
 	// Doc is a one-line description.
 	Doc string
-	// Run inspects the loaded program and returns its findings. Checks
-	// that look at one package at a time wrap themselves with perPackage.
-	Run func(*Program) []Diagnostic
+	// Run inspects one package and returns its findings.
+	Run func(*Pass) []Diagnostic
 }
 
-// perPackage adapts a check that inspects one package at a time: fn runs
-// over every loaded package whose import path scope accepts (nil accepts
-// all).
-func perPackage(scope func(pkgPath string) bool, fn func(*Pass) []Diagnostic) func(*Program) []Diagnostic {
-	return func(prog *Program) []Diagnostic {
-		var out []Diagnostic
-		for _, pkg := range prog.Pkgs {
-			if scope != nil && !scope(pkg.Path) {
-				continue
-			}
-			out = append(out, fn(&Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Info})...)
-		}
-		return out
-	}
-}
-
-// DefaultAnalyzers returns the check suite. The two syntactic checks
-// (errcheck, fp16) look at one package at a time; the rest run over the
-// whole Program.
-// Scoping lives with each check: clockdomain roots itself at the simulator
-// packages (inSimulator), fp16 skips internal/half.
+// DefaultAnalyzers returns the check suite.
 func DefaultAnalyzers() []*Analyzer {
-	return []*Analyzer{
-		NewErrCheck(),
-		NewFP16(),
-		NewClockDomain(),
-		NewAliasRet(),
-		NewPoolLife(),
-		NewGoLeak(),
-	}
-}
-
-// knownCheckSet returns the check names valid in a //texlint:ignore list.
-// It is derived from the full default suite (not the -checks subset in
-// effect), so selecting a subset never turns existing ignores into
-// unknown-check errors.
-func knownCheckSet() map[string]bool {
-	set := make(map[string]bool)
-	for _, a := range DefaultAnalyzers() {
-		set[a.Name] = true
-	}
-	return set
+	return []*Analyzer{NewErrCheck()}
 }
 
 // ignoreIndex records where //texlint:ignore directives apply.
@@ -120,7 +71,6 @@ type ignoreIndex struct {
 	lines map[string]map[int]map[string]bool
 	// ranges holds declaration-wide suppressions.
 	ranges []ignoreRange
-	fset   *token.FileSet
 }
 
 type ignoreRange struct {
@@ -133,13 +83,12 @@ const ignorePrefix = "//texlint:ignore"
 
 // parseIgnore extracts the ignored check set from one comment, or nil.
 func parseIgnore(text string) map[string]bool {
-	if !strings.HasPrefix(text, ignorePrefix) {
+	if !directiveIs(text, ignorePrefix) {
 		return nil
 	}
-	rest := strings.TrimSpace(strings.TrimPrefix(text, ignorePrefix))
 	// The check list is the first whitespace-delimited field; anything
 	// after it is the human-readable reason.
-	fields := strings.Fields(rest)
+	fields := strings.Fields(text[len(ignorePrefix):])
 	if len(fields) == 0 {
 		return nil
 	}
@@ -152,8 +101,19 @@ func parseIgnore(text string) map[string]bool {
 	return checks
 }
 
+// directiveIs matches a comment against one directive, requiring the name
+// to end at a word boundary so //texlint:ignore does not match a future
+// //texlint:ignore2.
+func directiveIs(text, prefix string) bool {
+	if !strings.HasPrefix(text, prefix) {
+		return false
+	}
+	rest := text[len(prefix):]
+	return rest == "" || rest[0] == ' ' || rest[0] == '\t'
+}
+
 func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) *ignoreIndex {
-	ig := &ignoreIndex{lines: make(map[string]map[int]map[string]bool), fset: fset}
+	ig := &ignoreIndex{lines: make(map[string]map[int]map[string]bool)}
 	for _, f := range files {
 		// Doc-group directives suppress their whole declaration.
 		for _, decl := range f.Decls {
@@ -218,4 +178,94 @@ func (ig *ignoreIndex) suppressed(d Diagnostic) bool {
 		}
 	}
 	return false
+}
+
+// directiveDiags validates every //texlint: comment in one package: any
+// directive other than ignore, ignores with no check list, ignores naming
+// an unknown check, and bare ignores with no reason all become findings
+// under the "directive" check. Known checks are those of the full default
+// suite.
+func directiveDiags(fset *token.FileSet, files []*ast.File) []Diagnostic {
+	known := make(map[string]bool)
+	var names []string
+	for _, a := range DefaultAnalyzers() {
+		known[a.Name] = true
+		names = append(names, a.Name)
+	}
+	sort.Strings(names)
+	var out []Diagnostic
+	report := func(pos token.Pos, format string, args ...any) {
+		out = append(out, Diagnostic{
+			Pos: fset.Position(pos), Check: "directive",
+			Message: fmt.Sprintf(format, args...),
+		})
+	}
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				text := c.Text
+				if !strings.HasPrefix(text, "//texlint:") {
+					continue
+				}
+				if !directiveIs(text, ignorePrefix) {
+					name := strings.TrimPrefix(text, "//texlint:")
+					if i := strings.IndexAny(name, " \t"); i >= 0 {
+						name = name[:i]
+					}
+					report(c.Pos(), "unknown texlint directive %q (the only directive is ignore)", name)
+					continue
+				}
+				fields := strings.Fields(text[len(ignorePrefix):])
+				if len(fields) == 0 {
+					report(c.Pos(), "texlint:ignore needs a check list and a reason: //texlint:ignore <check>[,<check>...] <reason>")
+					continue
+				}
+				for _, name := range strings.Split(fields[0], ",") {
+					name = strings.TrimSpace(name)
+					if name != "" && !known[name] {
+						report(c.Pos(), "texlint:ignore names unknown check %q (known: %s)", name, strings.Join(names, ", "))
+					}
+				}
+				if len(fields) == 1 {
+					report(c.Pos(), "texlint:ignore %s has no reason; bare ignores are not allowed — say why", fields[0])
+				}
+			}
+		}
+	}
+	return out
+}
+
+// RunAll runs every analyzer over each loaded package, validates texlint
+// directives, filters suppressed diagnostics, and returns the rest sorted
+// by position.
+func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	var kept []Diagnostic
+	for _, pkg := range pkgs {
+		pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Info}
+		var out []Diagnostic
+		for _, a := range analyzers {
+			out = append(out, a.Run(pass)...)
+		}
+		out = append(out, directiveDiags(pkg.Fset, pkg.Files)...)
+		ig := buildIgnoreIndex(pkg.Fset, pkg.Files)
+		for _, d := range out {
+			if !ig.suppressed(d) {
+				kept = append(kept, d)
+			}
+		}
+	}
+	sort.Slice(kept, func(i, j int) bool {
+		a, b := kept[i], kept[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
+		return a.Message < b.Message
+	})
+	return kept
 }

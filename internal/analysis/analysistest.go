@@ -12,9 +12,8 @@ import (
 // files with `// want "regexp"` comments marking the lines where a check
 // must report, plus clean files with no comments that must produce zero
 // diagnostics. CheckFixture loads the package, runs the analyzer exactly
-// as DefaultAnalyzers configures it (a fixture package is in no scoped
-// package set, so its roots come from annotations), and returns one error
-// per mismatch in either direction.
+// as DefaultAnalyzers configures it, and returns one error per mismatch in
+// either direction.
 
 var (
 	fixtureOnce   sync.Once

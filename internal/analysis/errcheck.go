@@ -17,7 +17,7 @@ func NewErrCheck() *Analyzer {
 	return &Analyzer{
 		Name: "errcheck",
 		Doc:  "no silently dropped error returns in non-test code",
-		Run:  perPackage(nil, runErrCheck),
+		Run:  runErrCheck,
 	}
 }
 
@@ -58,7 +58,10 @@ func errExempt(pass *Pass, call *ast.CallExpr) bool {
 	if fn == nil {
 		return false
 	}
-	pkg := funcPkgPath(fn)
+	pkg := ""
+	if fn.Pkg() != nil {
+		pkg = fn.Pkg().Path()
+	}
 	name := fn.Name()
 	// fmt.Print* writes to stdout.
 	if pkg == "fmt" && strings.HasPrefix(name, "Print") {

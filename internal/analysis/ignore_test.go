@@ -10,77 +10,72 @@ import (
 // TestIgnoreEdgeCases pins the //texlint:ignore placement semantics on a
 // dedicated fixture: comma-separated check lists, doc-group directives
 // covering whole declarations (func and var block), trailing directives
-// covering one line, and the directive check rejecting unknown check and
-// directive names (including the retired untrusted and guards).
+// covering one line, and the directive check rejecting unknown check names
+// and every directive but ignore (including the retired untrusted, guards,
+// scratchalias, clockdomain and freelist).
 func TestIgnoreEdgeCases(t *testing.T) {
 	pkg, err := fixtureLoad("testdata/src/ignoreedge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunAll([]*Package{pkg}, []*Analyzer{NewClockDomain(), NewErrCheck()})
+	diags := RunAll([]*Package{pkg}, []*Analyzer{NewErrCheck()})
 
 	byCheck := map[string][]Diagnostic{}
 	for _, d := range diags {
 		byCheck[d.Check] = append(byCheck[d.Check], d)
 	}
 
-	// The only dropped error sits inside docIgnored, whose comma list
-	// names errcheck; it may not survive.
-	if got := byCheck["errcheck"]; len(got) != 0 {
-		t.Errorf("errcheck findings survived the comma-list ignore: %v", got)
+	// The only errcheck survivor is notIgnored's os.Remove: docIgnored is
+	// suppressed by its doc group, trailingIgnored by its trailing
+	// directive and blockStamp by its var block's doc group.
+	drops := byCheck["errcheck"]
+	if len(drops) != 1 || drops[0].Pos.Line != pkg.Fset.Position(removePosUnder(t, pkg, "notIgnored")).Line {
+		t.Errorf("want exactly one surviving errcheck finding (notIgnored's os.Remove), got %v", drops)
 	}
-	// The only clockdomain survivor is notIgnored's time.Now: docIgnored
-	// is suppressed by its doc group and trailingIgnored by its trailing
-	// directive (the var block is outside any function, so only the
-	// suppression-index probes below reach it).
-	clock := byCheck["clockdomain"]
-	if len(clock) != 1 || !strings.Contains(clock[0].Message, "time.Now in simulated-clock code") ||
-		clock[0].Pos.Line != pkg.Fset.Position(nowPosUnder(t, pkg, "notIgnored")).Line {
-		t.Errorf("want exactly one surviving clockdomain finding (notIgnored's time.Now), got %v", clock)
-	}
-	// The bogus check name and the two retired directives are themselves
+	// The bogus check name and the five retired directives are themselves
 	// findings (RunAll sorts by line: the ignore comes first).
 	dir := byCheck["directive"]
-	if len(dir) != 3 || !strings.Contains(dir[0].Message, `unknown check "nosuchcheck"`) ||
-		!strings.Contains(dir[1].Message, `unknown texlint directive "untrusted"`) ||
-		!strings.Contains(dir[2].Message, `unknown texlint directive "guards"`) {
-		t.Errorf(`want three directive findings, unknown check "nosuchcheck" and unknown directives "untrusted" and "guards", got %v`, dir)
+	wantDir := []string{`unknown check "nosuchcheck"`, `"untrusted"`, `"scratchalias"`, `"clockdomain"`, `"freelist"`, `"guards"`}
+	if len(dir) != len(wantDir) {
+		t.Fatalf("want %d directive findings, got %v", len(wantDir), dir)
 	}
-	if extra := len(diags) - len(clock) - len(dir); extra != 0 {
+	for i, w := range wantDir {
+		if !strings.Contains(dir[i].Message, w) {
+			t.Errorf("directive finding %d = %q, want it to name %s", i, dir[i].Message, w)
+		}
+	}
+	if extra := len(diags) - len(drops) - len(dir); extra != 0 {
 		t.Errorf("unexpected findings from other checks: %v", diags)
 	}
 
 	// Placement semantics, probed directly through the suppression index.
-	prog := BuildProgram([]*Package{pkg})
-	docNow := nowPosUnder(t, pkg, "docIgnored")
-	for _, tc := range []struct {
-		check string
-		want  bool
-	}{
-		{"clockdomain", true}, // named in the comma list
-		{"errcheck", true},    // named in the comma list
-		{"aliasret", false},   // not named: the list scopes the ignore
-	} {
-		if got := prog.Suppressed(tc.check, docNow); got != tc.want {
-			t.Errorf("doc-group ignore: Suppressed(%q) = %v, want %v", tc.check, got, tc.want)
-		}
+	ig := buildIgnoreIndex(pkg.Fset, pkg.Files)
+	suppressed := func(check, name string) bool {
+		return ig.suppressed(Diagnostic{Pos: pkg.Fset.Position(removePosUnder(t, pkg, name)), Check: check})
 	}
-	if !prog.Suppressed("clockdomain", nowPosUnder(t, pkg, "trailingIgnored")) {
+	if !suppressed("errcheck", "docIgnored") {
+		t.Error("doc-group ignore must cover its declaration for a check in its comma list")
+	}
+	if suppressed("fp16", "docIgnored") {
+		t.Error("doc-group ignore covered a check its list does not name")
+	}
+	if !suppressed("errcheck", "trailingIgnored") {
 		t.Error("trailing ignore must suppress its own line")
 	}
-	if prog.Suppressed("clockdomain", nowPosUnder(t, pkg, "notIgnored")) {
+	if suppressed("errcheck", "notIgnored") {
 		t.Error("notIgnored has no directive; nothing may be suppressed there")
 	}
-	// blockStamp sits two lines below the directive comment: only the
+	// blockStamp's call sits lines below the directive comment: only the
 	// GenDecl-range rule (not line+1 adjacency) can cover it.
-	if !prog.Suppressed("clockdomain", nowPosUnder(t, pkg, "blockStamp")) {
+	if !suppressed("errcheck", "blockStamp") {
 		t.Error("var-block doc ignore must cover the whole GenDecl")
 	}
 }
 
-// nowPosUnder returns the position of the first time.Now() call inside the
-// top-level declaration that declares name (a func or a var in a block).
-func nowPosUnder(t *testing.T, pkg *Package, name string) token.Pos {
+// removePosUnder returns the position of the first os.Remove call inside
+// the top-level declaration that declares name (a func or a var in a
+// block).
+func removePosUnder(t *testing.T, pkg *Package, name string) token.Pos {
 	t.Helper()
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -93,7 +88,7 @@ func nowPosUnder(t *testing.T, pkg *Package, name string) token.Pos {
 					return false
 				}
 				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Now" {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Remove" {
 						pos = call.Pos()
 						return false
 					}
@@ -105,7 +100,7 @@ func nowPosUnder(t *testing.T, pkg *Package, name string) token.Pos {
 			}
 		}
 	}
-	t.Fatalf("no time.Now call under declaration %q", name)
+	t.Fatalf("no os.Remove call under declaration %q", name)
 	return token.NoPos
 }
 

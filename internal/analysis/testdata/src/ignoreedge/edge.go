@@ -3,53 +3,54 @@ package fixture
 import (
 	"os"
 	"sync"
-	"time"
 )
 
-// docIgnored's doc-group directive names two checks; it must suppress
-// every finding of both checks anywhere in the declaration.
+// docIgnored's doc-group directive names errcheck in a comma list; it
+// must suppress every errcheck finding anywhere in the declaration. The
+// list's other name is no check, which is itself a finding.
 //
-//texlint:ignore clockdomain,errcheck fixture: a doc-group directive covers the whole declaration for every listed check
-//texlint:clockdomain
-func docIgnored() time.Time {
+//texlint:ignore errcheck,nosuchcheck fixture: a doc-group directive covers the whole declaration for every listed check
+func docIgnored() {
 	os.Remove("scratch")
-	return time.Now()
+	os.Remove("scratch2")
 }
 
-//texlint:clockdomain
-func trailingIgnored() time.Time {
-	return time.Now() //texlint:ignore clockdomain fixture: a trailing directive covers exactly its own line
+func trailingIgnored() {
+	os.Remove("scratch") //texlint:ignore errcheck fixture: a trailing directive covers exactly its own line
 }
 
-//texlint:clockdomain
-func notIgnored() time.Time {
-	return time.Now()
+func notIgnored() {
+	os.Remove("scratch")
 }
 
 // A directive in a var block's doc group spans the whole GenDecl, not
 // just the line below the comment.
 //
-//texlint:ignore clockdomain fixture: var-block doc directive spans the declaration
+//texlint:ignore errcheck fixture: var-block doc directive spans the declaration
 var (
-	blockStart = time.Now()
-	blockStamp = time.Now()
+	blockStart = 1
+	blockStamp = func() int {
+		os.Remove("scratch")
+		return blockStart
+	}()
 )
 
-//texlint:ignore nosuchcheck fixture: unknown check names must be diagnosed
-var sentinel int64
-
-// A directive texlint does not know (here one it used to) is a finding,
-// not a silent no-op.
+// Directives texlint does not know (here ones it used to) are findings,
+// not silent no-ops: the contracts they marked are held by tests now, and
+// a leftover must not read as enforced.
 //
 //texlint:untrusted
-func useAll() int64 {
-	_ = blockStart
-	_ = blockStamp
-	return sentinel
-}
+func useAll() int { return blockStamp }
 
-// So is a field annotation of a retired check: lock ownership is now a
-// plain comment, and a leftover directive must not read as enforced.
+//texlint:scratchalias
+func aliasing() {}
+
+//texlint:clockdomain
+func clocked() {}
+
+//texlint:freelist
+func recycle() {}
+
 type counter struct {
 	mu sync.Mutex
 	//texlint:guards mu

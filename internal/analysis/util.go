@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // calleeFunc resolves the called function or method of a call expression,
@@ -23,31 +22,9 @@ func calleeFunc(info *PackageInfo, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// funcPkgPath returns the import path of the package declaring fn, or "".
-func funcPkgPath(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Path()
-}
-
-// isMethodOf reports whether fn is a method named name whose declaring
-// package path equals or has the given suffix.
-func isMethodOf(fn *types.Func, pkgSuffix, name string) bool {
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return hasSuffixPath(funcPkgPath(fn), pkgSuffix)
-}
-
 // namedTypeIn reports whether t (after stripping pointers) is the named
-// type name declared in a package whose path equals or has the suffix
-// pkgSuffix.
-func namedTypeIn(t types.Type, pkgSuffix, name string) bool {
+// type name declared in the package with import path pkgPath.
+func namedTypeIn(t types.Type, pkgPath, name string) bool {
 	if t == nil {
 		return false
 	}
@@ -59,10 +36,7 @@ func namedTypeIn(t types.Type, pkgSuffix, name string) bool {
 		return false
 	}
 	obj := n.Obj()
-	if obj.Name() != name || obj.Pkg() == nil {
-		return false
-	}
-	return hasSuffixPath(obj.Pkg().Path(), pkgSuffix)
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
 // isErrorType reports whether t is the built-in error interface.
@@ -110,9 +84,4 @@ func exprText(e ast.Expr) string {
 		return exprText(e.X)
 	}
 	return "<expr>"
-}
-
-// hasSuffixPath reports whether path equals suffix or ends in "/"+suffix.
-func hasSuffixPath(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }

@@ -345,3 +345,66 @@ func TestTopCMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// FuzzScanTiers is TestScanTiersMatch over every input: Scanner.Scan on the
+// host's tier (AVX-512 VPOPCNTQ where present) against the scalar scan,
+// ScanPortable, in process and bit for bit. shape picks m (1…512 codes per
+// image), the probe count (0…71), the image count (1…40) and GOMAXPROCS
+// 1 or 4. data draws the codes, panel first, then probes: each code takes
+// one kind byte — zero, all ones, a copy of an earlier panel code (so
+// distances 0 and 128 occur), or 16 literal bytes — and data wraps around
+// when it runs out. Shapes are capped so one input runs in milliseconds.
+// The seed corpus under testdata/fuzz is the table test's shapes.
+func FuzzScanTiers(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shape uint64, data []byte) {
+		m := 1 + int(shape%512)
+		nProbes := int(shape>>9) % 72
+		images := 1 + int(shape>>16)%40
+		procs := 1 + 3*int(shape>>24&1)
+		pos := 0
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[pos%len(data)]
+			pos++
+			return b
+		}
+		draw := func(panel []Code) Code {
+			switch kind := next(); kind % 4 {
+			case 0:
+				return Code{}
+			case 1:
+				return Code{^uint64(0), ^uint64(0)}
+			case 2:
+				if len(panel) > 0 {
+					return panel[int(next())*len(panel)/256]
+				}
+			}
+			var c Code
+			for i := range 16 {
+				c[i/8] |= uint64(next()) << (8 * (i % 8))
+			}
+			return c
+		}
+		panel := make([]Code, 0, m*images)
+		for range m * images {
+			panel = append(panel, draw(panel))
+		}
+		probes := make([]Code, nProbes)
+		for i := range probes {
+			probes[i] = draw(panel)
+		}
+		got, want := make([]uint32, images), make([]uint32, images)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var sc Scanner
+		sc.Scan(panel, m, probes, got)
+		ScanPortable(panel, m, probes, want)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("GOMAXPROCS=%d m=%d probes=%d images=%d: Scan score[%d] = %d, scalar %d",
+					procs, m, nProbes, images, i, got[i], want[i])
+			}
+		}
+	})
+}

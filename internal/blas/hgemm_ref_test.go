@@ -270,7 +270,7 @@ func TestHGemmTiersMatch(t *testing.T) {
 			A, B := NewHalfMatrix(k, 68), NewHalfMatrix(k, 24)
 			for _, h := range []*HalfMatrix{A, B} {
 				for i := range h.Data {
-					h.Data[i] = half.Float16(rng.Uint32())
+					h.Data[i] = half.FromBits(uint16(rng.Uint32()))
 				}
 			}
 			run(A, B, false, fmt.Sprintf("k=%d bit patterns seed=%d", k, seed))
@@ -299,10 +299,10 @@ func TestNativeAddIsDoubleRounded(t *testing.T) {
 	}
 	var ps []half.Float16
 	for j := 0; j < 1024; j++ {
-		ps = append(ps, half.Float16(j*64+37))
+		ps = append(ps, half.FromBits(uint16(j*64+37)))
 	}
-	for _, s := range []half.Float16{0x0000, 0x0001, 0x03FF, 0x0400, 0x3BFF, 0x3C00, 0x3C01, 0x7BFF, 0x7C00, 0x7C01, 0x7E00, 0x7FFF} {
-		ps = append(ps, s, s|0x8000)
+	for _, s := range []uint16{0x0000, 0x0001, 0x03FF, 0x0400, 0x3BFF, 0x3C00, 0x3C01, 0x7BFF, 0x7C00, 0x7C01, 0x7E00, 0x7FFF} {
+		ps = append(ps, half.FromBits(s), half.FromBits(s|0x8000))
 	}
 	one := half.FromFloat32(1)
 	B := NewHalfMatrix(2, len(ps))
@@ -317,8 +317,9 @@ func TestNativeAddIsDoubleRounded(t *testing.T) {
 	ds := make([]float32, chunk)
 	for base := 0; base < 1<<16; base += chunk {
 		for i := range ds {
-			A.Data[2*i], A.Data[2*i+1] = half.Float16(base+i), one
-			ds[i] = roundHalf(0 + roundHalf(half.Float16(base+i).Float32()))
+			d := half.FromBits(uint16(base + i))
+			A.Data[2*i], A.Data[2*i+1] = d, one
+			ds[i] = roundHalf(0 + roundHalf(d.Float32()))
 		}
 		hgemmNative(1, A, chunk, wholeOperand, B, C)
 		for j, p := range pw {
@@ -328,7 +329,7 @@ func TestNativeAddIsDoubleRounded(t *testing.T) {
 					continue
 				}
 				t.Fatalf("d=%#04x p=%#04x: VADDPH %#08x, round16(round32(d+p)) %#08x",
-					base+i, uint16(ps[j]), math.Float32bits(got), math.Float32bits(want))
+					base+i, ps[j].Bits(), math.Float32bits(got), math.Float32bits(want))
 			}
 		}
 	}
@@ -342,7 +343,7 @@ func TestWidenColAsmMatchesTable(t *testing.T) {
 	}
 	src := make(half.Vector, 1<<16)
 	for i := range src {
-		src[i] = half.Float16(i)
+		src[i] = half.FromBits(uint16(i))
 	}
 	out := make([]float32, len(src))
 	widenCol(out, src)

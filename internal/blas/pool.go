@@ -16,8 +16,8 @@ import (
 // blocks whose boundaries depend only on the problem shape — never on
 // GOMAXPROCS or worker count — and every float reduction must stay inside
 // a single block with a fixed traversal order. Under that rule the output
-// is bitwise identical for any GOMAXPROCS, which is what the texlint
-// determinism invariant and the engine's reproducibility tests demand.
+// is bitwise identical for any GOMAXPROCS, which is what the engine's
+// reproducibility tests (TestSearchIdenticalAcrossGOMAXPROCS) demand.
 
 type poolJob struct {
 	next   atomic.Int64 // next block index to claim
@@ -52,7 +52,11 @@ func poolInit() {
 	poolSize = runtime.NumCPU()
 	poolCh = make(chan *poolJob, poolSize)
 	for w := 0; w < poolSize; w++ {
-		go poolWorker() //texlint:ignore goleak the worker pool is process-lifetime by design: one set of NumCPU workers parks on poolCh forever so kernel launches never pay goroutine spawn; there is deliberately no shutdown path
+		// Process-lifetime by design: one set of NumCPU workers parks on
+		// poolCh forever so kernel launches never pay goroutine spawn, and
+		// there is no shutdown path. The goroutine leak checks except
+		// goroutines started here (poolWorker).
+		go poolWorker()
 	}
 }
 

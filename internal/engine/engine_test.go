@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -578,6 +579,44 @@ func testBatchMatchesSingle(t *testing.T, pruneCs ...int) {
 }
 
 func TestSearchBatchMatchesSingleSearches(t *testing.T) { testBatchMatchesSingle(t, 0) }
+
+// TestStageQueryReuse is the scratch-aliasing contract of the search pass:
+// one engine answers panel A, then B, then A again — its query scratch,
+// match scratch and panel buffers reused across the three — and each answer
+// must equal, bit for bit, the one a fresh engine gives that panel alone.
+// B's slot 0 is narrower than A's and B has fewer slots, so a stale padded
+// column, a panel slot, or a result read after the next batch reused its
+// buffers changes an answer.
+func TestStageQueryReuse(t *testing.T) {
+	for _, sc := range searchCases(0, 4) {
+		if !strings.HasSuffix(sc.name, "/ragged") {
+			continue
+		}
+		t.Run(sc.name, func(t *testing.T) {
+			_, queries := sc.fixture(t)
+			panels := [][]*blas.Matrix{queries, {queries[2], queries[0]}}
+			solo := make([]*BatchReport, len(panels))
+			for i, p := range panels {
+				fresh, _ := sc.fixture(t)
+				br, err := fresh.SearchBatch(p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				solo[i] = br
+			}
+			e, _ := sc.fixture(t)
+			for step, in := range []int{0, 1, 0} {
+				br, err := e.SearchBatch(panels[in], nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi, rep := range br.Reports {
+					requireSameReport(t, fmt.Sprintf("step %d (panel %c) query %d vs a fresh engine", step, "AB"[in], qi), rep, solo[in].Reports[qi], false)
+				}
+			}
+		})
+	}
+}
 
 func TestSearchBatchPadsShortQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))

@@ -153,7 +153,9 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 		if err != nil {
 			return BatchReport{}, err
 		}
-		e.queries = append(e.queries, q) //texlint:ignore aliasret engine-owned scratch reused via [:0]; every panel slot stages through its own QueryScratch, so slot i's query outlives slot i+1's staging
+		// Slot i stages through its own QueryScratch, so slot i's query
+		// outlives slot i+1's staging (TestStageQueryReuse).
+		e.queries = append(e.queries, q)
 	}
 	mq, err := knn.BuildMultiQuery(e.queries, e.cfg.Precision, &e.scratch)
 	if err != nil {
@@ -257,9 +259,8 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 
 // stageQuery stages one query as panel slot i through that slot's own
 // QueryScratch, zero-padding a short real query to QueryFeatures when pad is
-// set. A nil qf stages a phantom query.
-//
-//texlint:scratchalias
+// set. A nil qf stages a phantom query. The result aliases slot i's
+// QueryScratch; it is valid until the next stageQuery of slot i.
 func (e *Engine) stageQuery(i int, qf *blas.Matrix, pad bool) (*knn.Query, error) {
 	if qf == nil {
 		return knn.PhantomQuery(e.dev, e.cfg.QueryFeatures, e.cfg.Dim)

@@ -191,8 +191,6 @@ type Decision struct {
 // into the decision hash; nowUS is the peer's current virtual-clock
 // reading, evaluated against partition windows. Purely arithmetic: no wall
 // clock, no global randomness, no allocation.
-//
-//texlint:clockdomain
 func (p *Peer) Next(op string, nowUS float64) Decision {
 	seq := p.seq.Add(1)
 	if p.killAt > 0 && seq >= p.killAt {
@@ -226,8 +224,6 @@ func (p *Peer) Next(op string, nowUS float64) Decision {
 // virtual clock at issue time. The returned latency is what the *caller*
 // observes: injected latency counts, and failed calls bill the full
 // deadline (the caller waited that long to find out).
-//
-//texlint:clockdomain
 func (p *Peer) Do(op string, deadlineUS, nowUS float64, invoke func() (float64, error)) (float64, error) {
 	d := p.Next(op, nowUS)
 	switch d.Outcome {
@@ -267,8 +263,6 @@ func (p *Peer) Do(op string, deadlineUS, nowUS float64, invoke func() (float64, 
 // is attempt 2). The base delay doubles per attempt and is multiplied by a
 // jitter factor in [0.5, 1.5) derived from (seed, peer, attempt) — spread
 // enough to de-synchronize retry storms, deterministic enough to replay.
-//
-//texlint:clockdomain
 func Backoff(seed int64, peer string, attempt int, baseUS float64) float64 {
 	if attempt < 2 || baseUS <= 0 {
 		return 0

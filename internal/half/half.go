@@ -13,33 +13,38 @@ package half
 import "math"
 
 // Float16 is an IEEE 754 binary16 value stored in its raw bit pattern:
-// 1 sign bit, 5 exponent bits (bias 15), 10 fraction bits.
-type Float16 uint16
+// 1 sign bit, 5 exponent bits (bias 15), 10 fraction bits. The pattern is
+// unexported, so outside this package a Float16 can be made only by
+// FromFloat32 (which rounds) or FromBits (the serialization seam), and Go
+// offers no arithmetic operator on it: a raw conversion or a bit-pattern
+// sum does not compile. Its memory layout is exactly a uint16's, which the
+// assembly kernels rely on.
+type Float16 struct{ bits uint16 }
 
-const (
+var (
 	// PositiveInfinity and NegativeInfinity are the binary16 infinities.
-	PositiveInfinity Float16 = 0x7C00
-	NegativeInfinity Float16 = 0xFC00
+	PositiveInfinity = Float16{0x7C00}
+	NegativeInfinity = Float16{0xFC00}
 
 	// MaxValue is the largest finite binary16 value, 65504.
-	MaxValue Float16 = 0x7BFF
+	MaxValue = Float16{0x7BFF}
 	// SmallestNormal is the smallest positive normal value, 2^-14.
-	SmallestNormal Float16 = 0x0400
+	SmallestNormal = Float16{0x0400}
 	// SmallestSubnormal is the smallest positive subnormal value, 2^-24.
-	SmallestSubnormal Float16 = 0x0001
+	SmallestSubnormal = Float16{0x0001}
 )
 
 // Max is the largest finite value representable in binary16, as a float32.
 const Max float32 = 65504
 
 // FromBits reinterprets a raw binary16 bit pattern as a Float16. It is
-// the only sanctioned way to materialize a Float16 from integer bits
-// outside this package (serialization round-trips); converting values
-// must go through FromFloat32, which rounds.
-func FromBits(b uint16) Float16 { return Float16(b) }
+// the only way to materialize a Float16 from integer bits outside this
+// package (serialization round-trips); converting values must go through
+// FromFloat32, which rounds.
+func FromBits(b uint16) Float16 { return Float16{b} }
 
 // Bits returns the raw binary16 bit pattern, for serialization.
-func (f Float16) Bits() uint16 { return uint16(f) }
+func (f Float16) Bits() uint16 { return f.bits }
 
 // FromFloat32 converts a float32 to binary16 with round-to-nearest-even,
 // the rounding mode used by CUDA's __float2half_rn and by cuBLAS HGEMM.
@@ -55,9 +60,9 @@ func FromFloat32(f float32) Float16 {
 		sign := uint16(b>>16) & 0x8000
 		if b&0x7FFFFF != 0 {
 			// NaN: keep a quiet NaN with some payload.
-			return Float16(sign | 0x7E00)
+			return Float16{sign | 0x7E00}
 		}
-		return Float16(sign | 0x7C00)
+		return Float16{sign | 0x7C00}
 	}
 	i := b >> 23 // 9 bits: sign + biased float32 exponent
 	sig := b&0x7FFFFF | 0x800000
@@ -68,7 +73,7 @@ func FromFloat32(f float32) Float16 {
 	// rounds up (rem > half, or rem == half with an odd significand).
 	rem := sig & (uint32(1)<<shift - 1)
 	h += uint16((rem + uint32(1)<<(shift-1) - 1 + uint32(h&1)) >> shift)
-	return Float16(h)
+	return Float16{h}
 }
 
 // fromFloat32Scalar is the branchy reference conversion the encode tables
@@ -84,11 +89,11 @@ func fromFloat32Scalar(f float32) Float16 {
 	case exp == 0xFF: // Inf or NaN
 		if frac != 0 {
 			// NaN: keep a quiet NaN with some payload.
-			return Float16(sign | 0x7E00)
+			return Float16{sign | 0x7E00}
 		}
-		return Float16(sign | 0x7C00)
+		return Float16{sign | 0x7C00}
 	case exp == 0 && frac == 0: // signed zero
-		return Float16(sign)
+		return Float16{sign}
 	}
 
 	// Unbiased exponent of the float32 value.
@@ -96,7 +101,7 @@ func fromFloat32Scalar(f float32) Float16 {
 
 	if e > 15 {
 		// Too large for binary16 even before rounding.
-		return Float16(sign | 0x7C00)
+		return Float16{sign | 0x7C00}
 	}
 
 	if e >= -14 {
@@ -112,16 +117,16 @@ func fromFloat32Scalar(f float32) Float16 {
 				hf = 0
 				he += 1 << 10
 				if he >= 0x7C00 {
-					return Float16(sign | 0x7C00)
+					return Float16{sign | 0x7C00}
 				}
 			}
 		}
-		return Float16(sign | he | hf)
+		return Float16{sign | he | hf}
 	}
 
 	if e < -25 {
 		// Rounds to zero even as a subnormal.
-		return Float16(sign)
+		return Float16{sign}
 	}
 
 	// Subnormal binary16: implicit leading 1 must be made explicit and the
@@ -136,21 +141,21 @@ func fromFloat32Scalar(f float32) Float16 {
 		// A subnormal rounding up into 0x400 becomes the smallest normal,
 		// which the bit pattern already encodes correctly.
 	}
-	return Float16(sign | hf)
+	return Float16{sign | hf}
 }
 
 // Float32 converts a binary16 value to float32 exactly (the conversion is
 // always lossless in this direction). It is a single load from the 65,536
 // entry decode table (table.go), built at init from float32Scalar and
 // pinned to it exhaustively by TestDecodeTableExhaustive.
-func (h Float16) Float32() float32 { return decTable[h] }
+func (h Float16) Float32() float32 { return decTable[h.bits] }
 
 // float32Scalar is the branchy reference decode used to build the table
 // and to verify it. Kept bit-for-bit as originally shipped.
 func float32Scalar(h Float16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h>>10) & 0x1F
-	frac := uint32(h & 0x3FF)
+	sign := uint32(h.bits&0x8000) << 16
+	exp := uint32(h.bits>>10) & 0x1F
+	frac := uint32(h.bits & 0x3FF)
 
 	switch {
 	case exp == 0x1F: // Inf or NaN
@@ -175,10 +180,10 @@ func float32Scalar(h Float16) float32 {
 }
 
 // IsInf reports whether h is +Inf or -Inf.
-func (h Float16) IsInf() bool { return h&0x7FFF == 0x7C00 }
+func (h Float16) IsInf() bool { return h.bits&0x7FFF == 0x7C00 }
 
 // IsNaN reports whether h is a NaN.
-func (h Float16) IsNaN() bool { return h&0x7C00 == 0x7C00 && h&0x3FF != 0 }
+func (h Float16) IsNaN() bool { return h.bits&0x7C00 == 0x7C00 && h.bits&0x3FF != 0 }
 
 // Round rounds a float32 through binary16 and back — how every
 // intermediate value behaves inside an FP16-accumulating GEMM. It is the

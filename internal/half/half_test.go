@@ -10,7 +10,7 @@ import (
 func TestExactValues(t *testing.T) {
 	cases := []struct {
 		f    float32
-		bits Float16
+		bits uint16
 	}{
 		{0, 0x0000},
 		{float32(math.Copysign(0, -1)), 0x8000},
@@ -26,11 +26,11 @@ func TestExactValues(t *testing.T) {
 		{float32(math.Inf(-1)), 0xFC00},
 	}
 	for _, c := range cases {
-		if got := FromFloat32(c.f); got != c.bits {
-			t.Errorf("FromFloat32(%g) = %#04x, want %#04x", c.f, got, c.bits)
+		if got := FromFloat32(c.f); got.Bits() != c.bits {
+			t.Errorf("FromFloat32(%g) = %#04x, want %#04x", c.f, got.Bits(), c.bits)
 		}
-		if !c.bits.IsNaN() {
-			if back := c.bits.Float32(); back != c.f {
+		if h := FromBits(c.bits); !h.IsNaN() {
+			if back := h.Float32(); back != c.f {
 				t.Errorf("Float16(%#04x).Float32() = %g, want %g", c.bits, back, c.f)
 			}
 		}
@@ -70,24 +70,25 @@ func TestRoundToNearestEven(t *testing.T) {
 	// 1 + 2^-11 is exactly halfway between 1 and the next representable
 	// binary16 value (1 + 2^-10); RNE must round to the even fraction (1).
 	f := float32(1) + float32(1)/2048
-	if got := FromFloat32(f); got != 0x3C00 {
+	if got := FromFloat32(f); got.bits != 0x3C00 {
 		t.Errorf("halfway 1+2^-11 = %#04x, want 0x3C00 (ties to even)", got)
 	}
 	// 1 + 3*2^-11 is halfway between 1+2^-10 and 1+2^-9; even is 1+2^-9.
 	f = float32(1) + 3*float32(1)/2048
-	if got := FromFloat32(f); got != 0x3C02 {
+	if got := FromFloat32(f); got.bits != 0x3C02 {
 		t.Errorf("halfway 1+3*2^-11 = %#04x, want 0x3C02 (ties to even)", got)
 	}
 	// Just above halfway must round up.
 	f = float32(1) + float32(1)/2048 + float32(1)/(1<<20)
-	if got := FromFloat32(f); got != 0x3C01 {
+	if got := FromFloat32(f); got.bits != 0x3C01 {
 		t.Errorf("above halfway = %#04x, want 0x3C01", got)
 	}
 }
 
 func TestSubnormals(t *testing.T) {
 	// All subnormal bit patterns must round-trip exactly.
-	for bits := Float16(1); bits < 0x0400; bits++ {
+	for b := uint16(1); b < 0x0400; b++ {
+		bits := Float16{b}
 		f := bits.Float32()
 		if got := FromFloat32(f); got != bits {
 			t.Fatalf("subnormal %#04x round-trip = %#04x", bits, got)
@@ -101,7 +102,7 @@ func finite(h Float16) bool { return !h.IsInf() && !h.IsNaN() }
 func TestRoundTripAllFinite(t *testing.T) {
 	// Every finite binary16 value converts to float32 and back unchanged.
 	for i := 0; i < 1<<16; i++ {
-		h := Float16(i)
+		h := Float16{uint16(i)}
 		if !finite(h) {
 			continue
 		}
@@ -241,7 +242,7 @@ func BenchmarkFromFloat32(b *testing.B) {
 func BenchmarkToFloat32(b *testing.B) {
 	var sink float32
 	for i := 0; i < b.N; i++ {
-		sink = Float16(i & 0x7BFF).Float32()
+		sink = Float16{uint16(i & 0x7BFF)}.Float32()
 	}
 	_ = sink
 }
@@ -261,15 +262,15 @@ func TestRoundMatchesExactConversion(t *testing.T) {
 	}
 	// Every binary16 boundary: all 65536 half values and their midpoints.
 	for i := 0; i < 1<<16; i++ {
-		h := Float16(i)
+		h := Float16{uint16(i)}
 		if h.IsNaN() {
 			continue
 		}
 		f := h.Float32()
 		check(f)
 		if finite(h) {
-			next := Float16(i + 1)
-			if finite(next) && (h&0x8000) == (next&0x8000) {
+			next := Float16{uint16(i + 1)}
+			if finite(next) && (h.bits&0x8000) == (next.bits&0x8000) {
 				mid := (float64(f) + float64(next.Float32())) / 2
 				check(float32(mid))
 				check(float32(mid) * (1 + 1e-7))

@@ -37,7 +37,7 @@ var (
 
 func init() {
 	for i := range decTable {
-		decTable[i] = float32Scalar(Float16(i))
+		decTable[i] = float32Scalar(Float16{uint16(i)})
 	}
 	for i := range encBase {
 		sign := uint16(i>>8) << 15

@@ -9,7 +9,7 @@ import (
 // entries to the scalar reference decode, bit for bit (NaNs included).
 func TestDecodeTableExhaustive(t *testing.T) {
 	for i := 0; i < 1<<16; i++ {
-		h := Float16(i)
+		h := Float16{uint16(i)}
 		got := math.Float32bits(h.Float32())
 		want := math.Float32bits(float32Scalar(h))
 		if got != want {
@@ -36,7 +36,7 @@ func checkEncode(t *testing.T, b uint32) {
 // encode does (quiet NaN sign|0x7E00).
 func TestEncodeRoundTripExhaustive(t *testing.T) {
 	for i := 0; i < 1<<16; i++ {
-		h := Float16(i)
+		h := Float16{uint16(i)}
 		f := h.Float32()
 		got := FromFloat32(f)
 		want := fromFloat32Scalar(f)
@@ -46,7 +46,7 @@ func TestEncodeRoundTripExhaustive(t *testing.T) {
 		if !h.IsNaN() && got != h {
 			t.Fatalf("half %#04x does not round-trip: got %#04x", i, got)
 		}
-		if h.IsNaN() && got != h&0x8000|0x7E00 {
+		if h.IsNaN() && got.bits != h.bits&0x8000|0x7E00 {
 			t.Fatalf("NaN %#04x not canonicalized: got %#04x", i, got)
 		}
 	}

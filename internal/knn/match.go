@@ -21,8 +21,6 @@ func MatchBatch(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options) ([]
 // allocates nothing per batch. Results alias sc and must be consumed
 // before the next call reusing it; a nil sc means a fresh Scratch for this
 // call.
-//
-//texlint:scratchalias
 func MatchBatchScratch(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *Scratch) ([]Pair2NN, error) {
 	sc = sc.orFresh()
 	return firstQuery(Match(stream, rb, sc.panelOf(q), nil, opts, sc))
@@ -32,8 +30,6 @@ func MatchBatchScratch(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Optio
 // (ascending indices into rb's images): one Pair2NN per slot, in slot
 // order, bitwise identical to the corresponding MatchBatchScratch entries.
 // RootSIFT only.
-//
-//texlint:scratchalias
 func MatchCandidatesScratch(stream *gpusim.Stream, rb *RefBatch, q *Query, slots []int32, opts Options, sc *Scratch) ([]Pair2NN, error) {
 	if len(slots) == 0 {
 		return nil, nil // an empty candidate set is not Match's nil "whole batch"
@@ -45,8 +41,6 @@ func MatchCandidatesScratch(stream *gpusim.Stream, rb *RefBatch, q *Query, slots
 // MatchMultiQueryInto matches a prepared query panel against the whole
 // batch (RootSIFT only). The result is indexed [query][reference] and
 // aliases sc like every *Scratch variant.
-//
-//texlint:scratchalias
 func MatchMultiQueryInto(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, opts Options, sc *Scratch) ([][]Pair2NN, error) {
 	if opts.Algorithm != RootSIFT {
 		return nil, fmt.Errorf("knn: multi-query batching supports the RootSIFT path only, got %v", opts.Algorithm)
@@ -69,8 +63,6 @@ func firstQuery(res [][]Pair2NN, err error) ([]Pair2NN, error) {
 // sc and must be consumed before the next call reusing it. Only RootSIFT
 // (Algorithm 2) takes panels wider than one query or a slot set; the
 // Algorithm-1 and baseline variants match one query against whole batches.
-//
-//texlint:scratchalias
 func Match(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []int32, opts Options, sc *Scratch) ([][]Pair2NN, error) {
 	for i, q := range mq.queries {
 		if q.D != rb.D {
@@ -194,7 +186,7 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 //     staging — is blas's choice of kernel tier; nothing widened outlives
 //     the call.
 //
-//texlint:scratchalias
+// The results alias sc; they are valid until the next call reusing it.
 func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []int32, opts Options, sc *Scratch) ([][]Pair2NN, error) {
 	Bq := len(mq.queries)
 	m, n, d := rb.M, mq.n, rb.D

@@ -25,8 +25,6 @@ type MultiQuery struct {
 // buffers (fresh ones when sc is nil). The result aliases sc, the queries
 // slice and the queries' matrices, and is valid until sc's next
 // BuildMultiQuery call.
-//
-//texlint:scratchalias
 func BuildMultiQuery(queries []*Query, prec gpusim.Precision, sc *Scratch) (*MultiQuery, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("knn: empty query batch")

@@ -176,8 +176,6 @@ type QueryScratch struct {
 // matching: they sit at distance sqrt(2) from every unit-norm reference
 // feature, so best equals second-best and the ratio test always rejects
 // them.
-//
-//texlint:scratchalias
 func (qs *QueryScratch) Padded(mat *blas.Matrix, n int) *blas.Matrix {
 	if mat.Cols >= n {
 		return mat
@@ -202,8 +200,6 @@ func (qs *QueryScratch) Padded(mat *blas.Matrix, n int) *blas.Matrix {
 // until the next NewQueryScratch call with the same qs. The binary16
 // conversion (and its device bytes) are only paid when the engine precision
 // is FP16.
-//
-//texlint:scratchalias
 func NewQueryScratch(dev *gpusim.Device, mat *blas.Matrix, prec gpusim.Precision, scale float32, qs *QueryScratch) (*Query, error) {
 	if qs == nil {
 		qs = &QueryScratch{}

@@ -3,12 +3,14 @@ package serve
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// checkFreelist pins the poollife contract at runtime: with no Do in
+// checkFreelist pins the freelist contract at runtime: with no Do in
 // flight, every call object ever created is on the freelist exactly once
 // (no leaks), no pointer appears twice (no double recycle), and the
 // queue is empty.
@@ -249,8 +251,7 @@ func TestBatcherEdgeShortBatchError(t *testing.T) {
 
 // TestBatcherFreelistUnderChurn hammers the pool from concurrent
 // submitters with randomized timing and verifies the balance sheet at
-// the end: created == recycled, no duplicates — the runtime complement
-// of the static poollife check.
+// the end: created == recycled, no duplicates.
 func TestBatcherFreelistUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	delays := make([]time.Duration, 256)
@@ -351,4 +352,94 @@ func TestBatcherMuNotHeldAcrossBlockingWaits(t *testing.T) {
 			}
 		}, 2*window)
 	})
+}
+
+// TestBatcherReleaseReuse is the freelist's lifetime contract: a call one
+// Do releases is reissued to the next submitter, on another goroutine, and
+// rewritten there. Concurrent callers each check they get their own answer
+// back. A Do that reads its call after releasing it returns a zeroed or
+// another caller's result, and under -race that stale read races with the
+// new owner's writes; a call released twice is counted twice by
+// checkFreelist.
+func TestBatcherReleaseReuse(t *testing.T) {
+	b := New(func(qs []int) ([]int, error) {
+		out := make([]int, len(qs))
+		for i, q := range qs {
+			out[i] = -q
+		}
+		return out, nil
+	}, Options{MaxBatch: 4})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 1; i <= 200; i++ {
+				q := g*1000 + i
+				if got, err := b.Do(q); err != nil || got != -q {
+					t.Errorf("Do(%d) = %d, %v; want %d", q, got, err, -q)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	b.Close()
+	checkFreelist(t, b)
+}
+
+// TestBatcherLeadNoLostWakeup is a stress row for the leader's fill
+// wake-up. One caller leads for the whole run while two others resubmit as
+// soon as they are answered, so every batch of two is preceded by a leader
+// that looked at a half-full queue and decided to wait; the fill can land
+// anywhere in that decision. A leader that loses the fill's token waits out
+// the whole Window on a full batch, so a non-leading caller's Do takes at
+// least that long. With a long Window no such call may take half of it.
+// The interleaving needs parallel Ps, so the row runs at GOMAXPROCS 4.
+func TestBatcherLeadNoLostWakeup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const window = 500 * time.Millisecond
+	b := New(func(qs []int) ([]int, error) { return qs, nil }, Options{MaxBatch: 2, Window: window})
+	defer b.Close()
+	go b.Do(0) // the leader for the run
+	for {
+		b.mu.Lock()
+		leading := b.leading
+		b.mu.Unlock()
+		if leading {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var stop atomic.Bool
+	var calls atomic.Int64
+	slow := make(chan time.Duration, 2)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				start := time.Now()
+				if _, err := b.Do(1); err != nil {
+					t.Error(err)
+					return
+				}
+				// The last call after stop waits out a Window for a
+				// partner that has left; it does not count.
+				if d := time.Since(start); d > window/2 && !stop.Load() {
+					slow <- d
+					stop.Store(true)
+					return
+				}
+				calls.Add(1)
+			}
+		}()
+	}
+	time.AfterFunc(time.Second, func() { stop.Store(true) })
+	wg.Wait()
+	close(slow)
+	for d := range slow {
+		t.Errorf("a filled batch waited %v (Window %v) after %d calls: the leader lost the fill's wake-up", d, window, calls.Load())
+	}
 }

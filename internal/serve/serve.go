@@ -188,9 +188,7 @@ func (b *Batcher[Q, R]) submit(query Q) (c *call[Q, R], lead, signal bool) {
 
 // release returns a completed call to the freelist. The pooled call must
 // not be touched afterwards: the freelist may reissue it to a concurrent
-// Do immediately (poollife enforces this at every call site).
-//
-//texlint:freelist
+// Do immediately (TestBatcherReleaseReuse holds this under -race).
 func (b *Batcher[Q, R]) release(c *call[Q, R]) {
 	var zeroQ Q
 	var zeroR R
@@ -212,16 +210,19 @@ func (b *Batcher[Q, R]) release(c *call[Q, R]) {
 func (b *Batcher[Q, R]) lead() {
 	for {
 		if b.opts.Window > 0 {
+			// Drain a stale fill token first, then look at the queue: a
+			// query that fills the batch after the look sends a fresh
+			// token the wait below sees. (Looking first lost that token
+			// whenever the fill landed between the look and the drain,
+			// and the leader waited out a whole Window on a full batch.)
+			select {
+			case <-b.full:
+			default:
+			}
 			b.mu.Lock()
 			wait := len(b.queue) < b.opts.MaxBatch
 			b.mu.Unlock()
 			if wait {
-				// Drain a stale fill token so the wait below reflects
-				// this round's queue, then wait for fill or timeout.
-				select {
-				case <-b.full:
-				default:
-				}
 				t := time.NewTimer(b.opts.Window)
 				select {
 				case <-b.full:

@@ -3,6 +3,7 @@ package sift
 import (
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"texid/internal/texture"
@@ -74,4 +75,47 @@ func TestExtractBatchMatchesExtract(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestArenaReuseAcrossGoroutines is the pooled-lifetime contract of
+// arenaPool: an arena one Extract puts back is taken out again by another
+// goroutine's Extract and overwritten. The row runs two goroutines at
+// GOMAXPROCS 1 that yield to each other after every extraction, so the one
+// P's pool slot hands each put-back arena to the other goroutine's next
+// Get, and the two share no other synchronization (blas.Parallel runs
+// inline). An Extract that still reads or writes its arena after the put,
+// or returns keypoints that alias it, then races with the arena's next
+// owner under -race and, without -race, can return features that differ
+// from the serial ones. The two images differ in size, so a reused arena
+// also changes shape.
+func TestArenaReuseAcrossGoroutines(t *testing.T) {
+	cfg := testConfig()
+	ims := make([]*texture.Image, 2)
+	for i, size := range []int{32, 24} {
+		p := texture.DefaultGenParams()
+		p.Size, p.Flakes = size, 30
+		ims[i] = texture.Generate(int64(31+i), p)
+	}
+	want := make([]*Features, len(ims))
+	for i, im := range ims {
+		want[i] = Extract(im, cfg)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; it < 64; it++ {
+				i := (g + it) % len(ims)
+				f := Extract(ims[i], cfg)
+				if !reflect.DeepEqual(f.Keypoints, want[i].Keypoints) || !reflect.DeepEqual(f.Descriptors.Data, want[i].Descriptors.Data) {
+					t.Errorf("a concurrent Extract of image %d differs from the serial one", i)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	wg.Wait()
 }

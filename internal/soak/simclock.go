@@ -88,7 +88,8 @@ type SimResult struct {
 // the wall harness, so a slow shard backs up the virtual queue and the
 // backlog is charged to the ops it delayed.
 //
-//texlint:clockdomain
+// Nothing on the virtual timeline reads the wall clock or the global
+// math/rand source; TestSimSoakBitIdentical's three-run digest holds that.
 func RunSim(sc SimConfig) (*SimResult, error) {
 	if sc.Workers < 1 || sc.Refs < 1 || sc.Ops < 1 || sc.QPS <= 0 {
 		return nil, fmt.Errorf("soak: sim config needs Workers, Refs, Ops, QPS")
@@ -117,13 +118,15 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 	if sc.Plan != nil {
 		cfg.Fault = faultsim.New(sc.Plan(sc.Refs / sc.Workers))
 	}
-	c, err := cluster.New(cfg) //texlint:ignore clockdomain construction is host-side setup (kvstore ping uses wall-clock timeouts); only the op replay below is on the simulated timeline
+	// Construction and enrollment are host-side setup (kvstore pings use
+	// wall-clock timeouts); only the op replay below is on the simulated
+	// timeline.
+	c, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
 	for i, f := range refs {
-		//texlint:ignore clockdomain transport enrollment is host-side; its wall-clock use (kvstore timeouts) never reaches the virtual timeline
 		if err := c.Add(i, f, nil); err != nil {
 			return nil, fmt.Errorf("soak: sim enroll %d: %w", i, err)
 		}
@@ -152,11 +155,11 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 		if write {
 			res.Writes++
 			id := int(key % uint64(sc.Refs))
-			//texlint:ignore clockdomain cluster RPC plumbing is host-side; only the returned simulated ElapsedUS enters the virtual timeline
+			// RPC plumbing is host-side; only the simulated ElapsedUS
+			// it returns enters the virtual timeline.
 			opErr = c.Update(id, churn[key%uint64(len(churn))], nil)
 		} else {
 			res.Reads++
-			//texlint:ignore clockdomain cluster RPC plumbing is host-side; only the returned simulated ElapsedUS enters the virtual timeline
 			rep, opErr = c.Search(queries[key%uint64(len(queries))], nil)
 			if opErr == nil {
 				service = rep.ElapsedUS

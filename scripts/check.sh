@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Tier-2 verification gate: build, vet (root module and the nested benchmark
-# module), gofmt, project invariants (texlint), import hygiene of the serving
+# module), gofmt, texlint (errcheck: no dropped error results; every other
+# project invariant is held by a test or by the type system, see DESIGN.md
+# "Correctness invariants & texlint"), import hygiene of the serving
 # binaries, the serving core's tests at GOMAXPROCS 1, 2 and 4, the blas and
 # binq kernel-tier equivalence tests (no tier the host's CPU flags advertise
 # may skip), the blas/half/binq/knn tests and the engine's pruning tests on
 # the portable (no-assembly) kernels, the portable rows of the measurement
 # suite against BENCH_BASELINE.json, the fuzz smoke, and the race-detector
-# test suite, whose interleaving tests hold the lock contracts. Any
-# diagnostic or failure exits non-zero.
+# test suite, whose interleaving tests hold the lock contracts and whose
+# reuse rows hold the pooled-object lifetimes. Any diagnostic or failure
+# exits non-zero.
 # Works from a clean checkout with no network access (texlint type-checks
 # against the source importer; nothing is downloaded).
 set -euo pipefail
@@ -33,7 +36,7 @@ if [[ -n "$unformatted" ]]; then
   exit 1
 fi
 
-echo "==> texlint"
+echo "==> texlint (errcheck)"
 go run ./cmd/texlint ./...
 
 # The serving binaries (the library and texsearchd) must not link the
@@ -107,8 +110,9 @@ go run ./cmd/texbench -suite -portable -baseline BENCH_BASELINE.json
 
 # Fuzz smoke: every Fuzz* target replays its committed corpus and fuzzes
 # live for FUZZTIME (default 10s each). The decode seams' bounds are pinned
-# by hostile-input table rows in tier-1; this is the part that looks for an
-# input nobody wrote a row for.
+# by hostile-input table rows in tier-1, and the Hamming scan's tiers by
+# TestScanTiersMatch; this is the part that looks for an input nobody wrote
+# a row for.
 echo "==> fuzz smoke"
 scripts/fuzz.sh
 
