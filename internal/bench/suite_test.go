@@ -144,6 +144,7 @@ func TestCommittedBaselineGates(t *testing.T) {
 		{"binq scan ceiling (300 ms)", beyond("binq_scan_1m/ns_per_op", 1.001), true},
 		{"binq scan result check", unverified("binq_scan_1m/ns_per_op"), true},
 		{"gemm+top2 result check", unverified("gemm_top2_3072x3072x128/ns_per_op"), true},
+		{"hgemm+top2 result check", unverified("hgemm_top2_3072x768x128/ns_per_op"), true},
 		{"serving identity", unverified("serving_c4/sim_qps_batched"), true},
 		{"serving 3x floor at concurrency 16, met", beyond("serving_c16/speedup", 1), false},
 		{"serving 3x floor at concurrency 16, missed", beyond("serving_c16/speedup", 0.999), true},

@@ -108,9 +108,9 @@ func mustSearch(eng *engine.Engine, q *blas.Matrix, kps []sift.Keypoint) {
 // hostOps is the wall-clock part of the op table: the packed GEMM
 // micro-kernel, the FP16 GEMM (both accumulator modes, and AccumFP16 at the
 // resident batch shape), the separable blur, full SIFT extraction, the
-// fused FP32 GEMM + top-2, the Hamming scan, steady-state engine search (FP32,
-// FP16, pruned and unpruned on a 10x shard), and the end-to-end
-// extract+search path.
+// fused FP32 and FP16 GEMM + top-2, the Hamming scan, steady-state engine
+// search (FP32, FP16, pruned and unpruned on a 10x shard), and the
+// end-to-end extract+search path.
 //
 // The four ceilings: hgemm_tn_256x256x128 measured 55,099,813 ns/op before
 // the table-driven conversion + F16C fused-rounding kernels, so its ceiling
@@ -204,8 +204,9 @@ func hostOps(count int) []Op {
 			return func() { sift.Extract(im, cfg) }, float64(4 * 128 * 128)
 		}),
 		// FP32 GEMM with the top-2 folded in, at rest_batch_churn's batch
-		// shape.
+		// shape, and the FP16 one at rest_search_resident's.
 		gemmTop2(count),
+		hgemmTop2(count),
 		// Binary Hamming prefilter scan over a ~1M-descriptor shard.
 		scan1M(count),
 		// Steady-state search on a 10x-larger reference set, pruned vs
@@ -248,20 +249,56 @@ func gemmTop2(count int) Op {
 	op.Verify = func() bool {
 		C := blas.NewMatrix(blocks*width, n)
 		blas.GemmTN(-2, A, B, 0, C)
-		wb, ws, wi := make([]float32, n), make([]float32, n), make([]int32, n)
-		for b := 0; b < blocks; b++ {
-			blas.Top2AddRows(C, nil, b*width, (b+1)*width, wb, ws, wi)
-			for j := 0; j < n; j++ {
-				at := b*n + j
-				if math.Float32bits(best[at]) != math.Float32bits(wb[j]) ||
-					math.Float32bits(second[at]) != math.Float32bits(ws[j]) || idx[at] != wi[j] {
-					return false
-				}
-			}
-		}
-		return true
+		return top2Matches(C, width, best, second, idx)
 	}
 	return op
+}
+
+// hgemmTop2 is blas.HGemmTop2 in AccumFP16 at rest_search_resident's batch
+// shape, hgemm_tn_3072x768x128's: 8 reference images × 384 features
+// against a 768-feature query, the FP16 RootSIFT match's GEMM and top-2 in
+// one call. It runs whichever tier the host selects; its Verify checks
+// every best, second and index against the fallback, HGemmTN followed by
+// Top2AddRows per block, bit for bit.
+func hgemmTop2(count int) Op {
+	const d, width, blocks, n = 128, 384, 8, 768
+	var A, B *blas.HalfMatrix
+	best, second, idx := make([]float32, blocks*n), make([]float32, blocks*n), make([]int32, blocks*n)
+	op := hostOp("hgemm_top2_3072x768x128", count, 0, func() (func(), float64) {
+		A, _ = blas.HalfFromMatrix(randMatrix(3, d, blocks*width), 1)
+		B, _ = blas.HalfFromMatrix(randMatrix(4, d, n), 1)
+		var c blas.Matrix
+		var st blas.Staging
+		return func() {
+				blas.HGemmTop2(-2, 1, A, width, nil, B, blas.AccumFP16, nil, best, second, idx, &c, &st)
+			},
+			float64(2*(blocks*width*d+n*d) + 4*3*blocks*n)
+	})
+	op.Verify = func() bool {
+		C := blas.NewMatrix(blocks*width, n)
+		blas.HGemmTN(-2, A, B, blas.AccumFP16, C)
+		return top2Matches(C, width, best, second, idx)
+	}
+	return op
+}
+
+// top2Matches reports whether best, second and idx hold, bit for bit, what
+// Top2AddRows (no norms) returns over each width-row block of C, block b's
+// C.Cols results at b·C.Cols.
+func top2Matches(C *blas.Matrix, width int, best, second []float32, idx []int32) bool {
+	n := C.Cols
+	wb, ws, wi := make([]float32, n), make([]float32, n), make([]int32, n)
+	for b := 0; b < C.Rows/width; b++ {
+		blas.Top2AddRows(C, nil, b*width, (b+1)*width, wb, ws, wi)
+		for j := 0; j < n; j++ {
+			at := b*n + j
+			if math.Float32bits(best[at]) != math.Float32bits(wb[j]) ||
+				math.Float32bits(second[at]) != math.Float32bits(ws[j]) || idx[at] != wi[j] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // scan1M is the binary Hamming prefilter scan over a ~1M-descriptor shard:

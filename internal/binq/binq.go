@@ -10,10 +10,9 @@
 // tier (scan_amd64.s) runs it eight codes at a time, bit-identical to the
 // scalar loop. The scan keeps a
 // deterministic top-C candidate set per query; only those candidates go
-// through the exact GemmTop2 (FP32) or HGemmTNBlocks + Top2AddRows (FP16)
-// rerank, which is why
-// pruned scores are bitwise identical to unpruned ones (see the engine's
-// pruning pipeline).
+// through the exact GemmTop2 (FP32) or HGemmTop2 (FP16) rerank, which is
+// why pruned scores are bitwise identical to unpruned ones (see the
+// engine's pruning pipeline).
 //
 // Everything here is deterministic by construction: the scan parallelizes
 // over disjoint per-image score slots (blas.Parallel's shape-only

@@ -21,23 +21,7 @@ import (
 // the entry is literally GemmTN into c, reshaped and grown only when too
 // small (nil = a fresh one), followed by Top2AddRows.
 func GemmTop2(alpha float32, A *Matrix, width int, blocks []int32, B *Matrix, norms []float32, best, second []float32, bestIdx []int32, c *Matrix) {
-	if width < 1 {
-		panic(fmt.Sprintf("blas: GemmTop2 block width %d", width))
-	}
-	if A.Rows != B.Rows {
-		panic(fmt.Sprintf("blas: GemmTop2 inner dimension mismatch %d != %d", A.Rows, B.Rows))
-	}
-	if blocks == nil && A.Cols%width != 0 {
-		panic(fmt.Sprintf("blas: GemmTop2 %d columns are not blocks of %d", A.Cols, width))
-	}
-	if norms != nil && len(norms) != A.Cols {
-		panic(fmt.Sprintf("blas: GemmTop2 norms length %d, want %d", len(norms), A.Cols))
-	}
-	nb := numBlocks(A, width, blocks)
-	if n := nb * B.Cols; len(best) < n || len(second) < n || len(bestIdx) < n {
-		panic(fmt.Sprintf("blas: GemmTop2 outputs %d/%d/%d, want >= %d",
-			len(best), len(second), len(bestIdx), n))
-	}
+	nb := checkTop2("GemmTop2", A.Rows, A.Cols, width, blocks, B.Rows, B.Cols, norms, best, second, bestIdx)
 	if nb == 0 || B.Cols == 0 {
 		return
 	}
@@ -51,10 +35,46 @@ func GemmTop2(alpha float32, A *Matrix, width int, blocks []int32, B *Matrix, no
 	gemmTop2Fallback(alpha, A, width, blocks, B, norms, best, second, bestIdx, c)
 }
 
-// numBlocks is the number of width-column blocks GemmTop2 selects.
-func numBlocks(A *Matrix, width int, blocks []int32) int {
+// Top2Fused reports whether a GEMM + top-2 runs fused on this host, with
+// the selection folded into the register tile so that the distance matrix
+// is never written: GemmTop2 (fp16 false, mode ignored) on AVX-512,
+// HGemmTop2 (fp16 true) in AccumFP16 on AVX512-FP16. Under TEXID_NOASM=1
+// neither does. A k = 0 product takes the fallback whatever this says.
+func Top2Fused(fp16 bool, mode AccumMode) bool {
+	if fp16 {
+		return useFP16 && mode == AccumFP16
+	}
+	return useAVX512
+}
+
+// checkTop2 validates the shapes GemmTop2 and HGemmTop2 (named fn) share —
+// A is k×cols, B bk×n — and returns the number of blocks selected.
+func checkTop2(fn string, k, cols, width int, blocks []int32, bk, n int, norms, best, second []float32, bestIdx []int32) int {
+	if width < 1 {
+		panic(fmt.Sprintf("blas: %s block width %d", fn, width))
+	}
+	if k != bk {
+		panic(fmt.Sprintf("blas: %s inner dimension mismatch %d != %d", fn, k, bk))
+	}
+	if blocks == nil && cols%width != 0 {
+		panic(fmt.Sprintf("blas: %s %d columns are not blocks of %d", fn, cols, width))
+	}
+	if norms != nil && len(norms) != cols {
+		panic(fmt.Sprintf("blas: %s norms length %d, want %d", fn, len(norms), cols))
+	}
+	nb := numBlocks(cols, width, blocks)
+	if need := nb * n; len(best) < need || len(second) < need || len(bestIdx) < need {
+		panic(fmt.Sprintf("blas: %s outputs %d/%d/%d, want >= %d",
+			fn, len(best), len(second), len(bestIdx), need))
+	}
+	return nb
+}
+
+// numBlocks is the number of width-column blocks of a cols-column A that
+// blocks selects.
+func numBlocks(cols, width int, blocks []int32) int {
 	if blocks == nil {
-		return A.Cols / width
+		return cols / width
 	}
 	return len(blocks)
 }
@@ -71,10 +91,8 @@ func blockAt(blocks []int32, bi int) int {
 // oracle the native tier is pinned to: GemmTN of the selected blocks into
 // c, then Top2AddRows over each block's rows.
 func gemmTop2Fallback(alpha float32, A *Matrix, width int, blocks []int32, B *Matrix, norms []float32, best, second []float32, bestIdx []int32, c *Matrix) {
-	nb, n := numBlocks(A, width, blocks), B.Cols
-	rows := nb * width
-	c.Data = growF32(c.Data, rows*n)
-	c.Rows, c.Cols, c.Stride = rows, n, rows
+	rows, n := numBlocks(A.Cols, width, blocks)*width, B.Cols
+	reshape(c, rows, n)
 	if blocks == nil {
 		GemmTN(alpha, A, B, 0, c)
 	} else {
@@ -84,8 +102,25 @@ func gemmTop2Fallback(alpha float32, A *Matrix, width int, blocks []int32, B *Ma
 			GemmTN(alpha, &av, B, 0, &cv)
 		}
 	}
-	Parallel(nb, func(bi int) {
-		cv := Matrix{Rows: width, Cols: n, Stride: rows, Data: c.Data[bi*width:]}
+	top2Blocks(c, width, blocks, norms, best, second, bestIdx)
+}
+
+// reshape makes c a rows×n matrix, growing its storage only when too small.
+// Contents are undefined.
+func reshape(c *Matrix, rows, n int) {
+	c.Data = growF32(c.Data, rows*n)
+	c.Rows, c.Cols, c.Stride = rows, n, rows
+}
+
+// top2Blocks is the selection half of both fallbacks: Top2AddRows over
+// each width-row block of c, which holds the selected blocks side by side,
+// with the norms of the block of A it came from, block bi's results for
+// all of c's columns landing at bi·c.Cols. Blocks are independent, so the
+// sweep parallelises over them and stays bit-identical at any GOMAXPROCS.
+func top2Blocks(c *Matrix, width int, blocks []int32, norms []float32, best, second []float32, bestIdx []int32) {
+	n := c.Cols
+	Parallel(c.Rows/width, func(bi int) {
+		cv := Matrix{Rows: width, Cols: n, Stride: c.Stride, Data: c.Data[bi*width:]}
 		var nr []float32
 		if norms != nil {
 			blk := blockAt(blocks, bi)
@@ -121,7 +156,7 @@ var negZeros = func() (z [top2Rows]float32) {
 // (top2Tile), so each lane sees Top2AddRows' comparisons in Top2AddRows'
 // order. The partition depends only on the shape.
 func gemmTop2Native(alpha float32, A *Matrix, width int, blocks []int32, B *Matrix, norms []float32, best, second []float32, bestIdx []int32) {
-	nb, n, k := numBlocks(A, width, blocks), B.Cols, B.Rows
+	nb, n, k := numBlocks(A.Cols, width, blocks), B.Cols, B.Rows
 	np := (n + top2Cols - 1) / top2Cols
 	panel := top2Cols * k
 	ph, bp := getF32(np * panel)

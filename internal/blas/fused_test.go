@@ -68,33 +68,11 @@ func TestGemmTop2TiersMatch(t *testing.T) {
 		t.Helper()
 		total := nblocks + nblocks/2 // room for gaps in the slot list
 		A, B := randomOperand(rng, k, total*width), randomOperand(rng, k, n)
-		// Duplicate reference columns within each block: exact ties.
-		for blk := 0; blk < total; blk++ {
-			for r := 1; r < width; r += 3 {
-				copy(A.Col(blk*width+r), A.Col(blk*width+rng.Intn(r)))
-				ties++
-			}
-		}
-		var norms []float32
-		if withNorms {
-			norms = make([]float32, A.Cols)
-			for i := range norms {
-				norms[i] = float32(rng.Intn(5))
-				if rng.Intn(4) == 0 {
-					// v = -0 + -0 keeps v's sign: ±0 values then tie.
-					norms[i] = float32(math.Copysign(0, -1))
-				}
-			}
-		}
+		ties += tieColumns(rng, total, width, func(dst, src int) { copy(A.Col(dst), A.Col(src)) })
+		norms := randomNorms(rng, A.Cols, withNorms)
 		// Every block of A, then an ascending slot list with gaps.
-		var slots []int32
-		for blk := 0; blk < total && len(slots) < nblocks; blk++ {
-			if rng.Intn(3) != 0 || total-blk == nblocks-len(slots) {
-				slots = append(slots, int32(blk))
-			}
-		}
-		for _, blocks := range [][]int32{nil, slots} {
-			nb := numBlocks(A, width, blocks)
+		for _, blocks := range [][]int32{nil, randomSlots(rng, total, nblocks)} {
+			nb := numBlocks(A.Cols, width, blocks)
 			want := newTop2Out(nb * n)
 			gemmTop2Fallback(alpha, A, width, blocks, B, norms, want.best, want.second, want.idx, new(Matrix))
 			for _, procs := range []int{1, 4} {
@@ -136,6 +114,48 @@ func TestGemmTop2TiersMatch(t *testing.T) {
 		t.Fatal("no NaN, ±Inf or −0 ever reached a best value")
 	}
 	t.Logf("tiers agree on %d cells; %d duplicated reference columns, %d NaN/±Inf/−0 best values", cells, ties, special)
+}
+
+// tieColumns duplicates reference columns within each of total
+// width-column blocks through cp(dst, src), so exact ties occur, and
+// returns how many it copied.
+func tieColumns(rng *rand.Rand, total, width int, cp func(dst, src int)) int {
+	ties := 0
+	for blk := 0; blk < total; blk++ {
+		for r := 1; r < width; r += 3 {
+			cp(blk*width+r, blk*width+rng.Intn(r))
+			ties++
+		}
+	}
+	return ties
+}
+
+// randomNorms is nil without norms, else cols small integers and −0s.
+func randomNorms(rng *rand.Rand, cols int, withNorms bool) []float32 {
+	if !withNorms {
+		return nil
+	}
+	norms := make([]float32, cols)
+	for i := range norms {
+		norms[i] = float32(rng.Intn(5))
+		if rng.Intn(4) == 0 {
+			// v = -0 + -0 keeps v's sign: ±0 values then tie.
+			norms[i] = float32(math.Copysign(0, -1))
+		}
+	}
+	return norms
+}
+
+// randomSlots is an ascending list of nblocks of the total blocks, with
+// gaps.
+func randomSlots(rng *rand.Rand, total, nblocks int) []int32 {
+	var slots []int32
+	for blk := 0; blk < total && len(slots) < nblocks; blk++ {
+		if rng.Intn(3) != 0 || total-blk == nblocks-len(slots) {
+			slots = append(slots, int32(blk))
+		}
+	}
+	return slots
 }
 
 // randomOperand fills a rows×cols matrix mostly with small integers, so
@@ -186,4 +206,40 @@ func (o top2Out) same(w top2Out) (int, bool) {
 		}
 	}
 	return 0, true
+}
+
+// FuzzGemmTop2Tiers is TestGemmTop2TiersMatch over every input: GemmTop2 on
+// the host's tier (AVX-512 where present) against gemmTop2Fallback, in
+// process and bit for bit. shape is decoded by top2Shape (inv and mode
+// unused); data draws the operands and norms element by element
+// (fuzzBytes.f32), which reference columns duplicate an earlier one of
+// their block, and the gaps of the slot list. The seed corpus under
+// testdata/fuzz is the table test's shapes, and k = 0. On a host without
+// the tier both sides are the fallback.
+func FuzzGemmTop2Tiers(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shape uint64, data []byte) {
+		s := decodeTop2Shape(shape)
+		fb := &fuzzBytes{data: data}
+		A, B := NewMatrix(s.k, s.total()*s.width), NewMatrix(s.k, s.n)
+		drawOperands(fb, A.Data, A.Cols, B.Data, s.k, s.width, fb.f32)
+		var norms []float32
+		if s.norms {
+			norms = make([]float32, A.Cols)
+			for i := range norms {
+				norms[i] = fb.f32()
+			}
+		}
+		blocks := s.slots(fb)
+		nb, n := numBlocks(A.Cols, s.width, blocks), s.n
+		want, got := newTop2Out(nb*n), newTop2Out(nb*n)
+		gemmTop2Fallback(s.alpha, A, s.width, blocks, B, norms, want.best, want.second, want.idx, new(Matrix))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(s.procs))
+		GemmTop2(s.alpha, A, s.width, blocks, B, norms, got.best, got.second, got.idx, nil)
+		if i, ok := got.same(want); !ok {
+			t.Fatalf("%v blocks=%v GOMAXPROCS=%d: block %d column %d: native (%x, %x, %d), oracle (%x, %x, %d)",
+				s, blocks, s.procs, i/n, i%n,
+				math.Float32bits(got.best[i]), math.Float32bits(got.second[i]), got.idx[i],
+				math.Float32bits(want.best[i]), math.Float32bits(want.second[i]), want.idx[i])
+		}
+	})
 }

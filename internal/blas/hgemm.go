@@ -248,7 +248,17 @@ const (
 	nativeCols = 8
 )
 
+// panelPool recycles the native tiers' binary16 panels; like f32Pool's
+// buffers they are fully overwritten before use.
 var panelPool = sync.Pool{New: func() any { return new(half.Vector) }}
+
+func getHalf(n int) (*half.Vector, half.Vector) {
+	p := panelPool.Get().(*half.Vector)
+	if cap(*p) < n {
+		*p = make(half.Vector, n)
+	}
+	return p, (*p)[:n]
+}
 
 // hgemmNative is the AVX512-FP16 tier of AccumFP16: binary16 is the compute
 // format, not only the storage format (see hkernPH for why the chain is the
@@ -261,12 +271,8 @@ var panelPool = sync.Pool{New: func() any { return new(half.Vector) }}
 func hgemmNative(alpha float32, A *HalfMatrix, width int, blocks []int32, B *HalfMatrix, C *Matrix) {
 	m, n, k := len(blocks)*width, B.Cols, A.Rows
 	Parallel((m+nativeRows-1)/nativeRows, func(t int) {
-		pp := panelPool.Get().(*half.Vector)
+		pp, panel := getHalf(nativeRows * k)
 		defer panelPool.Put(pp)
-		if cap(*pp) < nativeRows*k {
-			*pp = make(half.Vector, nativeRows*k)
-		}
-		panel := (*pp)[:nativeRows*k]
 		i0 := t * nativeRows
 		rows := min(nativeRows, m-i0)
 		packPanel(panel, A, width, blocks, i0, rows)

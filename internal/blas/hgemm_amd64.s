@@ -8,6 +8,7 @@
 // VCVTPH2PS is the exact widening the decode table implements.
 
 #include "textflag.h"
+#include "phstep_amd64.h"
 
 // func hkernOct16(a *float32, k int, bo *float32, out *float32)
 //
@@ -191,12 +192,8 @@ wdone:
 // Operand order matches hkernOct16 — src1 = A in the multiply, src1 = the
 // accumulator in the add — so a NaN input propagates the same payload.
 //
-// Go 1.24's assembler has no *PH arithmetic mnemonics, so VMULPH/VADDPH are
-// BYTE-encoded (EVEX map 5: 0x59 mul, 0x58 add), each line commented with
-// the Intel-syntax instruction binutils 2.40 assembles to those bytes (and
-// objdump -d prints back from the linked test binary). The base registers
-// above are fixed by those bytes. Everything else is a native mnemonic.
-// k = 0 skips the loop: C = alpha·0. The epilogue widens each
+// The step is PHSTEP (phstep_amd64.h), whose BYTE-encoded VMULPH/VADDPH fix
+// the base registers above. k = 0 skips the loop: C = alpha·0. The epilogue widens each
 // accumulator (VCVTPH2PS, exact), multiplies by alpha in float32 as
 // hgemmOctAsm's Go epilogue does, and stores the rows mask enables.
 TEXT ·hkernPH(SB), NOSPLIT, $0-40
@@ -224,23 +221,7 @@ TEXT ·hkernPH(SB), NOSPLIT, $0-40
 	JE   donePH
 
 loopPH:
-	VMOVDQU16 (SI), Z8 // A[l, i0..i0+31]
-	BYTE $0x62; BYTE $0xc5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x04; BYTE $0x00 // vmulph zmm16,zmm8,WORD BCST [r8+rax*1]
-	BYTE $0x62; BYTE $0xb5; BYTE $0x7c; BYTE $0x48; BYTE $0x58; BYTE $0xc0 // vaddph zmm0,zmm0,zmm16
-	BYTE $0x62; BYTE $0xc5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x0c; BYTE $0x01 // vmulph zmm17,zmm8,WORD BCST [r9+rax*1]
-	BYTE $0x62; BYTE $0xb5; BYTE $0x74; BYTE $0x48; BYTE $0x58; BYTE $0xc9 // vaddph zmm1,zmm1,zmm17
-	BYTE $0x62; BYTE $0xc5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x14; BYTE $0x02 // vmulph zmm18,zmm8,WORD BCST [r10+rax*1]
-	BYTE $0x62; BYTE $0xb5; BYTE $0x6c; BYTE $0x48; BYTE $0x58; BYTE $0xd2 // vaddph zmm2,zmm2,zmm18
-	BYTE $0x62; BYTE $0xc5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x1c; BYTE $0x03 // vmulph zmm19,zmm8,WORD BCST [r11+rax*1]
-	BYTE $0x62; BYTE $0xb5; BYTE $0x64; BYTE $0x48; BYTE $0x58; BYTE $0xdb // vaddph zmm3,zmm3,zmm19
-	BYTE $0x62; BYTE $0xc5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x24; BYTE $0x04 // vmulph zmm20,zmm8,WORD BCST [r12+rax*1]
-	BYTE $0x62; BYTE $0xb5; BYTE $0x5c; BYTE $0x48; BYTE $0x58; BYTE $0xe4 // vaddph zmm4,zmm4,zmm20
-	BYTE $0x62; BYTE $0xe5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x2c; BYTE $0x02 // vmulph zmm21,zmm8,WORD BCST [rdx+rax*1]
-	BYTE $0x62; BYTE $0xb5; BYTE $0x54; BYTE $0x48; BYTE $0x58; BYTE $0xed // vaddph zmm5,zmm5,zmm21
-	BYTE $0x62; BYTE $0xe5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x34; BYTE $0x03 // vmulph zmm22,zmm8,WORD BCST [rbx+rax*1]
-	BYTE $0x62; BYTE $0xb5; BYTE $0x4c; BYTE $0x48; BYTE $0x58; BYTE $0xf6 // vaddph zmm6,zmm6,zmm22
-	BYTE $0x62; BYTE $0xe5; BYTE $0x3c; BYTE $0x58; BYTE $0x59; BYTE $0x3c; BYTE $0x07 // vmulph zmm23,zmm8,WORD BCST [rdi+rax*1]
-	BYTE $0x62; BYTE $0xb5; BYTE $0x44; BYTE $0x48; BYTE $0x58; BYTE $0xff // vaddph zmm7,zmm7,zmm23
+	PHSTEP
 	ADDQ $64, SI
 	ADDQ $2, AX
 	DECQ CX

@@ -14,6 +14,10 @@ func hkernPH(ap *half.Float16, k int, b *[8]*half.Float16, c *[8]*float32, mask 
 	panic("blas: asm kernel on non-amd64 build")
 }
 
+func hgemmTop2Tile(b *half.Float16, k int, a *half.Float16, astride uintptr, rows, row0 int, norms, best, second *float32, idx *int32, alpha, inv float32, mask uint32) {
+	panic("blas: asm kernel on non-amd64 build")
+}
+
 func hkernOct16(a *float32, k int, bo *float32, out *float32) {
 	panic("blas: asm kernel on non-amd64 build")
 }

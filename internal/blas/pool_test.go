@@ -8,15 +8,16 @@ import (
 )
 
 // TestPooledScratchReuseAcrossGoroutines is the pooled-lifetime contract of
-// every sync.Pool in blas (f32Pool's three users, stagingPool, panelPool):
-// goroutines run the kernels that draw from them at once, so a buffer one
-// call puts back is taken out again by a call on another goroutine and
+// every sync.Pool in blas (f32Pool's three users, stagingPool, panelPool's
+// two): goroutines run the kernels that draw from them at once, so a buffer
+// one call puts back is taken out again by a call on another goroutine and
 // overwritten. A call that still reads its buffer after the put, or lets it
 // escape into its output, races with that writer under -race and, without
 // -race, returns bits that differ from the serial answer. Each kernel runs
 // on the tiers this host has; the FP32-accumulate HGEMM takes the F16C or
 // portable path (stagingPool, and f32Pool in hgemmOctAsm) and the
-// FP16-accumulate one the AVX512-FP16 tile (panelPool) where present.
+// FP16-accumulate one and HGemmTop2 the AVX512-FP16 tiles (panelPool) where
+// present.
 func TestPooledScratchReuseAcrossGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	const k, width, n = 64, 40, 24
@@ -42,6 +43,15 @@ func TestPooledScratchReuseAcrossGoroutines(t *testing.T) {
 		{"GemmTop2", func() []uint32 {
 			best, second, idx := make([]float32, 2*n), make([]float32, 2*n), make([]int32, 2*n)
 			GemmTop2(-2, A, width, nil, B, nil, best, second, idx, nil)
+			out := append(bits(best), bits(second)...)
+			for _, i := range idx {
+				out = append(out, uint32(i))
+			}
+			return out
+		}},
+		{"HGemmTop2", func() []uint32 {
+			best, second, idx := make([]float32, 2*n), make([]float32, 2*n), make([]int32, 2*n)
+			HGemmTop2(-2, 1, HA, width, nil, HB, AccumFP16, nil, best, second, idx, nil, nil)
 			out := append(bits(best), bits(second)...)
 			for _, i := range idx {
 				out = append(out, uint32(i))

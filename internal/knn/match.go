@@ -133,15 +133,13 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 		// Steps 1-5: norms (amortized/offline for refs, tiny for query),
 		// GEMM, add N_R, per-column top-2 selection within each reference
 		// block. The row add of N_R rides in the selection pass — fused
-		// into the GEMM tile on the FP32 native tier, an on-the-fly add
-		// in Top2AddRows otherwise — though the device below still charges
+		// into the GEMM tile on the native tiers, an on-the-fly add in
+		// Top2AddRows otherwise — though the device below still charges
 		// each step.
 		if prec == gpusim.FP16 {
-			C := sc.matrix(B*m, n)
-			blas.HGemmTN(-2, rb.F16, q.F16, opts.Accum, C)
-			// Undo the feature scale: A holds -2·s²·RᵀQ.
-			unscale(C, 1/(rb.Scale*q.Scale))
-			sc.top2Blocks(C, rb.Norms, m)
+			// 1/s² undoes the feature scale: the GEMM holds -2·s²·RᵀQ.
+			blas.HGemmTop2(-2, 1/(rb.Scale*q.Scale), rb.F16, m, nil, q.F16, opts.Accum, rb.Norms,
+				sc.best, sc.second, sc.idx, &sc.c, &sc.stage)
 		} else {
 			blas.GemmTop2(-2, rb.F32, m, nil, q.F32, rb.Norms, sc.best, sc.second, sc.idx, &sc.c)
 		}
@@ -177,14 +175,13 @@ func matchEq1(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options, sc *S
 // and every tier's per-element value depends only on the two operand
 // columns, so a slot's results are bit for bit its whole-batch ones.
 //
-//   - FP32: one blas.GemmTop2, which returns the top-2 of every (block,
-//     query column) straight into sc's result slabs. On its native tier the
-//     distance matrix is never written; elsewhere it is GemmTN into sc's
-//     matrix, then Top2AddRows.
-//   - FP16: one blas.HGemmTNBlocks into sc's matrix, then Top2AddRows per
-//     block into the same slabs. Whether anything is widened — into sc's
-//     staging — is blas's choice of kernel tier; nothing widened outlives
-//     the call.
+// Each precision is one call that returns the top-2 of every (block, query
+// column) straight into sc's result slabs: blas.GemmTop2 (FP32) or
+// blas.HGemmTop2 (FP16, which also undoes the feature scale). On their
+// native tiers the distance matrix is never written; elsewhere it is the
+// GEMM into sc's matrix, then Top2AddRows. Whether anything FP16 is widened
+// — into sc's staging — is blas's choice of kernel tier; nothing widened
+// outlives the call.
 //
 // The results alias sc; they are valid until the next call reusing it.
 func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []int32, opts Options, sc *Scratch) ([][]Pair2NN, error) {
@@ -204,11 +201,9 @@ func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []in
 	results := sc.multiSlab(ids, Bq, n, phantom)
 	if !phantom {
 		if prec == gpusim.FP16 {
-			C := sc.matrix(nb*m, Bq*n)
-			blas.HGemmTNBlocks(-2, rb.F16, m, slots, mq.catF16, opts.Accum, C, &sc.stage)
-			// Undo the feature scale: C holds -2·s²·RᵀQ.
-			unscale(C, 1/(rb.Scale*mq.queries[0].Scale))
-			sc.top2Blocks(C, nil, m)
+			// 1/s² undoes the feature scale: the GEMM holds -2·s²·RᵀQ.
+			blas.HGemmTop2(-2, 1/(rb.Scale*mq.queries[0].Scale), rb.F16, m, slots, mq.catF16, opts.Accum, nil,
+				sc.best, sc.second, sc.idx, &sc.c, &sc.stage)
 		} else {
 			blas.GemmTop2(-2, rb.F32, m, slots, mq.catF32, nil, sc.best, sc.second, sc.idx, &sc.c)
 		}
@@ -229,18 +224,6 @@ func rootSIFT2NN(stream *gpusim.Stream, rb *RefBatch, mq *MultiQuery, slots []in
 	stream.CopyD2H(int64(nb)*int64(Bq)*resultBytes(n, prec), false)
 	stream.HostPost(nb*Bq, prec)
 	return results, nil
-}
-
-// unscale multiplies C by inv, the reciprocal of the two feature scales. The
-// default Scale of 1 skips the pass: x·1 == x for every float32 a kernel
-// emits, NaN payloads included, so the skip is bit-identical.
-func unscale(C *blas.Matrix, inv float32) {
-	if inv == 1 {
-		return
-	}
-	for i := range C.Data {
-		C.Data[i] *= inv
-	}
 }
 
 // bruteForce2NN is the functional baseline: direct O(d·m·n) squared

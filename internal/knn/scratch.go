@@ -22,8 +22,9 @@ import (
 // the next batch, which is exactly what the engine's incremental scoring
 // loop does.
 type Scratch struct {
-	// c is the distance matrix, written only by the FP16 GEMM and by
-	// blas.GemmTop2's fallback tiers.
+	// c is the distance matrix, written only by the fallback tiers of
+	// blas.GemmTop2 and blas.HGemmTop2; where blas.Top2Fused holds for the
+	// engine's precision and accumulator mode it is never allocated.
 	c      blas.Matrix
 	best   []float32
 	second []float32
@@ -80,17 +81,6 @@ func (sc *Scratch) candSlots(rb *RefBatch, slots []int32) []int {
 	return sc.candIDs
 }
 
-// matrix returns a rows×cols matrix backed by the scratch buffer. Contents
-// are undefined; callers must fully overwrite it.
-func (sc *Scratch) matrix(rows, cols int) *blas.Matrix {
-	need := rows * cols
-	if cap(sc.c.Data) < need {
-		sc.c.Data = make([]float32, need)
-	}
-	sc.c = blas.Matrix{Rows: rows, Cols: cols, Stride: rows, Data: sc.c.Data[:need]}
-	return &sc.c
-}
-
 // grow ensures the top-2 slabs can hold cnt result rows of width n.
 func (sc *Scratch) grow(cnt, n int) {
 	if cap(sc.best) < cnt*n {
@@ -101,19 +91,6 @@ func (sc *Scratch) grow(cnt, n int) {
 	sc.best = sc.best[:cnt*n]
 	sc.second = sc.second[:cnt*n]
 	sc.idx = sc.idx[:cnt*n]
-}
-
-// top2Blocks is the selection half of blas.GemmTop2 for a GEMM that wrote
-// C: Top2AddRows over each m-row block of C, norms added when non-nil,
-// block b's results for all of C's columns landing at b·C.Cols in the
-// slabs (multiSlab's layout). Blocks are independent, so the sweep
-// parallelises over them and stays bit-identical at any GOMAXPROCS.
-func (sc *Scratch) top2Blocks(C *blas.Matrix, norms []float32, m int) {
-	n := C.Cols
-	blas.Parallel(C.Rows/m, func(b int) {
-		at := b * n
-		blas.Top2AddRows(C, norms, b*m, (b+1)*m, sc.best[at:at+n], sc.second[at:at+n], sc.idx[at:at+n])
-	})
 }
 
 // pairSlab returns B result shells for one query: multiSlab's only row.

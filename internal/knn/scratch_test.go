@@ -120,3 +120,48 @@ func TestScratchReuseMatchesSolo(t *testing.T) {
 		})
 	}
 }
+
+// TestDistanceMatrixOnlyOnFallback pins the heap half of the fused top-2:
+// where blas.Top2Fused holds — FP32 on AVX-512, FP16 with AccumFP16 on
+// AVX512-FP16 — warm RootSIFT (whole batch and slot set) and Algorithm-1
+// matches leave Scratch.c unallocated, because the distance matrix is never
+// written. AccumFP32, hosts without the tier and TEXID_NOASM=1 take the
+// fallback, which writes it into Scratch.c, so there it must be allocated.
+func TestDistanceMatrixOnlyOnFallback(t *testing.T) {
+	for _, tc := range []struct {
+		prec  gpusim.Precision
+		accum blas.AccumMode
+	}{{gpusim.FP32, blas.AccumFP16}, {gpusim.FP16, blas.AccumFP16}, {gpusim.FP16, blas.AccumFP32}} {
+		fused := blas.Top2Fused(tc.prec == gpusim.FP16, tc.accum)
+		t.Run(fmt.Sprintf("%v/%v/fused=%v", tc.prec, tc.accum, fused), func(t *testing.T) {
+			stream, rb, queries := slotFixture(t, 23, tc.prec, 64, 48, 24, 5, 1)
+			rng := rand.New(rand.NewSource(24))
+			refs := []*blas.Matrix{rootSIFTFeatures(rng, 64, 40), rootSIFTFeatures(rng, 64, 40)}
+			rbNorms, err := NewRefBatch(newTestDevice(), []int{1, 2}, refs, tc.prec, 1, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rbNorms.Free)
+			opts := Options{Algorithm: RootSIFT, Precision: tc.prec, Scale: 1, Accum: tc.accum}
+			eq1 := opts
+			eq1.Algorithm = Eq1Top2
+			var sc Scratch
+			for warm := 0; warm < 2; warm++ {
+				for _, run := range []func() ([]Pair2NN, error){
+					func() ([]Pair2NN, error) { return MatchBatchScratch(stream, rb, queries[0], opts, &sc) },
+					func() ([]Pair2NN, error) {
+						return MatchCandidatesScratch(stream, rb, queries[0], []int32{1, 3}, opts, &sc)
+					},
+					func() ([]Pair2NN, error) { return MatchBatchScratch(stream, rbNorms, queries[0], eq1, &sc) },
+				} {
+					if _, err := run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if allocated := cap(sc.c.Data) > 0; allocated == fused {
+				t.Fatalf("distance matrix allocated = %v with the fused tier %v", allocated, fused)
+			}
+		})
+	}
+}

@@ -61,8 +61,10 @@ go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster
 # bit-identical tiers picked from CPUID — AVX512-FP16 (native binary16
 # arithmetic), F16C (float32 round trips), portable Go — the FP32 GEMM +
 # top-2 on one of three — AVX-512 with the top-2 folded into the tile,
-# AVX2 GemmTN + Top2AddRows, portable — and the Hamming prefilter scan on
-# one of two, AVX-512 VPOPCNTQ or the scalar loop. The equivalence tests
+# AVX2 GemmTN + Top2AddRows, portable — the FP16 GEMM + top-2 on the
+# AVX512-FP16 tile with the top-2 folded in or HGemmTNBlocks +
+# Top2AddRows, and the Hamming prefilter scan on one of two, AVX-512
+# VPOPCNTQ or the scalar loop. The equivalence tests
 # skip a tier the host lacks (hosted CI runners have no AVX512-FP16), so
 # they run verbose: the log names every tier test that ran and every one
 # that skipped, and a green run is never mistaken for coverage of a tier
@@ -71,7 +73,7 @@ go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster
 echo "==> kernel tiers: blas, binq (go test -v)"
 tierlog=$(mktemp)
 trap 'rm -f "$tierlog"' EXIT
-go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable|GemmTop2TiersMatch|Top2AddRowsSemantics)$' ./internal/blas | tee "$tierlog"
+go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable|GemmTop2TiersMatch|HGemmTop2TiersMatch|Top2AddRowsSemantics)$' ./internal/blas | tee "$tierlog"
 go test -count=1 -v -run '^TestScanTiersMatch$' ./internal/binq | tee -a "$tierlog"
 # A tier the host has may not skip: when /proc/cpuinfo lists the CPU flag
 # and the tier's test still skipped, the CPUID or XCR0 probe, a build tag
@@ -79,7 +81,8 @@ go test -count=1 -v -run '^TestScanTiersMatch$' ./internal/binq | tee -a "$tierl
 if [[ -r /proc/cpuinfo ]]; then
   cpuflags=" $(grep -m1 '^flags' /proc/cpuinfo | cut -d: -f2) "
   for tier in avx512f:TestGemmTop2TiersMatch avx512_fp16:TestHGemmTiersMatch \
-              avx512_fp16:TestNativeAddIsDoubleRounded avx512_vpopcntdq:TestScanTiersMatch; do
+              avx512_fp16:TestNativeAddIsDoubleRounded avx512_fp16:TestHGemmTop2TiersMatch \
+              avx512_vpopcntdq:TestScanTiersMatch; do
     flag=${tier%%:*} test=${tier#*:}
     if [[ $cpuflags == *" $flag "* ]] && grep -q -- "--- SKIP: $test (" "$tierlog"; then
       echo "check.sh: this host has $flag but $test skipped its tier" >&2
@@ -110,9 +113,9 @@ go run ./cmd/texbench -suite -portable -baseline BENCH_BASELINE.json
 
 # Fuzz smoke: every Fuzz* target replays its committed corpus and fuzzes
 # live for FUZZTIME (default 10s each). The decode seams' bounds are pinned
-# by hostile-input table rows in tier-1, and the Hamming scan's tiers by
-# TestScanTiersMatch; this is the part that looks for an input nobody wrote
-# a row for.
+# by hostile-input table rows in tier-1, and the kernel tiers by the
+# *TiersMatch tests above; this is the part that looks for an input nobody
+# wrote a row for.
 echo "==> fuzz smoke"
 scripts/fuzz.sh
 
