@@ -2,27 +2,22 @@
 // is silently dropped in non-test code.
 //
 //	go run ./cmd/texlint ./...
-//	go run ./cmd/texlint -json ./... | jq .
 //
 // It is stdlib-only and works from a clean checkout with no network
 // access: packages are discovered with go/build and type-checked from
-// source. Diagnostics print as file:line:col: [check] message (or as a
-// JSON array with -json) and any finding makes the exit status non-zero,
-// so scripts/check.sh can use it as a tier-2 gate alongside go vet and
-// the race tests. Besides errcheck it reports texlint comment hygiene
-// under "directive": bare ignores (no reason), unknown check names, and
-// any directive other than ignore.
+// source. Findings print as file:line:col: [errcheck] message. The exit
+// status is 0 on a clean tree, 1 on any finding and 2 on a usage or load
+// error, so scripts/check.sh can use it as a tier-2 gate alongside go vet
+// and the race tests. Type errors are reported on stderr and do not change
+// the exit status.
 //
-// Every other project invariant is held by a test or by the type system,
-// not by a check here; see DESIGN.md, "Correctness invariants & texlint".
-//
-// Suppress a finding with `//texlint:ignore <check> <reason>` on the
-// offending line or in the enclosing declaration's doc comment; the
-// reason is mandatory. There is no other suppression mechanism.
+// A deliberate drop is written `_ = f()` with a comment saying why; there
+// is no suppression comment. Every other project invariant is held by a
+// test or by the type system, not by a check here; see DESIGN.md,
+// "Correctness invariants & texlint".
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,13 +26,8 @@ import (
 )
 
 func main() {
-	var (
-		verbose = flag.Bool("v", false, "list packages as they are analyzed")
-		jsonOut = flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: texlint [-v] [-json] [packages]\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(os.Stderr, "usage: texlint [packages]\n")
 	}
 	flag.Parse()
 
@@ -49,7 +39,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
 	loader, err := analysis.NewLoader(root)
 	if err != nil {
 		fatal(err)
@@ -59,52 +48,20 @@ func main() {
 		fatal(err)
 	}
 	for _, pkg := range pkgs {
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "texlint: %s\n", pkg.Path)
-		}
 		for _, e := range pkg.TypeErrors {
-			// Type errors degrade analysis quality; surface them but keep
-			// linting what still type-checked.
+			// Type errors degrade the check; surface them but keep
+			// checking what still type-checked.
 			fmt.Fprintf(os.Stderr, "texlint: %s: type error: %v\n", pkg.Path, e)
 		}
 	}
 
-	diags := analysis.RunAll(pkgs, analysis.DefaultAnalyzers())
-
-	if *jsonOut {
-		emitJSON(diags)
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+	diags := analysis.RunAll(pkgs)
+	for _, d := range diags {
+		fmt.Println(d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "texlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
-	}
-}
-
-// jsonDiag is the -json wire form of one finding.
-type jsonDiag struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-func emitJSON(diags []analysis.Diagnostic) {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
-			Check: d.Check, Message: d.Message,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
 	}
 }
 

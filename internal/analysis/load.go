@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -17,20 +18,14 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	Path  string // module-qualified import path
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
-	Info  *PackageInfo
+	Types *types.Package
+	Info  *types.Info
 	// TypeErrors collects soft type-check errors. Analysis proceeds on a
 	// best-effort basis when they occur (fixture files are allowed to be
 	// sloppy about unused variables, for example).
 	TypeErrors []error
-}
-
-// PackageInfo bundles the go/types results an analyzer consumes.
-type PackageInfo struct {
-	Types *types.Package
-	Info  *types.Info
 }
 
 // Loader discovers, parses, and type-checks packages of one module. It
@@ -110,7 +105,7 @@ func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.
 		if err != nil {
 			return nil, err
 		}
-		return pkg.Info.Types, nil
+		return pkg.Types, nil
 	}
 	return l.std.ImportFrom(path, srcDir, mode)
 }
@@ -146,7 +141,7 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 }
 
 // LoadDir loads the package in dir (which must live under the module
-// root). Used directly by the fixture test harness.
+// root). The fixture tests use it directly.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -167,7 +162,7 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s: %w", dir, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset}
+	pkg := &Package{Path: path, Fset: l.Fset}
 	// Memoize before type-checking: import cycles would otherwise
 	// recurse forever (the type checker reports the cycle itself).
 	l.pkgs[path] = pkg
@@ -179,23 +174,20 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 		}
 		pkg.Files = append(pkg.Files, f)
 	}
+	// errcheck reads call types and resolved identifiers, nothing else.
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{
 		Importer:    l,
 		FakeImportC: true,
-		// Collect soft errors and keep going: analyzers work on the
+		// Collect soft errors and keep going: errcheck works on the
 		// best-effort type information that remains.
 		Error: func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	tpkg, _ := conf.Check(path, l.Fset, pkg.Files, info)
-	pkg.Info = &PackageInfo{Types: tpkg, Info: info}
+	pkg.Types, _ = conf.Check(path, l.Fset, pkg.Files, info)
+	pkg.Info = info
 	return pkg, nil
 }
 
@@ -249,7 +241,7 @@ func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 	for dir := range dirs {
 		pkg, err := l.LoadDir(dir)
 		if err != nil {
-			if _, ok := errNoGo(err); ok {
+			if errors.As(err, new(*build.NoGoError)) {
 				continue
 			}
 			return nil, err
@@ -258,20 +250,4 @@ func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
-}
-
-// errNoGo reports whether err wraps build.NoGoError (a directory with no
-// buildable Go files, e.g. one holding only test files or docs).
-func errNoGo(err error) (*build.NoGoError, bool) {
-	for err != nil {
-		if ng, ok := err.(*build.NoGoError); ok {
-			return ng, true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return nil, false
-		}
-		err = u.Unwrap()
-	}
-	return nil, false
 }

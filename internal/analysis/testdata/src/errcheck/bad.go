@@ -31,3 +31,9 @@ func droppedMultiValue() {
 func droppedInGoroutine() {
 	go mayFail() // want "error result of mayFail is dropped"
 }
+
+func droppedInDeferredClosure(path string) {
+	defer func() {
+		os.Remove(path) // want "error result of os.Remove is dropped"
+	}()
+}

@@ -31,7 +31,10 @@ func exemptWriters(sb *strings.Builder, bw *bufio.Writer) error {
 	return bw.Flush() // Flush is where the sticky error surfaces; it is checked.
 }
 
-//texlint:ignore errcheck fixture for the escape hatch: this drop is deliberate
-func suppressedDrop() {
-	mayFail()
+// A deliberate drop is an explicit discard with a comment saying why,
+// inside a deferred closure as anywhere else.
+func deferredClosureDiscard(f *os.File) {
+	defer func() {
+		_ = f.Close() // read-only file: nothing to lose on close
+	}()
 }

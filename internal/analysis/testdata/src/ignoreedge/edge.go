@@ -1,58 +1,16 @@
 package fixture
 
-import (
-	"os"
-	"sync"
-)
+import "os"
 
-// docIgnored's doc-group directive names errcheck in a comma list; it
-// must suppress every errcheck finding anywhere in the declaration. The
-// list's other name is no check, which is itself a finding.
+// A //texlint:ignore comment is an ordinary comment: texlint has no
+// suppression language, so the drops below are findings wherever the
+// comment sits.
 //
-//texlint:ignore errcheck,nosuchcheck fixture: a doc-group directive covers the whole declaration for every listed check
+//texlint:ignore errcheck a doc-group comment covers nothing
 func docIgnored() {
-	os.Remove("scratch")
-	os.Remove("scratch2")
+	os.Remove("scratch") // want "error result of os.Remove is dropped"
 }
 
 func trailingIgnored() {
-	os.Remove("scratch") //texlint:ignore errcheck fixture: a trailing directive covers exactly its own line
-}
-
-func notIgnored() {
-	os.Remove("scratch")
-}
-
-// A directive in a var block's doc group spans the whole GenDecl, not
-// just the line below the comment.
-//
-//texlint:ignore errcheck fixture: var-block doc directive spans the declaration
-var (
-	blockStart = 1
-	blockStamp = func() int {
-		os.Remove("scratch")
-		return blockStart
-	}()
-)
-
-// Directives texlint does not know (here ones it used to) are findings,
-// not silent no-ops: the contracts they marked are held by tests now, and
-// a leftover must not read as enforced.
-//
-//texlint:untrusted
-func useAll() int { return blockStamp }
-
-//texlint:scratchalias
-func aliasing() {}
-
-//texlint:clockdomain
-func clocked() {}
-
-//texlint:freelist
-func recycle() {}
-
-type counter struct {
-	mu sync.Mutex
-	//texlint:guards mu
-	n int
+	os.Remove("scratch") //texlint:ignore errcheck a trailing comment covers nothing // want "error result of os.Remove is dropped"
 }

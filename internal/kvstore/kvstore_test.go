@@ -608,3 +608,31 @@ func TestAOFWriteFailureIsAnErrorReply(t *testing.T) {
 		t.Fatalf("replay after a refused write: kept=%v DBSIZE=%d, want kept + after", kept, r.DBSize())
 	}
 }
+
+// TestAOFCloseReturnsTheFlushError: CloseAOF flushes what the log's writer
+// still buffers before it closes the file, and when that flush fails it
+// must return the flush's error, not the close's nil. The file is swapped
+// for a read-only handle on the same log, so the write fails and the close
+// succeeds.
+func TestAOFCloseReturnsTheFlushError(t *testing.T) {
+	path := t.TempDir() + "/store.aof"
+	s, err := OpenAOF(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.aof.mu.Lock()
+	rw := s.aof.f.File
+	s.aof.f.File = ro
+	writeBulk(s.aof.w, []byte("buffered at close"))
+	s.aof.mu.Unlock()
+	defer rw.Close()
+
+	var pe *os.PathError
+	if err := s.CloseAOF(); !errors.As(err, &pe) || pe.Op != "write" {
+		t.Fatalf("CloseAOF with a failing flush = %v, want the write error", err)
+	}
+}

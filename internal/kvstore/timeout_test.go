@@ -2,8 +2,10 @@ package kvstore
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,5 +164,57 @@ func TestCloseUnblocksAParkedRequest(t *testing.T) {
 	}
 	if err := c.Ping(); err == nil {
 		t.Fatal("a closed client redialed")
+	}
+}
+
+// scriptedConn is a net.Conn that answers every read from reply and fails
+// SetDeadline or Write when told to: the client's exchange steps, one at a
+// time, with no socket in the way.
+type scriptedConn struct {
+	net.Conn // nil: the methods below are all a Client calls
+	reply    *strings.Reader
+	deadline error
+	write    error
+	closed   bool
+}
+
+func (c *scriptedConn) Read(p []byte) (int, error) { return c.reply.Read(p) }
+
+func (c *scriptedConn) Write(p []byte) (int, error) {
+	if c.write != nil {
+		return 0, c.write
+	}
+	return len(p), nil
+}
+
+func (c *scriptedConn) SetDeadline(time.Time) error { return c.deadline }
+
+func (c *scriptedConn) Close() error {
+	c.closed = true
+	return nil
+}
+
+// TestExchangeReturnsTheStepError: when setting the deadline or flushing
+// the request fails, the command must fail with that error and drop the
+// connection, even though the peer would have answered.
+func TestExchangeReturnsTheStepError(t *testing.T) {
+	errStep := errors.New("injected")
+	for _, tc := range []struct {
+		name string
+		conn *scriptedConn
+	}{
+		{"deadline", &scriptedConn{deadline: errStep}},
+		{"flush", &scriptedConn{write: errStep}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.conn.reply = strings.NewReader("+PONG\r\n")
+			c := &Client{timeout: time.Second, conn: tc.conn, r: bufio.NewReader(tc.conn), w: bufio.NewWriter(tc.conn)}
+			if err := c.Ping(); !errors.Is(err, errStep) {
+				t.Fatalf("Ping = %v, want the %s error", err, tc.name)
+			}
+			if !tc.conn.closed {
+				t.Error("the failed exchange's connection was kept")
+			}
+		})
 	}
 }
