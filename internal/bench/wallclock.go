@@ -107,7 +107,8 @@ func mustSearch(eng *engine.Engine, q *blas.Matrix, kps []sift.Keypoint) {
 
 // hostOps is the wall-clock part of the op table: the packed GEMM
 // micro-kernel, the FP16 GEMM (both accumulator modes, and AccumFP16 at the
-// resident batch shape), the separable blur, full SIFT extraction, the
+// resident batch shape), the separable blur, full SIFT extraction (at 128
+// px and at the library search path's 256 px), the
 // fused FP32 and FP16 GEMM + top-2, the Hamming scan, steady-state engine
 // search (FP32, FP16, pruned and unpruned on a 10x shard), and the
 // end-to-end extract+search path.
@@ -202,6 +203,16 @@ func hostOps(count int) []Op {
 			cfg := sift.DefaultConfig()
 			cfg.RootSIFT = true
 			return func() { sift.Extract(im, cfg) }, float64(4 * 128 * 128)
+		}),
+		// The same at lib_image_search's per-query shape: a 256 px texture
+		// (a 512² pyramid base) and DefaultConfig's 768 features.
+		hostOp("sift_extract_256", count, 0, func() (func(), float64) {
+			p := texture.DefaultGenParams()
+			p.Size = 256
+			im := texture.Generate(13, p)
+			cfg := sift.DefaultConfig()
+			cfg.RootSIFT = true
+			return func() { sift.Extract(im, cfg) }, float64(4 * 256 * 256)
 		}),
 		// FP32 GEMM with the top-2 folded in, at rest_batch_churn's batch
 		// shape, and the FP16 one at rest_search_resident's.

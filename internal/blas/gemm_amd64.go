@@ -66,6 +66,11 @@ func haveAVX512F() bool {
 // useAVX512 gates GemmTop2's native tier (fused_amd64.s).
 var useAVX512 = useAVX2 && haveAVX512F()
 
+// UseAVX512F reports whether assembly kernels outside this package may use
+// AVX512F arithmetic on ZMM registers. Like UseVPOPCNTQ it is false under
+// TEXID_NOASM=1, and callers read it once, at package initialisation.
+func UseAVX512F() bool { return useAVX512 }
+
 // haveVPOPCNTQ reports whether the host has AVX512F (haveAVX512F) plus
 // AVX512VL (CPUID.7.0:EBX bit 31) and AVX512_VPOPCNTDQ (CPUID.7.0:ECX
 // bit 14).

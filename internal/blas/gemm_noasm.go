@@ -12,6 +12,10 @@ const (
 // AVX-512 VPOPCNTQ; never on a non-amd64 build.
 func UseVPOPCNTQ() bool { return false }
 
+// UseAVX512F reports whether assembly kernels outside this package may use
+// AVX512F; never on a non-amd64 build.
+func UseAVX512F() bool { return false }
+
 func kern8x8(apack *float32, b *float32, bstride uintptr, c *float32, cstride uintptr, k int64, alpha float32, beta float32, mask *int32) {
 	panic("blas: asm kernel on non-amd64 build")
 }

@@ -144,12 +144,24 @@ func BlurImage(im *texture.Image, sigma float64) *texture.Image {
 	return blur(im, sigma)
 }
 
-// blurArena is blur drawing its two image buffers from a. Both passes
-// parallelize over fixed row blocks; interior pixels take a slice-indexed
-// fast path while border pixels keep the clamped At lookup, accumulating in
-// the same tap order either way, so the result is bitwise identical to the
-// straightforward nested-loop filter at any GOMAXPROCS.
+// blurArena is blur drawing its two image buffers from a, on the native
+// tier where the host has it (useAVX512) and the portable loops elsewhere.
 func blurArena(a *arena, im *texture.Image, sigma float64) *texture.Image {
+	return blurTiered(a, im, sigma, useAVX512)
+}
+
+// blurTiered is blurArena with the tier chosen by the caller: native runs
+// each row's interior through convH and each interior row through convV,
+// and the portable loops do the rest; with native false they do all of it,
+// which makes them the oracle the native tier is tested against. Both
+// passes parallelize over fixed row blocks; border pixels, whose taps
+// clamp, stay on hblurClamped and vblurCols.
+// Every pixel is one chain on either tier — each tap's product rounded
+// (the float32 conversions keep the compiler from fusing it into an FMA),
+// then added in ascending tap order — so the result is bitwise identical
+// to the straightforward nested-loop filter on either tier and at any
+// GOMAXPROCS.
+func blurTiered(a *arena, im *texture.Image, sigma float64, native bool) *texture.Image {
 	if sigma <= 0 {
 		out := a.get(im.W, im.H)
 		copy(out.Pix, im.Pix)
@@ -159,7 +171,7 @@ func blurArena(a *arena, im *texture.Image, sigma float64) *texture.Image {
 	radius := len(k) / 2
 	W, H := im.W, im.H
 
-	// Horizontal pass: tmp[y][x] = sum_i k[i]·im[y][x-r+i].
+	// Horizontal pass: tmp[y][x] = sum_i k[i]·im[y][x-r+i], from +0.
 	tmp := a.get(W, H)
 	blas.Parallel((H+rowBlock-1)/rowBlock, func(b int) {
 		for y := b * rowBlock; y < min((b+1)*rowBlock, H); y++ {
@@ -170,57 +182,80 @@ func blurArena(a *arena, im *texture.Image, sigma float64) *texture.Image {
 				lo, hi = W, W // kernel wider than the row: clamp everywhere
 			}
 			for x := 0; x < lo; x++ {
-				var s float32
-				for i := -radius; i <= radius; i++ {
-					s += k[i+radius] * im.At(x+i, y)
-				}
-				dst[x] = s
+				dst[x] = hblurClamped(row, x, k)
 			}
-			for x := lo; x < hi; x++ {
+			x := lo
+			if n := (hi - lo) &^ 15; native && n > 0 {
+				convH(dst[lo:lo+n], row[lo-radius:lo+n+radius], k)
+				x += n
+			}
+			for ; x < hi; x++ {
 				src := row[x-radius : x+radius+1]
 				var s float32
 				for i, kv := range k {
-					s += kv * src[i]
+					s += float32(kv * src[i])
 				}
 				dst[x] = s
 			}
 			for x := hi; x < W; x++ {
-				var s float32
-				for i := -radius; i <= radius; i++ {
-					s += k[i+radius] * im.At(x+i, y)
-				}
-				dst[x] = s
+				dst[x] = hblurClamped(row, x, k)
 			}
 		}
 	})
 
-	// Vertical pass: out[y][x] = sum_i k[i]·tmp[y-r+i][x], accumulated
-	// row-wise in ascending tap order (the same per-pixel chain as a
-	// scalar loop over i) with the source row index clamped at the border.
+	// Vertical pass: out[y][x] = sum_i k[i]·tmp[y-r+i][x], from k[0]·tmp.
+	// An interior row's source rows are W apart, so convV takes them as a
+	// base and a stride; border rows, whose source rows clamp, and the
+	// columns past the last 16-lane block stay on vblurCols.
 	out := a.get(W, H)
 	blas.Parallel((H+rowBlock-1)/rowBlock, func(b int) {
 		for y := b * rowBlock; y < min((b+1)*rowBlock, H); y++ {
-			dst := out.Pix[y*W : y*W+W]
-			src := tmp.Pix[clampRow(y-radius, H)*W:]
-			src = src[:W]
-			for x, v := range src {
-				dst[x] = k[0] * v
+			x := 0
+			if n := W &^ 15; native && n > 0 && y >= radius && y+radius < H {
+				convV(out.Pix[y*W:y*W+n], tmp.Pix[(y-radius)*W:(y+radius)*W+n], W, k)
+				x = n
 			}
-			for i := 1; i < len(k); i++ {
-				src := tmp.Pix[clampRow(y-radius+i, H)*W:]
-				src = src[:W]
-				kv := k[i]
-				for x, v := range src {
-					dst[x] += kv * v
-				}
-			}
+			vblurCols(out, tmp, y, x, k)
 		}
 	})
 	a.put(tmp)
 	return out
 }
 
-// clampRow clamps a row index to [0, h).
+// hblurClamped is the horizontal chain of row's pixel x with the source
+// column clamped to the row, for the border pixels whose taps reach past
+// either end.
+func hblurClamped(row []float32, x int, k []float32) float32 {
+	radius := len(k) / 2
+	var s float32
+	for i, kv := range k {
+		s += float32(kv * row[clampRow(x-radius+i, len(row))])
+	}
+	return s
+}
+
+// vblurCols writes columns x0..W-1 of out's row y: the vertical taps
+// accumulated row-wise in ascending tap order (the same per-pixel chain as
+// a scalar loop over i) with the source row index clamped at the border.
+func vblurCols(out, tmp *texture.Image, y, x0 int, k []float32) {
+	W, H, radius := tmp.W, tmp.H, len(k)/2
+	dst := out.Pix[y*W+x0 : y*W+W]
+	src := tmp.Pix[clampRow(y-radius, H)*W:]
+	src = src[x0:W]
+	for x, v := range src {
+		dst[x] = k[0] * v
+	}
+	for i := 1; i < len(k); i++ {
+		src := tmp.Pix[clampRow(y-radius+i, H)*W:]
+		src = src[x0:W]
+		kv := k[i]
+		for x, v := range src {
+			dst[x] += float32(kv * v)
+		}
+	}
+}
+
+// clampRow clamps a row (or column) index to [0, h).
 func clampRow(y, h int) int {
 	if y < 0 {
 		return 0

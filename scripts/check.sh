@@ -3,10 +3,10 @@
 # module), gofmt, texlint (errcheck: no dropped error results; every other
 # project invariant is held by a test or by the type system, see DESIGN.md
 # "Correctness invariants & texlint"), import hygiene of the serving
-# binaries, the serving core's tests at GOMAXPROCS 1, 2 and 4, the blas and
-# binq kernel-tier equivalence tests (no tier the host's CPU flags advertise
-# may skip), the blas/half/binq/knn tests and the engine's pruning tests on
-# the portable (no-assembly) kernels, the portable rows of the measurement
+# binaries, the serving core's tests at GOMAXPROCS 1, 2 and 4, the blas, binq
+# and sift kernel-tier equivalence tests (no tier the host's CPU flags
+# advertise may skip), the blas/half/binq/knn/sift tests and the engine's
+# pruning tests on the portable (no-assembly) kernels, the portable rows of the measurement
 # suite against BENCH_BASELINE.json, the fuzz smoke, and the race-detector
 # test suite, whose interleaving tests hold the lock contracts and whose
 # reuse rows hold the pooled-object lifetimes. Any diagnostic or failure
@@ -57,24 +57,26 @@ fi
 echo "==> go test -cpu 1,2,4 (engine, serve, cluster)"
 go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster/...
 
-# Kernel tiers: the half-precision GEMM runs AccumFP16 on one of three
-# bit-identical tiers picked from CPUID — AVX512-FP16 (native binary16
-# arithmetic), F16C (float32 round trips), portable Go — the FP32 GEMM +
-# top-2 on one of three — AVX-512 with the top-2 folded into the tile,
-# AVX2 GemmTN + Top2AddRows, portable — the FP16 GEMM + top-2 on the
-# AVX512-FP16 tile with the top-2 folded in or HGemmTNBlocks +
-# Top2AddRows, and the Hamming prefilter scan on one of two, AVX-512
-# VPOPCNTQ or the scalar loop. The equivalence tests
+# Kernel tiers, five families picked from CPUID, each bit-identical to its
+# fallback: the half-precision GEMM runs AccumFP16 on one of three tiers —
+# AVX512-FP16 (native binary16 arithmetic), F16C (float32 round trips),
+# portable Go — the FP32 GEMM + top-2 on one of three — AVX-512 with the
+# top-2 folded into the tile, AVX2 GemmTN + Top2AddRows, portable — the
+# FP16 GEMM + top-2 on the AVX512-FP16 tile with the top-2 folded in or
+# HGemmTNBlocks + Top2AddRows, the Hamming prefilter scan on one of two,
+# AVX-512 VPOPCNTQ or the scalar loop, and the SIFT scale-space blur on
+# one of two, AVX-512 taps or the portable loops. The equivalence tests
 # skip a tier the host lacks (hosted CI runners have no AVX512-FP16), so
 # they run verbose: the log names every tier test that ran and every one
 # that skipped, and a green run is never mistaken for coverage of a tier
 # the host does not have. Top2AddRowsSemantics states the rules the fused
 # tier is held to.
-echo "==> kernel tiers: blas, binq (go test -v)"
+echo "==> kernel tiers: blas, binq, sift (go test -v)"
 tierlog=$(mktemp)
 trap 'rm -f "$tierlog"' EXIT
 go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable|GemmTop2TiersMatch|HGemmTop2TiersMatch|Top2AddRowsSemantics)$' ./internal/blas | tee "$tierlog"
 go test -count=1 -v -run '^TestScanTiersMatch$' ./internal/binq | tee -a "$tierlog"
+go test -count=1 -v -run '^TestBlurTiersMatch$' ./internal/sift | tee -a "$tierlog"
 # A tier the host has may not skip: when /proc/cpuinfo lists the CPU flag
 # and the tier's test still skipped, the CPUID or XCR0 probe, a build tag
 # or the useAVX2 gate is wrong. Hosts without /proc/cpuinfo skip the gate.
@@ -82,7 +84,7 @@ if [[ -r /proc/cpuinfo ]]; then
   cpuflags=" $(grep -m1 '^flags' /proc/cpuinfo | cut -d: -f2) "
   for tier in avx512f:TestGemmTop2TiersMatch avx512_fp16:TestHGemmTiersMatch \
               avx512_fp16:TestNativeAddIsDoubleRounded avx512_fp16:TestHGemmTop2TiersMatch \
-              avx512_vpopcntdq:TestScanTiersMatch; do
+              avx512_vpopcntdq:TestScanTiersMatch avx512f:TestBlurTiersMatch; do
     flag=${tier%%:*} test=${tier#*:}
     if [[ $cpuflags == *" $flag "* ]] && grep -q -- "--- SKIP: $test (" "$tierlog"; then
       echo "check.sh: this host has $flag but $test skipped its tier" >&2
@@ -92,13 +94,14 @@ if [[ -r /proc/cpuinfo ]]; then
 fi
 
 # Portable-kernel pass: every other run exercises the host's assembly tiers
-# (AVX512-FP16 and/or F16C, the fused FP32 GEMM + top-2, VPOPCNTQ); this
-# rerun pins the pure-Go fallback kernels (and the bit-identity tests that
-# compare the tiers) with every assembly tier disabled, the knn matches on
-# blas.GemmTop2's GemmTN + Top2AddRows route, plus the whole pruned search
-# on the scalar scan.
-echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half, binq, knn, engine Prune*)"
-TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/... ./internal/binq/... ./internal/knn/...
+# (AVX512-FP16 and/or F16C, the fused FP32 GEMM + top-2, VPOPCNTQ, the
+# AVX-512 blur); this rerun pins the pure-Go fallback kernels (and the
+# bit-identity tests that compare the tiers) with every assembly tier
+# disabled, the knn matches on blas.GemmTop2's GemmTN + Top2AddRows route,
+# SIFT extraction and its determinism tests on the portable blur, plus the
+# whole pruned search on the scalar scan.
+echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half, binq, knn, sift, engine Prune*)"
+TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/... ./internal/binq/... ./internal/knn/... ./internal/sift/...
 TEXID_NOASM=1 go test -run 'Prune' ./internal/engine
 
 # Measurement gate, portable half: the sim-clock ops (serving levels, sim
