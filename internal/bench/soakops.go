@@ -1,7 +1,12 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"time"
 
@@ -12,6 +17,7 @@ import (
 	"texid/internal/serve"
 	"texid/internal/sift"
 	"texid/internal/soak"
+	"texid/internal/wire"
 )
 
 // The wall soak table. Every scenario offers soakQPS Poisson arrivals for
@@ -267,21 +273,64 @@ func probeOps() []Op {
 		// One 4-query SearchBatch scatter-gather across 3 shards, merge
 		// included.
 		probeOp("cluster_searchbatch_scatter", 10, func() (func() error, func(), error) {
-			c, err := cluster.New(cluster.Config{Workers: soakShards, Engine: soak.TinyEngineConfig()})
+			c, queries, done, err := soakCluster()
 			if err != nil {
 				return nil, nil, err
-			}
-			done := func() { _ = c.Close() } // in-process fixture teardown; nothing to recover from here
-			refs, queries := soak.Features(soak.DefaultFixture())
-			for i, f := range refs {
-				if err := c.Add(i, f, nil); err != nil {
-					done()
-					return nil, nil, err
-				}
 			}
 			batch := []*blas.Matrix{queries[0], queries[1], queries[2], queries[3]}
 			kps := make([][]sift.Keypoint, len(batch))
 			return func() error { _, err := c.SearchBatch(batch, kps); return err }, done, nil
 		}),
+		// One /v1/search through Cluster.Handler() on the same cluster
+		// shape: body read, decode, scatter and the encoded answer, with the
+		// body json.Encoder writes for a client's request.
+		probeOp("rest_search", 50, func() (func() error, func(), error) {
+			c, queries, done, err := soakCluster()
+			if err != nil {
+				return nil, nil, err
+			}
+			rec := &wire.FeatureRecord{Precision: gpusim.FP32, Scale: 1, Features: queries[0]}
+			body, err := json.Marshal(map[string]string{"record_b64": base64.StdEncoding.EncodeToString(wire.Encode(rec))})
+			if err != nil {
+				done()
+				return nil, nil, err
+			}
+			body = append(body, '\n')
+			h := c.Handler()
+			return func() error {
+				// http.NewRequest, not httptest.NewRequest: the latter parses
+				// through a pooled textproto reader, and a GC inside the
+				// measured window would move the count.
+				req, err := http.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body))
+				if err != nil {
+					return err
+				}
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					return fmt.Errorf("rest search: %d %s", w.Code, w.Body)
+				}
+				return nil
+			}, done, nil
+		}),
 	)
+}
+
+// soakCluster is the cluster probes' fixture: a soakShards-shard cluster of
+// the tiny engine with the soak fixture's references enrolled, its queries,
+// and its teardown.
+func soakCluster() (*cluster.Cluster, []*blas.Matrix, func(), error) {
+	c, err := cluster.New(cluster.Config{Workers: soakShards, Engine: soak.TinyEngineConfig()})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	done := func() { _ = c.Close() } // in-process fixture teardown; nothing to recover from here
+	refs, queries := soak.Features(soak.DefaultFixture())
+	for i, f := range refs {
+		if err := c.Add(i, f, nil); err != nil {
+			done()
+			return nil, nil, nil, err
+		}
+	}
+	return c, queries, done, nil
 }

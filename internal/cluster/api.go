@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -226,24 +225,19 @@ func (c *Cluster) Handler() http.Handler {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		var req batchSearchRequest
-		if !readJSON(w, r, c.bodyLimit(maxBatchRecords), &req) {
+		body, ok := readBody(w, r, c.bodyLimit(maxBatchRecords), c.bodyLimit(1))
+		if !ok {
 			return
 		}
-		if len(req.RecordsB64) == 0 || len(req.RecordsB64) > maxBatchRecords {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("records_b64 must hold 1..%d records", maxBatchRecords))
+		recs, err := decodeBatchBody(body)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		var queryFeats []*blas.Matrix
-		var queryKps [][]sift.Keypoint
-		for i, b64 := range req.RecordsB64 {
-			rec, err := decodeRecord(b64)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("record %d: %v", i, err))
-				return
-			}
-			queryFeats = append(queryFeats, rec.Features)
-			queryKps = append(queryKps, rec.Keypoints)
+		queryFeats := make([]*blas.Matrix, len(recs))
+		queryKps := make([][]sift.Keypoint, len(recs))
+		for i, rec := range recs {
+			queryFeats[i], queryKps[i] = rec.Features, rec.Keypoints
 		}
 		start := time.Now()
 		reps, err := c.SearchBatch(queryFeats, queryKps)
@@ -252,11 +246,7 @@ func (c *Cluster) Handler() http.Handler {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		out := make([]SearchResponse, len(reps))
-		for i, rep := range reps {
-			out[i] = searchResponse(rep)
-		}
-		writeJSON(w, http.StatusOK, map[string][]SearchResponse{"results": out})
+		writeSearchJSON(w, appendResults(make([]byte, 0, 256*len(reps)), reps))
 	})
 	mux.HandleFunc("/v1/compact", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -298,7 +288,7 @@ func (c *Cluster) Handler() http.Handler {
 				Score int `json:"score"`
 			}{cand.RefID, cand.Score})
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeSearchJSON(w, appendSearchResponse(make([]byte, 0, 512), &resp))
 	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		c.mAPIRequests.Inc()
@@ -324,39 +314,18 @@ func (c *Cluster) bodyLimit(records int) int64 {
 	return int64(records) * int64((record+2)/3*4+256)
 }
 
-// readJSON decodes a request body of at most limit bytes into v. On failure
-// it answers 413 (nothing past the limit is ever buffered) or 400 and
-// reports false.
-func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
-	if err == nil {
-		return true
-	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", limit))
-	} else {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-	}
-	return false
-}
-
-// readRecord decodes the body add, update and search share: a
-// textureRequest around a base64 feature record, a non-zero JSON id
-// overriding the record's own. On an oversized or malformed body it answers
-// 413 or 400 and returns nil.
+// readRecord reads and decodes the body add, update and search share
+// (decodeRecordBody). On an oversized or malformed body it answers 413 or
+// 400 and returns nil.
 func (c *Cluster) readRecord(w http.ResponseWriter, r *http.Request) *wire.FeatureRecord {
-	var req textureRequest
-	if !readJSON(w, r, c.bodyLimit(1), &req) {
+	body, ok := readBody(w, r, c.bodyLimit(1), c.bodyLimit(1))
+	if !ok {
 		return nil
 	}
-	rec, err := decodeRecord(req.RecordB64)
+	rec, err := decodeRecordBody(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return nil
-	}
-	if req.ID != 0 {
-		rec.ID = int64(req.ID)
 	}
 	return rec
 }
@@ -372,24 +341,6 @@ func writeStatus(err error) int {
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
-}
-
-// decodeRecord turns a request-body base64 blob into a feature record: the
-// blob is attacker-controlled, so every length inside it is hostile until
-// wire.Decode's limits checks have run.
-func decodeRecord(b64 string) (*wire.FeatureRecord, error) {
-	if b64 == "" {
-		return nil, fmt.Errorf("missing record_b64")
-	}
-	raw, err := base64.StdEncoding.DecodeString(b64)
-	if err != nil {
-		return nil, fmt.Errorf("bad base64: %w", err)
-	}
-	rec, err := wire.Decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("bad feature record: %w", err)
-	}
-	return rec, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

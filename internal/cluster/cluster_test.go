@@ -8,10 +8,13 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"texid/internal/blas"
 	"texid/internal/engine"
@@ -405,10 +408,28 @@ func TestRESTRejectsBadInput(t *testing.T) {
 		body               any
 		status             int
 	}
+	// send posts a []byte body as is and any other through doJSON; its error
+	// text carries the status.
+	send := func(in badInput) error {
+		raw, ok := in.body.([]byte)
+		if !ok {
+			return api.doJSON(in.method, in.path, in.body, nil)
+		}
+		req, err := http.NewRequest(in.method, ts.URL+in.path, bytes.NewReader(raw))
+		if err != nil {
+			return err
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		return fmt.Errorf("answered: %d ", resp.StatusCode)
+	}
 	rejects := func(inputs []badInput) {
 		t.Helper()
 		for _, in := range inputs {
-			err := api.doJSON(in.method, in.path, in.body, nil)
+			err := send(in)
 			if want := fmt.Sprintf(": %d ", in.status); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: got %v, want status %d", in.what, err, in.status)
 			}
@@ -425,7 +446,9 @@ func TestRESTRejectsBadInput(t *testing.T) {
 	})
 	// Bodies are bounded by the engine shape: one byte of JSON value past
 	// the limit is a 413 on every endpoint that reads a body, and a body
-	// exactly at the limit is still served.
+	// exactly at the limit is still served. The limit bounds the whole body:
+	// a JSON value that ends inside it, followed by whitespace past it, is a
+	// 413 too.
 	query := record(32)
 	sized := func(body any, n int64) json.RawMessage {
 		raw, err := json.Marshal(body)
@@ -434,6 +457,13 @@ func TestRESTRejectsBadInput(t *testing.T) {
 		}
 		pad := int(n) - len(raw) - len(`,"pad":""`) - len("\n") // doJSON ends the body with a newline
 		return json.RawMessage(fmt.Sprintf(`%s,"pad":%q}`, raw[:len(raw)-1], strings.Repeat("x", pad)))
+	}
+	trailing := func(body any, n int64) []byte {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(raw, strings.Repeat("\n", int(n)-len(raw))...)
 	}
 	one, many := c.bodyLimit(1), c.bodyLimit(maxBatchRecords)
 	batch := batchSearchRequest{RecordsB64: []string{query, query}}
@@ -447,6 +477,8 @@ func TestRESTRejectsBadInput(t *testing.T) {
 		{"oversized update", "PUT", "/v1/textures/7", sized(textureRequest{RecordB64: good}, one+2), 413},
 		{"oversized search", "POST", "/v1/search", sized(textureRequest{RecordB64: query}, one+2), 413},
 		{"oversized batch search", "POST", "/v1/search/batch", sized(batch, many+2), 413},
+		{"search value inside the limit, whitespace past it", "POST", "/v1/search", trailing(textureRequest{RecordB64: query}, one+1), 413},
+		{"batch value inside the limit, whitespace past it", "POST", "/v1/search/batch", trailing(batch, many+1), 413},
 	})
 	for path, body := range map[string]json.RawMessage{
 		"/v1/search":       sized(textureRequest{RecordB64: query}, one),
@@ -456,6 +488,24 @@ func TestRESTRejectsBadInput(t *testing.T) {
 			t.Errorf("%s with a body at the limit: %v", path, err)
 		}
 	}
+	// Content-Length is a claim until the bytes arrive: a batch body that
+	// claims the whole limit and breaks off after a few bytes is a 400 and
+	// commits about one record's limit, not the claim.
+	handler := c.Handler()
+	hostile := httptest.NewRequest("POST", "/v1/search/batch",
+		io.MultiReader(strings.NewReader(`{"records_b64":["`), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	hostile.ContentLength = many
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	handler.ServeHTTP(rec, hostile)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("batch body claiming %d bytes, 17 sent: status %d, want 400", many, rec.Code)
+	}
+	if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(max(4*one, 64<<10)); grew > bound {
+		t.Errorf("batch body claiming %d bytes, 17 sent: the handler allocated %d bytes, want <= %d", many, grew, bound)
+	}
 	// With the kvstore down, a well-formed write fails on the server's side.
 	srv.Close()
 	rejects([]badInput{
@@ -463,7 +513,7 @@ func TestRESTRejectsBadInput(t *testing.T) {
 		{"update with the store down", "PUT", "/v1/textures/7", textureRequest{RecordB64: good}, 500},
 	})
 	if got := c.Stats().References; got != 1 {
-		t.Fatalf("%d references after fourteen rejected requests, want the 1 enrolled", got)
+		t.Fatalf("%d references after sixteen rejected requests, want the 1 enrolled", got)
 	}
 }
 
