@@ -44,20 +44,19 @@ func computeDescriptorInto(p *pyramid, kp Keypoint, dst []float32) {
 		radius = m
 	}
 
-	var hist [descWidth + 2][descWidth + 2][descBins]float64
+	var hist descHist
+	var c gradChunk
 	xi, yi := int(math.Round(ox)), int(math.Round(oy))
 	invGauss := -1.0 / (0.5 * float64(descWidth*descWidth))
 	gw, pix := g.W, g.Pix
 
-	for dy := -radius; dy <= radius; dy++ {
-		for dx := -radius; dx <= radius; dx++ {
-			x, y := xi+dx, yi+dy
-			if x < 1 || x >= g.W-1 || y < 1 || y >= g.H-1 {
-				continue
-			}
+	// The window's interior pixels: those with both neighbours in range.
+	for dy := max(-radius, 1-yi); dy <= min(radius, g.H-2-yi); dy++ {
+		sdy, cdy := sinT*float64(dy), cosT*float64(dy)
+		for dx := max(-radius, 1-xi); dx <= min(radius, gw-2-xi); dx++ {
 			// Rotate the offset into the keypoint frame, in bin units.
-			rx := (cosT*float64(dx) + sinT*float64(dy)) / histWidth
-			ry := (-sinT*float64(dx) + cosT*float64(dy)) / histWidth
+			rx := (cosT*float64(dx) + sdy) / histWidth
+			ry := (-sinT*float64(dx) + cdy) / histWidth
 			// Bin coordinates in [0, descWidth); offset so bin centers
 			// align with the grid.
 			bx := rx + descWidth/2 - 0.5
@@ -66,69 +65,17 @@ func computeDescriptorInto(p *pyramid, kp Keypoint, dst []float32) {
 				continue
 			}
 
-			// Interior pixel (guarded above): read neighbors directly.
-			c := y*gw + x
-			gx := float64(pix[c+1] - pix[c-1])
-			gy := float64(pix[c+gw] - pix[c-gw])
-			mag := math.Sqrt(gx*gx + gy*gy)
-			ang := math.Atan2(gy, gx) - kp.Angle
-			for ang < 0 {
-				ang += 2 * math.Pi
-			}
-			for ang >= 2*math.Pi {
-				ang -= 2 * math.Pi
-			}
-			ob := ang / (2 * math.Pi) * descBins
-
-			w := math.Exp((rx*rx + ry*ry) * invGauss)
-			v := mag * w
-
-			// Trilinear interpolation into (bx, by, ob).
-			x0 := int(math.Floor(bx))
-			y0 := int(math.Floor(by))
-			o0 := int(math.Floor(ob))
-			fx := bx - float64(x0)
-			fy := by - float64(y0)
-			fo := ob - float64(o0)
-			for di := 0; di < 2; di++ {
-				yb := y0 + di
-				if yb < -1 || yb > descWidth {
-					continue
-				}
-				wy := v
-				if di == 0 {
-					wy *= 1 - fy
-				} else {
-					wy *= fy
-				}
-				for dj := 0; dj < 2; dj++ {
-					xb := x0 + dj
-					if xb < -1 || xb > descWidth {
-						continue
-					}
-					wx := wy
-					if dj == 0 {
-						wx *= 1 - fx
-					} else {
-						wx *= fx
-					}
-					for dk := 0; dk < 2; dk++ {
-						obn := (o0 + dk) % descBins
-						if obn < 0 {
-							obn += descBins
-						}
-						wo := wx
-						if dk == 0 {
-							wo *= 1 - fo
-						} else {
-							wo *= fo
-						}
-						hist[yb+1][xb+1][obn] += wo
-					}
-				}
+			i := (yi+dy)*gw + xi + dx
+			c.gx[c.n] = float64(pix[i+1] - pix[i-1])
+			c.gy[c.n] = float64(pix[i+gw] - pix[i-gw])
+			c.arg[c.n] = (rx*rx + ry*ry) * invGauss
+			c.bx[c.n], c.by[c.n] = bx, by
+			if c.n++; c.n == evalChunk {
+				scatterDescriptor(&hist, &c, kp.Angle)
 			}
 		}
 	}
+	scatterDescriptor(&hist, &c, kp.Angle)
 
 	// Flatten the interior 4×4 grid into a stack buffer.
 	var desc [DescriptorDim]float64
@@ -151,6 +98,61 @@ func computeDescriptorInto(p *pyramid, kp Keypoint, dst []float32) {
 	for i, v := range desc {
 		dst[i] = float32(v * descNorm512)
 	}
+}
+
+// descHist is the descriptor's histogram: the 4×4 spatial grid with a
+// one-bin margin on each side, which trilinear interpolation spills into,
+// × descBins orientations.
+type descHist [descWidth + 2][descWidth + 2][descBins]float64
+
+// scatterDescriptor evaluates c and adds each of its pixels into hist by
+// trilinear interpolation in (bx, by, orientation), in pixel order, so
+// every bin's sum keeps the order of the per-pixel loop; then it empties c.
+// A pixel's eight shares are the products ((v·(1−fy))·(1−fx))·(1−fo) and
+// so on, v its Gaussian-weighted magnitude. The bin cut keeps bx and by in
+// (−1, descWidth), so the spatial bins need no range check. The
+// orientation bins wrap: o0+1 is descBins for ob in [7, 8), and o0 wraps
+// only for a NaN gradient, whose int conversion is arbitrary (finite
+// gradients give ob in [0, 8): ang < 2π rounds ob below 8).
+func scatterDescriptor(hist *descHist, c *gradChunk, angle float64) {
+	c.evaluate()
+	for i := range c.n {
+		gx, gy := c.gx[i], c.gy[i]
+		mag := math.Sqrt(gx*gx + gy*gy)
+		ang := c.ang[i] - angle
+		for ang < 0 {
+			ang += 2 * math.Pi
+		}
+		for ang >= 2*math.Pi {
+			ang -= 2 * math.Pi
+		}
+		ob := ang / (2 * math.Pi) * descBins
+		v := mag * c.w[i]
+
+		bx, by := c.bx[i], c.by[i]
+		x0 := int(math.Floor(bx))
+		y0 := int(math.Floor(by))
+		o0 := int(math.Floor(ob))
+		fx := bx - float64(x0)
+		fy := by - float64(y0)
+		fo := ob - float64(o0)
+		o1 := (o0 + 1) & (descBins - 1)
+		o0 &= descBins - 1
+
+		v0, v1 := v*(1-fy), v*fy
+		v00, v01 := v0*(1-fx), v0*fx
+		v10, v11 := v1*(1-fx), v1*fx
+		r0, r1 := &hist[y0+1], &hist[y0+2]
+		r0[x0+1][o0] += v00 * (1 - fo)
+		r0[x0+1][o1] += v00 * fo
+		r0[x0+2][o0] += v01 * (1 - fo)
+		r0[x0+2][o1] += v01 * fo
+		r1[x0+1][o0] += v10 * (1 - fo)
+		r1[x0+1][o1] += v10 * fo
+		r1[x0+2][o0] += v11 * (1 - fo)
+		r1[x0+2][o1] += v11 * fo
+	}
+	c.n = 0
 }
 
 // normalize scales v to unit L2 norm in place (no-op for the zero vector).

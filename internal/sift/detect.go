@@ -219,7 +219,6 @@ func (s *orientedSet) add(k Keypoint) {
 // slice aliases the arena and must be copied before escaping the
 // extraction.
 func assignOrientations(p *pyramid, a *arena, kps []Keypoint) []Keypoint {
-	const nbins = 36
 	for len(a.sets) < len(kps) {
 		a.sets = append(a.sets, orientedSet{})
 	}
@@ -241,36 +240,30 @@ func assignOrientations(p *pyramid, a *arena, kps []Keypoint) []Keypoint {
 			radius = 1
 		}
 
-		var hist [nbins]float64
+		var hist [orientBins]float64
+		var c gradChunk
 		xi, yi := int(math.Round(ox)), int(math.Round(oy))
 		inv := -0.5 / (sigma * sigma)
 		gw, pix := g.W, g.Pix
-		for dy := -radius; dy <= radius; dy++ {
-			for dx := -radius; dx <= radius; dx++ {
-				x, y := xi+dx, yi+dy
-				if x < 1 || x >= g.W-1 || y < 1 || y >= g.H-1 {
-					continue
+		// The window's interior pixels: those with both neighbours in range.
+		for dy := max(-radius, 1-yi); dy <= min(radius, g.H-2-yi); dy++ {
+			for dx := max(-radius, 1-xi); dx <= min(radius, gw-2-xi); dx++ {
+				i := (yi+dy)*gw + xi + dx
+				c.gx[c.n] = float64(pix[i+1] - pix[i-1])
+				c.gy[c.n] = float64(pix[i+gw] - pix[i-gw])
+				c.arg[c.n] = float64(dx*dx+dy*dy) * inv
+				if c.n++; c.n == evalChunk {
+					scatterOrientation(&hist, &c)
 				}
-				// Interior pixel: read neighbors without border clamping.
-				c := y*gw + x
-				gx := float64(pix[c+1] - pix[c-1])
-				gy := float64(pix[c+gw] - pix[c-gw])
-				mag := math.Sqrt(gx*gx + gy*gy)
-				ang := math.Atan2(gy, gx) // [-π, π]
-				w := math.Exp(float64(dx*dx+dy*dy) * inv)
-				bin := int(math.Floor((ang + math.Pi) / (2 * math.Pi) * nbins))
-				if bin >= nbins {
-					bin = nbins - 1
-				}
-				hist[bin] += w * mag
 			}
 		}
+		scatterOrientation(&hist, &c)
 
 		// Smooth the histogram twice with a [1 1 1]/3 box filter.
 		for pass := 0; pass < 2; pass++ {
-			var sm [nbins]float64
-			for i := 0; i < nbins; i++ {
-				sm[i] = (hist[(i+nbins-1)%nbins] + hist[i] + hist[(i+1)%nbins]) / 3
+			var sm [orientBins]float64
+			for i := 0; i < orientBins; i++ {
+				sm[i] = (hist[(i+orientBins-1)%orientBins] + hist[i] + hist[(i+1)%orientBins]) / 3
 			}
 			hist = sm
 		}
@@ -284,15 +277,15 @@ func assignOrientations(p *pyramid, a *arena, kps []Keypoint) []Keypoint {
 		if maxVal == 0 {
 			return
 		}
-		for i := 0; i < nbins; i++ {
-			prev := hist[(i+nbins-1)%nbins]
-			next := hist[(i+1)%nbins]
+		for i := 0; i < orientBins; i++ {
+			prev := hist[(i+orientBins-1)%orientBins]
+			next := hist[(i+1)%orientBins]
 			if hist[i] <= prev || hist[i] <= next || hist[i] < 0.8*maxVal {
 				continue
 			}
 			// Parabolic peak interpolation.
 			offset := 0.5 * (prev - next) / (prev - 2*hist[i] + next)
-			angle := (float64(i)+0.5+offset)/nbins*2*math.Pi - math.Pi
+			angle := (float64(i)+0.5+offset)/orientBins*2*math.Pi - math.Pi
 			if angle < 0 {
 				angle += 2 * math.Pi
 			}
@@ -309,6 +302,26 @@ func assignOrientations(p *pyramid, a *arena, kps []Keypoint) []Keypoint {
 	}
 	a.okps = out
 	return out
+}
+
+// orientBins is the orientation histogram's bin count, 10° each.
+const orientBins = 36
+
+// scatterOrientation evaluates c and adds each of its pixels' weighted
+// gradient magnitude into its angle's bin of hist, in pixel order, so
+// every bin's sum keeps the order of the per-pixel loop; then it empties c.
+func scatterOrientation(hist *[orientBins]float64, c *gradChunk) {
+	c.evaluate()
+	for i := range c.n {
+		gx, gy := c.gx[i], c.gy[i]
+		mag := math.Sqrt(gx*gx + gy*gy)
+		bin := int(math.Floor((c.ang[i] + math.Pi) / (2 * math.Pi) * orientBins)) // atan2 is in [−π, π]
+		if bin >= orientBins {
+			bin = orientBins - 1
+		}
+		hist[bin] += c.w[i] * mag
+	}
+	c.n = 0
 }
 
 // topKByResponse sorts keypoints by descending DoG response and keeps the
