@@ -108,10 +108,10 @@ func mustSearch(eng *engine.Engine, q *blas.Matrix, kps []sift.Keypoint) {
 // hostOps is the wall-clock part of the op table: the packed GEMM
 // micro-kernel, the FP16 GEMM (both accumulator modes, and AccumFP16 at the
 // resident batch shape), the separable blur, full SIFT extraction (at 128
-// px and at the library search path's 256 px), the
-// fused FP32 and FP16 GEMM + top-2, the Hamming scan, steady-state engine
-// search (FP32, FP16, pruned and unpruned on a 10x shard), and the
-// end-to-end extract+search path.
+// px and at the library search path's 256 px) and each of its four stages
+// at 256 px, the fused FP32 and FP16 GEMM + top-2, the Hamming scan,
+// steady-state engine search (FP32, FP16, pruned and unpruned on a 10x
+// shard), and the end-to-end extract+search path.
 //
 // The four ceilings: hgemm_tn_256x256x128 measured 55,099,813 ns/op before
 // the table-driven conversion + F16C fused-rounding kernels, so its ceiling
@@ -214,6 +214,11 @@ func hostOps(count int) []Op {
 			cfg.RootSIFT = true
 			return func() { sift.Extract(im, cfg) }, float64(4 * 256 * 256)
 		}),
+		// Its four stages alone, at the same shape.
+		siftStage(count, "sift_pyramid_256", (*sift.Stages).Pyramid),
+		siftStage(count, "sift_detect_256", (*sift.Stages).Detect),
+		siftStage(count, "sift_orient_256", (*sift.Stages).Orient),
+		siftStage(count, "sift_describe_256", (*sift.Stages).Describe),
 		// FP32 GEMM with the top-2 folded in, at rest_batch_churn's batch
 		// shape, and the FP16 one at rest_search_resident's.
 		gemmTop2(count),
@@ -240,6 +245,45 @@ func hostOps(count int) []Op {
 		hostOp("extract_search_e2e", count, 0, steady(gpusim.FP32, true)),
 		hostOp("engine_search_steady_fp16", count, 200e6, steady(gpusim.FP16, false)),
 	}
+}
+
+// siftStage times one stage of sift_extract_256's extraction alone, rerun
+// on the previous stage's output. Its Verify reruns the stages after it
+// and checks the extraction against sift.Extract's, bit for bit.
+func siftStage(count int, name string, stage func(*sift.Stages)) Op {
+	var im *texture.Image
+	var cfg sift.Config
+	var s *sift.Stages
+	op := hostOp(name, count, 0, func() (func(), float64) {
+		p := texture.DefaultGenParams()
+		p.Size = 256
+		im = texture.Generate(13, p)
+		cfg = sift.DefaultConfig()
+		cfg.RootSIFT = true
+		s = sift.NewStages(im, cfg)
+		return func() { stage(s) }, float64(4 * 256 * 256)
+	})
+	op.Verify = func() bool {
+		s.Detect()
+		s.Orient()
+		s.Describe()
+		return sameFeatures(s.Features(), sift.Extract(im, cfg))
+	}
+	return op
+}
+
+// sameFeatures reports whether two extractions hold the same keypoints and
+// descriptor bits.
+func sameFeatures(a, b *sift.Features) bool {
+	if !slices.Equal(a.Keypoints, b.Keypoints) || len(a.Descriptors.Data) != len(b.Descriptors.Data) {
+		return false
+	}
+	for i, v := range a.Descriptors.Data {
+		if math.Float32bits(v) != math.Float32bits(b.Descriptors.Data[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // gemmTop2 is blas.GemmTop2 at rest_batch_churn's batch shape: 8 reference

@@ -57,7 +57,8 @@ func sameBlur(got, want *texture.Image) (int, bool) {
 // give the default NaN); and −2 ulps everywhere, whose horizontal taps
 // sum to −1 ulp under the narrower kernels and whose vertical products
 // then all round to −0, which tells the vertical chain's k[0]·v start from
-// a +0 start. The two pyramid sizes take the signed fill only, at
+// a +0 start. The native call also writes the DoG rows, which must equal
+// the blur minus its input pixel by pixel. The two pyramid sizes take the signed fill only, at
 // GOMAXPROCS 4 (subnormal arithmetic is slow on either tier).
 // Skips where the host lacks the native tier; scripts/check.sh runs it
 // with -v, so the log says which.
@@ -88,12 +89,20 @@ func TestBlurTiersMatch(t *testing.T) {
 					im.Pix[i] = fill.px()
 				}
 				for _, sigma := range sigmas {
-					got, want := blurArena(nil, im, sigma), blurTiered(nil, im, sigma, false)
+					dog := texture.NewImage(wh[0], wh[1])
+					got, want := blurArena(nil, im, sigma, dog), blurTiered(nil, im, sigma, false, nil)
 					if i, ok := sameBlur(got, want); !ok {
 						runtime.GOMAXPROCS(prev)
 						t.Fatalf("GOMAXPROCS=%d %dx%d %s σ=%g: native pixel (%d,%d) = %#x, portable %#x",
 							procs, wh[0], wh[1], fill.name, sigma, i%wh[0], i/wh[0],
 							math.Float32bits(got.Pix[i]), math.Float32bits(want.Pix[i]))
+					}
+					for i, v := range dog.Pix {
+						if d := want.Pix[i] - im.Pix[i]; math.Float32bits(v) != math.Float32bits(d) && !(v != v && d != d) {
+							runtime.GOMAXPROCS(prev)
+							t.Fatalf("GOMAXPROCS=%d %dx%d %s σ=%g: DoG pixel (%d,%d) = %#x, blur − input %#x",
+								procs, wh[0], wh[1], fill.name, sigma, i%wh[0], i/wh[0], math.Float32bits(v), math.Float32bits(d))
+						}
 					}
 					for _, v := range want.Pix {
 						if v == 0 && math.Signbit(float64(v)) {
@@ -184,7 +193,7 @@ func FuzzBlurTiers(f *testing.F) {
 			im.Pix[i], last = v, v
 		}
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		got, want := blurArena(nil, im, sigma), blurTiered(nil, im, sigma, false)
+		got, want := blurArena(nil, im, sigma, nil), blurTiered(nil, im, sigma, false, nil)
 		if i, ok := sameBlur(got, want); !ok {
 			t.Fatalf("GOMAXPROCS=%d %dx%d σ=%g: pixel (%d,%d) = %#x on the host's tier, portable %#x",
 				procs, W, H, sigma, i%W, i/W, math.Float32bits(got.Pix[i]), math.Float32bits(want.Pix[i]))

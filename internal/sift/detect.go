@@ -2,6 +2,7 @@ package sift
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"texid/internal/blas"
@@ -45,6 +46,7 @@ func detectExtrema(p *pyramid, a *arena, cfg Config) []Keypoint {
 		a.slabKps = append(a.slabKps, nil)
 	}
 	found := a.slabKps[:len(slabs)]
+	thr := cfg.ContrastThreshold * 0.5
 	blas.Parallel(len(slabs), func(si int) {
 		o, l := slabs[si].o, slabs[si].l
 		scale := math.Pow(2, float64(o)) * p.coordScale // octave pixel -> original pixel
@@ -54,23 +56,23 @@ func detectExtrema(p *pyramid, a *arena, cfg Config) []Keypoint {
 		w, h := d1.W, d1.H
 		kps := found[si][:0]
 		for y := border; y < h-border; y++ {
-			row := d1.Pix[y*w : y*w+w]
-			for x := border; x < w-border; x++ {
-				v := row[x]
-				if math.Abs(float64(v)) < cfg.ContrastThreshold*0.5 {
-					continue
+			for x0 := border; x0 < w-border; x0 += extremaChunk {
+				n := min(extremaChunk, w-border-x0)
+				var mask [extremaChunk / 16]uint16
+				candidates(mask[:(n+15)/16], d0, d1, d2, x0, y, n, thr, useAVX512)
+				for b, m := range mask[:(n+15)/16] {
+					for ; m != 0; m &= m - 1 {
+						x := x0 + 16*b + bits.TrailingZeros16(m)
+						kp, ok := refine(p, o, l, x, y, cfg)
+						if !ok {
+							continue
+						}
+						kp.X *= scale
+						kp.Y *= scale
+						kp.Sigma *= scale
+						kps = append(kps, kp)
+					}
 				}
-				if !isExtremum(d0, d1, d2, x, y, v) {
-					continue
-				}
-				kp, ok := refine(p, o, l, x, y, cfg)
-				if !ok {
-					continue
-				}
-				kp.X *= scale
-				kp.Y *= scale
-				kp.Sigma *= scale
-				kps = append(kps, kp)
 			}
 		}
 		found[si] = kps
@@ -82,6 +84,46 @@ func detectExtrema(p *pyramid, a *arena, cfg Config) []Keypoint {
 	}
 	a.kps = kps
 	return kps
+}
+
+// extremaChunk is the most centres one candidates call covers: a row's
+// centres go through it in chunks of this many, so their masks fit a fixed
+// stack buffer at any row width.
+const extremaChunk = 512
+
+// candidates sets bit j%16 of mask[j/16], for each j < n, exactly when DoG
+// pixel (x+j, y) of d1 is one detectExtrema refines: its value v passes
+// the contrast test !(|v| < thr) and isExtremum's 26-neighbour test. It
+// clears every other bit of mask[:⌈n/16⌉]. native runs extrema16; the
+// scalar loop, which is also its oracle, runs elsewhere. The pixels lie at
+// least one pixel inside the image.
+func candidates(mask []uint16, d0, d1, d2 *texture.Image, x, y, n int, thr float64, native bool) {
+	w := d1.W
+	if native {
+		lo := (y-1)*w + x - 1
+		hi := lo + 2*w + n + 2
+		extrema16(mask, d0.Pix[lo:hi], d1.Pix[lo:hi], d2.Pix[lo:hi], w, contrast32(thr))
+		return
+	}
+	clear(mask)
+	row := d1.Pix[y*w : y*w+w]
+	for j := range n {
+		if v := row[x+j]; !(math.Abs(float64(v)) < thr) && isExtremum(d0, d1, d2, x+j, y, v) {
+			mask[j/16] |= 1 << (j % 16)
+		}
+	}
+}
+
+// contrast32 is the least float32 >= thr: for every float32 v, v < thr in
+// float64 exactly when v < contrast32(thr) in float32. A NaN thr gives NaN,
+// which no value is below, as none is below thr; a thr past the float32
+// range gives +Inf.
+func contrast32(thr float64) float32 {
+	t := float32(thr)
+	if float64(t) < thr {
+		t = math.Nextafter32(t, float32(math.Inf(1)))
+	}
+	return t
 }
 
 // isExtremum reports whether d1(x,y)=v is a strict maximum or minimum over

@@ -61,14 +61,13 @@ func atan2Into(dst, y, x []float64) {
 
 // gradChunk is one gather → evaluate → scatter round of an orientation or
 // descriptor window: up to evalChunk of the window's pixels, in pixel
-// order, with their gradient, the Exp argument of their Gaussian weight
-// and (descriptor only) their bin coordinates; evaluate then fills in
-// atan2 of the gradient and the weight. It lives on the stack of the
-// keypoint's worker, so the passes allocate nothing.
+// order, with their gradient and the Exp argument of their Gaussian
+// weight; evaluate then fills in atan2 of the gradient and the weight. It
+// lives on the stack of the keypoint's worker, so the passes allocate
+// nothing. The descriptor's chunk extends it (descChunk).
 type gradChunk struct {
 	n           int
 	gx, gy, arg [evalChunk]float64
-	bx, by      [evalChunk]float64
 	ang, w      [evalChunk]float64
 }
 

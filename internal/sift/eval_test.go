@@ -299,7 +299,7 @@ func perPixelDescriptor(hist *descHist, gx, gy, arg, bx, by, angle float64) {
 				} else {
 					wo *= fo
 				}
-				hist[yb+1][xb+1][obn] += wo
+				hist[((yb+1)*(descWidth+2)+xb+1)*descBins+obn] += wo
 			}
 		}
 	}
@@ -357,7 +357,8 @@ func TestScatterMatchesPerPixel(t *testing.T) {
 	for _, angle := range angles {
 		var got, want descHist
 		var gotO, wantO [orientBins]float64
-		var c, co gradChunk
+		var c descChunk
+		var co gradChunk
 		add := func(gx, gy, arg, bx, by float64, orient bool) {
 			perPixelDescriptor(&want, gx, gy, arg, bx, by, angle)
 			c.gx[c.n], c.gy[c.n], c.arg[c.n], c.bx[c.n], c.by[c.n] = gx, gy, arg, bx, by
@@ -393,13 +394,9 @@ func TestScatterMatchesPerPixel(t *testing.T) {
 		if c.n != 0 || co.n != 0 {
 			t.Fatalf("angle %v: the scatters left %d and %d pixels in their chunks", angle, c.n, co.n)
 		}
-		for y := range want {
-			for x := range want[y] {
-				if o, ok := sameBins(got[y][x][:], want[y][x][:]); !ok {
-					t.Fatalf("angle %v: descriptor bin (%d, %d, %d) = %#x, per-pixel %#x", angle,
-						y, x, o, math.Float64bits(got[y][x][o]), math.Float64bits(want[y][x][o]))
-				}
-			}
+		if b, ok := sameBins(got[:], want[:]); !ok {
+			t.Fatalf("angle %v: descriptor bin (%d, %d, %d) = %#x, per-pixel %#x", angle,
+				b/descRow, b%descRow/descBins, b%descBins, math.Float64bits(got[b]), math.Float64bits(want[b]))
 		}
 		if i, ok := sameBins(gotO[:], wantO[:]); !ok {
 			t.Fatalf("angle %v: orientation bin %d = %#x, per-pixel %#x", angle, i, math.Float64bits(gotO[i]), math.Float64bits(wantO[i]))

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"texid/internal/texture"
@@ -73,7 +74,10 @@ func TestExtractGolden(t *testing.T) {
 
 // featuresDigest is the hex sha256 of f's keypoints and descriptor bits,
 // little-endian, keypoint by keypoint and then the descriptor matrix word
-// by word.
+// by word. Every NaN hashes as math.NaN()'s bits: which NaN an operation
+// on two NaNs returns depends on its operand order, which the compiler may
+// commute (a -race build does, on the hostile inputs), and the tier tests
+// let a NaN match any NaN too.
 func featuresDigest(f *Features) string {
 	h := sha256.New()
 	var b [8]byte
@@ -84,14 +88,68 @@ func featuresDigest(f *Features) string {
 	put(uint64(f.Count()))
 	for _, k := range f.Keypoints {
 		for _, v := range []float64{k.X, k.Y, k.Sigma, k.Angle, k.Response} {
+			if v != v {
+				v = math.NaN()
+			}
 			put(math.Float64bits(v))
 		}
 		put(uint64(k.Octave))
 		put(uint64(k.Level))
 	}
 	for _, v := range f.Descriptors.Data {
+		if v != v {
+			v = float32(math.NaN())
+		}
 		binary.LittleEndian.PutUint32(b[:4], math.Float32bits(v))
 		h.Write(b[:4])
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hostileGolden holds the sha256 of every extraction TestExtractGoldenHostile
+// runs, keyed by its case name, recorded as extractGolden's were.
+var hostileGolden = map[string]string{
+	"128px/NaN×1":    "f4a2fb49366ed43b6b58876d6308663b4b39f074d0b459c0c39ad8e4c91e6fe9",
+	"128px/NaN×50":   "1f6ce5b63cc8009a4b69d6a9b69760d9d64167ac8f7d379dc2ff44e0bd8b5c8d",
+	"128px/NaN×400":  "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+	"128px/+Inf×1":   "f4a2fb49366ed43b6b58876d6308663b4b39f074d0b459c0c39ad8e4c91e6fe9",
+	"128px/+Inf×50":  "1f6ce5b63cc8009a4b69d6a9b69760d9d64167ac8f7d379dc2ff44e0bd8b5c8d",
+	"128px/+Inf×400": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+	"128px/-Inf×1":   "f4a2fb49366ed43b6b58876d6308663b4b39f074d0b459c0c39ad8e4c91e6fe9",
+	"128px/-Inf×50":  "1f6ce5b63cc8009a4b69d6a9b69760d9d64167ac8f7d379dc2ff44e0bd8b5c8d",
+	"128px/-Inf×400": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+}
+
+// TestExtractGoldenHostile is TestExtractGolden on inputs no camera
+// produces: the 128 px texture with NaN, +Inf or −Inf written into 1, 50
+// or 400 pixels drawn from a fixed seed, at DefaultConfig. Non-finite
+// pixels spread through the upsample and the blur as NaN (the bilinear
+// upsample's 0·Inf already makes one), into NaN DoG values, gradients,
+// magnitudes and angles, so the extremum scan's NaN rules and the evaluate
+// and scatter tiers' flagged lanes reach the digest; 400 pixels leave no
+// keypoint. The digests were recorded before those tiers landed. It skips
+// where TestExtractGolden does.
+func TestExtractGoldenHostile(t *testing.T) {
+	if got := math.Float64bits(math.Exp(expProbe)); got != expProbeFMA {
+		t.Skipf("math.Exp(%v) = %#x, not the AVX2+FMA variant's %#x: the digests were recorded on that variant (ROADMAP item 2 removes this skip)",
+			expProbe, got, uint64(expProbeFMA))
+	}
+	p := texture.DefaultGenParams()
+	p.Size = 128
+	base := texture.Generate(128+7, p)
+	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		for _, n := range []int{1, 50, 400} {
+			name := fmt.Sprintf("128px/%v×%d", v, n)
+			im := texture.NewImage(base.W, base.H)
+			copy(im.Pix, base.Pix)
+			rng := rand.New(rand.NewSource(int64(n)))
+			for range n {
+				im.Pix[rng.Intn(len(im.Pix))] = v
+			}
+			f := Extract(im, DefaultConfig())
+			if got := featuresDigest(f); got != hostileGolden[name] {
+				t.Errorf("%s: %d features, digest %s, want %s", name, f.Count(), got, hostileGolden[name])
+			}
+		}
+	}
 }

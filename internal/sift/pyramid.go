@@ -20,7 +20,9 @@ import (
 	"texid/internal/texture"
 )
 
-// pyramid holds the Gaussian and DoG scale-space of one image.
+// pyramid holds the Gaussian and DoG scale-space of one image. The top
+// two Gaussian levels of each octave, which only the DoG uses, are not
+// kept: their entries in gauss are nil.
 type pyramid struct {
 	nOctaves   int
 	nScales    int // intervals per octave (s); each octave has s+3 Gaussian levels
@@ -33,7 +35,8 @@ type pyramid struct {
 
 // arena recycles the scale-space image buffers across extractions. Every
 // image taken from it is fully overwritten by its producer (blur,
-// downsample, subtract, upsample), so reuse cannot perturb pixel values.
+// downsample, upsample, and the DoG rows of the blur that makes the level
+// above), so reuse cannot perturb pixel values.
 // An arena is not safe for concurrent use; each Extract call owns one.
 //
 // Beyond the pyramid levels, the arena pools the detection and
@@ -136,7 +139,7 @@ const rowBlock = 32
 
 // blur applies a separable Gaussian blur.
 func blur(im *texture.Image, sigma float64) *texture.Image {
-	return blurArena(nil, im, sigma)
+	return blurArena(nil, im, sigma, nil)
 }
 
 // BlurImage exposes the separable Gaussian blur for benchmarks and tools.
@@ -146,8 +149,12 @@ func BlurImage(im *texture.Image, sigma float64) *texture.Image {
 
 // blurArena is blur drawing its two image buffers from a, on the native
 // tier where the host has it (useAVX512) and the portable loops elsewhere.
-func blurArena(a *arena, im *texture.Image, sigma float64) *texture.Image {
-	return blurTiered(a, im, sigma, useAVX512)
+// A non-nil dog, im's size, receives the difference of Gaussians
+// out − im, pixel by pixel as a separate subtraction would give it. dog
+// may be im itself: each DoG row then replaces its input row, which the
+// vertical pass reads only for that subtraction.
+func blurArena(a *arena, im *texture.Image, sigma float64, dog *texture.Image) *texture.Image {
+	return blurTiered(a, im, sigma, useAVX512, dog)
 }
 
 // blurTiered is blurArena with the tier chosen by the caller: native runs
@@ -160,11 +167,16 @@ func blurArena(a *arena, im *texture.Image, sigma float64) *texture.Image {
 // (the float32 conversions keep the compiler from fusing it into an FMA),
 // then added in ascending tap order — so the result is bitwise identical
 // to the straightforward nested-loop filter on either tier and at any
-// GOMAXPROCS.
-func blurTiered(a *arena, im *texture.Image, sigma float64, native bool) *texture.Image {
+// GOMAXPROCS. The vertical pass writes a non-nil dog's rows in its own row
+// blocks, each once its out row is done, so the DoG level needs no pass
+// or parallel launch of its own.
+func blurTiered(a *arena, im *texture.Image, sigma float64, native bool, dog *texture.Image) *texture.Image {
 	if sigma <= 0 {
 		out := a.get(im.W, im.H)
 		copy(out.Pix, im.Pix)
+		if dog != nil {
+			subtractRows(dog.Pix, out.Pix, im.Pix)
+		}
 		return out
 	}
 	k := gaussianKernel(sigma)
@@ -216,6 +228,9 @@ func blurTiered(a *arena, im *texture.Image, sigma float64, native bool) *textur
 				x = n
 			}
 			vblurCols(out, tmp, y, x, k)
+			if dog != nil {
+				subtractRows(dog.Pix[y*W:y*W+W], out.Pix[y*W:y*W+W], im.Pix[y*W:y*W+W])
+			}
 		}
 	})
 	a.put(tmp)
@@ -287,24 +302,25 @@ func downsampleArena(a *arena, im *texture.Image) *texture.Image {
 	return out
 }
 
-// subtractArena returns a-b pixel-wise; the images must have equal dimensions.
-func subtractArena(ar *arena, a, b *texture.Image) *texture.Image {
-	out := ar.get(a.W, a.H)
-	for i := range a.Pix {
-		out.Pix[i] = a.Pix[i] - b.Pix[i]
+// subtractRows sets dst[i] = a[i] − b[i]; the slices have equal lengths.
+func subtractRows(dst, a, b []float32) {
+	for i := range dst {
+		dst[i] = a[i] - b[i]
 	}
-	return out
 }
 
 // upsample2x doubles the image with bilinear interpolation (Lowe's
-// "-1 octave" base).
+// "-1 octave" base), over the blur's fixed row blocks: every pixel is its
+// own Bilinear call, so the output is the same at any GOMAXPROCS.
 func upsample2x(a *arena, im *texture.Image) *texture.Image {
 	out := a.get(im.W*2, im.H*2)
-	for y := 0; y < out.H; y++ {
-		for x := 0; x < out.W; x++ {
-			out.Pix[y*out.W+x] = im.Bilinear(float64(x)/2, float64(y)/2)
+	blas.Parallel((out.H+rowBlock-1)/rowBlock, func(b int) {
+		for y := b * rowBlock; y < min((b+1)*rowBlock, out.H); y++ {
+			for x := 0; x < out.W; x++ {
+				out.Pix[y*out.W+x] = im.Bilinear(float64(x)/2, float64(y)/2)
+			}
 		}
-	}
+	})
 	return out
 }
 
@@ -365,7 +381,7 @@ func buildPyramidArena(a *arena, im *texture.Image, cfg Config) *pyramid {
 	// is copied rather than aliased.
 	var base *texture.Image
 	if cfg.Sigma > initialBlur {
-		base = blurArena(a, im, math.Sqrt(cfg.Sigma*cfg.Sigma-initialBlur*initialBlur))
+		base = blurArena(a, im, math.Sqrt(cfg.Sigma*cfg.Sigma-initialBlur*initialBlur), nil)
 		if upsampled {
 			a.put(im)
 		}
@@ -385,13 +401,21 @@ func buildPyramidArena(a *arena, im *texture.Image, cfg Config) *pyramid {
 			// starting point after downsampling.
 			p.gauss[o][0] = downsampleArena(a, p.gauss[o-1][s])
 		}
-		for i := 1; i < levels; i++ {
-			p.gauss[o][i] = blurArena(a, p.gauss[o][i-1], p.sigmas[i])
-		}
+		// DoG level i−1 is gauss[i] − gauss[i−1], written as gauss[i]'s
+		// rows are blurred. The top two Gaussian levels serve only the
+		// DoG, so the top blur writes the top DoG level over its own input
+		// and its output goes straight back to the arena: the arena then
+		// holds no more buffers at its peak than separate subtractions
+		// needed. Those two levels' entries stay nil.
 		p.dog[o] = make([]*texture.Image, levels-1)
-		for i := 0; i < levels-1; i++ {
-			p.dog[o][i] = subtractArena(a, p.gauss[o][i+1], p.gauss[o][i])
+		for i := 1; i < levels-1; i++ {
+			prev := p.gauss[o][i-1]
+			p.dog[o][i-1] = a.get(prev.W, prev.H)
+			p.gauss[o][i] = blurArena(a, prev, p.sigmas[i], p.dog[o][i-1])
 		}
+		top := p.gauss[o][levels-2]
+		a.put(blurArena(a, top, p.sigmas[levels-1], top))
+		p.dog[o][levels-2], p.gauss[o][levels-2] = top, nil
 	}
 	return p
 }

@@ -74,13 +74,7 @@ func Extract(im *texture.Image, cfg Config) *Features {
 	kps = assignOrientations(p, a, kps)
 	kps = topKByResponse(kps, cfg.MaxFeatures)
 
-	// Descriptors are independent per keypoint and each writes its own
-	// column, so compute them in parallel — output is identical at any
-	// GOMAXPROCS.
-	desc := blas.NewMatrix(DescriptorDim, len(kps))
-	blas.Parallel(len(kps), func(i int) {
-		computeDescriptorInto(p, kps[i], desc.Col(i))
-	})
+	desc := describe(p, kps, cfg)
 	// kps aliases the arena's pooled buffers; the escaping copy is the one
 	// fresh keypoint allocation per extraction. The descriptor matrix never
 	// aliases pyramid storage, so the levels can be recycled immediately.
@@ -88,11 +82,22 @@ func Extract(im *texture.Image, cfg Config) *Features {
 	copy(out, kps)
 	p.release(a)
 	arenaPool.Put(a)
-	f := &Features{Descriptors: desc, Keypoints: out}
+	return &Features{Descriptors: desc, Keypoints: out}
+}
+
+// describe returns the descriptor matrix of kps, RootSIFT-transformed when
+// cfg asks. Descriptors are independent per keypoint and each writes its
+// own column, so they are computed in parallel — output is identical at any
+// GOMAXPROCS.
+func describe(p *pyramid, kps []Keypoint, cfg Config) *blas.Matrix {
+	desc := blas.NewMatrix(DescriptorDim, len(kps))
+	blas.Parallel(len(kps), func(i int) {
+		computeDescriptorInto(p, kps[i], desc.Col(i))
+	})
 	if cfg.RootSIFT {
-		ApplyRootSIFT(f.Descriptors)
+		ApplyRootSIFT(desc)
 	}
-	return f
+	return desc
 }
 
 // ExtractBatch runs Extract on every image, processing images concurrently

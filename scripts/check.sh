@@ -4,10 +4,11 @@
 # error results; every other project invariant is held by a test or by the
 # type system, see DESIGN.md "Correctness invariants & texlint"), import
 # hygiene of the serving binaries, the serving core's tests at GOMAXPROCS
-# 1, 2 and 4, the kernel-tier equivalence tests of all six blas, binq and
+# 1, 2 and 4, the kernel-tier equivalence tests of all eight blas, binq and
 # sift families (no tier the host's CPU flags advertise may skip), the
 # blas/half/binq/knn/sift tests and the engine's pruning tests on the
-# portable (no-assembly) kernels, the portable rows of the measurement
+# portable (no-assembly) kernels, SIFT's goldens and tier tests built for
+# GOAMD64=v3, the portable rows of the measurement
 # suite against BENCH_BASELINE.json, the fuzz smoke, and the race-detector
 # test suite, whose interleaving tests hold the lock contracts and whose
 # reuse rows hold the pooled-object lifetimes. Any diagnostic or failure
@@ -64,7 +65,7 @@ fi
 echo "==> go test -cpu 1,2,4 (engine, serve, cluster)"
 go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster/...
 
-# Kernel tiers, six families picked from CPUID, each bit-identical to its
+# Kernel tiers, eight families picked from CPUID, each bit-identical to its
 # fallback: the half-precision GEMM runs AccumFP16 on one of three tiers —
 # AVX512-FP16 (native binary16 arithmetic), F16C (float32 round trips),
 # portable Go — the FP32 GEMM + top-2 on one of three — AVX-512 with the
@@ -72,8 +73,11 @@ go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster
 # FP16 GEMM + top-2 on the AVX512-FP16 tile with the top-2 folded in or
 # HGemmTNBlocks + Top2AddRows, the Hamming prefilter scan on one of two,
 # AVX-512 VPOPCNTQ or the scalar loop, the SIFT scale-space blur on one of
-# two, AVX-512 taps or the portable loops, and SIFT's atan2 and exp on one
-# of two, eight AVX-512 lanes or Go's math. The equivalence tests
+# two, AVX-512 taps or the portable loops, SIFT's atan2 and exp on one
+# of two, eight AVX-512 lanes or Go's math, SIFT's DoG extremum scan on one
+# of two, sixteen AVX-512 lanes or the scalar compare chain, and the SIFT
+# descriptor scatter's per-pixel prep on one of two, eight AVX-512 lanes or
+# the scalar prep. The equivalence tests
 # skip a tier the host lacks (hosted CI runners have no AVX512-FP16), so
 # they run verbose: the log names every tier test that ran and every one
 # that skipped, and a green run is never mistaken for coverage of a tier
@@ -84,7 +88,7 @@ tierlog=$(mktemp)
 trap 'rm -f "$tierlog"' EXIT
 go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable|GemmTop2TiersMatch|HGemmTop2TiersMatch|Top2AddRowsSemantics)$' ./internal/blas | tee "$tierlog"
 go test -count=1 -v -run '^TestScanTiersMatch$' ./internal/binq | tee -a "$tierlog"
-go test -count=1 -v -run '^Test(BlurTiersMatch|EvalTiersMatch)$' ./internal/sift | tee -a "$tierlog"
+go test -count=1 -v -run '^Test(BlurTiersMatch|EvalTiersMatch|ExtremaTiersMatch|DescBinsTiersMatch)$' ./internal/sift | tee -a "$tierlog"
 # A tier the host has may not skip: when /proc/cpuinfo lists the CPU flag
 # and the tier's test still skipped, the CPUID or XCR0 probe, a build tag
 # or the useAVX2 gate is wrong. Hosts without /proc/cpuinfo skip the gate.
@@ -93,7 +97,8 @@ if [[ -r /proc/cpuinfo ]]; then
   for tier in avx512f:TestGemmTop2TiersMatch avx512_fp16:TestHGemmTiersMatch \
               avx512_fp16:TestNativeAddIsDoubleRounded avx512_fp16:TestHGemmTop2TiersMatch \
               avx512_vpopcntdq:TestScanTiersMatch avx512f:TestBlurTiersMatch \
-              avx512f:TestEvalTiersMatch; do
+              avx512f:TestEvalTiersMatch avx512f:TestExtremaTiersMatch \
+              avx512f:TestDescBinsTiersMatch; do
     flag=${tier%%:*} test=${tier#*:}
     if [[ $cpuflags == *" $flag "* ]] && grep -q -- "--- SKIP: $test (" "$tierlog"; then
       echo "check.sh: this host has $flag but $test skipped its tier" >&2
@@ -104,15 +109,22 @@ fi
 
 # Portable-kernel pass: every other run exercises the host's assembly tiers
 # (AVX512-FP16 and/or F16C, the fused FP32 GEMM + top-2, VPOPCNTQ, the
-# AVX-512 blur and atan2/exp); this rerun pins the pure-Go fallback kernels
+# AVX-512 blur, atan2/exp, extremum scan and descriptor prep); this rerun
+# pins the pure-Go fallback kernels
 # (and the bit-identity tests that compare the tiers) with every assembly
 # tier disabled, the knn matches on blas.GemmTop2's GemmTN + Top2AddRows
 # route, SIFT extraction, its golden digests and its determinism tests on
-# the portable blur and math loops, plus the
+# the portable blur, math, extremum and descriptor loops, plus the
 # whole pruned search on the scalar scan.
 echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half, binq, knn, sift, engine Prune*)"
 TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/... ./internal/binq/... ./internal/knn/... ./internal/sift/...
 TEXID_NOASM=1 go test -run 'Prune' ./internal/engine
+
+# The same SIFT goldens and tier tests built for GOAMD64=v3: the compiler
+# may pick other instructions for the scalar oracles at that level (it
+# still fuses no multiply-add on amd64), and the goldens must not move.
+echo "==> go test, GOAMD64=v3 (sift Golden|TiersMatch)"
+GOAMD64=v3 go test -count=1 -run 'Golden|TiersMatch' ./internal/sift
 
 # Measurement gate, portable half: the sim-clock ops (serving levels, sim
 # soak) and the allocation probes gate on any machine. Fails on lost result
