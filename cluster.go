@@ -91,17 +91,9 @@ func (c *ClusterSystem) SearchImage(im *Image) (*Result, error) {
 // clusterResult converts a merged shard report to the public Result,
 // carrying the graceful-degradation fields along.
 func clusterResult(rep *cluster.Report) *Result {
-	return &Result{
-		ID:             rep.BestID,
-		Score:          rep.Score,
-		Accepted:       rep.Accepted,
-		Compared:       rep.Compared,
-		ElapsedUS:      rep.ElapsedUS,
-		Speed:          rep.Speed,
-		Partial:        rep.Partial,
-		ShardsAnswered: rep.ShardsAnswered,
-		ShardsTotal:    rep.ShardsTotal,
-	}
+	res := result(&rep.Report)
+	res.Partial, res.ShardsAnswered, res.ShardsTotal = rep.Partial, rep.ShardsAnswered, rep.ShardsTotal
+	return res
 }
 
 // SearchImages answers several queries in one distributed pass (each shard

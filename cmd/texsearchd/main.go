@@ -77,23 +77,21 @@ func main() {
 	cfg.PruneProbes = *pruneProbes
 
 	storeAddr := *store
+	var db *kvstore.Store // the embedded kvstore, nil with an external one or none
+	var kvSrv *kvstore.Server
 	if storeAddr == "embedded" {
-		db := kvstore.NewStore()
+		db = kvstore.NewStore()
+		var err error
 		if *kvAOF != "" {
-			var err error
-			db, err = kvstore.OpenAOF(*kvAOF)
-			if err != nil {
+			if db, err = kvstore.OpenAOF(*kvAOF); err != nil {
 				log.Fatalf("opening kvstore AOF: %v", err)
 			}
-			defer db.CloseAOF()
 			log.Printf("embedded kvstore persists to %s (%d keys replayed)", *kvAOF, db.DBSize())
 		}
-		srv, err := kvstore.Serve(db, *kvListen)
-		if err != nil {
+		if kvSrv, err = kvstore.Serve(db, *kvListen); err != nil {
 			log.Fatalf("starting embedded kvstore: %v", err)
 		}
-		defer srv.Close()
-		storeAddr = srv.Addr()
+		storeAddr = kvSrv.Addr()
 		log.Printf("embedded kvstore listening on %s", storeAddr)
 	}
 
@@ -110,7 +108,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer c.Close()
 
 	if storeAddr != "" {
 		n, err := c.LoadFromStore()
@@ -155,6 +152,21 @@ func main() {
 		log.Fatal(err)
 	}
 	<-done
+	// Tear down in reverse order of start-up. The AOF goes last: closing it
+	// flushes the log, so its error is the one that means lost writes.
+	if err := c.Close(); err != nil {
+		log.Printf("closing the cluster: %v", err)
+	}
+	if kvSrv != nil {
+		if err := kvSrv.Close(); err != nil {
+			log.Printf("closing the embedded kvstore: %v", err)
+		}
+	}
+	if db != nil {
+		if err := db.CloseAOF(); err != nil {
+			log.Fatalf("closing kvstore AOF: %v", err)
+		}
+	}
 	log.Print("bye")
 }
 

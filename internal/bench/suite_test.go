@@ -174,8 +174,9 @@ func TestCommittedBaselineGates(t *testing.T) {
 // sim-clock op and the allocation probes (the serving levels have their own
 // tests) — and gates the rows through Compare against the committed
 // BENCH_BASELINE.json, so tier-1 enforces the same zero drift on the probe
-// rows as the measurement gate. A gated row the baseline does not name
-// would pass Compare unexamined, so that is a failure too.
+// rows as the measurement gate, and holds the sim soak's digest rows to
+// the committed ones. A gated row the baseline does not name would pass
+// Compare unexamined, so that is a failure too.
 func TestPortableSuite(t *testing.T) {
 	var all []Row
 	values := map[string]float64{}
@@ -198,6 +199,26 @@ func TestPortableSuite(t *testing.T) {
 	if values["soak_sim/ops"] != float64(soakSimConfig.Ops) {
 		t.Errorf("sim soak replayed %.0f ops, want %d", values["soak_sim/ops"], soakSimConfig.Ops)
 	}
+	baseline, err := Load(filepath.Join("..", "..", "BENCH_BASELINE.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sim soak's digest is a contract, not a measurement: its rows say
+	// no direction, so Compare never reads them, and they are held here to
+	// the committed rows exactly (under the race detector too: the sim
+	// clock does not see it).
+	pinned := 0
+	for _, b := range baseline {
+		if b.Op == "soak_sim/digest_hi32" || b.Op == "soak_sim/digest_lo32" {
+			pinned++
+			if got := values[b.Op]; got != b.Value {
+				t.Errorf("%s = %.0f, want the committed %.0f: the sim soak's transcript changed", b.Op, got, b.Value)
+			}
+		}
+	}
+	if pinned != 2 {
+		t.Errorf("BENCH_BASELINE.json has %d soak_sim digest rows, want 2", pinned)
+	}
 	if raceDetector {
 		// The detector's instrumentation allocates (39.3 against 37 on the
 		// engine probe), so under it only the loose bounds hold.
@@ -208,10 +229,6 @@ func TestPortableSuite(t *testing.T) {
 			t.Errorf("engine steady-state search allocates %.1f/op, drifted above the pinned bound", a)
 		}
 		return
-	}
-	baseline, err := Load(filepath.Join("..", "..", "BENCH_BASELINE.json"))
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, problem := range Compare(baseline, all) {
 		t.Errorf("REGRESSION: %s", problem)

@@ -62,9 +62,11 @@ type SearchResponse struct {
 	} `json:"ranked,omitempty"`
 }
 
-// searchResponse converts a merged report to its JSON body (sans Ranked).
-func searchResponse(rep *Report) SearchResponse {
-	return SearchResponse{
+// searchResponse converts a merged report to its JSON body, carrying at
+// most ranked of its candidates: 10 for /v1/search, none for a
+// /v1/search/batch result.
+func searchResponse(rep *Report, ranked int) SearchResponse {
+	resp := SearchResponse{
 		BestID:         rep.BestID,
 		Score:          rep.Score,
 		Accepted:       rep.Accepted,
@@ -75,6 +77,13 @@ func searchResponse(rep *Report) SearchResponse {
 		ShardsAnswered: rep.ShardsAnswered,
 		ShardsTotal:    rep.ShardsTotal,
 	}
+	for _, cand := range rep.Ranked[:min(ranked, len(rep.Ranked))] {
+		resp.Ranked = append(resp.Ranked, struct {
+			RefID int `json:"ref_id"`
+			Score int `json:"score"`
+		}{cand.RefID, cand.Score})
+	}
+	return resp
 }
 
 // LatencyQuantiles summarizes a latency histogram: upper-bound estimates
@@ -278,16 +287,7 @@ func (c *Cluster) Handler() http.Handler {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		resp := searchResponse(rep)
-		for _, cand := range rep.Ranked {
-			if len(resp.Ranked) >= 10 {
-				break
-			}
-			resp.Ranked = append(resp.Ranked, struct {
-				RefID int `json:"ref_id"`
-				Score int `json:"score"`
-			}{cand.RefID, cand.Score})
-		}
+		resp := searchResponse(rep, 10)
 		writeSearchJSON(w, appendSearchResponse(make([]byte, 0, 512), &resp))
 	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -371,7 +371,7 @@ func appendResults(b []byte, reps []*Report) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		resp := searchResponse(rep)
+		resp := searchResponse(rep, 0)
 		b = appendSearchResponse(b, &resp)
 	}
 	return append(b, "]}"...)

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"texid/internal/engine"
 	"texid/internal/gpusim"
 	"texid/internal/match"
 	"texid/internal/sift"
@@ -95,9 +96,11 @@ func TestSearchResponseEncoding(t *testing.T) {
 		for _, ranked := range []int{0, 1, 10} {
 			for i, f := range floats {
 				rep := &Report{
-					BestID: ranked - 1, Score: 3 * ranked, Accepted: ranked > 0, Compared: 40,
-					ElapsedUS: f, Speed: floats[len(floats)-1-i], Partial: partial,
-					ShardsAnswered: 2, ShardsTotal: 3,
+					Report: engine.Report{
+						BestID: ranked - 1, Score: 3 * ranked, Accepted: ranked > 0, Compared: 40,
+						ElapsedUS: f, Speed: floats[len(floats)-1-i],
+					},
+					Partial: partial, ShardsAnswered: 2, ShardsTotal: 3,
 				}
 				for k := 0; k < ranked; k++ {
 					rep.Ranked = append(rep.Ranked, match.SearchResult{RefID: 100 + k, Score: 50 - k})
@@ -118,9 +121,11 @@ func FuzzSearchResponse(f *testing.F) {
 			t.Skip("encoding/json refuses non-finite floats")
 		}
 		rep := &Report{
-			BestID: best, Score: score, Accepted: accepted, Compared: compared,
-			ElapsedUS: elapsed, Speed: speed, Partial: partial,
-			ShardsAnswered: answered, ShardsTotal: total,
+			Report: engine.Report{
+				BestID: best, Score: score, Accepted: accepted, Compared: compared,
+				ElapsedUS: elapsed, Speed: speed,
+			},
+			Partial: partial, ShardsAnswered: answered, ShardsTotal: total,
 		}
 		for k := 0; k < int(ranked%16); k++ {
 			rep.Ranked = append(rep.Ranked, match.SearchResult{RefID: best ^ k, Score: score - k})
@@ -130,7 +135,7 @@ func FuzzSearchResponse(f *testing.F) {
 }
 
 // checkEncoding compares both append encoders with json.Encoder for rep:
-// as a /v1/search answer, with Ranked copied over, and as a one- and a
+// as a /v1/search answer carrying all of Ranked, and as a one- and a
 // two-result /v1/search/batch answer.
 func checkEncoding(t *testing.T, rep *Report) {
 	t.Helper()
@@ -141,12 +146,9 @@ func checkEncoding(t *testing.T, rep *Report) {
 		}
 		return b.Bytes()
 	}
-	resp := searchResponse(rep)
-	for _, c := range rep.Ranked {
-		resp.Ranked = append(resp.Ranked, struct {
-			RefID int `json:"ref_id"`
-			Score int `json:"score"`
-		}{c.RefID, c.Score})
+	resp := searchResponse(rep, len(rep.Ranked))
+	if len(resp.Ranked) != len(rep.Ranked) {
+		t.Fatalf("search response carries %d of %d ranked candidates", len(resp.Ranked), len(rep.Ranked))
 	}
 	if got, want := append(appendSearchResponse(nil, &resp), '\n'), encode(resp); !bytes.Equal(got, want) {
 		t.Fatalf("search response:\n got %s\nwant %s", got, want)
@@ -154,7 +156,7 @@ func checkEncoding(t *testing.T, rep *Report) {
 	for _, reps := range [][]*Report{{rep}, {rep, rep}} {
 		out := make([]SearchResponse, len(reps))
 		for i, r := range reps {
-			out[i] = searchResponse(r)
+			out[i] = searchResponse(r, 0)
 		}
 		got, want := append(appendResults(nil, reps), '\n'), encode(map[string][]SearchResponse{"results": out})
 		if !bytes.Equal(got, want) {

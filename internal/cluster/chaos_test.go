@@ -11,8 +11,9 @@ import (
 	"time"
 
 	"texid/internal/blas"
+	"texid/internal/engine"
 	"texid/internal/faultsim"
-	"texid/internal/wire"
+	"texid/internal/match"
 )
 
 // The chaos suite drives the fault-tolerant serving path through seeded
@@ -102,7 +103,7 @@ func runChaos(t *testing.T, sc chaosScenario) *chaosOutcome {
 			out.transcript = append(out.transcript, fmt.Sprintf("search %d error: %v\n", s, err)...)
 			continue
 		}
-		out.transcript = append(out.transcript, wire.EncodeSummary(rep.Summary())...)
+		out.transcript = rep.AppendDigest(out.transcript)
 	}
 	return out
 }
@@ -329,7 +330,7 @@ func TestChaosZeroFaultBitIdentical(t *testing.T) {
 			if rep.Partial || rep.ShardsAnswered != 3 {
 				t.Fatalf("degradation without faults: %+v", rep)
 			}
-			transcript = append(transcript, wire.EncodeSummary(rep.Summary())...)
+			transcript = rep.AppendDigest(transcript)
 		}
 		return transcript
 	}
@@ -369,7 +370,7 @@ func TestChaosBatchPartial(t *testing.T) {
 		}
 		var transcript []byte
 		for _, rep := range reps {
-			transcript = append(transcript, wire.EncodeSummary(rep.Summary())...)
+			transcript = rep.AppendDigest(transcript)
 		}
 		return reps, transcript
 	}
@@ -579,20 +580,22 @@ func TestRebalanceWithNoLiveDestination(t *testing.T) {
 	}
 }
 
-// TestSummaryGoldenBytes pins the wire form the transcripts are built from:
-// summaries are only ever encoded, so the contract is the bytes themselves.
+// TestSummaryGoldenBytes pins the digest the transcripts are built from:
+// digests are only ever compared, so the contract is the bytes themselves.
 func TestSummaryGoldenBytes(t *testing.T) {
-	s := &wire.SearchSummary{
-		BestID: -1, Score: 42, Accepted: true, Partial: true,
-		ShardsAnswered: 3, ShardsTotal: 4, Compared: 1000, ElapsedUS: 1234.5,
-		Ranked: []wire.RankedMatch{{RefID: 7, Score: 40}, {RefID: -1, Score: 2}},
+	rep := &Report{
+		Report: engine.Report{
+			BestID: -1, Score: 42, Accepted: true, Compared: 1000, ElapsedUS: 1234.5,
+			Ranked: []match.SearchResult{{RefID: 7, Score: 40}, {RefID: -1, Score: 2}},
+		},
+		Partial: true, ShardsAnswered: 3, ShardsTotal: 4,
 	}
 	const want = "53525854" + "01" + // magic, version
 		"01" + "54" + "03" + // best id -1, score 42 (zigzag), accepted|partial
 		"03" + "04" + "d00f" + // shards answered/total, compared 1000 (zigzag)
 		"00000000004a9340" + // elapsed 1234.5 µs, float64 bits little-endian
 		"02" + "0e50" + "0104" // two ranked entries
-	if got := hex.EncodeToString(wire.EncodeSummary(s)); got != want {
+	if got := hex.EncodeToString(rep.AppendDigest(nil)); got != want {
 		t.Fatalf("summary encoding changed:\n got %s\nwant %s", got, want)
 	}
 }

@@ -15,8 +15,10 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -25,7 +27,6 @@ import (
 	"texid/internal/engine"
 	"texid/internal/faultsim"
 	"texid/internal/kvstore"
-	"texid/internal/match"
 	"texid/internal/metrics"
 	"texid/internal/serve"
 	"texid/internal/sift"
@@ -323,19 +324,15 @@ func (c *Cluster) Update(id int, feats *blas.Matrix, kps []sift.Keypoint) error 
 	return c.put(id, feats, kps, putUpdate)
 }
 
-// Report is the merged outcome of a distributed search.
+// Report is the merged outcome of a distributed search: the engine's
+// answer over every answering shard's candidates, plus the shard fields.
+// Compared and Scanned are the shards' sums, Ranked the top maxRanked
+// candidates across them, ElapsedUS the slowest answering shard's
+// coordinator-observed latency (shards run on separate GPUs in parallel;
+// retries, backoff, and injected latency count) and Speed the aggregate
+// comparison throughput.
 type Report struct {
-	BestID   int
-	Score    int
-	Accepted bool
-	Ranked   []match.SearchResult // top candidates across all shards
-	Compared int
-	// ElapsedUS is the slowest answering shard's coordinator-observed
-	// latency (shards run on separate GPUs in parallel; retries, backoff,
-	// and injected latency count); Speed is the aggregate comparison
-	// throughput.
-	ElapsedUS float64
-	Speed     float64
+	engine.Report
 	// PerWorker is per-shard observed latency, -1 for shards that did not
 	// answer (for load-balance and degradation inspection).
 	PerWorker []float64
@@ -348,41 +345,55 @@ type Report struct {
 	ShardsTotal    int
 }
 
-// Summary converts the report to its stable wire form. The chaos suite
-// serializes summaries to assert byte-identical results across runs and
-// GOMAXPROCS settings.
-func (r *Report) Summary() *wire.SearchSummary {
-	s := &wire.SearchSummary{
-		BestID:         int64(r.BestID),
-		Score:          int64(r.Score),
-		Accepted:       r.Accepted,
-		Partial:        r.Partial,
-		ShardsAnswered: r.ShardsAnswered,
-		ShardsTotal:    r.ShardsTotal,
-		Compared:       int64(r.Compared),
-		ElapsedUS:      r.ElapsedUS,
+// maxRanked bounds a merged report's Ranked list.
+const maxRanked = 32
+
+// digestMagic and digestVersion stamp the digest encoding.
+const (
+	digestMagic   = 0x54585253 // "TXRS"
+	digestVersion = 1
+)
+
+// AppendDigest appends the report's canonical bytes to b: magic, version,
+// BestID and Score, a flags byte (Accepted, Partial), the shard counts,
+// Compared, the bits of ElapsedUS and the (RefID, Score) pairs of Ranked,
+// integers as varints. No maps and no floats beyond ElapsedUS's exact bit
+// pattern, so two searches with the same logical answer append the same
+// bytes; the chaos suite and the sim soak compare them across runs and
+// GOMAXPROCS settings. The bytes are only ever compared, never decoded.
+func (r *Report) AppendDigest(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, digestMagic)
+	b = append(b, digestVersion)
+	b = binary.AppendVarint(b, int64(r.BestID))
+	b = binary.AppendVarint(b, int64(r.Score))
+	flags := byte(0)
+	if r.Accepted {
+		flags |= 1
 	}
+	if r.Partial {
+		flags |= 2
+	}
+	b = append(b, flags)
+	b = binary.AppendUvarint(b, uint64(r.ShardsAnswered))
+	b = binary.AppendUvarint(b, uint64(r.ShardsTotal))
+	b = binary.AppendVarint(b, int64(r.Compared))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.ElapsedUS))
+	b = binary.AppendUvarint(b, uint64(len(r.Ranked)))
 	for _, m := range r.Ranked {
-		s.Ranked = append(s.Ranked, wire.RankedMatch{RefID: int64(m.RefID), Score: int64(m.Score)})
+		b = binary.AppendVarint(b, int64(m.RefID))
+		b = binary.AppendVarint(b, int64(m.Score))
 	}
-	return s
+	return b
 }
 
-// shardResult is one worker's contribution to a scatter-gather search: a
-// single report (opSearch) or one per query (opSearchBatch).
+// shardResult is one worker's contribution to a scatter-gather search: its
+// report for each query. opSearch points reps at one, so a single search
+// costs no slice of its own.
 type shardResult struct {
-	rep *engine.Report
-	bat *engine.BatchReport
-	el  float64
-	err error
-}
-
-// query returns the shard's report for query qi.
-func (r *shardResult) query(qi int) *engine.Report {
-	if r.bat != nil {
-		return r.bat.Reports[qi]
-	}
-	return r.rep
+	reps []*engine.Report
+	one  [1]*engine.Report
+	el   float64
+	err  error
 }
 
 // Search scatters the query to every live shard in parallel and merges the
@@ -424,14 +435,15 @@ func (c *Cluster) scatter(op string, queryFeats []*blas.Matrix, queryKps [][]sif
 					if err != nil {
 						return 0, err
 					}
-					r.rep = rep
+					r.one[0] = rep
+					r.reps = r.one[:]
 					return rep.ElapsedUS, nil
 				}
 				bat, err := w.eng.SearchBatch(queryFeats, queryKps)
 				if err != nil {
 					return 0, err
 				}
-				r.bat = bat
+				r.reps = bat.Reports
 				return bat.ElapsedUS, nil
 			})
 		}(&results[i], w)
@@ -462,7 +474,7 @@ func (c *Cluster) scatter(op string, queryFeats []*blas.Matrix, queryKps [][]sif
 	out := make([]*Report, len(queryFeats))
 	for qi := range queryFeats {
 		merged := &Report{
-			BestID:         -1,
+			Report:         engine.Report{BestID: -1},
 			ShardsAnswered: answered,
 			ShardsTotal:    len(c.workers),
 			Partial:        partial,
@@ -474,8 +486,9 @@ func (c *Cluster) scatter(op string, queryFeats []*blas.Matrix, queryKps [][]sif
 				merged.PerWorker[wi] = -1
 				continue
 			}
-			rep := r.query(qi)
+			rep := r.reps[qi]
 			merged.Compared += rep.Compared
+			merged.Scanned += rep.Scanned
 			merged.PerWorker[wi] = r.el
 			if r.el > merged.ElapsedUS {
 				merged.ElapsedUS = r.el
@@ -488,16 +501,7 @@ func (c *Cluster) scatter(op string, queryFeats []*blas.Matrix, queryKps [][]sif
 		c.mSearches.Inc()
 		c.mComparisons.Add(float64(merged.Compared))
 		c.mSearchLatency.Observe(merged.ElapsedUS / 1000)
-		if queryFeats[qi] != nil {
-			merged.Ranked = match.RankResults(merged.Ranked)
-			if len(merged.Ranked) > 0 {
-				merged.BestID, merged.Score = merged.Ranked[0].RefID, merged.Ranked[0].Score
-				merged.Accepted = merged.Score >= c.cfg.Engine.Match.MinMatches
-			}
-			if len(merged.Ranked) > 32 {
-				merged.Ranked = merged.Ranked[:32]
-			}
-		}
+		merged.Rank(c.cfg.Engine.Match, maxRanked)
 		out[qi] = merged
 	}
 	return out, nil

@@ -131,6 +131,55 @@ func TestClusterSearchFindsAcrossShards(t *testing.T) {
 			t.Fatalf("compared %d, want 12", rep.Compared)
 		}
 	}
+
+	// One shard and at most maxRanked references: the merged report is the
+	// engine's report, field for field, next to an identically enrolled
+	// engine.
+	one := smallCluster(t, 1)
+	eng, err := engine.New(smallEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ref := range refs {
+		if err := one.Add(i, ref, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Add(i, ref, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := queryFor(rng, refs[7], 32)
+	got, err := one.Search(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Search(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Report, *want) {
+		t.Fatalf("one-shard merged report differs from the engine's:\n got %+v\nwant %+v", got.Report, *want)
+	}
+
+	// Pruned shards: the merged Scanned is the sum of the shards'.
+	cfg := smallEngine()
+	cfg.PruneC = 4
+	pruned, err := New(Config{Workers: 2, Engine: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ref := range refs {
+		if err := pruned.Add(i, ref, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := pruned.Search(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Scanned != len(refs) || rep.Compared != 2*cfg.PruneC {
+		t.Fatalf("pruned merge: scanned %d compared %d, want %d and %d", rep.Scanned, rep.Compared, len(refs), 2*cfg.PruneC)
+	}
 }
 
 func TestClusterRemoveAndUpdate(t *testing.T) {
@@ -246,7 +295,7 @@ func TestKVStorePersistenceAndReload(t *testing.T) {
 			t.Fatalf("restored texture not found: %+v", rep)
 		}
 		shards = append(shards, c2.shards)
-		answers = append(answers, wire.EncodeSummary(rep.Summary()))
+		answers = append(answers, rep.AppendDigest(nil))
 	}
 	if !reflect.DeepEqual(shards[0], shards[1]) {
 		t.Errorf("two restarts from one store placed ids differently:\n%v\n%v", shards[0], shards[1])
@@ -592,7 +641,7 @@ func TestRESTBatchSearchAndCompact(t *testing.T) {
 	defer ts.Close()
 	api := NewClient(ts.URL)
 
-	refs := make([]*blas.Matrix, 4)
+	refs := make([]*blas.Matrix, 12)
 	for i := range refs {
 		refs[i] = unitFeatures(rng, 16, 24)
 		api.Add(&wire.FeatureRecord{ID: int64(i + 1), Precision: gpusim.FP32, Scale: 1, Features: refs[i]})
@@ -608,6 +657,15 @@ func TestRESTBatchSearchAndCompact(t *testing.T) {
 	}
 	if len(results) != 2 || results[0].BestID != 1 || results[1].BestID != 4 {
 		t.Fatalf("batch REST results: %+v", results)
+	}
+	// A batch result carries no ranked list; /v1/search carries the top 10.
+	one, err := api.Search(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results[0].Ranked) != 0 || len(one.Ranked) != 10 || one.Ranked[0].RefID != 1 {
+		t.Fatalf("ranked lists: batch %d entries, single %d entries %+v; want 0 and 10 led by 1",
+			len(results[0].Ranked), len(one.Ranked), one.Ranked)
 	}
 
 	api.Delete(2)

@@ -10,15 +10,18 @@ import (
 	"texid/internal/sift"
 )
 
-// Report is the outcome of one one-to-many search.
+// Report is the outcome of one one-to-many search: an engine's answer, and
+// the body of the coordinator's merged answer (cluster.Report embeds it).
 type Report struct {
-	// BestID is the highest-scoring reference (-1 if the index is empty);
-	// Accepted says whether it cleared the MinMatches decision threshold.
+	// BestID is the highest-scoring reference (-1 when nothing was scored:
+	// an empty index or a phantom search); Accepted says whether its Score
+	// cleared the MinMatches decision threshold. Rank sets all three.
 	BestID   int
 	Score    int
 	Accepted bool
-	// Ranked holds every scored candidate in descending score order
-	// (omitted for phantom searches).
+	// Ranked holds the scored candidates in descending score order, at most
+	// as many as the caller of Rank bounds it to (omitted for phantom
+	// searches).
 	Ranked []match.SearchResult
 	// Compared is the number of reference images matched (with pruning
 	// enabled, the candidates that survived the prefilter).
@@ -30,6 +33,22 @@ type Report struct {
 	// resulting throughput in image comparisons per second.
 	ElapsedUS float64
 	Speed     float64
+}
+
+// Rank is the one decision over a report's candidates: it sorts Ranked in
+// match.RankResults' order, keeps at most limit of them (limit <= 0 keeps
+// all), and takes BestID and Score from the first, accepting it by
+// match.Verify. A report with no candidates is left as it is.
+func (r *Report) Rank(cfg match.Config, limit int) {
+	if len(r.Ranked) == 0 {
+		return
+	}
+	r.Ranked = match.RankResults(r.Ranked)
+	if limit > 0 && len(r.Ranked) > limit {
+		r.Ranked = r.Ranked[:limit]
+	}
+	r.BestID, r.Score = r.Ranked[0].RefID, r.Ranked[0].Score
+	r.Accepted = match.Verify(r.Score, cfg)
 }
 
 // BatchReport is the outcome of a multi-query search: per-query reports
@@ -240,13 +259,7 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 	for _, rep := range reports {
 		rep.ElapsedUS = elapsed
 		br.Compared += rep.Compared
-		if !phantom {
-			rep.Ranked = match.RankResults(rep.Ranked)
-			if len(rep.Ranked) > 0 {
-				rep.BestID, rep.Score = rep.Ranked[0].RefID, rep.Ranked[0].Score
-				rep.Accepted = rep.Score >= e.cfg.Match.MinMatches
-			}
-		}
+		rep.Rank(e.cfg.Match, 0)
 	}
 	if elapsed > 0 {
 		br.Throughput = float64(br.Compared) / (elapsed * 1e-6)

@@ -1,7 +1,7 @@
 // Package limits centralizes the bounds-and-allocation policy for decoding
 // attacker-controlled input. Every decoder that reads a length, count, or
-// dimension from the wire (RESP frames, wire.FeatureRecord/SearchSummary
-// varints, snapshot length prefixes, HTTP bodies) validates it here before
+// dimension from the wire (RESP frames, wire.FeatureRecord varints,
+// snapshot length prefixes, HTTP bodies) validates it here before
 // the value may size an allocation, index a buffer, or bound a loop.
 //
 // The package exists for two reasons. First, it deduplicates the hand-rolled

@@ -186,35 +186,39 @@ type SearchResult struct {
 	Score int
 }
 
+// ranksBefore is the one order rule of a ranked list: higher score first,
+// lower RefID among equals.
+func ranksBefore(a, b SearchResult) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.RefID < b.RefID
+}
+
 // RankResults sorts candidates by descending score with deterministic
 // RefID tie-breaking and returns them.
 func RankResults(results []SearchResult) []SearchResult {
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		return results[i].RefID < results[j].RefID
-	})
+	sort.Slice(results, func(i, j int) bool { return ranksBefore(results[i], results[j]) })
 	return results
 }
 
 // Identify returns the best candidate — the one RankResults would put
-// first: highest score, lowest RefID among equals — and whether it clears
-// the MinMatches decision threshold (the one-to-many search decision). It
-// is one pass over results, which it leaves untouched.
+// first — and whether Verify accepts its score (the one-to-many search
+// decision). It is one pass over results, which it leaves untouched.
 func Identify(results []SearchResult, cfg Config) (SearchResult, bool) {
 	if len(results) == 0 {
 		return SearchResult{RefID: -1}, false
 	}
 	top := results[0]
 	for _, r := range results[1:] {
-		if r.Score > top.Score || (r.Score == top.Score && r.RefID < top.RefID) {
+		if ranksBefore(r, top) {
 			top = r
 		}
 	}
-	return top, top.Score >= cfg.MinMatches
+	return top, Verify(top.Score, cfg)
 }
 
 // Verify answers the one-to-one verification task: do the two images
-// contain the same texture?
+// contain the same texture? It is the MinMatches decision rule every
+// search answer is accepted by.
 func Verify(score int, cfg Config) bool { return score >= cfg.MinMatches }

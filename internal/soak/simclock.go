@@ -9,7 +9,6 @@ import (
 	"texid/internal/blas"
 	"texid/internal/cluster"
 	"texid/internal/faultsim"
-	"texid/internal/wire"
 )
 
 // SimConfig shapes one deterministic sim-clock soak: the same open-loop
@@ -179,7 +178,7 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 			res.Errors++
 			transcript = append(transcript, fmt.Sprintf("op %d error: %v\n", i, opErr)...)
 		} else if rep != nil {
-			transcript = append(transcript, wire.EncodeSummary(rep.Summary())...)
+			transcript = rep.AppendDigest(transcript)
 		}
 		transcript = binary.BigEndian.AppendUint64(transcript, uint64(l))
 		if sc.TraceHealth {

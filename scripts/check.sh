@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-2 verification gate: build, vet (root module, root module for arm64
-# and the nested benchmark module), gofmt, texlint (errcheck: no dropped
+# and the nested benchmark module), the benchmark module's tests, gofmt, texlint (errcheck: no dropped
 # error results; every other project invariant is held by a test or by the
 # type system, see DESIGN.md "Correctness invariants & texlint"), import
 # hygiene of the serving binaries, the serving core's tests at GOMAXPROCS
@@ -35,6 +35,13 @@ GOARCH=arm64 go vet ./...
 # renamed symbol it compiles against.
 echo "==> go vet (benchmark module)"
 (cd benchmark && go vet ./...)
+
+# Its tests run every workload once with the answer self-check
+# (TestSmokeEveryWorkload), which reads the search reports the serving tree
+# hands back: a change to their shape or meaning fails here, not only in the
+# benchmark's own run.
+echo "==> go test (benchmark module)"
+(cd benchmark && go test ./...)
 
 echo "==> gofmt"
 unformatted=$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l) # its own statement: a gofmt failure must not read as "all formatted"

@@ -184,6 +184,18 @@ type Result struct {
 	ShardsTotal    int
 }
 
+// result converts an engine report to the public Result.
+func result(rep *engine.Report) *Result {
+	return &Result{
+		ID:        rep.BestID,
+		Score:     rep.Score,
+		Accepted:  rep.Accepted,
+		Compared:  rep.Compared,
+		ElapsedUS: rep.ElapsedUS,
+		Speed:     rep.Speed,
+	}
+}
+
 // SearchImage extracts query features from im and searches the index.
 func (s *System) SearchImage(im *Image) (*Result, error) {
 	return s.SearchFeatures(s.ExtractQuery(im))
@@ -195,14 +207,7 @@ func (s *System) SearchFeatures(f *Features) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		ID:        rep.BestID,
-		Score:     rep.Score,
-		Accepted:  rep.Accepted,
-		Compared:  rep.Compared,
-		ElapsedUS: rep.ElapsedUS,
-		Speed:     rep.Speed,
-	}, nil
+	return result(rep), nil
 }
 
 // VerifyImages answers one-to-one verification: do the two images contain
@@ -231,14 +236,7 @@ func (s *System) SearchImages(imgs []*Image) ([]*Result, error) {
 	}
 	out := make([]*Result, len(br.Reports))
 	for i, rep := range br.Reports {
-		out[i] = &Result{
-			ID:        rep.BestID,
-			Score:     rep.Score,
-			Accepted:  rep.Accepted,
-			Compared:  rep.Compared,
-			ElapsedUS: rep.ElapsedUS,
-			Speed:     rep.Speed,
-		}
+		out[i] = result(rep)
 	}
 	return out, nil
 }
@@ -282,14 +280,7 @@ func (sv *SearchServer) SearchFeatures(f *Features) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		ID:        rep.BestID,
-		Score:     rep.Score,
-		Accepted:  rep.Accepted,
-		Compared:  rep.Compared,
-		ElapsedUS: rep.ElapsedUS,
-		Speed:     rep.Speed,
-	}, nil
+	return result(rep), nil
 }
 
 // Stats returns the admission counters (searches admitted, batches
