@@ -30,13 +30,13 @@
 // func convH(dst, src, k []float32)
 //
 // dst[x] = ((0 + k[0]·src[x]) + k[1]·src[x+1]) + … + k[t−1]·src[x+t−1] for
-// every x < len(dst), t = len(k): the horizontal pass over one row's
-// interior, where src starts radius pixels left of dst's first pixel and
-// holds len(dst)+t−1 of them. len(dst) is a multiple of 16. Four blocks go
-// through the taps together, each its own chain, so the adds overlap; a
-// one-block loop takes the rest. Every chain starts at +0, as the scalar
-// loop's var s float32 does, so a product of −0 at the first tap sums to
-// +0.
+// every x < len(dst), t = len(k): the horizontal pass over one row, where
+// src, the row with its edge pixels repeated, starts radius pixels left of
+// dst's first pixel and holds len(dst)+t−1 of them. len(dst) is a
+// multiple of 16. Four blocks go through the taps together, each its own
+// chain, so the adds overlap; a one-block loop takes the rest. Every chain
+// starts at +0, as the scalar loop's var s float32 does, so a product of
+// −0 at the first tap sums to +0.
 //
 // DI dst, SI src at the block, CX blocks left, R8 k, R9 end of k, R10 tap,
 // R11 src at the tap.
@@ -99,26 +99,32 @@ done:
 	VZEROUPPER
 	RET
 
-// func convV(dst, src []float32, stride int, k []float32)
+// func convV(dst, src []float32, stride int, k []float32, dog, in []float32)
 //
 // dst[x] = ((k[0]·src[x] + k[1]·src[stride+x]) + …) + k[t−1]·src[(t−1)·stride+x]
-// for every x < len(dst), t = len(k): the vertical pass over one interior
-// output row, whose t source rows lie stride floats apart from src on.
-// len(dst) is a multiple of 16. A block stays in its register across all
-// taps and is stored once. The chain starts at the first product itself,
-// as the scalar dst[x] = k[0]·v does, so a column of −0 products stays −0.
-// Four blocks go through the taps together, a one-block loop takes the
-// rest.
+// for every x < len(dst), t = len(k): the vertical pass over one output
+// row, whose t source rows lie stride floats apart from src on. len(dst)
+// is a multiple of 16. A block stays in its register across all taps and
+// is stored once. The chain starts at the first product itself, as the
+// scalar dst[x] = k[0]·v does, so a column of −0 products stays −0. Four
+// blocks go through the taps together, a one-block loop takes the rest.
+// A non-empty dog then receives dst[x] − in[x] for the same blocks, the
+// finished sum as the subtraction's first source, as in Go's out − im;
+// dog may be in itself, since each block is read before it is written.
 //
 // DI dst, SI src at the block, DX stride in bytes, CX blocks left, R8 k,
-// R9 end of k, R10 tap, R11 src at the tap's row.
-TEXT ·convV(SB), NOSPLIT, $0-80
+// R9 end of k, R10 tap, R11 src at the tap's row, R12 dog, R13 in, R14
+// len(dog).
+TEXT ·convV(SB), NOSPLIT, $0-128
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ src_base+24(FP), SI
 	MOVQ stride+48(FP), DX
 	MOVQ k_base+56(FP), R8
 	MOVQ k_len+64(FP), R9
+	MOVQ dog_base+80(FP), R12
+	MOVQ dog_len+88(FP), R14
+	MOVQ in_base+104(FP), R13
 	SHLQ $2, DX
 	SHRQ $4, CX
 	LEAQ (R8)(R9*4), R9
@@ -147,6 +153,20 @@ v4store:
 	VMOVUPS Z1, 64(DI)
 	VMOVUPS Z2, 128(DI)
 	VMOVUPS Z3, 192(DI)
+	TESTQ   R14, R14
+	JZ      v4next
+	VSUBPS  (R13), Z0, Z0
+	VSUBPS  64(R13), Z1, Z1
+	VSUBPS  128(R13), Z2, Z2
+	VSUBPS  192(R13), Z3, Z3
+	VMOVUPS Z0, (R12)
+	VMOVUPS Z1, 64(R12)
+	VMOVUPS Z2, 128(R12)
+	VMOVUPS Z3, 192(R12)
+	ADDQ    $256, R12
+	ADDQ    $256, R13
+
+v4next:
 	ADDQ    $256, DI
 	ADDQ    $256, SI
 	SUBQ    $4, CX
@@ -170,6 +190,14 @@ v1tap:
 
 v1store:
 	VMOVUPS Z0, (DI)
+	TESTQ   R14, R14
+	JZ      v1next
+	VSUBPS  (R13), Z0, Z0
+	VMOVUPS Z0, (R12)
+	ADDQ    $64, R12
+	ADDQ    $64, R13
+
+v1next:
 	ADDQ    $64, DI
 	ADDQ    $64, SI
 	DECQ    CX

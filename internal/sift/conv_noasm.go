@@ -10,7 +10,7 @@ func convH(dst, src, k []float32) {
 	panic("sift: asm kernel on non-amd64 build")
 }
 
-func convV(dst, src []float32, stride int, k []float32) {
+func convV(dst, src []float32, stride int, k []float32, dog, in []float32) {
 	panic("sift: asm kernel on non-amd64 build")
 }
 
@@ -27,5 +27,17 @@ func extrema16(mask []uint16, d0, d1, d2 []float32, stride int, t32 float32) {
 }
 
 func descBins8(c *descChunk, angle float64, special *[evalChunk / 8]uint8) {
+	panic("sift: asm kernel on non-amd64 build")
+}
+
+func orientGather8(c *gradChunk, n int, pix []float32, gw, dx, dy int, inv float64) {
+	panic("sift: asm kernel on non-amd64 build")
+}
+
+func descGather8(c *descChunk, n int, pix []float32, gw int, r *descRun) {
+	panic("sift: asm kernel on non-amd64 build")
+}
+
+func orientBins8(c *orientChunk, special *[evalChunk / 8]uint8) {
 	panic("sift: asm kernel on non-amd64 build")
 }

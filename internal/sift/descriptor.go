@@ -48,34 +48,25 @@ func computeDescriptorInto(p *pyramid, kp Keypoint, dst []float32) {
 	var hist descHist
 	var c descChunk
 	xi, yi := int(math.Round(ox)), int(math.Round(oy))
-	invGauss := -1.0 / (0.5 * float64(descWidth*descWidth))
+	run := descRun{cosT: cosT, negSinT: -sinT, histWidth: histWidth, invGauss: -1.0 / (0.5 * float64(descWidth*descWidth))}
 	gw, pix := g.W, g.Pix
 
 	// The window's interior pixels: those with both neighbours in range,
-	// and of those the run that the bin cut keeps.
+	// and of those the run that the bin cut keeps, gathered a chunk's room
+	// at a time.
 	for dy := max(-radius, 1-yi); dy <= min(radius, g.H-2-yi); dy++ {
-		sdy, cdy := sinT*float64(dy), cosT*float64(dy)
-		lo, hi := keptRun(cosT, sdy, histWidth, max(-radius, 1-xi), min(radius, gw-2-xi))
-		lo, hi = keptRun(-sinT, cdy, histWidth, lo, hi)
-		n := c.n
-		for dx := lo; dx <= hi; dx++ {
-			// Rotate the offset into the keypoint frame, in bin units.
-			rx := (cosT*float64(dx) + sdy) / histWidth
-			ry := (-sinT*float64(dx) + cdy) / histWidth
+		run.sdy, run.cdy = sinT*float64(dy), cosT*float64(dy)
+		lo, hi := keptRun(cosT, run.sdy, histWidth, max(-radius, 1-xi), min(radius, gw-2-xi))
+		lo, hi = keptRun(-sinT, run.cdy, histWidth, lo, hi)
+		for dx := lo; dx <= hi; {
+			m := min(hi+1-dx, evalChunk-c.n)
 			i := (yi+dy)*gw + xi + dx
-			c.gx[n] = float64(pix[i+1] - pix[i-1])
-			c.gy[n] = float64(pix[i+gw] - pix[i-gw])
-			c.arg[n] = (rx*rx + ry*ry) * invGauss
-			// Bin coordinates in [0, descWidth); offset so bin centers
-			// align with the grid.
-			c.bx[n], c.by[n] = rx+descWidth/2-0.5, ry+descWidth/2-0.5
-			if n++; n == evalChunk {
-				c.n = n
+			run.dx0 = dx
+			c.gather(m, pix[i-gw:i+gw+m], gw, &run, useAVX512)
+			if dx += m; c.n == evalChunk {
 				scatterDescriptor(&hist, &c, kp.Angle)
-				n = 0
 			}
 		}
-		c.n = n
 	}
 	scatterDescriptor(&hist, &c, kp.Angle)
 
@@ -177,6 +168,43 @@ type descChunk struct {
 	bx, by    [evalChunk]float64
 	share     [8][evalChunk]float64
 	i0, i1    [evalChunk]int
+}
+
+// descRun is one kept run of a descriptor window row as gather reads it:
+// its first column offset dx0 and the row's rotation terms, sdy = sinT·dy
+// and cdy = cosT·dy, beside the keypoint's cosT, −sinT, histWidth and
+// Gaussian factor.
+type descRun struct {
+	dx0                                          int
+	cosT, sdy, negSinT, cdy, histWidth, invGauss float64
+}
+
+// gather appends m pixels of one kept run to c, the run's first centre
+// one row into pix, which holds the run's three rows (len(pix) =
+// 2·gw+m). Each pixel gets its float32 central differences, widened, the
+// Exp argument of its Gaussian weight, and its bin coordinates bx, by:
+// its offset rotated into the keypoint frame in bin units, rx = (cosT·dx
+// + sdy) / histWidth and ry = (−sinT·dx + cdy) / histWidth, then rx + 2 −
+// 0.5 and ry + 2 − 0.5, so that bin centres align with the grid. native
+// runs descGather8 and the Go loop, which is also its oracle, runs
+// elsewhere. m is at most evalChunk − c.n.
+func (c *descChunk) gather(m int, pix []float32, gw int, r *descRun, native bool) {
+	if native {
+		descGather8(c, m, pix, gw, r)
+		c.n += m
+		return
+	}
+	for j := range m {
+		dx := float64(r.dx0 + j)
+		rx := (r.cosT*dx + r.sdy) / r.histWidth
+		ry := (r.negSinT*dx + r.cdy) / r.histWidth
+		i, n := gw+j, c.n
+		c.gx[n] = float64(pix[i+1] - pix[i-1])
+		c.gy[n] = float64(pix[i+gw] - pix[i-gw])
+		c.arg[n] = (rx*rx + ry*ry) * r.invGauss
+		c.bx[n], c.by[n] = rx+descWidth/2-0.5, ry+descWidth/2-0.5
+		c.n++
+	}
 }
 
 // descRow is the flat distance between two spatial rows of descHist.

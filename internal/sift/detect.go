@@ -283,18 +283,22 @@ func assignOrientations(p *pyramid, a *arena, kps []Keypoint) []Keypoint {
 		}
 
 		var hist [orientBins]float64
-		var c gradChunk
+		var c orientChunk
 		xi, yi := int(math.Round(ox)), int(math.Round(oy))
 		inv := -0.5 / (sigma * sigma)
 		gw, pix := g.W, g.Pix
-		// The window's interior pixels: those with both neighbours in range.
+		// The window's interior pixels: those with both neighbours in
+		// range, gathered a chunk's room at a time. The native gather's
+		// squared offsets are exact while every |dx| and |dy|, each below
+		// its image side, is at most 2^26.
+		native := useAVX512 && gw <= 1<<26 && g.H <= 1<<26
 		for dy := max(-radius, 1-yi); dy <= min(radius, g.H-2-yi); dy++ {
-			for dx := max(-radius, 1-xi); dx <= min(radius, gw-2-xi); dx++ {
+			hi := min(radius, gw-2-xi)
+			for dx := max(-radius, 1-xi); dx <= hi; {
+				m := min(hi+1-dx, evalChunk-c.n)
 				i := (yi+dy)*gw + xi + dx
-				c.gx[c.n] = float64(pix[i+1] - pix[i-1])
-				c.gy[c.n] = float64(pix[i+gw] - pix[i-gw])
-				c.arg[c.n] = float64(dx*dx+dy*dy) * inv
-				if c.n++; c.n == evalChunk {
+				c.gather(m, pix[i-gw:i+gw+m], gw, dx, dy, inv, native)
+				if dx += m; c.n == evalChunk {
 					scatterOrientation(&hist, &c)
 				}
 			}
@@ -349,21 +353,83 @@ func assignOrientations(p *pyramid, a *arena, kps []Keypoint) []Keypoint {
 // orientBins is the orientation histogram's bin count, 10° each.
 const orientBins = 36
 
-// scatterOrientation evaluates c and adds each of its pixels' weighted
-// gradient magnitude into its angle's bin of hist, in pixel order, so
-// every bin's sum keeps the order of the per-pixel loop; then it empties c.
-func scatterOrientation(hist *[orientBins]float64, c *gradChunk) {
+// orientChunk is the orientation window's gradChunk with each gathered
+// pixel's histogram bin and weighted magnitude, once prepOrientation has
+// run.
+type orientChunk struct {
+	gradChunk // first, at offset 0: desc_amd64.s addresses through it
+	bin       [evalChunk]int
+	wm        [evalChunk]float64
+}
+
+// gather appends m pixels of one window row to c, the first at column
+// offset dx and one row into pix, which holds the run's three rows
+// (len(pix) = 2·gw+m): each pixel's float32 central differences, widened,
+// and the Exp argument of its Gaussian weight, float64(dx²+dy²)·inv.
+// native runs orientGather8, whose squared offsets are exact only while
+// |dx| and |dy| are at most 2^26; the Go loop, which is also its oracle,
+// runs elsewhere. m is at most evalChunk − c.n.
+func (c *orientChunk) gather(m int, pix []float32, gw, dx, dy int, inv float64, native bool) {
+	if native {
+		orientGather8(&c.gradChunk, m, pix, gw, dx, dy, inv)
+		c.n += m
+		return
+	}
+	for j := range m {
+		i, x := gw+j, dx+j
+		c.gx[c.n] = float64(pix[i+1] - pix[i-1])
+		c.gy[c.n] = float64(pix[i+gw] - pix[i-gw])
+		c.arg[c.n] = float64(x*x+dy*dy) * inv
+		c.n++
+	}
+}
+
+// scatterOrientation evaluates c, preps its pixels and adds each one's
+// weighted gradient magnitude into its angle's bin of hist, in pixel
+// order, so every bin's sum keeps the order of the per-pixel loop; then it
+// empties c.
+func scatterOrientation(hist *[orientBins]float64, c *orientChunk) {
 	c.evaluate()
+	prepOrientation(c, useAVX512)
 	for i := range c.n {
-		gx, gy := c.gx[i], c.gy[i]
-		mag := math.Sqrt(gx*gx + gy*gy)
-		bin := int(math.Floor((c.ang[i] + math.Pi) / (2 * math.Pi) * orientBins)) // atan2 is in [−π, π]
-		if bin >= orientBins {
-			bin = orientBins - 1
-		}
-		hist[bin] += c.w[i] * mag
+		hist[c.bin[i]] += c.wm[i]
 	}
 	c.n = 0
+}
+
+// prepOrientation writes the bins and weighted magnitudes of c's
+// evaluated pixels: native runs orientBins8 and then prepPixel for the
+// lanes it flags, and prepPixel runs for every pixel elsewhere, which
+// makes it the oracle.
+func prepOrientation(c *orientChunk, native bool) {
+	if !native {
+		for i := range c.n {
+			c.prepPixel(i)
+		}
+		return
+	}
+	var special [evalChunk / 8]uint8
+	orientBins8(c, &special)
+	for g, m := range special[:(c.n+7)/8] {
+		for ; m != 0; m &= m - 1 {
+			c.prepPixel(8*g + bits.TrailingZeros8(m))
+		}
+	}
+}
+
+// prepPixel writes pixel i's bin, ⌊(ang + π) / 2π · 36⌋ with atan2's π
+// clamped into the last bin, and its magnitude times its Gaussian weight.
+// A NaN angle makes an arbitrary bin, which the add's bounds check
+// catches.
+func (c *orientChunk) prepPixel(i int) {
+	gx, gy := c.gx[i], c.gy[i]
+	mag := math.Sqrt(gx*gx + gy*gy)
+	bin := int(math.Floor((c.ang[i] + math.Pi) / (2 * math.Pi) * orientBins)) // atan2 is in [−π, π]
+	if bin >= orientBins {
+		bin = orientBins - 1
+	}
+	c.bin[i] = bin
+	c.wm[i] = c.w[i] * mag
 }
 
 // topKByResponse sorts keypoints by descending DoG response and keeps the

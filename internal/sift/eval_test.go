@@ -358,7 +358,7 @@ func TestScatterMatchesPerPixel(t *testing.T) {
 		var got, want descHist
 		var gotO, wantO [orientBins]float64
 		var c descChunk
-		var co gradChunk
+		var co orientChunk
 		add := func(gx, gy, arg, bx, by float64, orient bool) {
 			perPixelDescriptor(&want, gx, gy, arg, bx, by, angle)
 			c.gx[c.n], c.gy[c.n], c.arg[c.n], c.bx[c.n], c.by[c.n] = gx, gy, arg, bx, by

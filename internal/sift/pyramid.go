@@ -47,6 +47,7 @@ type pyramid struct {
 // descriptor matrix and the final keypoint slice — as fresh allocations.
 type arena struct {
 	free []*texture.Image
+	tmp  []float32 // the blur's padded scratch, grown to the largest asked for
 
 	slabs   []slabRef     // DoG slab list
 	slabKps [][]Keypoint  // per-slab detection results
@@ -74,6 +75,24 @@ func (a *arena) get(w, h int) *texture.Image {
 		}
 	}
 	return texture.NewImage(w, h)
+}
+
+// scratch returns two buffers of n and m floats with undefined contents,
+// for one blur's padded rows: both are carved from one slice the arena
+// keeps and grows to the largest blur it has run, so they never take a
+// level's buffer, and no level-sized buffer has to exist for them. They
+// stay valid until the next scratch call. A nil arena allocates.
+func (a *arena) scratch(n, m int) ([]float32, []float32) {
+	var buf []float32
+	if a == nil {
+		buf = make([]float32, n+m)
+	} else {
+		if cap(a.tmp) < n+m {
+			a.tmp = make([]float32, n+m)
+		}
+		buf = a.tmp[:n+m]
+	}
+	return buf[:n:n], buf[n:]
 }
 
 // put returns an image to the arena for reuse.
@@ -147,138 +166,140 @@ func BlurImage(im *texture.Image, sigma float64) *texture.Image {
 	return blur(im, sigma)
 }
 
-// blurArena is blur drawing its two image buffers from a, on the native
-// tier where the host has it (useAVX512) and the portable loops elsewhere.
-// A non-nil dog, im's size, receives the difference of Gaussians
-// out − im, pixel by pixel as a separate subtraction would give it. dog
-// may be im itself: each DoG row then replaces its input row, which the
-// vertical pass reads only for that subtraction.
+// blurArena is blur drawing its buffers from a, on the native tier where
+// the host has it (useAVX512) and the portable loops elsewhere. A non-nil
+// dog, im's size, receives the difference of Gaussians out − im, pixel by
+// pixel as a separate subtraction would give it. dog may be im itself:
+// each DoG row then replaces its input row, which the vertical pass reads
+// only for that subtraction.
 func blurArena(a *arena, im *texture.Image, sigma float64, dog *texture.Image) *texture.Image {
 	return blurTiered(a, im, sigma, useAVX512, dog)
 }
 
 // blurTiered is blurArena with the tier chosen by the caller: native runs
-// each row's interior through convH and each interior row through convV,
-// and the portable loops do the rest; with native false they do all of it,
-// which makes them the oracle the native tier is tested against. Both
-// passes parallelize over fixed row blocks; border pixels, whose taps
-// clamp, stay on hblurClamped and vblurCols.
-// Every pixel is one chain on either tier — each tap's product rounded
-// (the float32 conversions keep the compiler from fusing it into an FMA),
-// then added in ascending tap order — so the result is bitwise identical
-// to the straightforward nested-loop filter on either tier and at any
-// GOMAXPROCS. The vertical pass writes a non-nil dog's rows in its own row
-// blocks, each once its out row is done, so the DoG level needs no pass
-// or parallel launch of its own.
+// each row's 16-lane blocks through convH and each output row's through
+// convV, and the portable loops take the W%16 column tail; with native
+// false they take every column. Both passes parallelize over fixed row
+// blocks.
+//
+// Neither pass clamps a tap. The horizontal pass reads each source row
+// from pad, a copy with radius repeats of its edge pixels on either side,
+// and writes tmp, which holds radius repeats of its first and last rows
+// above and below the image's. A clamped tap reads the edge pixel, and the
+// padded buffer holds that pixel at the tap's place, so every pixel is the
+// same chain as the nested-loop filter with clamped taps: each tap's
+// product rounded (the float32 conversions keep the compiler from fusing
+// it into an FMA), then added in ascending tap order. The result is
+// bitwise identical on either tier and at any GOMAXPROCS. The vertical
+// pass writes a non-nil dog's rows in its own row blocks, each once its
+// out row is done, so the DoG level needs no pass or parallel launch of
+// its own.
 func blurTiered(a *arena, im *texture.Image, sigma float64, native bool, dog *texture.Image) *texture.Image {
 	if sigma <= 0 {
 		out := a.get(im.W, im.H)
 		copy(out.Pix, im.Pix)
 		if dog != nil {
-			subtractRows(dog.Pix, out.Pix, im.Pix)
+			for i, v := range out.Pix {
+				dog.Pix[i] = v - im.Pix[i]
+			}
 		}
 		return out
 	}
 	k := gaussianKernel(sigma)
 	radius := len(k) / 2
 	W, H := im.W, im.H
+	blocks := (H + rowBlock - 1) / rowBlock
+	n := 0 // columns on the native tier: whole 16-lane blocks
+	if native {
+		n = W &^ 15
+	}
 
-	// Horizontal pass: tmp[y][x] = sum_i k[i]·im[y][x-r+i], from +0.
-	tmp := a.get(W, H)
-	blas.Parallel((H+rowBlock-1)/rowBlock, func(b int) {
+	// Horizontal pass: tmp row radius+y is sum_i k[i]·pad[x+i], from +0,
+	// pad being row y with its edges repeated; one pad row per row block.
+	padW := W + 2*radius
+	tmp, pad := a.scratch(W*(H+2*radius), padW*blocks)
+	blas.Parallel(blocks, func(b int) {
+		row := pad[b*padW : (b+1)*padW]
 		for y := b * rowBlock; y < min((b+1)*rowBlock, H); y++ {
-			row := im.Pix[y*W : y*W+W]
-			dst := tmp.Pix[y*W : y*W+W]
-			lo, hi := radius, W-radius
-			if hi < lo {
-				lo, hi = W, W // kernel wider than the row: clamp everywhere
+			src := im.Pix[y*W : y*W+W]
+			copy(row[radius:], src)
+			fill(row[:radius], src[0])
+			fill(row[radius+W:], src[W-1])
+			dst := tmp[(radius+y)*W : (radius+y+1)*W]
+			if n > 0 {
+				convH(dst[:n], row[:n+2*radius], k)
 			}
-			for x := 0; x < lo; x++ {
-				dst[x] = hblurClamped(row, x, k)
-			}
-			x := lo
-			if n := (hi - lo) &^ 15; native && n > 0 {
-				convH(dst[lo:lo+n], row[lo-radius:lo+n+radius], k)
-				x += n
-			}
-			for ; x < hi; x++ {
-				src := row[x-radius : x+radius+1]
+			for x := n; x < W; x++ {
 				var s float32
 				for i, kv := range k {
-					s += float32(kv * src[i])
+					s += float32(kv * row[x+i])
 				}
 				dst[x] = s
 			}
-			for x := hi; x < W; x++ {
-				dst[x] = hblurClamped(row, x, k)
+		}
+		// The repeated rows copy the first and last image rows, which
+		// the first and last row blocks have just written.
+		if b == 0 {
+			for y := range radius {
+				copy(tmp[y*W:(y+1)*W], tmp[radius*W:(radius+1)*W])
+			}
+		}
+		if b == blocks-1 {
+			for y := radius + H; y < H+2*radius; y++ {
+				copy(tmp[y*W:(y+1)*W], tmp[(radius+H-1)*W:(radius+H)*W])
 			}
 		}
 	})
 
-	// Vertical pass: out[y][x] = sum_i k[i]·tmp[y-r+i][x], from k[0]·tmp.
-	// An interior row's source rows are W apart, so convV takes them as a
-	// base and a stride; border rows, whose source rows clamp, and the
-	// columns past the last 16-lane block stay on vblurCols.
+	// Vertical pass: out[y][x] = sum_i k[i]·tmp[y+i][x], from k[0]·tmp. An
+	// output row's source rows are W apart, so convV takes them as a base
+	// and a stride.
 	out := a.get(W, H)
-	blas.Parallel((H+rowBlock-1)/rowBlock, func(b int) {
+	blas.Parallel(blocks, func(b int) {
 		for y := b * rowBlock; y < min((b+1)*rowBlock, H); y++ {
-			x := 0
-			if n := W &^ 15; native && n > 0 && y >= radius && y+radius < H {
-				convV(out.Pix[y*W:y*W+n], tmp.Pix[(y-radius)*W:(y+radius)*W+n], W, k)
-				x = n
-			}
-			vblurCols(out, tmp, y, x, k)
+			dst := out.Pix[y*W : y*W+W]
+			src := tmp[y*W : (y+2*radius+1)*W]
+			var d, in []float32
 			if dog != nil {
-				subtractRows(dog.Pix[y*W:y*W+W], out.Pix[y*W:y*W+W], im.Pix[y*W:y*W+W])
+				d, in = dog.Pix[y*W:y*W+W], im.Pix[y*W:y*W+W]
 			}
+			if n > 0 {
+				convV(dst[:n], src[:2*radius*W+n], W, k, d[:min(n, len(d))], in[:min(n, len(in))])
+			}
+			vblurCols(dst, src, n, k, d, in)
 		}
 	})
-	a.put(tmp)
 	return out
 }
 
-// hblurClamped is the horizontal chain of row's pixel x with the source
-// column clamped to the row, for the border pixels whose taps reach past
-// either end.
-func hblurClamped(row []float32, x int, k []float32) float32 {
-	radius := len(k) / 2
-	var s float32
-	for i, kv := range k {
-		s += float32(kv * row[clampRow(x-radius+i, len(row))])
+// fill sets every element of dst to v.
+func fill(dst []float32, v float32) {
+	for i := range dst {
+		dst[i] = v
 	}
-	return s
 }
 
-// vblurCols writes columns x0..W-1 of out's row y: the vertical taps
-// accumulated row-wise in ascending tap order (the same per-pixel chain as
-// a scalar loop over i) with the source row index clamped at the border.
-func vblurCols(out, tmp *texture.Image, y, x0 int, k []float32) {
-	W, H, radius := tmp.W, tmp.H, len(k)/2
-	dst := out.Pix[y*W+x0 : y*W+W]
-	src := tmp.Pix[clampRow(y-radius, H)*W:]
-	src = src[x0:W]
-	for x, v := range src {
-		dst[x] = k[0] * v
+// vblurCols writes columns x0..len(dst)−1 of one output row: the vertical
+// taps of src's rows, len(dst) apart, accumulated row-wise in ascending tap
+// order (the same per-pixel chain as a scalar loop over i). A non-nil dog
+// receives dst − in over the same columns.
+func vblurCols(dst, src []float32, x0 int, k []float32, dog, in []float32) {
+	W := len(dst)
+	out := dst[x0:]
+	for x, v := range src[x0:W] {
+		out[x] = k[0] * v
 	}
 	for i := 1; i < len(k); i++ {
-		src := tmp.Pix[clampRow(y-radius+i, H)*W:]
-		src = src[x0:W]
 		kv := k[i]
-		for x, v := range src {
-			dst[x] += float32(kv * v)
+		for x, v := range src[i*W+x0 : i*W+W] {
+			out[x] += float32(kv * v)
 		}
 	}
-}
-
-// clampRow clamps a row (or column) index to [0, h).
-func clampRow(y, h int) int {
-	if y < 0 {
-		return 0
+	if dog != nil {
+		for x := x0; x < W; x++ {
+			dog[x] = dst[x] - in[x]
+		}
 	}
-	if y >= h {
-		return h - 1
-	}
-	return y
 }
 
 // downsampleArena halves the image by taking every other pixel, as in Lowe's
@@ -302,22 +323,33 @@ func downsampleArena(a *arena, im *texture.Image) *texture.Image {
 	return out
 }
 
-// subtractRows sets dst[i] = a[i] − b[i]; the slices have equal lengths.
-func subtractRows(dst, a, b []float32) {
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
 // upsample2x doubles the image with bilinear interpolation (Lowe's
-// "-1 octave" base), over the blur's fixed row blocks: every pixel is its
-// own Bilinear call, so the output is the same at any GOMAXPROCS.
+// "-1 octave" base), over the blur's fixed row blocks. Output pixel (x, y)
+// is im.Bilinear(x/2, y/2) bit for bit: its fractions are 0 or 0.5, and
+// its taps are source pixels (x/2, y/2) and one right and one down,
+// clamped to the last column and row, which Bilinear's At clamps too. Each
+// output row reads two source rows, and each source pixel pair makes two
+// output pixels with Bilinear's expression. The output is the same at any
+// GOMAXPROCS.
 func upsample2x(a *arena, im *texture.Image) *texture.Image {
-	out := a.get(im.W*2, im.H*2)
+	W, H := im.W, im.H
+	out := a.get(2*W, 2*H)
+	frac := [2]float32{0, 0.5}
 	blas.Parallel((out.H+rowBlock-1)/rowBlock, func(b int) {
 		for y := b * rowBlock; y < min((b+1)*rowBlock, out.H); y++ {
-			for x := 0; x < out.W; x++ {
-				out.Pix[y*out.W+x] = im.Bilinear(float64(x)/2, float64(y)/2)
+			y0 := y / 2
+			fy := frac[y&1]
+			r0 := im.Pix[y0*W : y0*W+W]
+			r1 := im.Pix[min(y0+1, H-1)*W:][:W]
+			dst := out.Pix[y*out.W : (y+1)*out.W]
+			for x0 := range r0 {
+				x1 := min(x0+1, W-1)
+				v00, v10, v01, v11 := r0[x0], r0[x1], r1[x0], r1[x1]
+				for j, fx := range frac {
+					top := v00 + (v10-v00)*fx
+					bot := v01 + (v11-v01)*fx
+					dst[2*x0+j] = top + (bot-top)*fy
+				}
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package sift
 
 import (
+	"fmt"
 	"math"
 
 	"texid/internal/blas"
@@ -53,6 +54,16 @@ func DefaultConfig() Config {
 		MaxFeatures:       768,
 		RootSIFT:          false,
 	}
+}
+
+// Validate reports a configuration Extract cannot run: an OctaveScales
+// below 1 gives each octave no interval to sample, so −1 indexes out of
+// range in the pyramid build and 0 extracts no feature from any image.
+func (c Config) Validate() error {
+	if c.OctaveScales < 1 {
+		return fmt.Errorf("sift: OctaveScales %d, want >= 1", c.OctaveScales)
+	}
+	return nil
 }
 
 // Features is the output of extraction: a d×N descriptor matrix (one

@@ -4,7 +4,7 @@
 # error results; every other project invariant is held by a test or by the
 # type system, see DESIGN.md "Correctness invariants & texlint"), import
 # hygiene of the serving binaries, the serving core's tests at GOMAXPROCS
-# 1, 2 and 4, the kernel-tier equivalence tests of all eight blas, binq and
+# 1, 2 and 4, the kernel-tier equivalence tests of all ten blas, binq and
 # sift families (no tier the host's CPU flags advertise may skip), the
 # blas/half/binq/knn/sift tests and the engine's pruning tests on the
 # portable (no-assembly) kernels, SIFT's goldens and tier tests built for
@@ -72,7 +72,7 @@ fi
 echo "==> go test -cpu 1,2,4 (engine, serve, cluster)"
 go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster/...
 
-# Kernel tiers, eight families picked from CPUID, each bit-identical to its
+# Kernel tiers, ten families picked from CPUID, each bit-identical to its
 # fallback: the half-precision GEMM runs AccumFP16 on one of three tiers —
 # AVX512-FP16 (native binary16 arithmetic), F16C (float32 round trips),
 # portable Go — the FP32 GEMM + top-2 on one of three — AVX-512 with the
@@ -82,9 +82,12 @@ go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster
 # AVX-512 VPOPCNTQ or the scalar loop, the SIFT scale-space blur on one of
 # two, AVX-512 taps or the portable loops, SIFT's atan2 and exp on one
 # of two, eight AVX-512 lanes or Go's math, SIFT's DoG extremum scan on one
-# of two, sixteen AVX-512 lanes or the scalar compare chain, and the SIFT
+# of two, sixteen AVX-512 lanes or the scalar compare chain, the SIFT
 # descriptor scatter's per-pixel prep on one of two, eight AVX-512 lanes or
-# the scalar prep. The equivalence tests
+# the scalar prep, the SIFT orientation and descriptor window gathers on
+# one of two, eight AVX-512 lanes or the Go loops, and the SIFT orientation
+# histogram's per-pixel prep on one of two, eight AVX-512 lanes or the
+# scalar prep. The equivalence tests
 # skip a tier the host lacks (hosted CI runners have no AVX512-FP16), so
 # they run verbose: the log names every tier test that ran and every one
 # that skipped, and a green run is never mistaken for coverage of a tier
@@ -95,7 +98,7 @@ tierlog=$(mktemp)
 trap 'rm -f "$tierlog"' EXIT
 go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable|GemmTop2TiersMatch|HGemmTop2TiersMatch|Top2AddRowsSemantics)$' ./internal/blas | tee "$tierlog"
 go test -count=1 -v -run '^TestScanTiersMatch$' ./internal/binq | tee -a "$tierlog"
-go test -count=1 -v -run '^Test(BlurTiersMatch|EvalTiersMatch|ExtremaTiersMatch|DescBinsTiersMatch)$' ./internal/sift | tee -a "$tierlog"
+go test -count=1 -v -run '^Test(BlurTiersMatch|EvalTiersMatch|ExtremaTiersMatch|DescBinsTiersMatch|GatherTiersMatch|OrientBinsTiersMatch)$' ./internal/sift | tee -a "$tierlog"
 # A tier the host has may not skip: when /proc/cpuinfo lists the CPU flag
 # and the tier's test still skipped, the CPUID or XCR0 probe, a build tag
 # or the useAVX2 gate is wrong. Hosts without /proc/cpuinfo skip the gate.
@@ -105,7 +108,8 @@ if [[ -r /proc/cpuinfo ]]; then
               avx512_fp16:TestNativeAddIsDoubleRounded avx512_fp16:TestHGemmTop2TiersMatch \
               avx512_vpopcntdq:TestScanTiersMatch avx512f:TestBlurTiersMatch \
               avx512f:TestEvalTiersMatch avx512f:TestExtremaTiersMatch \
-              avx512f:TestDescBinsTiersMatch; do
+              avx512f:TestDescBinsTiersMatch avx512f:TestGatherTiersMatch \
+              avx512f:TestOrientBinsTiersMatch; do
     flag=${tier%%:*} test=${tier#*:}
     if [[ $cpuflags == *" $flag "* ]] && grep -q -- "--- SKIP: $test (" "$tierlog"; then
       echo "check.sh: this host has $flag but $test skipped its tier" >&2
@@ -116,12 +120,14 @@ fi
 
 # Portable-kernel pass: every other run exercises the host's assembly tiers
 # (AVX512-FP16 and/or F16C, the fused FP32 GEMM + top-2, VPOPCNTQ, the
-# AVX-512 blur, atan2/exp, extremum scan and descriptor prep); this rerun
+# AVX-512 blur, atan2/exp, extremum scan, descriptor prep, window gathers
+# and orientation prep); this rerun
 # pins the pure-Go fallback kernels
 # (and the bit-identity tests that compare the tiers) with every assembly
 # tier disabled, the knn matches on blas.GemmTop2's GemmTN + Top2AddRows
 # route, SIFT extraction, its golden digests and its determinism tests on
-# the portable blur, math, extremum and descriptor loops, plus the
+# the portable blur, math, extremum, descriptor, gather and orientation
+# loops, plus the
 # whole pruned search on the scalar scan.
 echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half, binq, knn, sift, engine Prune*)"
 TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/... ./internal/binq/... ./internal/knn/... ./internal/sift/...

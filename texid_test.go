@@ -251,3 +251,32 @@ func TestEnrollImages(t *testing.T) {
 		t.Fatal("duplicate batch enrollment accepted")
 	}
 }
+
+// TestOpenRejectsExtractorConfig holds Open and OpenCluster to
+// sift.Config.Validate: an OctaveScales the pyramid cannot sample — −1
+// panicked with an index out of range at the first extraction, 0
+// extracted no feature, so every search failed — is an error at Open, and
+// the smallest valid value opens and extracts.
+func TestOpenRejectsExtractorConfig(t *testing.T) {
+	for _, scales := range []int{-1, 0} {
+		cfg := smallConfig()
+		cfg.Extractor.OctaveScales = scales
+		if sys, err := Open(cfg); err == nil || sys != nil {
+			t.Errorf("Open with OctaveScales %d = %v, %v; want an error", scales, sys, err)
+		}
+		ccfg := DefaultClusterConfig()
+		ccfg.Extractor.OctaveScales = scales
+		if cs, err := OpenCluster(ccfg); err == nil || cs != nil {
+			t.Errorf("OpenCluster with OctaveScales %d = %v, %v; want an error", scales, cs, err)
+		}
+	}
+	cfg := smallConfig()
+	cfg.Extractor.OctaveScales = 1
+	sys, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sys.ExtractQuery(smallTexture(1)).Count(); n == 0 {
+		t.Fatal("OctaveScales 1 extracted no feature")
+	}
+}
