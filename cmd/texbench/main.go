@@ -7,9 +7,9 @@
 //	texbench -experiment table1      # one experiment
 //	texbench -experiment table2 -refs 24 -queries 24 -feature-scale 2
 //	texbench -markdown > results.md  # EXPERIMENTS.md-style output
-//	texbench -suite -baseline BENCH_BASELINE.json            # measurement suite, gated
-//	texbench -suite -portable -baseline BENCH_BASELINE.json  # the machine-independent half (CI)
+//	texbench -suite -portable -baseline BENCH_BASELINE.json  # sim and count rows, gated (CI)
 //	texbench -suite -op '^gemm' -count 5                     # iterate on one op
+//	scripts/bench.sh HEAD '^gemm'                            # wall rows, paired against HEAD
 //
 // Timing experiments always run at the paper's full dimensions (phantom
 // batches); accuracy experiments (Tables 2 and 7) run the real pipeline on
@@ -105,7 +105,7 @@ func runSuite(o bench.SuiteOptions, outPath, baselinePath string) {
 	if baselinePath != "" {
 		var err error
 		if baseline, err = bench.Load(baselinePath); err != nil {
-			fmt.Fprintf(os.Stderr, "texbench: bad baseline: %v\n  record one:       UPDATE=1 scripts/bench.sh\n  or skip the gate: TEXID_BENCH_BASELINE=skip scripts/bench.sh\n", err)
+			fmt.Fprintf(os.Stderr, "texbench: bad baseline: %v\n  record one: UPDATE=1 scripts/bench.sh\n", err)
 			os.Exit(2)
 		}
 	}

@@ -49,13 +49,20 @@ func main() {
 	hostCacheGB := flag.Int("host-cache-gb", 64, "host cache budget per worker, GB")
 	store := flag.String("kvstore", "", `feature persistence: "", "embedded", or a host:port of a RESP server`)
 	kvListen := flag.String("kvstore-listen", "127.0.0.1:0", "listen address for the embedded kvstore")
-	kvAOF := flag.String("kvstore-aof", "", "append-only file for the embedded kvstore (survives restarts)")
+	kvAOF := flag.String("kvstore-aof", "", "append-only file for the embedded kvstore (survives restarts; needs -kvstore embedded)")
 	minShards := flag.Int("min-shards", 1, "minimum shards that must answer before a search fails instead of degrading")
 	maxBatch := flag.Int("max-batch", 16, "max concurrent /v1/search requests coalesced into one batched scatter pass (<= 1 disables)")
 	batchWindowUS := flag.Int("batch-window-us", 200, "how long the first query of a batch waits for co-travellers, wall-clock µs")
 	pruneC := flag.Int("prune-c", 0, "binary Hamming prefilter: candidate images reranked per shard (0 disables pruning)")
 	pruneProbes := flag.Int("prune-probes", 0, "query descriptors probed by the prefilter scan (0 = default 64)")
 	flag.Parse()
+	if *kvAOF != "" && *store != "embedded" {
+		// Only the embedded store writes an AOF; starting without one would
+		// leave an operator believing the references persist.
+		log.Print("-kvstore-aof needs -kvstore embedded")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := engine.DefaultConfig()
 	switch *device {

@@ -37,19 +37,6 @@ func buildAccDataset(opts Options) *accDataset {
 	return out
 }
 
-// subset returns a view of the dataset limited to the first q queries
-// (Table 2's FP16-accumulating GEMMs are ~20x slower than FP32, so it runs
-// on fewer queries than Table 7).
-func (ds *accDataset) subset(q int) *accDataset {
-	if q >= len(ds.queries) {
-		return ds
-	}
-	out := *ds
-	out.queries = ds.queries[:q]
-	out.truth = ds.truth[:q]
-	return &out
-}
-
 // trim returns the first k response-ranked descriptor columns as a fresh
 // matrix; rootSIFT applies the Hellinger transform to the copy. Images
 // with fewer than k features are padded with zero columns (harmless under
@@ -184,7 +171,6 @@ func Table2(opts Options) *Table {
 }
 
 func table2WithDataset(ds *accDataset, opts Options) *Table {
-	ds = ds.subset(12)
 	m := opts.scaled(768)
 	n := opts.scaled(768)
 	t := &Table{

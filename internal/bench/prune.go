@@ -85,7 +85,7 @@ func pruneWithDataset(ds *accDataset, opts Options) *Table {
 		"top-1 applies the open-set MinMatches rule after the rerank")
 	t.AddNote("the rerank is bitwise identical to the unpruned kernels, so accuracy can only differ " +
 		"when the prefilter drops the true reference (recall < 100%%)")
-	t.AddNote("wall-clock capacity: see engine_search_steady_pruned vs engine_search_steady_unpruned_10x " +
-		"in BENCH_BASELINE.json (a 10x shard at roughly unpruned-16-image latency)")
+	t.AddNote("wall-clock capacity: see engine_search_steady_pruned/speedup_vs_unpruned in texbench -suite, " +
+		"floored at 5x at GOMAXPROCS 1 (a 10x shard at roughly unpruned-16-image latency)")
 	return t
 }

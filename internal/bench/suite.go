@@ -22,8 +22,10 @@ const (
 	// ClockSim is gpusim device time: bit-reproducible on any machine and
 	// at any GOMAXPROCS, so sim rows gate everywhere, CI included.
 	ClockSim = "sim"
-	// ClockWall is host time: machine-dependent, recorded once per
-	// GOMAXPROCS, and gated only on the machine that recorded the baseline.
+	// ClockWall is host time: machine-dependent and measured once per
+	// GOMAXPROCS. It is never committed: scripts/bench.sh reads its
+	// tolerance against the parent commit measured beside it, and its
+	// limit and result check hold on every run.
 	ClockWall = "wall"
 	// ClockCount is an event count (allocations per op): a code-shape
 	// property, identical wherever the same kernels run and lower on the

@@ -52,11 +52,10 @@ type Config struct {
 	HostCacheBytes int64
 	// PinnedHost uses pinned host memory for H2D streaming.
 	PinnedHost bool
-	// Match configures the post-processing decision pipeline.
+	// Match configures the post-processing decision pipeline. With
+	// Match.Geometric set the engine keeps each reference's keypoints for
+	// the RANSAC step.
 	Match match.Config
-	// KeepKeypoints stores reference keypoints host-side for geometric
-	// verification.
-	KeepKeypoints bool
 	// PruneC enables the binary Hamming prefilter: every search first scans
 	// packed 128-bit codes of all references and only the top-PruneC
 	// candidates go through the exact GEMM rerank. Zero disables pruning
@@ -304,7 +303,8 @@ func (e *Engine) addLocked(id int, feats *blas.Matrix, kps []sift.Keypoint, code
 		}
 	}
 	ref := &refMeta{id: id}
-	if e.cfg.KeepKeypoints {
+	if e.cfg.Match.Geometric {
+		// Only match.PairScore's RANSAC step reads reference keypoints.
 		ref.kps = kps
 	}
 	e.refs[id] = ref

@@ -422,7 +422,6 @@ func TestConfigValidation(t *testing.T) {
 
 func TestKeypointsFlowThroughGeometricVerification(t *testing.T) {
 	cfg := testConfig()
-	cfg.KeepKeypoints = true
 	cfg.Match.Geometric = true
 	cfg.Match.MinMatches = 4
 	cfg.Match.RANSACTol = 6

@@ -216,7 +216,7 @@ func TestPrunedPhantomSearch(t *testing.T) {
 func TestPrunedCompactKeepsCodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	cfg := prunedConfig(3)
-	cfg.KeepKeypoints = true
+	cfg.Match.Geometric = true // keeps the reference keypoints
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
