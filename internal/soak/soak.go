@@ -21,13 +21,14 @@
 // p99.9 a real open-loop client would have seen.
 //
 // Two clocks: wall-mode scenarios (steady, churn, GOGC sweep) measure
-// real time and are machine-dependent — their baseline rows gate only on
-// the machine that recorded them. The sim-clock variant (RunSim) replays
-// the same scenario shape on the simulated device clock with a sequential
-// queueing model, producing bit-identical latency histograms and result
-// transcripts across runs and GOMAXPROCS settings; that half gates
-// unconditionally, including in CI. internal/bench's op table turns both
-// into BENCH_BASELINE.json rows.
+// real time and are machine-dependent — their rows are compared only with
+// the parent commit run beside them on one host (scripts/bench.sh). The
+// sim-clock variant (RunSim) replays the same scenario shape on the
+// simulated device clock with a sequential queueing model, producing
+// bit-identical latency histograms and result transcripts across runs and
+// GOMAXPROCS settings; that half gates unconditionally against
+// BENCH_BASELINE.json, including in CI. internal/bench's op table turns
+// both into rows.
 package soak
 
 import (
