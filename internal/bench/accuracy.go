@@ -206,7 +206,7 @@ func table2WithDataset(ds *accDataset, opts Options) *Table {
 	}
 	t.AddNote("paper (m=n=768, tea-brick dataset): full precision 98.58%%; scales 1 and 2^-1 overflow; " +
 		"2^-2..2^-12 error 0.1026%% at full accuracy; 2^-14 0.1043%%/98.31%%; 2^-16 0.3492%%/98.31%%")
-	t.AddNote("dimensions scaled by 1/%d for pure-Go FP16-accumulating GEMM tractability", opts.FeatureScale)
+	t.AddNote("dimensions scaled by 1/%d by -feature-scale (default 4) to keep the default run short; full budgets are ROADMAP item 7", opts.FeatureScale)
 	return t
 }
 

@@ -507,8 +507,9 @@ func (c *Cluster) scatter(op string, queryFeats []*blas.Matrix, queryKps [][]sif
 	return out, nil
 }
 
-// Compact rebuilds every shard's reference store, reclaiming tombstoned
-// slots left by Remove/Update. Returns the total slots reclaimed.
+// Compact rebuilds every shard's reference store, reclaiming the tombstoned
+// slots Remove leaves (Update rewrites in place and leaves none). Returns
+// the total slots reclaimed.
 func (c *Cluster) Compact() (int, error) {
 	total := 0
 	for i, w := range c.workers {

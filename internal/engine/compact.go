@@ -1,12 +1,13 @@
 package engine
 
-// Compact rebuilds the reference store without dead slots. Removed and
-// updated references leave tombstoned slots behind in their immutable
-// batches — searches skip them, but they still burn cache memory and GEMM
-// work. Compact drops every old batch and re-feeds the live references, in
-// enrollment order as the same records (so the id map is never touched) and
-// carrying their enrolled codes, through pending into sealLocked, the one
-// batch builder. It returns the number of dead slots reclaimed.
+// Compact rebuilds the reference store without dead slots. Removed
+// references leave tombstoned slots behind in their batches (Update
+// rewrites its slot in place and leaves none) — searches skip them, but
+// they still burn cache memory and GEMM work. Compact drops every old
+// batch and re-feeds the live references, in enrollment order as the same
+// records (so the id map is never touched) and carrying their enrolled
+// codes, through pending into sealLocked, the one batch builder, which
+// re-places each record. It returns the number of dead slots reclaimed.
 //
 // Phantom batches carry no feature payload and cannot be rebuilt; engines
 // holding phantom references return an error.

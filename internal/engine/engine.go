@@ -99,11 +99,16 @@ type sealedBatch struct {
 // refMeta is the host-side record of one enrollment of a reference image.
 // The id map is the only statement of liveness: a batch slot (or a pending
 // entry) holding ref is live iff e.refs[ref.id] == ref. Remove deletes the
-// entry and Update installs a new record, so the superseded slot goes dead
-// without anything being written to its immutable batch.
+// entry, so its slot goes dead and stays in its batch until Compact; Update
+// keeps the record and rewrites what it names in place. rb and slot say
+// where commitBatchLocked placed the record (rb nil until its first seal;
+// Compact re-places it), so that rewrite costs one reference and never
+// walks the cache.
 type refMeta struct {
-	id  int
-	kps []sift.Keypoint
+	id   int
+	kps  []sift.Keypoint
+	rb   *knn.RefBatch
+	slot int
 }
 
 // pendingRef is one enrolled but not yet sealed reference; liveLocked
@@ -445,13 +450,17 @@ func (e *Engine) commitBatchLocked(rb *knn.RefBatch, refs []*refMeta) error {
 		}
 		return fmt.Errorf("engine: cache full: %w", err)
 	}
+	for slot, ref := range refs {
+		ref.rb, ref.slot = rb, slot
+	}
 	e.nextBatchID++
 	return nil
 }
 
 // Remove deletes a reference: its batch slot remains physically present
-// (FIFO batches are immutable) but the id map no longer names its record,
-// so searches skip it. Returns false for unknown ids.
+// as a tombstone until Compact, but the id map no longer names its record,
+// so searches skip it. Remove is the only source of tombstones. Returns
+// false for unknown ids.
 func (e *Engine) Remove(id int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -460,17 +469,46 @@ func (e *Engine) Remove(id int) bool {
 	return ok
 }
 
-// Update replaces a reference's features: the old record leaves the id map
-// and the new features enroll under the same id, in one critical
-// section — concurrent Updates of one id serialize, and no search sees the
-// id absent in between. Mis-shaped features are rejected before the old
-// reference is unmapped, so a failed Update leaves the index as it was.
+// Update replaces a reference's features in one critical section, so
+// concurrent Updates of one id serialize and no search sees a half-written
+// reference. A known id keeps its record and its place: a sealed slot is
+// rewritten in place (features, norms, and codes under the frozen
+// thresholds), a pending entry is replaced. Neither leaves a tombstone or
+// seals a batch, so every answer equals that of an index that enrolled the
+// new features at the id's first enrollment. An unknown id is enrolled as
+// by Add. Mis-shaped features are rejected before anything is touched, and
+// phantom references cannot be updated.
 func (e *Engine) Update(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
 	if err := e.CheckShape(feats); err != nil {
 		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.refs, id)
-	return e.addLocked(id, feats, kps, nil)
+	ref, ok := e.refs[id]
+	if !ok {
+		return e.addLocked(id, feats, kps, nil)
+	}
+	if ref.rb == nil {
+		for i := range e.pending {
+			if e.pending[i].ref == ref {
+				e.pending[i] = pendingRef{ref: ref, feats: feats}
+				break
+			}
+		}
+	} else {
+		if ref.rb.Phantom() {
+			return fmt.Errorf("engine: cannot update phantom reference %d", id)
+		}
+		var codes []binq.Code
+		if e.cfg.PruneC > 0 {
+			codes = e.thresh.Encode(feats, make([]binq.Code, 0, e.cfg.RefFeatures))
+		}
+		if err := ref.rb.RewriteSlot(ref.slot, feats, codes); err != nil {
+			return err
+		}
+	}
+	if e.cfg.Match.Geometric {
+		ref.kps = kps
+	}
+	return nil
 }

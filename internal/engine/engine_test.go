@@ -832,10 +832,22 @@ func TestConcurrentSearches(t *testing.T) {
 // TestConcurrentUpdatesOfOneIDAreAtomic: Update is one critical section.
 // As Remove-then-Add under two lock acquisitions, two concurrent Updates of
 // one id both removed and both added ("duplicate reference id"), and a
-// search could run in the gap and not see the id at all.
+// search could run in the gap and not see the id at all. Update rewrites a
+// sealed slot in place, so under -race this also holds that no search
+// reads a slot while an Update writes it, on the FP32 copy and on the FP16
+// conversion alike.
 func TestConcurrentUpdatesOfOneIDAreAtomic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"fp32", testConfig()}, {"fp16", fp16TestConfig()}} {
+		t.Run(tc.name, func(t *testing.T) { runConcurrentUpdates(t, tc.cfg) })
+	}
+}
+
+func runConcurrentUpdates(t *testing.T, cfg Config) {
 	rng := rand.New(rand.NewSource(61))
-	e, _ := New(testConfig())
+	e, _ := New(cfg)
 	refs := enrollTestRefs(t, e, rng, 6)
 	const id = 103
 	q := queryFor(rng, refs[3], 32, 0.02)
@@ -868,8 +880,9 @@ func TestConcurrentUpdatesOfOneIDAreAtomic(t *testing.T) {
 						seen++
 					}
 				}
-				if seen != 1 || len(rep.Ranked) != len(refs) {
-					errs <- fmt.Errorf("search ranked id %d %d times among %d results, want once among %d", id, seen, len(rep.Ranked), len(refs))
+				if seen != 1 || len(rep.Ranked) != len(refs) || rep.BestID != id {
+					errs <- fmt.Errorf("search ranked id %d %d times among %d results (best %d), want once among %d and best",
+						id, seen, len(rep.Ranked), rep.BestID, len(refs))
 					return
 				}
 			}

@@ -10,11 +10,12 @@ import (
 )
 
 // indexModel is the whole specification of the index: the current version
-// of every enrolled id, the order those versions were enrolled in, and how
-// many superseded or removed slots a Compact would reclaim.
+// of every enrolled id, the order the ids were first enrolled in (an
+// Update keeps an id's place; a Remove and re-Add moves it to the end), and
+// how many removed slots a Compact would reclaim.
 type indexModel struct {
 	query map[int]*blas.Matrix // id -> a query only that id's current version answers
-	order []int                // ids, by enrollment of their current version
+	order []int                // ids, by first enrollment since their last Remove
 	dead  int
 }
 
@@ -68,12 +69,13 @@ func runIndexModel(t *testing.T, cfg Config) {
 		feats := unitFeatures(rng, cfg.Dim, cfg.RefFeatures)
 		if update {
 			must(e.Update(id, feats, nil))
-			model.drop(id)
 		} else {
 			must(e.Add(id, feats, nil))
 		}
+		if _, known := model.query[id]; !known {
+			model.order = append(model.order, id)
+		}
 		model.query[id] = queryFor(rng, feats, cfg.QueryFeatures, 0.02)
-		model.order = append(model.order, id)
 	}
 	remove := func(id int) {
 		t.Helper()
@@ -175,6 +177,147 @@ func runIndexModel(t *testing.T, cfg Config) {
 			}
 			if len(seen) != live {
 				t.Fatalf("step %d (op %d): ranking holds %d ids, model %d", step, op, len(seen), live)
+			}
+		}
+	}
+	for op, n := range ran {
+		if n == 0 {
+			t.Fatalf("the seeded history never ran op %d: %v", op, ran)
+		}
+	}
+}
+
+// TestChurnMatchesFreshIndex is the answer contract of a churned index:
+// after every step of a seeded Add/Update/Remove/Compact history, every
+// search answers exactly — Ranked, BestID, Score, Accepted — as a fresh
+// engine that Adds the live set in first-enrollment order (with the churned
+// engine's thresholds, when pruned). An Update of a known id neither seals a
+// batch nor adds a pending entry: it rewrites its slot or entry in place.
+func TestChurnMatchesFreshIndex(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"fp32", testConfig()},
+		{"fp16", fp16TestConfig()},
+		{"pruned3", prunedConfig(3)},
+		{"pruned4096", prunedConfig(1 << 12)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runChurnOracle(t, tc.cfg) })
+	}
+}
+
+func runChurnOracle(t *testing.T, cfg Config) {
+	const steps, maxLive = 40, 12
+	rng := rand.New(rand.NewSource(23))
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	feats := map[int]*blas.Matrix{} // id -> current version
+	var order []int                 // live ids, by first enrollment since their last Remove
+	add := func(id int) {
+		f := unitFeatures(rng, cfg.Dim, cfg.RefFeatures)
+		must(e.Add(id, f, nil))
+		feats[id] = f
+		order = append(order, id)
+	}
+	// layout is what an Update of a known id must leave alone: the batch
+	// count, and the pending entries the next search would seal.
+	layout := func() [2]int {
+		batches := e.Stats().Batches
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		return [2]int{batches, len(e.pending)}
+	}
+	update := func(id int) {
+		t.Helper()
+		f := unitFeatures(rng, cfg.Dim, cfg.RefFeatures)
+		before := layout()
+		must(e.Update(id, f, nil))
+		if after := layout(); after != before {
+			t.Fatalf("Update(%d) moved {batches, pending} %v -> %v", id, before, after)
+		}
+		feats[id] = f
+	}
+	remove := func(id int) {
+		e.Remove(id)
+		delete(feats, id)
+		for i, v := range order {
+			if v == id {
+				order = append(order[:i], order[i+1:]...)
+				break
+			}
+		}
+	}
+	nextID := 0
+	fresh := func() int { nextID++; return nextID }
+	someLive := func() int { return order[rng.Intn(len(order))] }
+
+	var ran [6]int
+	for step := 0; step < steps; step++ {
+		op := rng.Intn(6)
+		if len(order) == 0 {
+			op = 0
+		} else if len(order) >= maxLive {
+			op = 3
+		}
+		ran[op]++
+		switch op {
+		case 0: // a run of Adds that straddles a batch boundary
+			for n := 1 + rng.Intn(cfg.BatchSize+2); n > 0; n-- {
+				add(fresh())
+			}
+		case 1: // Update of a sealed (or, after a run of Adds, pending) id
+			must(e.Flush())
+			update(someLive())
+		case 2: // Update of an id still pending
+			must(e.Flush())
+			id := fresh()
+			add(id)
+			update(id)
+		case 3:
+			remove(someLive())
+		case 4: // Remove, then re-Add the same id: it moves to the end
+			id := someLive()
+			remove(id)
+			add(id)
+		default:
+			_, err := e.Compact()
+			must(err)
+		}
+
+		queries := make([]*blas.Matrix, 0, len(order)+1)
+		for _, id := range order {
+			queries = append(queries, queryFor(rng, feats[id], cfg.QueryFeatures, 0.02))
+		}
+		queries = append(queries, unitFeatures(rng, cfg.Dim, cfg.QueryFeatures)) // matches nothing
+		got := make([]*Report, len(queries))
+		for i, q := range queries {
+			got[i], err = e.Search(q, nil)
+			must(err)
+		}
+		oracle, err := New(cfg)
+		must(err)
+		if cfg.PruneC > 0 && len(order) > 0 {
+			must(oracle.SetThresholds(e.Thresholds()))
+		}
+		for _, id := range order {
+			must(oracle.Add(id, feats[id], nil))
+		}
+		for i, q := range queries {
+			want, err := oracle.Search(q, nil)
+			must(err)
+			g := got[i]
+			if g.BestID != want.BestID || g.Score != want.Score || g.Accepted != want.Accepted || !sameRanked(g.Ranked, want.Ranked) {
+				t.Fatalf("step %d (op %d), query %d: churned index answered %d/%d/%v %v, fresh index %d/%d/%v %v",
+					step, op, i, g.BestID, g.Score, g.Accepted, g.Ranked, want.BestID, want.Score, want.Accepted, want.Ranked)
 			}
 		}
 	}

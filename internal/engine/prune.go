@@ -15,8 +15,9 @@ import (
 //     host-demoted batches, whose codes never leave the device. Each
 //     image's score is the sum over probes of the minimum Hamming distance
 //     to any of its codes.
-//  2. Select: per query, the top-C images (deterministic ties: lower scan
-//     score, then lower global slot).
+//  2. Select: per query, the top-C live images (deterministic ties: lower
+//     scan score, then lower global slot). A tombstoned slot takes no
+//     place, so a removed reference cannot crowd a live one out.
 //
 // The pass then matches, per batch, only the union of its queries'
 // candidates (batchSlots), through the same exact GEMM + fused top-2 kernel
@@ -34,6 +35,7 @@ type pruneScratch struct {
 	qcodes   []binq.Code // encoded probes, all queries concatenated
 	probeOff []int       // per-query probe offsets (len Bq+1)
 	scores   []uint32    // scan scores, [qi*total+g]
+	dead     []bool      // per global slot: a tombstone, which selection skips
 	sel      binq.TopC
 	cand     []int32 // per-query candidate lists (ascending), concatenated
 	candOff  []int   // per-query offsets into cand (len Bq+1)
@@ -77,13 +79,15 @@ func (ps *pruneScratch) encodeProbes(t binq.Thresholds, mat *blas.Matrix, limit 
 	ps.qcodes = t.Encode(&view, ps.qcodes)
 }
 
-// selectTopC fills ps.cand (from offset len(ps.cand)) with the C best
+// selectTopC fills ps.cand (from offset len(ps.cand)) with the C best live
 // global slots of scores: ascending slot order, ties broken toward lower
 // slots — the determinism contract of the prefilter.
 func (ps *pruneScratch) selectTopC(scores []uint32, c int) {
 	ps.sel.Reset(c)
 	for g, s := range scores {
-		ps.sel.Offer(int32(g), s)
+		if !ps.dead[g] {
+			ps.sel.Offer(int32(g), s)
+		}
 	}
 	ps.cand = ps.sel.AppendSorted(ps.cand)
 }
@@ -122,6 +126,12 @@ func (e *Engine) prefilter(queryFeats []*blas.Matrix, phantom bool, items []*cac
 		probes = len(ps.qcodes)
 		ps.scores = grown(ps.scores, Bq*total)
 		scores = ps.scores
+		ps.dead = grown(ps.dead, total)
+		for bi, it := range items {
+			for s, ref := range it.Payload.refs {
+				ps.dead[ps.base[bi]+s] = e.refs[ref.id] != ref
+			}
+		}
 	}
 	for bi, it := range items {
 		rb := it.Payload.rb

@@ -146,10 +146,10 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	// Search with nothing pending, so every reference enrolled before this
-	// point is visible: an Update landing between a seal and the read lock
-	// would otherwise hide its id (old slot unmapped, new one not yet
-	// sealed). The steady state costs the one read lock; a dirty index
-	// drops it to seal under the write lock, then looks again.
+	// point is visible: an Add (or an Update of a still-pending id) landing
+	// between a seal and the read lock would otherwise stay unsearched. The
+	// steady state costs the one read lock; a dirty index drops it to seal
+	// under the write lock, then looks again.
 	var err error
 	for err == nil && len(e.pending) > 0 {
 		e.mu.RUnlock()
@@ -245,7 +245,7 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 				}
 				ref := refs[slot]
 				if e.refs[ref.id] != ref {
-					continue // dead slot (it may even have won a candidate place; harmless)
+					continue // a Remove tombstone (a pruned pass never selects one)
 				}
 				score := match.PairScore(res[qi][at], ref.kps, kps, e.cfg.Match)
 				rep.Ranked = append(rep.Ranked, match.SearchResult{RefID: ref.id, Score: score})

@@ -229,6 +229,49 @@ func (rb *RefBatch) AttachCodes(codes []binq.Code, count int) error {
 	return nil
 }
 
+// RewriteSlot overwrites slot's reference in place with mat (d×M) and, when
+// the batch carries a code panel, its M codes, storing exactly what
+// NewRefBatch and AttachCodes would have: the FP32 columns, or the FP16
+// columns with Overflow recounted; the squared norms when the batch keeps
+// them; the codes. The footprint does not change, so no device memory is
+// charged or released. The caller must exclude every reader of the batch.
+func (rb *RefBatch) RewriteSlot(slot int, mat *blas.Matrix, codes []binq.Code) error {
+	switch {
+	case rb.phantom:
+		return fmt.Errorf("knn: cannot rewrite a slot of a phantom batch")
+	case slot < 0 || slot >= rb.Count():
+		return fmt.Errorf("knn: slot %d of a %d-reference batch", slot, rb.Count())
+	case mat.Rows != rb.D || mat.Cols != rb.M:
+		return fmt.Errorf("knn: reference is %dx%d, want %dx%d", mat.Rows, mat.Cols, rb.D, rb.M)
+	case (codes == nil) != (rb.codes == nil) || codes != nil && len(codes) != rb.M:
+		return fmt.Errorf("knn: %d codes for a slot of %d descriptors (batch has a panel: %v)",
+			len(codes), rb.M, rb.codes != nil)
+	}
+	lo := slot * rb.M
+	if rb.F16 != nil {
+		// The slot's columns are contiguous (Stride == Rows), so the view
+		// converts in place through NewRefBatch's own conversion.
+		dst := rb.F16.Slice(lo, lo+rb.M)
+		for _, x := range dst.Data {
+			if x.IsInf() {
+				rb.Overflow--
+			}
+		}
+		rb.Overflow += blas.HalfFromMatrixInto(mat, rb.Scale, dst)
+	} else {
+		for j := 0; j < rb.M; j++ {
+			copy(rb.F32.Col(lo+j), mat.Col(j))
+		}
+	}
+	if rb.Norms != nil {
+		blas.SquaredNormsInto(mat, rb.Norms[lo:lo+rb.M])
+	}
+	if codes != nil {
+		copy(rb.codes[lo:lo+rb.M], codes)
+	}
+	return nil
+}
+
 // Codes returns the batch's binary code panel (nil when pruning is off or
 // the batch is phantom).
 func (rb *RefBatch) Codes() []binq.Code { return rb.codes }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"texid/internal/binq"
 	"texid/internal/blas"
 	"texid/internal/gpusim"
 	"texid/internal/half"
@@ -492,6 +493,81 @@ func TestPhantomAndRealChargeTheSameOps(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestRewriteSlotMatchesNewRefBatch: rewriting one slot in place leaves the
+// batch holding exactly what NewRefBatch and AttachCodes build from the
+// replaced set — columns, norms, FP16 overflow count, codes — and charges
+// no device memory. Both the replaced and the new reference overflow FP16,
+// by different counts, so the recount is exercised.
+func TestRewriteSlotMatchesNewRefBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	d, m := 16, 12
+	mats := []*blas.Matrix{randomFeatures(rng, d, m, 2e5), randomFeatures(rng, d, m, 1e5), randomFeatures(rng, d, m, 1)}
+	repl := randomFeatures(rng, d, m, 3e5)
+	thresh := binq.LearnThresholds(mats)
+	build := func(dev *gpusim.Device, ms []*blas.Matrix, prec gpusim.Precision, withNorms bool) *RefBatch {
+		t.Helper()
+		rb, err := NewRefBatch(dev, []int{0, 1, 2}, ms, prec, 0.5, withNorms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var panel []binq.Code
+		for _, mat := range ms {
+			panel = thresh.Encode(mat, panel)
+		}
+		if err := rb.AttachCodes(panel, len(ms)); err != nil {
+			t.Fatal(err)
+		}
+		return rb
+	}
+	for _, prec := range []gpusim.Precision{gpusim.FP32, gpusim.FP16} {
+		for _, withNorms := range []bool{false, true} {
+			dev := newTestDevice()
+			rb := build(dev, mats, prec, withNorms)
+			before := dev.Allocated()
+			if err := rb.RewriteSlot(1, repl, thresh.Encode(repl, nil)); err != nil {
+				t.Fatal(err)
+			}
+			want := build(newTestDevice(), []*blas.Matrix{mats[0], repl, mats[2]}, prec, withNorms)
+			if prec == gpusim.FP16 && (want.Overflow == 0 || want.Overflow == build(newTestDevice(), mats, prec, withNorms).Overflow) {
+				t.Fatalf("fixture does not move the overflow count (%d)", want.Overflow)
+			}
+			if !reflect.DeepEqual(rb.F32, want.F32) || !reflect.DeepEqual(rb.F16, want.F16) ||
+				!reflect.DeepEqual(rb.Norms, want.Norms) || rb.Overflow != want.Overflow ||
+				!reflect.DeepEqual(rb.Codes(), want.Codes()) {
+				t.Fatalf("%v norms=%v: rewritten batch differs from a fresh build (overflow %d, want %d)",
+					prec, withNorms, rb.Overflow, want.Overflow)
+			}
+			if dev.Allocated() != before {
+				t.Fatalf("rewrite moved device memory %d -> %d", before, dev.Allocated())
+			}
+		}
+	}
+
+	dev := newTestDevice()
+	rb := build(dev, mats, gpusim.FP32, false)
+	plain, err := NewRefBatch(dev, []int{0, 1, 2}, mats, gpusim.FP32, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phantom, err := PhantomRefBatch(dev, 3, m, d, gpusim.FP32, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := thresh.Encode(repl, nil)
+	for name, err := range map[string]error{
+		"phantom":        phantom.RewriteSlot(0, repl, nil),
+		"slot range":     rb.RewriteSlot(3, repl, codes),
+		"shape":          rb.RewriteSlot(0, randomFeatures(rng, d, m+1, 1), codes),
+		"missing codes":  rb.RewriteSlot(0, repl, nil),
+		"short codes":    rb.RewriteSlot(0, repl, codes[1:]),
+		"codes no panel": plain.RewriteSlot(0, repl, codes),
+	} {
+		if err == nil {
+			t.Errorf("%s: RewriteSlot accepted it", name)
 		}
 	}
 }

@@ -67,6 +67,10 @@ type SimResult struct {
 	P99US  float64
 	P999US float64
 	MaxUS  float64
+	// ArrivalUS and LatencyUS are each op's virtual arrival time and its
+	// recorded (quantized) CO-safe latency, in op order.
+	ArrivalUS []float64
+	LatencyUS []int64
 	// Digest is the FNV-64a hash of the transcript, rendered as hex.
 	Digest string
 	// Transcript concatenates each read's wire-encoded summary, its
@@ -131,7 +135,7 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 		}
 	}
 
-	res := &SimResult{Ops: sc.Ops}
+	res := &SimResult{Ops: sc.Ops, ArrivalUS: make([]float64, 0, sc.Ops), LatencyUS: make([]int64, 0, sc.Ops)}
 	var (
 		lat        hist
 		transcript []byte
@@ -173,6 +177,8 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 		busy = complete
 		l := int64(complete - arrival)
 		lat.record(l)
+		res.ArrivalUS = append(res.ArrivalUS, arrival)
+		res.LatencyUS = append(res.LatencyUS, l)
 
 		if opErr != nil {
 			res.Errors++

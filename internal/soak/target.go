@@ -30,7 +30,8 @@ type FixtureConfig struct {
 	// Updates over (bounded, so churn never grows the population).
 	ChurnPool int
 	// CompactEvery triggers an index compaction after this many churn
-	// writes (tombstone reclamation under load). 0 disables.
+	// writes (Compact's write lock under load; Updates leave no tombstones,
+	// so it reclaims nothing). 0 disables.
 	CompactEvery int
 	// Seed fixes the generated features.
 	Seed int64
@@ -165,8 +166,8 @@ func buildFixtureData(fc FixtureConfig) *fixtureData {
 
 // churner implements bounded enrollment churn over any update/compact
 // pair: each write Updates one pooled id with fresh features, and every
-// CompactEvery writes one (single) caller also compacts the index so
-// tombstones cannot accumulate over an hours-scale run.
+// CompactEvery writes one (single) caller also compacts the index, so the
+// run keeps exercising Compact's write lock beside the reads.
 type churner struct {
 	data         *fixtureData
 	update       func(id int, feats *blas.Matrix) error

@@ -2,6 +2,7 @@ package soak
 
 import (
 	"math"
+	"runtime"
 	"runtime/metrics"
 	"sync"
 	"time"
@@ -56,11 +57,14 @@ type telemetry struct {
 }
 
 // startTelemetry snapshots the cumulative runtime metrics and begins
-// sampling instantaneous ones (heap, goroutines) every interval.
+// sampling instantaneous ones (heap, goroutines) every interval. It
+// collects first, so the heap peak starts from the live heap rather than
+// from garbage that earlier work left unswept.
 func startTelemetry(interval time.Duration) *telemetry {
 	if interval <= 0 {
 		interval = 25 * time.Millisecond
 	}
+	runtime.GC()
 	t := &telemetry{
 		start: newSamples(),
 		done:  make(chan struct{}),
