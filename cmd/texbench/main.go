@@ -11,6 +11,11 @@
 //	texbench -suite -op '^gemm' -count 5                     # iterate on one op
 //	scripts/bench.sh HEAD '^gemm'                            # wall rows, paired against HEAD
 //
+// With -suite it runs the measurement suite instead: host kernels on the
+// wall clock, the serving levels and the sim-clock soak on the simulated
+// clock, and the allocation probes. Wall-clock serving under load is
+// measured by the benchmark/ module, not here.
+//
 // Timing experiments always run at the paper's full dimensions (phantom
 // batches); accuracy experiments (Tables 2 and 7) run the real pipeline on
 // a scaled-down synthetic dataset — raise -refs/-queries/-feature-scale to
@@ -35,15 +40,13 @@ func main() {
 		"experiment id: all, "+strings.Join(bench.Experiments, ", "))
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavored markdown")
 	suite := flag.Bool("suite", false,
-		"run the measurement suite instead of the experiments: host kernels and soak scenarios (wall clock, at GOMAXPROCS 1 and NumCPU), serving levels and the sim-clock soak (simulated clock), allocation probes (counts)")
+		"run the measurement suite instead of the experiments: host kernels (wall clock, at GOMAXPROCS 1 and NumCPU), serving levels and the sim-clock soak (simulated clock), allocation probes (counts)")
 	var so bench.SuiteOptions
 	flag.BoolVar(&so.Portable, "portable", false,
 		"with -suite: only sim- and count-clock ops, which gate on any machine: sim rows are bit-identical, count rows are lower on the portable kernels and gated one-sided (what CI gates)")
 	flag.IntVar(&so.Count, "count", 3, "with -suite: timed runs per host-kernel op (best is reported)")
 	opFilter := flag.String("op", "",
 		"with -suite: only run ops whose name matches this regexp (fixtures for skipped ops are not built)")
-	flag.StringVar(&so.SoakAddr, "soak-addr", "",
-		"with -suite: drive the wall soak ops at a live texsearchd at this base URL instead of the in-process cluster (rows are named soak_http_*)")
 	outPath := flag.String("out", "", "with -suite: write the rows to this JSON file (BENCH_BASELINE.json)")
 	baselinePath := flag.String("baseline", "",
 		"with -suite: gate against this baseline file; exit 2 before any op runs if it is missing or malformed, exit 1 on regression")

@@ -24,7 +24,7 @@ import (
 // streaming from the host cache, where sharing one H2D transfer across C
 // queries is the paper's Sec. 5.3 win). Wave composition is pinned by
 // construction, so simulated QPS is bit-reproducible and safe to gate in
-// CI. Wall-clock serving latency under open-loop load is the soak ops' job.
+// CI. Wall-clock serving latency is measured by the benchmark/ workloads.
 
 // ServingConcurrencies are the offered-load levels of the suite.
 var ServingConcurrencies = []int{1, 4, 16, 64}

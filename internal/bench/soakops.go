@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"time"
 
 	"texid/internal/blas"
 	"texid/internal/cluster"
@@ -20,31 +19,8 @@ import (
 	"texid/internal/wire"
 )
 
-// The wall soak table. Every scenario offers soakQPS Poisson arrivals for
-// soakDuration to the in-process soakShards-shard cluster through the
-// coalescing path (or, with a soak address, to a live texsearchd). The two
-// gated scenarios are steady read-only load and 20% enrollment churn; the
-// GOGC / GOMEMLIMIT sweep reruns steady to isolate the collector's share of
-// the tail and is informational (GOGC=50 on one core is mostly queueing
-// backlog — too noisy to gate).
-const (
-	soakQPS      = 150
-	soakDuration = 4 * time.Second
-	soakShards   = 3
-)
-
-var soakScenarios = []struct {
-	name  string
-	sc    soak.Scenario
-	gated bool
-}{
-	{"steady", soak.Scenario{Seed: 41}, true},
-	{"churn", soak.Scenario{Seed: 43, WriteRatio: 0.2}, true},
-	{"steady_gogc50", soak.Scenario{Seed: 41, GOGC: 50}, false},
-	{"steady_gogc100", soak.Scenario{Seed: 41, GOGC: 100}, false},
-	{"steady_gogc400", soak.Scenario{Seed: 41, GOGC: 400}, false},
-	{"steady_memlimit256", soak.Scenario{Seed: 41, MemLimitMB: 256}, false},
-}
+// soakShards is the shard count of the sim soak and the cluster probes.
+const soakShards = 3
 
 // soakSimConfig is the deterministic sim-clock soak: a fixed fault-free
 // schedule whose transcript digest must be identical across repetitions
@@ -56,93 +32,6 @@ var soakSimConfig = soak.SimConfig{
 	QPS:        2000,
 	WriteRatio: 0.2,
 	Seed:       41,
-}
-
-// soakOps is the soak part of the op table: the wall scenarios, then the
-// sim-clock soak. Ops that drive a live daemon are named soak_http_* so
-// their rows never meet an in-process baseline row.
-func soakOps(addr string) []Op {
-	prefix := "soak_"
-	if addr != "" {
-		prefix = "soak_http_"
-	}
-	var ops []Op
-	for _, s := range soakScenarios {
-		sc := s.sc
-		sc.Name, sc.QPS, sc.Duration = s.name, soakQPS, soakDuration
-		ops = append(ops, soakOp(prefix+s.name, sc, s.gated, addr))
-	}
-	return append(ops, soakSimOp())
-}
-
-// soakOp is one open-loop wall scenario (soak.Run is the one load
-// generator). Gated scenarios hold read p99 within +50% of the baseline row
-// and achieved QPS at or above 0.8x offered (below that the generator fell
-// behind and the tail is not the tail of the offered load); Verify is zero
-// errors under load. Everything else — the rest of the CO-safe latency
-// distribution and the GC telemetry — is informational.
-func soakOp(name string, sc soak.Scenario, gated bool, addr string) Op {
-	var res *soak.ScenarioResult
-	op := Op{Name: name, Clock: ClockWall}
-	op.Run = func() ([]Row, error) {
-		var t soak.Target
-		var err error
-		if addr != "" {
-			t, err = soak.NewHTTPTarget(addr, soak.DefaultFixture())
-		} else {
-			t, err = soak.NewClusterTarget(soakShards, soak.DefaultFixture())
-		}
-		if err != nil {
-			return nil, err
-		}
-		res, err = soak.Run(t, sc)
-		if cerr := t.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, err
-		}
-		rows := latencyRows("read", res.Read) // read p99 first: the headline row
-		qps := newRow("achieved_qps", res.AchievedQPS, "qps", higher)
-		if gated {
-			rows[0], qps = rows[0].tol(0.50), qps.limit(0.8*sc.QPS)
-		}
-		rows = append(rows, qps,
-			newRow("errors", float64(res.Errors), "ops", lower),
-			newRow("reads", float64(res.Reads), "ops", ""),
-			newRow("writes", float64(res.Writes), "ops", ""),
-			newRow("duration_s", res.DurationSec, "s", ""),
-		)
-		if res.Write != nil {
-			rows = append(rows, latencyRows("write", *res.Write)...)
-		}
-		gc := res.GC
-		return append(rows,
-			newRow("gc_cycles", float64(gc.Cycles), "cycles", lower),
-			newRow("gc_pauses", float64(gc.Pauses), "pauses", lower),
-			newRow("gc_pause_p50_us", gc.PauseP50US, "us", lower),
-			newRow("gc_pause_p99_us", gc.PauseP99US, "us", lower),
-			newRow("gc_pause_max_us", gc.PauseMaxUS, "us", lower),
-			newRow("heap_peak_mb", gc.HeapPeakMB, "MiB", lower),
-			newRow("goroutine_peak", float64(gc.GoroutinePeak), "goroutines", lower),
-			newRow("alloc_mb", gc.AllocMB, "MiB", lower),
-		), nil
-	}
-	if gated {
-		op.Verify = func() bool { return res.Errors == 0 }
-	}
-	return op
-}
-
-// latencyRows are the rows of one CO-safe latency distribution, p99 first.
-func latencyRows(kind string, l soak.LatencySummary) []Row {
-	return []Row{
-		newRow(kind+"_p99_ms", l.P99MS, "ms", lower),
-		newRow(kind+"_mean_ms", l.MeanMS, "ms", lower),
-		newRow(kind+"_p50_ms", l.P50MS, "ms", lower),
-		newRow(kind+"_p999_ms", l.P999MS, "ms", lower),
-		newRow(kind+"_max_ms", l.MaxMS, "ms", lower),
-	}
 }
 
 // soakSimOp replays soakSimConfig three times on the simulated clock.
@@ -241,7 +130,7 @@ func probeOps() []Op {
 			if err != nil {
 				return nil, nil, err
 			}
-			refs, queries := soak.Features(soak.DefaultFixture())
+			refs, queries := soak.Features()
 			for i, f := range refs {
 				if err := eng.Add(i, f, nil); err != nil {
 					return nil, nil, err
@@ -325,7 +214,7 @@ func soakCluster() (*cluster.Cluster, []*blas.Matrix, func(), error) {
 		return nil, nil, nil, err
 	}
 	done := func() { _ = c.Close() } // in-process fixture teardown; nothing to recover from here
-	refs, queries := soak.Features(soak.DefaultFixture())
+	refs, queries := soak.Features()
 	for i, f := range refs {
 		if err := c.Add(i, f, nil); err != nil {
 			done()

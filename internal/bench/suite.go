@@ -12,8 +12,8 @@ import (
 
 // This file is the measurement harness: one op table, one row type, one
 // baseline file (BENCH_BASELINE.json), one loader and one gate. Everything
-// the repository measures about itself — host kernels, serving levels, soak
-// scenarios, the sim-clock soak, allocation probes — is an Op that emits
+// the repository measures about itself — host kernels, serving levels, the
+// sim-clock soak, allocation probes — is an Op that emits
 // flat Rows, and every gate is a property of a row.
 
 // A row's clock says what its value is made of, and with that how far a
@@ -227,9 +227,6 @@ type SuiteOptions struct {
 	// Filter, when non-nil, keeps only ops whose name matches (fixtures
 	// for skipped ops are never built).
 	Filter *regexp.Regexp
-	// SoakAddr, when non-empty, points the wall soak ops at a live
-	// texsearchd instead of the in-process cluster.
-	SoakAddr string
 	// Emit, when non-nil, sees each row as soon as its op finishes.
 	Emit func(Row)
 }
@@ -298,6 +295,6 @@ func suiteOps(o SuiteOptions) []Op {
 	for _, c := range ServingConcurrencies {
 		ops = append(ops, servingOp(c))
 	}
-	ops = append(ops, soakOps(o.SoakAddr)...)
+	ops = append(ops, soakSimOp())
 	return append(ops, probeOps()...)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestSearchBatchScatterAllocs pins the allocation shape of the
-// scatter-gather path BENCH_SOAK gates: a warm 4-query SearchBatch
+// scatter-gather path probe_cluster_searchbatch_scatter gates: a warm 4-query SearchBatch
 // across 3 shards (goroutine fan-out, per-shard batch reports, merged
 // per-query reports). The coordinator path is deliberately outside the
 // zero-alloc contract (see serve.go), but its per-call allocation count
@@ -51,8 +51,8 @@ func TestSearchBatchScatterAllocs(t *testing.T) {
 }
 
 // TestSearchBatchAllocsUnderChurn interleaves enrollment churn with the
-// scatter path inside the measured window — the soak's mixed workload as
-// a single-threaded, exactly-pinnable unit.
+// scatter path inside the measured window — a mixed read/write workload
+// as a single-threaded, exactly-pinnable unit.
 func TestSearchBatchAllocsUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	c := smallCluster(t, 3)
@@ -92,7 +92,7 @@ func TestSearchBatchAllocsUnderChurn(t *testing.T) {
 }
 
 // TestSearchBatchConcurrentChurnBounded runs reads and enrollment churn
-// concurrently (the soak's actual interleaving, which AllocsPerRun
+// concurrently (the interleaving a serving process sees, which AllocsPerRun
 // cannot pin exactly) and bounds the mean allocations per operation
 // process-wide.
 func TestSearchBatchConcurrentChurnBounded(t *testing.T) {

@@ -14,105 +14,136 @@ import (
 	"texid/internal/binq"
 	"texid/internal/blas"
 	"texid/internal/kvstore"
+	"texid/internal/serve"
 	"texid/internal/sift"
 )
 
 // TestClusterConcurrentMixedOps drives the coordinator the way the REST
-// tier does: searches, enrollment churn (add/update/remove), and stats
-// scrapes all at once. Run under -race this is the data-race gate for the
-// serving path; functionally, searches for the stable population must
-// keep resolving while unrelated ids churn.
+// tier does: searches, enrollment churn (add/update/remove), compactions
+// and stats scrapes all at once, over both read paths — the direct
+// scatter-gather Search, and SearchCoalesced through the admission layer,
+// whose coalesced SearchBatch passes then overlap the writes. Run under
+// -race this is the data-race gate for the serving path; functionally,
+// searches for the stable population must keep resolving to their own id
+// while unrelated ids churn and the index is compacted underneath them.
 func TestClusterConcurrentMixedOps(t *testing.T) {
-	c := smallCluster(t, 3)
-	rng := rand.New(rand.NewSource(70))
+	for _, tc := range []struct {
+		name   string
+		serve  serve.Options
+		search func(c *Cluster, q *blas.Matrix) (*Report, error)
+	}{
+		{"Search", serve.Options{}, func(c *Cluster, q *blas.Matrix) (*Report, error) { return c.Search(q, nil) }},
+		{"SearchCoalesced", serve.Options{MaxBatch: 16, Window: 200 * time.Microsecond},
+			func(c *Cluster, q *blas.Matrix) (*Report, error) { return c.SearchCoalesced(q, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(Config{Workers: 3, Engine: smallEngine(), Serve: tc.serve})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			rng := rand.New(rand.NewSource(70))
 
-	const stable = 6
-	refs := make([]*blas.Matrix, stable)
-	for i := range refs {
-		refs[i] = unitFeatures(rng, 16, 24)
-		if err := c.Add(i, refs[i], nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Pre-draw every random input: *rand.Rand is not goroutine-safe.
-	queries := make([]*blas.Matrix, stable)
-	for i := range queries {
-		queries[i] = queryFor(rng, refs[i], 32)
-	}
-	const churners, churnOps = 2, 8
-	churn := make([][]*blas.Matrix, churners)
-	for g := range churn {
-		churn[g] = make([]*blas.Matrix, churnOps)
-		for j := range churn[g] {
-			churn[g][j] = unitFeatures(rng, 16, 24)
-		}
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, stable+churners+1)
-
-	for i := range queries {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for round := 0; round < 3; round++ {
-				rep, err := c.Search(queries[i], nil)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if rep.BestID != i {
-					errs <- fmt.Errorf("query %d resolved to %d during churn", i, rep.BestID)
-					return
+			const stable = 6
+			refs := make([]*blas.Matrix, stable)
+			for i := range refs {
+				refs[i] = unitFeatures(rng, 16, 24)
+				if err := c.Add(i, refs[i], nil); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}(i)
-	}
 
-	for g := 0; g < churners; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			base := 100 + g*churnOps
-			for j := 0; j < churnOps; j++ {
-				id := base + j
-				if err := c.Add(id, churn[g][j], nil); err != nil {
-					errs <- err
-					return
-				}
-				if err := c.Update(id, churn[g][j], nil); err != nil {
-					errs <- err
-					return
-				}
-				if ok, err := c.Remove(id); !ok || err != nil {
-					errs <- fmt.Errorf("churn id %d vanished before Remove (%v)", id, err)
-					return
+			// Pre-draw every random input: *rand.Rand is not goroutine-safe.
+			queries := make([]*blas.Matrix, stable)
+			for i := range queries {
+				queries[i] = queryFor(rng, refs[i], 32)
+			}
+			const churners, churnOps = 2, 8
+			churn := make([][]*blas.Matrix, churners)
+			for g := range churn {
+				churn[g] = make([]*blas.Matrix, churnOps)
+				for j := range churn[g] {
+					churn[g][j] = unitFeatures(rng, 16, 24)
 				}
 			}
-		}(g)
-	}
 
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for round := 0; round < 10; round++ {
-			s := c.Stats()
-			if s.Workers != 3 {
-				errs <- fmt.Errorf("stats reported %d workers", s.Workers)
-				return
+			var wg sync.WaitGroup
+			errs := make(chan error, stable+churners+2)
+
+			for i := range queries {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for round := 0; round < 3; round++ {
+						rep, err := tc.search(c, queries[i])
+						if err != nil {
+							errs <- err
+							return
+						}
+						if rep.BestID != i {
+							errs <- fmt.Errorf("query %d resolved to %d during churn", i, rep.BestID)
+							return
+						}
+					}
+				}(i)
 			}
-		}
-	}()
 
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+			for g := 0; g < churners; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					base := 100 + g*churnOps
+					for j := 0; j < churnOps; j++ {
+						id := base + j
+						if err := c.Add(id, churn[g][j], nil); err != nil {
+							errs <- err
+							return
+						}
+						if err := c.Update(id, churn[g][j], nil); err != nil {
+							errs <- err
+							return
+						}
+						if ok, err := c.Remove(id); !ok || err != nil {
+							errs <- fmt.Errorf("churn id %d vanished before Remove (%v)", id, err)
+							return
+						}
+					}
+				}(g)
+			}
 
-	if got := c.Stats().References; got != stable {
-		t.Fatalf("after churn drained, %d references remain, want %d", got, stable)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 4; round++ {
+					if _, err := c.Compact(); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 10; round++ {
+					s := c.Stats()
+					if s.Workers != 3 {
+						errs <- fmt.Errorf("stats reported %d workers", s.Workers)
+						return
+					}
+				}
+			}()
+
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+
+			if got := c.Stats().References; got != stable {
+				t.Fatalf("after churn drained, %d references remain, want %d", got, stable)
+			}
+		})
 	}
 }
 

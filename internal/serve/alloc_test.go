@@ -19,7 +19,7 @@ func allocsDuring(f func()) uint64 {
 }
 
 // TestBatcherSubmitDemuxZeroAlloc pins the freelist contract the
-// BENCH_SOAK gate tracks: once the pool is warm, a sequential Do round
+// probe_serve_submit_demux row of BENCH_BASELINE.json gates: once the pool is warm, a sequential Do round
 // trip (submit → lead → execute → demux → release) performs zero heap
 // allocations. Any drift here fails tier-1, not just the opt-in bench.
 func TestBatcherSubmitDemuxZeroAlloc(t *testing.T) {
@@ -47,8 +47,8 @@ func TestBatcherSubmitDemuxZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEngineBatcherAllocsUnderChurn guards the serve hot path under the
-// soak's mixed workload: steady-state batched searches interleaved with
+// TestEngineBatcherAllocsUnderChurn guards the serve hot path under a
+// mixed serving workload: steady-state batched searches interleaved with
 // enrollment churn (Update on a bounded id pool). The measured window
 // covers the whole read+write interleaving; the bound is deliberately
 // above the engine's own steady-state search cost (pinned separately at
@@ -75,8 +75,8 @@ func TestEngineBatcherAllocsUnderChurn(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		// One interleaved unit: three reads through the admission layer,
-		// one churn write straight into the engine (the soak's write
-		// path), exactly as the mixed scenario drives them.
+		// one churn write straight into the engine (the enrollment
+		// write path).
 		for k := 0; k < 3; k++ {
 			if _, err := eb.Search(qs[(i+k)%len(qs)], nil); err != nil {
 				t.Fatal(err)

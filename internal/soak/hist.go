@@ -10,12 +10,10 @@ import "math/bits"
 // yields the same buckets — quantiles from a deterministic run are
 // bit-reproducible, unlike a sampled or floating-accumulator design.
 //
-// Values are dimensionless int64s; the soak harness records microseconds.
+// Values are dimensionless int64s; the sim soak records microseconds.
 type hist struct {
 	buckets [numBuckets]int64
 	count   int64
-	sum     int64
-	min     int64
 	max     int64
 }
 
@@ -58,10 +56,6 @@ func (h *hist) record(v int64) {
 	}
 	h.buckets[bucketOf(v)]++
 	h.count++
-	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -96,12 +90,4 @@ func (h *hist) quantile(q float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// mean returns the arithmetic mean of recorded samples.
-func (h *hist) mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
 }

@@ -11,9 +11,9 @@ import (
 	"texid/internal/faultsim"
 )
 
-// SimConfig shapes one deterministic sim-clock soak: the same open-loop
-// scenario as the wall harness, replayed sequentially on the simulated
-// device clock with a single-server queueing model. Because every input
+// SimConfig shapes one deterministic sim-clock soak: an open-loop scenario
+// replayed sequentially on the simulated device clock with a single-server
+// queueing model. Because every input
 // (features, arrival gaps, read/write interleaving, fault schedule) is
 // derived from the seed and every latency is virtual, two runs — at any
 // GOMAXPROCS — produce byte-identical transcripts.
@@ -23,10 +23,9 @@ type SimConfig struct {
 	Refs    int
 	// Ops is the number of soak operations to replay.
 	Ops int
-	// QPS is the virtual arrival rate (ops per simulated second).
+	// QPS is the virtual arrival rate (ops per simulated second), drawn
+	// as Poisson interarrival gaps.
 	QPS float64
-	// Arrival is ArrivalPoisson (default) or ArrivalUniform.
-	Arrival string
 	// WriteRatio is the fraction of ops that are churn Updates.
 	WriteRatio float64
 	// Seed fixes features, schedule, and fault streams.
@@ -87,9 +86,9 @@ type SimResult struct {
 // The queueing model is open-loop single-server: op i's virtual start is
 // max(arrival_i, completion_{i-1}), its service time is the simulated
 // ElapsedUS the cluster reports, and its recorded latency is completion
-// minus *arrival* — the coordinated-omission-safe definition, same as
-// the wall harness, so a slow shard backs up the virtual queue and the
-// backlog is charged to the ops it delayed.
+// minus *arrival* — the coordinated-omission-safe definition, so a slow
+// shard backs up the virtual queue and the backlog is charged to the ops
+// it delayed.
 //
 // Nothing on the virtual timeline reads the wall clock or the global
 // math/rand source; TestSimSoakBitIdentical's three-run digest holds that.
@@ -144,11 +143,7 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 		gapUS      = 1e6 / sc.QPS
 	)
 	for i := 0; i < sc.Ops; i++ {
-		if sc.Arrival == ArrivalUniform {
-			arrival = float64(i) * gapUS
-		} else {
-			arrival += rng.ExpFloat64() * gapUS
-		}
+		arrival += rng.ExpFloat64() * gapUS
 		write := rng.Float64() < sc.WriteRatio
 		key := uint64(rng.Int63())
 

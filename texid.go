@@ -296,7 +296,8 @@ func (sv *SearchServer) Stats() ServeStats { return sv.eb.Stats() }
 func (sv *SearchServer) Close() { sv.eb.Close() }
 
 // Compact rebuilds the reference store, reclaiming the slots left behind
-// by Remove and Update; it returns the number of slots reclaimed.
+// by Remove (Update rewrites its slot in place); it returns the number of
+// slots reclaimed.
 func (s *System) Compact() (int, error) { return s.eng.Compact() }
 
 // Remove deletes a reference from the index.
