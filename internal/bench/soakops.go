@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strconv"
 
 	"texid/internal/blas"
@@ -148,6 +149,17 @@ func probeOps() []Op {
 		}))
 	}
 	return append(ops,
+		// One FP16 seal of a 32-reference batch with the prefilter on,
+		// fresh engine included (engine_seal_fp16_pruned's body). Each
+		// seal allocates a 3 MiB panel, so collections would start inside
+		// the window and their own runtime allocations would move the
+		// count by a fraction; the collector is held off for the probe's
+		// six calls (≈20 MiB), so the row counts the seal's allocations.
+		probeOp("engine_seal_fp16_pruned", 5, func() (func() error, func(), error) {
+			fx := newSealFixture()
+			gc := debug.SetGCPercent(-1)
+			return func() error { _, err := fx.seal(); return err }, func() { debug.SetGCPercent(gc) }, nil
+		}),
 		// One Batcher.Do round trip through the pooled call freelist
 		// (identity runner, MaxBatch=1, so no coalescing noise — the pure
 		// submit/demux overhead, which must stay at zero).

@@ -12,6 +12,7 @@ import (
 	"texid/internal/blas"
 	"texid/internal/engine"
 	"texid/internal/gpusim"
+	"texid/internal/half"
 	"texid/internal/knn"
 	"texid/internal/match"
 	"texid/internal/sift"
@@ -124,9 +125,10 @@ const (
 // micro-kernel, the FP16 GEMM (both accumulator modes, and AccumFP16 at the
 // resident batch shape), the separable blur, full SIFT extraction (at 128
 // px and at the library search path's 256 px) and each of its four stages
-// at 256 px, the fused FP32 and FP16 GEMM + top-2, the Hamming scan,
-// steady-state engine search (FP32, FP16, and pruned against unpruned on a
-// 10x shard), and the end-to-end extract+search path.
+// at 256 px, the fused FP32 and FP16 GEMM + top-2, the Hamming scan, one
+// FP16 seal with the prefilter on, steady-state engine search (FP32, FP16,
+// and pruned against unpruned on a 10x shard), and the end-to-end
+// extract+search path.
 func hostOps(count int) []Op {
 	// An FP16 GEMM op runs whichever kernel tier the host selects; its
 	// Verify checks the first (up to) 256 rows of the measured output
@@ -232,6 +234,8 @@ func hostOps(count int) []Op {
 		hgemmTop2(count),
 		// Binary Hamming prefilter scan over a ~1M-descriptor shard.
 		scan1M(count),
+		// Sealing one 32-reference FP16 batch with the prefilter on.
+		sealBatch(count),
 		// Steady-state search on a 10x-larger reference set, pruned vs not.
 		prunedSearch(count),
 		// Steady-state engine search and the end-to-end extract+search path.
@@ -419,6 +423,89 @@ func scan1M(count int) Op {
 		return slices.Equal(scores, want)
 	}
 	return op
+}
+
+// sealBatch times one FP16 seal with the prefilter on: a fresh engine
+// enrolls sealRefs references of 384 descriptors and seals them into one
+// batch, converting every descriptor to binary16 and encoding its code.
+// Its Verify checks the sealed payload and codes against the scalar
+// oracles, bit for bit.
+func sealBatch(count int) Op {
+	var fx *sealFixture
+	var eng *engine.Engine
+	op := hostOp("engine_seal_fp16_pruned", count, 0, func() (func(), float64) {
+		fx = newSealFixture()
+		return func() {
+			var err error
+			if eng, err = fx.seal(); err != nil {
+				panic(fmt.Sprintf("bench: seal: %v", err))
+			}
+		}, float64(sealRefs * fx.cfg.RefFeatures * fx.cfg.Dim * (4 + 2))
+	})
+	op.Verify = func() bool { return fx.verify(eng) }
+	return op
+}
+
+// sealRefs is engine_seal_fp16_pruned's batch: 32 references.
+const sealRefs = 32
+
+// sealFixture is the seal ops' input: sealRefs stand-in RootSIFT references
+// at the production shape (DefaultConfig: FP16, scale 1, 384×128) and
+// their thresholds. The thresholds are installed before enrolling, so
+// every seal is the steady-state one: an index learns them once, at its
+// first seal.
+type sealFixture struct {
+	cfg    engine.Config
+	refs   []*blas.Matrix
+	thresh binq.Thresholds
+}
+
+func newSealFixture() *sealFixture {
+	cfg := engine.DefaultConfig()
+	cfg.PruneC = 4
+	rng := rand.New(rand.NewSource(45))
+	refs := make([]*blas.Matrix, sealRefs)
+	for i := range refs {
+		refs[i] = unitDescriptors(rng, cfg.Dim, cfg.RefFeatures)
+	}
+	return &sealFixture{cfg, refs, binq.LearnThresholds(refs)}
+}
+
+// seal builds a fresh engine, enrolls the references and seals them.
+func (fx *sealFixture) seal() (*engine.Engine, error) {
+	eng, err := engine.New(fx.cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := eng.SetThresholds(fx.thresh); err != nil {
+		return nil, err
+	}
+	for i, f := range fx.refs {
+		if err := eng.Add(i, f, nil); err != nil {
+			return nil, err
+		}
+	}
+	return eng, eng.Flush()
+}
+
+// verify reports whether eng holds every reference as the scalar oracles
+// make it: each element half.FromFloat32 of the source (the scale is 1, so
+// Export's widening gives the binary16 value exactly) and the codes
+// EncodePortable gives.
+func (fx *sealFixture) verify(eng *engine.Engine) bool {
+	ok, seen := true, 0
+	err := eng.Export(func(id int, feats *blas.Matrix, _ []sift.Keypoint, codes []binq.Code) error {
+		seen++
+		src := fx.refs[id]
+		for j := 0; j < src.Cols; j++ {
+			for i, v := range src.Col(j) {
+				ok = ok && math.Float32bits(feats.At(i, j)) == math.Float32bits(half.FromFloat32(v).Float32())
+			}
+		}
+		ok = ok && slices.Equal(codes, fx.thresh.EncodePortable(src, nil))
+		return nil
+	})
+	return err == nil && ok && seen == sealRefs && fx.cfg.Scale == 1
 }
 
 const (

@@ -22,6 +22,7 @@ package binq
 
 import (
 	"math/bits"
+	"slices"
 
 	"texid/internal/blas"
 )
@@ -78,8 +79,27 @@ func LearnThresholds(mats []*blas.Matrix) Thresholds {
 // Encode appends one code per column of mat to dst and returns the extended
 // slice. Bit i is set iff col[i] > t[i] — strictly greater, so the
 // quantizer is a pure function of the float bits with no ties to break.
-// mat.Rows must not exceed MaxDim (or len(t)).
+// mat.Rows must not exceed MaxDim (or len(t)). A full MaxDim-row matrix
+// encodes on the first tier the host has, chosen once from CPUID: AVX-512
+// (encode128, eight 16-lane compares per column), else the scalar loop,
+// which is the reference (EncodePortable) and takes every shorter shape.
+// The codes are written straight into dst's spare capacity, which grows
+// only when short.
 func (t Thresholds) Encode(mat *blas.Matrix, dst []Code) []Code {
+	if !useAVX512F || mat.Rows != MaxDim || len(t) < MaxDim || mat.Cols == 0 {
+		return t.EncodePortable(mat, dst)
+	}
+	_ = mat.Data[(mat.Cols-1)*mat.Stride+MaxDim-1] // the kernel reads every column whole
+	n := len(dst)
+	dst = slices.Grow(dst, mat.Cols)[:n+mat.Cols]
+	encode128(&t[0], &mat.Data[0], mat.Stride, mat.Cols, &dst[n])
+	return dst
+}
+
+// EncodePortable is Encode on the scalar loop whatever the host — the
+// encoder TEXID_NOASM=1 selects — and the oracle the native tier is
+// checked against.
+func (t Thresholds) EncodePortable(mat *blas.Matrix, dst []Code) []Code {
 	for j := 0; j < mat.Cols; j++ {
 		col := mat.Col(j)
 		var c Code

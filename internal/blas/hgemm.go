@@ -57,22 +57,87 @@ func HalfFromMatrix(m *Matrix, scale float32) (*HalfMatrix, int) {
 // HalfFromMatrixInto is HalfFromMatrix converting into h, reusing its
 // backing storage when large enough. It returns the overflow count.
 func HalfFromMatrixInto(m *Matrix, scale float32, h *HalfMatrix) int {
-	if cap(h.Data) < m.Rows*m.Cols {
-		h.Data = make(half.Vector, m.Rows*m.Cols)
+	reshapeHalf(h, m.Rows, m.Cols)
+	return halfColumns(h.Data, m, scale)
+}
+
+// HalfColumnsInto converts the column-wise concatenation of ms (all with
+// the same row count) into h, reusing its backing storage when large
+// enough, and returns the overflow count: HalfFromMatrixInto of
+// ConcatColumns(ms...) without the float32 concatenation, which is how an
+// FP16 reference batch is sealed.
+func HalfColumnsInto(ms []*Matrix, scale float32, h *HalfMatrix) int {
+	if len(ms) == 0 {
+		*h = HalfMatrix{}
+		return 0
 	}
-	h.Rows, h.Cols, h.Stride = m.Rows, m.Cols, m.Rows
-	h.Data = h.Data[:m.Rows*m.Cols]
+	rows, total := ms[0].Rows, 0
+	for _, m := range ms {
+		if m.Rows != rows {
+			panic(fmt.Sprintf("blas: HalfColumnsInto row mismatch %d != %d", m.Rows, rows))
+		}
+		total += m.Cols
+	}
+	reshapeHalf(h, rows, total)
+	overflow, at := 0, 0
+	for _, m := range ms {
+		overflow += halfColumns(h.Data[at:at+rows*m.Cols], m, scale)
+		at += rows * m.Cols
+	}
+	return overflow
+}
+
+// reshapeHalf makes h a tight rows×cols matrix, reallocating its storage
+// only when the capacity is short.
+func reshapeHalf(h *HalfMatrix, rows, cols int) {
+	if cap(h.Data) < rows*cols {
+		h.Data = make(half.Vector, rows*cols)
+	}
+	h.Rows, h.Cols, h.Stride = rows, cols, rows
+	h.Data = h.Data[:rows*cols]
+}
+
+// halfColumns converts m's columns, tightly packed, into dst (len
+// m.Rows·m.Cols) and returns the overflow count. A tight m converts as one
+// run.
+func halfColumns(dst half.Vector, m *Matrix, scale float32) int {
+	if m.Stride == m.Rows {
+		return halfConvert(dst, m.Data[:m.Rows*m.Cols], scale)
+	}
 	overflow := 0
 	for j := 0; j < m.Cols; j++ {
-		src := m.Col(j)
-		dst := h.Col(j)
-		for i, v := range src {
-			x := half.FromFloat32(v * scale)
-			if x.IsInf() {
-				overflow++
-			}
-			dst[i] = x
+		overflow += halfConvert(dst[j*m.Rows:(j+1)*m.Rows], m.Col(j), scale)
+	}
+	return overflow
+}
+
+// halfConvert sets dst[i] = half.FromFloat32(src[i]·scale) and returns how
+// many of the results are ±Inf. The whole sixteen-element steps run on the
+// first tier the host has, chosen once from CPUID: AVX-512 (cvtHalf16:
+// VMULPS, NaN canonicalization, VCVTPS2PH round-to-nearest-even), else the
+// scalar loop, which is the reference (halfConvertPortable) and also takes
+// the tail. Every element is independent, so the tiers agree bit for bit
+// whatever the split.
+func halfConvert(dst half.Vector, src []float32, scale float32) int {
+	dst = dst[:len(src)]
+	overflow, done := 0, 0
+	if useAVX512 && len(src) >= 16 {
+		done = len(src) &^ 15
+		overflow = cvtHalf16(&dst[0], &src[0], done, scale)
+	}
+	return overflow + halfConvertPortable(dst[done:], src[done:], scale)
+}
+
+// halfConvertPortable is halfConvert on the scalar loop whatever the host:
+// the portable tier and the oracle the native one is checked against.
+func halfConvertPortable(dst half.Vector, src []float32, scale float32) int {
+	overflow := 0
+	for i, v := range src {
+		x := half.FromFloat32(v * scale)
+		if x.IsInf() {
+			overflow++
 		}
+		dst[i] = x
 	}
 	return overflow
 }

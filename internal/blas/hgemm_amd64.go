@@ -67,3 +67,10 @@ func haveAVX512FP16() bool {
 
 // useFP16 gates the AVX512-FP16 HGemm tier, tried before the F16C one.
 var useFP16 = useAVX2 && haveAVX512FP16()
+
+// cvtHalf16 sets dst[i] = half.FromFloat32(src[i]·scale) for i < n, n a
+// positive multiple of 16, and returns how many results are ±Inf. See
+// halfconv_amd64.s.
+//
+//go:noescape
+func cvtHalf16(dst *half.Float16, src *float32, n int, scale float32) int

@@ -29,3 +29,7 @@ func hkernOct32(a *float32, k int, bo *float32, out *float32) {
 func vcvtph2ps8(dst *float32, src *half.Float16, n int) {
 	panic("blas: asm kernel on non-amd64 build")
 }
+
+func cvtHalf16(dst *half.Float16, src *float32, n int, scale float32) int {
+	panic("blas: asm kernel on non-amd64 build")
+}

@@ -58,3 +58,29 @@ func init() {
 		}
 	}
 }
+
+// AppendTies appends to dst the float32 bit patterns at which
+// round-to-nearest-even decides, at every float32 exponent that reaches
+// the encoder (1…254) and both signs: for four significands at each, the
+// float32 exactly halfway between two adjacent binary16 results and the
+// patterns one ULP either side of it. The shift is the one the encode
+// tables apply at that exponent, so the ties land on the normal,
+// subnormal, zero-underflow and overflow classes alike. It is the input
+// set of TestEncodeTieCasesEveryExponent, and conversion kernels outside
+// this package hold their tiers to FromFloat32 on it.
+func AppendTies(dst []uint32) []uint32 {
+	for exp := uint32(1); exp <= 254; exp++ {
+		for _, sign := range []uint32{0, 0x80000000} {
+			shift := uint32(encShift[(sign|exp<<23)>>23])
+			if shift >= 24 {
+				shift = 23 // everything is discarded; probe the top bit
+			}
+			half := uint32(1) << (shift - 1)
+			for _, frac := range []uint32{0, 1 << shift, 2 << shift, 0x7FFFFF &^ (1<<shift - 1)} {
+				base := sign | exp<<23 | frac&0x7FFFFF
+				dst = append(dst, base|half, base|half-1, base|half+1)
+			}
+		}
+	}
+	return dst
+}

@@ -52,30 +52,15 @@ func TestEncodeRoundTripExhaustive(t *testing.T) {
 	}
 }
 
-// TestEncodeTieCasesEveryExponent builds exact RNE ties at every float32
-// exponent that can reach the encoder: for each representable half
-// significand at each exponent, the float32 exactly halfway to the next
-// half must round to even, and the values one ULP either side of the tie
-// must round toward themselves. All three are checked against the scalar
-// reference at every exponent class (normal, subnormal, overflow edge).
+// TestEncodeTieCasesEveryExponent checks FromFloat32 against the scalar
+// reference on AppendTies' patterns: at every float32 exponent that can
+// reach the encoder, the exact RNE tie above each of four half significands
+// (which must round to even) and the values one ULP either side of it
+// (which must round toward themselves), so every exponent class (normal,
+// subnormal, overflow edge) is covered.
 func TestEncodeTieCasesEveryExponent(t *testing.T) {
-	for exp := uint32(1); exp <= 254; exp++ {
-		for _, sign := range []uint32{0, 0x80000000} {
-			// The tie pattern depends on how many significand bits the
-			// half keeps at this exponent; probe the same discarded-bit
-			// boundary the encoder's shift tables see.
-			shift := uint32(encShift[(sign|exp<<23)>>23])
-			if shift >= 24 {
-				shift = 23 // everything is discarded; probe the top bit
-			}
-			half := uint32(1) << (shift - 1)
-			for _, frac := range []uint32{0, 1 << shift, 2 << shift, 0x7FFFFF &^ (1<<shift - 1)} {
-				base := sign | exp<<23 | frac&0x7FFFFF
-				checkEncode(t, base|half)   // exact tie: round to even
-				checkEncode(t, base|half-1) // just below: round down
-				checkEncode(t, base|half+1) // just above: round up
-			}
-		}
+	for _, b := range AppendTies(nil) {
+		checkEncode(t, b)
 	}
 }
 

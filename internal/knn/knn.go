@@ -154,7 +154,6 @@ func NewRefBatch(dev *gpusim.Device, ids []int, mats []*blas.Matrix, prec gpusim
 			return nil, fmt.Errorf("knn: reference %d is %dx%d, want %dx%d", i, mat.Rows, mat.Cols, d, m)
 		}
 	}
-	concat := blas.ConcatColumns(mats...)
 	rb := &RefBatch{
 		dev:   dev,
 		IDs:   append([]int(nil), ids...),
@@ -164,12 +163,18 @@ func NewRefBatch(dev *gpusim.Device, ids []int, mats []*blas.Matrix, prec gpusim
 		bytes: refBatchBytes(len(mats), m, d, prec, withNorms),
 	}
 	if withNorms {
-		rb.Norms = blas.SquaredNorms(concat)
+		rb.Norms = make([]float32, len(mats)*m)
+		for i, mat := range mats {
+			blas.SquaredNormsInto(mat, rb.Norms[i*m:(i+1)*m])
+		}
 	}
+	// An FP16 batch converts each source straight into its columns of the
+	// binary16 panel; only FP32 storage is a float32 concatenation.
 	if prec == gpusim.FP16 {
-		rb.F16, rb.Overflow = blas.HalfFromMatrix(concat, scale)
+		rb.F16 = &blas.HalfMatrix{}
+		rb.Overflow = blas.HalfColumnsInto(mats, scale, rb.F16)
 	} else {
-		rb.F32 = concat
+		rb.F32 = blas.ConcatColumns(mats...)
 	}
 	if err := dev.Alloc(rb.bytes); err != nil {
 		return nil, err

@@ -571,3 +571,48 @@ func TestRewriteSlotMatchesNewRefBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestFP16BatchEqualsConcatThenConvert: an FP16 batch, converted source by
+// source into its binary16 panel, holds exactly what converting the
+// float32 concatenation of its sources gives — the panel, the overflow
+// count and, with norms, the squared norms — on tight and strided sources
+// whose sizes are no multiple of the conversion kernel's sixteen lanes,
+// with values that overflow.
+func TestFP16BatchEqualsConcatThenConvert(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	d, m := 128, 37
+	var mats []*blas.Matrix
+	for i := range 5 {
+		f := randomFeatures(rng, d, m, 2e6*float64(i%2)+1)
+		if i%2 == 1 { // a strided view of the same values
+			wide := blas.NewMatrix(d+3, m)
+			for j := range m {
+				copy(wide.Col(j), f.Col(j))
+			}
+			f = &blas.Matrix{Rows: d, Cols: m, Stride: d + 3, Data: wide.Data}
+		}
+		mats = append(mats, f)
+	}
+	concat := blas.ConcatColumns(mats...)
+	for _, withNorms := range []bool{false, true} {
+		rb, err := NewRefBatch(newTestDevice(), []int{0, 1, 2, 3, 4}, mats, gpusim.FP16, 0.5, withNorms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, overflow := blas.HalfFromMatrix(concat, 0.5)
+		if overflow == 0 {
+			t.Fatal("fixture overflows nothing")
+		}
+		if rb.F32 != nil || !reflect.DeepEqual(rb.F16, want) || rb.Overflow != overflow {
+			t.Fatalf("norms=%v: batch panel differs from concat-then-convert (overflow %d, want %d)",
+				withNorms, rb.Overflow, overflow)
+		}
+		var wantNorms []float32
+		if withNorms {
+			wantNorms = blas.SquaredNorms(concat)
+		}
+		if !reflect.DeepEqual(rb.Norms, wantNorms) {
+			t.Fatalf("norms=%v: batch norms differ from the concatenation's", withNorms)
+		}
+	}
+}

@@ -4,8 +4,8 @@
 # error results; every other project invariant is held by a test or by the
 # type system, see DESIGN.md "Correctness invariants & texlint"), import
 # hygiene of the serving binaries, the serving core's tests at GOMAXPROCS
-# 1, 2 and 4, the kernel-tier equivalence tests of all ten blas, binq and
-# sift families (no tier the host's CPU flags advertise may skip), the
+# 1, 2 and 4, the kernel-tier equivalence tests of all twelve blas, binq
+# and sift families (no tier the host's CPU flags advertise may skip), the
 # blas/half/binq/knn/sift tests and the engine's pruning tests on the
 # portable (no-assembly) kernels, SIFT's goldens and tier tests built for
 # GOAMD64=v3, the portable rows of the measurement
@@ -74,14 +74,17 @@ fi
 echo "==> go test -cpu 1,2,4 (engine, serve, cluster)"
 go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster/...
 
-# Kernel tiers, ten families picked from CPUID, each bit-identical to its
+# Kernel tiers, twelve families picked from CPUID, each bit-identical to its
 # fallback: the half-precision GEMM runs AccumFP16 on one of three tiers —
 # AVX512-FP16 (native binary16 arithmetic), F16C (float32 round trips),
 # portable Go — the FP32 GEMM + top-2 on one of three — AVX-512 with the
 # top-2 folded into the tile, AVX2 GemmTN + Top2AddRows, portable — the
 # FP16 GEMM + top-2 on the AVX512-FP16 tile with the top-2 folded in or
-# HGemmTNBlocks + Top2AddRows, the Hamming prefilter scan on one of two,
-# AVX-512 VPOPCNTQ or the scalar loop, the SIFT scale-space blur on one of
+# HGemmTNBlocks + Top2AddRows, the float32→binary16 conversion on one of
+# two, AVX-512 VCVTPS2PH or the scalar loop, the Hamming prefilter scan on
+# one of two, AVX-512 VPOPCNTQ or the scalar loop, the prefilter's code
+# encode on one of two, AVX-512 compares or the scalar loop, the SIFT
+# scale-space blur on one of
 # two, AVX-512 taps or the portable loops, SIFT's atan2 and exp on one
 # of two, eight AVX-512 lanes or Go's math, SIFT's DoG extremum scan on one
 # of two, sixteen AVX-512 lanes or the scalar compare chain, the SIFT
@@ -98,8 +101,8 @@ go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster
 echo "==> kernel tiers: blas, binq, sift (go test -v)"
 tierlog=$(mktemp)
 trap 'rm -f "$tierlog"' EXIT
-go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable|GemmTop2TiersMatch|HGemmTop2TiersMatch|Top2AddRowsSemantics)$' ./internal/blas | tee "$tierlog"
-go test -count=1 -v -run '^TestScanTiersMatch$' ./internal/binq | tee -a "$tierlog"
+go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable|GemmTop2TiersMatch|HGemmTop2TiersMatch|Top2AddRowsSemantics|HalfConvertTiersMatch)$' ./internal/blas | tee "$tierlog"
+go test -count=1 -v -run '^Test(ScanTiersMatch|EncodeTiersMatch)$' ./internal/binq | tee -a "$tierlog"
 go test -count=1 -v -run '^Test(BlurTiersMatch|EvalTiersMatch|ExtremaTiersMatch|DescBinsTiersMatch|GatherTiersMatch|OrientBinsTiersMatch)$' ./internal/sift | tee -a "$tierlog"
 # A tier the host has may not skip: when /proc/cpuinfo lists the CPU flag
 # and the tier's test still skipped, the CPUID or XCR0 probe, a build tag
@@ -109,6 +112,7 @@ if [[ -r /proc/cpuinfo ]]; then
   for tier in avx512f:TestGemmTop2TiersMatch avx512_fp16:TestHGemmTiersMatch \
               avx512_fp16:TestNativeAddIsDoubleRounded avx512_fp16:TestHGemmTop2TiersMatch \
               avx512_vpopcntdq:TestScanTiersMatch avx512f:TestBlurTiersMatch \
+              avx512f:TestHalfConvertTiersMatch avx512f:TestEncodeTiersMatch \
               avx512f:TestEvalTiersMatch avx512f:TestExtremaTiersMatch \
               avx512f:TestDescBinsTiersMatch avx512f:TestGatherTiersMatch \
               avx512f:TestOrientBinsTiersMatch; do
@@ -121,8 +125,8 @@ if [[ -r /proc/cpuinfo ]]; then
 fi
 
 # Portable-kernel pass: every other run exercises the host's assembly tiers
-# (AVX512-FP16 and/or F16C, the fused FP32 GEMM + top-2, VPOPCNTQ, the
-# AVX-512 blur, atan2/exp, extremum scan, descriptor prep, window gathers
+# (AVX512-FP16 and/or F16C, the fused FP32 GEMM + top-2, the AVX-512
+# binary16 conversion, VPOPCNTQ, the AVX-512 code encode, the AVX-512 blur, atan2/exp, extremum scan, descriptor prep, window gathers
 # and orientation prep); this rerun
 # pins the pure-Go fallback kernels
 # (and the bit-identity tests that compare the tiers) with every assembly
