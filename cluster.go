@@ -22,11 +22,6 @@ type ClusterConfig struct {
 	// StoreAddr optionally points at a kvstore server (see
 	// internal/kvstore or cmd/texsearchd -kvstore) for persistence.
 	StoreAddr string
-	// Call tunes the coordinator→worker fault-tolerance policy (deadlines,
-	// retries, hedging); zero value = cluster.DefaultCallPolicy().
-	Call cluster.CallPolicy
-	// Health tunes the per-worker failure detector.
-	Health cluster.HealthPolicy
 	// MinShards is the minimum shards that must answer a search before it
 	// fails instead of degrading to a partial result (<= 0: any one).
 	MinShards int
@@ -58,8 +53,6 @@ func OpenCluster(cfg ClusterConfig) (*ClusterSystem, error) {
 		Workers:   cfg.Workers,
 		Engine:    cfg.Engine,
 		StoreAddr: cfg.StoreAddr,
-		Call:      cfg.Call,
-		Health:    cfg.Health,
 		MinShards: cfg.MinShards,
 	})
 	if err != nil {

@@ -113,11 +113,6 @@ func (t Thresholds) EncodePortable(mat *blas.Matrix, dst []Code) []Code {
 	return dst
 }
 
-// Hamming returns the Hamming distance between two codes.
-func Hamming(a, b Code) int {
-	return bits.OnesCount64(a[0]^b[0]) + bits.OnesCount64(a[1]^b[1])
-}
-
 // Scanner runs the prefilter kernel with zero warm-path allocations: the
 // per-image closure handed to blas.Parallel is bound once and reused, so
 // steady-state scans never touch the heap. A Scanner is not safe for

@@ -1,6 +1,7 @@
 package binq
 
 import (
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -407,4 +408,9 @@ func FuzzScanTiers(f *testing.F) {
 			}
 		}
 	})
+}
+
+// Hamming returns the Hamming distance between two codes.
+func Hamming(a, b Code) int {
+	return bits.OnesCount64(a[0]^b[0]) + bits.OnesCount64(a[1]^b[1])
 }

@@ -245,32 +245,15 @@ func dot(a, b []float32) float32 {
 	return s
 }
 
-// AddRowVector adds v[i] to every element of row i of C, in place. This is
-// step 4 of Algorithm 1 (adding the reference squared norms N_R), which the
-// paper performs in-place on the GPU to avoid materializing an m×n copy.
-func AddRowVector(C *Matrix, v []float32) {
-	if len(v) != C.Rows {
-		panic(fmt.Sprintf("blas: AddRowVector length %d, want %d", len(v), C.Rows))
-	}
-	const colBlock = 16
-	Parallel((C.Cols+colBlock-1)/colBlock, func(b int) {
-		for j := b * colBlock; j < min((b+1)*colBlock, C.Cols); j++ {
-			col := C.Col(j)
-			for i := range col {
-				col[i] += v[i]
-			}
-		}
-	})
-}
-
 // Top2AddRows is the fused Algorithm-1 epilogue: for every column of C it
-// scans rows [lo, hi) once, adding norms[i] (step 4) on the fly and keeping
-// the two smallest sums in registers (step 5), writing them plus the best
-// row offset to best/second/bestIdx at the column's index. It computes
-// exactly what AddRowVector followed by a top-2 scan would — same add, same
-// strict-< comparisons — but traverses the m×n block once and leaves C
-// untouched. A nil norms skips the addition (the RootSIFT path, where the
-// norm terms vanish).
+// scans rows [lo, hi) once, adding norms[i] (step 4, which the paper does
+// in place on the GPU) on the fly and keeping the two smallest sums in
+// registers (step 5), writing them plus the best row offset to
+// best/second/bestIdx at the column's index. It computes exactly what an
+// in-place row add followed by a top-2 scan would — same add, same strict-<
+// comparisons — but traverses the m×n block once and leaves C untouched. A
+// nil norms skips the addition (the RootSIFT path, where the norm terms
+// vanish).
 //
 // The selection, which GemmTop2's fused tier reproduces bit for bit and
 // TestTop2AddRowsSemantics pins rule by rule: rows are visited in

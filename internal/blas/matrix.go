@@ -44,9 +44,6 @@ func FromColumns(rows int, cols [][]float32) *Matrix {
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float32 { return m.Data[j*m.Stride+i] }
 
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float32) { m.Data[j*m.Stride+i] = v }
-
 // Col returns column j as a slice sharing the matrix's storage.
 func (m *Matrix) Col(j int) []float32 {
 	return m.Data[j*m.Stride : j*m.Stride+m.Rows]
@@ -87,9 +84,6 @@ func (m *Matrix) Clone() *Matrix {
 	}
 	return c
 }
-
-// Bytes returns the FP32 storage footprint of the matrix contents.
-func (m *Matrix) Bytes() int { return 4 * m.Rows * m.Cols }
 
 // ConcatColumns concatenates the columns of the given matrices (all with the
 // same row count) into one matrix. This is the batching step of Fig. 3: a

@@ -107,9 +107,6 @@ func (h *Hybrid[T]) demoteOldest() error {
 	return nil
 }
 
-// Get returns the item with the given id, or nil.
-func (h *Hybrid[T]) Get(id int) *Item[T] { return h.items[id] }
-
 // Remove deletes an item from the cache, returning its former location.
 // Removing an unknown id is a no-op and returns false.
 func (h *Hybrid[T]) Remove(id int) (Location, bool) {

@@ -178,3 +178,6 @@ func TestPropertyInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Get returns the item with the given id, or nil.
+func (h *Hybrid[T]) Get(id int) *Item[T] { return h.items[id] }

@@ -50,12 +50,6 @@ func (ix *Index) Add(id int, feats *blas.Matrix) error {
 	return nil
 }
 
-// Size returns the number of pooled features.
-func (ix *Index) Size() int { return len(ix.owner) }
-
-// Bytes returns the memory footprint of the pooled descriptors (FP32).
-func (ix *Index) Bytes() int64 { return int64(len(ix.pool)) * 4 }
-
 // Search runs the CBIR retrieval: every query feature finds its nearest and
 // second-nearest pooled neighbors (a single global 2-NN — this is the
 // "only single nearest neighbor across all the features" pattern of

@@ -58,8 +58,8 @@ func TestExactIndexIdentifies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ix.Size() != 5*k {
-		t.Fatalf("pooled %d features", ix.Size())
+	if len(ix.owner) != 5*k {
+		t.Fatalf("pooled %d features", len(ix.owner))
 	}
 	query := clusterFeatures(rng, protos[3], 0.02)
 	res := ix.Search(query, 0.8)
@@ -115,8 +115,8 @@ func TestPQIdentifiesAndCompresses(t *testing.T) {
 		}
 	}
 	// Compression: 4 bytes per descriptor vs 64 bytes FP32.
-	if ix.Bytes() != int64(ix.Size()*cfg.Subspaces) {
-		t.Fatalf("code bytes %d for %d features", ix.Bytes(), ix.Size())
+	if len(ix.codes) != len(ix.owner)*cfg.Subspaces {
+		t.Fatalf("code bytes %d for %d features", len(ix.codes), len(ix.owner))
 	}
 	query := clusterFeatures(rng, protos[2], 0.01)
 	res := ix.Search(query, 0.9)

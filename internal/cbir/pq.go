@@ -168,12 +168,6 @@ func (ix *PQIndex) Add(id int, feats *blas.Matrix) error {
 	return nil
 }
 
-// Size returns the number of pooled features.
-func (ix *PQIndex) Size() int { return len(ix.owner) }
-
-// Bytes returns the compressed footprint (codes only, as Faiss reports).
-func (ix *PQIndex) Bytes() int64 { return int64(len(ix.codes)) }
-
 // Search runs asymmetric-distance (ADC) retrieval: a per-query lookup
 // table of query-subvector-to-centroid distances turns each candidate
 // distance into M table lookups. Votes use the same cross-image ratio test

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
-	"time"
 
 	"texid/internal/blas"
 	"texid/internal/engine"
@@ -463,120 +461,6 @@ func TestChaosPartitionHealsAndProbeResurrects(t *testing.T) {
 	}
 	if st := c.Health()[1]; st != Healthy {
 		t.Fatalf("worker-1 after successful probe = %v, want healthy", st)
-	}
-}
-
-// TestChaosRebalanceRestoresCoverage kills a shard, observes its references
-// drop out of the answer, then drains the dead shard through the engine
-// export path and verifies full coverage returns (while the dead worker
-// itself stays routed around).
-func TestChaosRebalanceRestoresCoverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	refs := make([]*blas.Matrix, 6)
-	for i := range refs {
-		refs[i] = unitFeatures(rng, 16, 24)
-	}
-	adds := len(refs) / 3
-	c, err := New(Config{Workers: 3, Engine: smallEngine(),
-		Fault: faultsim.New(faultsim.Plan{Seed: 48, Kill: map[string]uint64{workerName(1): uint64(adds) + 1}})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range refs {
-		if err := c.Add(i, f, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Reference 1 lives on (killed) worker-1: partial searches miss it.
-	query := queryFor(rng, refs[1], 32)
-	for s := 0; s < 3; s++ {
-		rep, err := c.Search(query, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Partial || rep.BestID == 1 {
-			t.Fatalf("search %d against dead shard: partial=%v best=%d", s, rep.Partial, rep.BestID)
-		}
-	}
-	if st := c.Health()[1]; st != Dead {
-		t.Fatalf("worker-1 = %v, want dead", st)
-	}
-
-	moved, err := c.Rebalance(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 2 {
-		t.Fatalf("rebalanced %d references, want 2", moved)
-	}
-	rep, err := c.Search(query, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BestID != 1 || !rep.Accepted {
-		t.Fatalf("rebalanced reference not found: %+v", rep)
-	}
-	if rep.Compared != len(refs) {
-		t.Fatalf("post-rebalance coverage %d/%d references", rep.Compared, len(refs))
-	}
-}
-
-// TestRebalanceWithNoLiveDestination drains the one live worker of a
-// cluster whose other worker is dead: there is nowhere to move anything, so
-// Rebalance must say so, leave every reference where it was, and let go of
-// the cluster lock (it used to spin on it forever, wedging every later Add).
-func TestRebalanceWithNoLiveDestination(t *testing.T) {
-	rng := rand.New(rand.NewSource(49))
-	refs := make([]*blas.Matrix, 4)
-	for i := range refs {
-		refs[i] = unitFeatures(rng, 16, 24)
-	}
-	adds := len(refs) / 2
-	c, err := New(Config{Workers: 2, Engine: smallEngine(),
-		Fault: faultsim.New(faultsim.Plan{Seed: 50, Kill: map[string]uint64{workerName(1): uint64(adds) + 1}})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range refs {
-		if err := c.Add(i, f, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for s := 0; s < 3 && c.Health()[1] != Dead; s++ {
-		if _, err := c.Search(queryFor(rng, refs[0], 32), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := c.Health(); st[0] == Dead || st[1] != Dead {
-		t.Fatalf("health = %v, want worker-0 live and worker-1 dead", st)
-	}
-	before := c.Stats().PerWorker[0].References
-
-	done := make(chan error, 1)
-	go func() {
-		moved, err := c.Rebalance(0)
-		if err == nil || !strings.Contains(err.Error(), "nowhere to rebalance to") {
-			done <- fmt.Errorf("Rebalance(0) = %d, %v; want a nowhere-to-rebalance-to error", moved, err)
-			return
-		}
-		if moved != 0 {
-			done <- fmt.Errorf("Rebalance(0) moved %d references with no live destination", moved)
-			return
-		}
-		// The lock must be free again: a following Add completes.
-		done <- c.Add(len(refs), unitFeatures(rng, 16, 24), nil)
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Rebalance with no live destination never returned (spinning under the cluster lock)")
-	}
-	if got := c.Stats().PerWorker[0].References; got != before+1 {
-		t.Fatalf("worker-0 holds %d references after the failed drain and one Add, want %d", got, before+1)
 	}
 }
 

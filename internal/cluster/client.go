@@ -11,9 +11,9 @@ import (
 	"texid/internal/wire"
 )
 
-// DefaultClientTimeout bounds every REST call unless WithTimeout overrides
-// it. Generous enough for large batch searches, small enough that a hung
-// coordinator surfaces as an error instead of wedging the caller forever.
+// DefaultClientTimeout bounds every REST call. Generous enough for large
+// batch searches, small enough that a hung coordinator surfaces as an error
+// instead of wedging the caller forever.
 const DefaultClientTimeout = 30 * time.Second
 
 // Client is a Go client for the cluster's REST API (used by the texsearch
@@ -23,24 +23,10 @@ type Client struct {
 	http *http.Client
 }
 
-// Option customizes a Client.
-type Option func(*Client)
-
-// WithTimeout sets the per-request timeout (covering connect, request, and
-// the full response body). 0 disables the bound entirely.
-func WithTimeout(d time.Duration) Option {
-	return func(c *Client) { c.http.Timeout = d }
-}
-
 // NewClient targets a coordinator at baseURL (e.g. "http://127.0.0.1:8080").
-// Requests time out after DefaultClientTimeout unless overridden with
-// WithTimeout.
-func NewClient(baseURL string, opts ...Option) *Client {
-	c := &Client{base: baseURL, http: &http.Client{Timeout: DefaultClientTimeout}}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+// Requests time out after DefaultClientTimeout.
+func NewClient(baseURL string) *Client {
+	return &Client{base: baseURL, http: &http.Client{Timeout: DefaultClientTimeout}}
 }
 
 func (c *Client) doJSON(method, path string, body any, out any) error {
@@ -132,13 +118,4 @@ func (c *Client) SearchBatch(recs []*wire.FeatureRecord) ([]SearchResponse, erro
 	}
 	err := c.doJSON(http.MethodPost, "/v1/search/batch", body, &out)
 	return out.Results, err
-}
-
-// Compact reclaims tombstoned reference slots on every shard.
-func (c *Client) Compact() (int, error) {
-	var out struct {
-		Reclaimed int `json:"reclaimed"`
-	}
-	err := c.doJSON(http.MethodPost, "/v1/compact", nil, &out)
-	return out.Reclaimed, err
 }

@@ -18,7 +18,8 @@ func TestClientTimeoutOnHungServer(t *testing.T) {
 	}))
 	defer func() { close(release); ts.Close() }()
 
-	api := NewClient(ts.URL, WithTimeout(100*time.Millisecond))
+	api := NewClient(ts.URL)
+	api.http.Timeout = 100 * time.Millisecond
 	start := time.Now()
 	err := api.Health()
 	if err == nil {

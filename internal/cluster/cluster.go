@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"texid/internal/binq"
 	"texid/internal/blas"
 	"texid/internal/engine"
 	"texid/internal/faultsim"
@@ -65,12 +64,6 @@ type Config struct {
 	// every worker). MaxBatch <= 1 disables coalescing; Window bounds how
 	// long the first query of a batch waits (wall clock) for co-travellers.
 	Serve serve.Options
-}
-
-// DefaultConfig returns the paper's deployment: 14 P100 workers with the
-// production engine configuration.
-func DefaultConfig() Config {
-	return Config{Workers: 14, Engine: engine.DefaultConfig()}
 }
 
 // workerName returns the stable peer name fault schedules key on.
@@ -520,62 +513,6 @@ func (c *Cluster) Compact() (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// Rebalance drains every live reference off the given worker and re-enrolls
-// it round-robin across the remaining live workers (via the engine export
-// path), updating the shard map. It restores full-coverage search after a
-// shard is declared dead — the in-process engine still holds the feature
-// data, standing in for the paper's Redis-backed re-shard — and is also the
-// drain step for planned worker removal. Returns how many references moved;
-// draining a live worker while every other worker is dead moves nothing and
-// fails.
-func (c *Cluster) Rebalance(from int) (int, error) {
-	if from < 0 || from >= len(c.workers) {
-		return 0, fmt.Errorf("cluster: no worker %d", from)
-	}
-	if len(c.workers) < 2 {
-		return 0, fmt.Errorf("cluster: nowhere to rebalance to")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	src := c.workers[from]
-	// Collect, then move: Export has cloned every record before its first
-	// visit, which runs under the engine lock. Codes are dropped on purpose:
-	// each destination re-encodes under its own thresholds at seal time.
-	var recs []wire.FeatureRecord
-	if err := src.eng.Export(func(id int, feats *blas.Matrix, kps []sift.Keypoint, _ []binq.Code) error {
-		recs = append(recs, wire.FeatureRecord{ID: int64(id), Features: feats, Keypoints: kps})
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	moved := 0
-	for _, r := range recs {
-		// One lap of the round-robin is enough to meet any other live
-		// worker; when every pick comes back as from, the rest are dead.
-		wi, err := c.pickWorkerLocked()
-		for lap := 1; err == nil && wi == from && lap < len(c.workers); lap++ {
-			wi, err = c.pickWorkerLocked()
-		}
-		if err != nil {
-			return moved, err
-		}
-		if wi == from {
-			return moved, fmt.Errorf("cluster: nowhere to rebalance to")
-		}
-		id := int(r.ID)
-		if err := c.workers[wi].eng.Add(id, r.Features, r.Keypoints); err != nil {
-			return moved, fmt.Errorf("cluster: re-homing record %d: %w", id, err)
-		}
-		c.shards[id] = wi
-		src.eng.Remove(id)
-		moved++
-	}
-	if _, err := src.eng.Compact(); err != nil {
-		return moved, fmt.Errorf("cluster: compacting drained worker %d: %w", from, err)
-	}
-	return moved, nil
 }
 
 // Stats aggregates shard statistics.

@@ -669,12 +669,14 @@ func TestRESTBatchSearchAndCompact(t *testing.T) {
 	}
 
 	api.Delete(2)
-	n, err := api.Compact()
-	if err != nil {
+	var compacted struct {
+		Reclaimed int `json:"reclaimed"`
+	}
+	if err := api.doJSON(http.MethodPost, "/v1/compact", nil, &compacted); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("REST compact reclaimed %d", n)
+	if compacted.Reclaimed != 1 {
+		t.Fatalf("REST compact reclaimed %d", compacted.Reclaimed)
 	}
 
 	// Oversized batch rejected.

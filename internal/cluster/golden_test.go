@@ -167,7 +167,7 @@ func TestMetricsStableUnderSoakChurn(t *testing.T) {
 			}
 		case 5:
 			if i%30 == 5 {
-				if _, err := api.Compact(); err != nil {
+				if err := api.doJSON(http.MethodPost, "/v1/compact", nil, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -264,17 +264,17 @@ func agreement(t *testing.T, c *Cluster) []int {
 
 // TestConcurrentMutationsAgree is the agreement checker for the write path:
 // seeded goroutines Add, Update and Remove the same few ids against a
-// 3-worker cluster with a kvstore (one Rebalance and one Compact mid-run)
-// beside a searcher, and whenever no mutation is in flight the shard map,
-// the engines and the store must agree (see agreement). Before every
+// 3-worker cluster with a kvstore (two Compacts mid-run) beside a
+// searcher, and whenever no mutation is in flight the shard map, the
+// engines and the store must agree (see agreement). Before every
 // mutation ran under c.mu, an Update or Remove overlapping another write of
 // its id — the kvstore round-trip makes the window wide — left the id on an
 // engine but out of the map: searchable, undeletable, re-addable as a
 // duplicate.
 //
 // Unpaused searches only have to succeed: a scatter is not a cross-shard
-// snapshot, so one that overlaps a Remove and re-Add (or a Rebalance) of an
-// id may rightly see it on its old shard and on its new one. Every fourth
+// snapshot, so one that overlaps a Remove and re-Add of an id may rightly
+// see it on its old shard and on its new one. Every fourth
 // search is therefore a checkpoint: it takes the write half of pause, which
 // every mutation holds the read half of, and checks agreement exactly.
 func TestConcurrentMutationsAgree(t *testing.T) {
@@ -335,7 +335,7 @@ func TestConcurrentMutationsAgree(t *testing.T) {
 				})
 				switch {
 				case g == 0 && j == opsEach/3:
-					mutate(func() error { _, err := c.Rebalance(1); return err })
+					mutate(func() error { _, err := c.Compact(); return err })
 				case g == 1 && j == 2*opsEach/3:
 					mutate(func() error { _, err := c.Compact(); return err })
 				}
@@ -371,46 +371,6 @@ func TestConcurrentMutationsAgree(t *testing.T) {
 		}
 	}
 	<-done
-}
-
-// TestRebalanceTakesTheMutationLockFirst pins the coordinator's lock order,
-// c.mu before any engine's mu. The test holds c.mu, as a put in flight
-// would, and starts a Rebalance: it must wait for c.mu before it touches an
-// engine, so the worker it drains keeps answering meanwhile. A Rebalance
-// that exported first and took c.mu inside Export's visit would sit on that
-// worker's write lock waiting for c.mu, and a put to the worker, which
-// holds c.mu and waits for the engine, would deadlock against it.
-func TestRebalanceTakesTheMutationLockFirst(t *testing.T) {
-	c := smallCluster(t, 2)
-	rng := rand.New(rand.NewSource(74))
-	for id := 0; id < 4; id++ {
-		if err := c.Add(id, unitFeatures(rng, 16, 24), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.mu.Lock()
-	moved := make(chan error, 1)
-	go func() {
-		_, err := c.Rebalance(0)
-		moved <- err
-	}()
-	for start := time.Now(); time.Since(start) < 100*time.Millisecond; time.Sleep(time.Millisecond) {
-		answered := make(chan struct{})
-		go func() {
-			_ = c.workers[0].eng.Stats()
-			close(answered)
-		}()
-		select {
-		case <-answered:
-		case <-time.After(2 * time.Second):
-			c.mu.Unlock()
-			t.Fatal("Rebalance holds the draining worker's lock while it waits for c.mu")
-		}
-	}
-	c.mu.Unlock()
-	if err := <-moved; err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestRefusedDeleteLeavesTheTextureServing: Remove is write-ahead like put.

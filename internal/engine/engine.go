@@ -10,6 +10,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -189,6 +190,12 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
+	// A NaN, infinite or negative scale would seal every FP16 feature as
+	// NaN, ±Inf or its negation, and the index would answer wrongly while
+	// reporting healthy.
+	if !(cfg.Scale > 0) || math.IsInf(float64(cfg.Scale), 1) {
+		return nil, fmt.Errorf("engine: Scale %g must be finite and positive (0 means 1)", cfg.Scale)
+	}
 	if cfg.PruneC > 0 {
 		if cfg.Algorithm != knn.RootSIFT {
 			return nil, fmt.Errorf("engine: candidate pruning requires the RootSIFT algorithm")
@@ -252,10 +259,6 @@ func (e *Engine) Device() *gpusim.Device { return e.dev }
 
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
-
-// WorkspaceBytes returns the total per-stream device workspace held by the
-// engine.
-func (e *Engine) WorkspaceBytes() int64 { return e.workspace }
 
 // Add enrolls a reference image's features under the given id. Features
 // must be Dim×RefFeatures. Keypoints may be nil unless geometric

@@ -542,19 +542,21 @@ func testBatchMatchesSingle(t *testing.T, pruneCs ...int) {
 			}
 			compared := 0
 			for qi, q := range queries {
-				e.Device().ResetClock()
-				single, err := e.Search(q, nil)
+				// Each side runs on a freshly built engine, so both start
+				// from the same device clock and op profile.
+				eSingle, _ := sc.fixture(t)
+				single, err := eSingle.Search(q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				singleOps := e.Device().Profile()
-				e.Device().ResetClock()
-				one, err := e.SearchBatch([]*blas.Matrix{q}, nil)
+				singleOps := eSingle.Device().Profile()
+				eOne, _ := sc.fixture(t)
+				one, err := eOne.SearchBatch([]*blas.Matrix{q}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireSameReport(t, fmt.Sprintf("query %d: SearchBatch([q]) vs Search(q)", qi), one.Reports[0], single, true)
-				if oneOps := e.Device().Profile(); !reflect.DeepEqual(oneOps, singleOps) {
+				if oneOps := eOne.Device().Profile(); !reflect.DeepEqual(oneOps, singleOps) {
 					t.Fatalf("query %d: SearchBatch([q]) issued %v, Search(q) issued %v", qi, oneOps, singleOps)
 				}
 				requireSameReport(t, fmt.Sprintf("query %d: batch member vs Search(q)", qi), br.Reports[qi], single, false)
@@ -1046,6 +1048,31 @@ func TestNewFailsWhenWorkspaceExceedsDevice(t *testing.T) {
 	// 16 streams x (4096*768*768*2 + staging) bytes far exceeds 16 GB.
 	if _, err := New(cfg); err == nil {
 		t.Fatal("oversized workspace accepted")
+	}
+}
+
+// TestNewRejectsUnusableScale: a NaN, infinite or negative Scale is an
+// error naming the field at either precision; 0 still means 1.
+func TestNewRejectsUnusableScale(t *testing.T) {
+	nan := float32(math.NaN())
+	for _, prec := range []gpusim.Precision{gpusim.FP32, gpusim.FP16} {
+		for _, scale := range []float32{nan, float32(math.Inf(1)), float32(math.Inf(-1)), -1, 0, 1} {
+			cfg := testConfig()
+			cfg.Precision, cfg.Scale = prec, scale
+			e, err := New(cfg)
+			if scale == 0 || scale == 1 {
+				if err != nil {
+					t.Fatalf("%v Scale %g: %v", prec, scale, err)
+				}
+				if got := e.Config().Scale; got != 1 {
+					t.Fatalf("%v Scale %g opened with Scale %g, want 1", prec, scale, got)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), "Scale") {
+				t.Fatalf("%v Scale %g: New = %v; want an error naming Scale", prec, scale, err)
+			}
+		}
 	}
 }
 

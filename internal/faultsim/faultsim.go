@@ -100,9 +100,6 @@ func New(plan Plan) *Injector {
 	return &Injector{plan: plan, peers: make(map[string]*Peer)}
 }
 
-// Plan returns the injector's schedule.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Peer returns the decision stream for the named peer, creating it on
 // first use. Callers should cache the handle: Peer takes a lock, Do/Next
 // do not.
@@ -112,7 +109,7 @@ func (in *Injector) Peer(name string) *Peer {
 	if p, ok := in.peers[name]; ok {
 		return p
 	}
-	p := &Peer{name: name, plan: &in.plan, tag: hashString(uint64(in.plan.Seed), name)}
+	p := &Peer{plan: &in.plan, tag: hashString(uint64(in.plan.Seed), name)}
 	for _, w := range in.plan.Partitions {
 		if w.Peer == name {
 			p.parts = append(p.parts, w)
@@ -130,16 +127,12 @@ func (in *Injector) Peer(name string) *Peer {
 // interleave: scatter-gather over N workers sees the same per-worker fault
 // sequence at any GOMAXPROCS.
 type Peer struct {
-	name   string
 	plan   *Plan
 	tag    uint64 // hash of (seed, name), folded into every decision
 	seq    atomic.Uint64
 	parts  []Partition
 	killAt uint64
 }
-
-// Name returns the peer's name.
-func (p *Peer) Name() string { return p.name }
 
 // Outcome is the fate of one call.
 type Outcome int

@@ -24,10 +24,11 @@ type Device struct {
 	mu        sync.Mutex
 	allocated int64
 	peakAlloc int64
-	// The three engines are mutated only inside schedule/Synchronize/
-	// ResetClock under mu, but the Stream kernel wrappers take their
-	// addresses unlocked to tell schedule which engine an op occupies, so
-	// the contract is kept by confining engine mutation to those methods.
+	// The three engines are mutated only inside schedule/Synchronize (and
+	// the tests' ResetClock) under mu, but the Stream kernel wrappers take
+	// their addresses unlocked to tell schedule which engine an op
+	// occupies, so the contract is kept by confining engine mutation to
+	// those methods.
 	compute engine
 	h2d     engine
 	d2h     engine
@@ -85,13 +86,6 @@ func (d *Device) Free(bytes int64) {
 	}
 }
 
-// Allocated returns the currently reserved device memory in bytes.
-func (d *Device) Allocated() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.allocated
-}
-
 // PeakAllocated returns the high-water mark of device memory usage.
 func (d *Device) PeakAllocated() int64 {
 	d.mu.Lock()
@@ -137,20 +131,6 @@ func (d *Device) Synchronize() float64 {
 		now = d.d2h.freeAtUS
 	}
 	return now
-}
-
-// ResetClock rewinds the device timeline (between experiments). Memory
-// accounting is unaffected.
-func (d *Device) ResetClock() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.compute.freeAtUS = 0
-	d.h2d.freeAtUS = 0
-	d.d2h.freeAtUS = 0
-	for _, s := range d.streams {
-		s.tailUS = 0
-	}
-	d.prof = make(map[string]*OpStats)
 }
 
 // Profile returns a copy of the per-operation time accounting.
@@ -202,13 +182,6 @@ func (d *Device) newOpStats(name string) *OpStats {
 type Stream struct {
 	dev    *Device
 	tailUS float64
-}
-
-// TailUS returns the stream's current completion horizon.
-func (s *Stream) TailUS() float64 {
-	s.dev.mu.Lock()
-	defer s.dev.mu.Unlock()
-	return s.tailUS
 }
 
 // opName returns the precomputed profile key "<family>/<precision>".

@@ -341,3 +341,38 @@ func TestA100Projection(t *testing.T) {
 		t.Fatal("A100 memory wrong")
 	}
 }
+
+// Allocated returns the currently reserved device memory in bytes.
+func (d *Device) Allocated() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.allocated
+}
+
+// ResetClock rewinds the device timeline (between experiments). Memory
+// accounting is unaffected.
+func (d *Device) ResetClock() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.compute.freeAtUS = 0
+	d.h2d.freeAtUS = 0
+	d.d2h.freeAtUS = 0
+	for _, s := range d.streams {
+		s.tailUS = 0
+	}
+	d.prof = make(map[string]*OpStats)
+}
+
+// TailUS returns the stream's current completion horizon.
+func (s *Stream) TailUS() float64 {
+	s.dev.mu.Lock()
+	defer s.dev.mu.Unlock()
+	return s.tailUS
+}
+
+// GemmTFLOPS returns the achieved TFLOPS of such a kernel, used by the
+// GPU-efficiency experiments (Table 4).
+func (s *DeviceSpec) GemmTFLOPS(m, n, k int, prec Precision) float64 {
+	flops := 2 * float64(m) * float64(n) * float64(k)
+	return flops / (s.GemmTimeUS(m, n, k, prec) * 1e-6) / 1e12
+}

@@ -248,13 +248,6 @@ func (s *DeviceSpec) GemmTimeUS(m, n, k int, prec Precision) float64 {
 	}
 }
 
-// GemmTFLOPS returns the achieved TFLOPS of such a kernel, used by the
-// GPU-efficiency experiments (Table 4).
-func (s *DeviceSpec) GemmTFLOPS(m, n, k int, prec Precision) float64 {
-	flops := 2 * float64(m) * float64(n) * float64(k)
-	return flops / (s.GemmTimeUS(m, n, k, prec) * 1e-6) / 1e12
-}
-
 // PeakTFLOPS returns the theoretical peak for the precision (Table 4's
 // denominator).
 func (s *DeviceSpec) PeakTFLOPS(prec Precision) float64 {

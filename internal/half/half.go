@@ -76,74 +76,6 @@ func FromFloat32(f float32) Float16 {
 	return Float16{h}
 }
 
-// fromFloat32Scalar is the branchy reference conversion the encode tables
-// are verified against (exhaustively, in table_test.go). It is kept
-// bit-for-bit as originally shipped; do not "optimize" it.
-func fromFloat32Scalar(f float32) Float16 {
-	b := math.Float32bits(f)
-	sign := uint16(b>>16) & 0x8000
-	exp := int32(b>>23) & 0xFF
-	frac := b & 0x7FFFFF
-
-	switch {
-	case exp == 0xFF: // Inf or NaN
-		if frac != 0 {
-			// NaN: keep a quiet NaN with some payload.
-			return Float16{sign | 0x7E00}
-		}
-		return Float16{sign | 0x7C00}
-	case exp == 0 && frac == 0: // signed zero
-		return Float16{sign}
-	}
-
-	// Unbiased exponent of the float32 value.
-	e := exp - 127
-
-	if e > 15 {
-		// Too large for binary16 even before rounding.
-		return Float16{sign | 0x7C00}
-	}
-
-	if e >= -14 {
-		// Normal binary16 range. Keep 10 fraction bits, round the rest.
-		he := uint16(e+15) << 10
-		hf := uint16(frac >> 13)
-		// Round to nearest even on the 13 discarded bits.
-		rem := frac & 0x1FFF
-		half := uint32(0x1000)
-		if rem > half || (rem == half && hf&1 == 1) {
-			hf++
-			if hf == 0x400 { // fraction overflow: bump exponent
-				hf = 0
-				he += 1 << 10
-				if he >= 0x7C00 {
-					return Float16{sign | 0x7C00}
-				}
-			}
-		}
-		return Float16{sign | he | hf}
-	}
-
-	if e < -25 {
-		// Rounds to zero even as a subnormal.
-		return Float16{sign}
-	}
-
-	// Subnormal binary16: implicit leading 1 must be made explicit and the
-	// whole significand shifted right.
-	sig := frac | 0x800000 // 24-bit significand with explicit leading 1
-	shift := uint32(-e - 14 + 13)
-	hf := uint16(sig >> shift)
-	rem := sig & ((1 << shift) - 1)
-	half := uint32(1) << (shift - 1)
-	if rem > half || (rem == half && hf&1 == 1) {
-		hf++
-		// A subnormal rounding up into 0x400 becomes the smallest normal,
-		// which the bit pattern already encodes correctly.
-	}
-	return Float16{sign | hf}
-}
-
 // Float32 converts a binary16 value to float32 exactly (the conversion is
 // always lossless in this direction). It is a single load from the 65,536
 // entry decode table (table.go), built at init from float32Scalar and
@@ -182,9 +114,6 @@ func float32Scalar(h Float16) float32 {
 // IsInf reports whether h is +Inf or -Inf.
 func (h Float16) IsInf() bool { return h.bits&0x7FFF == 0x7C00 }
 
-// IsNaN reports whether h is a NaN.
-func (h Float16) IsNaN() bool { return h.bits&0x7C00 == 0x7C00 && h.bits&0x3FF != 0 }
-
 // Round rounds a float32 through binary16 and back — how every
 // intermediate value behaves inside an FP16-accumulating GEMM. It is the
 // hot operation of the functional FP16 experiments, so the normal range
@@ -208,14 +137,3 @@ func Round(f float32) float32 {
 
 // roundSlow handles the values outside Round's fast range exactly.
 func roundSlow(f float32) float32 { return FromFloat32(f).Float32() }
-
-// Add returns a+b computed in binary16 (operands are treated as exact,
-// the sum is rounded to binary16).
-func Add(a, b Float16) Float16 { return FromFloat32(a.Float32() + b.Float32()) }
-
-// FMA returns a*b+c with the product and the sum each rounded to binary16,
-// matching pre-Volta HGEMM accumulation (no wider accumulator).
-func FMA(a, b, c Float16) Float16 {
-	p := FromFloat32(a.Float32() * b.Float32())
-	return Add(p, c)
-}

@@ -252,24 +252,27 @@ func TestPhantomTimingOnly(t *testing.T) {
 	}
 }
 
+// allocated is the device memory reserved so far.
+func allocated(dev *gpusim.Device) int64 { return dev.Spec.MemBytes - dev.FreeBytes() }
+
 func TestDeviceMemoryChargedAndFreed(t *testing.T) {
 	dev := newTestDevice()
-	base := dev.Allocated()
+	base := allocated(dev)
 	rb, err := PhantomRefBatch(dev, 10000, 768, 128, gpusim.FP16, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := int64(10000) * (768*128*2 + 768*4)
-	if dev.Allocated()-base != want {
-		t.Fatalf("allocated %d, want %d", dev.Allocated()-base, want)
+	if allocated(dev)-base != want {
+		t.Fatalf("allocated %d, want %d", allocated(dev)-base, want)
 	}
 	// Table 1's memory column: ~2307 MB including runtime overhead.
-	totalMB := float64(dev.Allocated()) / (1 << 20)
+	totalMB := float64(allocated(dev)) / (1 << 20)
 	if totalMB < 2100 || totalMB > 2500 {
 		t.Fatalf("10k FP16 refs + overhead = %.0f MB, paper ~2307", totalMB)
 	}
 	rb.Free()
-	if dev.Allocated() != base {
+	if allocated(dev) != base {
 		t.Fatal("Free did not release memory")
 	}
 }
@@ -527,7 +530,7 @@ func TestRewriteSlotMatchesNewRefBatch(t *testing.T) {
 		for _, withNorms := range []bool{false, true} {
 			dev := newTestDevice()
 			rb := build(dev, mats, prec, withNorms)
-			before := dev.Allocated()
+			before := allocated(dev)
 			if err := rb.RewriteSlot(1, repl, thresh.Encode(repl, nil)); err != nil {
 				t.Fatal(err)
 			}
@@ -541,8 +544,8 @@ func TestRewriteSlotMatchesNewRefBatch(t *testing.T) {
 				t.Fatalf("%v norms=%v: rewritten batch differs from a fresh build (overflow %d, want %d)",
 					prec, withNorms, rb.Overflow, want.Overflow)
 			}
-			if dev.Allocated() != before {
-				t.Fatalf("rewrite moved device memory %d -> %d", before, dev.Allocated())
+			if allocated(dev) != before {
+				t.Fatalf("rewrite moved device memory %d -> %d", before, allocated(dev))
 			}
 		}
 	}

@@ -72,9 +72,6 @@ func (r *Registry) atCapLocked(name string) bool {
 	return len(r.help) >= MaxMetrics
 }
 
-// Dropped returns how many registrations the cap has refused.
-func (r *Registry) Dropped() float64 { return r.dropped.Value() }
-
 // Counter is a monotonically increasing counter. Float values are stored
 // as micro-units in a uint64 so Add is lock-free.
 type Counter struct {

@@ -176,3 +176,6 @@ func TestRegistryCapsDistinctNames(t *testing.T) {
 		t.Fatal("interning broke: distinct objects for one name")
 	}
 }
+
+// Dropped returns how many registrations the cap has refused.
+func (r *Registry) Dropped() float64 { return r.dropped.Value() }

@@ -29,10 +29,7 @@ func (f *Features) Count() int { return len(f.Codes) }
 type pattern [256][4]int8
 
 func makePattern(seed int64) *pattern {
-	return makePatternRand(rand.New(rand.NewSource(seed)))
-}
-
-func makePatternRand(rng *rand.Rand) *pattern {
+	rng := rand.New(rand.NewSource(seed))
 	var p pattern
 	draw := func() int8 {
 		for {
@@ -72,19 +69,7 @@ func describe(im *texture.Image, x, y int, angle float64, p *pattern) Code {
 // centroid orientation, and steered-BRIEF codes. The BRIEF test pattern
 // is drawn deterministically from cfg.PatternSeed.
 func Extract(im *texture.Image, cfg Config) *Features {
-	return extract(im, cfg, makePattern(cfg.PatternSeed))
-}
-
-// ExtractRand is Extract with an explicit generator for the BRIEF test
-// pattern; identically seeded generators yield identical descriptors.
-// Matching descriptors across images requires the same pattern, so pass
-// generators in the same state (or extract every image with one call
-// sequence from one generator only when that is intended).
-func ExtractRand(im *texture.Image, cfg Config, rng *rand.Rand) *Features {
-	return extract(im, cfg, makePatternRand(rng))
-}
-
-func extract(im *texture.Image, cfg Config, pat *pattern) *Features {
+	pat := makePattern(cfg.PatternSeed)
 	kps, levels := detect(im, cfg)
 	out := &Features{Keypoints: kps, Codes: make([]Code, len(kps))}
 	scale := 1.0

@@ -25,31 +25,6 @@ type Dataset struct {
 // reference is queried as evenly as possible. Generation is parallelized
 // across CPUs.
 func BuildDataset(seed int64, numRefs, numQueries int, difficulty float64, p GenParams) *Dataset {
-	refSeeds := make([]int64, max(numRefs, 0))
-	for i := range refSeeds {
-		refSeeds[i] = seed + int64(i)*1_000_003
-	}
-	rng := rand.New(rand.NewSource(seed ^ 0x7F4A7C15))
-	return buildDataset(refSeeds, rng, numQueries, difficulty, p)
-}
-
-// BuildDatasetRand is BuildDataset with an explicit generator: every
-// random choice (per-reference generation seeds and query perturbations)
-// is drawn from rng, so two calls with identically seeded generators
-// produce identical datasets.
-func BuildDatasetRand(rng *rand.Rand, numRefs, numQueries int, difficulty float64, p GenParams) *Dataset {
-	refSeeds := make([]int64, max(numRefs, 0))
-	for i := range refSeeds {
-		refSeeds[i] = rng.Int63()
-	}
-	return buildDataset(refSeeds, rng, numQueries, difficulty, p)
-}
-
-// buildDataset is the shared core. Reference seeds and the perturbation
-// stream are fully drawn before the parallel sections, so worker
-// scheduling cannot perturb the output.
-func buildDataset(refSeeds []int64, rng *rand.Rand, numQueries int, difficulty float64, p GenParams) *Dataset {
-	numRefs := len(refSeeds)
 	if numRefs <= 0 {
 		panic(fmt.Sprintf("texture: numRefs = %d", numRefs))
 	}
@@ -61,9 +36,12 @@ func buildDataset(refSeeds []int64, rng *rand.Rand, numQueries int, difficulty f
 	}
 
 	parallelFor(numRefs, func(i int) {
-		ds.Refs[i] = Generate(refSeeds[i], p)
+		ds.Refs[i] = Generate(seed+int64(i)*1_000_003, p)
 	})
 
+	// The perturbation stream is fully drawn before the parallel section,
+	// so worker scheduling cannot perturb the output.
+	rng := rand.New(rand.NewSource(seed ^ 0x7F4A7C15))
 	perts := make([]Perturbation, numQueries)
 	for q := 0; q < numQueries; q++ {
 		ds.Truth[q] = q % numRefs

@@ -229,3 +229,35 @@ func TestDecodePNGRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage decoded")
 	}
 }
+
+func datasetsEqual(t *testing.T, a, b *Dataset) {
+	t.Helper()
+	if len(a.Refs) != len(b.Refs) || len(a.Queries) != len(b.Queries) {
+		t.Fatalf("shape mismatch: %d/%d refs, %d/%d queries",
+			len(a.Refs), len(b.Refs), len(a.Queries), len(b.Queries))
+	}
+	for i := range a.Refs {
+		for p := range a.Refs[i].Pix {
+			if a.Refs[i].Pix[p] != b.Refs[i].Pix[p] {
+				t.Fatalf("ref %d pixel %d differs", i, p)
+			}
+		}
+	}
+	for q := range a.Queries {
+		if a.Truth[q] != b.Truth[q] {
+			t.Fatalf("truth %d differs: %d vs %d", q, a.Truth[q], b.Truth[q])
+		}
+		for p := range a.Queries[q].Pix {
+			if a.Queries[q].Pix[p] != b.Queries[q].Pix[p] {
+				t.Fatalf("query %d pixel %d differs", q, p)
+			}
+		}
+	}
+}
+
+func TestBuildDatasetSeedEntryPointStable(t *testing.T) {
+	p := smallParams()
+	a := BuildDataset(11, 2, 2, 0.4, p)
+	b := BuildDataset(11, 2, 2, 0.4, p)
+	datasetsEqual(t, a, b)
+}

@@ -21,6 +21,9 @@
 # on a change-side result check that failed, on a change median past a
 # row's absolute limit, and on a change-side benchmark run that was
 # incorrect or had failed requests; it exits 2 when a run could not measure.
+# An op that only the change has (the parent's texbench matches no op of
+# the filter) prints "(not in the parent)" with its change median, is never
+# faster or slower, and still fails on its own limit and result check.
 #
 # Wall rows are not committed: a wall time is a fact about the host and the
 # minute it was taken on, so it is only compared with the parent measured
@@ -75,6 +78,13 @@ run() {
     # measure.
     "$tmp/$side.texbench" -suite ${sel:+-op "$sel"} -out "$out" >"$log" 2>&1 || status=$?
     ((status == 1)) && status=0
+    # A parent without any op the filter names is the parent of a change
+    # that adds them: its rows are an empty set. A filter that matches
+    # nothing on the change side still fails the run.
+    if ((status == 2)) && [[ $side == parent ]] && grep -q 'matched no suite ops' "$log"; then
+      echo '[]' >"$out"
+      status=0
+    fi
   fi
   if ((status != 0)); then
     echo "bench.sh: the $side run of pair $i failed (exit $status):" >&2

@@ -181,6 +181,32 @@ def suite(directory):
     change = load_runs(directory, "change", read_rows)
     if len(parent) < 2 or len(parent) != len(change):
         sys.exit(f"paired.py: {len(parent)} parent and {len(change)} change runs in {directory}")
+    return judge_suite(parent, change)
+
+
+def judge_suite(parent, change):
+    """Judge every change row against its parent runs; return (problems,
+    the number of slower rows).
+
+    A row the parent runs lack (an op the change adds, whose parent runs are
+    empty row sets) has no verdict: it prints its change median, and its own
+    limit and result check still gate.
+
+    >>> def new(value, **gate):
+    ...     row = dict(op="new_op", gomaxprocs=1, clock="wall", unit="ns",
+    ...                better="lower", tolerance=0.2, value=value, **gate)
+    ...     return {("new_op", 1): row}
+    >>> judge_suite([{}] * 10, [new(5)] * 10)  # doctest: +NORMALIZE_WHITESPACE
+    op (GOMAXPROCS) parent p50 parent IQR change p50 won lost verdict
+    new_op (1) (not in the parent) 5
+    ([], 0)
+    >>> judge_suite([{}] * 10, [new(5, limit=4)] * 10)  # doctest: +ELLIPSIS
+    op ...
+    (['new_op (1): change median 5 ns is past the absolute limit 4'], 0)
+    >>> judge_suite([{}] * 10, [new(5)] * 9 + [new(5, verified=False)])  # doctest: +ELLIPSIS
+    op ...
+    (['new_op (1): result check failed in change run 10'], 0)
+    """
     problems, slower = [], 0
     header("op (GOMAXPROCS)")
     for key, row in change[0].items():
@@ -195,7 +221,7 @@ def suite(directory):
         if "tolerance" not in row:
             continue
         if any(key not in run for run in parent):
-            print(f"{label:<58} {'(not in the parent)':>25}")
+            print(f"{label:<58} {'(not in the parent)':>25} {statistics.median(values):>13.5g}")
             continue
         base = [run[key]["value"] for run in parent]
         slack = row["tolerance"]

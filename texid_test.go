@@ -2,7 +2,9 @@ package texid
 
 import (
 	"bytes"
+	"math"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"texid/internal/gpusim"
@@ -278,5 +280,20 @@ func TestOpenRejectsExtractorConfig(t *testing.T) {
 	}
 	if n := sys.ExtractQuery(smallTexture(1)).Count(); n == 0 {
 		t.Fatal("OctaveScales 1 extracted no feature")
+	}
+}
+
+// TestOpenRejectsUnusableScale: Open and OpenCluster pass engine.New's
+// Scale check through, so a NaN scale is an error before any enrollment.
+func TestOpenRejectsUnusableScale(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Engine.Scale = float32(math.NaN())
+	if sys, err := Open(cfg); err == nil || sys != nil || !strings.Contains(err.Error(), "Scale") {
+		t.Errorf("Open with a NaN Scale = %v, %v; want an error naming Scale", sys, err)
+	}
+	ccfg := DefaultClusterConfig()
+	ccfg.Engine.Scale = float32(math.NaN())
+	if cs, err := OpenCluster(ccfg); err == nil || cs != nil || !strings.Contains(err.Error(), "Scale") {
+		t.Errorf("OpenCluster with a NaN Scale = %v, %v; want an error naming Scale", cs, err)
 	}
 }
