@@ -7,8 +7,9 @@
 // features to m·16 bytes of codes, a 16× smaller operand. A blocked XOR +
 // popcount scan keeps each image's codes in L1 across all probes, so
 // popcount throughput, not memory bandwidth, bounds it; an AVX-512 VPOPCNTQ
-// tier (scan_amd64.s) runs it eight codes at a time, bit-identical to the
-// scalar loop. The scan keeps a
+// tier (scan_amd64.s) holds up to 64 probes in registers, one per lane, and
+// compares each code against eight of them per instruction, bit-identical
+// to the scalar loop. The scan keeps a
 // deterministic top-C candidate set per query; only those candidates go
 // through the exact GemmTop2 (FP32) or HGemmTop2 (FP16) rerank, which is
 // why pruned scores are bitwise identical to unpruned ones (see the
@@ -121,8 +122,36 @@ type Scanner struct {
 	panel  []Code
 	m      int
 	probes []Code
+	groups []laneGroup // the probes transposed for the native tier
 	scores []uint32
 	fn     func(int)
+}
+
+// laneGroup is eight probes in the native kernel's layout, one per lane:
+// their lo words, their hi words, and where their running minima start —
+// all ones for a probe, 0 for a lane past the probe count, which so adds
+// nothing to the sum.
+type laneGroup struct {
+	lo, hi, start [8]uint64
+}
+
+// transpose lays probes out as lane groups in s.groups, reusing its
+// storage.
+func (s *Scanner) transpose(probes []Code) {
+	n := (len(probes) + 7) / 8
+	if cap(s.groups) < n {
+		s.groups = make([]laneGroup, n)
+	}
+	s.groups = s.groups[:n]
+	for g := range s.groups {
+		grp := &s.groups[g]
+		for l := range 8 {
+			grp.lo[l], grp.hi[l], grp.start[l] = 0, 0, 0
+			if p := g*8 + l; p < len(probes) {
+				grp.lo[l], grp.hi[l], grp.start[l] = probes[p][0], probes[p][1], ^uint64(0)
+			}
+		}
+	}
 }
 
 // Scan is the prefilter kernel: panel holds images·m codes (image i's
@@ -137,9 +166,11 @@ type Scanner struct {
 // probes, which is what makes the host kernel compute-bound rather than
 // re-streaming the panel per probe. Each image block runs on the first
 // kernel tier the host has, chosen once from CPUID: AVX-512 VPOPCNTQ
-// (scanVPOPCNTQ, eight codes per probe per step), else the scalar loop,
-// which is the reference (ScanPortable). Integer minima and sums have no
-// rounding to reorder, so the tiers agree bit for bit by construction.
+// (scanLanes: the probes transposed once per call, eight to a register,
+// and each code broadcast against them, so no step shuffles across
+// lanes), else the scalar loop, which is the reference (ScanPortable).
+// Integer minima and sums have no rounding to reorder, so the tiers agree
+// bit for bit by construction.
 // Parallelism is per image via blas.Parallel (shape-only partition,
 // disjoint score writes), so results are bitwise independent of GOMAXPROCS
 // too.
@@ -154,6 +185,9 @@ func (s *Scanner) Scan(panel []Code, m int, probes []Code, scores []uint32) {
 		s.fn = s.scanImage
 	}
 	s.panel, s.m, s.probes, s.scores = panel, m, probes, scores
+	if useVPOPCNTQ {
+		s.transpose(probes)
+	}
 	blas.Parallel(len(panel)/m, s.fn)
 	s.panel, s.probes, s.scores = nil, nil, nil
 }
@@ -174,7 +208,7 @@ func ScanPortable(panel []Code, m int, probes []Code, scores []uint32) {
 func (s *Scanner) scanImage(img int) {
 	block := s.panel[img*s.m : (img+1)*s.m]
 	if useVPOPCNTQ {
-		s.scores[img] = scanVPOPCNTQ(block, s.probes)
+		s.scores[img] = scanLanes(block, s.groups)
 		return
 	}
 	s.scores[img] = scanScalar(block, s.probes)

@@ -156,10 +156,11 @@ func TestScanMinZeroAlloc(t *testing.T) {
 
 // TestScanTiersMatch runs the native VPOPCNTQ scan (through Scanner.Scan, at
 // GOMAXPROCS 1 and 4) against ScanPortable, the scalar reference, on the
-// same operands in-process: every m in 1…17 and 383…385 (so every masked
-// last step), probe counts 0…5 and 63…65 (so every remainder of the
-// four-probe loop), 1…40 images, and random, all-zero and all-one codes
-// with probes copied from the panel, so distances 0 and 128 both occur.
+// same operands in-process: every m in 1…17 and 383…385, probe counts 0…9,
+// 63…65 and 127…129 (so every remainder of the eight-probe lane group and
+// of the 64-probe chunk, and more than one chunk), 1…40 images, and
+// random, all-zero and all-one codes with probes copied from the panel, so
+// distances 0 and 128 both occur.
 // Skips where the host lacks the native tier; scripts/check.sh runs it with
 // -v, so the log says which.
 func TestScanTiersMatch(t *testing.T) {
@@ -176,7 +177,7 @@ func TestScanTiersMatch(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, m := range ms {
-			for _, nProbes := range []int{0, 1, 2, 3, 4, 5, 63, 64, 65} {
+			for _, nProbes := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 127, 128, 129} {
 				images := 1 + rng.Intn(40)
 				panel := make([]Code, m*images)
 				for i := range panel {
@@ -350,8 +351,11 @@ func TestTopCMatchesSort(t *testing.T) {
 // FuzzScanTiers is TestScanTiersMatch over every input: Scanner.Scan on the
 // host's tier (AVX-512 VPOPCNTQ where present) against the scalar scan,
 // ScanPortable, in process and bit for bit. shape picks m (1…512 codes per
-// image), the probe count (0…71), the image count (1…40) and GOMAXPROCS
-// 1 or 4. data draws the codes, panel first, then probes: each code takes
+// image, bits 0–8), the probe count (0…136, bits 9–16, so two full 64-probe
+// chunks and a partial lane group), the image count (1…40, bits 17–22) and
+// GOMAXPROCS 1 or 4 (bit 23); the scan runs twice through one Scanner, on
+// every probe and then on the first three quarters of them. data draws the
+// codes, panel first, then probes: each code takes
 // one kind byte — zero, all ones, a copy of an earlier panel code (so
 // distances 0 and 128 occur), or 16 literal bytes — and data wraps around
 // when it runs out. Shapes are capped so one input runs in milliseconds.
@@ -359,9 +363,9 @@ func TestTopCMatchesSort(t *testing.T) {
 func FuzzScanTiers(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape uint64, data []byte) {
 		m := 1 + int(shape%512)
-		nProbes := int(shape>>9) % 72
-		images := 1 + int(shape>>16)%40
-		procs := 1 + 3*int(shape>>24&1)
+		nProbes := int(shape>>9&255) % 137
+		images := 1 + int(shape>>17&63)%40
+		procs := 1 + 3*int(shape>>23&1)
 		pos := 0
 		next := func() byte {
 			if len(data) == 0 {
@@ -399,12 +403,16 @@ func FuzzScanTiers(f *testing.F) {
 		got, want := make([]uint32, images), make([]uint32, images)
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var sc Scanner
-		sc.Scan(panel, m, probes, got)
-		ScanPortable(panel, m, probes, want)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("GOMAXPROCS=%d m=%d probes=%d images=%d: Scan score[%d] = %d, scalar %d",
-					procs, m, nProbes, images, i, got[i], want[i])
+		// The whole probe set, then a shorter prefix through the same
+		// Scanner, so a lane the longer scan left behind would show.
+		for _, n := range []int{nProbes, nProbes * 3 / 4} {
+			sc.Scan(panel, m, probes[:n], got)
+			ScanPortable(panel, m, probes[:n], want)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("GOMAXPROCS=%d m=%d probes=%d of %d images=%d: Scan score[%d] = %d, scalar %d",
+						procs, m, n, nProbes, images, i, got[i], want[i])
+				}
 			}
 		}
 	})

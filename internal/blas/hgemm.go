@@ -302,7 +302,7 @@ const (
 	nativeCols = 8
 )
 
-// panelPool recycles the native tiers' binary16 panels; like f32Pool's
+// panelPool recycles hgemmNative's binary16 panels; like f32Pool's
 // buffers they are fully overwritten before use.
 var panelPool = sync.Pool{New: func() any { return new(half.Vector) }}
 

@@ -22,7 +22,8 @@ import (
 // The pass then matches, per batch, only the union of its queries'
 // candidates (batchSlots), through the same exact GEMM + fused top-2 kernel
 // whose outputs are bitwise identical to the whole-batch match for the
-// selected slots.
+// selected slots; the kernel computes a (slot, query) cell only where that
+// query picked that slot (needed).
 //
 // Phantom scans (phantom queries, or phantom-enrolled batches, which have
 // no code data) charge the same simulated kernel time and deterministically
@@ -43,6 +44,7 @@ type pruneScratch struct {
 	segLo    []int   // per-query start of the current batch's segment (it ends at cursor)
 	slots    []int32 // current batch's (union) candidate slots, ascending
 	slotIdx  []int32 // batch slot -> position in slots
+	need     []bool  // [position in slots][query]: the query picked that slot
 	mark     []bool  // all false between batches: batchSlots clears what it set
 	base     []int   // per-batch global slot offset
 }
@@ -190,6 +192,24 @@ func (ps *pruneScratch) batchSlots(bi, count int) []int32 {
 		}
 	}
 	return ps.slots
+}
+
+// needed returns the current batch's [position in slots][query] mask of the
+// results the pass reads, each query's own candidates, or nil for a lone
+// query, which reads every slot of its union. Call it after batchSlots.
+func (ps *pruneScratch) needed(bi int) []bool {
+	Bq := len(ps.cursor)
+	if Bq == 1 {
+		return nil
+	}
+	ps.need = grown(ps.need, len(ps.slots)*Bq)
+	clear(ps.need)
+	for qi := range Bq {
+		for k := range ps.picked(qi) {
+			ps.need[ps.resultAt(bi, qi, k)*Bq+qi] = true
+		}
+	}
+	return ps.need
 }
 
 // picked is how many of the current batch's slots are query qi's candidates.

@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"texid/internal/binq"
 	"texid/internal/blas"
+	"texid/internal/gpusim"
 	"texid/internal/match"
 	"texid/internal/sift"
 )
@@ -182,6 +184,67 @@ func TestPruneCZeroIsUnpruned(t *testing.T) {
 // candidate subset and a budget covering every reference — a batch member
 // gets the report it would get alone, and SearchBatch([q]) is Search(q).
 func TestPrunedSearchBatchMatchesSingle(t *testing.T) { testBatchMatchesSingle(t, 4, equivRefs+5) }
+
+// TestPrunedSearchBatchSharedBatch: the queries of a pruned batch pick
+// their candidates in one shared batch, some of them the same slots and
+// some not, so the kernel computes only the (slot, query) cells each query
+// reads, over 32-column panels that straddle two 20-column queries. Every
+// member's report must still be the one Search gives it alone, at FP32 and
+// FP16.
+func TestPrunedSearchBatchSharedBatch(t *testing.T) {
+	for _, prec := range []gpusim.Precision{gpusim.FP32, gpusim.FP16} {
+		t.Run(prec.String(), func(t *testing.T) {
+			fixture := func() (*Engine, []*blas.Matrix) {
+				cfg := prunedConfig(3)
+				cfg.Precision, cfg.BatchSize, cfg.QueryFeatures = prec, 16, 20
+				e, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(47))
+				refs := enrollTestRefs(t, e, rng, 12)
+				return e, []*blas.Matrix{
+					queryFor(rng, refs[1], 20, 0.03),
+					queryFor(rng, refs[1], 20, 0.05),
+					queryFor(rng, refs[2], 17, 0.03),
+					queryFor(rng, refs[9], 20, 0.03),
+				}
+			}
+			e, queries := fixture()
+			if st := e.Stats(); st.Batches != 1 {
+				t.Fatalf("%d batches, want the one every candidate shares", st.Batches)
+			}
+			br, err := e.SearchBatch(queries, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := &e.prune
+			var overlap, disjoint bool
+			for a := range queries {
+				for b := a + 1; b < len(queries); b++ {
+					shared := 0
+					for _, g := range ps.cand[ps.candOff[a]:ps.candOff[a+1]] {
+						if slices.Contains(ps.cand[ps.candOff[b]:ps.candOff[b+1]], g) {
+							shared++
+						}
+					}
+					overlap, disjoint = overlap || shared > 0, disjoint || shared == 0
+				}
+			}
+			if !overlap || !disjoint {
+				t.Fatalf("candidates %v (offsets %v): want some sets to overlap and some to be disjoint", ps.cand, ps.candOff)
+			}
+			for qi, q := range queries {
+				eSingle, _ := fixture()
+				single, err := eSingle.Search(q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameReport(t, fmt.Sprintf("query %d: batch member vs Search(q)", qi), br.Reports[qi], single, false)
+			}
+		})
+	}
+}
 
 // TestPrunedPhantomSearch: phantom-enrolled engines still charge the scan
 // and rerank only C candidates.

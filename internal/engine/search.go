@@ -207,11 +207,13 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 	for bi, it := range items {
 		rb, refs := it.Payload.rb, it.Payload.refs
 		var slots []int32 // nil: the whole batch
+		var need []bool   // nil: every (slot, query) result is read
 		h2d := rb.Bytes()
 		if pruned {
 			if slots = ps.batchSlots(bi, rb.Count()); len(slots) == 0 {
 				continue
 			}
+			need = ps.needed(bi)
 			h2d = int64(len(slots)) * int64(rb.M) * int64(rb.D) * int64(e.cfg.Precision.ElemBytes())
 		}
 		stream := e.streams[bi%len(e.streams)]
@@ -220,7 +222,7 @@ func (e *Engine) search(queryFeats []*blas.Matrix, queryKps [][]sift.Keypoint, r
 			// stream's staging buffer.
 			stream.CopyH2D(h2d, e.cfg.PinnedHost)
 		}
-		res, err := knn.Match(stream, rb, mq, slots, opts, &e.scratch)
+		res, err := knn.Match(stream, rb, mq, slots, need, opts, &e.scratch)
 		if err != nil {
 			return BatchReport{}, err
 		}

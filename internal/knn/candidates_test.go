@@ -142,7 +142,7 @@ func TestMultiQueryCandidatesBitwiseEqual(t *testing.T) {
 					want := copyPairs(whole) // the scratch is reused below
 					for _, procs := range []int{1, 4} {
 						runtime.GOMAXPROCS(procs)
-						again, err := Match(stream, rb, mq, nil, opts, &sc)
+						again, err := Match(stream, rb, mq, nil, nil, opts, &sc)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -151,7 +151,7 @@ func TestMultiQueryCandidatesBitwiseEqual(t *testing.T) {
 								requireSameBits(t, fmt.Sprintf("GOMAXPROCS=%d query %d ref %d", procs, qi, b), again[qi][b], want[qi][b])
 							}
 						}
-						got, err := Match(stream, rb, mq, slots, opts, &sc)
+						got, err := Match(stream, rb, mq, slots, nil, opts, &sc)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -163,10 +163,56 @@ func TestMultiQueryCandidatesBitwiseEqual(t *testing.T) {
 								requireSameBits(t, fmt.Sprintf("GOMAXPROCS=%d query %d slot %d", procs, qi, slot), got[qi][si], want[qi][slot])
 							}
 						}
+						// A need mask: every result it names is still the
+						// whole-batch one.
+						for mi, need := range needMasks(len(slots), Bq) {
+							got, err := Match(stream, rb, mq, slots, need, opts, &sc)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for si, slot := range slots {
+								for qi := 0; qi < Bq; qi++ {
+									if need[si*Bq+qi] {
+										requireSameBits(t, fmt.Sprintf("GOMAXPROCS=%d mask %d query %d slot %d", procs, mi, qi, slot), got[qi][si], want[qi][slot])
+									}
+								}
+							}
+						}
 					}
 				})
 			}
 		}
+	}
+}
+
+// needMasks are [slot][query] masks over slots × Bq results: every cell,
+// one query's cells only, and a checkerboard.
+func needMasks(slots, Bq int) [][]bool {
+	full, first, checker := make([]bool, slots*Bq), make([]bool, slots*Bq), make([]bool, slots*Bq)
+	for i := range full {
+		full[i], first[i], checker[i] = true, i%Bq == 0, (i/Bq+i%Bq)%2 == 0
+	}
+	return [][]bool{full, first, checker}
+}
+
+// TestMatchRejectsBadNeedMask: a need mask must have one cell per (slot,
+// query) and only the RootSIFT path takes one.
+func TestMatchRejectsBadNeedMask(t *testing.T) {
+	stream, rb, queries := slotFixture(t, 14, gpusim.FP32, 32, 40, 16, 6, 2)
+	mq, err := BuildMultiQuery(queries, gpusim.FP32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Algorithm: RootSIFT, Precision: gpusim.FP32}
+	if _, err := Match(stream, rb, mq, []int32{0, 2}, make([]bool, 3), opts, nil); err == nil {
+		t.Fatal("a 3-cell mask over 2 slots × 2 queries was accepted")
+	}
+	lone, err := BuildMultiQuery(queries[:1], gpusim.FP32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Match(stream, rb, lone, nil, make([]bool, rb.Count()), Options{Algorithm: Eq1Top2}, nil); err == nil {
+		t.Fatal("a need mask on the Algorithm-1 path was accepted")
 	}
 }
 

@@ -415,7 +415,8 @@ func TestPropertyBlockOffsets(t *testing.T) {
 // TestPhantomAndRealChargeTheSameOps pins the ledger contract: a match
 // computes (or, phantom, does not) and then charges the device, and the
 // charges depend on the shape alone. A phantom and a real match of one
-// shape on fresh devices must leave equal profiles and equal clocks.
+// shape on fresh devices must leave equal profiles and equal clocks, also
+// when the real multi-query slot match reads only one cell (a need mask).
 func TestPhantomAndRealChargeTheSameOps(t *testing.T) {
 	const d, m, n, B = 32, 24, 16, 4
 	type ledger struct {
@@ -460,7 +461,12 @@ func TestPhantomAndRealChargeTheSameOps(t *testing.T) {
 		}
 		mq, err := BuildMultiQuery(queries, opts.Precision, nil)
 		must(err)
-		res, err := Match(dev.NewStream(), rb, mq, slots, opts, nil)
+		var need []bool // a real pruned panel reads one cell; the charge stays the union's
+		if !phantom && slots != nil && Bq > 1 {
+			need = make([]bool, len(slots)*Bq)
+			need[0] = true
+		}
+		res, err := Match(dev.NewStream(), rb, mq, slots, need, opts, nil)
 		must(err)
 		blocks := B
 		if slots != nil {

@@ -7,9 +7,9 @@ import (
 
 // Scratch holds the reusable working set of the match kernels: the distance
 // matrix, the per-reference top-2 state, and the query-panel staging
-// buffers. Threading one Scratch through BuildMultiQuery and Match (or the
-// single-query entries) makes steady-state search allocation-free on the
-// hot path.
+// buffers, the panel's packed layout included. Threading one Scratch
+// through BuildMultiQuery and Match (or the single-query entries) makes
+// steady-state search allocation-free on the hot path.
 //
 // Every entry point takes an optional *Scratch; nil means a fresh one for
 // that call (orFresh), so results are always carved from scratch slabs and
@@ -38,10 +38,15 @@ type Scratch struct {
 	hdrF16 []*blas.HalfMatrix
 	catF32 blas.Matrix
 	catF16 blas.HalfMatrix
+	// mqPack is mq's operand packed for the fused native tiers, packed
+	// once per staged panel and read by every batch's Match.
+	mqPack blas.Panel
 	// one is the B_q = 1 panel the single-query entries wrap their query
-	// in; it is separate from mq so a prepared panel survives those calls.
-	one  MultiQuery
-	oneQ [1]*Query
+	// in; it is separate from mq (and packs into onePack, not mqPack) so a
+	// prepared panel survives those calls.
+	one     MultiQuery
+	oneQ    [1]*Query
+	onePack blas.Panel
 	// candIDs holds the gathered reference ids of a slot set.
 	candIDs []int
 	// stage is the FP16 GEMM's float32 staging, filled per Match call only
@@ -60,7 +65,7 @@ func (sc *Scratch) orFresh() *Scratch {
 // panelOf wraps one staged query as a B_q = 1 panel without copying it.
 func (sc *Scratch) panelOf(q *Query) *MultiQuery {
 	sc.oneQ[0] = q
-	sc.one = lonePanel(sc.oneQ[:])
+	sc.one = lonePanel(sc.oneQ[:], &sc.onePack)
 	return &sc.one
 }
 

@@ -75,7 +75,7 @@ func TestScratchReuseMatchesSolo(t *testing.T) {
 					if err != nil {
 						return nil, err
 					}
-					return Match(stream, rb, mq, slots[in], opts, sc)
+					return Match(stream, rb, mq, slots[in], nil, opts, sc)
 				}},
 				{"Padded+NewQueryScratch", func(sc *Scratch, qs *QueryScratch, in int) ([][]Pair2NN, error) {
 					q, err := NewQueryScratch(dev, qs.Padded(mats[in], 28), prec, 1, qs)

@@ -58,8 +58,11 @@ if [[ $is_workload == 1 ]]; then
   echo "==> $sel: $pairs pairs of $ref and the working tree, ${seconds}s each"
 else
   echo "==> texbench -suite${sel:+ -op '$sel'}: $pairs pairs of $ref and the working tree"
-  (cd "$tmp/parent" && go build -o "$tmp/parent.texbench" ./cmd/texbench)
-  go build -o "$tmp/change.texbench" ./cmd/texbench
+  # -trimpath keeps the two checkouts' paths out of the binaries: a path of
+  # another length shifts the data section, and with it every global's
+  # cache-line placement, between the sides.
+  (cd "$tmp/parent" && go build -trimpath -o "$tmp/parent.texbench" ./cmd/texbench)
+  go build -trimpath -o "$tmp/change.texbench" ./cmd/texbench
 fi
 
 # run SIDE PAIR writes one run's output to $tmp/runs/SIDE.PAIR.
