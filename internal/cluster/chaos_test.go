@@ -36,8 +36,6 @@ type chaosScenario struct {
 	// cluster.Add non-idempotent, e.g. reply loss).
 	directEnroll bool
 	plan         func(addsPerWorker int) faultsim.Plan
-	call         CallPolicy
-	health       HealthPolicy
 	// check runs once per scenario (first run, default GOMAXPROCS) on the
 	// collected outcome.
 	check func(t *testing.T, out *chaosOutcome)
@@ -75,8 +73,6 @@ func runChaos(t *testing.T, sc chaosScenario) *chaosOutcome {
 	c, err := New(Config{
 		Workers:   sc.workers,
 		Engine:    smallEngine(),
-		Call:      sc.call,
-		Health:    sc.health,
 		MinShards: sc.minShards,
 		Fault:     faultsim.New(sc.plan(addsPerWorker)),
 	})
@@ -210,7 +206,6 @@ func chaosScenarios() []chaosScenario {
 			// spikes) over the search path. Enrollment bypasses the
 			// transport: retrying a reply-lost Add is not idempotent.
 			name: "flaky-mix", workers: 3, refs: 6, searches: 12, directEnroll: true,
-			call: CallPolicy{MaxAttempts: 4},
 			plan: func(adds int) faultsim.Plan {
 				return faultsim.Plan{Seed: 14, DropRate: 0.1, HangRate: 0.05, ReplyLossRate: 0.05, SlowRate: 0.3, SlowUS: 2000}
 			},
@@ -227,10 +222,9 @@ func chaosScenarios() []chaosScenario {
 			},
 		},
 		{
-			// Permanent latency spikes with aggressive hedging: every
-			// straggling call gets a duplicate, and hedged latency wins.
-			name: "latency-hedge", workers: 3, refs: 6, searches: 4, directEnroll: true,
-			call: CallPolicy{HedgeAfterUS: 1},
+			// Permanent latency spikes well inside the call deadline: every
+			// call straggles, none fails, and the spike is billed.
+			name: "latency-only", workers: 3, refs: 6, searches: 4, directEnroll: true,
 			plan: func(adds int) faultsim.Plan {
 				return faultsim.Plan{Seed: 15, SlowRate: 1, SlowUS: 3000}
 			},
@@ -239,9 +233,13 @@ func chaosScenarios() []chaosScenario {
 					if out.errors[s] != nil || rep.Partial {
 						t.Fatalf("search %d degraded under pure latency faults: %+v (%v)", s, rep, out.errors[s])
 					}
+					// A spike adds SlowUS·[0.5, 1.5) to every call.
+					if rep.ElapsedUS < 1500 {
+						t.Fatalf("search %d billed %v µs, under the smallest injected spike", s, rep.ElapsedUS)
+					}
 				}
-				if out.c.mWorkerHedges.Value() == 0 {
-					t.Fatal("stragglers were never hedged")
+				if n := out.c.mWorkerFailures.Value(); n != 0 {
+					t.Fatalf("pure latency faults failed %v calls", n)
 				}
 			},
 		},
@@ -410,7 +408,6 @@ func TestChaosPartitionHealsAndProbeResurrects(t *testing.T) {
 	// refused the clock is frozen and the partition holds.
 	c, err := New(Config{
 		Workers: 2, Engine: smallEngine(),
-		Health: HealthPolicy{SuspectAfter: 1, DeadAfter: 2, ProbeEvery: 1},
 		Fault: faultsim.New(faultsim.Plan{Seed: 46,
 			Partitions: []faultsim.Partition{{Peer: workerName(1), FromUS: 0, ToUS: 1}}}),
 	})
@@ -424,43 +421,55 @@ func TestChaosPartitionHealsAndProbeResurrects(t *testing.T) {
 		}
 	}
 
-	// Searches 1..2 fail on worker-1 (partitioned) and kill it.
-	for s := 0; s < 2; s++ {
+	// search runs one search, requires the given shard coverage and
+	// worker-1 state, and returns the injected-fault failure count so far
+	// (a skipped call fails nothing; a call or probe into the partition
+	// fails once).
+	search := func(step string, answered int, want HealthState) float64 {
+		t.Helper()
 		rep, err := c.Search(query, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", step, err)
 		}
-		if !rep.Partial || rep.ShardsAnswered != 1 {
-			t.Fatalf("search %d during partition: %+v", s, rep)
+		if rep.ShardsAnswered != answered || rep.Partial != (answered < 2) {
+			t.Fatalf("%s: partial=%v answered=%d, want %d", step, rep.Partial, rep.ShardsAnswered, answered)
+		}
+		if st := c.Health()[1]; st != want {
+			t.Fatalf("%s: worker-1 = %v, want %v", step, st, want)
+		}
+		return c.mWorkerFailures.Value()
+	}
+
+	// Searches 1..3 fail on worker-1 (partitioned): the first marks it
+	// Suspect and the third, deadAfter, kills it.
+	search("failure 1", 1, Suspect)
+	search("failure 2", 1, Suspect)
+	if n := search("failure 3", 1, Dead); n != 3 {
+		t.Fatalf("%v call failures after 3 refused searches, want 3", n)
+	}
+	// Dead, the next three searches skip worker-1 and the fourth probes
+	// it; the probe still lands inside the window, so the worker goes back
+	// to Dead and service stays partial.
+	for i := 1; i < 4; i++ {
+		if n := search(fmt.Sprintf("skip %d", i), 1, Dead); n != 3 {
+			t.Fatalf("skipped search %d reached worker-1 (%v failures)", i, n)
 		}
 	}
-	if st := c.Health()[1]; st != Dead {
-		t.Fatalf("worker-1 after 2 failures = %v, want dead", st)
-	}
-	// The next search probes (ProbeEvery=1); the probe still lands inside
-	// the window, so the worker stays dead and service stays partial.
-	rep, err := c.Search(query, nil)
-	if err != nil || !rep.Partial {
-		t.Fatalf("probe-into-partition search: %+v (%v)", rep, err)
-	}
-	if st := c.Health()[1]; st != Dead {
-		t.Fatalf("worker-1 after failed probe = %v, want dead", st)
+	if n := search("probe into the partition", 1, Dead); n != 4 {
+		t.Fatalf("4th skipped search did not probe (%v failures, want 4)", n)
 	}
 
 	// The worker performs local simulated work: its virtual clock moves
-	// past the window and the partition heals.
+	// past the window and the partition heals. Three more skips, and the
+	// next probe succeeds: full, non-partial service.
 	if _, err := c.workers[1].eng.Search(query, nil); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = c.Search(query, nil)
-	if err != nil {
-		t.Fatal(err)
+	for i := 1; i < 4; i++ {
+		search(fmt.Sprintf("skip %d after the heal", i), 1, Dead)
 	}
-	if rep.Partial || rep.ShardsAnswered != 2 {
-		t.Fatalf("post-heal search still degraded: %+v", rep)
-	}
-	if st := c.Health()[1]; st != Healthy {
-		t.Fatalf("worker-1 after successful probe = %v, want healthy", st)
+	if n := search("probe after the heal", 2, Healthy); n != 4 {
+		t.Fatalf("successful probe counted a failure (%v, want 4)", n)
 	}
 }
 

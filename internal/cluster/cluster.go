@@ -7,7 +7,7 @@
 //
 // Coordinator→worker calls go through a fault-tolerant transport seam:
 // per-call deadlines, bounded retries with deterministic jittered backoff,
-// hedged requests for stragglers, and a per-worker health state machine
+// and a per-worker health state machine
 // (healthy → suspect → dead → probing) that routes around dead shards.
 // Searches degrade gracefully — surviving shards still answer, with the
 // merged Report flagged Partial — and the whole layer is driven by virtual
@@ -45,11 +45,6 @@ type Config struct {
 	// StoreAddr, when non-empty, connects the coordinator to a kvstore
 	// server where every enrolled record is persisted (key "tex:<id>").
 	StoreAddr string
-	// Call tunes deadlines, retries, backoff, and hedging for
-	// coordinator→worker calls. Zero value = DefaultCallPolicy().
-	Call CallPolicy
-	// Health tunes the per-worker failure detector. Zero value = defaults.
-	Health HealthPolicy
 	// Fault, when non-nil, runs every coordinator→worker call through the
 	// given deterministic fault injector (chaos tests and failure drills;
 	// nil in production serving).
@@ -72,7 +67,6 @@ func workerName(i int) string { return fmt.Sprintf("worker-%d", i) }
 // Cluster is the coordinator plus its shard workers.
 type Cluster struct {
 	cfg       Config
-	call      CallPolicy
 	minShards int
 	workers   []*worker
 	store     *kvstore.Client
@@ -94,7 +88,6 @@ type Cluster struct {
 	mSearchLatency   *metrics.Histogram
 	mWorkerRetries   *metrics.Counter
 	mWorkerFailures  *metrics.Counter
-	mWorkerHedges    *metrics.Counter
 	mPartialSearches *metrics.Counter
 	mBatchSize       *metrics.Histogram
 	mWallLatency     *metrics.Histogram
@@ -107,7 +100,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:       cfg,
-		call:      cfg.Call.withDefaults(),
 		minShards: cfg.MinShards,
 		shards:    make(map[int]int),
 		reg:       metrics.NewRegistry(),
@@ -126,7 +118,6 @@ func New(cfg Config) (*Cluster, error) {
 		"simulated GPU latency per search (ms)", metrics.DefBuckets)
 	c.mWorkerRetries = c.reg.Counter("texid_worker_retries_total", "worker call retry attempts")
 	c.mWorkerFailures = c.reg.Counter("texid_worker_call_failures_total", "failed worker call attempts")
-	c.mWorkerHedges = c.reg.Counter("texid_worker_hedges_total", "hedged worker requests issued")
 	c.mPartialSearches = c.reg.Counter("texid_partial_searches_total", "searches answered from a strict subset of shards")
 	c.mBatchSize = c.reg.Histogram("texid_serve_batch_size",
 		"achieved coalesced batch size per scatter pass", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
@@ -137,7 +128,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: worker %d: %w", i, err)
 		}
-		w := &worker{idx: i, name: workerName(i), eng: e, health: newHealthFSM(cfg.Health)}
+		w := &worker{idx: i, name: workerName(i), eng: e, health: newHealthFSM()}
 		if cfg.Fault != nil {
 			w.peer = cfg.Fault.Peer(w.name)
 		}

@@ -38,44 +38,20 @@ func (s HealthState) String() string {
 	return "unknown"
 }
 
-// HealthPolicy tunes the per-worker failure detector. The zero value is
-// replaced by defaults (see withDefaults).
-type HealthPolicy struct {
-	// SuspectAfter consecutive call failures mark a worker Suspect.
-	SuspectAfter int
-	// DeadAfter consecutive call failures mark a worker Dead. Must be
-	// >= SuspectAfter.
-	DeadAfter int
-	// ProbeEvery is the number of skipped calls after which a Dead worker
-	// is offered one probe (counted in calls, not wall time, to preserve
-	// determinism).
-	ProbeEvery int
-}
-
-// withDefaults fills zero fields with the production defaults: one failure
-// raises suspicion, three kill, and every fourth skipped call probes.
-func (p HealthPolicy) withDefaults() HealthPolicy {
-	if p.SuspectAfter <= 0 {
-		p.SuspectAfter = 1
-	}
-	if p.DeadAfter <= 0 {
-		p.DeadAfter = 3
-	}
-	if p.DeadAfter < p.SuspectAfter {
-		p.DeadAfter = p.SuspectAfter
-	}
-	if p.ProbeEvery <= 0 {
-		p.ProbeEvery = 4
-	}
-	return p
-}
+// The failure detector's thresholds, counted in calls (never wall time,
+// which keeps transitions deterministic): one failure raises suspicion,
+// three consecutive failures kill, and every fourth call skipped while
+// Dead is offered as a probe.
+const (
+	suspectAfter = 1
+	deadAfter    = 3
+	probeEvery   = 4
+)
 
 // healthFSM is one worker's failure detector. Its own mutex (not the
 // coordinator's) keeps transitions atomic while scatter-gather calls run
 // concurrently.
 type healthFSM struct {
-	pol HealthPolicy
-
 	// mu owns state, fails and skipped; it is a leaf lock.
 	mu      sync.Mutex
 	state   HealthState
@@ -83,12 +59,10 @@ type healthFSM struct {
 	skipped int // calls skipped while Dead, counts toward the next probe
 }
 
-func newHealthFSM(pol HealthPolicy) *healthFSM {
-	return &healthFSM{pol: pol.withDefaults()}
-}
+func newHealthFSM() *healthFSM { return &healthFSM{} }
 
 // allow reports whether the next call should be routed to the worker.
-// Dead workers decline, except that every ProbeEvery-th declined call is
+// Dead workers decline, except that every probeEvery-th declined call is
 // converted into a probe (state Probing, call allowed).
 func (h *healthFSM) allow() bool {
 	h.mu.Lock()
@@ -97,7 +71,7 @@ func (h *healthFSM) allow() bool {
 		return true
 	}
 	h.skipped++
-	if h.skipped >= h.pol.ProbeEvery {
+	if h.skipped >= probeEvery {
 		h.skipped = 0
 		h.state = Probing
 		return true
@@ -126,10 +100,10 @@ func (h *healthFSM) onFailure() {
 	}
 	h.fails++
 	switch {
-	case h.fails >= h.pol.DeadAfter:
+	case h.fails >= deadAfter:
 		h.state = Dead
 		h.skipped = 0
-	case h.fails >= h.pol.SuspectAfter:
+	case h.fails >= suspectAfter:
 		h.state = Suspect
 	}
 }

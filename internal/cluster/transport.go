@@ -20,56 +20,24 @@ const (
 // because the target worker's failure detector says Dead.
 var errShardDown = errors.New("cluster: shard marked dead")
 
-// CallPolicy tunes per-call deadlines, retries, backoff, and hedging for
-// coordinator→worker calls. All durations are *virtual* microseconds on
-// the workers' simulated clocks — the policy never reads wall time, which
-// is what keeps chaos runs bit-reproducible. The zero value is replaced by
-// DefaultCallPolicy.
-type CallPolicy struct {
-	// DeadlineUS is the per-attempt deadline. A worker that has not
-	// answered within it (injected hang, latency spike, lost reply) is
-	// treated as failed for that attempt. <= 0 selects the default.
-	DeadlineUS float64
-	// MaxAttempts bounds tries per logical call (1 = no retries).
-	MaxAttempts int
-	// BackoffUS is the base backoff charged before the first retry; it
+// The coordinator→worker call policy. Durations are *virtual*
+// microseconds on the workers' simulated clocks — the policy never reads
+// wall time, which is what keeps chaos runs bit-reproducible.
+const (
+	// callDeadlineUS is the per-attempt deadline: 30 virtual seconds, an
+	// order of magnitude above the largest paper-scale shard search. A
+	// worker that has not answered within it (injected hang, latency
+	// spike, lost reply) has failed that attempt.
+	callDeadlineUS = 30e6
+	// callAttempts bounds tries per logical call.
+	callAttempts = 3
+	// callBackoffUS is the base backoff charged before the first retry; it
 	// doubles per attempt and carries deterministic jitter in [0.5, 1.5)
 	// (faultsim.Backoff).
-	BackoffUS float64
-	// HedgeAfterUS, when > 0, issues a duplicate ("hedged") request once
-	// the primary has been outstanding that long, and takes whichever
-	// answer lands first — the classic tail-latency cut for stragglers.
-	// 0 disables hedging.
-	HedgeAfterUS float64
-	// Seed keys the deterministic backoff jitter.
-	Seed int64
-}
-
-// DefaultCallPolicy is the production serving policy: a generous 30
-// virtual seconds per attempt (an order of magnitude above the largest
-// paper-scale shard search), three attempts, 5 ms base backoff, hedging
-// off.
-func DefaultCallPolicy() CallPolicy {
-	return CallPolicy{DeadlineUS: 30e6, MaxAttempts: 3, BackoffUS: 5000, Seed: 1}
-}
-
-// withDefaults fills zero fields from DefaultCallPolicy.
-func (p CallPolicy) withDefaults() CallPolicy {
-	def := DefaultCallPolicy()
-	if p.DeadlineUS <= 0 {
-		p.DeadlineUS = def.DeadlineUS
-	}
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = def.MaxAttempts
-	}
-	if p.BackoffUS <= 0 {
-		p.BackoffUS = def.BackoffUS
-	}
-	if p.Seed == 0 {
-		p.Seed = def.Seed
-	}
-	return p
-}
+	callBackoffUS = 5000
+	// callSeed keys the deterministic backoff jitter.
+	callSeed = 1
+)
 
 // worker is the coordinator's handle on one shard: the engine, the fault
 // transport (nil peer = fault-free direct calls), and the failure
@@ -85,9 +53,8 @@ type worker struct {
 // now reads the worker's virtual clock (the partition-window key).
 func (w *worker) now() float64 { return w.eng.Device().Synchronize() }
 
-// do routes one logical call to w under the cluster's call policy: health
-// gating, per-attempt deadline, bounded retries with deterministic
-// jittered backoff, and hedged requests for stragglers. invoke runs the
+// do routes one logical call to w: health gating, per-attempt deadline,
+// and bounded retries with deterministic jittered backoff. invoke runs the
 // real worker call and returns the virtual microseconds it consumed. The
 // returned latency is coordinator-observed: injected latency, backoff
 // waits, and billed deadlines all count.
@@ -110,12 +77,11 @@ func (c *Cluster) do(w *worker, op string, invoke func() (float64, error)) (floa
 		return el, nil
 	}
 
-	pol := c.call
 	var total float64
 	var lastErr error
-	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= callAttempts; attempt++ {
 		if attempt > 1 {
-			total += faultsim.Backoff(pol.Seed, w.name, attempt, pol.BackoffUS)
+			total += faultsim.Backoff(callSeed, w.name, attempt, callBackoffUS)
 			c.mWorkerRetries.Inc()
 		}
 		el, err := c.attempt(w, op, invoke)
@@ -136,45 +102,17 @@ func (c *Cluster) do(w *worker, op string, invoke func() (float64, error)) (floa
 	return total, fmt.Errorf("cluster: %s on %s failed after retries: %w", op, w.name, lastErr)
 }
 
-// attempt makes one transport attempt, hedging stragglers when the policy
-// asks for it, and feeds the outcome to the worker's failure detector.
+// attempt makes one transport attempt and feeds the outcome to the
+// worker's failure detector.
 func (c *Cluster) attempt(w *worker, op string, invoke func() (float64, error)) (float64, error) {
-	pol := c.call
-	el, err := w.peer.Do(op, pol.DeadlineUS, w.now(), invoke)
+	el, err := w.peer.Do(op, callDeadlineUS, w.now(), invoke)
 	if err == nil {
-		if pol.HedgeAfterUS > 0 && el > pol.HedgeAfterUS {
-			// The primary straggled past the hedge threshold: a duplicate
-			// issued at that point may have answered first.
-			c.mWorkerHedges.Inc()
-			if hel, herr := w.peer.Do(op, pol.DeadlineUS, w.now(), invoke); herr == nil && pol.HedgeAfterUS+hel < el {
-				el = pol.HedgeAfterUS + hel
-			}
-		}
 		w.health.onSuccess()
 		return el, nil
 	}
-	if !faultsim.Injected(err) {
-		return el, err
-	}
-	c.mWorkerFailures.Inc()
-	w.health.onFailure()
-	// Timeout-shaped failures get one hedge before the attempt is charged:
-	// the duplicate went out at the hedge threshold, well inside the
-	// primary's deadline window.
-	if pol.HedgeAfterUS > 0 && (errors.Is(err, faultsim.ErrDeadline) || errors.Is(err, faultsim.ErrReplyLost)) {
-		c.mWorkerHedges.Inc()
-		hel, herr := w.peer.Do(op, pol.DeadlineUS, w.now(), invoke)
-		if herr == nil {
-			w.health.onSuccess()
-			if hedged := pol.HedgeAfterUS + hel; hedged < el {
-				el = hedged
-			}
-			return el, nil
-		}
-		if faultsim.Injected(herr) {
-			c.mWorkerFailures.Inc()
-			w.health.onFailure()
-		}
+	if faultsim.Injected(err) {
+		c.mWorkerFailures.Inc()
+		w.health.onFailure()
 	}
 	return el, err
 }

@@ -17,7 +17,6 @@ func chaosSoakConfig() SimConfig {
 	return SimConfig{
 		Workers: 3, Refs: 6, Ops: 90,
 		QPS: 2000, WriteRatio: 0.25, Seed: 33,
-		Health: cluster.HealthPolicy{SuspectAfter: 1, DeadAfter: 2, ProbeEvery: 2},
 		// Workers run one local search every 8 ops: that is the only thing
 		// that moves a partitioned worker's clock, so it bounds heal time.
 		LocalWorkEvery: 8,

@@ -30,9 +30,8 @@ type SimConfig struct {
 	WriteRatio float64
 	// Seed fixes features, schedule, and fault streams.
 	Seed int64
-	// MinShards/Health pass through to the cluster config.
+	// MinShards passes through to the cluster config.
 	MinShards int
-	Health    cluster.HealthPolicy
 	// Plan, when non-nil, builds the fault schedule. It receives the
 	// number of transport Add calls each worker sees during enrollment,
 	// so kill indices can be placed relative to the soak's own reads.
@@ -115,7 +114,6 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 		Workers:   sc.Workers,
 		Engine:    TinyEngineConfig(),
 		MinShards: sc.MinShards,
-		Health:    sc.Health,
 	}
 	if sc.Plan != nil {
 		cfg.Fault = faultsim.New(sc.Plan(sc.Refs / sc.Workers))
