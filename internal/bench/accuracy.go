@@ -65,7 +65,7 @@ func trim(f *sift.Features, k int, rootSIFT bool) *blas.Matrix {
 // the real 2-NN kernels and returns the fraction identified correctly:
 // the true reference must rank first AND clear the minMatches acceptance
 // threshold (open-set identification — a weak best match is a rejection).
-func top1Accuracy(ds *accDataset, m, n int, rootSIFT bool, opts knn.Options, ratio float64, minMatches int) float64 {
+func top1Accuracy(ds *accDataset, m, n int, rootSIFT bool, opts knn.Options, minMatches int) float64 {
 	dev := gpusim.NewDevice(gpusim.TeslaP100())
 	stream := dev.NewStream()
 
@@ -96,7 +96,7 @@ func top1Accuracy(ds *accDataset, m, n int, rootSIFT bool, opts knn.Options, rat
 		for _, p := range pairs {
 			results = append(results, match.SearchResult{
 				RefID: p.RefID,
-				Score: len(match.RatioTest(p, ratio)),
+				Score: len(match.RatioTest(p)),
 			})
 		}
 		top, ok := match.Identify(results, match.Config{MinMatches: minMatches})
@@ -180,10 +180,9 @@ func table2WithDataset(ds *accDataset, opts Options) *Table {
 		Header: []string{"Precision", "Scale factor", "Avg compression error", "Top-1 accuracy"},
 	}
 
-	ratio := 0.75
 	fullPrec := top1Accuracy(ds, m, n, false, knn.Options{
 		Algorithm: knn.Eq1Top2, Precision: gpusim.FP32,
-	}, ratio, opts.MinMatches)
+	}, opts.MinMatches)
 	t.AddRow("full precision", dash, dash, pct(fullPrec))
 
 	maxPairs := 24
@@ -201,7 +200,7 @@ func table2WithDataset(ds *accDataset, opts Options) *Table {
 		acc := top1Accuracy(ds, m, n, false, knn.Options{
 			Algorithm: knn.Eq1Top2, Precision: gpusim.FP16,
 			Scale: scale, Accum: blas.AccumFP16,
-		}, ratio, opts.MinMatches)
+		}, opts.MinMatches)
 		t.AddRow("FP16", label, pct(err), pct(acc))
 	}
 	t.AddNote("paper (m=n=768, tea-brick dataset): full precision 98.58%%; scales 1 and 2^-1 overflow; " +
@@ -230,12 +229,11 @@ func table7WithDataset(ds *accDataset, opts Options) *Table {
 		{768, 768}, {512, 768}, {384, 768}, {256, 768},
 		{384, 1024}, {384, 512}, {384, 384},
 	}
-	ratio := 0.75
 	for _, c := range configs {
 		m, n := c[0], c[1]
 		acc := top1Accuracy(ds, opts.scaled(m), opts.scaled(n), true, knn.Options{
 			Algorithm: knn.RootSIFT, Precision: gpusim.FP32,
-		}, ratio, opts.MinMatches)
+		}, opts.MinMatches)
 		_, tot := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 256, m, n, paperD)
 		speed := 256e6 / tot
 		t.AddRow(fmt.Sprintf("%d", m), fmt.Sprintf("%d", n), pct(acc), f0(speed))

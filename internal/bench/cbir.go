@@ -28,12 +28,10 @@ func cbirWithDataset(ds *accDataset, opts Options) *Table {
 			m, n, opts.Refs, len(ds.queries)),
 		Header: []string{"Method", "Memory per reference", "Top-1 accuracy"},
 	}
-	ratio := 0.75
-
 	// (a) The paper's approach: per-image 2-NN matching, FP16 storage.
 	acc := top1Accuracy(ds, m, n, true, knn.Options{
 		Algorithm: knn.RootSIFT, Precision: gpusim.FP32,
-	}, ratio, opts.MinMatches)
+	}, opts.MinMatches)
 	perRefFP16 := float64(m*128*2) / 1024
 	t.AddRow("per-image 2-NN (paper, FP16)", fmt.Sprintf("%.1f KB", perRefFP16), pct(acc))
 
@@ -55,7 +53,7 @@ func cbirWithDataset(ds *accDataset, opts Options) *Table {
 		}
 	}
 	t.AddRow("pooled exact voting (CBIR)", fmt.Sprintf("%.1f KB", float64(m*128*4)/1024),
-		pct(pooledAccuracy(ds, exact.Search, n, opts.MinMatches, ratio)))
+		pct(pooledAccuracy(ds, exact.Search, n, opts.MinMatches)))
 
 	// (c) Product-quantized pooled index (Faiss-style, 8 bytes/feature).
 	pqCfg := cbir.DefaultPQConfig()
@@ -75,7 +73,7 @@ func cbirWithDataset(ds *accDataset, opts Options) *Table {
 		}
 	}
 	t.AddRow("pooled PQ voting (Faiss-style)", fmt.Sprintf("%.1f KB", float64(m*pqCfg.Subspaces)/1024),
-		pct(pooledAccuracy(ds, pq.Search, n, opts.MinMatches, ratio)))
+		pct(pooledAccuracy(ds, pq.Search, n, opts.MinMatches)))
 
 	t.AddNote("the paper argues (Sec. 2) that pooled/compressed CBIR indexes trade away the fine-grained " +
 		"discrimination product traceability needs; per-image matching keeps full fidelity at FP16 cost")
@@ -85,10 +83,10 @@ func cbirWithDataset(ds *accDataset, opts Options) *Table {
 
 // pooledAccuracy runs every query through a pooled-index search function
 // and applies the open-set top-1 rule.
-func pooledAccuracy(ds *accDataset, search func(*blas.Matrix, float64) []match.SearchResult, n, minMatches int, ratio float64) float64 {
+func pooledAccuracy(ds *accDataset, search func(*blas.Matrix) []match.SearchResult, n, minMatches int) float64 {
 	correct := 0
 	for qi, qf := range ds.queries {
-		res := search(trim(qf, n, true), ratio)
+		res := search(trim(qf, n, true))
 		top, ok := match.Identify(res, match.Config{MinMatches: minMatches})
 		if ok && top.RefID == ds.truth[qi] {
 			correct++

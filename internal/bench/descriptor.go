@@ -33,7 +33,6 @@ func AblateDescriptor(opts Options) *Table {
 	p.Size = opts.ImageSize
 	ds := texture.BuildDataset(opts.Seed, opts.Refs, opts.Queries, opts.Difficulty, p)
 	spec := gpusim.TeslaP100()
-	ratio := 0.75
 
 	// SIFT (RootSIFT, the production pipeline).
 	siftCfg := sift.DefaultConfig()
@@ -43,7 +42,7 @@ func AblateDescriptor(opts Options) *Table {
 	siftDS.queries = sift.ExtractBatch(ds.Queries, siftCfg)
 	siftAcc := top1Accuracy(siftDS, m, n, true, knn.Options{
 		Algorithm: knn.RootSIFT, Precision: gpusim.FP32,
-	}, ratio, opts.MinMatches)
+	}, opts.MinMatches)
 	_, siftTot := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, 128)
 	t.AddRow("SIFT + RootSIFT", "128", f1(float64(768*128*2)/1024), pct(siftAcc), f0(1024e6/siftTot))
 
@@ -59,7 +58,7 @@ func AblateDescriptor(opts Options) *Table {
 	}
 	surfAcc := top1Accuracy(surfDS, m, n, false /* already unit-norm */, knn.Options{
 		Algorithm: knn.RootSIFT, Precision: gpusim.FP32,
-	}, ratio, opts.MinMatches)
+	}, opts.MinMatches)
 	_, surfTot := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, 64)
 	t.AddRow("SURF", "64", f1(float64(768*64*2)/1024), pct(surfAcc), f0(1024e6/surfTot))
 
@@ -73,7 +72,7 @@ func AblateDescriptor(opts Options) *Table {
 	correct := 0
 	for qi, im := range ds.Queries {
 		q := trimORB(orb.Extract(im, orbCfg), n)
-		ranked := orb.Score(orbRefs, q, 0.8)
+		ranked := orb.Score(orbRefs, q)
 		top, ok := match.Identify(ranked, match.Config{MinMatches: opts.MinMatches})
 		if ok && top.RefID == ds.Truth[qi] {
 			correct++

@@ -28,7 +28,7 @@ func DifficultySweep(opts Options) *Table {
 		ds := buildAccDataset(o)
 		acc := top1Accuracy(ds, m, n, true, knn.Options{
 			Algorithm: knn.RootSIFT, Precision: gpusim.FP32,
-		}, 0.75, opts.MinMatches)
+		}, opts.MinMatches)
 		t.AddRow(f2(d), pct(acc))
 	}
 	t.AddNote("difficulty draws viewpoint (up to ~26 deg + shear), illumination (±35%%), defocus blur " +

@@ -104,7 +104,6 @@ func AblateGeometric(opts Options) *Table {
 		mcfg.MinMatches = lowThreshold
 		mcfg.Geometric = geometric
 		mcfg.RANSACTol = 5
-		mcfg.Seed = opts.Seed
 
 		correct := 0
 		for qi, qf := range queries {

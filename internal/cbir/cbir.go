@@ -53,9 +53,9 @@ func (ix *Index) Add(id int, feats *blas.Matrix) error {
 // Search runs the CBIR retrieval: every query feature finds its nearest and
 // second-nearest pooled neighbors (a single global 2-NN — this is the
 // "only single nearest neighbor across all the features" pattern of
-// Sec. 2); features passing the ratio test vote for the owning reference.
-// Results are vote counts per reference, ranked.
-func (ix *Index) Search(query *blas.Matrix, ratio float64) []match.SearchResult {
+// Sec. 2); features passing the ratio test (match.Ratio) vote for the
+// owning reference. Results are vote counts per reference, ranked.
+func (ix *Index) Search(query *blas.Matrix) []match.SearchResult {
 	votes := map[int]int{}
 	for j := 0; j < query.Cols; j++ {
 		q := query.Col(j)
@@ -81,7 +81,7 @@ func (ix *Index) Search(query *blas.Matrix, ratio float64) []match.SearchResult 
 				second = d
 			}
 		}
-		if bestOwner >= 0 && float64(math.Sqrt(float64(best))) < ratio*float64(math.Sqrt(float64(second))) {
+		if bestOwner >= 0 && float64(math.Sqrt(float64(best))) < match.Ratio*float64(math.Sqrt(float64(second))) {
 			votes[int(bestOwner)]++
 		}
 	}

@@ -62,7 +62,7 @@ func TestExactIndexIdentifies(t *testing.T) {
 		t.Fatalf("pooled %d features", len(ix.owner))
 	}
 	query := clusterFeatures(rng, protos[3], 0.02)
-	res := ix.Search(query, 0.8)
+	res := ix.Search(query)
 	if len(res) == 0 || res[0].RefID != 3 {
 		t.Fatalf("exact CBIR failed: %v", res)
 	}
@@ -119,7 +119,7 @@ func TestPQIdentifiesAndCompresses(t *testing.T) {
 		t.Fatalf("code bytes %d for %d features", len(ix.codes), len(ix.owner))
 	}
 	query := clusterFeatures(rng, protos[2], 0.01)
-	res := ix.Search(query, 0.9)
+	res := ix.Search(query)
 	if len(res) == 0 || res[0].RefID != 2 {
 		t.Fatalf("PQ CBIR failed: %v", res)
 	}
@@ -153,10 +153,10 @@ func TestPQLosesDiscriminationVsExact(t *testing.T) {
 	exactVotes, pqVotes := 0, 0
 	for trial := 0; trial < 4; trial++ {
 		q := clusterFeatures(rng, protos[trial], 0.05)
-		if r := exact.Search(q, 0.8); len(r) > 0 && r[0].RefID == trial {
+		if r := exact.Search(q); len(r) > 0 && r[0].RefID == trial {
 			exactVotes += r[0].Score
 		}
-		if r := pq.Search(q, 0.8); len(r) > 0 && r[0].RefID == trial {
+		if r := pq.Search(q); len(r) > 0 && r[0].RefID == trial {
 			pqVotes += r[0].Score
 		}
 	}
@@ -184,11 +184,11 @@ func TestPQDeterministicTraining(t *testing.T) {
 func TestEmptyIndexSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ix := NewIndex(8)
-	if res := ix.Search(randomUnit(rng, 8, 4), 0.8); len(res) != 0 {
+	if res := ix.Search(randomUnit(rng, 8, 4)); len(res) != 0 {
 		t.Fatalf("empty exact index returned %v", res)
 	}
 	pq, _ := TrainPQ(randomUnit(rng, 8, 32), PQConfig{Subspaces: 2, Centroids: 8, KMeansIters: 2, Seed: 1})
-	if res := pq.Search(randomUnit(rng, 8, 4), 0.8); len(res) != 0 {
+	if res := pq.Search(randomUnit(rng, 8, 4)); len(res) != 0 {
 		t.Fatalf("empty PQ index returned %v", res)
 	}
 }

@@ -172,7 +172,7 @@ func (ix *PQIndex) Add(id int, feats *blas.Matrix) error {
 // table of query-subvector-to-centroid distances turns each candidate
 // distance into M table lookups. Votes use the same cross-image ratio test
 // as the exact index.
-func (ix *PQIndex) Search(query *blas.Matrix, ratio float64) []match.SearchResult {
+func (ix *PQIndex) Search(query *blas.Matrix) []match.SearchResult {
 	if len(ix.owner) == 0 {
 		return nil
 	}
@@ -212,7 +212,7 @@ func (ix *PQIndex) Search(query *blas.Matrix, ratio float64) []match.SearchResul
 				second = d
 			}
 		}
-		if bestOwner >= 0 && math.Sqrt(float64(best)) < ratio*math.Sqrt(float64(second)) {
+		if bestOwner >= 0 && math.Sqrt(float64(best)) < match.Ratio*math.Sqrt(float64(second)) {
 			votes[int(bestOwner)]++
 		}
 	}

@@ -111,8 +111,8 @@ func TestDiscriminability(t *testing.T) {
 	pert := texture.RandomPerturbation(rng, 0.2)
 	query := Extract(pert.Apply(testImage(10)), cfg)
 
-	same := Match2NN(refA, query, 0.8)
-	diff := Match2NN(refB, query, 0.8)
+	same := Match2NN(refA, query)
+	diff := Match2NN(refB, query)
 	t.Logf("ORB matches: same %d, different %d", same, diff)
 	if same < 8 {
 		t.Fatalf("too few same-texture ORB matches: %d", same)
@@ -132,7 +132,7 @@ func TestScoreRanksTrueReferenceFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pert := texture.RandomPerturbation(rng, 0.2)
 	query := Extract(pert.Apply(testImage(22)), cfg)
-	ranked := Score(refs, query, 0.8)
+	ranked := Score(refs, query)
 	if ranked[0].RefID != 2 {
 		t.Fatalf("top candidate %d, want 2 (scores %v)", ranked[0].RefID, ranked)
 	}
