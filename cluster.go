@@ -42,12 +42,8 @@ type ClusterSystem struct {
 	queryCfg sift.Config
 }
 
-// OpenCluster builds a distributed system from cfg. It rejects an
-// extractor configuration that extraction cannot run, as Open does.
+// OpenCluster builds a distributed system from cfg.
 func OpenCluster(cfg ClusterConfig) (*ClusterSystem, error) {
-	if err := cfg.Extractor.Validate(); err != nil {
-		return nil, err
-	}
 	cfg.Extractor.RootSIFT = true
 	cl, err := cluster.New(cluster.Config{
 		Workers:   cfg.Workers,

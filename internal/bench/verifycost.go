@@ -18,8 +18,7 @@ func VerifyCost(opts Options) *Table {
 		Title:  "Extraction vs matching work per query (1024px capture, m=n=768, d=128)",
 		Header: []string{"Task", "References M", "Extraction GFLOPs", "Matching GFLOPs", "Matching share"},
 	}
-	cfg := sift.DefaultConfig()
-	ext := sift.EstimateCost(1024, cfg, 768).Total() / 1e9
+	ext := sift.EstimateCost(1024, 768).Total() / 1e9
 	for _, M := range []int{1, 100, 10_000, 1_000_000, 10_800_000} {
 		matchF := sift.Match2NNFLOPs(M, 768, 768, 128) / 1e9
 		task := "search"

@@ -10,16 +10,16 @@ import (
 	"texid/internal/texture"
 )
 
-// blurSigmas is every σ buildPyramidArena blurs with under DefaultConfig —
-// the base blur with and without upsampling, then each level's incremental
-// σ — plus 0.3 (a five-tap kernel) and 7 (57 taps, wider than most test
-// shapes).
+// blurSigmas is every σ buildPyramidArena blurs with — the base blur on
+// the upsampled input, then each level's incremental σ — plus the base
+// blur over the camera blur alone (≈1.52), 0.3 (a five-tap kernel) and 7
+// (57 taps, wider than most test shapes).
 func blurSigmas() []float64 {
-	cfg := DefaultConfig()
-	p := buildPyramidArena(nil, texture.NewImage(32, 32), cfg)
-	var sigmas []float64
-	for _, ib := range []float64{2 * cfg.InitialBlur, cfg.InitialBlur} {
-		sigmas = append(sigmas, math.Sqrt(cfg.Sigma*cfg.Sigma-ib*ib))
+	p := buildPyramidArena(nil, texture.NewImage(32, 32), DefaultConfig())
+	const upBlur = 2 * initialBlur
+	sigmas := []float64{
+		math.Sqrt(baseSigma*baseSigma - upBlur*upBlur),
+		math.Sqrt(baseSigma*baseSigma - initialBlur*initialBlur),
 	}
 	sigmas = append(sigmas, p.sigmas[1:]...)
 	return append(sigmas, 0.3, 7)

@@ -19,22 +19,19 @@ func (c CostEstimate) Total() float64 {
 }
 
 // EstimateCost computes the extraction work for a square image of the
-// given side under cfg, assuming nKeypoints survive to the descriptor
+// given side, assuming nKeypoints survive to the descriptor
 // stage. The model counts multiply-adds the same way the 2-NN FLOP count
 // does (2 FLOPs per MAC), so the two sides are comparable.
-func EstimateCost(side int, cfg Config, nKeypoints int) CostEstimate {
+func EstimateCost(side, nKeypoints int) CostEstimate {
 	var est CostEstimate
 
-	w := float64(side)
-	if cfg.Upsample {
-		w *= 2
-	}
-	levels := float64(cfg.OctaveScales + 3)
+	w := 2 * float64(side) // the pyramid is built on the upsampled input
+	levels := float64(octaveScales + 3)
 
 	// Gaussian pyramid: two separable passes per level with ~8·sigma+1
 	// taps (sigma ~1.6 average within an octave), per octave at
 	// quarter-area steps; plus one subtraction pass per DoG level.
-	taps := 8*cfg.Sigma + 1
+	taps := 8*baseSigma + 1
 	area := w * w
 	for area >= 16*16 {
 		convFLOPs := area * levels * 2 * taps * 2 // 2 passes, 2 FLOPs/tap

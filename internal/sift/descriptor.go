@@ -27,7 +27,7 @@ const (
 // keeps the per-keypoint stage allocation-free.
 func computeDescriptorInto(p *pyramid, kp Keypoint, dst []float32) {
 	g := p.gauss[kp.Octave][kp.Level]
-	scale := math.Pow(2, float64(kp.Octave)) * p.coordScale
+	scale := math.Pow(2, float64(kp.Octave)) * coordScale
 	ox := kp.X / scale
 	oy := kp.Y / scale
 	sigma := kp.Sigma / scale

@@ -29,7 +29,7 @@ type slabRef struct{ o, l int }
 // sequential scan at any GOMAXPROCS. All working buffers come from the
 // arena; the returned slice aliases it and must be copied before escaping
 // the extraction.
-func detectExtrema(p *pyramid, a *arena, cfg Config) []Keypoint {
+func detectExtrema(p *pyramid, a *arena) []Keypoint {
 	const border = 5
 
 	slabs := a.slabs[:0]
@@ -46,10 +46,10 @@ func detectExtrema(p *pyramid, a *arena, cfg Config) []Keypoint {
 		a.slabKps = append(a.slabKps, nil)
 	}
 	found := a.slabKps[:len(slabs)]
-	thr := cfg.ContrastThreshold * 0.5
+	thr := contrastThreshold * 0.5
 	blas.Parallel(len(slabs), func(si int) {
 		o, l := slabs[si].o, slabs[si].l
-		scale := math.Pow(2, float64(o)) * p.coordScale // octave pixel -> original pixel
+		scale := math.Pow(2, float64(o)) * coordScale // octave pixel -> original pixel
 		d0 := p.dog[o][l-1]
 		d1 := p.dog[o][l]
 		d2 := p.dog[o][l+1]
@@ -63,7 +63,7 @@ func detectExtrema(p *pyramid, a *arena, cfg Config) []Keypoint {
 				for b, m := range mask[:(n+15)/16] {
 					for ; m != 0; m &= m - 1 {
 						x := x0 + 16*b + bits.TrailingZeros16(m)
-						kp, ok := refine(p, o, l, x, y, cfg)
+						kp, ok := refine(p, o, l, x, y)
 						if !ok {
 							continue
 						}
@@ -163,7 +163,7 @@ func isExtremum(d0, d1, d2 *texture.Image, x, y int, v float32) bool {
 // refine performs up to five iterations of 3-D quadratic interpolation to
 // locate the extremum to subpixel accuracy, then applies the contrast and
 // principal-curvature (edge) tests from Lowe §4 and §4.1.
-func refine(p *pyramid, o, l, x, y int, cfg Config) (Keypoint, bool) {
+func refine(p *pyramid, o, l, x, y int) (Keypoint, bool) {
 	d := p.dog[o]
 	var dx, dy, ds float64
 	for iter := 0; iter < 5; iter++ {
@@ -200,18 +200,18 @@ func refine(p *pyramid, o, l, x, y int, cfg Config) (Keypoint, bool) {
 		if math.Abs(dx) < 0.5 && math.Abs(dy) < 0.5 && math.Abs(ds) < 0.5 {
 			// Converged: contrast test on the interpolated value.
 			contrast := v + 0.5*(gx*dx+gy*dy+gs*ds)
-			if math.Abs(contrast) < cfg.ContrastThreshold {
+			if math.Abs(contrast) < contrastThreshold {
 				return Keypoint{}, false
 			}
 			// Edge test: ratio of principal curvatures of the 2-D Hessian.
 			tr := hxx + hyy
 			det2 := hxx*hyy - hxy*hxy
-			r := cfg.EdgeThreshold
+			const r = edgeThreshold
 			if det2 <= 0 || tr*tr*r >= (r+1)*(r+1)*det2 {
 				return Keypoint{}, false
 			}
 			level := float64(l) + ds
-			sigma := p.baseSigma * math.Pow(2, level/float64(p.nScales))
+			sigma := baseSigma * math.Pow(2, level/octaveScales)
 			return Keypoint{
 				X:        float64(x) + dx,
 				Y:        float64(y) + dy,
@@ -272,7 +272,7 @@ func assignOrientations(p *pyramid, a *arena, kps []Keypoint) []Keypoint {
 	blas.Parallel(len(kps), func(ki int) {
 		kp := kps[ki]
 		g := p.gauss[kp.Octave][kp.Level]
-		scale := math.Pow(2, float64(kp.Octave)) * p.coordScale
+		scale := math.Pow(2, float64(kp.Octave)) * coordScale
 		// Keypoint position in octave coordinates.
 		ox := kp.X / scale
 		oy := kp.Y / scale

@@ -262,16 +262,16 @@ func TestDetectMatchesScan(t *testing.T) {
 	p := buildPyramidArena(nil, im, cfg)
 	var want []Keypoint
 	for o := 0; o < p.nOctaves; o++ {
-		scale := math.Pow(2, float64(o)) * p.coordScale
+		scale := math.Pow(2, float64(o)) * coordScale
 		for l := 1; l < len(p.dog[o])-1; l++ {
 			d0, d1, d2 := p.dog[o][l-1], p.dog[o][l], p.dog[o][l+1]
 			for y := 5; y < d1.H-5; y++ {
 				for x := 5; x < d1.W-5; x++ {
 					v := d1.Pix[y*d1.W+x]
-					if math.Abs(float64(v)) < cfg.ContrastThreshold*0.5 || !isExtremum(d0, d1, d2, x, y, v) {
+					if math.Abs(float64(v)) < contrastThreshold*0.5 || !isExtremum(d0, d1, d2, x, y, v) {
 						continue
 					}
-					if kp, ok := refine(p, o, l, x, y, cfg); ok {
+					if kp, ok := refine(p, o, l, x, y); ok {
 						kp.X *= scale
 						kp.Y *= scale
 						kp.Sigma *= scale
@@ -284,7 +284,7 @@ func TestDetectMatchesScan(t *testing.T) {
 	if p.dog[0][0].W-10 <= extremaChunk || len(want) == 0 {
 		t.Fatalf("octave 0 has %d centres per row and the scan %d keypoints; want more than %d and some", p.dog[0][0].W-10, len(want), extremaChunk)
 	}
-	got := detectExtrema(p, new(arena), cfg)
+	got := detectExtrema(p, new(arena))
 	if len(got) != len(want) {
 		t.Fatalf("detectExtrema found %d keypoints, the per-pixel scan %d", len(got), len(want))
 	}

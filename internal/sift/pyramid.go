@@ -10,6 +10,12 @@
 // substitute for the OpenCV SIFT extractor used by the authors; descriptor
 // statistics (non-negative histograms, L2 norm 512) match OpenCV's, which
 // is what drives the FP16 scale-factor behaviour studied in Table 2.
+//
+// Lowe's parameters — base blur 1.6, assumed camera blur 0.5, three
+// intervals per octave, the contrast and edge thresholds — and the input
+// upsampling are constants: the paper runs one SIFT setting, and its
+// determinism rests on fixed arithmetic. Config holds what the
+// experiments vary: the feature budget, the pyramid depth and RootSIFT.
 package sift
 
 import (
@@ -24,14 +30,17 @@ import (
 // two Gaussian levels of each octave, which only the DoG uses, are not
 // kept: their entries in gauss are nil.
 type pyramid struct {
-	nOctaves   int
-	nScales    int // intervals per octave (s); each octave has s+3 Gaussian levels
-	gauss      [][]*texture.Image
-	dog        [][]*texture.Image
-	sigmas     []float64 // per-level blur within an octave
-	baseSigma  float64
-	coordScale float64 // octave-0 pixel -> original pixel (0.5 when upsampled)
+	nOctaves int
+	gauss    [][]*texture.Image // octaveScales+3 Gaussian levels per octave
+	dog      [][]*texture.Image
+	sigmas   []float64 // per-level blur within an octave
 }
+
+// coordScale maps an octave-0 pixel to an original one: the pyramid is
+// built on the input upsampled 2x (Lowe's "-1 octave"). Fine pressed-leaf
+// detail lives at 1–3 px, so upsampling roughly quadruples the keypoint
+// yield on texture images.
+const coordScale = 0.5
 
 // arena recycles the scale-space image buffers across extractions. Every
 // image taken from it is fully overwritten by its producer (blur,
@@ -360,18 +369,12 @@ func upsample2x(a *arena, im *texture.Image) *texture.Image {
 // every level from a; the caller recycles them with pyramid.release once
 // detection is done.
 func buildPyramidArena(a *arena, im *texture.Image, cfg Config) *pyramid {
-	s := cfg.OctaveScales
+	const s = octaveScales
 	levels := s + 3
 
-	coordScale := 1.0
-	initialBlur := cfg.InitialBlur
-	upsampled := false
-	if cfg.Upsample {
-		im = upsample2x(a, im)
-		upsampled = true
-		coordScale = 0.5
-		initialBlur *= 2 // upsampling doubles the assumed camera blur
-	}
+	im = upsample2x(a, im)
+	// Upsampling doubles the assumed camera blur.
+	const upBlur = 2 * initialBlur
 
 	// Number of octaves: stop when the octave base is smaller than 16 px.
 	minSide := im.W
@@ -387,42 +390,28 @@ func buildPyramidArena(a *arena, im *texture.Image, cfg Config) *pyramid {
 	}
 
 	p := &pyramid{
-		nOctaves:   nOct,
-		nScales:    s,
-		gauss:      make([][]*texture.Image, nOct),
-		dog:        make([][]*texture.Image, nOct),
-		sigmas:     make([]float64, levels),
-		baseSigma:  cfg.Sigma,
-		coordScale: coordScale,
+		nOctaves: nOct,
+		gauss:    make([][]*texture.Image, nOct),
+		dog:      make([][]*texture.Image, nOct),
+		sigmas:   make([]float64, levels),
 	}
 
-	// Per-level incremental blurs: level i has total blur sigma·2^(i/s);
+	// Per-level incremental blurs: level i has total blur baseSigma·2^(i/s);
 	// sigmas[i] is the incremental blur applied on top of level i-1.
 	k := math.Pow(2, 1/float64(s))
-	p.sigmas[0] = cfg.Sigma
-	prev := cfg.Sigma
+	p.sigmas[0] = baseSigma
+	prev := baseSigma
 	for i := 1; i < levels; i++ {
-		total := cfg.Sigma * math.Pow(k, float64(i))
+		total := baseSigma * math.Pow(k, float64(i))
 		p.sigmas[i] = math.Sqrt(total*total - prev*prev)
 		prev = total
 	}
 
-	// Base image: assume the camera already applied InitialBlur; add the
-	// difference needed to reach Sigma. The pyramid must own its level-0
-	// storage (release recycles it), so a non-upsampled, non-blurred input
-	// is copied rather than aliased.
-	var base *texture.Image
-	if cfg.Sigma > initialBlur {
-		base = blurArena(a, im, math.Sqrt(cfg.Sigma*cfg.Sigma-initialBlur*initialBlur), nil)
-		if upsampled {
-			a.put(im)
-		}
-	} else if upsampled {
-		base = im // already arena-owned
-	} else {
-		base = a.get(im.W, im.H)
-		copy(base.Pix, im.Pix)
-	}
+	// Base image: assume the camera already applied upBlur; add the
+	// difference needed to reach baseSigma. The upsampled input is
+	// arena-owned and goes back once blurred.
+	base := blurArena(a, im, math.Sqrt(baseSigma*baseSigma-upBlur*upBlur), nil)
+	a.put(im)
 
 	for o := 0; o < nOct; o++ {
 		p.gauss[o] = make([]*texture.Image, levels)

@@ -1,35 +1,36 @@
 package sift
 
 import (
-	"fmt"
 	"math"
 
 	"texid/internal/blas"
 	"texid/internal/texture"
 )
 
-// Config holds the extractor parameters. The zero value is not usable; use
-// DefaultConfig.
+// Lowe's scale-space parameters, the one setting the paper runs. The
+// float64 ones are typed so that arithmetic on them rounds at each
+// operation, as it did on the config fields they replace.
+const (
+	// baseSigma is the blur of the first scale-space level.
+	baseSigma float64 = 1.6
+	// initialBlur is the blur assumed already present in the input image.
+	initialBlur float64 = 0.5
+	// octaveScales is the number of sampled intervals per octave.
+	octaveScales = 3
+	// contrastThreshold rejects low-contrast extrema, on images scaled to
+	// [0, 1] (Lowe uses 0.03).
+	contrastThreshold float64 = 0.006
+	// edgeThreshold is the maximum ratio of principal curvatures.
+	edgeThreshold float64 = 10
+)
+
+// Config holds the extractor parameters that callers vary. The zero value
+// keeps every feature of a pyramid as deep as the image allows; use
+// DefaultConfig for the paper's budget.
 type Config struct {
-	// Sigma is the base blur of the first scale-space level (Lowe: 1.6).
-	Sigma float64
-	// InitialBlur is the blur assumed already present in the input image
-	// (Lowe: 0.5).
-	InitialBlur float64
-	// OctaveScales is the number of sampled intervals per octave (Lowe: 3).
-	OctaveScales int
 	// MaxOctaves caps the pyramid depth; 0 means as deep as the image
 	// allows.
 	MaxOctaves int
-	// Upsample doubles the input image before building the pyramid
-	// (Lowe's "-1 octave"). Fine pressed-leaf detail lives at 1–3 px, so
-	// this roughly quadruples the keypoint yield on texture images.
-	Upsample bool
-	// ContrastThreshold rejects low-contrast extrema, on images scaled to
-	// [0, 1] (Lowe uses 0.03).
-	ContrastThreshold float64
-	// EdgeThreshold is the maximum ratio of principal curvatures (Lowe: 10).
-	EdgeThreshold float64
 	// MaxFeatures keeps only the strongest keypoints by DoG response;
 	// 0 keeps all. The paper extracts 768 features per image by default and
 	// studies reducing the reference side to 384 (Table 7).
@@ -45,25 +46,9 @@ type Config struct {
 // feature budget.
 func DefaultConfig() Config {
 	return Config{
-		Sigma:             1.6,
-		InitialBlur:       0.5,
-		OctaveScales:      3,
-		Upsample:          true,
-		ContrastThreshold: 0.006,
-		EdgeThreshold:     10,
-		MaxFeatures:       768,
-		RootSIFT:          false,
+		MaxFeatures: 768,
+		RootSIFT:    false,
 	}
-}
-
-// Validate reports a configuration Extract cannot run: an OctaveScales
-// below 1 gives each octave no interval to sample, so −1 indexes out of
-// range in the pyramid build and 0 extracts no feature from any image.
-func (c Config) Validate() error {
-	if c.OctaveScales < 1 {
-		return fmt.Errorf("sift: OctaveScales %d, want >= 1", c.OctaveScales)
-	}
-	return nil
 }
 
 // Features is the output of extraction: a d×N descriptor matrix (one
@@ -81,7 +66,7 @@ func (f *Features) Count() int { return len(f.Keypoints) }
 func Extract(im *texture.Image, cfg Config) *Features {
 	a := arenaPool.Get().(*arena)
 	p := buildPyramidArena(a, im, cfg)
-	kps := detectExtrema(p, a, cfg)
+	kps := detectExtrema(p, a)
 	kps = assignOrientations(p, a, kps)
 	kps = topKByResponse(kps, cfg.MaxFeatures)
 

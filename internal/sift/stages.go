@@ -44,7 +44,7 @@ func (s *Stages) Pyramid() {
 }
 
 // Detect reruns extremum detection on the current pyramid.
-func (s *Stages) Detect() { s.kps = detectExtrema(s.p, &s.a, s.cfg) }
+func (s *Stages) Detect() { s.kps = detectExtrema(s.p, &s.a) }
 
 // Orient reruns orientation assignment and the top-k cut on the current
 // detections.

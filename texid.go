@@ -94,12 +94,8 @@ type System struct {
 	queryCfg sift.Config
 }
 
-// Open builds a System from cfg. It rejects an extractor configuration
-// that extraction cannot run (sift.Config.Validate).
+// Open builds a System from cfg.
 func Open(cfg Config) (*System, error) {
-	if err := cfg.Extractor.Validate(); err != nil {
-		return nil, err
-	}
 	cfg.Extractor.RootSIFT = true
 	eng, err := engine.New(cfg.Engine)
 	if err != nil {
