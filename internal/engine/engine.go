@@ -55,7 +55,9 @@ type Config struct {
 	PinnedHost bool
 	// Match configures the post-processing decision pipeline. With
 	// Match.Geometric set the engine keeps each reference's keypoints for
-	// the RANSAC step.
+	// the RANSAC step. New rejects a MinMatches below 1, an EdgeMargin
+	// that leaves no interior in ImageSize, and with Geometric a RANSACTol
+	// that is not finite and positive.
 	Match match.Config
 	// PruneC enables the binary Hamming prefilter: every search first scans
 	// packed 128-bit codes of all references and only the top-PruneC
@@ -195,6 +197,15 @@ func New(cfg Config) (*Engine, error) {
 	// reporting healthy.
 	if !(cfg.Scale > 0) || math.IsInf(float64(cfg.Scale), 1) {
 		return nil, fmt.Errorf("engine: Scale %g must be finite and positive (0 means 1)", cfg.Scale)
+	}
+	// A decision rule that accepts every best candidate, or a filter that
+	// drops every correspondence, answers wrongly while reporting healthy.
+	if m := cfg.Match; m.MinMatches < 1 {
+		return nil, fmt.Errorf("engine: Match.MinMatches %d must be at least 1", m.MinMatches)
+	} else if m.EdgeMargin > 0 && float64(m.ImageSize) <= 2*m.EdgeMargin {
+		return nil, fmt.Errorf("engine: Match.EdgeMargin %g leaves no interior in a Match.ImageSize of %d", m.EdgeMargin, m.ImageSize)
+	} else if m.Geometric && !(m.RANSACTol > 0 && !math.IsInf(m.RANSACTol, 1)) {
+		return nil, fmt.Errorf("engine: Match.RANSACTol %g must be finite and positive with Match.Geometric", m.RANSACTol)
 	}
 	if cfg.PruneC > 0 {
 		if cfg.Algorithm != knn.RootSIFT {
