@@ -17,9 +17,10 @@
 // measured by the benchmark/ module, not here.
 //
 // Timing experiments always run at the paper's full dimensions (phantom
-// batches); accuracy experiments (Tables 2 and 7) run the real pipeline on
-// a scaled-down synthetic dataset — raise -refs/-queries/-feature-scale to
-// approach paper scale at the cost of CPU time.
+// batches); accuracy experiments (Tables 2 and 7) search through the
+// serving engine on a scaled-down synthetic dataset — raise
+// -refs/-queries/-feature-scale to approach paper scale at the cost of CPU
+// time.
 package main
 
 import (
@@ -72,6 +73,13 @@ func main() {
 		}
 		runSuite(so, *outPath, *baselinePath)
 		return
+	}
+
+	// A threshold below 1 accepts every best candidate; the accuracy
+	// engines would reject it, but only from inside a run.
+	if opts.MinMatches < 1 {
+		fmt.Fprintf(os.Stderr, "texbench: -min-matches %d must be at least 1\n", opts.MinMatches)
+		os.Exit(2)
 	}
 
 	start := time.Now()

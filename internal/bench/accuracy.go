@@ -3,8 +3,10 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"texid/internal/blas"
+	"texid/internal/engine"
 	"texid/internal/gpusim"
 	"texid/internal/half"
 	"texid/internal/knn"
@@ -19,22 +21,27 @@ import (
 type accDataset struct {
 	refs    []*sift.Features // raw SIFT, response-sorted, norm-512
 	queries []*sift.Features
-	truth   []int
-	opts    Options
+	truth   []int // the reference each query shows
 }
 
 // buildAccDataset renders the dataset and extracts features once.
 func buildAccDataset(opts Options) *accDataset {
+	ds := renderDataset(opts)
+	return &accDataset{refs: extractAll(ds.Refs), queries: extractAll(ds.Queries), truth: ds.Truth}
+}
+
+// renderDataset renders the synthetic dataset that opts sizes.
+func renderDataset(opts Options) *texture.Dataset {
 	p := texture.DefaultGenParams()
 	p.Size = opts.ImageSize
-	ds := texture.BuildDataset(opts.Seed, opts.Refs, opts.Queries, opts.Difficulty, p)
+	return texture.BuildDataset(opts.Seed, opts.Refs, opts.Queries, opts.Difficulty, p)
+}
 
+// extractAll extracts every SIFT feature of each image; experiments trim.
+func extractAll(ims []*texture.Image) []*sift.Features {
 	cfg := sift.DefaultConfig()
-	cfg.MaxFeatures = 0 // keep everything; experiments trim
-	out := &accDataset{truth: ds.Truth, opts: opts}
-	out.refs = sift.ExtractBatch(ds.Refs, cfg)
-	out.queries = sift.ExtractBatch(ds.Queries, cfg)
-	return out
+	cfg.MaxFeatures = 0
+	return sift.ExtractBatch(ims, cfg)
 }
 
 // trim returns the first k response-ranked descriptor columns as a fresh
@@ -61,51 +68,76 @@ func trim(f *sift.Features, k int, rootSIFT bool) *blas.Matrix {
 	return padded
 }
 
-// top1Accuracy runs the full one-to-many search for every query through
-// the real 2-NN kernels and returns the fraction identified correctly:
-// the true reference must rank first AND clear the minMatches acceptance
-// threshold (open-set identification — a weak best match is a rejection).
-func top1Accuracy(ds *accDataset, m, n int, rootSIFT bool, opts knn.Options, minMatches int) float64 {
-	dev := gpusim.NewDevice(gpusim.TeslaP100())
-	stream := dev.NewStream()
+// accCounts is what searchAccuracy counts over a query set.
+type accCounts struct {
+	correct  int     // accepted, with the true reference ranked first
+	accepted int     // accepted at all
+	recalled int     // the true reference is among the ranked candidates
+	compared int     // references matched, summed over the queries
+	simUS    float64 // simulated search time, summed over the queries
+}
 
-	refMats := make([]*blas.Matrix, len(ds.refs))
-	ids := make([]int, len(ds.refs))
-	for i, f := range ds.refs {
-		refMats[i] = trim(f, m, rootSIFT)
-		ids[i] = i
-	}
-	withNorms := opts.Algorithm != knn.RootSIFT
-	rb, err := knn.NewRefBatch(dev, ids, refMats, opts.Precision, opts.Scale, withNorms)
+// accConfig is the engine configuration of an accuracy run: the given 2-NN
+// variant and storage precision at m reference and n query features,
+// accepting by the open-set MinMatches rule alone.
+func accConfig(alg knn.Algorithm, prec gpusim.Precision, m, n int, opts Options) engine.Config {
+	cfg := engine.DefaultConfig()
+	cfg.Algorithm, cfg.Precision = alg, prec
+	cfg.RefFeatures, cfg.QueryFeatures = m, n
+	cfg.Match = match.Config{MinMatches: opts.MinMatches}
+	return cfg
+}
+
+// searchAccuracy answers the accuracy queries the way the served engine
+// does: it enrolls ds's references, trimmed to cfg.RefFeatures columns, in
+// an engine built from cfg, answers every query, trimmed to
+// cfg.QueryFeatures, with engine.Search and counts the answers. rootSIFT
+// applies the Hellinger transform to both sides; with cfg.Match.Geometric
+// both sides also carry their trimmed keypoints for the RANSAC step.
+func searchAccuracy(ds *accDataset, cfg engine.Config, rootSIFT bool) accCounts {
+	eng, err := engine.New(cfg)
 	if err != nil {
-		panic(fmt.Sprintf("bench: ref batch: %v", err))
+		panic(fmt.Sprintf("bench: accuracy engine: %v", err))
 	}
-	defer rb.Free()
-
-	correct := 0
+	keypoints := func(f *sift.Features, k int) []sift.Keypoint {
+		if !cfg.Match.Geometric {
+			return nil
+		}
+		return f.Keypoints[:min(len(f.Keypoints), k)]
+	}
+	for i, f := range ds.refs {
+		if err := eng.Add(i, trim(f, cfg.RefFeatures, rootSIFT), keypoints(f, cfg.RefFeatures)); err != nil {
+			panic(fmt.Sprintf("bench: accuracy enroll: %v", err))
+		}
+	}
+	var c accCounts
 	for qi, qf := range ds.queries {
-		q, err := knn.NewQuery(dev, trim(qf, n, rootSIFT), opts.Precision, opts.Scale)
+		rep, err := eng.Search(trim(qf, cfg.QueryFeatures, rootSIFT), keypoints(qf, cfg.QueryFeatures))
 		if err != nil {
-			panic(fmt.Sprintf("bench: query: %v", err))
+			panic(fmt.Sprintf("bench: accuracy search: %v", err))
 		}
-		pairs, err := knn.MatchBatch(stream, rb, q, opts)
-		if err != nil {
-			panic(fmt.Sprintf("bench: match: %v", err))
+		truth := ds.truth[qi]
+		if slices.ContainsFunc(rep.Ranked, func(r match.SearchResult) bool { return r.RefID == truth }) {
+			c.recalled++
 		}
-		var results []match.SearchResult
-		for _, p := range pairs {
-			results = append(results, match.SearchResult{
-				RefID: p.RefID,
-				Score: len(match.RatioTest(p)),
-			})
+		if rep.Accepted {
+			c.accepted++
+			if rep.BestID == truth {
+				c.correct++
+			}
 		}
-		top, ok := match.Identify(results, match.Config{MinMatches: minMatches})
-		if ok && top.RefID == ds.truth[qi] {
-			correct++
-		}
-		q.Free()
+		c.compared += rep.Compared
+		c.simUS += rep.ElapsedUS
 	}
-	return float64(correct) / float64(len(ds.queries))
+	return c
+}
+
+// top1Accuracy is the share of ds's queries that searchAccuracy identifies
+// correctly: the true reference ranks first AND clears the MinMatches
+// acceptance threshold (open-set identification — a weak best match is a
+// rejection).
+func top1Accuracy(ds *accDataset, cfg engine.Config, rootSIFT bool) float64 {
+	return float64(searchAccuracy(ds, cfg, rootSIFT).correct) / float64(len(ds.queries))
 }
 
 // compressionError measures the mean relative error of pairwise feature
@@ -180,9 +212,7 @@ func table2WithDataset(ds *accDataset, opts Options) *Table {
 		Header: []string{"Precision", "Scale factor", "Avg compression error", "Top-1 accuracy"},
 	}
 
-	fullPrec := top1Accuracy(ds, m, n, false, knn.Options{
-		Algorithm: knn.Eq1Top2, Precision: gpusim.FP32,
-	}, opts.MinMatches)
+	fullPrec := top1Accuracy(ds, accConfig(knn.Eq1Top2, gpusim.FP32, m, n, opts), false)
 	t.AddRow("full precision", dash, dash, pct(fullPrec))
 
 	maxPairs := 24
@@ -197,15 +227,15 @@ func table2WithDataset(ds *accDataset, opts Options) *Table {
 			t.AddRow("FP16", label, "overflow", dash)
 			continue
 		}
-		acc := top1Accuracy(ds, m, n, false, knn.Options{
-			Algorithm: knn.Eq1Top2, Precision: gpusim.FP16,
-			Scale: scale, Accum: blas.AccumFP16,
-		}, opts.MinMatches)
+		cfg := accConfig(knn.Eq1Top2, gpusim.FP16, m, n, opts)
+		cfg.Scale, cfg.Accum = scale, blas.AccumFP16
+		acc := top1Accuracy(ds, cfg, false)
 		t.AddRow("FP16", label, pct(err), pct(acc))
 	}
 	t.AddNote("paper (m=n=768, tea-brick dataset): full precision 98.58%%; scales 1 and 2^-1 overflow; " +
 		"2^-2..2^-12 error 0.1026%% at full accuracy; 2^-14 0.1043%%/98.31%%; 2^-16 0.3492%%/98.31%%")
-	t.AddNote("dimensions scaled by 1/%d by -feature-scale (default 4) to keep the default run short; full budgets are ROADMAP item 7", opts.FeatureScale)
+	t.AddNote("dimensions scaled by 1/%d by -feature-scale (default 4) to keep the default run short; "+
+		"full budgets are ROADMAP's item \"The paper's accuracy tables at the paper's resolution\"", opts.FeatureScale)
 	return t
 }
 
@@ -231,9 +261,7 @@ func table7WithDataset(ds *accDataset, opts Options) *Table {
 	}
 	for _, c := range configs {
 		m, n := c[0], c[1]
-		acc := top1Accuracy(ds, opts.scaled(m), opts.scaled(n), true, knn.Options{
-			Algorithm: knn.RootSIFT, Precision: gpusim.FP32,
-		}, opts.MinMatches)
+		acc := top1Accuracy(ds, accConfig(knn.RootSIFT, gpusim.FP32, opts.scaled(m), opts.scaled(n), opts), true)
 		_, tot := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 256, m, n, paperD)
 		speed := 256e6 / tot
 		t.AddRow(fmt.Sprintf("%d", m), fmt.Sprintf("%d", n), pct(acc), f0(speed))

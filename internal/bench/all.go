@@ -2,88 +2,70 @@ package bench
 
 import "fmt"
 
-// Experiments lists every reproducible table and figure by id, followed by
-// the ablation/extension experiments.
-var Experiments = []string{
-	"table1", "table2", "table3", "table4", "table5", "table6", "table7",
-	"fig1", "fig4", "system",
-	"qbatch", "ablate-sort", "ablate-swap", "ablate-jitter", "ablate-descriptor", "ablate-geometric", "cbir", "verify-cost", "difficulty", "devices", "prune",
+// experiment is one entry of the registry: run runs it alone; shared, when
+// set, runs it on a prebuilt accuracy dataset, which All builds once.
+type experiment struct {
+	id     string
+	run    func(Options) *Table
+	shared func(*accDataset, Options) *Table
 }
+
+// registry lists every reproducible table and figure in output order,
+// followed by the ablation/extension experiments.
+var registry = []experiment{
+	{id: "table1", run: Table1},
+	{id: "table2", run: Table2, shared: table2WithDataset},
+	{id: "table3", run: Table3},
+	{id: "table4", run: Table4},
+	{id: "table5", run: Table5},
+	{id: "table6", run: Table6},
+	{id: "table7", run: Table7, shared: table7WithDataset},
+	{id: "fig1", run: Fig1},
+	{id: "fig4", run: Fig4},
+	{id: "system", run: System},
+	{id: "qbatch", run: QueryBatch},
+	{id: "ablate-sort", run: AblateSort},
+	{id: "ablate-swap", run: AblateSwap},
+	{id: "ablate-jitter", run: AblateJitter},
+	{id: "ablate-descriptor", run: AblateDescriptor},
+	{id: "ablate-geometric", run: AblateGeometric, shared: geometricWithDataset},
+	{id: "cbir", run: CBIR, shared: cbirWithDataset},
+	{id: "verify-cost", run: VerifyCost},
+	{id: "difficulty", run: DifficultySweep},
+	{id: "devices", run: DeviceProjection},
+	{id: "prune", run: PruneSweep, shared: pruneWithDataset},
+}
+
+// Experiments lists every experiment id, in registry order.
+var Experiments = func() []string {
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
+}()
 
 // Run executes one experiment by id.
 func Run(id string, opts Options) (*Table, error) {
-	switch id {
-	case "table1":
-		return Table1(opts), nil
-	case "table2":
-		return Table2(opts), nil
-	case "table3":
-		return Table3(opts), nil
-	case "table4":
-		return Table4(opts), nil
-	case "table5":
-		return Table5(opts), nil
-	case "table6":
-		return Table6(opts), nil
-	case "table7":
-		return Table7(opts), nil
-	case "fig1":
-		return Fig1(opts), nil
-	case "fig4":
-		return Fig4(opts), nil
-	case "system":
-		return System(opts), nil
-	case "qbatch":
-		return QueryBatch(opts), nil
-	case "ablate-sort":
-		return AblateSort(opts), nil
-	case "ablate-swap":
-		return AblateSwap(opts), nil
-	case "ablate-jitter":
-		return AblateJitter(opts), nil
-	case "ablate-descriptor":
-		return AblateDescriptor(opts), nil
-	case "ablate-geometric":
-		return AblateGeometric(opts), nil
-	case "cbir":
-		return CBIR(opts), nil
-	case "verify-cost":
-		return VerifyCost(opts), nil
-	case "difficulty":
-		return DifficultySweep(opts), nil
-	case "devices":
-		return DeviceProjection(opts), nil
-	case "prune":
-		return PruneSweep(opts), nil
+	for _, e := range registry {
+		if e.id == id {
+			return e.run(opts), nil
+		}
 	}
 	return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments)
 }
 
 // All runs every experiment. The accuracy dataset is built once and shared
-// between Table 2 and Table 7.
+// between the experiments that take one.
 func All(opts Options) []*Table {
 	ds := buildAccDataset(opts)
-	return []*Table{
-		Table1(opts),
-		table2WithDataset(ds, opts),
-		Table3(opts),
-		Table4(opts),
-		Table5(opts),
-		Table6(opts),
-		table7WithDataset(ds, opts),
-		Fig1(opts),
-		Fig4(opts),
-		System(opts),
-		QueryBatch(opts),
-		AblateSort(opts),
-		AblateSwap(opts),
-		AblateJitter(opts),
-		AblateDescriptor(opts),
-		AblateGeometric(opts),
-		cbirWithDataset(ds, opts),
-		VerifyCost(opts),
-		DifficultySweep(opts),
-		DeviceProjection(opts),
-		pruneWithDataset(ds, opts),
+	tables := make([]*Table, len(registry))
+	for i, e := range registry {
+		if e.shared != nil {
+			tables[i] = e.shared(ds, opts)
+		} else {
+			tables[i] = e.run(opts)
+		}
 	}
+	return tables
 }

@@ -29,9 +29,7 @@ func cbirWithDataset(ds *accDataset, opts Options) *Table {
 		Header: []string{"Method", "Memory per reference", "Top-1 accuracy"},
 	}
 	// (a) The paper's approach: per-image 2-NN matching, FP16 storage.
-	acc := top1Accuracy(ds, m, n, true, knn.Options{
-		Algorithm: knn.RootSIFT, Precision: gpusim.FP32,
-	}, opts.MinMatches)
+	acc := top1Accuracy(ds, accConfig(knn.RootSIFT, gpusim.FP32, m, n, opts), true)
 	perRefFP16 := float64(m*128*2) / 1024
 	t.AddRow("per-image 2-NN (paper, FP16)", fmt.Sprintf("%.1f KB", perRefFP16), pct(acc))
 

@@ -7,9 +7,7 @@ import (
 	"texid/internal/knn"
 	"texid/internal/match"
 	"texid/internal/orb"
-	"texid/internal/sift"
 	"texid/internal/surf"
-	"texid/internal/texture"
 )
 
 // AblateDescriptor compares the paper's SIFT (d=128) pipeline against the
@@ -29,36 +27,28 @@ func AblateDescriptor(opts Options) *Table {
 	}
 
 	// Shared image dataset.
-	p := texture.DefaultGenParams()
-	p.Size = opts.ImageSize
-	ds := texture.BuildDataset(opts.Seed, opts.Refs, opts.Queries, opts.Difficulty, p)
+	ds := renderDataset(opts)
 	spec := gpusim.TeslaP100()
 
 	// SIFT (RootSIFT, the production pipeline).
-	siftCfg := sift.DefaultConfig()
-	siftCfg.MaxFeatures = 0
-	siftDS := &accDataset{truth: ds.Truth, opts: opts}
-	siftDS.refs = sift.ExtractBatch(ds.Refs, siftCfg)
-	siftDS.queries = sift.ExtractBatch(ds.Queries, siftCfg)
-	siftAcc := top1Accuracy(siftDS, m, n, true, knn.Options{
-		Algorithm: knn.RootSIFT, Precision: gpusim.FP32,
-	}, opts.MinMatches)
+	siftDS := &accDataset{refs: extractAll(ds.Refs), queries: extractAll(ds.Queries), truth: ds.Truth}
+	siftAcc := top1Accuracy(siftDS, accConfig(knn.RootSIFT, gpusim.FP32, m, n, opts), true)
 	_, siftTot := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, 128)
 	t.AddRow("SIFT + RootSIFT", "128", f1(float64(768*128*2)/1024), pct(siftAcc), f0(1024e6/siftTot))
 
 	// SURF (unit-norm descriptors, same Algorithm 2 matcher).
 	surfCfg := surf.DefaultConfig()
 	surfCfg.MaxFeatures = 0
-	surfDS := &accDataset{truth: ds.Truth, opts: opts}
+	surfDS := &accDataset{truth: ds.Truth}
 	for _, im := range ds.Refs {
 		surfDS.refs = append(surfDS.refs, surf.Extract(im, surfCfg))
 	}
 	for _, im := range ds.Queries {
 		surfDS.queries = append(surfDS.queries, surf.Extract(im, surfCfg))
 	}
-	surfAcc := top1Accuracy(surfDS, m, n, false /* already unit-norm */, knn.Options{
-		Algorithm: knn.RootSIFT, Precision: gpusim.FP32,
-	}, opts.MinMatches)
+	surfSearch := accConfig(knn.RootSIFT, gpusim.FP32, m, n, opts)
+	surfSearch.Dim = surf.DescriptorDim
+	surfAcc := top1Accuracy(surfDS, surfSearch, false /* already unit-norm */)
 	_, surfTot := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, 64)
 	t.AddRow("SURF", "64", f1(float64(768*64*2)/1024), pct(surfAcc), f0(1024e6/surfTot))
 

@@ -22,14 +22,11 @@ func DifficultySweep(opts Options) *Table {
 			m, n, opts.Refs, opts.Queries),
 		Header: []string{"Difficulty", "Top-1 accuracy"},
 	}
+	cfg := accConfig(knn.RootSIFT, gpusim.FP32, m, n, opts)
 	for _, d := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
 		o := opts
 		o.Difficulty = d
-		ds := buildAccDataset(o)
-		acc := top1Accuracy(ds, m, n, true, knn.Options{
-			Algorithm: knn.RootSIFT, Precision: gpusim.FP32,
-		}, opts.MinMatches)
-		t.AddRow(f2(d), pct(acc))
+		t.AddRow(f2(d), pct(top1Accuracy(buildAccDataset(o), cfg, true)))
 	}
 	t.AddNote("difficulty draws viewpoint (up to ~26 deg + shear), illumination (±35%%), defocus blur " +
 		"(sigma up to 2.8 px), sensor noise, and occlusion (up to 28%% of the side)")

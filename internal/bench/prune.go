@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"texid/internal/blas"
-	"texid/internal/engine"
 	"texid/internal/gpusim"
 	"texid/internal/knn"
 )
@@ -31,55 +29,20 @@ func pruneWithDataset(ds *accDataset, opts Options) *Table {
 	}
 
 	for _, c := range []int{0, 1, 2, 4, 8, 16} {
-		cfg := engine.DefaultConfig()
-		cfg.Precision = gpusim.FP32 // accuracy sweep: FP16 delta is Table 2's job
-		cfg.Accum = blas.AccumFP32
-		cfg.Algorithm = knn.RootSIFT
-		cfg.BatchSize = 8
-		cfg.Streams = 2
-		cfg.RefFeatures = m
-		cfg.QueryFeatures = n
-		cfg.Match.MinMatches = opts.MinMatches
-		cfg.PruneC = c
-		eng, err := engine.New(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("bench: prune engine: %v", err))
-		}
-		for i, f := range ds.refs {
-			if err := eng.Add(i, trim(f, m, true), nil); err != nil {
-				panic(fmt.Sprintf("bench: prune enroll: %v", err))
-			}
-		}
-
-		recalled, correct, compared := 0, 0, 0
-		var simUS float64
-		for qi, qf := range ds.queries {
-			rep, err := eng.Search(trim(qf, n, true), nil)
-			if err != nil {
-				panic(fmt.Sprintf("bench: prune search: %v", err))
-			}
-			for _, r := range rep.Ranked {
-				if r.RefID == ds.truth[qi] {
-					recalled++
-					break
-				}
-			}
-			if rep.Accepted && rep.BestID == ds.truth[qi] {
-				correct++
-			}
-			compared += rep.Compared
-			simUS += rep.ElapsedUS
-		}
-		nq := len(ds.queries)
+		// FP32: accuracy sweep, the FP16 delta is Table 2's job.
+		cfg := accConfig(knn.RootSIFT, gpusim.FP32, m, n, opts)
+		cfg.BatchSize, cfg.Streams, cfg.PruneC = 8, 2, c
+		r := searchAccuracy(ds, cfg, true)
+		nq := float64(len(ds.queries))
 		label := fmt.Sprintf("%d", c)
 		if c == 0 {
 			label = "off"
 		}
 		t.AddRow(label,
-			pct(float64(recalled)/float64(nq)),
-			pct(float64(correct)/float64(nq)),
-			fmt.Sprintf("%.1f", float64(compared)/float64(nq)),
-			fmt.Sprintf("%.0f", simUS/float64(nq)))
+			pct(float64(r.recalled)/nq),
+			pct(float64(r.correct)/nq),
+			fmt.Sprintf("%.1f", float64(r.compared)/nq),
+			fmt.Sprintf("%.0f", r.simUS/nq))
 	}
 	t.AddNote("candidate recall counts queries whose true reference survives into the exact rerank; " +
 		"top-1 applies the open-set MinMatches rule after the rerank")

@@ -29,14 +29,9 @@ const (
 	// worker that has not answered within it (injected hang, latency
 	// spike, lost reply) has failed that attempt.
 	callDeadlineUS = 30e6
-	// callAttempts bounds tries per logical call.
+	// callAttempts bounds tries per logical call; faultsim.Backoff charges
+	// the deterministic jittered wait before each retry.
 	callAttempts = 3
-	// callBackoffUS is the base backoff charged before the first retry; it
-	// doubles per attempt and carries deterministic jitter in [0.5, 1.5)
-	// (faultsim.Backoff).
-	callBackoffUS = 5000
-	// callSeed keys the deterministic backoff jitter.
-	callSeed = 1
 )
 
 // worker is the coordinator's handle on one shard: the engine, the fault
@@ -81,7 +76,7 @@ func (c *Cluster) do(w *worker, op string, invoke func() (float64, error)) (floa
 	var lastErr error
 	for attempt := 1; attempt <= callAttempts; attempt++ {
 		if attempt > 1 {
-			total += faultsim.Backoff(callSeed, w.name, attempt, callBackoffUS)
+			total += faultsim.Backoff(w.name, attempt)
 			c.mWorkerRetries.Inc()
 		}
 		el, err := c.attempt(w, op, invoke)

@@ -251,20 +251,28 @@ func (p *Peer) Do(op string, deadlineUS, nowUS float64, invoke func() (float64, 
 	return el, nil
 }
 
+// The retry backoff's base delay before the first retry, in virtual
+// microseconds, and the seed of its jitter.
+const (
+	backoffBaseUS = 5000
+	backoffSeed   = 1
+)
+
 // Backoff returns the deterministic jittered backoff, in virtual
 // microseconds, charged before retry attempt n (2-based: the first retry
-// is attempt 2). The base delay doubles per attempt and is multiplied by a
-// jitter factor in [0.5, 1.5) derived from (seed, peer, attempt) — spread
-// enough to de-synchronize retry storms, deterministic enough to replay.
-func Backoff(seed int64, peer string, attempt int, baseUS float64) float64 {
-	if attempt < 2 || baseUS <= 0 {
+// is attempt 2). The base delay (backoffBaseUS) doubles per attempt and is
+// multiplied by a jitter factor in [0.5, 1.5) derived from (peer, attempt)
+// — spread enough to de-synchronize retry storms, deterministic enough to
+// replay.
+func Backoff(peer string, attempt int) float64 {
+	if attempt < 2 {
 		return 0
 	}
-	d := baseUS
+	d := float64(backoffBaseUS)
 	for i := 2; i < attempt; i++ {
 		d *= 2
 	}
-	return d * (0.5 + uniform(mix(hashString(uint64(seed), peer)^uint64(attempt))))
+	return d * (0.5 + uniform(mix(hashString(backoffSeed, peer)^uint64(attempt))))
 }
 
 // hashString folds s into a seed with FNV-1a, then finalizes.

@@ -190,13 +190,12 @@ func TestDoOutcomes(t *testing.T) {
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
 	for attempt := 2; attempt <= 5; attempt++ {
-		base := 1000.0
-		want := base
+		want := float64(backoffBaseUS)
 		for i := 2; i < attempt; i++ {
 			want *= 2
 		}
-		d1 := Backoff(42, "w1", attempt, base)
-		d2 := Backoff(42, "w1", attempt, base)
+		d1 := Backoff("w1", attempt)
+		d2 := Backoff("w1", attempt)
 		if d1 != d2 {
 			t.Fatalf("attempt %d: backoff not deterministic (%v vs %v)", attempt, d1, d2)
 		}
@@ -204,13 +203,10 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 			t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempt, d1, want*0.5, want*1.5)
 		}
 	}
-	if Backoff(42, "w1", 1, 1000) != 0 {
+	if Backoff("w1", 1) != 0 {
 		t.Fatal("first attempt must not back off")
 	}
-	if Backoff(42, "w1", 3, 0) != 0 {
-		t.Fatal("zero base must not back off")
-	}
-	if Backoff(42, "w1", 3, 1000) == Backoff(42, "w2", 3, 1000) {
+	if Backoff("w1", 3) == Backoff("w2", 3) {
 		t.Fatal("jitter does not separate peers")
 	}
 }
@@ -233,7 +229,7 @@ func TestNextAndBackoffDoNotAllocate(t *testing.T) {
 	p := New(Plan{Seed: 7, DropRate: 0.2, HangRate: 0.1, ReplyLossRate: 0.1, SlowRate: 0.3, SlowUS: 1000}).Peer("worker-0")
 	var sink float64
 	if allocs := testing.AllocsPerRun(200, func() {
-		sink += p.Next("search", 0).ExtraUS + Backoff(7, "worker-0", 3, 100)
+		sink += p.Next("search", 0).ExtraUS + Backoff("worker-0", 3)
 	}); allocs != 0 {
 		t.Errorf("Peer.Next + Backoff allocate %.1f/op, want 0", allocs)
 	}

@@ -191,41 +191,76 @@ func TestUnscaledSIFTOverflows(t *testing.T) {
 
 func TestBatchEqualsSequential(t *testing.T) {
 	// Batching is a pure throughput optimization: per-reference results
-	// must be identical to one-at-a-time matching.
-	rng := rand.New(rand.NewSource(5))
-	d, m, n, B := 16, 20, 12, 5
-	dev := newTestDevice()
-	stream := dev.NewStream()
-
-	refs := make([]*blas.Matrix, B)
-	ids := make([]int, B)
-	for i := range refs {
-		refs[i] = rootSIFTFeatures(rng, d, m)
-		ids[i] = 100 + i
-	}
-	qm := rootSIFTFeatures(rng, d, n)
-	q, _ := NewQuery(dev, qm, gpusim.FP32, 1)
-
-	batched, _ := NewRefBatch(dev, ids, refs, gpusim.FP32, 1, false)
-	got, err := MatchBatch(stream, batched, q, Options{Algorithm: RootSIFT, Precision: gpusim.FP32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < B; i++ {
-		single, _ := NewRefBatch(dev, ids[i:i+1], refs[i:i+1], gpusim.FP32, 1, false)
-		want, err := MatchBatch(stream, single, q, Options{Algorithm: RootSIFT, Precision: gpusim.FP32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].RefID != ids[i] {
-			t.Fatalf("batch result %d has id %d", i, got[i].RefID)
-		}
-		for j := 0; j < n; j++ {
-			if got[i].Best[j] != want[0].Best[j] || got[i].BestIdx[j] != want[0].BestIdx[j] {
-				t.Fatalf("batch/sequential mismatch at ref %d query %d", i, j)
+	// must be identical to one-at-a-time matching, whatever batch a
+	// reference lands in. The cases are the search paths the accuracy
+	// tables run: RootSIFT, and Algorithm 1 with norms on raw (norm-512)
+	// features, each in FP32 and in FP16 at a power-of-two scale.
+	fp16Scale := half.PowerOfTwoScale(-7)
+	for _, tc := range []struct {
+		alg   Algorithm
+		prec  gpusim.Precision
+		scale float32
+	}{
+		{RootSIFT, gpusim.FP32, 1},
+		{RootSIFT, gpusim.FP16, fp16Scale},
+		{Eq1Top2, gpusim.FP32, 1},
+		{Eq1Top2, gpusim.FP16, fp16Scale},
+	} {
+		t.Run(fmt.Sprintf("%v/%v", tc.alg, tc.prec), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			d, m, n, B := 16, 20, 12, 5
+			dev := newTestDevice()
+			stream := dev.NewStream()
+			withNorms := tc.alg != RootSIFT
+			features := func(cols int) *blas.Matrix {
+				if withNorms {
+					return randomFeatures(rng, d, cols, 512)
+				}
+				return rootSIFTFeatures(rng, d, cols)
 			}
-		}
-		single.Free()
+
+			refs := make([]*blas.Matrix, B)
+			ids := make([]int, B)
+			for i := range refs {
+				refs[i] = features(m)
+				ids[i] = 100 + i
+			}
+			q, err := NewQuery(dev, features(n), tc.prec, tc.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Algorithm: tc.alg, Precision: tc.prec, Scale: tc.scale}
+
+			batched, err := NewRefBatch(dev, ids, refs, tc.prec, tc.scale, withNorms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := MatchBatch(stream, batched, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < B; i++ {
+				single, err := NewRefBatch(dev, ids[i:i+1], refs[i:i+1], tc.prec, tc.scale, withNorms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := MatchBatch(stream, single, q, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i].RefID != ids[i] {
+					t.Fatalf("batch result %d has id %d", i, got[i].RefID)
+				}
+				for j := 0; j < n; j++ {
+					g, w := got[i], want[0]
+					if g.Best[j] != w.Best[j] || g.Second[j] != w.Second[j] || g.BestIdx[j] != w.BestIdx[j] {
+						t.Fatalf("batch/sequential mismatch at ref %d query %d: best %v/%v second %v/%v idx %d/%d",
+							i, j, g.Best[j], w.Best[j], g.Second[j], w.Second[j], g.BestIdx[j], w.BestIdx[j])
+					}
+				}
+				single.Free()
+			}
+		})
 	}
 }
 

@@ -66,10 +66,10 @@ type Correspondence struct {
 	Dist     float64
 }
 
-// RatioTest applies the 2-NN ratio test to one pair result, returning the
+// ratioTest applies the 2-NN ratio test to one pair result, returning the
 // distinctive correspondences. Non-finite distances (FP16 overflow) never
 // pass.
-func RatioTest(r knn.Pair2NN) []Correspondence {
+func ratioTest(r knn.Pair2NN) []Correspondence {
 	var out []Correspondence
 	for j := range r.Best {
 		b, s := float64(r.Best[j]), float64(r.Second[j])
@@ -86,9 +86,9 @@ func RatioTest(r knn.Pair2NN) []Correspondence {
 	return out
 }
 
-// FilterEdges drops correspondences whose query keypoint lies within
+// filterEdges drops correspondences whose query keypoint lies within
 // margin pixels of the border.
-func FilterEdges(cs []Correspondence, queryKps []sift.Keypoint, size int, margin float64) []Correspondence {
+func filterEdges(cs []Correspondence, queryKps []sift.Keypoint, size int, margin float64) []Correspondence {
 	if margin <= 0 || queryKps == nil {
 		return cs
 	}
@@ -111,8 +111,8 @@ func FilterEdges(cs []Correspondence, queryKps []sift.Keypoint, size int, margin
 // verification. refKps/queryKps may be nil when geometric verification is
 // disabled.
 func PairScore(r knn.Pair2NN, refKps, queryKps []sift.Keypoint, cfg Config) int {
-	cs := RatioTest(r)
-	cs = FilterEdges(cs, queryKps, cfg.ImageSize, cfg.EdgeMargin)
+	cs := ratioTest(r)
+	cs = filterEdges(cs, queryKps, cfg.ImageSize, cfg.EdgeMargin)
 	if !cfg.Geometric || len(cs) < 3 || refKps == nil || queryKps == nil {
 		return len(cs)
 	}

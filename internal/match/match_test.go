@@ -22,7 +22,7 @@ func TestRatioTest(t *testing.T) {
 		[]float32{1.0, 1.0, 0.5, float32(math.Inf(1))},
 		[]float32{2.0, 1.1, 2.0, 3.0},
 	)
-	cs := RatioTest(r)
+	cs := ratioTest(r)
 	if len(cs) != 2 {
 		t.Fatalf("got %d correspondences, want 2 (idx 0 and 2)", len(cs))
 	}
@@ -34,18 +34,18 @@ func TestRatioTest(t *testing.T) {
 func TestRatioTestRejectsOverflow(t *testing.T) {
 	inf := float32(math.Inf(1))
 	r := pair([]float32{inf, 0.1}, []float32{inf, inf})
-	if cs := RatioTest(r); len(cs) != 0 {
+	if cs := ratioTest(r); len(cs) != 0 {
 		t.Fatalf("overflowed distances must never match, got %+v", cs)
 	}
 }
 
 func TestRatioTestThresholdBoundary(t *testing.T) {
 	r := pair([]float32{0.75}, []float32{1.0})
-	if len(RatioTest(r)) != 0 {
+	if len(ratioTest(r)) != 0 {
 		t.Fatal("best == ratio*second must be rejected (strict <)")
 	}
 	r = pair([]float32{0.7499}, []float32{1.0})
-	if len(RatioTest(r)) != 1 {
+	if len(ratioTest(r)) != 1 {
 		t.Fatal("best just under threshold must pass")
 	}
 }
@@ -57,11 +57,11 @@ func TestFilterEdges(t *testing.T) {
 		{X: 254, Y: 50},  // near right edge
 	}
 	cs := []Correspondence{{QueryIdx: 0}, {QueryIdx: 1}, {QueryIdx: 2}}
-	out := FilterEdges(cs, kps, 256, 4)
+	out := filterEdges(cs, kps, 256, 4)
 	if len(out) != 1 || out[0].QueryIdx != 1 {
 		t.Fatalf("edge filter kept %+v", out)
 	}
-	if got := FilterEdges(cs, kps, 256, 0); len(got) != 3 {
+	if got := filterEdges(cs, kps, 256, 0); len(got) != 3 {
 		t.Fatal("margin 0 must be a no-op")
 	}
 }

@@ -46,11 +46,11 @@ var extractGolden = map[string]string{
 // The digests depend on which math.Exp the host runs: Go's amd64 Exp takes
 // an FMA branch when the CPU has AVX2 and FMA, and arm64 runs a third
 // variant. The test reads the variant from expProbe and skips on any but
-// the recorded one; owning Exp and Atan2 in the repo (ROADMAP item 2)
-// removes the skip.
+// the recorded one; owning Exp and Atan2 in the repo (ROADMAP, "One
+// determinism contract across hosts") removes the skip.
 func TestExtractGolden(t *testing.T) {
 	if got := math.Float64bits(math.Exp(expProbe)); got != expProbeFMA {
-		t.Skipf("math.Exp(%v) = %#x, not the AVX2+FMA variant's %#x: the digests were recorded on that variant (ROADMAP item 2 removes this skip)",
+		t.Skipf("math.Exp(%v) = %#x, not the AVX2+FMA variant's %#x: the digests were recorded on that variant (ROADMAP's item \"One determinism contract across hosts\" removes this skip)",
 			expProbe, got, uint64(expProbeFMA))
 	}
 	for _, size := range []int{128, 256} {
@@ -131,7 +131,7 @@ var hostileGolden = map[string]string{
 // where TestExtractGolden does.
 func TestExtractGoldenHostile(t *testing.T) {
 	if got := math.Float64bits(math.Exp(expProbe)); got != expProbeFMA {
-		t.Skipf("math.Exp(%v) = %#x, not the AVX2+FMA variant's %#x: the digests were recorded on that variant (ROADMAP item 2 removes this skip)",
+		t.Skipf("math.Exp(%v) = %#x, not the AVX2+FMA variant's %#x: the digests were recorded on that variant (ROADMAP's item \"One determinism contract across hosts\" removes this skip)",
 			expProbe, got, uint64(expProbeFMA))
 	}
 	p := texture.DefaultGenParams()

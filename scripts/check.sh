@@ -6,8 +6,8 @@
 # hygiene of the serving binaries, the serving core's tests at GOMAXPROCS
 # 1, 2 and 4, the kernel-tier equivalence tests of all twelve blas, binq
 # and sift families (no tier the host's CPU flags advertise may skip), the
-# blas/half/binq/knn/sift tests and the engine's pruning tests on the
-# portable (no-assembly) kernels, SIFT's goldens and tier tests built for
+# blas/half/binq/knn/sift tests, the engine's pruning tests and the
+# accuracy experiments' shape tests on the portable (no-assembly) kernels, SIFT's goldens and tier tests built for
 # GOAMD64=v3, the portable rows of the measurement
 # suite against BENCH_BASELINE.json, a syntax check of scripts/bench.sh (the
 # wall-clock gate) and the doctests of scripts/paired.py (its verdict rule),
@@ -134,10 +134,12 @@ fi
 # route, SIFT extraction, its golden digests and its determinism tests on
 # the portable blur, math, extremum, descriptor, gather and orientation
 # loops, plus the
-# whole pruned search on the scalar scan.
-echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half, binq, knn, sift, engine Prune*)"
+# whole pruned search on the scalar scan and the accuracy experiments, which
+# search through the engine's kernels.
+echo "==> go test, portable kernels (TEXID_NOASM=1: blas, half, binq, knn, sift, engine Prune*, bench accuracy shapes)"
 TEXID_NOASM=1 go test ./internal/blas/... ./internal/half/... ./internal/binq/... ./internal/knn/... ./internal/sift/...
 TEXID_NOASM=1 go test -run 'Prune' ./internal/engine
+TEXID_NOASM=1 go test -run '^Test(Table2Shape|Table7Shape|CBIRShape|AblateDescriptorShape|DifficultySweepShape|AblateGeometricShape|PruneSweepShape)$' ./internal/bench
 
 # The same SIFT goldens and tier tests built for GOAMD64=v3: the compiler
 # may pick other instructions for the scalar oracles at that level (it
