@@ -16,11 +16,12 @@
 // clock, and the allocation probes. Wall-clock serving under load is
 // measured by the benchmark/ module, not here.
 //
-// Timing experiments always run at the paper's full dimensions (phantom
-// batches); accuracy experiments (Tables 2 and 7) search through the
-// serving engine on a scaled-down synthetic dataset — raise
-// -refs/-queries/-feature-scale to approach paper scale at the cost of CPU
-// time.
+// Timing experiments run phantom searches (dimensions only, no data)
+// through the serving engine at the paper's full dimensions; accuracy
+// experiments (Tables 2 and 7) search through the same engine on a
+// scaled-down synthetic dataset — raise -refs/-queries/-feature-scale to
+// approach paper scale at the cost of CPU time. Each of those sizes, and
+// -image-size, -system-refs and -min-matches, must be at least 1 (exit 2).
 package main
 
 import (
@@ -75,11 +76,21 @@ func main() {
 		return
 	}
 
-	// A threshold below 1 accepts every best candidate; the accuracy
-	// engines would reject it, but only from inside a run.
-	if opts.MinMatches < 1 {
-		fmt.Fprintf(os.Stderr, "texbench: -min-matches %d must be at least 1\n", opts.MinMatches)
-		os.Exit(2)
+	// No experiment can run with one of these below 1: it would be an empty
+	// dataset or image, a division by the feature scale or the system's
+	// reference count, or a threshold that accepts every best candidate.
+	// Rejecting them here fails the run before any experiment starts.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"refs", opts.Refs}, {"queries", opts.Queries}, {"image-size", opts.ImageSize},
+		{"feature-scale", opts.FeatureScale}, {"system-refs", opts.SystemRefs}, {"min-matches", opts.MinMatches},
+	} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "texbench: -%s %d must be at least 1\n", f.name, f.v)
+			os.Exit(2)
+		}
 	}
 
 	start := time.Now()

@@ -5,27 +5,23 @@ import (
 
 	"texid/internal/engine"
 	"texid/internal/gpusim"
+	"texid/internal/knn"
 )
 
 // The ablations isolate the design choices DESIGN.md calls out. They are
 // extensions beyond the paper's own tables (texbench ids: qbatch,
 // ablate-sort, ablate-swap, ablate-jitter).
 
-// QueryBatch explores the Sec. 5.3 trade-off the paper defers: batching
+// queryBatch explores the Sec. 5.3 trade-off the paper defers: batching
 // *queries* raises GEMM data reuse (throughput) but couples every query's
 // latency to the batch. One row per query-batch size.
-func QueryBatch(opts Options) *Table {
+func (r *runner) queryBatch() *Table {
 	t := &Table{
 		ID:     "QBatch",
 		Title:  "Query batching (extension; Sec. 5.3 trade-off): batch 256 refs, m=n=768, P100",
 		Header: []string{"Query batch", "Throughput (cmp/s)", "Per-query latency (ms)", "Latency x"},
 	}
-	cfg := engine.DefaultConfig()
-	cfg.BatchSize = 256
-	cfg.Streams = 1
-	cfg.RefFeatures = paperM
-	cfg.QueryFeatures = paperN
-	e, err := engine.New(cfg)
+	e, err := engine.New(phantomConfig(gpusim.TeslaP100(), knn.RootSIFT, gpusim.FP16, 256, paperM, paperN, paperD))
 	if err != nil {
 		panic(fmt.Sprintf("bench: engine: %v", err))
 	}
@@ -49,10 +45,10 @@ func QueryBatch(opts Options) *Table {
 	return t
 }
 
-// AblateSort compares the modified insertion sort of the reference cuBLAS
+// ablateSort compares the modified insertion sort of the reference cuBLAS
 // KNN [9] against the paper's single-pass top-2 scan across batch sizes:
 // the scan's advantage is largest exactly where the pipeline lives.
-func AblateSort(opts Options) *Table {
+func (r *runner) ablateSort() *Table {
 	spec := gpusim.TeslaP100()
 	t := &Table{
 		ID:     "Ablate-sort",
@@ -68,11 +64,11 @@ func AblateSort(opts Options) *Table {
 	return t
 }
 
-// AblateSwap isolates the hybrid cache's swap granularity: streaming a
+// ablateSwap isolates the hybrid cache's swap granularity: streaming a
 // batch as one DMA transfer vs one transfer per reference matrix. Per-image
 // transfers pay the PCIe setup latency hundreds of times per batch — the
 // paper's "more efficient to transmit a large block in single DMA".
-func AblateSwap(opts Options) *Table {
+func (r *runner) ablateSwap() *Table {
 	spec := gpusim.TeslaP100()
 	t := &Table{
 		ID:     "Ablate-swap",
@@ -91,25 +87,23 @@ func AblateSwap(opts Options) *Table {
 	return t
 }
 
-// AblateJitter sweeps the cloud-VM jitter model: with no jitter the
+// ablateJitter sweeps the cloud-VM jitter model: with no jitter the
 // discrete-event pipeline overlaps almost perfectly at 2 streams; as
 // variance grows, more streams are needed to keep the copy engine busy —
 // the mechanism behind Table 6's efficiency climb.
-func AblateJitter(opts Options) *Table {
+func (r *runner) ablateJitter() *Table {
 	t := &Table{
 		ID:     "Ablate-jitter",
 		Title:  "Schedule efficiency vs cloud-VM jitter (batch 512, host-resident, pinned)",
 		Header: []string{"Jitter CoV", "1 stream", "2 streams", "4 streams", "8 streams"},
 	}
 	base := gpusim.TeslaP100()
-	const nBatches = 16
 	bytesPerImage := float64(paperM * paperD * 2)
-	theoretical := base.PCIePinnedGBs * 1e9 / bytesPerImage * nBatches / (nBatches - 1)
+	theoretical := base.PCIePinnedGBs * 1e9 / bytesPerImage * hostBatches / (hostBatches - 1)
 	for _, cov := range []float64{0, 0.25, 0.45, 0.9} {
 		row := []string{f2(cov)}
 		for _, streams := range []int{1, 2, 4, 8} {
-			speed, _ := jitteredHybridSpeed(base, cov, uint64(opts.Seed)+17,
-				512, streams, nBatches, paperM, paperN, true)
+			speed, _ := jitteredHostSpeed(base, cov, uint64(r.opts.Seed)+17, 512, streams)
 			row = append(row, pct(speed/theoretical))
 		}
 		t.AddRow(row...)

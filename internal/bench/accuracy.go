@@ -12,7 +12,6 @@ import (
 	"texid/internal/knn"
 	"texid/internal/match"
 	"texid/internal/sift"
-	"texid/internal/texture"
 )
 
 // accDataset is the functional accuracy benchmark: real SIFT features
@@ -22,26 +21,6 @@ type accDataset struct {
 	refs    []*sift.Features // raw SIFT, response-sorted, norm-512
 	queries []*sift.Features
 	truth   []int // the reference each query shows
-}
-
-// buildAccDataset renders the dataset and extracts features once.
-func buildAccDataset(opts Options) *accDataset {
-	ds := renderDataset(opts)
-	return &accDataset{refs: extractAll(ds.Refs), queries: extractAll(ds.Queries), truth: ds.Truth}
-}
-
-// renderDataset renders the synthetic dataset that opts sizes.
-func renderDataset(opts Options) *texture.Dataset {
-	p := texture.DefaultGenParams()
-	p.Size = opts.ImageSize
-	return texture.BuildDataset(opts.Seed, opts.Refs, opts.Queries, opts.Difficulty, p)
-}
-
-// extractAll extracts every SIFT feature of each image; experiments trim.
-func extractAll(ims []*texture.Image) []*sift.Features {
-	cfg := sift.DefaultConfig()
-	cfg.MaxFeatures = 0
-	return sift.ExtractBatch(ims, cfg)
 }
 
 // trim returns the first k response-ranked descriptor columns as a fresh
@@ -196,13 +175,10 @@ func compressionError(ds *accDataset, m, n int, scale float32, accum blas.AccumM
 	return relSum / float64(count), false
 }
 
-// Table2 reproduces Table 2: FP16 compression error and top-1 search
+// table2 reproduces Table 2: FP16 compression error and top-1 search
 // accuracy across scale factors, on real (scaled-down) SIFT features.
-func Table2(opts Options) *Table {
-	return table2WithDataset(buildAccDataset(opts), opts)
-}
-
-func table2WithDataset(ds *accDataset, opts Options) *Table {
+func (r *runner) table2() *Table {
+	opts, ds := r.opts, r.dataset()
 	m := opts.scaled(768)
 	n := opts.scaled(768)
 	t := &Table{
@@ -239,15 +215,12 @@ func table2WithDataset(ds *accDataset, opts Options) *Table {
 	return t
 }
 
-// Table7 reproduces Table 7: accuracy and speed of asymmetric feature
+// table7 reproduces Table 7: accuracy and speed of asymmetric feature
 // extraction. Accuracy runs the real pipeline at scaled dimensions (FP32
-// matching; the FP16 delta is covered by Table 2); speed runs phantom
-// batches at the paper's full dimensions.
-func Table7(opts Options) *Table {
-	return table7WithDataset(buildAccDataset(opts), opts)
-}
-
-func table7WithDataset(ds *accDataset, opts Options) *Table {
+// matching; the FP16 delta is covered by Table 2); speed runs a phantom
+// search at the paper's full dimensions.
+func (r *runner) table7() *Table {
+	opts, ds := r.opts, r.dataset()
 	t := &Table{
 		ID: "Table 7",
 		Title: fmt.Sprintf("Asymmetric feature counts: accuracy (scaled 1/%d, %d refs, %d queries) and speed (batch 256)",
@@ -262,8 +235,8 @@ func table7WithDataset(ds *accDataset, opts Options) *Table {
 	for _, c := range configs {
 		m, n := c[0], c[1]
 		acc := top1Accuracy(ds, accConfig(knn.RootSIFT, gpusim.FP32, opts.scaled(m), opts.scaled(n), opts), true)
-		_, tot := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 256, m, n, paperD)
-		speed := 256e6 / tot
+		_, rep := phantomSearch(phantomConfig(spec, knn.RootSIFT, gpusim.FP16, 256, m, n, paperD), 1)
+		speed := 256e6 / rep.ElapsedUS
 		t.AddRow(fmt.Sprintf("%d", m), fmt.Sprintf("%d", n), pct(acc), f0(speed))
 	}
 	t.AddNote("paper accuracy: 97.74 / 97.74 / 97.46 / 94.07 (m sweep); 98.02 / 95.76 / 91.81 (n sweep around m=384)")

@@ -1,39 +1,43 @@
 package bench
 
-import "fmt"
+import (
+	"fmt"
 
-// experiment is one entry of the registry: run runs it alone; shared, when
-// set, runs it on a prebuilt accuracy dataset, which All builds once.
+	"texid/internal/sift"
+	"texid/internal/texture"
+)
+
+// experiment is one entry of the registry: run renders its table on the
+// invocation's runner.
 type experiment struct {
-	id     string
-	run    func(Options) *Table
-	shared func(*accDataset, Options) *Table
+	id  string
+	run func(*runner) *Table
 }
 
 // registry lists every reproducible table and figure in output order,
 // followed by the ablation/extension experiments.
 var registry = []experiment{
-	{id: "table1", run: Table1},
-	{id: "table2", run: Table2, shared: table2WithDataset},
-	{id: "table3", run: Table3},
-	{id: "table4", run: Table4},
-	{id: "table5", run: Table5},
-	{id: "table6", run: Table6},
-	{id: "table7", run: Table7, shared: table7WithDataset},
-	{id: "fig1", run: Fig1},
-	{id: "fig4", run: Fig4},
-	{id: "system", run: System},
-	{id: "qbatch", run: QueryBatch},
-	{id: "ablate-sort", run: AblateSort},
-	{id: "ablate-swap", run: AblateSwap},
-	{id: "ablate-jitter", run: AblateJitter},
-	{id: "ablate-descriptor", run: AblateDescriptor},
-	{id: "ablate-geometric", run: AblateGeometric, shared: geometricWithDataset},
-	{id: "cbir", run: CBIR, shared: cbirWithDataset},
-	{id: "verify-cost", run: VerifyCost},
-	{id: "difficulty", run: DifficultySweep},
-	{id: "devices", run: DeviceProjection},
-	{id: "prune", run: PruneSweep, shared: pruneWithDataset},
+	{"table1", (*runner).table1},
+	{"table2", (*runner).table2},
+	{"table3", (*runner).table3},
+	{"table4", (*runner).table4},
+	{"table5", (*runner).table5},
+	{"table6", (*runner).table6},
+	{"table7", (*runner).table7},
+	{"fig1", (*runner).fig1},
+	{"fig4", (*runner).fig4},
+	{"system", (*runner).system},
+	{"qbatch", (*runner).queryBatch},
+	{"ablate-sort", (*runner).ablateSort},
+	{"ablate-swap", (*runner).ablateSwap},
+	{"ablate-jitter", (*runner).ablateJitter},
+	{"ablate-descriptor", (*runner).ablateDescriptor},
+	{"ablate-geometric", (*runner).ablateGeometric},
+	{"cbir", (*runner).cbir},
+	{"verify-cost", (*runner).verifyCost},
+	{"difficulty", (*runner).difficultySweep},
+	{"devices", (*runner).deviceProjection},
+	{"prune", (*runner).pruneSweep},
 }
 
 // Experiments lists every experiment id, in registry order.
@@ -49,23 +53,54 @@ var Experiments = func() []string {
 func Run(id string, opts Options) (*Table, error) {
 	for _, e := range registry {
 		if e.id == id {
-			return e.run(opts), nil
+			return e.run(&runner{opts: opts}), nil
 		}
 	}
 	return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments)
 }
 
-// All runs every experiment. The accuracy dataset is built once and shared
-// between the experiments that take one.
+// All runs every experiment on one runner, so the accuracy dataset is
+// rendered and extracted once for all of them.
 func All(opts Options) []*Table {
-	ds := buildAccDataset(opts)
+	r := &runner{opts: opts}
 	tables := make([]*Table, len(registry))
 	for i, e := range registry {
-		if e.shared != nil {
-			tables[i] = e.shared(ds, opts)
-		} else {
-			tables[i] = e.run(opts)
-		}
+		tables[i] = e.run(r)
 	}
 	return tables
+}
+
+// runner is one invocation of the experiments. It renders the synthetic
+// dataset opts sizes and SIFT-extracts it at most once, on first use;
+// experiments read both and never write to them (trim copies).
+type runner struct {
+	opts  Options
+	ims   *texture.Dataset
+	feats *accDataset
+}
+
+// images returns the rendered dataset.
+func (r *runner) images() *texture.Dataset {
+	if r.ims == nil {
+		p := texture.DefaultGenParams()
+		p.Size = r.opts.ImageSize
+		r.ims = texture.BuildDataset(r.opts.Seed, r.opts.Refs, r.opts.Queries, r.opts.Difficulty, p)
+	}
+	return r.ims
+}
+
+// dataset returns every SIFT feature of the rendered dataset's images.
+func (r *runner) dataset() *accDataset {
+	if r.feats == nil {
+		ims := r.images()
+		r.feats = &accDataset{refs: extractAll(ims.Refs), queries: extractAll(ims.Queries), truth: ims.Truth}
+	}
+	return r.feats
+}
+
+// extractAll extracts every SIFT feature of each image; experiments trim.
+func extractAll(ims []*texture.Image) []*sift.Features {
+	cfg := sift.DefaultConfig()
+	cfg.MaxFeatures = 0
+	return sift.ExtractBatch(ims, cfg)
 }

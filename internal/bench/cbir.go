@@ -10,16 +10,13 @@ import (
 	"texid/internal/match"
 )
 
-// CBIR reproduces the Sec. 2 argument as an experiment (extension): on the
+// cbir reproduces the Sec. 2 argument as an experiment (extension): on the
 // same dataset and feature budgets, compare the paper's per-image 2-NN
 // matching against the CBIR pattern it rejects — a single pooled feature
 // index, exact and product-quantized. Identification accuracy uses the
 // same open-set top-1 rule everywhere.
-func CBIR(opts Options) *Table {
-	return cbirWithDataset(buildAccDataset(opts), opts)
-}
-
-func cbirWithDataset(ds *accDataset, opts Options) *Table {
+func (r *runner) cbir() *Table {
+	opts, ds := r.opts, r.dataset()
 	m := opts.scaled(384)
 	n := opts.scaled(768)
 	t := &Table{

@@ -10,13 +10,14 @@ import (
 	"texid/internal/surf"
 )
 
-// AblateDescriptor compares the paper's SIFT (d=128) pipeline against the
+// ablateDescriptor compares the paper's SIFT (d=128) pipeline against the
 // two alternative descriptors Sec. 3.1 names: SURF (d=64, half the GEMM
 // work and feature memory) and ORB (256-bit binary codes under Hamming
 // distance, which the cuBLAS machinery cannot accelerate at all). Accuracy
 // runs the real extractors on the same dataset; GEMM speeds come from the
 // simulated batched matcher at the paper's feature counts.
-func AblateDescriptor(opts Options) *Table {
+func (r *runner) ablateDescriptor() *Table {
+	opts := r.opts
 	m := opts.scaled(768)
 	n := opts.scaled(768)
 	t := &Table{
@@ -26,15 +27,16 @@ func AblateDescriptor(opts Options) *Table {
 		Header: []string{"Descriptor", "d", "KB per reference (FP16, m=768)", "Top-1 accuracy", "Speed (images/s)"},
 	}
 
-	// Shared image dataset.
-	ds := renderDataset(opts)
+	ds := r.images()
 	spec := gpusim.TeslaP100()
+	speed := func(d int) string {
+		_, rep := phantomSearch(phantomConfig(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, d), 1)
+		return f0(1024e6 / rep.ElapsedUS)
+	}
 
 	// SIFT (RootSIFT, the production pipeline).
-	siftDS := &accDataset{refs: extractAll(ds.Refs), queries: extractAll(ds.Queries), truth: ds.Truth}
-	siftAcc := top1Accuracy(siftDS, accConfig(knn.RootSIFT, gpusim.FP32, m, n, opts), true)
-	_, siftTot := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, 128)
-	t.AddRow("SIFT + RootSIFT", "128", f1(float64(768*128*2)/1024), pct(siftAcc), f0(1024e6/siftTot))
+	siftAcc := top1Accuracy(r.dataset(), accConfig(knn.RootSIFT, gpusim.FP32, m, n, opts), true)
+	t.AddRow("SIFT + RootSIFT", "128", f1(float64(768*128*2)/1024), pct(siftAcc), speed(128))
 
 	// SURF (unit-norm descriptors, same Algorithm 2 matcher).
 	surfCfg := surf.DefaultConfig()
@@ -49,8 +51,7 @@ func AblateDescriptor(opts Options) *Table {
 	surfSearch := accConfig(knn.RootSIFT, gpusim.FP32, m, n, opts)
 	surfSearch.Dim = surf.DescriptorDim
 	surfAcc := top1Accuracy(surfDS, surfSearch, false /* already unit-norm */)
-	_, surfTot := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, 64)
-	t.AddRow("SURF", "64", f1(float64(768*64*2)/1024), pct(surfAcc), f0(1024e6/surfTot))
+	t.AddRow("SURF", "64", f1(float64(768*64*2)/1024), pct(surfAcc), speed(64))
 
 	// ORB (binary codes, Hamming matching — the Sec. 3.1 third option).
 	orbCfg := orb.DefaultConfig()

@@ -7,14 +7,14 @@ import (
 	"texid/internal/knn"
 )
 
-// DeviceProjection (extension) runs the production pipeline configuration
+// deviceProjection (extension) runs the production pipeline configuration
 // across the GPU generations the paper names (P100, V100, A100) and
 // reports the end-to-end speed, the PCIe-bound hybrid streaming ceiling,
 // and which resource binds. On newer parts the compute bound rises much
 // faster than the PCIe bound — so the hybrid cache's streaming design,
 // marginal on the P100, becomes the limiting factor, and asymmetric
 // extraction (halving bytes per image) matters even more.
-func DeviceProjection(opts Options) *Table {
+func (r *runner) deviceProjection() *Table {
 	t := &Table{
 		ID:     "Devices",
 		Title:  "Pipeline projection across GPU generations (batch 1024, FP16, m=n=768)",
@@ -28,8 +28,8 @@ func DeviceProjection(opts Options) *Table {
 	}
 	bytesPerImage := float64(paperM * paperD * 2)
 	for _, spec := range specs {
-		_, tot := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, paperD)
-		resident := 1024e6 / tot
+		_, rep := phantomSearch(phantomConfig(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, paperD), 1)
+		resident := 1024e6 / rep.ElapsedUS
 		pcie := spec.PCIePinnedGBs * 1e9 / bytesPerImage
 		binding := "compute"
 		if pcie < resident {

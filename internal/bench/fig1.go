@@ -5,11 +5,11 @@ import (
 	"texid/internal/knn"
 )
 
-// Fig1 reproduces Fig. 1: capacity and speed as the four optimizations
+// fig1 reproduces Fig. 1: capacity and speed as the four optimizations
 // stack, from the OpenCV-CUDA baseline to the full production
 // configuration (cuBLAS top-2, FP16, RootSIFT batching, hybrid cache with
 // streams, asymmetric features).
-func Fig1(opts Options) *Table {
+func (r *runner) fig1() *Table {
 	spec := gpusim.TeslaP100()
 	t := &Table{
 		ID:     "Fig 1",
@@ -30,6 +30,12 @@ func Fig1(opts Options) *Table {
 		return b
 	}
 
+	// resident is the GPU-resident speed of one batch of the given variant.
+	resident := func(algo knn.Algorithm, prec gpusim.Precision, batch, m int) float64 {
+		_, rep := phantomSearch(phantomConfig(spec, algo, prec, batch, m, paperN, paperD), 1)
+		return float64(batch) * 1e6 / rep.ElapsedUS
+	}
+
 	type stage struct {
 		name     string
 		speed    float64
@@ -38,29 +44,23 @@ func Fig1(opts Options) *Table {
 	var stages []stage
 
 	// 1. Baseline: OpenCV-CUDA brute force, FP32, GPU memory only.
-	_, tot := runPhantomMatch(spec, knn.Baseline, gpusim.FP32, 1, paperM, paperN, paperD)
-	stages = append(stages, stage{"baseline: OpenCV CUDA, FP32", 1e6 / tot, gpuBytes / perRef(paperM, gpusim.FP32, true)})
+	stages = append(stages, stage{"baseline: OpenCV CUDA, FP32", resident(knn.Baseline, gpusim.FP32, 1, paperM), gpuBytes / perRef(paperM, gpusim.FP32, true)})
 
 	// 2. cuBLAS with the single-pass top-2 scan.
-	_, tot = runPhantomMatch(spec, knn.Eq1Top2, gpusim.FP32, 1, paperM, paperN, paperD)
-	stages = append(stages, stage{"+ cuBLAS + top-2 scan", 1e6 / tot, gpuBytes / perRef(paperM, gpusim.FP32, true)})
+	stages = append(stages, stage{"+ cuBLAS + top-2 scan", resident(knn.Eq1Top2, gpusim.FP32, 1, paperM), gpuBytes / perRef(paperM, gpusim.FP32, true)})
 
 	// 3. FP16 feature storage.
-	_, tot = runPhantomMatch(spec, knn.Eq1Top2, gpusim.FP16, 1, paperM, paperN, paperD)
-	stages = append(stages, stage{"+ FP16", 1e6 / tot, gpuBytes / perRef(paperM, gpusim.FP16, true)})
+	stages = append(stages, stage{"+ FP16", resident(knn.Eq1Top2, gpusim.FP16, 1, paperM), gpuBytes / perRef(paperM, gpusim.FP16, true)})
 
 	// 4. RootSIFT + batching (batch 1024).
-	_, tot = runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, paperD)
-	stages = append(stages, stage{"+ RootSIFT + batch 1024", 1024e6 / tot, gpuBytes / perRef(paperM, gpusim.FP16, false)})
+	stages = append(stages, stage{"+ RootSIFT + batch 1024", resident(knn.RootSIFT, gpusim.FP16, 1024, paperM), gpuBytes / perRef(paperM, gpusim.FP16, false)})
 
 	// 5. Hybrid cache + 8 streams (host-resident references, jittered VM).
-	speed, _ := jitteredHybridSpeed(spec, opts.JitterCoV, uint64(opts.Seed)+11,
-		512, 8, 16, paperM, paperN, true)
+	speed, _ := jitteredHostSpeed(spec, r.opts.JitterCoV, uint64(r.opts.Seed)+11, 512, 8)
 	stages = append(stages, stage{"+ hybrid cache + 8 streams", speed, hybridBytes / perRef(paperM, gpusim.FP16, false)})
 
 	// 6. Asymmetric features m=384, n=768 (batch 256, as in Table 7).
-	_, tot = runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 256, 384, paperN, paperD)
-	stages = append(stages, stage{"+ asymmetric m=384", 256e6 / tot, hybridBytes / perRef(384, gpusim.FP16, false)})
+	stages = append(stages, stage{"+ asymmetric m=384", resident(knn.RootSIFT, gpusim.FP16, 256, 384), hybridBytes / perRef(384, gpusim.FP16, false)})
 
 	base := stages[0]
 	for _, s := range stages {

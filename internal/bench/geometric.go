@@ -8,7 +8,7 @@ import (
 	"texid/internal/match"
 )
 
-// AblateGeometric isolates the pipeline's final stage (Fig. 2): RANSAC
+// ablateGeometric isolates the pipeline's final stage (Fig. 2): RANSAC
 // geometric verification. Raw ratio-test matches occasionally agree by
 // accident — repetitive texture produces a handful of scattered false
 // correspondences — so at an aggressive acceptance threshold, foreign
@@ -17,11 +17,8 @@ import (
 // matches never do. The experiment measures true-query accuracy and
 // foreign-query false-accept rate with and without verification at a low
 // threshold.
-func AblateGeometric(opts Options) *Table {
-	return geometricWithDataset(buildAccDataset(opts), opts)
-}
-
-func geometricWithDataset(ds *accDataset, opts Options) *Table {
+func (r *runner) ablateGeometric() *Table {
+	opts, ds := r.opts, r.dataset()
 	const lowThreshold = 3
 	t := &Table{
 		ID: "Ablate-geometric",
@@ -34,7 +31,7 @@ func geometricWithDataset(ds *accDataset, opts Options) *Table {
 	// reference is theirs and every acceptance is a false one.
 	fo := opts
 	fo.Seed, fo.Refs = opts.Seed+999_999, opts.Queries
-	fq := extractAll(renderDataset(fo).Queries)
+	fq := extractAll((&runner{opts: fo}).images().Queries)
 	foreign := &accDataset{refs: ds.refs, queries: fq, truth: make([]int, len(fq))}
 	for i := range foreign.truth {
 		foreign.truth[i] = -1

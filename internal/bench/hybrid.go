@@ -8,53 +8,38 @@ import (
 	"texid/internal/knn"
 )
 
-// hybridSearchSpeed builds a phantom engine where all but one batch of
-// references is host-resident, runs one search, and returns the achieved
-// speed plus the engine's workspace size.
-func hybridSearchSpeed(spec gpusim.DeviceSpec, batch, streams, nBatches, m, n int, allGPU, pinned bool) (speed float64, workspaceGB float64) {
-	cfg := engine.DefaultConfig()
-	cfg.Spec = spec
-	cfg.BatchSize = batch
-	cfg.Streams = streams
-	cfg.Precision = gpusim.FP16
-	cfg.Algorithm = knn.RootSIFT
-	cfg.RefFeatures = m
-	cfg.QueryFeatures = n
-	cfg.Dim = paperD
-	cfg.PinnedHost = pinned
-	cfg.HostCacheBytes = 256 << 30
-	if !allGPU {
-		// Budget for exactly one resident batch: everything else demotes
-		// to the host level and must stream over PCIe per search.
-		cfg.GPUCacheBytes = int64(batch)*int64(m)*int64(paperD)*2 + 1
-	}
-	e, err := engine.New(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("bench: engine: %v", err))
-	}
-	if err := e.AddPhantom(0, nBatches*batch); err != nil {
-		panic(fmt.Sprintf("bench: phantom refs: %v", err))
-	}
-	rep, err := e.Search(nil, nil)
-	if err != nil {
-		panic(fmt.Sprintf("bench: search: %v", err))
-	}
-	return rep.Speed, e.Stats().WorkspaceGB
+// hostBatches is how many reference batches jitteredHostSpeed enrolls: the
+// GPU cache holds one of them, the rest stream over PCIe per search.
+const hostBatches = 16
+
+// hostConfig is phantomConfig's production shape (RootSIFT, FP16, m=n=768)
+// at the given batch size and stream count, with a GPU cache budget of
+// exactly one resident batch: every other batch demotes to the host level
+// and must stream over PCIe, pinned or pageable, per search.
+func hostConfig(spec gpusim.DeviceSpec, batch, streams int, pinned bool) engine.Config {
+	cfg := phantomConfig(spec, knn.RootSIFT, gpusim.FP16, batch, paperM, paperN, paperD)
+	cfg.Streams, cfg.PinnedHost = streams, pinned
+	cfg.GPUCacheBytes = int64(batch)*int64(paperM)*int64(paperD)*2 + 1
+	return cfg
 }
 
-// Table5 reproduces Table 5: search speed with the hybrid memory cache —
+// table5 reproduces Table 5: search speed with the hybrid memory cache —
 // GPU-resident vs host-resident with and without pinned memory (batch
 // 1024, single stream).
-func Table5(opts Options) *Table {
+func (r *runner) table5() *Table {
 	spec := gpusim.TeslaP100()
 	t := &Table{
 		ID:     "Table 5",
 		Title:  "Hybrid memory cache, m=n=768, batch 1024, 1 stream, Tesla P100",
 		Header: []string{"Cache type", "Speed (images/s)"},
 	}
-	gpu, _ := hybridSearchSpeed(spec, 1024, 1, 8, paperM, paperN, true, true)
-	pageable, _ := hybridSearchSpeed(spec, 1024, 1, 8, paperM, paperN, false, false)
-	pinned, _ := hybridSearchSpeed(spec, 1024, 1, 8, paperM, paperN, false, true)
+	speed := func(cfg engine.Config) float64 {
+		_, rep := phantomSearch(cfg, 8)
+		return rep.Speed
+	}
+	gpu := speed(phantomConfig(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, paperD))
+	pageable := speed(hostConfig(spec, 1024, 1, false))
+	pinned := speed(hostConfig(spec, 1024, 1, true))
 	t.AddRow("GPU memory", f0(gpu))
 	t.AddRow("Host memory w/o pinned memory", f0(pageable))
 	t.AddRow("Host memory w/ pinned memory", f0(pinned))
@@ -63,9 +48,10 @@ func Table5(opts Options) *Table {
 	return t
 }
 
-// jitteredHybridSpeed averages hybridSearchSpeed over several jitter seeds
-// (a single seed draw swings the PCIe-bound makespan by ~±12%).
-func jitteredHybridSpeed(base gpusim.DeviceSpec, cov float64, seed0 uint64, batch, streams, nBatches, m, n int, pinned bool) (speed, wsGB float64) {
+// jitteredHostSpeed averages the speed of hostConfig's pinned phantom
+// search over several jitter seeds (a single seed draw swings the
+// PCIe-bound makespan by ~±12%) and reports the engine's workspace.
+func jitteredHostSpeed(base gpusim.DeviceSpec, cov float64, seed0 uint64, batch, streams int) (speed, wsGB float64) {
 	reps := 8
 	if cov == 0 {
 		reps = 1
@@ -73,17 +59,17 @@ func jitteredHybridSpeed(base gpusim.DeviceSpec, cov float64, seed0 uint64, batc
 	var sum float64
 	for r := 0; r < reps; r++ {
 		spec := gpusim.WithJitter(base, cov, seed0+uint64(r)*101)
-		s, ws := hybridSearchSpeed(spec, batch, streams, nBatches, m, n, false, pinned)
-		sum += s
-		wsGB = ws
+		e, rep := phantomSearch(hostConfig(spec, batch, streams, true), hostBatches)
+		sum += rep.Speed
+		wsGB = e.Stats().WorkspaceGB
 	}
 	return sum / float64(reps), wsGB
 }
 
-// Table6 reproduces Table 6: multi-stream recovery of the hybrid-cache
+// table6 reproduces Table 6: multi-stream recovery of the hybrid-cache
 // speed loss — batch {512, 256} x streams {1, 2, 4, 8}, host-resident
 // references, pinned memory, with cloud-VM jitter enabled.
-func Table6(opts Options) *Table {
+func (r *runner) table6() *Table {
 	base := gpusim.TeslaP100()
 	t := &Table{
 		ID:     "Table 6",
@@ -93,13 +79,11 @@ func Table6(opts Options) *Table {
 	// Theoretical peak: the search is PCIe-bound when references stream
 	// from the host — bytes per image over the pinned link, adjusted for
 	// the one batch (of 16) that stays GPU-resident and needs no copy.
-	const nBatches = 16
 	bytesPerImage := float64(paperM * paperD * 2)
-	theoretical := base.PCIePinnedGBs * 1e9 / bytesPerImage * nBatches / (nBatches - 1)
+	theoretical := base.PCIePinnedGBs * 1e9 / bytesPerImage * hostBatches / (hostBatches - 1)
 	for _, batch := range []int{512, 256} {
 		for _, streams := range []int{1, 2, 4, 8} {
-			speed, wsGB := jitteredHybridSpeed(base, opts.JitterCoV, uint64(opts.Seed)+7,
-				batch, streams, nBatches, paperM, paperN, true)
+			speed, wsGB := jitteredHostSpeed(base, r.opts.JitterCoV, uint64(r.opts.Seed)+7, batch, streams)
 			t.AddRow(fmt.Sprintf("%d", batch), fmt.Sprintf("%d", streams),
 				f2(wsGB), f0(speed), pct(speed/theoretical))
 		}

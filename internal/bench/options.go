@@ -4,7 +4,8 @@ package bench
 // paper's full dimensions (they use phantom batches, which cost nothing to
 // "compute"); accuracy experiments run the real functional pipeline on the
 // synthetic dataset, so their sizes are scaled down by default to stay
-// tractable on a laptop CPU. Every knob can be raised toward paper scale.
+// tractable on a laptop CPU. Every knob can be raised toward paper scale;
+// every count and size must be at least 1 (texbench rejects less).
 type Options struct {
 	// Seed makes every experiment deterministic.
 	Seed int64
@@ -56,11 +57,7 @@ func DefaultOptions() Options {
 
 // scaled divides a paper-scale feature budget by FeatureScale.
 func (o Options) scaled(n int) int {
-	s := o.FeatureScale
-	if s <= 0 {
-		s = 1
-	}
-	v := n / s
+	v := n / o.FeatureScale
 	if v < 8 {
 		v = 8
 	}

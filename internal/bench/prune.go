@@ -7,18 +7,15 @@ import (
 	"texid/internal/knn"
 )
 
-// PruneSweep measures the binary Hamming prefilter (extension): for each
+// pruneSweep measures the binary Hamming prefilter (extension): for each
 // candidate budget C the table reports candidate recall (did the true
 // reference survive the prefilter into the rerank set), end-to-end open-set
 // top-1 accuracy, the average number of references reranked, and the
 // simulated per-query device time. C=0 is the unpruned baseline. The sweep
 // is the acceptance gate for any change to the prefilter: accuracy at the
 // default budget must match the unpruned row.
-func PruneSweep(opts Options) *Table {
-	return pruneWithDataset(buildAccDataset(opts), opts)
-}
-
-func pruneWithDataset(ds *accDataset, opts Options) *Table {
+func (r *runner) pruneSweep() *Table {
+	opts, ds := r.opts, r.dataset()
 	m := opts.scaled(384)
 	n := opts.scaled(768)
 	t := &Table{
@@ -32,17 +29,17 @@ func pruneWithDataset(ds *accDataset, opts Options) *Table {
 		// FP32: accuracy sweep, the FP16 delta is Table 2's job.
 		cfg := accConfig(knn.RootSIFT, gpusim.FP32, m, n, opts)
 		cfg.BatchSize, cfg.Streams, cfg.PruneC = 8, 2, c
-		r := searchAccuracy(ds, cfg, true)
+		got := searchAccuracy(ds, cfg, true)
 		nq := float64(len(ds.queries))
 		label := fmt.Sprintf("%d", c)
 		if c == 0 {
 			label = "off"
 		}
 		t.AddRow(label,
-			pct(float64(r.recalled)/nq),
-			pct(float64(r.correct)/nq),
-			fmt.Sprintf("%.1f", float64(r.compared)/nq),
-			fmt.Sprintf("%.0f", r.simUS/nq))
+			pct(float64(got.recalled)/nq),
+			pct(float64(got.correct)/nq),
+			fmt.Sprintf("%.1f", float64(got.compared)/nq),
+			fmt.Sprintf("%.0f", got.simUS/nq))
 	}
 	t.AddNote("candidate recall counts queries whose true reference survives into the exact rerank; " +
 		"top-1 applies the open-set MinMatches rule after the rerank")

@@ -9,13 +9,13 @@ import (
 	"texid/internal/knn"
 )
 
-// System reproduces the Sec. 8 deployment: 14 Tesla P100 containers, each
+// system reproduces the Sec. 8 deployment: 14 Tesla P100 containers, each
 // with a 76 GB hybrid cache (16 GB GPU with 4 GB reserved for engine
 // workspace + 64 GB host), the production engine configuration (RootSIFT,
 // FP16, asymmetric m=384/n=768, batch 256, 8 streams), and phantom
 // references filling a scaled-down index with the paper's GPU:host
 // residency ratio.
-func System(opts Options) *Table {
+func (r *runner) system() *Table {
 	t := &Table{
 		ID:     "Sec 8",
 		Title:  "Distributed texture search system (14 GPU containers)",
@@ -31,11 +31,9 @@ func System(opts Options) *Table {
 
 	// Measured aggregate speed on a scaled index that preserves the
 	// paper's ~16% GPU / 84% host residency split.
+	opts := r.opts
 	scale := int64(1)
 	refs := opts.SystemRefs
-	if refs <= 0 {
-		refs = 1_000_000
-	}
 	if int64(refs) < fullCapacity {
 		scale = (fullCapacity + int64(refs) - 1) / int64(refs)
 	}
@@ -72,8 +70,8 @@ func System(opts Options) *Table {
 	// The paper's headline 872,984 images/s is 14x its Table 7 single-GPU
 	// figure (62,356 at m=384, batch 256, GPU-resident). Report both that
 	// basis and the stricter measured hybrid-streaming number.
-	_, tot := runPhantomMatch(gpusim.TeslaP100(), knn.RootSIFT, gpusim.FP16, 256, 384, 768, paperD)
-	table7Basis := float64(workers) * 256e6 / tot
+	_, t7 := phantomSearch(phantomConfig(gpusim.TeslaP100(), knn.RootSIFT, gpusim.FP16, 256, 384, 768, paperD), 1)
+	table7Basis := float64(workers) * 256e6 / t7.ElapsedUS
 
 	t.AddRow("GPU containers", fmt.Sprintf("%d", workers), "14")
 	t.AddRow("Hybrid cache (GB total)", f0(float64(fullCacheBytes)/(1<<30)), "1064")

@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"texid/internal/blas"
+	"texid/internal/engine"
 	"texid/internal/gpusim"
 	"texid/internal/knn"
 )
@@ -19,31 +19,35 @@ const (
 // flopsPerImage is the similarity-matrix work per reference image.
 func flopsPerImage(m, n, d int) float64 { return 2 * float64(m) * float64(n) * float64(d) }
 
-// runPhantomMatch runs one MatchBatch invocation of the given variant on a
-// fresh device and returns the device profile and total elapsed time.
-func runPhantomMatch(spec gpusim.DeviceSpec, algo knn.Algorithm, prec gpusim.Precision, batch, m, n, d int) (map[string]gpusim.OpStats, float64) {
-	dev := gpusim.NewDevice(spec)
-	stream := dev.NewStream()
-	withNorms := algo != knn.RootSIFT
-	rb, err := knn.PhantomRefBatch(dev, batch, m, d, prec, withNorms)
-	if err != nil {
-		panic(fmt.Sprintf("bench: phantom refs: %v", err))
-	}
-	q, err := knn.PhantomQuery(dev, n, d)
-	if err != nil {
-		panic(fmt.Sprintf("bench: phantom query: %v", err))
-	}
-	if _, err := knn.MatchBatch(stream, rb, q, knn.Options{
-		Algorithm: algo, Precision: prec, Scale: 1, Accum: blas.AccumFP16,
-	}); err != nil {
-		panic(fmt.Sprintf("bench: match: %v", err))
-	}
-	return dev.Profile(), dev.Synchronize()
+// phantomConfig is the engine configuration of a GPU-resident phantom
+// search: batches of batch references of m features, matched by the given
+// 2-NN variant and storage precision against one n-feature query of
+// dimension d, on one stream.
+func phantomConfig(spec gpusim.DeviceSpec, algo knn.Algorithm, prec gpusim.Precision, batch, m, n, d int) engine.Config {
+	cfg := engine.DefaultConfig()
+	cfg.Spec, cfg.Algorithm, cfg.Precision = spec, algo, prec
+	cfg.BatchSize, cfg.Streams = batch, 1
+	cfg.RefFeatures, cfg.QueryFeatures, cfg.Dim = m, n, d
+	return cfg
 }
 
-// stepUS extracts one op kind's total time from a profile, or 0.
-func stepUS(prof map[string]gpusim.OpStats, key string) float64 {
-	return prof[key].TotalUS
+// phantomSearch is every timing experiment's one search: it builds an
+// engine from cfg, enrolls batches full batches of phantom references
+// (dimensions only, no data) and runs one phantom search. Callers read the
+// engine's device profile or workspace and the report's time or speed.
+func phantomSearch(cfg engine.Config, batches int) (*engine.Engine, *engine.Report) {
+	e, err := engine.New(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("bench: engine: %v", err))
+	}
+	if err := e.AddPhantom(0, batches*cfg.BatchSize); err != nil {
+		panic(fmt.Sprintf("bench: phantom refs: %v", err))
+	}
+	rep, err := e.Search(nil, nil)
+	if err != nil {
+		panic(fmt.Sprintf("bench: search: %v", err))
+	}
+	return e, rep
 }
 
 // memory10kMB is Table 1's memory column: 10,000 reference feature
@@ -53,9 +57,9 @@ func memory10kMB(spec gpusim.DeviceSpec, prec gpusim.Precision) float64 {
 	return float64(10000*per+spec.RuntimeOverhead) / (1 << 20)
 }
 
-// Table1 reproduces Table 1: per-step times, total, speed and memory of
+// table1 reproduces Table 1: per-step times, total, speed and memory of
 // the four 2-NN implementations at batch 1.
-func Table1(opts Options) *Table {
+func (r *runner) table1() *Table {
 	spec := gpusim.TeslaP100()
 	t := &Table{
 		ID:     "Table 1",
@@ -76,13 +80,14 @@ func Table1(opts Options) *Table {
 	profiles := make([]map[string]gpusim.OpStats, len(variants))
 	totals := make([]float64, len(variants))
 	for i, v := range variants {
-		profiles[i], totals[i] = runPhantomMatch(spec, v.algo, v.prec, 1, paperM, paperN, paperD)
+		e, rep := phantomSearch(phantomConfig(spec, v.algo, v.prec, 1, paperM, paperN, paperD), 1)
+		profiles[i], totals[i] = e.Device().Profile(), rep.ElapsedUS
 	}
 
 	cell := func(i int, keys ...string) string {
 		var sum float64
 		for _, k := range keys {
-			sum += stepUS(profiles[i], k)
+			sum += profiles[i][k].TotalUS
 		}
 		if sum == 0 {
 			return dash
@@ -129,20 +134,22 @@ func Table1(opts Options) *Table {
 	return t
 }
 
-// Table3 reproduces Table 3: per-image step times of the batched
+// table3 reproduces Table 3: per-image step times of the batched
 // RootSIFT pipeline (Algorithm 2 + FP16) at batch 1 vs 1024.
-func Table3(opts Options) *Table {
+func (r *runner) table3() *Table {
 	spec := gpusim.TeslaP100()
 	t := &Table{
 		ID:     "Table 3",
 		Title:  "Batched reference feature matrix (Algorithm 2, FP16), per-image times, Tesla P100",
 		Header: []string{"Execution step (us/image)", "BatchSize=1", "BatchSize=1024"},
 	}
-	p1, tot1 := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 1, paperM, paperN, paperD)
-	p1024, tot1024 := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, paperD)
+	e1, r1 := phantomSearch(phantomConfig(spec, knn.RootSIFT, gpusim.FP16, 1, paperM, paperN, paperD), 1)
+	e1024, r1024 := phantomSearch(phantomConfig(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, paperD), 1)
+	p1, tot1 := e1.Device().Profile(), r1.ElapsedUS
+	p1024, tot1024 := e1024.Device().Profile(), r1024.ElapsedUS
 
 	per := func(p map[string]gpusim.OpStats, key string, batch float64) string {
-		v := stepUS(p, key) / batch
+		v := p[key].TotalUS / batch
 		if v == 0 {
 			return dash
 		}
@@ -158,9 +165,9 @@ func Table3(opts Options) *Table {
 	return t
 }
 
-// Table4 reproduces Table 4: end-to-end GPU efficiency at batch 1024 on
+// table4 reproduces Table 4: end-to-end GPU efficiency at batch 1024 on
 // P100, V100, and V100 with tensor cores.
-func Table4(opts Options) *Table {
+func (r *runner) table4() *Table {
 	t := &Table{
 		ID:     "Table 4",
 		Title:  "GPU efficiency, m=n=768, d=128, batch 1024",
@@ -172,8 +179,8 @@ func Table4(opts Options) *Table {
 		gpusim.TeslaV100(true),
 	}
 	for _, spec := range specs {
-		_, tot := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, paperD)
-		speed := 1024e6 / tot
+		_, rep := phantomSearch(phantomConfig(spec, knn.RootSIFT, gpusim.FP16, 1024, paperM, paperN, paperD), 1)
+		speed := 1024e6 / rep.ElapsedUS
 		achieved := speed * flopsPerImage(paperM, paperN, paperD) / 1e12
 		peak := spec.PeakTFLOPS(gpusim.FP16)
 		t.AddRow(spec.Name, f0(speed), f2(achieved), f1(peak), pct(achieved/peak))
@@ -182,9 +189,9 @@ func Table4(opts Options) *Table {
 	return t
 }
 
-// Fig4 reproduces Fig. 4: batched search speed vs batch size on P100 and
+// fig4 reproduces Fig. 4: batched search speed vs batch size on P100 and
 // V100 (with and without tensor cores).
-func Fig4(opts Options) *Table {
+func (r *runner) fig4() *Table {
 	t := &Table{
 		ID:     "Fig 4",
 		Title:  "Search speed vs batch size (RootSIFT + batching, FP16, m=n=768)",
@@ -199,8 +206,8 @@ func Fig4(opts Options) *Table {
 	for batch := 1; batch <= 1024; batch *= 2 {
 		row := []string{fmt.Sprintf("%d", batch)}
 		for i, spec := range specs {
-			_, tot := runPhantomMatch(spec, knn.RootSIFT, gpusim.FP16, batch, paperM, paperN, paperD)
-			speed := float64(batch) * 1e6 / tot
+			_, rep := phantomSearch(phantomConfig(spec, knn.RootSIFT, gpusim.FP16, batch, paperM, paperN, paperD), 1)
+			speed := float64(batch) * 1e6 / rep.ElapsedUS
 			row = append(row, f0(speed))
 			if i == 0 {
 				p100Speeds = append(p100Speeds, speed)

@@ -6,13 +6,13 @@ import (
 	"texid/internal/sift"
 )
 
-// VerifyCost reproduces the Sec. 3.3 analysis as numbers: "by considering
+// verifyCost reproduces the Sec. 3.3 analysis as numbers: "by considering
 // the verification task, the feature extraction step dominates the compute
 // demands ... however, [for] the identification task of searching in a
 // large reference dataset, the 2-nearest neighbors matching becomes the
 // most complicated step". Extraction work is constant per query; matching
 // work scales with the reference count M.
-func VerifyCost(opts Options) *Table {
+func (r *runner) verifyCost() *Table {
 	t := &Table{
 		ID:     "Verify-cost",
 		Title:  "Extraction vs matching work per query (1024px capture, m=n=768, d=128)",

@@ -16,6 +16,12 @@ import (
 	"texid/internal/sift"
 )
 
+// MatchBatch is MatchBatchScratch with a fresh Scratch: the one-query,
+// whole-batch match the tests hold every other shape to.
+func MatchBatch(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options) ([]Pair2NN, error) {
+	return MatchBatchScratch(stream, rb, q, opts, nil)
+}
+
 func randomFeatures(rng *rand.Rand, d, n int, norm float64) *blas.Matrix {
 	m := blas.NewMatrix(d, n)
 	for j := 0; j < n; j++ {

@@ -8,16 +8,11 @@ import (
 	"texid/internal/gpusim"
 )
 
-// MatchBatch runs the selected 2-NN variant for every reference image in
-// the batch against one query, enqueuing the corresponding operations on
-// stream and returning per-reference results. Phantom inputs produce
-// results with nil slices (timing only).
-func MatchBatch(stream *gpusim.Stream, rb *RefBatch, q *Query, opts Options) ([]Pair2NN, error) {
-	return MatchBatchScratch(stream, rb, q, opts, nil)
-}
-
-// MatchBatchScratch is MatchBatch with an optional reusable Scratch: the
-// distance matrix and result slabs come from sc, so steady-state search
+// MatchBatchScratch runs the selected 2-NN variant for every reference
+// image in the batch against one query, enqueuing the corresponding
+// operations on stream and returning per-reference results (phantom inputs
+// produce results with nil slices: timing only). The distance matrix and
+// result slabs come from the optional reusable sc, so steady-state search
 // allocates nothing per batch. Results alias sc and must be consumed
 // before the next call reusing it; a nil sc means a fresh Scratch for this
 // call.

@@ -8,8 +8,9 @@
 # and sift families (no tier the host's CPU flags advertise may skip), the
 # blas/half/binq/knn/sift tests, the engine's pruning tests and the
 # accuracy experiments' shape tests on the portable (no-assembly) kernels, SIFT's goldens and tier tests built for
-# GOAMD64=v3, the portable rows of the measurement
-# suite against BENCH_BASELINE.json, a syntax check of scripts/bench.sh (the
+# GOAMD64=v3, a texbench CLI smoke (a flag below 1 exits 2, an id list
+# runs), the portable rows of the measurement suite against
+# BENCH_BASELINE.json from the same texbench binary, a syntax check of scripts/bench.sh (the
 # wall-clock gate) and the doctests of scripts/paired.py (its verdict rule),
 # the fuzz smoke, and the race-detector test suite, whose interleaving tests
 # hold the lock contracts and whose reuse rows hold the pooled-object
@@ -19,6 +20,8 @@
 # against the source importer; nothing is downloaded).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+tmp=$(mktemp -d) # the kernel-tier log and the texbench binary
+trap 'rm -rf "$tmp"' EXIT
 
 echo "==> go build"
 go build ./...
@@ -99,8 +102,7 @@ go test -cpu 1,2,4 ./internal/engine/... ./internal/serve/... ./internal/cluster
 # the host does not have. Top2AddRowsSemantics states the rules the fused
 # tier is held to.
 echo "==> kernel tiers: blas, binq, sift (go test -v)"
-tierlog=$(mktemp)
-trap 'rm -f "$tierlog"' EXIT
+tierlog=$tmp/tiers.log
 go test -count=1 -v -run '^Test(HGemmTNMatchesReference|HGemmTNStagedGatherMatchesFullRows|HGemmAsmMatchesPortable|HGemmTiersMatch|NativeAddIsDoubleRounded|WidenColAsmMatchesTable|GemmTop2TiersMatch|HGemmTop2TiersMatch|Top2AddRowsSemantics|HalfConvertTiersMatch)$' ./internal/blas | tee "$tierlog"
 go test -count=1 -v -run '^Test(ScanTiersMatch|EncodeTiersMatch)$' ./internal/binq | tee -a "$tierlog"
 go test -count=1 -v -run '^Test(BlurTiersMatch|EvalTiersMatch|ExtremaTiersMatch|DescBinsTiersMatch|GatherTiersMatch|OrientBinsTiersMatch)$' ./internal/sift | tee -a "$tierlog"
@@ -147,6 +149,19 @@ TEXID_NOASM=1 go test -run '^Test(Table2Shape|Table7Shape|CBIRShape|AblateDescri
 echo "==> go test, GOAMD64=v3 (sift Golden|TiersMatch)"
 GOAMD64=v3 go test -count=1 -run 'Golden|TiersMatch' ./internal/sift
 
+# One texbench binary serves the CLI smoke and the measurement gate. The
+# smoke drives the experiment flags' checks (a size below 1 exits 2 before
+# any experiment runs) and the registry's dispatch of an id list.
+echo "==> texbench CLI smoke"
+go build -o "$tmp/texbench" ./cmd/texbench
+status=0
+"$tmp/texbench" -refs 0 >/dev/null 2>&1 || status=$?
+if [[ $status != 2 ]]; then
+  echo "check.sh: texbench -refs 0 exited $status, want 2" >&2
+  exit 1
+fi
+"$tmp/texbench" -experiment table1,table3 -markdown >/dev/null
+
 # Measurement gate, portable half: the sim-clock ops (serving levels, sim
 # soak) and the allocation probes gate on any machine. Fails on lost result
 # identity or determinism, a sub-3x speedup at concurrency 16, a >10%
@@ -156,7 +171,7 @@ GOAMD64=v3 go test -count=1 -run 'Golden|TiersMatch' ./internal/sift
 # op runs. Wall rows have no committed values: scripts/bench.sh compares them
 # with the parent commit run beside them on one host.
 echo "==> measurement gate (portable rows)"
-go run ./cmd/texbench -suite -portable -baseline BENCH_BASELINE.json
+"$tmp/texbench" -suite -portable -baseline BENCH_BASELINE.json
 
 # The wall-clock gate runs only on request (tier 3 below), so its script is
 # at least parsed here, and its verdict rule held to its doctests.
