@@ -21,7 +21,9 @@
 // experiments (Tables 2 and 7) search through the same engine on a
 // scaled-down synthetic dataset — raise -refs/-queries/-feature-scale to
 // approach paper scale at the cost of CPU time. Each of those sizes, and
-// -image-size, -system-refs and -min-matches, must be at least 1 (exit 2).
+// -image-size, -system-refs and -min-matches, must be at least 1, -jitter
+// at least 0 and -difficulty in [0, 1] (exit 2). An -experiment list runs
+// on one runner, as the default "all" does.
 package main
 
 import (
@@ -92,20 +94,22 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	// A negative jitter CoV would run as none, and a difficulty outside
+	// [0, 1] would be clamped, each without a word (NaN fails both too).
+	if !(opts.JitterCoV >= 0 && opts.Difficulty >= 0 && opts.Difficulty <= 1) {
+		fmt.Fprintf(os.Stderr, "texbench: -jitter %g must be at least 0 and -difficulty %g in [0, 1]\n", opts.JitterCoV, opts.Difficulty)
+		os.Exit(2)
+	}
 
+	var ids []string // none runs the whole registry
+	if *experiment != "all" {
+		ids = strings.Split(strings.ReplaceAll(*experiment, " ", ""), ",")
+	}
 	start := time.Now()
-	var tables []*bench.Table
-	if *experiment == "all" {
-		tables = bench.All(opts)
-	} else {
-		for _, id := range strings.Split(*experiment, ",") {
-			tb, err := bench.Run(strings.TrimSpace(id), opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			tables = append(tables, tb)
-		}
+	tables, err := bench.Run(ids, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	for _, tb := range tables {
 		if *markdown {

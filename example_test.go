@@ -19,7 +19,6 @@ func smallExampleConfig() texid.Config {
 	cfg.Engine.Streams = 2
 	cfg.Engine.RefFeatures = 96
 	cfg.Engine.QueryFeatures = 192
-	cfg.Engine.Match.ImageSize = 256
 	cfg.Engine.Match.MinMatches = 12
 	cfg.Extractor.MaxOctaves = 4
 	return cfg

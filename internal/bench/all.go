@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"texid/internal/sift"
 	"texid/internal/texture"
@@ -49,25 +50,28 @@ var Experiments = func() []string {
 	return ids
 }()
 
-// Run executes one experiment by id.
-func Run(id string, opts Options) (*Table, error) {
-	for _, e := range registry {
-		if e.id == id {
-			return e.run(&runner{opts: opts}), nil
+// Run executes the listed experiments, or the whole registry when ids is
+// empty, in order on one runner, so the accuracy dataset is rendered and
+// extracted at most once for all of them. An unknown id fails before any
+// experiment runs.
+func Run(ids []string, opts Options) ([]*Table, error) {
+	exps := registry
+	if len(ids) > 0 {
+		exps = make([]experiment, len(ids))
+		for i, id := range ids {
+			j := slices.IndexFunc(registry, func(e experiment) bool { return e.id == id })
+			if j < 0 {
+				return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments)
+			}
+			exps[i] = registry[j]
 		}
 	}
-	return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments)
-}
-
-// All runs every experiment on one runner, so the accuracy dataset is
-// rendered and extracted once for all of them.
-func All(opts Options) []*Table {
 	r := &runner{opts: opts}
-	tables := make([]*Table, len(registry))
-	for i, e := range registry {
+	tables := make([]*Table, len(exps))
+	for i, e := range exps {
 		tables[i] = e.run(r)
 	}
-	return tables
+	return tables, nil
 }
 
 // runner is one invocation of the experiments. It renders the synthetic

@@ -17,7 +17,7 @@ func tinyOpts() Options {
 	return opts
 }
 
-// tinyTables memoizes Run(id, tinyOpts()): the shape tests and
+// tinyTables memoizes Run([]string{id}, tinyOpts()): the shape tests and
 // TestAllMatchesRun read one run of each experiment.
 var tinyTables = map[string]*Table{}
 
@@ -26,12 +26,12 @@ func tiny(t *testing.T, id string) *Table {
 	if tb, ok := tinyTables[id]; ok {
 		return tb
 	}
-	tb, err := Run(id, tinyOpts())
+	tbs, err := Run([]string{id}, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tinyTables[id] = tb
-	return tb
+	tinyTables[id] = tbs[0]
+	return tbs[0]
 }
 
 func cellFloat(t *testing.T, cell string) float64 {
@@ -274,12 +274,12 @@ func TestSystemShape(t *testing.T) {
 }
 
 func TestRunDispatch(t *testing.T) {
-	if _, err := Run("nope", tinyOpts()); err == nil {
+	if _, err := Run([]string{"table4", "nope"}, tinyOpts()); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	tb, err := Run("table4", tinyOpts())
-	if err != nil || tb.ID != "Table 4" {
-		t.Fatalf("Run(table4) = %v, %v", tb, err)
+	tbs, err := Run([]string{"table4", "table1"}, tinyOpts())
+	if err != nil || len(tbs) != 2 || tbs[0].ID != "Table 4" || tbs[1].ID != "Table 1" {
+		t.Fatalf("Run(table4, table1) = %v, %v", tbs, err)
 	}
 	for _, id := range Experiments {
 		if id == "" {
@@ -288,11 +288,15 @@ func TestRunDispatch(t *testing.T) {
 	}
 }
 
-// TestAllMatchesRun holds All's shared runner to a fresh one per
-// experiment: every experiment renders the same markdown either way, so
-// none writes to the dataset the runner shares.
+// TestAllMatchesRun holds Run's one runner for a list, here the whole
+// registry, to a fresh runner per experiment: every experiment renders the
+// same markdown either way, so none writes to the dataset the runner
+// shares.
 func TestAllMatchesRun(t *testing.T) {
-	all := All(tinyOpts())
+	all, err := Run(nil, tinyOpts())
+	if err != nil || len(all) != len(Experiments) {
+		t.Fatalf("Run(nil) = %d tables, %v; want %d", len(all), err, len(Experiments))
+	}
 	for i, id := range Experiments {
 		if got, want := all[i].Markdown(), tiny(t, id).Markdown(); got != want {
 			t.Errorf("%s under All:\n%s\nalone:\n%s", id, got, want)

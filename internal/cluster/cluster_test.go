@@ -21,6 +21,7 @@ import (
 	"texid/internal/gpusim"
 	"texid/internal/knn"
 	"texid/internal/kvstore"
+	"texid/internal/sift"
 	"texid/internal/wire"
 )
 
@@ -36,7 +37,6 @@ func smallEngine() engine.Config {
 	cfg.Dim = 16
 	cfg.HostCacheBytes = 1 << 30
 	cfg.Match.MinMatches = 10
-	cfg.Match.EdgeMargin = 0
 	return cfg
 }
 
@@ -424,6 +424,46 @@ func TestRESTAPIEndToEnd(t *testing.T) {
 	st, _ = api.Stats()
 	if st.References != 3 {
 		t.Fatalf("references after delete = %d", st.References)
+	}
+}
+
+// TestRESTKeypointlessRecordScores: a query record without keypoints
+// decodes to an empty keypoint slice and scores by the ratio test, exactly
+// as the same record carrying keypoints does: keypoints only ever feed
+// geometric verification.
+func TestRESTKeypointlessRecordScores(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := smallCluster(t, 2)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	api := NewClient(ts.URL)
+
+	refs := make([]*blas.Matrix, 4)
+	for i := range refs {
+		refs[i] = unitFeatures(rng, 16, 24)
+		if err := api.Add(&wire.FeatureRecord{ID: int64(i + 1), Precision: gpusim.FP32, Scale: 1, Features: refs[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := queryFor(rng, refs[2], 32)
+	kps := make([]sift.Keypoint, q.Cols)
+	for i := range kps {
+		kps[i] = sift.Keypoint{X: 16 + 7*float64(i), Y: 240 - 7*float64(i), Sigma: 2, Response: 0.1}
+	}
+	with, err := api.Search(&wire.FeatureRecord{Precision: gpusim.FP32, Scale: 1, Features: q, Keypoints: kps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := api.Search(&wire.FeatureRecord{Precision: gpusim.FP32, Scale: 1, Features: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if with.BestID != 3 || !with.Accepted {
+		t.Fatalf("search with keypoints = %+v, want reference 3 accepted", with)
+	}
+	if without.BestID != with.BestID || without.Score != with.Score {
+		t.Fatalf("without keypoints best_id %d score %d; with them best_id %d score %d",
+			without.BestID, without.Score, with.BestID, with.Score)
 	}
 }
 

@@ -31,7 +31,6 @@ func testConfig() Config {
 	cfg.Dim = 16
 	cfg.HostCacheBytes = 1 << 30
 	cfg.Match.MinMatches = 10
-	cfg.Match.EdgeMargin = 0
 	return cfg
 }
 
@@ -1078,9 +1077,9 @@ func TestNewRejectsUnusableScale(t *testing.T) {
 }
 
 // TestNewRejectsUnusableMatch: a match config that would accept every
-// best candidate (MinMatches < 1), drop every correspondence (an edge
-// margin with no interior left) or verify against a meaningless tolerance
-// is an error naming the field; the nearest usable values still open.
+// best candidate (MinMatches < 1) or verify against a meaningless
+// tolerance is an error naming the field; the nearest usable values still
+// open.
 func TestNewRejectsUnusableMatch(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -1090,11 +1089,6 @@ func TestNewRejectsUnusableMatch(t *testing.T) {
 		{"MinMatches 0", func(m *match.Config) { m.MinMatches = 0 }, "MinMatches"},
 		{"MinMatches -1", func(m *match.Config) { m.MinMatches = -1 }, "MinMatches"},
 		{"MinMatches 1", func(m *match.Config) { m.MinMatches = 1 }, ""},
-		{"EdgeMargin half the side", func(m *match.Config) { m.ImageSize, m.EdgeMargin = 64, 32 }, "EdgeMargin"},
-		{"EdgeMargin over the side", func(m *match.Config) { m.ImageSize, m.EdgeMargin = 64, 100 }, "EdgeMargin"},
-		{"EdgeMargin with no ImageSize", func(m *match.Config) { m.ImageSize, m.EdgeMargin = 0, 4 }, "EdgeMargin"},
-		{"EdgeMargin just inside", func(m *match.Config) { m.ImageSize, m.EdgeMargin = 64, 31.5 }, ""},
-		{"EdgeMargin 0 with no ImageSize", func(m *match.Config) { m.ImageSize, m.EdgeMargin = 0, 0 }, ""},
 		{"RANSACTol NaN", func(m *match.Config) { m.Geometric, m.RANSACTol = true, math.NaN() }, "RANSACTol"},
 		{"RANSACTol +Inf", func(m *match.Config) { m.Geometric, m.RANSACTol = true, math.Inf(1) }, "RANSACTol"},
 		{"RANSACTol 0", func(m *match.Config) { m.Geometric, m.RANSACTol = true, 0 }, "RANSACTol"},

@@ -1,8 +1,9 @@
 // Package match implements the post-2-NN stages of the image-matching
 // pipeline (Fig. 2): the ratio test that keeps distinctive correspondences,
-// edge-feature removal, optional geometric verification with a RANSAC
-// similarity model, and the match-count decision rule that declares two
-// texture images identical.
+// optional geometric verification with a RANSAC similarity model, and the
+// match-count decision rule that declares two texture images identical.
+// Edge-feature removal happens earlier, in sift.Extract: a feature set
+// carries only keypoints clear of its own image's border.
 //
 // The ratio-test threshold (Lowe's 0.75, Ratio) and the verifier's
 // iteration count and seed are constants, as in the paper's one
@@ -33,12 +34,6 @@ const (
 
 // Config controls the matching decision pipeline.
 type Config struct {
-	// EdgeMargin drops correspondences whose query keypoint lies within
-	// this many pixels of the image border (the paper's "edge feature
-	// removing" post-processing step).
-	EdgeMargin float64
-	// ImageSize is the query image side in pixels, used by EdgeMargin.
-	ImageSize int
 	// MinMatches is the decision threshold: two images contain the same
 	// texture only when at least this many verified matches survive.
 	MinMatches int
@@ -51,8 +46,6 @@ type Config struct {
 // DefaultConfig returns the thresholds used throughout the experiments.
 func DefaultConfig() Config {
 	return Config{
-		EdgeMargin: 4,
-		ImageSize:  256,
 		MinMatches: 8,
 		Geometric:  false,
 		RANSACTol:  4,
@@ -86,34 +79,13 @@ func ratioTest(r knn.Pair2NN) []Correspondence {
 	return out
 }
 
-// filterEdges drops correspondences whose query keypoint lies within
-// margin pixels of the border.
-func filterEdges(cs []Correspondence, queryKps []sift.Keypoint, size int, margin float64) []Correspondence {
-	if margin <= 0 || queryKps == nil {
-		return cs
-	}
-	out := cs[:0]
-	for _, c := range cs {
-		if c.QueryIdx >= len(queryKps) {
-			continue
-		}
-		kp := queryKps[c.QueryIdx]
-		if kp.X < margin || kp.Y < margin || kp.X > float64(size)-margin || kp.Y > float64(size)-margin {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
 // PairScore scores one reference against the query: the number of matches
-// surviving the ratio test, edge filter, and (optionally) geometric
-// verification. refKps/queryKps may be nil when geometric verification is
-// disabled.
+// surviving the ratio test and (optionally) geometric verification. With
+// no keypoints on either side (nil or empty alike) there is no geometry to
+// verify, and the score is the ratio test's.
 func PairScore(r knn.Pair2NN, refKps, queryKps []sift.Keypoint, cfg Config) int {
 	cs := ratioTest(r)
-	cs = filterEdges(cs, queryKps, cfg.ImageSize, cfg.EdgeMargin)
-	if !cfg.Geometric || len(cs) < 3 || refKps == nil || queryKps == nil {
+	if !cfg.Geometric || len(cs) < 3 || len(refKps) == 0 || len(queryKps) == 0 {
 		return len(cs)
 	}
 	return verifySimilarity(cs, refKps, queryKps, cfg.RANSACTol)

@@ -50,22 +50,6 @@ func TestRatioTestThresholdBoundary(t *testing.T) {
 	}
 }
 
-func TestFilterEdges(t *testing.T) {
-	kps := []sift.Keypoint{
-		{X: 2, Y: 50},    // near left edge
-		{X: 128, Y: 128}, // center
-		{X: 254, Y: 50},  // near right edge
-	}
-	cs := []Correspondence{{QueryIdx: 0}, {QueryIdx: 1}, {QueryIdx: 2}}
-	out := filterEdges(cs, kps, 256, 4)
-	if len(out) != 1 || out[0].QueryIdx != 1 {
-		t.Fatalf("edge filter kept %+v", out)
-	}
-	if got := filterEdges(cs, kps, 256, 0); len(got) != 3 {
-		t.Fatal("margin 0 must be a no-op")
-	}
-}
-
 func TestVerifySimilarityRecoversTransform(t *testing.T) {
 	// Reference keypoints mapped by a known similarity + outliers: RANSAC
 	// should count exactly the inliers.
@@ -104,10 +88,34 @@ func TestVerifySimilarityTooFew(t *testing.T) {
 
 func TestPairScoreWithoutGeometry(t *testing.T) {
 	r := pair([]float32{0.1, 0.1, 0.9}, []float32{1, 1, 1})
-	cfg := DefaultConfig()
-	cfg.EdgeMargin = 0
-	if got := PairScore(r, nil, nil, cfg); got != 2 {
+	if got := PairScore(r, nil, nil, DefaultConfig()); got != 2 {
 		t.Fatalf("score = %d, want 2", got)
+	}
+}
+
+// TestPairScoreKeypointless: with Geometric set, a side without keypoints,
+// nil or empty, scores by the ratio test alone, and a query's keypoints
+// never drop a correspondence without the verifier (edge removal belongs
+// to the extractor).
+func TestPairScoreKeypointless(t *testing.T) {
+	r := pair([]float32{0.1, 0.1, 0.1, 0.9}, []float32{1, 1, 1, 1})
+	kps := []sift.Keypoint{{X: 0, Y: 0}, {X: 1, Y: 300}, {X: 500, Y: 2}, {X: 9, Y: 9}}
+	geo := DefaultConfig()
+	geo.Geometric = true
+	for _, tc := range []struct {
+		name           string
+		refKps, qryKps []sift.Keypoint
+		cfg            Config
+	}{
+		{"nil query", kps, nil, geo},
+		{"empty query", kps, []sift.Keypoint{}, geo},
+		{"nil reference", nil, kps, geo},
+		{"empty reference", []sift.Keypoint{}, kps, geo},
+		{"border keypoints without Geometric", kps, kps, DefaultConfig()},
+	} {
+		if got := PairScore(r, tc.refKps, tc.qryKps, tc.cfg); got != 3 {
+			t.Errorf("%s: score = %d, want the ratio test's 3", tc.name, got)
+		}
 	}
 }
 

@@ -49,7 +49,6 @@ func TestPairScoreGeometricSeeded(t *testing.T) {
 	cs, refKps, queryKps := transformScene(14)
 	cfg := DefaultConfig()
 	cfg.Geometric = true
-	cfg.EdgeMargin = 0
 	// Build a Pair2NN whose ratio test keeps every correspondence so the
 	// geometric stage runs.
 	best := make([]float32, len(cs))

@@ -1,9 +1,10 @@
 package sift
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"texid/internal/blas"
 	"texid/internal/texture"
@@ -432,21 +433,30 @@ func (c *orientChunk) prepPixel(i int) {
 	c.wm[i] = c.w[i] * mag
 }
 
+// dropBorder removes, in place and keeping order, the keypoints within
+// borderMargin original pixels of a w×h image's border.
+func dropBorder(kps []Keypoint, w, h int) []Keypoint {
+	return slices.DeleteFunc(kps, func(k Keypoint) bool {
+		return k.X < borderMargin || k.Y < borderMargin ||
+			k.X > float64(w)-borderMargin || k.Y > float64(h)-borderMargin
+	})
+}
+
 // topKByResponse sorts keypoints by descending DoG response and keeps the
 // k strongest (k <= 0 keeps all, still sorted). Response ordering is what
 // makes the asymmetric extraction of Sec. 7 a simple prefix: reference
 // images keep the m strongest features, queries the n strongest, and a
 // caller holding a full extraction can trim to any budget by truncation.
+// The order is total: ties fall to Y, X, Octave, Level, Sigma and last
+// Angle, which tells one keypoint's orientation copies apart. So the
+// output depends on which keypoints come in, never on their order.
 func topKByResponse(kps []Keypoint, k int) []Keypoint {
-	sort.Slice(kps, func(i, j int) bool {
-		if kps[i].Response != kps[j].Response {
-			return kps[i].Response > kps[j].Response
+	slices.SortFunc(kps, func(a, b Keypoint) int {
+		if c := cmp.Compare(b.Response, a.Response); c != 0 {
+			return c // most pairs: the tie-break keys are not computed
 		}
-		// Deterministic tie-break on position.
-		if kps[i].Y != kps[j].Y {
-			return kps[i].Y < kps[j].Y
-		}
-		return kps[i].X < kps[j].X
+		return cmp.Or(cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X), cmp.Compare(a.Octave, b.Octave),
+			cmp.Compare(a.Level, b.Level), cmp.Compare(a.Sigma, b.Sigma), cmp.Compare(a.Angle, b.Angle))
 	})
 	if k <= 0 || k >= len(kps) {
 		return kps

@@ -24,14 +24,14 @@ const (
 // extractGolden holds the sha256 of every extraction TestExtractGolden runs,
 // keyed by its case name, as computed on an AVX2 + FMA amd64 host.
 var extractGolden = map[string]string{
-	"128px/root=false/max=768": "77017ddbcaef66ffa953de728b6c059a5b61dc45634e7175c34d4cb1e6f9b51c",
-	"128px/root=false/max=0":   "77017ddbcaef66ffa953de728b6c059a5b61dc45634e7175c34d4cb1e6f9b51c",
-	"128px/root=true/max=768":  "110edc7370f2ccf49cb72906667cb58dd672ee5ea0101ab807491a574dc62d75",
-	"128px/root=true/max=0":    "110edc7370f2ccf49cb72906667cb58dd672ee5ea0101ab807491a574dc62d75",
-	"256px/root=false/max=768": "d8889c07476a839542a9d12c74e08bd9b3cd190e67351897ded6f4c8678943fa",
-	"256px/root=false/max=0":   "67c375c542d6532fc52ea5b02fb04ed50b9518bebe4eca271029e28af16e88da",
-	"256px/root=true/max=768":  "8c99160d6b23aa45ff6c43e4db907b07689cbbb7d69118f5e122300cc2015ec7",
-	"256px/root=true/max=0":    "48db2c7b7d3665bc4a6b2f607b910d1260d9990cb041b7b4163a0ef50f17e8c6",
+	"128px/root=false/max=768": "c2713652c896186407259998a474a161cc9a25cfb4fbad3c3c3a0d845ef8eca9",
+	"128px/root=false/max=0":   "c2713652c896186407259998a474a161cc9a25cfb4fbad3c3c3a0d845ef8eca9",
+	"128px/root=true/max=768":  "e5b4e8cc53cf18aea2132cebeea3a49584afb728f5723c6094041ea0fc2a33ad",
+	"128px/root=true/max=0":    "e5b4e8cc53cf18aea2132cebeea3a49584afb728f5723c6094041ea0fc2a33ad",
+	"256px/root=false/max=768": "512aecff4aa12e00750b96af3a472a91d2a7daa5c2ca9a881e1a7bf91be82eec",
+	"256px/root=false/max=0":   "b4519272a6383d2f3f2f790c0b29d3cf910883b7da774a3457373b638aa027f3",
+	"256px/root=true/max=768":  "6942d735f4276cd66095460e971bca5749734fd3651417a597900d0517909c6c",
+	"256px/root=true/max=0":    "ccc4c0fb55bacced74c4330e709f6fa2f9c52868e5a70ead0588c90bb2714010",
 }
 
 // TestExtractGolden pins Extract's output across processes and builds: a
@@ -109,14 +109,14 @@ func featuresDigest(f *Features) string {
 // hostileGolden holds the sha256 of every extraction TestExtractGoldenHostile
 // runs, keyed by its case name, recorded as extractGolden's were.
 var hostileGolden = map[string]string{
-	"128px/NaN×1":    "f4a2fb49366ed43b6b58876d6308663b4b39f074d0b459c0c39ad8e4c91e6fe9",
-	"128px/NaN×50":   "1f6ce5b63cc8009a4b69d6a9b69760d9d64167ac8f7d379dc2ff44e0bd8b5c8d",
+	"128px/NaN×1":    "68609fa55b50fd9a87dc574f4b3556655d3937500571d280aea5fc9642bb1638",
+	"128px/NaN×50":   "a5282afe72e61cc03a01faccd053def9f549943f3c5bbb7e9cb9cf4c503fd901",
 	"128px/NaN×400":  "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
-	"128px/+Inf×1":   "f4a2fb49366ed43b6b58876d6308663b4b39f074d0b459c0c39ad8e4c91e6fe9",
-	"128px/+Inf×50":  "1f6ce5b63cc8009a4b69d6a9b69760d9d64167ac8f7d379dc2ff44e0bd8b5c8d",
+	"128px/+Inf×1":   "68609fa55b50fd9a87dc574f4b3556655d3937500571d280aea5fc9642bb1638",
+	"128px/+Inf×50":  "a5282afe72e61cc03a01faccd053def9f549943f3c5bbb7e9cb9cf4c503fd901",
 	"128px/+Inf×400": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
-	"128px/-Inf×1":   "f4a2fb49366ed43b6b58876d6308663b4b39f074d0b459c0c39ad8e4c91e6fe9",
-	"128px/-Inf×50":  "1f6ce5b63cc8009a4b69d6a9b69760d9d64167ac8f7d379dc2ff44e0bd8b5c8d",
+	"128px/-Inf×1":   "68609fa55b50fd9a87dc574f4b3556655d3937500571d280aea5fc9642bb1638",
+	"128px/-Inf×50":  "a5282afe72e61cc03a01faccd053def9f549943f3c5bbb7e9cb9cf4c503fd901",
 	"128px/-Inf×400": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
 }
 

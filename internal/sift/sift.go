@@ -22,6 +22,10 @@ const (
 	contrastThreshold float64 = 0.006
 	// edgeThreshold is the maximum ratio of principal curvatures.
 	edgeThreshold float64 = 10
+	// borderMargin is the paper's "edge feature removing" step: Extract
+	// drops every detected keypoint within this many original pixels of
+	// its own image's border, before orientation and the top-k cut.
+	borderMargin float64 = 4
 )
 
 // Config holds the extractor parameters that callers vary. The zero value
@@ -66,7 +70,7 @@ func (f *Features) Count() int { return len(f.Keypoints) }
 func Extract(im *texture.Image, cfg Config) *Features {
 	a := arenaPool.Get().(*arena)
 	p := buildPyramidArena(a, im, cfg)
-	kps := detectExtrema(p, a)
+	kps := dropBorder(detectExtrema(p, a), im.W, im.H)
 	kps = assignOrientations(p, a, kps)
 	kps = topKByResponse(kps, cfg.MaxFeatures)
 

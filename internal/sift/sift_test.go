@@ -1,8 +1,10 @@
 package sift
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"texid/internal/blas"
@@ -130,6 +132,101 @@ func TestTopKByResponse(t *testing.T) {
 	}
 	if len(topKByResponse(kps, 100)) != 4 {
 		t.Fatal("k>len should keep all")
+	}
+}
+
+// TestTopKByResponseIgnoresInputOrder: the sort is a total order, so any
+// permutation of one extraction's oriented keypoints, orientation copies
+// that tie on response and position included, cuts to the same output.
+func TestTopKByResponseIgnoresInputOrder(t *testing.T) {
+	im := testImage(3)
+	var a arena
+	p := buildPyramidArena(&a, im, DefaultConfig())
+	oriented := slices.Clone(assignOrientations(p, &a, dropBorder(detectExtrema(p, &a), im.W, im.H)))
+	// Keypoints that tie on every key but one, each key in turn.
+	base := Keypoint{X: 40, Y: 50, Sigma: 2, Angle: 1, Response: 0.5, Octave: 1, Level: 2}
+	for _, bump := range []func(*Keypoint){
+		func(k *Keypoint) { k.Y++ }, func(k *Keypoint) { k.X++ }, func(k *Keypoint) { k.Octave++ },
+		func(k *Keypoint) { k.Level++ }, func(k *Keypoint) { k.Sigma++ }, func(k *Keypoint) { k.Angle++ },
+	} {
+		k := base
+		bump(&k)
+		oriented = append(oriented, base, k)
+	}
+	copies := 0
+	for i := 1; i < len(oriented); i++ {
+		if a, b := oriented[i-1], oriented[i]; a.Response == b.Response && a.X == b.X && a.Y == b.Y && a.Angle != b.Angle {
+			copies++
+		}
+	}
+	if copies < 10 {
+		t.Fatalf("only %d adjacent orientation copies among %d keypoints; the test needs ties", copies, len(oriented))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range []int{0, 100, len(oriented) / 2} {
+		want := topKByResponse(slices.Clone(oriented), k)
+		for trial := range 8 {
+			in := slices.Clone(oriented)
+			if trial == 0 {
+				slices.Reverse(in)
+			} else {
+				rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+			}
+			if got := topKByResponse(in, k); !slices.Equal(got, want) {
+				t.Fatalf("k=%d, permutation %d: the output differs from the unpermuted input's", k, trial)
+			}
+		}
+	}
+}
+
+// TestExtractDropsOwnBorder: every kept keypoint lies at least borderMargin
+// original pixels inside its own image, whatever the image's size and
+// aspect, and the kept set still reaches that margin on all four sides:
+// past side − 16 on the right and bottom, not cut to any fixed square.
+// Detection alone does find keypoints inside the margin, so the drop is
+// what keeps them out.
+func TestExtractDropsOwnBorder(t *testing.T) {
+	crop := func(im *texture.Image, w, h int) *texture.Image {
+		out := texture.NewImage(w, h)
+		for y := range h {
+			copy(out.Pix[y*w:(y+1)*w], im.Pix[y*im.W:y*im.W+w])
+		}
+		return out
+	}
+	type image struct {
+		name string
+		im   *texture.Image
+	}
+	var ims []image
+	for _, size := range []int{128, 256, 512, 1024} {
+		p := texture.DefaultGenParams()
+		p.Size = size
+		ims = append(ims, image{fmt.Sprintf("%dpx", size), texture.Generate(int64(size)+11, p)})
+	}
+	ims = append(ims, image{"512x256", crop(ims[2].im, 512, 256)})
+	cfg := DefaultConfig()
+	cfg.MaxFeatures = 0
+	for _, c := range ims {
+		name, w, h := c.name, float64(c.im.W), float64(c.im.H)
+		inBand := func(k Keypoint) bool {
+			return k.X < borderMargin || k.Y < borderMargin || k.X > w-borderMargin || k.Y > h-borderMargin
+		}
+		var a arena
+		if !slices.ContainsFunc(detectExtrema(buildPyramidArena(&a, c.im, cfg), &a), inBand) {
+			t.Errorf("%s: detection found no keypoint inside the margin; the test cannot see the drop", name)
+		}
+		f := Extract(c.im, cfg)
+		minX, minY, maxX, maxY := w, h, 0.0, 0.0
+		for _, k := range f.Keypoints {
+			if inBand(k) {
+				t.Fatalf("%s: kept keypoint (%g, %g) lies within %g px of the border", name, k.X, k.Y, borderMargin)
+			}
+			minX, minY = min(minX, k.X), min(minY, k.Y)
+			maxX, maxY = max(maxX, k.X), max(maxY, k.Y)
+		}
+		if minX > 16 || minY > 16 || maxX < w-16 || maxY < h-16 {
+			t.Errorf("%s: kept keypoints span x [%g, %g], y [%g, %g]; want each within 16 px of the %gx%g border", name, minX, maxX, minY, maxY, w, h)
+		}
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // Stages is one extraction held at its stage boundaries: the scale-space
-// pyramid, extremum detection, orientation assignment with the top-k cut,
-// and description (RootSIFT included). Each method reruns its stage, as
+// pyramid, extremum detection with the border drop, orientation assignment
+// with the top-k cut, and description (RootSIFT included). Each method reruns its stage, as
 // Extract runs it, on the current output of the stage before, so a
 // benchmark can time one stage alone; Features then reads the extraction
 // off the current outputs. A Stages owns its arena and is not safe for
@@ -43,8 +43,9 @@ func (s *Stages) Pyramid() {
 	s.p = buildPyramidArena(&s.a, s.im, s.cfg)
 }
 
-// Detect reruns extremum detection on the current pyramid.
-func (s *Stages) Detect() { s.kps = detectExtrema(s.p, &s.a) }
+// Detect reruns extremum detection and the border drop on the current
+// pyramid.
+func (s *Stages) Detect() { s.kps = dropBorder(detectExtrema(s.p, &s.a), s.im.W, s.im.H) }
 
 // Orient reruns orientation assignment and the top-k cut on the current
 // detections.

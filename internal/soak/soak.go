@@ -47,7 +47,6 @@ func TinyEngineConfig() engine.Config {
 	cfg.Dim = 16
 	cfg.HostCacheBytes = 1 << 30
 	cfg.Match.MinMatches = 10
-	cfg.Match.EdgeMargin = 0
 	return cfg
 }
 

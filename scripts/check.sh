@@ -8,8 +8,9 @@
 # and sift families (no tier the host's CPU flags advertise may skip), the
 # blas/half/binq/knn/sift tests, the engine's pruning tests and the
 # accuracy experiments' shape tests on the portable (no-assembly) kernels, SIFT's goldens and tier tests built for
-# GOAMD64=v3, a texbench CLI smoke (a flag below 1 exits 2, an id list
-# runs), the portable rows of the measurement suite against
+# GOAMD64=v3, a texbench CLI smoke (a size flag below 1, a negative
+# -jitter and a -difficulty outside [0, 1] each exit 2, an id list runs),
+# the portable rows of the measurement suite against
 # BENCH_BASELINE.json from the same texbench binary, a syntax check of scripts/bench.sh (the
 # wall-clock gate) and the doctests of scripts/paired.py (its verdict rule),
 # the fuzz smoke, and the race-detector test suite, whose interleaving tests
@@ -150,16 +151,20 @@ echo "==> go test, GOAMD64=v3 (sift Golden|TiersMatch)"
 GOAMD64=v3 go test -count=1 -run 'Golden|TiersMatch' ./internal/sift
 
 # One texbench binary serves the CLI smoke and the measurement gate. The
-# smoke drives the experiment flags' checks (a size below 1 exits 2 before
-# any experiment runs) and the registry's dispatch of an id list.
+# smoke drives the experiment flags' checks (a size below 1, a negative
+# jitter CoV and a difficulty outside [0, 1] each exit 2 before any
+# experiment runs) and the registry's dispatch of an id list.
 echo "==> texbench CLI smoke"
 go build -o "$tmp/texbench" ./cmd/texbench
-status=0
-"$tmp/texbench" -refs 0 >/dev/null 2>&1 || status=$?
-if [[ $status != 2 ]]; then
-  echo "check.sh: texbench -refs 0 exited $status, want 2" >&2
-  exit 1
-fi
+for flags in "-refs 0" "-jitter -1" "-difficulty 5"; do
+  status=0
+  # $flags is unquoted on purpose: it splits into the flag and its value
+  "$tmp/texbench" $flags >/dev/null 2>&1 || status=$?
+  if [[ $status != 2 ]]; then
+    echo "check.sh: texbench $flags exited $status, want 2" >&2
+    exit 1
+  fi
+done
 "$tmp/texbench" -experiment table1,table3 -markdown >/dev/null
 
 # Measurement gate, portable half: the sim-clock ops (serving levels, sim

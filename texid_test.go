@@ -9,6 +9,7 @@ import (
 
 	"texid/internal/gpusim"
 	"texid/internal/match"
+	"texid/internal/texture"
 	"texid/internal/wire"
 )
 
@@ -22,7 +23,6 @@ func smallConfig() Config {
 	cfg.Engine.Streams = 2
 	cfg.Engine.RefFeatures = 96
 	cfg.Engine.QueryFeatures = 192
-	cfg.Engine.Match.ImageSize = 128
 	cfg.Engine.Match.MinMatches = 12
 	cfg.Extractor.MaxOctaves = 4
 	return cfg
@@ -270,12 +270,50 @@ func TestOpenRejectsUnusableScale(t *testing.T) {
 	}
 }
 
+// TestEdgeRemovalFollowsImageSize: at DefaultConfig, a difficulty-0.6
+// recapture of the third of four enrolled textures is identified with a
+// score that does not collapse as the images grow. Edge removal measures
+// the margin from each image's own border; a filter cut to a fixed 256 px
+// square dropped about three quarters of a 512 px query's matches as
+// "edge" (51 against 236 at 256 px).
+func TestEdgeRemovalFollowsImageSize(t *testing.T) {
+	scores := map[int]int{}
+	for _, size := range []int{256, 512} {
+		sys, err := Open(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := texture.DefaultGenParams()
+		p.Size = size
+		var third *Image
+		for id := 1; id <= 4; id++ {
+			im := texture.Generate(int64(id), p)
+			if id == 3 {
+				third = im
+			}
+			if err := sys.EnrollImage(id, im); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := sys.SearchImage(CaptureQuery(third, 3, 0.6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ID != 3 || !res.Accepted {
+			t.Fatalf("%d px: search = %+v, want texture 3 accepted", size, *res)
+		}
+		scores[size] = res.Score
+	}
+	if 4*scores[512] < 3*scores[256] {
+		t.Fatalf("512 px query scores %d, under three quarters of the 256 px query's %d", scores[512], scores[256])
+	}
+}
+
 // TestOpenRejectsUnusableMatch: Open and OpenCluster (through cluster.New)
 // pass engine.New's match-config checks through.
 func TestOpenRejectsUnusableMatch(t *testing.T) {
 	for field, set := range map[string]func(*match.Config){
 		"MinMatches": func(m *match.Config) { m.MinMatches = 0 },
-		"EdgeMargin": func(m *match.Config) { m.EdgeMargin = float64(m.ImageSize) },
 		"RANSACTol":  func(m *match.Config) { m.Geometric, m.RANSACTol = true, math.NaN() },
 	} {
 		cfg := smallConfig()
