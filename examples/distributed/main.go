@@ -1,6 +1,7 @@
 // Distributed: an in-process replica of the paper's Sec. 8 deployment —
 // 14 simulated Tesla P100 shard workers behind the REST API, searched both
-// through the Go API and over HTTP.
+// through the Go API and over HTTP. It exits non-zero when the two answers
+// (best id, score, accepted) disagree.
 //
 //	go run ./examples/distributed
 package main
@@ -20,8 +21,9 @@ import (
 )
 
 func main() {
-	cfg := texid.DefaultClusterConfig() // 14 workers, production engine
-	cs, err := texid.OpenCluster(cfg)
+	cfg := texid.DefaultConfig() // production engine
+	cfg.Workers = 14
+	cs, err := texid.Open(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,9 +61,7 @@ func main() {
 	ts := httptest.NewServer(cs.Handler())
 	defer ts.Close()
 
-	ext := texid.DefaultConfig().Extractor
-	ext.MaxFeatures = 768
-	feats := texid.ExtractWith(query, ext)
+	feats := cs.ExtractQuery(query)
 	rec := &wire.FeatureRecord{Precision: gpusim.FP32, Scale: 1, Features: feats.Descriptors, Keypoints: feats.Keypoints}
 	body := fmt.Sprintf(`{"record_b64": %q}`, base64.StdEncoding.EncodeToString(wire.Encode(rec)))
 
@@ -81,11 +81,17 @@ func main() {
 	}
 	fmt.Printf("REST search:   texture %d, %d matches, accepted=%v, %.0f images/s\n",
 		out.BestID, out.Score, out.Accepted, out.Speed)
+	if out.BestID != res.ID || out.Score != res.Score || out.Accepted != res.Accepted {
+		log.Fatalf("the REST answer (%d, %d, %v) differs from the Go API's (%d, %d, %v)",
+			out.BestID, out.Score, out.Accepted, res.ID, res.Score, res.Accepted)
+	}
 
 	// Shard management: delete and confirm.
 	if _, err := cs.Remove(17); err != nil {
 		log.Fatal(err)
 	}
-	res, _ = cs.SearchImage(query)
+	if res, err = cs.SearchImage(query); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("after delete:  accepted=%v (best %d, %d matches)\n", res.Accepted, res.ID, res.Score)
 }

@@ -58,5 +58,5 @@ func main() {
 
 	st := sys.Stats()
 	fmt.Printf("index: %d references, capacity %d (%.1f KB per reference)\n",
-		st.References, st.CapacityImages, float64(st.BytesPerRef)/1024)
+		st.References, st.CapacityImages, float64(st.PerWorker[0].BytesPerRef)/1024)
 }

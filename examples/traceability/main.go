@@ -38,7 +38,7 @@ func main() {
 	}
 	st := sys.Stats()
 	fmt.Printf("factory: index holds %d bricks (%.1f KB/brick, capacity %d)\n\n",
-		st.References, float64(st.BytesPerRef)/1024, st.CapacityImages)
+		st.References, float64(st.PerWorker[0].BytesPerRef)/1024, st.CapacityImages)
 
 	// --- Customer side: genuine re-captures. ---
 	fmt.Println("customers: photographing genuine bricks (new viewpoint, lighting, blur)...")

@@ -2,7 +2,6 @@ package texid
 
 import (
 	"texid/internal/cluster"
-	"texid/internal/sift"
 	"texid/internal/texture"
 )
 
@@ -17,12 +16,6 @@ func defaultSmallParams() texture.GenParams {
 
 func generateWith(seed int64, p texture.GenParams) *Image {
 	return texture.Generate(seed, p)
-}
-
-// sys2QueryFeatures extracts query-side features with the cluster's
-// extractor configuration.
-func sys2QueryFeatures(cs *ClusterSystem, im *Image) *Features {
-	return sift.Extract(im, cs.queryCfg)
 }
 
 func newAPIClient(baseURL string) *cluster.Client {

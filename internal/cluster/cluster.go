@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"texid/internal/binq"
 	"texid/internal/blas"
 	"texid/internal/engine"
 	"texid/internal/faultsim"
@@ -205,13 +206,14 @@ const (
 // errDuplicate marks an Add of an enrolled id (the REST tier's 409).
 var errDuplicate = errors.New("duplicate texture id")
 
-// put is the one write path behind Add, Update and LoadFromStore. It holds
+// put is the one write path behind Add, AddEncoded, Update and
+// LoadFromStore. It holds
 // c.mu from the shard-map lookup to the shard-map write, so writes serialise
 // against writes (searches never take c.mu) and an id is on exactly the
 // shard the map names, or on none. Order: shape check, kvstore write,
 // engine, map — a rejected record or a failed store write leaves a known id
 // serving its old features and a new one enrolled nowhere.
-func (c *Cluster) put(id int, feats *blas.Matrix, kps []sift.Keypoint, mode putMode) error {
+func (c *Cluster) put(id int, feats *blas.Matrix, kps []sift.Keypoint, codes []binq.Code, mode putMode) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	wi, known := c.shards[id]
@@ -238,7 +240,7 @@ func (c *Cluster) put(id int, feats *blas.Matrix, kps []sift.Keypoint, mode putM
 	if known {
 		return w.eng.Update(id, feats, kps)
 	}
-	if _, err := c.do(w, opAdd, func() (float64, error) { return 0, w.eng.Add(id, feats, kps) }); err != nil {
+	if _, err := c.do(w, opAdd, func() (float64, error) { return 0, w.eng.AddEncoded(id, feats, kps, codes) }); err != nil {
 		if mode != putLoad && c.store != nil {
 			// Best-effort: a failed delete leaves an orphaned record that the
 			// next enrollment under this id overwrites.
@@ -256,7 +258,14 @@ func (c *Cluster) put(id int, feats *blas.Matrix, kps []sift.Keypoint, mode putM
 // failure detector has declared dead. Of several concurrent Adds of one id
 // exactly one succeeds.
 func (c *Cluster) Add(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
-	return c.put(id, feats, kps, putAdd)
+	return c.AddEncoded(id, feats, kps, nil)
+}
+
+// AddEncoded is Add with a pre-built code panel (engine.AddEncoded), so a
+// restored snapshot keeps its codes bit for bit. The kvstore record, when
+// there is one, holds the features only.
+func (c *Cluster) AddEncoded(id int, feats *blas.Matrix, kps []sift.Keypoint, codes []binq.Code) error {
+	return c.put(id, feats, kps, codes, putAdd)
 }
 
 // AddPhantom enrolls count phantom references spread evenly across the
@@ -305,7 +314,7 @@ func (c *Cluster) Remove(id int) (bool, error) {
 // Update replaces a texture's features on its shard, or enrolls an id the
 // cluster does not hold.
 func (c *Cluster) Update(id int, feats *blas.Matrix, kps []sift.Keypoint) error {
-	return c.put(id, feats, kps, putUpdate)
+	return c.put(id, feats, kps, nil, putUpdate)
 }
 
 // Report is the merged outcome of a distributed search: the engine's
@@ -561,7 +570,7 @@ func (c *Cluster) LoadFromStore() (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("cluster: record %s: %w", k, err)
 		}
-		if err := c.put(int(rec.ID), rec.Features, rec.Keypoints, putLoad); err != nil {
+		if err := c.put(int(rec.ID), rec.Features, rec.Keypoints, nil, putLoad); err != nil {
 			return n, err
 		}
 		n++

@@ -134,31 +134,56 @@ func TestClusterSearchFindsAcrossShards(t *testing.T) {
 
 	// One shard and at most maxRanked references: the merged report is the
 	// engine's report, field for field, next to an identically enrolled
-	// engine.
-	one := smallCluster(t, 1)
-	eng, err := engine.New(smallEngine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ref := range refs {
-		if err := one.Add(i, ref, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Add(i, ref, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// engine, pruned or not. A merged batch report is the engine's batch
+	// report but for Speed, which the merge derives per query (Compared /
+	// ElapsedUS) and the engine per batch; the two differ in the last ulp.
 	q := queryFor(rng, refs[7], 32)
-	got, err := one.Search(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := eng.Search(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Report, *want) {
-		t.Fatalf("one-shard merged report differs from the engine's:\n got %+v\nwant %+v", got.Report, *want)
+	batch := []*blas.Matrix{q, queryFor(rng, refs[0], 32), queryFor(rng, refs[11], 32), unitFeatures(rng, 16, 32), queryFor(rng, refs[4], 32)}
+	for _, prune := range []int{0, 4} {
+		cfg := smallEngine()
+		cfg.PruneC = prune
+		one, err := New(Config{Workers: 1, Engine: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := engine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ref := range refs {
+			if err := one.Add(i, ref, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Add(i, ref, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := one.Search(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.Search(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Report, *want) {
+			t.Fatalf("PruneC %d: one-shard merged report differs from the engine's:\n got %+v\nwant %+v", prune, got.Report, *want)
+		}
+		reps, err := one.SearchBatch(batch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br, err := eng.SearchBatch(batch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rep := range reps {
+			got, want := rep.Report, *br.Reports[i]
+			got.Speed, want.Speed = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("PruneC %d, query %d: one-shard merged batch report differs from the engine's:\n got %+v\nwant %+v", prune, i, got, want)
+			}
+		}
 	}
 
 	// Pruned shards: the merged Scanned is the sum of the shards'.
@@ -302,6 +327,71 @@ func TestKVStorePersistenceAndReload(t *testing.T) {
 	}
 	if !bytes.Equal(answers[0], answers[1]) {
 		t.Error("two restarts from one store answered the same query with different bytes")
+	}
+}
+
+// TestRestartAnswersLikeBeforeIt: an unpruned cluster restored from its
+// kvstore answers every query as it did before the restart, on one worker
+// and on two, although LoadFromStore replays the ids in key order
+// ("tex:1", "tex:10", …) and so seals other batches, on other shards,
+// than enrollment did. Unpruned answers do not depend on the layout.
+func TestRestartAnswersLikeBeforeIt(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		srv, err := kvstore.Serve(kvstore.NewStore(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		rng := rand.New(rand.NewSource(int64(60 + workers)))
+		cfg := Config{Workers: workers, Engine: smallEngine(), StoreAddr: srv.Addr()}
+		refs := make([]*blas.Matrix, 40)
+		queries := make([]*blas.Matrix, len(refs))
+		for i := range refs {
+			refs[i] = unitFeatures(rng, 16, 24)
+			queries[i] = queryFor(rng, refs[i], 32)
+		}
+		searchAll := func(c *Cluster) []engine.Report {
+			out := make([]engine.Report, len(queries))
+			for i, q := range queries {
+				rep, err := c.Search(q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = rep.Report
+			}
+			return out
+		}
+		before, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ref := range refs {
+			if err := before.Add(i, ref, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := searchAll(before)
+		if err := before.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := after.LoadFromStore(); err != nil || n != len(refs) {
+			t.Fatalf("Workers %d: LoadFromStore = %d, %v; want %d", workers, n, err, len(refs))
+		}
+		got := searchAll(after)
+		if err := after.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.BestID != w.BestID || g.Score != w.Score || g.Accepted != w.Accepted || !reflect.DeepEqual(g.Ranked, w.Ranked) {
+				t.Fatalf("Workers %d, query %d: after the restart %d/%d/%v %v, before it %d/%d/%v %v",
+					workers, i, g.BestID, g.Score, g.Accepted, g.Ranked, w.BestID, w.Score, w.Accepted, w.Ranked)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,9 @@
 # and the nested benchmark module), the benchmark module's tests, gofmt, texlint (errcheck: no dropped
 # error results; every other project invariant is held by a test or by the
 # type system, see DESIGN.md "Correctness invariants & texlint"), import
-# hygiene of the serving binaries, the serving core's tests at GOMAXPROCS
+# hygiene of the serving binaries, a build and run of the four examples
+# (quickstart, traceability, tuning, distributed; a non-zero exit fails),
+# the serving core's tests at GOMAXPROCS
 # 1, 2 and 4, the kernel-tier equivalence tests of all twelve blas, binq
 # and sift families (no tier the host's CPU flags advertise may skip), the
 # blas/half/binq/knn/sift tests, the engine's pruning tests and the
@@ -21,7 +23,7 @@
 # against the source importer; nothing is downloaded).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-tmp=$(mktemp -d) # the kernel-tier log and the texbench binary
+tmp=$(mktemp -d) # the kernel-tier log, the example binaries and the texbench binary
 trap 'rm -rf "$tmp"' EXIT
 
 echo "==> go build"
@@ -68,6 +70,15 @@ if grep -E '^texid/internal/(cbir|orb|surf|bench|soak)$' <<<"$deps"; then
   echo "check.sh: the packages above leaked into the serving import graph" >&2
   exit 1
 fi
+
+# The examples drive the public API end to end; distributed exits non-zero
+# when its Go API answer and its REST answer (best id, score, accepted)
+# disagree. Together they take a few seconds.
+echo "==> examples (build and run)"
+for ex in quickstart traceability tuning distributed; do
+  go build -o "$tmp/$ex" "./examples/$ex"
+  "$tmp/$ex" >/dev/null
+done
 
 # Tier-1 on more than one core on purpose: the serving core's concurrency
 # tests (atomic Update, churn under search, the write-path agreement

@@ -15,11 +15,12 @@ import (
 	"texid/internal/wire"
 )
 
-// Snapshot persistence for a single-node System: Save streams every
+// Snapshot persistence for a one-worker System: Save streams every
 // enrolled reference as a length-prefixed wire.FeatureRecord, Load replays
-// the stream into a (typically fresh) System. The distributed deployment
-// persists through the kvstore instead; this format serves single-node
-// embedding and offline backups.
+// the stream into a (typically fresh) System through the coordinator, so
+// its shard map names every restored id. A System of several workers has
+// no snapshot format (Save and Load return an error naming Workers); the
+// daemon persists through the kvstore instead.
 
 const (
 	snapshotMagic   = 0x54584442 // "TXDB"
@@ -38,16 +39,27 @@ const (
 // ErrBadSnapshot is returned for malformed snapshot streams.
 var ErrBadSnapshot = errors.New("texid: bad snapshot")
 
+// checkSnapshotWorkers refuses a snapshot of a System of several workers.
+func (s *System) checkSnapshotWorkers() error {
+	if s.cfg.Workers != 1 {
+		return fmt.Errorf("texid: snapshots need Workers 1, have %d", s.cfg.Workers)
+	}
+	return nil
+}
+
 // Save writes the full reference index to w. Features are stored in the
 // system's configured precision (FP16 snapshots are half the size): a
 // snapshot of the same index must be byte-identical run to run.
 func (s *System) Save(w io.Writer) error {
-	// Seal pending enrollments first so the thresholds (learned at seal
-	// time) exist before the header is committed.
-	if err := s.eng.Flush(); err != nil {
+	if err := s.checkSnapshotWorkers(); err != nil {
 		return err
 	}
-	thresh := s.eng.Thresholds()
+	// Seal pending enrollments first so the thresholds (learned at seal
+	// time) exist before the header is committed.
+	if err := s.first.Flush(); err != nil {
+		return err
+	}
+	thresh := s.first.Thresholds()
 	bw := bufio.NewWriter(w)
 	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:4], snapshotMagic)
@@ -73,7 +85,7 @@ func (s *System) Save(w io.Writer) error {
 		}
 	}
 	count := 0
-	err := s.eng.Export(func(id int, feats *blas.Matrix, kps []sift.Keypoint, codes []binq.Code) error {
+	err := s.first.Export(func(id int, feats *blas.Matrix, kps []sift.Keypoint, codes []binq.Code) error {
 		rec := &wire.FeatureRecord{
 			ID:        int64(id),
 			Precision: s.cfg.Engine.Precision,
@@ -110,6 +122,9 @@ func (s *System) Save(w io.Writer) error {
 // exist are rejected (load into a fresh system). The stream is a foreign
 // file: its length prefixes are hostile until bounds-checked.
 func (s *System) Load(r io.Reader) (int, error) {
+	if err := s.checkSnapshotWorkers(); err != nil {
+		return 0, err
+	}
 	br := bufio.NewReader(r)
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -138,7 +153,7 @@ func (s *System) Load(r io.Reader) (int, error) {
 			}
 			thresh[i] = math.Float32frombits(binary.LittleEndian.Uint32(tb[:]))
 		}
-		if err := s.eng.SetThresholds(thresh); err != nil {
+		if err := s.first.SetThresholds(thresh); err != nil {
 			return 0, err
 		}
 	}
@@ -165,7 +180,7 @@ func (s *System) Load(r io.Reader) (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("texid: snapshot record %d: %w", n, err)
 		}
-		if err := s.eng.AddEncoded(int(rec.ID), rec.Features, rec.Keypoints, rec.Codes); err != nil {
+		if err := s.cl.AddEncoded(int(rec.ID), rec.Features, rec.Keypoints, rec.Codes); err != nil {
 			return n, err
 		}
 		n++

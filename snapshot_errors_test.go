@@ -115,7 +115,7 @@ func TestSnapshotLoadReturnsTheStepError(t *testing.T) {
 		step func(*System) error
 	}{
 		{"enroll", smallConfig(), 1, func(s *System) error {
-			return s.Engine().AddEncoded(1, nil, nil, nil) // the duplicate is refused before the features are read
+			return s.cl.AddEncoded(1, nil, nil, nil) // the coordinator refuses the duplicate before it reads the features
 		}},
 		{"thresholds", prunedSmallConfig(), 2, func(s *System) error {
 			return s.Engine().SetThresholds(make(binq.Thresholds, sift.DescriptorDim))

@@ -49,8 +49,8 @@ func TestSnapshotPrunedRoundTrip(t *testing.T) {
 		t.Fatalf("restored %d references, want 5", n)
 	}
 
-	want := sys.eng.Thresholds()
-	got := restored.eng.Thresholds()
+	want := sys.Engine().Thresholds()
+	got := restored.Engine().Thresholds()
 	if len(want) == 0 || len(got) != len(want) {
 		t.Fatalf("thresholds: %d restored vs %d saved", len(got), len(want))
 	}

@@ -20,6 +20,12 @@
 // GPU simulator: results are computed for real, while performance numbers
 // come from a calibrated device model (see DESIGN.md).
 //
+// A System is the paper's Sec. 8 deployment in one process: a coordinator
+// that spreads references round-robin over Config.Workers shard GPUs,
+// scatters every search to all of them and merges the answers. One worker
+// (DefaultConfig) is the single-GPU system; the paper serves from 14.
+// Handler mounts the same System behind the REST API.
+//
 // Quick start:
 //
 //	sys, err := texid.Open(texid.DefaultConfig())
@@ -31,12 +37,14 @@ package texid
 
 import (
 	"fmt"
+	"math/rand"
+	"net/http"
 	"sort"
 
 	"texid/internal/blas"
+	"texid/internal/cluster"
 	"texid/internal/engine"
 	"texid/internal/gpusim"
-	"texid/internal/serve"
 	"texid/internal/sift"
 	"texid/internal/texture"
 )
@@ -66,30 +74,34 @@ var (
 	TeslaV100 = gpusim.TeslaV100
 )
 
-// Config configures a single-node System.
+// Config configures a System.
 type Config struct {
 	// Extractor configures SIFT; RootSIFT is forced on (the production
 	// pipeline depends on unit-norm features).
 	Extractor sift.Config
-	// Engine configures the device, batching, streams, precision, cache
-	// budgets and match thresholds.
+	// Engine configures each worker's device, batching, streams,
+	// precision, cache budgets and match thresholds.
 	Engine engine.Config
+	// Workers is the number of shard GPUs (14 in the paper's Sec. 8
+	// deployment).
+	Workers int
 }
 
-// DefaultConfig is the paper's production configuration: RootSIFT features
-// (384 reference / 768 query, Sec. 7), FP16 storage, batch 256, 8 streams
-// on a P100 with a 64 GB host cache.
+// DefaultConfig is the paper's production configuration on one GPU:
+// RootSIFT features (384 reference / 768 query, Sec. 7), FP16 storage,
+// batch 256, 8 streams on a P100 with a 64 GB host cache.
 func DefaultConfig() Config {
 	ext := sift.DefaultConfig()
 	ext.RootSIFT = true
-	return Config{Extractor: ext, Engine: engine.DefaultConfig()}
+	return Config{Extractor: ext, Engine: engine.DefaultConfig(), Workers: 1}
 }
 
-// System is a single-node texture identification system: one simulated GPU
-// engine plus a feature extractor.
+// System is a texture identification system: a coordinator over
+// Config.Workers simulated GPU engines plus a feature extractor.
 type System struct {
 	cfg      Config
-	eng      *engine.Engine
+	cl       *cluster.Cluster
+	first    *engine.Engine
 	refCfg   sift.Config
 	queryCfg sift.Config
 }
@@ -97,17 +109,22 @@ type System struct {
 // Open builds a System from cfg.
 func Open(cfg Config) (*System, error) {
 	cfg.Extractor.RootSIFT = true
-	eng, err := engine.New(cfg.Engine)
+	cl, err := cluster.New(cluster.Config{Workers: cfg.Workers, Engine: cfg.Engine})
 	if err != nil {
 		return nil, err
 	}
 	refCfg, queryCfg := sift.ExtractAsymmetric(cfg.Extractor,
 		cfg.Engine.RefFeatures, cfg.Engine.QueryFeatures)
-	return &System{cfg: cfg, eng: eng, refCfg: refCfg, queryCfg: queryCfg}, nil
+	return &System{cfg: cfg, cl: cl, first: cl.Workers()[0], refCfg: refCfg, queryCfg: queryCfg}, nil
 }
 
-// Engine exposes the underlying engine (stats, device profile).
-func (s *System) Engine() *engine.Engine { return s.eng }
+// Engine exposes the first shard's engine (stats, device profile); at one
+// worker it holds every reference.
+func (s *System) Engine() *engine.Engine { return s.first }
+
+// Handler returns the REST API handler over this System (mount it on any
+// http.Server).
+func (s *System) Handler() http.Handler { return s.cl.Handler() }
 
 // ExtractReference runs the reference-side extractor (m strongest
 // features).
@@ -152,16 +169,25 @@ func (s *System) EnrollImages(images map[int]*Image) (int, error) {
 	return len(ids), nil
 }
 
-// EnrollFeatures enrolls pre-extracted reference features. The feature
-// count must equal the engine's RefFeatures budget; images with too few
-// detected features are rejected (the paper requires ≥ the budget for
-// accuracy).
+// EnrollFeatures enrolls pre-extracted reference features on a shard. The
+// feature count must equal the engine's RefFeatures budget; images with
+// too few detected features are rejected (the paper requires ≥ the budget
+// for accuracy).
 func (s *System) EnrollFeatures(id int, f *Features) error {
+	if err := s.checkTexture(f); err != nil {
+		return err
+	}
+	return s.cl.Add(id, f.Descriptors, f.Keypoints)
+}
+
+// checkTexture is the enrolment rule: a reference needs the full
+// RefFeatures budget of features.
+func (s *System) checkTexture(f *Features) error {
 	if f.Count() < s.cfg.Engine.RefFeatures {
 		return fmt.Errorf("texid: only %d features extracted, need %d — not enough texture",
 			f.Count(), s.cfg.Engine.RefFeatures)
 	}
-	return s.eng.Add(id, f.Descriptors, f.Keypoints)
+	return nil
 }
 
 // Result is the outcome of a search.
@@ -171,28 +197,31 @@ type Result struct {
 	ID       int
 	Score    int
 	Accepted bool
-	// Compared counts reference images matched; ElapsedUS and Speed are
-	// simulated-device timing.
+	// Compared counts reference images matched; ElapsedUS is the slowest
+	// shard's simulated-device time and Speed the aggregate comparison
+	// throughput.
 	Compared  int
 	ElapsedUS float64
 	Speed     float64
-	// Partial reports a degraded distributed search: only ShardsAnswered of
-	// ShardsTotal shards contributed (single-engine searches always leave
-	// these zero-valued with Partial=false).
+	// Partial reports a degraded search: only ShardsAnswered of
+	// ShardsTotal shards contributed.
 	Partial        bool
 	ShardsAnswered int
 	ShardsTotal    int
 }
 
-// result converts an engine report to the public Result.
-func result(rep *engine.Report) *Result {
+// result converts a merged shard report to the public Result.
+func result(rep *cluster.Report) *Result {
 	return &Result{
-		ID:        rep.BestID,
-		Score:     rep.Score,
-		Accepted:  rep.Accepted,
-		Compared:  rep.Compared,
-		ElapsedUS: rep.ElapsedUS,
-		Speed:     rep.Speed,
+		ID:             rep.BestID,
+		Score:          rep.Score,
+		Accepted:       rep.Accepted,
+		Compared:       rep.Compared,
+		ElapsedUS:      rep.ElapsedUS,
+		Speed:          rep.Speed,
+		Partial:        rep.Partial,
+		ShardsAnswered: rep.ShardsAnswered,
+		ShardsTotal:    rep.ShardsTotal,
 	}
 }
 
@@ -201,9 +230,9 @@ func (s *System) SearchImage(im *Image) (*Result, error) {
 	return s.SearchFeatures(s.ExtractQuery(im))
 }
 
-// SearchFeatures searches with pre-extracted query features.
+// SearchFeatures searches every shard with pre-extracted query features.
 func (s *System) SearchFeatures(f *Features) (*Result, error) {
-	rep, err := s.eng.Search(f.Descriptors, f.Keypoints)
+	rep, err := s.cl.Search(f.Descriptors, f.Keypoints)
 	if err != nil {
 		return nil, err
 	}
@@ -220,9 +249,10 @@ func (s *System) VerifyImages(a, b *Image) (bool, int, error) {
 	return verifyPair(s.cfg.Engine, fa, fb)
 }
 
-// SearchImages answers several queries in one pass through the engine's
-// multi-query GEMM path: higher aggregate throughput, but every query's
-// latency becomes the batch's completion time (the Sec. 5.3 trade-off).
+// SearchImages answers several queries in one pass: each shard matches
+// the whole batch with multi-query GEMMs. Higher aggregate throughput, but
+// every query's latency becomes the batch's completion time (the Sec. 5.3
+// trade-off).
 func (s *System) SearchImages(imgs []*Image) ([]*Result, error) {
 	feats := make([]*blas.Matrix, len(imgs))
 	kps := make([][]sift.Keypoint, len(imgs))
@@ -230,87 +260,39 @@ func (s *System) SearchImages(imgs []*Image) ([]*Result, error) {
 		feats[i] = f.Descriptors
 		kps[i] = f.Keypoints
 	}
-	br, err := s.eng.SearchBatch(feats, kps)
+	reps, err := s.cl.SearchBatch(feats, kps)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Result, len(br.Reports))
-	for i, rep := range br.Reports {
+	out := make([]*Result, len(reps))
+	for i, rep := range reps {
 		out[i] = result(rep)
 	}
 	return out, nil
 }
 
-// ServeOptions configures the micro-batching admission layer: MaxBatch
-// bounds how many concurrent searches share one GEMM pass, Window how long
-// the first query of a batch waits (wall clock) for co-travellers.
-type ServeOptions = serve.Options
+// Compact rebuilds every shard's reference store, reclaiming the slots
+// left behind by Remove (Update rewrites its slot in place); it returns the
+// number of slots reclaimed.
+func (s *System) Compact() (int, error) { return s.cl.Compact() }
 
-// ServeStats reports the admission layer's achieved batching.
-type ServeStats = serve.Stats
+// Remove deletes a reference from its shard and reports whether it was
+// enrolled.
+func (s *System) Remove(id int) (bool, error) { return s.cl.Remove(id) }
 
-// SearchServer fronts a System for concurrent serving: Search calls made
-// from many goroutines are coalesced into single multi-query GEMM passes
-// (continuous micro-batching), trading bounded admission latency for
-// aggregate throughput. Per-query results are bitwise identical to calling
-// System.SearchFeatures directly; only the simulated latency attribution
-// differs (a coalesced query reports its batch's completion time).
-type SearchServer struct {
-	sys *System
-	eb  *serve.EngineBatcher
-}
-
-// Serve builds the admission layer over the system's engine. Close the
-// server when done; the System remains usable throughout and after.
-func (s *System) Serve(opts ServeOptions) *SearchServer {
-	return &SearchServer{sys: s, eb: serve.ForEngine(s.eng, opts)}
-}
-
-// SearchImage extracts query features from im and searches through the
-// admission layer. Safe for concurrent use.
-func (sv *SearchServer) SearchImage(im *Image) (*Result, error) {
-	return sv.SearchFeatures(sv.sys.ExtractQuery(im))
-}
-
-// SearchFeatures searches with pre-extracted query features through the
-// admission layer. Safe for concurrent use; under load, concurrent callers
-// share batched GEMM passes.
-func (sv *SearchServer) SearchFeatures(f *Features) (*Result, error) {
-	rep, err := sv.eb.Search(f.Descriptors, f.Keypoints)
-	if err != nil {
-		return nil, err
-	}
-	return result(rep), nil
-}
-
-// Stats returns the admission counters (searches admitted, batches
-// executed, achieved batch-size histogram).
-func (sv *SearchServer) Stats() ServeStats { return sv.eb.Stats() }
-
-// Close drains in-flight searches and shuts the admission layer down;
-// subsequent searches fail.
-func (sv *SearchServer) Close() { sv.eb.Close() }
-
-// Compact rebuilds the reference store, reclaiming the slots left behind
-// by Remove (Update rewrites its slot in place); it returns the number of
-// slots reclaimed.
-func (s *System) Compact() (int, error) { return s.eng.Compact() }
-
-// Remove deletes a reference from the index.
-func (s *System) Remove(id int) bool { return s.eng.Remove(id) }
-
-// Update replaces a reference's features.
+// Update replaces a reference's features, or enrolls an id the System does
+// not hold.
 func (s *System) Update(id int, im *Image) error {
 	f := s.ExtractReference(im)
-	if f.Count() < s.cfg.Engine.RefFeatures {
-		return fmt.Errorf("texid: only %d features extracted, need %d",
-			f.Count(), s.cfg.Engine.RefFeatures)
+	if err := s.checkTexture(f); err != nil {
+		return err
 	}
-	return s.eng.Update(id, f.Descriptors, f.Keypoints)
+	return s.cl.Update(id, f.Descriptors, f.Keypoints)
 }
 
-// Stats returns engine occupancy and capacity.
-func (s *System) Stats() engine.Stats { return s.eng.Stats() }
+// Stats returns occupancy and capacity, summed over the shards and per
+// shard.
+func (s *System) Stats() cluster.Stats { return s.cl.Stats() }
 
 // ExtractWith runs the SIFT extractor with an explicit configuration,
 // for callers that manage features themselves (e.g. to serialize them
@@ -364,3 +346,6 @@ func trimFeatures(f *Features, m int) *blas.Matrix {
 	}
 	return f.Descriptors.Slice(0, m).Clone()
 }
+
+// newRand builds a deterministic RNG for the public helpers.
+func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

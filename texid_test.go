@@ -97,8 +97,8 @@ func TestRemoveAndUpdate(t *testing.T) {
 	if err := sys.EnrollImage(1, im); err != nil {
 		t.Fatal(err)
 	}
-	if !sys.Remove(1) {
-		t.Fatal("Remove failed")
+	if ok, err := sys.Remove(1); !ok || err != nil {
+		t.Fatalf("Remove = %v, %v", ok, err)
 	}
 	res, _ := sys.SearchImage(CaptureQuery(im, 1, 0.2))
 	if res.Accepted {
@@ -114,21 +114,28 @@ func TestRemoveAndUpdate(t *testing.T) {
 	}
 }
 
+// TestEnrollRejectsFlatImage: one enrolment rule at every worker count. A
+// flat image has no features, and enrolment refuses it for want of
+// texture before any shard sees it.
 func TestEnrollRejectsFlatImage(t *testing.T) {
-	sys, _ := Open(smallConfig())
-	flat := &Image{W: 128, H: 128, Pix: make([]float32, 128*128)}
-	if err := sys.EnrollImage(1, flat); err == nil {
-		t.Fatal("flat image enrolled: no texture, no features")
+	for _, workers := range []int{1, 2} {
+		cfg := smallConfig()
+		cfg.Workers = workers
+		sys, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat := &Image{W: 128, H: 128, Pix: make([]float32, 128*128)}
+		if err := sys.EnrollImage(1, flat); err == nil || !strings.Contains(err.Error(), "not enough texture") {
+			t.Fatalf("Workers %d: flat image enrolled with %v; want the not-enough-texture error", workers, err)
+		}
 	}
 }
 
 func TestClusterFacade(t *testing.T) {
-	cfg := DefaultClusterConfig()
+	cfg := smallConfig()
 	cfg.Workers = 3
-	small := smallConfig()
-	cfg.Engine = small.Engine
-	cfg.Extractor = small.Extractor
-	cs, err := OpenCluster(cfg)
+	cs, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +150,7 @@ func TestClusterFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ID != 4 || !res.Accepted {
+	if res.ID != 4 || !res.Accepted || res.Compared != 6 || res.ShardsAnswered != 3 || res.ShardsTotal != 3 {
 		t.Fatalf("cluster search = %+v", res)
 	}
 	st := cs.Stats()
@@ -154,7 +161,7 @@ func TestClusterFacade(t *testing.T) {
 	// REST round-trip through the facade's handler.
 	ts := httptest.NewServer(cs.Handler())
 	defer ts.Close()
-	f := sys2QueryFeatures(cs, images[2])
+	f := cs.ExtractQuery(images[2])
 	rec := &wire.FeatureRecord{Precision: gpusim.FP32, Scale: 1, Features: f.Descriptors, Keypoints: f.Keypoints}
 	api := newAPIClient(ts.URL)
 	out, err := api.Search(rec)
@@ -205,9 +212,15 @@ func TestSystemCompact(t *testing.T) {
 	sys, _ := Open(smallConfig())
 	im1 := smallTexture(81)
 	im2 := smallTexture(82)
-	sys.EnrollImage(1, im1)
-	sys.EnrollImage(2, im2)
-	sys.Remove(1)
+	if err := sys.EnrollImage(1, im1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.EnrollImage(2, im2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Remove(1); err != nil {
+		t.Fatal(err)
+	}
 	n, err := sys.Compact()
 	if err != nil || n != 1 {
 		t.Fatalf("Compact = %d, %v", n, err)
@@ -255,18 +268,13 @@ func TestEnrollImages(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsUnusableScale: Open and OpenCluster pass engine.New's
-// Scale check through, so a NaN scale is an error before any enrollment.
+// TestOpenRejectsUnusableScale: Open passes engine.New's Scale check
+// through, so a NaN scale is an error before any enrollment.
 func TestOpenRejectsUnusableScale(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Engine.Scale = float32(math.NaN())
 	if sys, err := Open(cfg); err == nil || sys != nil || !strings.Contains(err.Error(), "Scale") {
 		t.Errorf("Open with a NaN Scale = %v, %v; want an error naming Scale", sys, err)
-	}
-	ccfg := DefaultClusterConfig()
-	ccfg.Engine.Scale = float32(math.NaN())
-	if cs, err := OpenCluster(ccfg); err == nil || cs != nil || !strings.Contains(err.Error(), "Scale") {
-		t.Errorf("OpenCluster with a NaN Scale = %v, %v; want an error naming Scale", cs, err)
 	}
 }
 
@@ -309,8 +317,8 @@ func TestEdgeRemovalFollowsImageSize(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsUnusableMatch: Open and OpenCluster (through cluster.New)
-// pass engine.New's match-config checks through.
+// TestOpenRejectsUnusableMatch: Open passes engine.New's match-config
+// checks through.
 func TestOpenRejectsUnusableMatch(t *testing.T) {
 	for field, set := range map[string]func(*match.Config){
 		"MinMatches": func(m *match.Config) { m.MinMatches = 0 },
@@ -320,11 +328,6 @@ func TestOpenRejectsUnusableMatch(t *testing.T) {
 		set(&cfg.Engine.Match)
 		if sys, err := Open(cfg); err == nil || sys != nil || !strings.Contains(err.Error(), field) {
 			t.Errorf("Open with an unusable %s = %v, %v; want an error naming it", field, sys, err)
-		}
-		ccfg := DefaultClusterConfig()
-		set(&ccfg.Engine.Match)
-		if cs, err := OpenCluster(ccfg); err == nil || cs != nil || !strings.Contains(err.Error(), field) {
-			t.Errorf("OpenCluster with an unusable %s = %v, %v; want an error naming it", field, cs, err)
 		}
 	}
 }
