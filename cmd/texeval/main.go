@@ -65,11 +65,11 @@ func main() {
 		if err := api.Health(); err != nil {
 			log.Fatalf("server %s: %v", *server, err)
 		}
-		cfg := texid.DefaultConfig()
-		refCfg := cfg.Extractor
-		refCfg.MaxFeatures = cfg.Engine.RefFeatures
-		queryCfg := cfg.Extractor
-		queryCfg.MaxFeatures = cfg.Engine.QueryFeatures
+		// The same features texid.Open extracts: RootSIFT at the engine's
+		// reference and query budgets.
+		eng := texid.DefaultConfig().Engine
+		refCfg := texid.ExtractorConfig{MaxFeatures: eng.RefFeatures, RootSIFT: true}
+		queryCfg := texid.ExtractorConfig{MaxFeatures: eng.QueryFeatures, RootSIFT: true}
 		enroll = func(id int, im *texid.Image) error {
 			f := texid.ExtractWith(im, refCfg)
 			return api.Add(&wire.FeatureRecord{

@@ -5,6 +5,9 @@
 //	texgen -out dataset -refs 50 -queries 20 -difficulty 0.6
 //	texgen -out dataset -features          # also write .feat records
 //
+// -refs, -queries and -size below 1 and -difficulty outside [0, 1] exit 2
+// before anything is written.
+//
 // The output layout is:
 //
 //	dataset/refs/ref_000042.png
@@ -40,6 +43,23 @@ func main() {
 	features := flag.Bool("features", false, "also extract and write SIFT feature records (.feat)")
 	maxFeatures := flag.Int("max-features", 768, "feature budget per image when -features is set")
 	flag.Parse()
+
+	// An empty dataset or image panics mid-generation, and a difficulty
+	// outside [0, 1] would be clamped without a word (NaN fails too):
+	// reject them before anything is written.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"refs", *refs}, {"queries", *queries}, {"size", *size}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "texgen: -%s %d must be at least 1\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
+	if !(*difficulty >= 0 && *difficulty <= 1) {
+		fmt.Fprintf(os.Stderr, "texgen: -difficulty %g must be in [0, 1]\n", *difficulty)
+		os.Exit(2)
+	}
 
 	params := texture.DefaultGenParams()
 	params.Size = *size

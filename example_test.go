@@ -20,7 +20,6 @@ func smallExampleConfig() texid.Config {
 	cfg.Engine.RefFeatures = 96
 	cfg.Engine.QueryFeatures = 192
 	cfg.Engine.Match.MinMatches = 12
-	cfg.Extractor.MaxOctaves = 4
 	return cfg
 }
 

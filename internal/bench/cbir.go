@@ -52,7 +52,6 @@ func (r *runner) cbir() *Table {
 
 	// (c) Product-quantized pooled index (Faiss-style, 8 bytes/feature).
 	pqCfg := cbir.DefaultPQConfig()
-	pqCfg.Seed = opts.Seed
 	// Codebooks cannot exceed the training set (relevant only at tiny
 	// test scales).
 	if pqCfg.Centroids > len(trainCols)/2 {
@@ -67,7 +66,7 @@ func (r *runner) cbir() *Table {
 			panic(fmt.Sprintf("bench: PQ add: %v", err))
 		}
 	}
-	t.AddRow("pooled PQ voting (Faiss-style)", fmt.Sprintf("%.1f KB", float64(m*pqCfg.Subspaces)/1024),
+	t.AddRow("pooled PQ voting (Faiss-style)", fmt.Sprintf("%.1f KB", float64(m*cbir.PQSubspaces)/1024),
 		pct(pooledAccuracy(ds, pq.Search, n, opts.MinMatches)))
 
 	t.AddNote("the paper argues (Sec. 2) that pooled/compressed CBIR indexes trade away the fine-grained " +

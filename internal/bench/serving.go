@@ -60,7 +60,7 @@ func servingOp(c int) Op {
 		Name:  fmt.Sprintf("serving_c%d", c),
 		Clock: ClockSim,
 		Run: func() ([]Row, error) {
-			lv := servingSimLevel(c, 3)
+			lv := servingSimLevel(c)
 			speedup := newRow("speedup", lv.Speedup, "x", higher)
 			if c == ServingGateConcurrency {
 				speedup = speedup.limit(ServingSpeedupFloor)
@@ -116,14 +116,18 @@ func servingSimEngine() *engine.Engine {
 	return e
 }
 
-// lockstepWaves drives eb with waves of exactly c concurrent phantom
+// servingWaves is how many lockstep waves of c clients one serving level
+// measures.
+const servingWaves = 3
+
+// lockstepWaves drives eb with servingWaves waves of exactly c concurrent phantom
 // searches (the admission window is far above scheduling jitter and the
 // batch cap equals c, so every wave coalesces into one pass) and returns
 // every query's simulated latency in issue order.
-func lockstepWaves(eb *serve.EngineBatcher, c, waves int) []float64 {
-	lat := make([]float64, 0, c*waves)
+func lockstepWaves(eb *serve.EngineBatcher, c int) []float64 {
+	lat := make([]float64, 0, c*servingWaves)
 	wave := make([]float64, c)
-	for w := 0; w < waves; w++ {
+	for w := 0; w < servingWaves; w++ {
 		var wg sync.WaitGroup
 		for i := 0; i < c; i++ {
 			wg.Add(1)
@@ -144,8 +148,8 @@ func lockstepWaves(eb *serve.EngineBatcher, c, waves int) []float64 {
 
 // servingSimLevel measures one concurrency level: serialized vs coalesced
 // simulated QPS on the phantom workload.
-func servingSimLevel(c, waves int) ServingLevel {
-	n := c * waves
+func servingSimLevel(c int) ServingLevel {
+	n := c * servingWaves
 	var lv ServingLevel
 
 	// Serialized path: each search pays the full streaming pass. The
@@ -166,12 +170,12 @@ func servingSimLevel(c, waves int) ServingLevel {
 	// Coalesced path: lockstep waves of c clients share each pass.
 	eBatched := servingSimEngine()
 	eb := serve.ForEngine(eBatched, serve.Options{MaxBatch: c, Window: time.Second})
-	batched := lockstepWaves(eb, c, waves)
+	batched := lockstepWaves(eb, c)
 	eb.Close()
 	// Every query in a wave reports the wave's completion time; summing
 	// one latency per wave gives the coalesced timeline's total length.
 	var batchedUS float64
-	for w := 0; w < waves; w++ {
+	for w := 0; w < servingWaves; w++ {
 		batchedUS += batched[w*c]
 	}
 
@@ -209,7 +213,7 @@ func servingIdentityCheck(c int) bool {
 	}
 	queries := make([]*blas.Matrix, n)
 	for i := range queries {
-		queries[i] = soak.Perturb(rng, refs[i%len(refs)], 32)
+		queries[i] = soak.Perturb(rng, refs[i%len(refs)])
 	}
 
 	want := make([]*engine.Report, n)

@@ -12,8 +12,8 @@ func TestServingSimLevelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two phantom engines")
 	}
-	a := servingSimLevel(2, 1)
-	b := servingSimLevel(2, 1)
+	a := servingSimLevel(2)
+	b := servingSimLevel(2)
 	if a.SerialQPS != b.SerialQPS || a.BatchedQPS != b.BatchedQPS || a.Speedup != b.Speedup {
 		t.Fatalf("simulated level not bit-reproducible: %+v vs %+v", a, b)
 	}

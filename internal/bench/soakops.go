@@ -47,7 +47,7 @@ func soakSimOp() Op {
 		Clock: ClockSim,
 		Run: func() ([]Row, error) {
 			var err error
-			if rep, err = soak.RunSimChecked(soakSimConfig, 3); err != nil {
+			if rep, err = soak.RunSimChecked(soakSimConfig); err != nil {
 				return nil, err
 			}
 			digest, err := strconv.ParseUint(rep.Digest, 16, 64)

@@ -379,8 +379,8 @@ func prunedBatchFixture() (*engine.Engine, []*blas.Matrix) {
 		panic(fmt.Sprintf("bench: flush: %v", err))
 	}
 	return eng, []*blas.Matrix{
-		noisyRecapture(rng, refs[3], cfg.QueryFeatures, 0.02),
-		noisyRecapture(rng, refs[170], cfg.QueryFeatures, 0.02),
+		noisyRecapture(rng, refs[3], cfg.QueryFeatures),
+		noisyRecapture(rng, refs[170], cfg.QueryFeatures),
 	}
 }
 
@@ -622,17 +622,21 @@ func scaleCol(col []float32, sum float64) {
 	}
 }
 
+// recaptureSigma is the standard deviation of noisyRecapture's per-element
+// noise.
+const recaptureSigma float64 = 0.02
+
 // noisyRecapture builds an n-column query from a reference's descriptors:
 // each query column is a perturbed copy of a (cycled) reference column,
 // clamped non-negative and re-normalized.
-func noisyRecapture(rng *rand.Rand, ref *blas.Matrix, n int, sigma float64) *blas.Matrix {
+func noisyRecapture(rng *rand.Rand, ref *blas.Matrix, n int) *blas.Matrix {
 	q := blas.NewMatrix(ref.Rows, n)
 	for j := 0; j < n; j++ {
 		src := ref.Col(j % ref.Cols)
 		col := q.Col(j)
 		var sum float64
 		for i := range col {
-			v := src[i] + float32(rng.NormFloat64()*sigma)
+			v := src[i] + float32(rng.NormFloat64()*recaptureSigma)
 			if v < 0 {
 				v = 0
 			}
@@ -678,7 +682,7 @@ func prunedSearchFixture(pruneC int) (*engine.Engine, *blas.Matrix) {
 	if err := eng.Flush(); err != nil {
 		panic(fmt.Sprintf("bench: flush: %v", err))
 	}
-	return eng, noisyRecapture(rng, refs[3], 768, 0.02)
+	return eng, noisyRecapture(rng, refs[3], 768)
 }
 
 // steadyFixture is a small engine with enrolled synthetic references plus

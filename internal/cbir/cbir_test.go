@@ -80,14 +80,14 @@ func TestExactIndexDimensionCheck(t *testing.T) {
 
 func TestPQTrainValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	train := randomUnit(rng, 16, 50)
-	if _, err := TrainPQ(train, PQConfig{Subspaces: 3, Centroids: 8, KMeansIters: 2}); err == nil {
+	if _, err := TrainPQ(randomUnit(rng, 12, 50), PQConfig{Centroids: 8}); err == nil {
 		t.Fatal("non-divisible subspaces accepted")
 	}
-	if _, err := TrainPQ(train, PQConfig{Subspaces: 4, Centroids: 300}); err == nil {
+	train := randomUnit(rng, 16, 50)
+	if _, err := TrainPQ(train, PQConfig{Centroids: 300}); err == nil {
 		t.Fatal("over-wide codebook accepted")
 	}
-	if _, err := TrainPQ(train, PQConfig{Subspaces: 4, Centroids: 100, KMeansIters: 2}); err == nil {
+	if _, err := TrainPQ(train, PQConfig{Centroids: 100}); err == nil {
 		t.Fatal("too few training vectors accepted")
 	}
 }
@@ -104,8 +104,7 @@ func TestPQIdentifiesAndCompresses(t *testing.T) {
 		}
 	}
 	train := blas.FromColumns(d, trainCols)
-	cfg := PQConfig{Subspaces: 4, Centroids: 32, KMeansIters: 10, Seed: 7}
-	ix, err := TrainPQ(train, cfg)
+	ix, err := TrainPQ(train, PQConfig{Centroids: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +113,8 @@ func TestPQIdentifiesAndCompresses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Compression: 4 bytes per descriptor vs 64 bytes FP32.
-	if len(ix.codes) != len(ix.owner)*cfg.Subspaces {
+	// Compression: 8 bytes per descriptor vs 64 bytes FP32.
+	if len(ix.codes) != len(ix.owner)*PQSubspaces {
 		t.Fatalf("code bytes %d for %d features", len(ix.codes), len(ix.owner))
 	}
 	query := clusterFeatures(rng, protos[2], 0.01)
@@ -141,9 +140,9 @@ func TestPQLosesDiscriminationVsExact(t *testing.T) {
 			trainCols = append(trainCols, protos[id].Col(j))
 		}
 	}
-	// A very coarse quantizer (2 subspaces, 8 centroids) to make the
+	// A very coarse quantizer (4 centroids per subspace) to make the
 	// effect unmistakable at this tiny scale.
-	pq, err := TrainPQ(blas.FromColumns(d, trainCols), PQConfig{Subspaces: 2, Centroids: 8, KMeansIters: 10, Seed: 5})
+	pq, err := TrainPQ(blas.FromColumns(d, trainCols), PQConfig{Centroids: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func TestPQLosesDiscriminationVsExact(t *testing.T) {
 func TestPQDeterministicTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	train := randomUnit(rng, 8, 64)
-	cfg := PQConfig{Subspaces: 2, Centroids: 16, KMeansIters: 5, Seed: 9}
+	cfg := PQConfig{Centroids: 16}
 	a, _ := TrainPQ(train, cfg)
 	b, _ := TrainPQ(train, cfg)
 	for s := range a.codebooks {
@@ -187,7 +186,7 @@ func TestEmptyIndexSearch(t *testing.T) {
 	if res := ix.Search(randomUnit(rng, 8, 4)); len(res) != 0 {
 		t.Fatalf("empty exact index returned %v", res)
 	}
-	pq, _ := TrainPQ(randomUnit(rng, 8, 32), PQConfig{Subspaces: 2, Centroids: 8, KMeansIters: 2, Seed: 1})
+	pq, _ := TrainPQ(randomUnit(rng, 8, 32), PQConfig{Centroids: 8})
 	if res := pq.Search(randomUnit(rng, 8, 4)); len(res) != 0 {
 		t.Fatalf("empty PQ index returned %v", res)
 	}

@@ -9,23 +9,28 @@ import (
 	"texid/internal/match"
 )
 
+// PQSubspaces (M) splits the descriptor into M contiguous sub-vectors,
+// each quantized independently; the code is M bytes, the common
+// 8-byte-per-descriptor configuration.
+const PQSubspaces = 8
+
+const (
+	// kmeansIters bounds the Lloyd iterations during training.
+	kmeansIters = 12
+	// pqSeed makes training deterministic.
+	pqSeed = 1
+)
+
 // PQConfig configures a product quantizer (Jégou et al., the compression
 // behind Faiss's billion-scale indexes).
 type PQConfig struct {
-	// Subspaces (M) splits the descriptor into M contiguous sub-vectors,
-	// each quantized independently; the code is M bytes.
-	Subspaces int
 	// Centroids (K) per subspace codebook; 256 keeps one byte per code.
 	Centroids int
-	// KMeansIters bounds the Lloyd iterations during training.
-	KMeansIters int
-	// Seed makes training deterministic.
-	Seed int64
 }
 
-// DefaultPQConfig returns the common 8-byte-per-descriptor configuration.
+// DefaultPQConfig returns the one-byte-per-subspace configuration.
 func DefaultPQConfig() PQConfig {
-	return PQConfig{Subspaces: 8, Centroids: 256, KMeansIters: 12, Seed: 1}
+	return PQConfig{Centroids: 256}
 }
 
 // PQIndex is a pooled index with product-quantized descriptors.
@@ -35,38 +40,38 @@ type PQIndex struct {
 	subDim int
 	// codebooks[s] is Centroids×subDim, row-major per centroid.
 	codebooks [][]float32
-	codes     []uint8 // len = Subspaces per pooled feature
+	codes     []uint8 // len = PQSubspaces per pooled feature
 	owner     []int32
 }
 
 // TrainPQ learns codebooks from a training sample (dim×n matrix of
-// descriptors) with per-subspace k-means, seeded from cfg.Seed.
+// descriptors) with per-subspace k-means, seeded from pqSeed.
 func TrainPQ(train *blas.Matrix, cfg PQConfig) (*PQIndex, error) {
-	return TrainPQRand(train, cfg, rand.New(rand.NewSource(cfg.Seed)))
+	return TrainPQRand(train, cfg, rand.New(rand.NewSource(pqSeed)))
 }
 
 // TrainPQRand is TrainPQ with an explicit generator: k-means seeding and
 // empty-centroid re-seeding draw from rng, so identically seeded
 // generators reproduce the same codebooks bit for bit.
 func TrainPQRand(train *blas.Matrix, cfg PQConfig, rng *rand.Rand) (*PQIndex, error) {
-	if cfg.Subspaces <= 0 || cfg.Centroids <= 1 || cfg.Centroids > 256 {
+	if cfg.Centroids <= 1 || cfg.Centroids > 256 {
 		return nil, fmt.Errorf("cbir: invalid PQ config %+v", cfg)
 	}
-	if train.Rows%cfg.Subspaces != 0 {
-		return nil, fmt.Errorf("cbir: dimension %d not divisible by %d subspaces", train.Rows, cfg.Subspaces)
+	if train.Rows%PQSubspaces != 0 {
+		return nil, fmt.Errorf("cbir: dimension %d not divisible by %d subspaces", train.Rows, PQSubspaces)
 	}
 	if train.Cols < cfg.Centroids {
 		return nil, fmt.Errorf("cbir: %d training vectors for %d centroids", train.Cols, cfg.Centroids)
 	}
-	ix := &PQIndex{cfg: cfg, dim: train.Rows, subDim: train.Rows / cfg.Subspaces}
-	for s := 0; s < cfg.Subspaces; s++ {
-		ix.codebooks = append(ix.codebooks, kmeans(train, s*ix.subDim, ix.subDim, cfg.Centroids, cfg.KMeansIters, rng))
+	ix := &PQIndex{cfg: cfg, dim: train.Rows, subDim: train.Rows / PQSubspaces}
+	for s := 0; s < PQSubspaces; s++ {
+		ix.codebooks = append(ix.codebooks, kmeans(train, s*ix.subDim, ix.subDim, cfg.Centroids, rng))
 	}
 	return ix, nil
 }
 
 // kmeans runs Lloyd's algorithm on the sub-vectors train[offset:offset+subDim, :].
-func kmeans(train *blas.Matrix, offset, subDim, k, iters int, rng *rand.Rand) []float32 {
+func kmeans(train *blas.Matrix, offset, subDim, k int, rng *rand.Rand) []float32 {
 	n := train.Cols
 	cent := make([]float32, k*subDim)
 	// k-means++ style seeding simplified: random distinct columns.
@@ -78,7 +83,7 @@ func kmeans(train *blas.Matrix, offset, subDim, k, iters int, rng *rand.Rand) []
 	assign := make([]int, n)
 	counts := make([]int, k)
 	sums := make([]float64, k*subDim)
-	for it := 0; it < iters; it++ {
+	for it := 0; it < kmeansIters; it++ {
 		changed := 0
 		for j := 0; j < n; j++ {
 			v := train.Col(j)[offset : offset+subDim]
@@ -134,8 +139,8 @@ func kmeans(train *blas.Matrix, offset, subDim, k, iters int, rng *rand.Rand) []
 
 // encode quantizes one descriptor to its M-byte code.
 func (ix *PQIndex) encode(v []float32) []uint8 {
-	code := make([]uint8, ix.cfg.Subspaces)
-	for s := 0; s < ix.cfg.Subspaces; s++ {
+	code := make([]uint8, PQSubspaces)
+	for s := 0; s < PQSubspaces; s++ {
 		sub := v[s*ix.subDim : (s+1)*ix.subDim]
 		cb := ix.codebooks[s]
 		best, bestD := 0, float32(math.MaxFloat32)
@@ -176,7 +181,7 @@ func (ix *PQIndex) Search(query *blas.Matrix) []match.SearchResult {
 	if len(ix.owner) == 0 {
 		return nil
 	}
-	M, K, sd := ix.cfg.Subspaces, ix.cfg.Centroids, ix.subDim
+	M, K, sd := PQSubspaces, ix.cfg.Centroids, ix.subDim
 	table := make([]float32, M*K)
 	votes := map[int]int{}
 	for j := 0; j < query.Cols; j++ {

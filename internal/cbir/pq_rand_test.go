@@ -7,7 +7,7 @@ import (
 
 func TestTrainPQRandReproducible(t *testing.T) {
 	train := randomUnit(rand.New(rand.NewSource(3)), 8, 32)
-	cfg := PQConfig{Subspaces: 2, Centroids: 4, KMeansIters: 4, Seed: 5}
+	cfg := PQConfig{Centroids: 4}
 	a, err := TrainPQRand(train, cfg, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
@@ -27,19 +27,19 @@ func TestTrainPQRandReproducible(t *testing.T) {
 
 func TestTrainPQMatchesSeededRand(t *testing.T) {
 	train := randomUnit(rand.New(rand.NewSource(3)), 8, 32)
-	cfg := PQConfig{Subspaces: 2, Centroids: 4, KMeansIters: 4, Seed: 9}
+	cfg := PQConfig{Centroids: 4}
 	a, err := TrainPQ(train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainPQRand(train, cfg, rand.New(rand.NewSource(cfg.Seed)))
+	b, err := TrainPQRand(train, cfg, rand.New(rand.NewSource(pqSeed)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := range a.codebooks {
 		for i := range a.codebooks[s] {
 			if a.codebooks[s][i] != b.codebooks[s][i] {
-				t.Fatal("TrainPQ must equal TrainPQRand with a cfg.Seed-seeded generator")
+				t.Fatal("TrainPQ must equal TrainPQRand with a pqSeed-seeded generator")
 			}
 		}
 	}

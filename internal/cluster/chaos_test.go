@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"texid/internal/blas"
@@ -35,7 +36,14 @@ type chaosScenario struct {
 	// bypassing the fault transport (for schedules whose rates would make
 	// cluster.Add non-idempotent, e.g. reply loss).
 	directEnroll bool
-	plan         func(addsPerWorker int) faultsim.Plan
+	// localWorkEvery, when > 0, has every worker run one direct local
+	// search after each localWorkEvery-th search: the background work a
+	// real shard performs regardless of coordinator traffic. It is what
+	// advances a partitioned worker's virtual clock (coordinator calls are
+	// refused before they reach the engine), so partition-heal schedules
+	// need it to reach the heal.
+	localWorkEvery int
+	plan           func(addsPerWorker int) faultsim.Plan
 	// check runs once per scenario (first run, default GOMAXPROCS) on the
 	// collected outcome.
 	check func(t *testing.T, out *chaosOutcome)
@@ -46,7 +54,8 @@ type chaosOutcome struct {
 	c          *Cluster
 	reports    []*Report // nil where the search errored
 	errors     []error
-	transcript []byte // concatenated wire summaries / error strings
+	health     [][]HealthState // every worker's state after each search
+	transcript []byte          // wire summaries / error strings, then the health states, per search
 }
 
 // runChaos executes a scenario once and returns the outcome. Reference and
@@ -74,7 +83,7 @@ func runChaos(t *testing.T, sc chaosScenario) *chaosOutcome {
 		Workers:   sc.workers,
 		Engine:    smallEngine(),
 		MinShards: sc.minShards,
-		Fault:     faultsim.New(sc.plan(addsPerWorker)),
+		fault:     faultsim.New(sc.plan(addsPerWorker)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,15 +104,28 @@ func runChaos(t *testing.T, sc chaosScenario) *chaosOutcome {
 		out.reports[s], out.errors[s] = rep, err
 		if err != nil {
 			out.transcript = append(out.transcript, fmt.Sprintf("search %d error: %v\n", s, err)...)
-			continue
+		} else {
+			out.transcript = rep.AppendDigest(out.transcript)
 		}
-		out.transcript = rep.AppendDigest(out.transcript)
+		states := c.Health()
+		out.health = append(out.health, states)
+		for _, st := range states {
+			out.transcript = append(out.transcript, byte(st))
+		}
+		if sc.localWorkEvery > 0 && (s+1)%sc.localWorkEvery == 0 {
+			for wi, w := range c.workers {
+				if _, err := w.eng.Search(queries[s], nil); err != nil {
+					t.Fatalf("local work on worker %d: %v", wi, err)
+				}
+			}
+		}
 	}
 	return out
 }
 
 // assertDeterministic re-runs a scenario and requires a byte-identical
-// transcript: 3 consecutive runs, then one run each at GOMAXPROCS 1 and 4.
+// transcript, health trajectories included: 3 consecutive runs, then one
+// run each at GOMAXPROCS 1 and 4.
 func assertDeterministic(t *testing.T, sc chaosScenario, want []byte) {
 	t.Helper()
 	for run := 0; run < 2; run++ {
@@ -280,6 +302,77 @@ func chaosScenarios() []chaosScenario {
 	}
 }
 
+// composedFaultScenario composes two faults in one run: worker-1 dies for
+// good a few searches past enrollment, and worker-2 is partitioned from
+// just after enrollment (clock 0 < 1) until its virtual clock passes
+// 400 µs. Refused calls freeze that clock; the local work every 8 searches
+// carries it past the window, and a probe then resurrects the worker.
+func composedFaultScenario() chaosScenario {
+	return chaosScenario{
+		name: "kill-and-partition-heal", workers: 3, refs: 6, searches: 70, localWorkEvery: 8,
+		plan: func(adds int) faultsim.Plan {
+			return faultsim.Plan{
+				Seed:       34,
+				Kill:       map[string]uint64{workerName(1): uint64(adds) + 6},
+				Partitions: []faultsim.Partition{{Peer: workerName(2), FromUS: 1, ToUS: 400}},
+			}
+		},
+		check: func(t *testing.T, out *chaosOutcome) {
+			state := func(s, w int) HealthState { return out.health[s][w] }
+			last := len(out.health) - 1
+			// Worker-1 (killed) leaves Healthy, is declared Dead and
+			// never reports Healthy again.
+			firstDown := slices.IndexFunc(out.health, func(st []HealthState) bool { return st[1] != Healthy })
+			if firstDown < 0 {
+				t.Fatal("killed worker never left Healthy")
+			}
+			sawDead := false
+			for s := firstDown; s <= last; s++ {
+				if state(s, 1) == Healthy {
+					t.Fatalf("killed worker returned to Healthy at search %d", s)
+				}
+				sawDead = sawDead || state(s, 1) == Dead
+			}
+			if !sawDead {
+				t.Fatal("killed worker was never declared Dead")
+			}
+			// Worker-2 (partitioned) goes down, heals before the end
+			// and stays healed.
+			lastDown := -1
+			for s := range out.health {
+				if state(s, 2) != Healthy {
+					lastDown = s
+				}
+			}
+			if lastDown < 0 {
+				t.Fatal("partition never took worker-2 out")
+			}
+			if lastDown == last {
+				t.Fatalf("partitioned worker never healed (still %v at the end)", state(last, 2))
+			}
+			// Worker-0 carries the whole run untouched, and every
+			// search succeeds: one shard while both faults hold, two
+			// once worker-2 is back.
+			minShards := 3
+			for s, rep := range out.reports {
+				if state(s, 0) != Healthy {
+					t.Fatalf("unfaulted worker-0 degraded at search %d: %v", s, state(s, 0))
+				}
+				if out.errors[s] != nil {
+					t.Fatalf("search %d errored: %v", s, out.errors[s])
+				}
+				minShards = min(minShards, rep.ShardsAnswered)
+			}
+			if minShards != 1 {
+				t.Fatalf("double-fault phase answered %d shards at minimum, want 1", minShards)
+			}
+			if got := out.reports[last].ShardsAnswered; got != 2 {
+				t.Fatalf("final search answered %d shards, want 2 (worker-1 dead, worker-2 healed)", got)
+			}
+		},
+	}
+}
+
 // TestChaosDeterministicPartialResults is the acceptance gate: every
 // scenario's full transcript (wire-encoded summaries and error strings) is
 // byte-identical across 3 consecutive runs and at GOMAXPROCS ∈ {1, 4}, and
@@ -299,6 +392,23 @@ func TestChaosDeterministicPartialResults(t *testing.T) {
 	}
 }
 
+// TestChaosComposedFaults runs composedFaultScenario and checks its health
+// trajectories: the killed worker never reports Healthy again once it
+// leaves, the partitioned one heals and stays healed, and every search
+// succeeds on one shard while both faults hold and on two at the end.
+func TestChaosComposedFaults(t *testing.T) {
+	sc := composedFaultScenario()
+	sc.check(t, runChaos(t, sc))
+}
+
+// TestChaosComposedFaultsBitIdentical holds composedFaultScenario's
+// transcript, the per-search health states included, byte-identical across
+// 3 runs and at GOMAXPROCS 1 and 4.
+func TestChaosComposedFaultsBitIdentical(t *testing.T) {
+	sc := composedFaultScenario()
+	assertDeterministic(t, sc, runChaos(t, sc).transcript)
+}
+
 // TestChaosZeroFaultBitIdentical pins the zero-overhead contract: a cluster
 // carrying a zero-rate injector (the full transport seam active, no faults
 // scheduled) produces byte-for-byte the results of a cluster with no
@@ -306,7 +416,7 @@ func TestChaosDeterministicPartialResults(t *testing.T) {
 func TestChaosZeroFaultBitIdentical(t *testing.T) {
 	run := func(fault *faultsim.Injector) []byte {
 		rng := rand.New(rand.NewSource(41))
-		c, err := New(Config{Workers: 3, Engine: smallEngine(), Fault: fault})
+		c, err := New(Config{Workers: 3, Engine: smallEngine(), fault: fault})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +460,7 @@ func TestChaosBatchPartial(t *testing.T) {
 		}
 		adds := sc.refs / sc.workers
 		c, err := New(Config{Workers: sc.workers, Engine: smallEngine(),
-			Fault: faultsim.New(faultsim.Plan{Seed: 44, Kill: map[string]uint64{workerName(2): uint64(adds) + 1}})})
+			fault: faultsim.New(faultsim.Plan{Seed: 44, Kill: map[string]uint64{workerName(2): uint64(adds) + 1}})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +518,7 @@ func TestChaosPartitionHealsAndProbeResurrects(t *testing.T) {
 	// refused the clock is frozen and the partition holds.
 	c, err := New(Config{
 		Workers: 2, Engine: smallEngine(),
-		Fault: faultsim.New(faultsim.Plan{Seed: 46,
+		fault: faultsim.New(faultsim.Plan{Seed: 46,
 			Partitions: []faultsim.Partition{{Peer: workerName(1), FromUS: 0, ToUS: 1}}}),
 	})
 	if err != nil {

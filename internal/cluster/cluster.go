@@ -46,10 +46,6 @@ type Config struct {
 	// StoreAddr, when non-empty, connects the coordinator to a kvstore
 	// server where every enrolled record is persisted (key "tex:<id>").
 	StoreAddr string
-	// Fault, when non-nil, runs every coordinator→worker call through the
-	// given deterministic fault injector (chaos tests and failure drills;
-	// nil in production serving).
-	Fault *faultsim.Injector
 	// MinShards is the minimum number of shards that must answer before a
 	// search degrades to a partial result; with fewer survivors the search
 	// fails outright. <= 0 means 1 (any survivor yields an answer).
@@ -60,6 +56,11 @@ type Config struct {
 	// every worker). MaxBatch <= 1 disables coalescing; Window bounds how
 	// long the first query of a batch waits (wall clock) for co-travellers.
 	Serve serve.Options
+
+	// fault, when non-nil, runs every coordinator→worker call through the
+	// given deterministic fault injector: the chaos tests' seam, nil in
+	// serving.
+	fault *faultsim.Injector
 }
 
 // workerName returns the stable peer name fault schedules key on.
@@ -130,8 +131,8 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: worker %d: %w", i, err)
 		}
 		w := &worker{idx: i, name: workerName(i), eng: e, health: newHealthFSM()}
-		if cfg.Fault != nil {
-			w.peer = cfg.Fault.Peer(w.name)
+		if cfg.fault != nil {
+			w.peer = cfg.fault.Peer(w.name)
 		}
 		c.workers = append(c.workers, w)
 	}

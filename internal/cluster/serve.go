@@ -19,16 +19,12 @@ import (
 // paths (serve.Coalesce decides which batches take one SearchBatch scatter
 // and which fall back to per-query fan-out).
 func (c *Cluster) newBatcher(opts serve.Options) *serve.Batcher[serve.Query, serve.Result[*Report]] {
-	// Achieved batch sizes feed the serving histogram; chain any
-	// caller-supplied hook behind it.
-	observe := opts.Observe
-	opts.Observe = func(n int) {
-		c.mBatchSize.Observe(float64(n))
-		if observe != nil {
-			observe(n)
-		}
-	}
-	return serve.New(serve.Coalesce(c.cfg.Engine, c.Search, c.SearchBatch), opts)
+	run := serve.Coalesce(c.cfg.Engine, c.Search, c.SearchBatch)
+	return serve.New(func(qs []serve.Query) ([]serve.Result[*Report], error) {
+		// Every executed batch's size feeds the serving histogram.
+		c.mBatchSize.Observe(float64(len(qs)))
+		return run(qs)
+	}, opts)
 }
 
 // SearchCoalesced submits one query through the micro-batching admission

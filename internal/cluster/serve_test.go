@@ -107,7 +107,7 @@ func TestClusterCoalescedChaosPartial(t *testing.T) {
 	adds := len(refs) / 3
 	c, err := New(Config{
 		Workers: 3, Engine: smallEngine(), Serve: serveOptions(4),
-		Fault: faultsim.New(faultsim.Plan{Seed: 72, Kill: map[string]uint64{workerName(2): uint64(adds) + 1}}),
+		fault: faultsim.New(faultsim.Plan{Seed: 72, Kill: map[string]uint64{workerName(2): uint64(adds) + 1}}),
 	})
 	if err != nil {
 		t.Fatal(err)

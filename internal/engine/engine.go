@@ -204,6 +204,9 @@ func New(cfg Config) (*Engine, error) {
 	} else if m.Geometric && !(m.RANSACTol > 0 && !math.IsInf(m.RANSACTol, 1)) {
 		return nil, fmt.Errorf("engine: Match.RANSACTol %g must be finite and positive with Match.Geometric", m.RANSACTol)
 	}
+	if err := cfg.Spec.Validate(); err != nil {
+		return nil, fmt.Errorf("engine: Spec.%w", err)
+	}
 	if cfg.PruneC > 0 {
 		if cfg.Algorithm != knn.RootSIFT {
 			return nil, fmt.Errorf("engine: candidate pruning requires the RootSIFT algorithm")

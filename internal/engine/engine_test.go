@@ -1111,6 +1111,55 @@ func TestNewRejectsUnusableMatch(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnusableDeviceRates: a device spec whose cost formulas
+// would divide by a zero, NaN or infinite rate is an error naming the
+// field (GemmTC only when TensorCore selects it); every shipped model and
+// the streaming experiments' jittered spec still open.
+func TestNewRejectsUnusableDeviceRates(t *testing.T) {
+	rates := map[string]func(*gpusim.DeviceSpec) *float64{
+		"MemBWGBs":            func(s *gpusim.DeviceSpec) *float64 { return &s.MemBWGBs },
+		"MemBWEff":            func(s *gpusim.DeviceSpec) *float64 { return &s.MemBWEff },
+		"PCIePinnedGBs":       func(s *gpusim.DeviceSpec) *float64 { return &s.PCIePinnedGBs },
+		"PCIePageableGBs":     func(s *gpusim.DeviceSpec) *float64 { return &s.PCIePageableGBs },
+		"GemmFP32.PeakTFLOPS": func(s *gpusim.DeviceSpec) *float64 { return &s.GemmFP32.PeakTFLOPS },
+		"GemmFP32.EffMax":     func(s *gpusim.DeviceSpec) *float64 { return &s.GemmFP32.EffMax },
+		"GemmFP16.PeakTFLOPS": func(s *gpusim.DeviceSpec) *float64 { return &s.GemmFP16.PeakTFLOPS },
+		"GemmFP16.EffMax":     func(s *gpusim.DeviceSpec) *float64 { return &s.GemmFP16.EffMax },
+		"GemmTC.PeakTFLOPS":   func(s *gpusim.DeviceSpec) *float64 { return &s.GemmTC.PeakTFLOPS },
+		"GemmTC.EffMax":       func(s *gpusim.DeviceSpec) *float64 { return &s.GemmTC.EffMax },
+		"ScanFP32.EMaxGElems": func(s *gpusim.DeviceSpec) *float64 { return &s.ScanFP32.EMaxGElems },
+		"ScanFP16.EMaxGElems": func(s *gpusim.DeviceSpec) *float64 { return &s.ScanFP16.EMaxGElems },
+		"BaselineEff":         func(s *gpusim.DeviceSpec) *float64 { return &s.BaselineEff },
+	}
+	for field, at := range rates {
+		for _, v := range []float64{0, math.NaN(), math.Inf(1)} {
+			for _, tc := range []bool{false, true} {
+				cfg := testConfig()
+				cfg.Spec = gpusim.TeslaV100(tc)
+				*at(&cfg.Spec) = v
+				_, err := New(cfg)
+				if strings.HasPrefix(field, "GemmTC.") && !tc {
+					if err != nil {
+						t.Errorf("%s %g without TensorCore: New = %v; want it to open", field, v, err)
+					}
+					continue
+				}
+				if err == nil || !strings.Contains(err.Error(), "Spec."+field+" ") {
+					t.Errorf("%s %g (TensorCore %v): New = %v; want an error naming Spec.%s", field, v, tc, err, field)
+				}
+			}
+		}
+	}
+	for _, spec := range []gpusim.DeviceSpec{gpusim.TeslaP100(), gpusim.TeslaV100(false), gpusim.TeslaV100(true),
+		gpusim.TeslaA100(), gpusim.WithJitter(gpusim.TeslaP100(), 0.45, 14)} {
+		cfg := testConfig()
+		cfg.Spec = spec
+		if _, err := New(cfg); err != nil {
+			t.Errorf("%s: New = %v; want it to open", spec.Name, err)
+		}
+	}
+}
+
 func TestAddFailsWhenCacheFull(t *testing.T) {
 	cfg := testConfig()
 	perBatch := int64(cfg.BatchSize) * int64(cfg.RefFeatures) * int64(cfg.Dim) * 4

@@ -17,7 +17,10 @@
 // outside this file stores paper numbers.
 package gpusim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Precision selects the arithmetic path of a simulated kernel.
 type Precision int
@@ -232,6 +235,34 @@ func TeslaA100() DeviceSpec {
 		HostPostFP16Extra:   1.36,
 		TensorCore:          true,
 	}
+}
+
+// Validate reports the first rate the cost formulas divide by that is
+// not finite and positive, naming its field: a zero, NaN or infinite one
+// would bill +Inf, NaN or zero device time without an error. GemmTC counts
+// only when TensorCore selects it.
+func (s *DeviceSpec) Validate() error {
+	type rate struct {
+		name string
+		v    float64
+	}
+	rates := []rate{
+		{"MemBWGBs", s.MemBWGBs}, {"MemBWEff", s.MemBWEff},
+		{"PCIePinnedGBs", s.PCIePinnedGBs}, {"PCIePageableGBs", s.PCIePageableGBs},
+		{"GemmFP32.PeakTFLOPS", s.GemmFP32.PeakTFLOPS}, {"GemmFP32.EffMax", s.GemmFP32.EffMax},
+		{"GemmFP16.PeakTFLOPS", s.GemmFP16.PeakTFLOPS}, {"GemmFP16.EffMax", s.GemmFP16.EffMax},
+		{"ScanFP32.EMaxGElems", s.ScanFP32.EMaxGElems}, {"ScanFP16.EMaxGElems", s.ScanFP16.EMaxGElems},
+		{"BaselineEff", s.BaselineEff},
+	}
+	if s.TensorCore {
+		rates = append(rates, rate{"GemmTC.PeakTFLOPS", s.GemmTC.PeakTFLOPS}, rate{"GemmTC.EffMax", s.GemmTC.EffMax})
+	}
+	for _, r := range rates {
+		if !(r.v > 0) || math.IsInf(r.v, 1) {
+			return fmt.Errorf("%s %g must be finite and positive", r.name, r.v)
+		}
+	}
+	return nil
 }
 
 // GemmTimeUS returns the simulated duration of a C = AᵀB kernel with

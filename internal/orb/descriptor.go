@@ -23,13 +23,20 @@ type Features struct {
 // Count returns the number of features.
 func (f *Features) Count() int { return len(f.Codes) }
 
-// pattern is the set of 256 BRIEF test point pairs, drawn once per seed
-// from an isotropic Gaussian over the 31x31 patch (sigma = patch/5,
-// clamped), as in the BRIEF paper.
+// pattern is the set of 256 BRIEF test point pairs, drawn from an
+// isotropic Gaussian over the 31x31 patch (sigma = patch/5, clamped), as
+// in the BRIEF paper.
 type pattern [256][4]int8
 
-func makePattern(seed int64) *pattern {
-	rng := rand.New(rand.NewSource(seed))
+// patternSeed seeds the BRIEF test pattern (both sides of a match must
+// agree on it).
+const patternSeed = 7
+
+// brief is the one test pattern every extraction uses.
+var brief = makePattern()
+
+func makePattern() *pattern {
+	rng := rand.New(rand.NewSource(patternSeed))
 	var p pattern
 	draw := func() int8 {
 		for {
@@ -45,9 +52,9 @@ func makePattern(seed int64) *pattern {
 	return &p
 }
 
-// describe computes the steered-BRIEF code for one keypoint: the test
-// pattern is rotated by the keypoint's orientation before sampling.
-func describe(im *texture.Image, x, y int, angle float64, p *pattern) Code {
+// describe computes the steered-BRIEF code for one keypoint: the brief
+// test pattern is rotated by the keypoint's orientation before sampling.
+func describe(im *texture.Image, x, y int, angle float64) Code {
 	cosT, sinT := math.Cos(angle), math.Sin(angle)
 	rot := func(dx, dy int8) (int, int) {
 		fx := float64(dx)
@@ -55,7 +62,7 @@ func describe(im *texture.Image, x, y int, angle float64, p *pattern) Code {
 		return x + int(math.Round(cosT*fx-sinT*fy)), y + int(math.Round(sinT*fx+cosT*fy))
 	}
 	var code Code
-	for i, t := range p {
+	for i, t := range brief {
 		ax, ay := rot(t[0], t[1])
 		bx, by := rot(t[2], t[3])
 		if im.At(ax, ay) < im.At(bx, by) {
@@ -66,22 +73,20 @@ func describe(im *texture.Image, x, y int, angle float64, p *pattern) Code {
 }
 
 // Extract runs the full ORB pipeline: pyramid FAST detection, intensity-
-// centroid orientation, and steered-BRIEF codes. The BRIEF test pattern
-// is drawn deterministically from cfg.PatternSeed.
+// centroid orientation, and steered-BRIEF codes.
 func Extract(im *texture.Image, cfg Config) *Features {
-	pat := makePattern(cfg.PatternSeed)
 	kps, levels := detect(im, cfg)
 	out := &Features{Keypoints: kps, Codes: make([]Code, len(kps))}
 	scale := 1.0
 	scales := make([]float64, len(levels))
 	for l := range levels {
 		scales[l] = scale
-		scale *= cfg.ScaleFactor
+		scale *= scaleFactor
 	}
 	for i, kp := range kps {
 		lvl := levels[kp.Octave]
 		s := scales[kp.Octave]
-		out.Codes[i] = describe(lvl, int(math.Round(kp.X/s)), int(math.Round(kp.Y/s)), kp.Angle, pat)
+		out.Codes[i] = describe(lvl, int(math.Round(kp.X/s)), int(math.Round(kp.Y/s)), kp.Angle)
 	}
 	return out
 }

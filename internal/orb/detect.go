@@ -21,30 +21,27 @@ import (
 	"texid/internal/texture"
 )
 
+// The detector's fixed settings, common ORB values. The float ones are
+// typed so that arithmetic on them rounds at each operation, as it did on
+// the Config fields they replace.
+const (
+	// fastThreshold is the intensity delta for the segment test (images
+	// are in [0,1]; OpenCV's 20/255 ≈ 0.08).
+	fastThreshold float32 = 0.06
+	// pyramidLevels and scaleFactor define the detection pyramid.
+	pyramidLevels         = 5
+	scaleFactor   float64 = 1.2
+)
+
 // Config controls the extractor.
 type Config struct {
-	// FASTThreshold is the intensity delta for the segment test (images
-	// are in [0,1]; OpenCV's 20/255 ≈ 0.08).
-	FASTThreshold float32
-	// Levels and ScaleFactor define the detection pyramid.
-	Levels      int
-	ScaleFactor float64
 	// MaxFeatures keeps the strongest corners; 0 keeps all.
 	MaxFeatures int
-	// PatternSeed seeds the BRIEF test pattern (both sides of a match must
-	// agree on it).
-	PatternSeed int64
 }
 
 // DefaultConfig mirrors common ORB settings.
 func DefaultConfig() Config {
-	return Config{
-		FASTThreshold: 0.06,
-		Levels:        5,
-		ScaleFactor:   1.2,
-		MaxFeatures:   768,
-		PatternSeed:   7,
-	}
+	return Config{MaxFeatures: 768}
 }
 
 // circle16 is the Bresenham circle of radius 3 used by FAST-9.
@@ -53,17 +50,18 @@ var circle16 = [16][2]int{
 	{0, 3}, {-1, 3}, {-2, 2}, {-3, 1}, {-3, 0}, {-3, -1}, {-2, -2}, {-1, -3},
 }
 
-// fastScore runs the FAST-9 segment test at (x, y); it returns the corner
-// score (sum of absolute differences over the contiguous arc) or 0.
-func fastScore(im *texture.Image, x, y int, thr float32) float32 {
+// fastScore runs the FAST-9 segment test at (x, y) with fastThreshold; it
+// returns the corner score (sum of absolute differences over the
+// contiguous arc) or 0.
+func fastScore(im *texture.Image, x, y int) float32 {
 	p := im.At(x, y)
 	var brighter, darker [32]bool // doubled circle for wraparound runs
 	var diffs [16]float32
 	for i, c := range circle16 {
 		v := im.At(x+c[0], y+c[1])
 		diffs[i] = v - p
-		brighter[i] = v > p+thr
-		darker[i] = v < p-thr
+		brighter[i] = v > p+fastThreshold
+		darker[i] = v < p-fastThreshold
 		brighter[i+16] = brighter[i]
 		darker[i+16] = darker[i]
 	}
@@ -86,10 +84,10 @@ func fastScore(im *texture.Image, x, y int, thr float32) float32 {
 	}
 	var score float32
 	for _, d := range diffs {
-		if d > thr {
-			score += d - thr
-		} else if d < -thr {
-			score += -d - thr
+		if d > fastThreshold {
+			score += d - fastThreshold
+		} else if d < -fastThreshold {
+			score += -d - fastThreshold
 		}
 	}
 	return score
@@ -133,10 +131,10 @@ func resize(im *texture.Image, w, h int) *texture.Image {
 // detect finds FAST corners across the pyramid, with 3x3 non-maximum
 // suppression per level, response-ranked.
 func detect(im *texture.Image, cfg Config) ([]sift.Keypoint, []*texture.Image) {
-	levels := make([]*texture.Image, cfg.Levels)
+	levels := make([]*texture.Image, pyramidLevels)
 	var kps []sift.Keypoint
 	scale := 1.0
-	for l := 0; l < cfg.Levels; l++ {
+	for l := 0; l < pyramidLevels; l++ {
 		var lvl *texture.Image
 		if l == 0 {
 			lvl = im
@@ -155,7 +153,7 @@ func detect(im *texture.Image, cfg Config) ([]sift.Keypoint, []*texture.Image) {
 		border := 19 // room for the descriptor patch
 		for y := border; y < lvl.H-border; y++ {
 			for x := border; x < lvl.W-border; x++ {
-				scores[y*lvl.W+x] = fastScore(lvl, x, y, cfg.FASTThreshold)
+				scores[y*lvl.W+x] = fastScore(lvl, x, y)
 			}
 		}
 		for y := border; y < lvl.H-border; y++ {
@@ -193,7 +191,7 @@ func detect(im *texture.Image, cfg Config) ([]sift.Keypoint, []*texture.Image) {
 				})
 			}
 		}
-		scale *= cfg.ScaleFactor
+		scale *= scaleFactor
 	}
 	sort.Slice(kps, func(i, j int) bool {
 		if kps[i].Response != kps[j].Response {

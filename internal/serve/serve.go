@@ -51,9 +51,6 @@ type Options struct {
 	// batching), so under sustained concurrency batches fill without any
 	// added admission delay.
 	Window time.Duration
-	// Observe, when non-nil, is called once per executed batch with the
-	// achieved batch size (for metrics export). It must not block.
-	Observe func(batchSize int)
 }
 
 // call is one in-flight query: its input, its result slot, and a reusable
@@ -265,9 +262,6 @@ func (b *Batcher[Q, R]) lead() {
 			err = errShortBatch
 		}
 		b.complete(b.batch, results, err)
-		if b.opts.Observe != nil {
-			b.opts.Observe(n)
-		}
 
 		// Avoid retaining caller data past the batch.
 		var zeroQ Q

@@ -208,32 +208,27 @@ func TestBatcherCoalesces(t *testing.T) {
 	}
 }
 
-// TestBatcherRespectsMaxBatch pins the admission cap via the Observe
-// hook.
+// TestBatcherRespectsMaxBatch pins the admission cap: the runner never
+// sees more than MaxBatch queries, and every query runs once.
 func TestBatcherRespectsMaxBatch(t *testing.T) {
-	e, refs := testEngine(t, 4)
-	qs := queries(rand.New(rand.NewSource(17)), refs, 24, 32)
-
 	var mu sync.Mutex
 	var sizes []int
-	eb := ForEngine(e, Options{
-		MaxBatch: 4,
-		Window:   50 * time.Millisecond,
-		Observe: func(n int) {
-			mu.Lock()
-			sizes = append(sizes, n)
-			mu.Unlock()
-		},
-	})
-	defer eb.Close()
+	b := New(func(qs []int) ([]int, error) {
+		mu.Lock()
+		sizes = append(sizes, len(qs))
+		mu.Unlock()
+		return qs, nil
+	}, Options{MaxBatch: 4, Window: 50 * time.Millisecond})
+	defer b.Close()
 
+	const n = 24
 	var wg sync.WaitGroup
-	for i := range qs {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := eb.Search(qs[i], nil); err != nil {
-				t.Error(err)
+			if got, err := b.Do(i); err != nil || got != i {
+				t.Errorf("query %d: got %d, %v", i, got, err)
 			}
 		}(i)
 	}
@@ -242,14 +237,14 @@ func TestBatcherRespectsMaxBatch(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	total := 0
-	for _, n := range sizes {
-		if n < 1 || n > 4 {
-			t.Fatalf("achieved batch size %d outside [1, 4]", n)
+	for _, size := range sizes {
+		if size < 1 || size > 4 {
+			t.Fatalf("achieved batch size %d outside [1, 4]", size)
 		}
-		total += n
+		total += size
 	}
-	if total != len(qs) {
-		t.Fatalf("observed %d queries across batches, want %d", total, len(qs))
+	if total != n {
+		t.Fatalf("observed %d queries across batches, want %d", total, n)
 	}
 }
 

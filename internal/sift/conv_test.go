@@ -15,7 +15,7 @@ import (
 // blur over the camera blur alone (≈1.52), 0.3 (a five-tap kernel) and 7
 // (57 taps, wider than most test shapes).
 func blurSigmas() []float64 {
-	p := buildPyramidArena(nil, texture.NewImage(32, 32), DefaultConfig())
+	p := buildPyramidArena(nil, texture.NewImage(32, 32))
 	const upBlur = 2 * initialBlur
 	sigmas := []float64{
 		math.Sqrt(baseSigma*baseSigma - upBlur*upBlur),

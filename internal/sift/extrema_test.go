@@ -258,8 +258,7 @@ func TestDetectMatchesScan(t *testing.T) {
 			im.Pix[y*im.W+x] = src.Pix[(y%64)*64+x%64]
 		}
 	}
-	cfg := DefaultConfig()
-	p := buildPyramidArena(nil, im, cfg)
+	p := buildPyramidArena(nil, im)
 	var want []Keypoint
 	for o := 0; o < p.nOctaves; o++ {
 		scale := math.Pow(2, float64(o)) * coordScale

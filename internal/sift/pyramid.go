@@ -368,7 +368,7 @@ func upsample2x(a *arena, im *texture.Image) *texture.Image {
 // buildPyramidArena constructs the Gaussian and DoG scale spaces, drawing
 // every level from a; the caller recycles them with pyramid.release once
 // detection is done.
-func buildPyramidArena(a *arena, im *texture.Image, cfg Config) *pyramid {
+func buildPyramidArena(a *arena, im *texture.Image) *pyramid {
 	const s = octaveScales
 	levels := s + 3
 
@@ -384,9 +384,6 @@ func buildPyramidArena(a *arena, im *texture.Image, cfg Config) *pyramid {
 	nOct := 1
 	for side := minSide / 2; side >= 16; side /= 2 {
 		nOct++
-	}
-	if cfg.MaxOctaves > 0 && nOct > cfg.MaxOctaves {
-		nOct = cfg.MaxOctaves
 	}
 
 	p := &pyramid{

@@ -29,12 +29,9 @@ const (
 )
 
 // Config holds the extractor parameters that callers vary. The zero value
-// keeps every feature of a pyramid as deep as the image allows; use
-// DefaultConfig for the paper's budget.
+// keeps every feature; use DefaultConfig for the paper's budget. The
+// pyramid is always as deep as the image allows.
 type Config struct {
-	// MaxOctaves caps the pyramid depth; 0 means as deep as the image
-	// allows.
-	MaxOctaves int
 	// MaxFeatures keeps only the strongest keypoints by DoG response;
 	// 0 keeps all. The paper extracts 768 features per image by default and
 	// studies reducing the reference side to 384 (Table 7).
@@ -69,7 +66,7 @@ func (f *Features) Count() int { return len(f.Keypoints) }
 // Extract runs the full SIFT pipeline on im.
 func Extract(im *texture.Image, cfg Config) *Features {
 	a := arenaPool.Get().(*arena)
-	p := buildPyramidArena(a, im, cfg)
+	p := buildPyramidArena(a, im)
 	kps := dropBorder(detectExtrema(p, a), im.W, im.H)
 	kps = assignOrientations(p, a, kps)
 	kps = topKByResponse(kps, cfg.MaxFeatures)

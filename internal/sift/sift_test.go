@@ -141,7 +141,7 @@ func TestTopKByResponse(t *testing.T) {
 func TestTopKByResponseIgnoresInputOrder(t *testing.T) {
 	im := testImage(3)
 	var a arena
-	p := buildPyramidArena(&a, im, DefaultConfig())
+	p := buildPyramidArena(&a, im)
 	oriented := slices.Clone(assignOrientations(p, &a, dropBorder(detectExtrema(p, &a), im.W, im.H)))
 	// Keypoints that tie on every key but one, each key in turn.
 	base := Keypoint{X: 40, Y: 50, Sigma: 2, Angle: 1, Response: 0.5, Octave: 1, Level: 2}
@@ -212,7 +212,7 @@ func TestExtractDropsOwnBorder(t *testing.T) {
 			return k.X < borderMargin || k.Y < borderMargin || k.X > w-borderMargin || k.Y > h-borderMargin
 		}
 		var a arena
-		if !slices.ContainsFunc(detectExtrema(buildPyramidArena(&a, c.im, cfg), &a), inBand) {
+		if !slices.ContainsFunc(detectExtrema(buildPyramidArena(&a, c.im), &a), inBand) {
 			t.Errorf("%s: detection found no keypoint inside the margin; the test cannot see the drop", name)
 		}
 		f := Extract(c.im, cfg)
@@ -341,8 +341,7 @@ func TestDownsampleHalves(t *testing.T) {
 }
 
 func TestPyramidShape(t *testing.T) {
-	cfg := testConfig()
-	p := buildPyramidArena(nil, testImage(7), cfg)
+	p := buildPyramidArena(nil, testImage(7))
 	if p.nOctaves < 3 {
 		t.Fatalf("only %d octaves for a 128px image", p.nOctaves)
 	}

@@ -40,7 +40,7 @@ func (s *Stages) Pyramid() {
 	if s.p != nil {
 		s.p.release(&s.a)
 	}
-	s.p = buildPyramidArena(&s.a, s.im, s.cfg)
+	s.p = buildPyramidArena(&s.a, s.im)
 }
 
 // Detect reruns extremum detection and the border drop on the current

@@ -8,15 +8,14 @@ import (
 
 	"texid/internal/blas"
 	"texid/internal/cluster"
-	"texid/internal/faultsim"
 )
 
 // SimConfig shapes one deterministic sim-clock soak: an open-loop scenario
 // replayed sequentially on the simulated device clock with a single-server
-// queueing model. Because every input
-// (features, arrival gaps, read/write interleaving, fault schedule) is
-// derived from the seed and every latency is virtual, two runs — at any
-// GOMAXPROCS — produce byte-identical transcripts.
+// queueing model. Because every input (features, arrival gaps,
+// read/write interleaving) is derived from the seed and every latency is
+// virtual, two runs — at any GOMAXPROCS — produce byte-identical
+// transcripts.
 type SimConfig struct {
 	// Workers is the shard count; Refs the enrolled population.
 	Workers int
@@ -28,30 +27,8 @@ type SimConfig struct {
 	QPS float64
 	// WriteRatio is the fraction of ops that are churn Updates.
 	WriteRatio float64
-	// Seed fixes features, schedule, and fault streams.
+	// Seed fixes features and schedule.
 	Seed int64
-	// MinShards passes through to the cluster config.
-	MinShards int
-	// Plan, when non-nil, builds the fault schedule. It receives the
-	// number of transport Add calls each worker sees during enrollment,
-	// so kill indices can be placed relative to the soak's own reads.
-	Plan func(addsPerWorker int) faultsim.Plan
-	// LocalWorkEvery, when > 0, has every worker run one direct local
-	// search each time this many ops complete — the background
-	// maintenance work a real shard performs regardless of coordinator
-	// traffic. It is what advances a partitioned worker's virtual clock
-	// (coordinator calls are refused before they reach the engine), so
-	// partition-heal schedules need it to make the heal reachable.
-	LocalWorkEvery int
-	// OnOp, when non-nil, observes every completed op (for health-FSM
-	// assertions in tests). It must be deterministic if the transcript
-	// digest is being compared.
-	OnOp func(i int, rep *cluster.Report, err error)
-	// TraceHealth, when set, samples every worker's health state after
-	// each op into SimResult.HealthTrace and folds the states into the
-	// transcript, so failure-detector trajectories are part of the
-	// byte-identity contract.
-	TraceHealth bool
 }
 
 // SimResult is the outcome of one deterministic soak.
@@ -75,9 +52,6 @@ type SimResult struct {
 	// quantized virtual latency, and every error string (not serialized;
 	// compared byte-for-byte by the determinism tests).
 	Transcript []byte
-	// HealthTrace[i] is every worker's health state after op i (only
-	// populated when SimConfig.TraceHealth is set).
-	HealthTrace [][]cluster.HealthState
 }
 
 // RunSim replays one deterministic sim-clock soak.
@@ -103,25 +77,17 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 	}
 	queries := make([]*blas.Matrix, 2*sc.Refs)
 	for i := range queries {
-		queries[i] = Perturb(rng, refs[i%sc.Refs], 32)
+		queries[i] = Perturb(rng, refs[i%sc.Refs])
 	}
 	churn := make([]*blas.Matrix, sc.Refs)
 	for i := range churn {
 		churn[i] = UnitCols(rng, 16, 24)
 	}
 
-	cfg := cluster.Config{
-		Workers:   sc.Workers,
-		Engine:    TinyEngineConfig(),
-		MinShards: sc.MinShards,
-	}
-	if sc.Plan != nil {
-		cfg.Fault = faultsim.New(sc.Plan(sc.Refs / sc.Workers))
-	}
 	// Construction and enrollment are host-side setup (kvstore pings use
 	// wall-clock timeouts); only the op replay below is on the simulated
 	// timeline.
-	c, err := cluster.New(cfg)
+	c, err := cluster.New(cluster.Config{Workers: sc.Workers, Engine: TinyEngineConfig()})
 	if err != nil {
 		return nil, err
 	}
@@ -180,23 +146,6 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 			transcript = rep.AppendDigest(transcript)
 		}
 		transcript = binary.BigEndian.AppendUint64(transcript, uint64(l))
-		if sc.TraceHealth {
-			states := c.Health()
-			res.HealthTrace = append(res.HealthTrace, states)
-			for _, st := range states {
-				transcript = append(transcript, byte(st))
-			}
-		}
-		if sc.OnOp != nil {
-			sc.OnOp(i, rep, opErr)
-		}
-		if sc.LocalWorkEvery > 0 && (i+1)%sc.LocalWorkEvery == 0 {
-			for wi, eng := range c.Workers() {
-				if _, err := eng.Search(queries[uint64(i+wi)%uint64(len(queries))], nil); err != nil {
-					return nil, fmt.Errorf("soak: local work on worker %d: %w", wi, err)
-				}
-			}
-		}
 	}
 
 	res.P50US = float64(lat.quantile(0.50))
@@ -211,7 +160,7 @@ func RunSim(sc SimConfig) (*SimResult, error) {
 }
 
 // SimReport wraps the deterministic soak outcome with its self-check:
-// the run is executed at least twice and Deterministic records whether
+// the run is executed simRuns times and Deterministic records whether
 // every repetition produced the same transcript digest. The suite reports
 // a false here as a failed result check — identity under load is a
 // contract, not a statistic.
@@ -221,18 +170,18 @@ type SimReport struct {
 	Deterministic bool
 }
 
-// RunSimChecked runs the deterministic soak `runs` times and reports
+// simRuns is how many times RunSimChecked replays the soak.
+const simRuns = 3
+
+// RunSimChecked runs the deterministic soak simRuns times and reports
 // whether every repetition produced an identical transcript digest.
-func RunSimChecked(sc SimConfig, runs int) (*SimReport, error) {
-	if runs < 2 {
-		runs = 2
-	}
+func RunSimChecked(sc SimConfig) (*SimReport, error) {
 	first, err := RunSim(sc)
 	if err != nil {
 		return nil, err
 	}
-	rep := &SimReport{SimResult: *first, Runs: runs, Deterministic: true}
-	for i := 1; i < runs; i++ {
+	rep := &SimReport{SimResult: *first, Runs: simRuns, Deterministic: true}
+	for i := 1; i < simRuns; i++ {
 		again, err := RunSim(sc)
 		if err != nil {
 			return nil, err

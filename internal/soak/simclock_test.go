@@ -108,14 +108,14 @@ func TestSimSoakQueueingBacklog(t *testing.T) {
 
 // TestRunSimChecked pins the self-check wrapper texbench gates on.
 func TestRunSimChecked(t *testing.T) {
-	rep, err := RunSimChecked(simTestConfig(), 2)
+	rep, err := RunSimChecked(simTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Deterministic {
 		t.Fatal("self-check reported nondeterminism on a deterministic config")
 	}
-	if rep.Runs != 2 || rep.Digest == "" {
+	if rep.Runs != simRuns || rep.Digest == "" {
 		t.Fatalf("sim report incomplete: %+v", rep)
 	}
 }

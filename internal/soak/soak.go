@@ -69,11 +69,14 @@ func UnitCols(rng *rand.Rand, d, n int) *blas.Matrix {
 	return m
 }
 
-// Perturb returns an n-column query whose first columns are noisy copies
-// of ref (so searches find a real match, exercising full ranking).
-func Perturb(rng *rand.Rand, ref *blas.Matrix, n int) *blas.Matrix {
-	q := blas.NewMatrix(ref.Rows, n)
-	for j := 0; j < n; j++ {
+// queryCols is the column count of every Perturb query.
+const queryCols = 32
+
+// Perturb returns a queryCols-column query whose first columns are noisy
+// copies of ref (so searches find a real match, exercising full ranking).
+func Perturb(rng *rand.Rand, ref *blas.Matrix) *blas.Matrix {
+	q := blas.NewMatrix(ref.Rows, queryCols)
+	for j := 0; j < queryCols; j++ {
 		if j < ref.Cols {
 			copy(q.Col(j), ref.Col(j))
 			col := q.Col(j)
@@ -107,7 +110,7 @@ func Features() (refs, queries []*blas.Matrix) {
 	}
 	queries = make([]*blas.Matrix, 64)
 	for i := range queries {
-		queries[i] = Perturb(rng, refs[i%8], 32)
+		queries[i] = Perturb(rng, refs[i%8])
 	}
 	return refs, queries
 }

@@ -9,10 +9,6 @@ import (
 
 // Config controls the SURF extractor.
 type Config struct {
-	// Octaves of the Fast-Hessian pyramid (filter sizes grow per octave).
-	Octaves int
-	// HessianThreshold rejects weak blob responses (images are in [0,1]).
-	HessianThreshold float64
 	// MaxFeatures keeps the strongest keypoints; 0 keeps all.
 	MaxFeatures int
 }
@@ -20,18 +16,21 @@ type Config struct {
 // DefaultConfig mirrors the common OpenCV defaults, adapted to [0,1]
 // pixel range.
 func DefaultConfig() Config {
-	return Config{Octaves: 3, HessianThreshold: 1e-4, MaxFeatures: 768}
+	return Config{MaxFeatures: 768}
 }
+
+// hessianThreshold rejects weak blob responses (images are in [0,1]).
+const hessianThreshold float64 = 1e-4
 
 // DescriptorDim is the SURF descriptor length (4×4 subregions × 4 sums).
 const DescriptorDim = 64
 
-// filter sizes per octave (standard SURF ladder).
+// filter sizes per octave (the first three octaves of the standard SURF
+// ladder; filter sizes grow per octave).
 var octaveFilters = [][]int{
 	{9, 15, 21, 27},
 	{15, 27, 39, 51},
 	{27, 51, 75, 99},
-	{51, 99, 147, 195},
 }
 
 // responseMap holds Fast-Hessian responses for one filter size at one
@@ -87,11 +86,7 @@ func buildResponse(ii *integralImage, L, step int) *responseMap {
 // SURF convention sigma = 1.2·L/9.
 func detect(ii *integralImage, cfg Config) []sift.Keypoint {
 	var kps []sift.Keypoint
-	octaves := cfg.Octaves
-	if octaves > len(octaveFilters) {
-		octaves = len(octaveFilters)
-	}
-	for o := 0; o < octaves; o++ {
+	for o := range octaveFilters {
 		step := 1 << o
 		maps := make([]*responseMap, len(octaveFilters[o]))
 		for i, L := range octaveFilters[o] {
@@ -104,7 +99,7 @@ func detect(ii *integralImage, cfg Config) []sift.Keypoint {
 			for iy := border; iy < m.h-border; iy++ {
 				for ix := border; ix < m.w-border; ix++ {
 					v := m.at(ix, iy)
-					if v < cfg.HessianThreshold {
+					if v < hessianThreshold {
 						continue
 					}
 					if !isMax3x3x3(b, m, t, ix, iy, v) {

@@ -5,41 +5,40 @@ import (
 	"math/rand"
 )
 
+// The procedural texture model: six value-noise octaves for the
+// pressed-leaf base relief, leaf flakes stamped over it, and fibre grain.
+// The float64 ones are typed so that arithmetic on them rounds at each
+// operation, as it did on the GenParams fields they replace.
+const (
+	// noiseOctaves is the number of value-noise octaves for the base relief.
+	noiseOctaves = 6
+	// baseFreq is the lattice frequency of the first octave, in cells per
+	// image side.
+	baseFreq float64 = 6
+	// flakeMin and flakeMax bound the flake semi-major axis in pixels.
+	flakeMin float64 = 1
+	flakeMax float64 = 6
+	// flakeContrast scales the flake albedo deviation from the base.
+	flakeContrast float64 = 0.8
+	// grain is the amplitude of per-pixel fibre grain, the fine detail a
+	// camera resolves on a pressed-leaf surface. Grain is part of the
+	// texture identity (it is generated from the seed), not sensor noise.
+	grain float64 = 0.06
+)
+
 // GenParams controls the procedural texture model.
 type GenParams struct {
 	// Size is the square image side in pixels.
 	Size int
-	// Octaves is the number of value-noise octaves for the base relief.
-	Octaves int
-	// BaseFreq is the lattice frequency of the first octave, in cells per
-	// image side.
-	BaseFreq float64
 	// Flakes is the number of leaf-flake ellipses stamped onto the base.
 	Flakes int
-	// FlakeMin and FlakeMax bound the flake semi-major axis in pixels.
-	FlakeMin, FlakeMax float64
-	// Contrast scales the flake albedo deviation from the base.
-	Contrast float64
-	// Grain is the amplitude of per-pixel fibre grain, the fine detail a
-	// camera resolves on a pressed-leaf surface. Grain is part of the
-	// texture identity (it is generated from the seed), not sensor noise.
-	Grain float64
 }
 
 // DefaultGenParams returns the model used throughout the experiments:
-// a 256×256 texture with five noise octaves and dense leaf flakes, tuned so
-// the SIFT detector finds several hundred keypoints per image.
+// a 256×256 texture with dense leaf flakes, tuned so the SIFT detector
+// finds several hundred keypoints per image.
 func DefaultGenParams() GenParams {
-	return GenParams{
-		Size:     256,
-		Octaves:  6,
-		BaseFreq: 6,
-		Flakes:   2000,
-		FlakeMin: 1,
-		FlakeMax: 6,
-		Contrast: 0.8,
-		Grain:    0.06,
-	}
+	return GenParams{Size: 256, Flakes: 2000}
 }
 
 // hash2 is an integer lattice hash producing a deterministic pseudo-random
@@ -84,9 +83,9 @@ func Generate(seed int64, p GenParams) *Image {
 	for y := 0; y < p.Size; y++ {
 		for x := 0; x < p.Size; x++ {
 			var v, amp, norm float64
-			freq := p.BaseFreq
+			freq := baseFreq
 			amp = 1
-			for o := 0; o < p.Octaves; o++ {
+			for o := 0; o < noiseOctaves; o++ {
 				v += amp * valueNoise(float64(x)/size*freq, float64(y)/size*freq, seed+int64(o)*7919)
 				norm += amp
 				amp *= 0.65
@@ -101,10 +100,10 @@ func Generate(seed int64, p GenParams) *Image {
 	for f := 0; f < p.Flakes; f++ {
 		cx := rng.Float64() * size
 		cy := rng.Float64() * size
-		a := p.FlakeMin + rng.Float64()*(p.FlakeMax-p.FlakeMin) // semi-major
-		b := a * (0.25 + rng.Float64()*0.5)                     // semi-minor
+		a := flakeMin + rng.Float64()*(flakeMax-flakeMin) // semi-major
+		b := a * (0.25 + rng.Float64()*0.5)               // semi-minor
 		theta := rng.Float64() * math.Pi
-		albedo := float32((rng.Float64()*2 - 1) * p.Contrast)
+		albedo := float32((rng.Float64()*2 - 1) * flakeContrast)
 		cosT, sinT := math.Cos(theta), math.Sin(theta)
 
 		x0, x1 := int(cx-a-1), int(cx+a+1)
@@ -131,12 +130,10 @@ func Generate(seed int64, p GenParams) *Image {
 
 	// Fibre grain: seeded per-pixel detail that survives re-capture (it is
 	// resampled by the query warp like any other surface detail).
-	if p.Grain > 0 {
-		for y := 0; y < p.Size; y++ {
-			for x := 0; x < p.Size; x++ {
-				g := hash2(int64(x), int64(y), seed^0x3C6EF372)
-				im.Pix[y*p.Size+x] += float32((g*2 - 1) * p.Grain)
-			}
+	for y := 0; y < p.Size; y++ {
+		for x := 0; x < p.Size; x++ {
+			g := hash2(int64(x), int64(y), seed^0x3C6EF372)
+			im.Pix[y*p.Size+x] += float32((g*2 - 1) * grain)
 		}
 	}
 

@@ -12,6 +12,10 @@
 # accuracy experiments' shape tests on the portable (no-assembly) kernels, SIFT's goldens and tier tests built for
 # GOAMD64=v3, a texbench CLI smoke (a size flag below 1, a negative
 # -jitter and a -difficulty outside [0, 1] each exit 2, an id list runs),
+# a texgen/texeval smoke (a texgen size flag below 1 and a -difficulty
+# outside [0, 1] each exit 2 and write nothing; texeval identifies every
+# query of a small generated dataset in process — its -server mode, which
+# needs a running texsearchd, is not exercised),
 # the portable rows of the measurement suite against
 # BENCH_BASELINE.json from the same texbench binary, a syntax check of scripts/bench.sh (the
 # wall-clock gate) and the doctests of scripts/paired.py (its verdict rule),
@@ -23,7 +27,7 @@
 # against the source importer; nothing is downloaded).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-tmp=$(mktemp -d) # the kernel-tier log, the example binaries and the texbench binary
+tmp=$(mktemp -d) # the kernel-tier log, the example, texbench, texgen and texeval binaries and the smoke dataset
 trap 'rm -rf "$tmp"' EXIT
 
 echo "==> go build"
@@ -177,6 +181,30 @@ for flags in "-refs 0" "-jitter -1" "-difficulty 5"; do
   fi
 done
 "$tmp/texbench" -experiment table1,table3 -markdown >/dev/null
+
+# The dataset pair: texgen's flag checks (an empty dataset or image and a
+# difficulty outside [0, 1] exit 2 before anything is written), then
+# texeval in process over a small generated dataset, which must identify
+# every query.
+echo "==> texgen/texeval smoke"
+go build -o "$tmp/texgen" ./cmd/texgen
+go build -o "$tmp/texeval" ./cmd/texeval
+for flags in "-refs 0" "-queries 0" "-size 0" "-difficulty 5"; do
+  status=0
+  # $flags is unquoted on purpose: it splits into the flag and its value
+  "$tmp/texgen" -out "$tmp/rejected" $flags >/dev/null 2>&1 || status=$?
+  if [[ $status != 2 || -e $tmp/rejected ]]; then
+    echo "check.sh: texgen $flags exited $status (want 2) or wrote output" >&2
+    exit 1
+  fi
+done
+"$tmp/texgen" -out "$tmp/dataset" -refs 4 -queries 3 -size 128 -difficulty 0.3 2>/dev/null
+eval_out=$("$tmp/texeval" -dataset "$tmp/dataset" 2>/dev/null)
+if ! grep -q '^top-1 accuracy: 3/3 ' <<<"$eval_out"; then
+  echo "check.sh: texeval did not identify 3/3 queries:" >&2
+  echo "$eval_out" >&2
+  exit 1
+fi
 
 # Measurement gate, portable half: the sim-clock ops (serving levels, sim
 # soak) and the allocation probes gate on any machine. Fails on lost result

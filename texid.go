@@ -24,7 +24,9 @@
 // that spreads references round-robin over Config.Workers shard GPUs,
 // scatters every search to all of them and merges the answers. One worker
 // (DefaultConfig) is the single-GPU system; the paper serves from 14.
-// Handler mounts the same System behind the REST API.
+// Config{Engine, Workers} is the whole configuration: the extractor is
+// always RootSIFT at the engine's feature budgets. Handler mounts the same
+// System behind the REST API.
 //
 // Quick start:
 //
@@ -75,10 +77,11 @@ var (
 )
 
 // Config configures a System.
+//
+// Features are always RootSIFT (the production pipeline depends on
+// unit-norm features), extracted at the engine's asymmetric budgets:
+// Engine.RefFeatures per reference, Engine.QueryFeatures per query.
 type Config struct {
-	// Extractor configures SIFT; RootSIFT is forced on (the production
-	// pipeline depends on unit-norm features).
-	Extractor sift.Config
 	// Engine configures each worker's device, batching, streams,
 	// precision, cache budgets and match thresholds.
 	Engine engine.Config
@@ -91,9 +94,7 @@ type Config struct {
 // RootSIFT features (384 reference / 768 query, Sec. 7), FP16 storage,
 // batch 256, 8 streams on a P100 with a 64 GB host cache.
 func DefaultConfig() Config {
-	ext := sift.DefaultConfig()
-	ext.RootSIFT = true
-	return Config{Extractor: ext, Engine: engine.DefaultConfig(), Workers: 1}
+	return Config{Engine: engine.DefaultConfig(), Workers: 1}
 }
 
 // System is a texture identification system: a coordinator over
@@ -108,12 +109,11 @@ type System struct {
 
 // Open builds a System from cfg.
 func Open(cfg Config) (*System, error) {
-	cfg.Extractor.RootSIFT = true
 	cl, err := cluster.New(cluster.Config{Workers: cfg.Workers, Engine: cfg.Engine})
 	if err != nil {
 		return nil, err
 	}
-	refCfg, queryCfg := sift.ExtractAsymmetric(cfg.Extractor,
+	refCfg, queryCfg := sift.ExtractAsymmetric(sift.Config{RootSIFT: true},
 		cfg.Engine.RefFeatures, cfg.Engine.QueryFeatures)
 	return &System{cfg: cfg, cl: cl, first: cl.Workers()[0], refCfg: refCfg, queryCfg: queryCfg}, nil
 }

@@ -24,7 +24,6 @@ func smallConfig() Config {
 	cfg.Engine.RefFeatures = 96
 	cfg.Engine.QueryFeatures = 192
 	cfg.Engine.Match.MinMatches = 12
-	cfg.Extractor.MaxOctaves = 4
 	return cfg
 }
 
@@ -328,6 +327,35 @@ func TestOpenRejectsUnusableMatch(t *testing.T) {
 		set(&cfg.Engine.Match)
 		if sys, err := Open(cfg); err == nil || sys != nil || !strings.Contains(err.Error(), field) {
 			t.Errorf("Open with an unusable %s = %v, %v; want an error naming it", field, sys, err)
+		}
+	}
+}
+
+// TestSystemExtractsRootSIFTAtEngineBudgets: a System extracts RootSIFT
+// at its engine's budgets — exactly RefFeatures columns per reference, at
+// most QueryFeatures per query, every column of unit L2 norm.
+func TestSystemExtractsRootSIFTAtEngineBudgets(t *testing.T) {
+	im := GenerateTexture(5)
+	for _, cfg := range []Config{DefaultConfig(), smallConfig()} {
+		sys, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, n := cfg.Engine.RefFeatures, cfg.Engine.QueryFeatures
+		ref, query := sys.ExtractReference(im), sys.ExtractQuery(im)
+		if ref.Descriptors.Cols != m || query.Descriptors.Cols > n {
+			t.Fatalf("%d/%d budgets: extracted %d reference and %d query columns", m, n, ref.Descriptors.Cols, query.Descriptors.Cols)
+		}
+		for _, f := range []*Features{ref, query} {
+			for j := 0; j < f.Descriptors.Cols; j++ {
+				var sum float64
+				for _, v := range f.Descriptors.Col(j) {
+					sum += float64(v) * float64(v)
+				}
+				if math.Abs(math.Sqrt(sum)-1) > 1e-5 {
+					t.Fatalf("%d/%d budgets: column %d has L2 norm %v, want 1", m, n, j, math.Sqrt(sum))
+				}
+			}
 		}
 	}
 }
