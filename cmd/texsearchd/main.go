@@ -63,6 +63,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *batchWindowUS < 0 {
+		log.Print("-batch-window-us must not be negative")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := engine.DefaultConfig()
 	switch *device {

@@ -34,6 +34,12 @@ func hgemmRef(alpha float32, A, B *HalfMatrix, mode AccumMode, C *Matrix) {
 	}
 }
 
+// The smallest positive binary16 normal (2^-14) and subnormal (2^-24).
+var (
+	halfSmallestNormal    = half.FromBits(0x0400)
+	halfSmallestSubnormal = half.FromBits(0x0001)
+)
+
 // fillHalfStress fills h with a deterministic mix of ordinary values and
 // every special the rounding chains can encounter: zeros of both signs,
 // binary16 subnormals, the largest finite half, ±Inf, and magnitudes big
@@ -42,8 +48,8 @@ func hgemmRef(alpha float32, A, B *HalfMatrix, mode AccumMode, C *Matrix) {
 func fillHalfStress(h *HalfMatrix, rng *rand.Rand) {
 	specials := []float32{
 		0, float32(math.Copysign(0, -1)),
-		half.SmallestSubnormal.Float32(), -half.SmallestSubnormal.Float32(),
-		half.SmallestNormal.Float32(),
+		halfSmallestSubnormal.Float32(), -halfSmallestSubnormal.Float32(),
+		halfSmallestNormal.Float32(),
 		half.Max, -half.Max,
 		float32(math.Inf(1)), float32(math.Inf(-1)),
 		5e-5, -5e-5, 1024, -4096,
@@ -249,7 +255,7 @@ func TestHGemmTiersMatch(t *testing.T) {
 				nan++
 			case math.IsInf(d, 0):
 				inf++
-			case d != 0 && d < float64(half.SmallestNormal.Float32()):
+			case d != 0 && d < float64(halfSmallestNormal.Float32()):
 				subnormal++
 			}
 		}

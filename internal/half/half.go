@@ -21,19 +21,6 @@ import "math"
 // assembly kernels rely on.
 type Float16 struct{ bits uint16 }
 
-var (
-	// PositiveInfinity and NegativeInfinity are the binary16 infinities.
-	PositiveInfinity = Float16{0x7C00}
-	NegativeInfinity = Float16{0xFC00}
-
-	// MaxValue is the largest finite binary16 value, 65504.
-	MaxValue = Float16{0x7BFF}
-	// SmallestNormal is the smallest positive normal value, 2^-14.
-	SmallestNormal = Float16{0x0400}
-	// SmallestSubnormal is the smallest positive subnormal value, 2^-24.
-	SmallestSubnormal = Float16{0x0001}
-)
-
 // Max is the largest finite value representable in binary16, as a float32.
 const Max float32 = 65504
 

@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+var (
+	// positiveInfinity and negativeInfinity are the binary16 infinities.
+	positiveInfinity = Float16{0x7C00}
+	negativeInfinity = Float16{0xFC00}
+	// maxValue is the largest finite binary16 value, 65504.
+	maxValue = Float16{0x7BFF}
+)
+
 func TestExactValues(t *testing.T) {
 	cases := []struct {
 		f    float32
@@ -40,16 +48,16 @@ func TestExactValues(t *testing.T) {
 func TestOverflowToInf(t *testing.T) {
 	for _, f := range []float32{65520, 70000, 1e6, 1e30} {
 		h := FromFloat32(f)
-		if h != PositiveInfinity {
+		if h != positiveInfinity {
 			t.Errorf("FromFloat32(%g) = %#04x, want +Inf", f, h)
 		}
-		if h = FromFloat32(-f); h != NegativeInfinity {
+		if h = FromFloat32(-f); h != negativeInfinity {
 			t.Errorf("FromFloat32(%g) = %#04x, want -Inf", -f, h)
 		}
 	}
 	// 65504 is the max finite value; 65519.996 rounds to 65504, 65520 to Inf.
-	if h := FromFloat32(65519); h != MaxValue {
-		t.Errorf("FromFloat32(65519) = %#04x, want MaxValue (round down)", h)
+	if h := FromFloat32(65519); h != maxValue {
+		t.Errorf("FromFloat32(65519) = %#04x, want maxValue (round down)", h)
 	}
 }
 
@@ -158,7 +166,7 @@ func TestDotAccumulationOverflow(t *testing.T) {
 	for i := range v {
 		v[i] = FromFloat32(x)
 	}
-	if got := dot(v, v); got != PositiveInfinity {
+	if got := dot(v, v); got != positiveInfinity {
 		t.Errorf("norm-512 self dot = %v, want +Inf", got.Float32())
 	}
 	// Scaling both vectors by 2^-2 keeps the dot at 262144/16 = 16384,

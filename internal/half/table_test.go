@@ -104,10 +104,10 @@ func TestEncodeBoundaries(t *testing.T) {
 	}
 	// Pin the semantics, not just the equivalence, for the two values the
 	// paper's overflow study leans on.
-	if got := FromFloat32(65504); got != MaxValue {
-		t.Fatalf("FromFloat32(65504) = %#04x, want MaxValue", got)
+	if got := FromFloat32(65504); got != maxValue {
+		t.Fatalf("FromFloat32(65504) = %#04x, want maxValue", got)
 	}
-	if got := FromFloat32(65520); got != PositiveInfinity {
+	if got := FromFloat32(65520); got != positiveInfinity {
 		t.Fatalf("FromFloat32(65520) = %#04x, want +Inf (RNE tie at the overflow boundary)", got)
 	}
 }

@@ -1,8 +1,8 @@
 // Package leakcheck is the goroutine-exit check of the packages that spawn
-// goroutines (kvstore, cluster, soak, texture, bench). Each calls Main from
-// its TestMain: after the package's tests pass, every goroutine they left
-// behind must exit within Deadline, or the test binary fails and prints
-// the survivors' stacks. Two goroutines are process-lifetime by design and
+// goroutines (kvstore, serve, cluster, soak, texture, bench). Each calls
+// Main from its TestMain: after the package's tests pass, every goroutine
+// they left behind must exit within Deadline, or the test binary fails and
+// prints the survivors' stacks. Two goroutines are process-lifetime by design and
 // excepted: blas's pool workers (blas.poolWorker) and the os/signal
 // dispatcher that signal.Notify starts (go test -fuzz uses it).
 package leakcheck

@@ -20,7 +20,7 @@ func allocsDuring(f func()) uint64 {
 
 // TestBatcherSubmitDemuxZeroAlloc pins the freelist contract the
 // probe_serve_submit_demux row of BENCH_BASELINE.json gates: once the pool is warm, a sequential Do round
-// trip (submit → lead → execute → demux → release) performs zero heap
+// trip (submit → wake → execute → demux → release) performs zero heap
 // allocations. Any drift here fails tier-1, not just the opt-in bench.
 func TestBatcherSubmitDemuxZeroAlloc(t *testing.T) {
 	results := make([]int, 1)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -124,9 +125,26 @@ func TestBatcherEdgeWindowZero(t *testing.T) {
 	checkFreelist(t, b)
 }
 
-// TestBatcherEdgeCloseMidGather cancels the leader's gather from the
-// outside: Close lands while a leader is still waiting out its window.
-// The in-flight query must complete normally (Close drains, never
+// waitQueued waits until at least n calls sit in b's queue, i.e. have
+// been submitted and not yet taken into a batch.
+func waitQueued[Q, R any](t *testing.T, b *Batcher[Q, R], n int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(100 * time.Microsecond) {
+		b.mu.Lock()
+		queued := len(b.queue)
+		b.mu.Unlock()
+		if queued >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d calls queued after 1s", queued, n)
+		}
+	}
+}
+
+// TestBatcherEdgeCloseMidGather cancels a gather from the outside: Close
+// lands while the batcher is still waiting out the window of a partial
+// batch. The in-flight query must complete normally (Close drains, never
 // drops), later submissions must fail ErrClosed, and no pooled call may
 // leak or double-recycle.
 func TestBatcherEdgeCloseMidGather(t *testing.T) {
@@ -148,20 +166,8 @@ func TestBatcherEdgeCloseMidGather(t *testing.T) {
 		}
 		done <- err
 	}()
-	// Wait until the Do above has become the window-waiting leader.
-	deadline := time.Now().Add(time.Second)
-	for {
-		b.mu.Lock()
-		leading := b.leading
-		b.mu.Unlock()
-		if leading {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("leader never started gathering")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	// Wait until the Do above is queued: its batch of one is gathering.
+	waitQueued(t, b, 1)
 
 	closed := make(chan struct{})
 	go func() {
@@ -175,7 +181,7 @@ func TestBatcherEdgeCloseMidGather(t *testing.T) {
 	select {
 	case n := <-ran:
 		if n != 1 {
-			t.Fatalf("gathered batch of %d, want the lone leader", n)
+			t.Fatalf("gathered batch of %d, want the lone query", n)
 		}
 	default:
 		t.Fatal("runner never executed the gathered batch")
@@ -286,13 +292,13 @@ func TestBatcherFreelistUnderChurn(t *testing.T) {
 // TestBatcherMuNotHeldAcrossBlockingWaits parks the batcher inside each of
 // its two blocking waits and shows a second caller of mu still returns: a
 // Runner that does not finish until a concurrent Stats has returned, and a
-// leader waiting out a Window it cannot fill alone. Holding mu across
+// gather waiting out a Window one query cannot fill. Holding mu across
 // either would stall every submitter and scraper for a whole batch or
 // window (the Runner case would never finish at all).
 func TestBatcherMuNotHeldAcrossBlockingWaits(t *testing.T) {
 	// returns reports whether f finished within the bound. It fails the
 	// test with t.Errorf, not t.Fatalf, because the Runner row calls it
-	// from the batch leader's goroutine, which must go on to release mu.
+	// from the batcher's goroutine, which must go on to release mu.
 	returns := func(t *testing.T, what string, f func(), within time.Duration) bool {
 		t.Helper()
 		done := make(chan struct{})
@@ -333,16 +339,15 @@ func TestBatcherMuNotHeldAcrossBlockingWaits(t *testing.T) {
 			_, err := b.Do(1)
 			first <- err
 		}()
-		// The first Do leads and waits out the Window for a second query.
-		// Scrape throughout the leader's first 100ms: each Stats must
+		// The first Do's batch waits out the Window for a second query.
+		// Scrape throughout the gather's first 100ms: each Stats must
 		// return long before the Window ends.
 		for start := time.Now(); time.Since(start) < 100*time.Millisecond; time.Sleep(time.Millisecond) {
 			if !returns(t, "Stats during the Window", func() { _ = b.Stats() }, window/4) {
 				return
 			}
 		}
-		// The second query fills the batch and wakes the leader early
-		// (Close then waits out the leader's next, empty, Window).
+		// The second query fills the batch and ends the gather early.
 		returns(t, "the batch", func() {
 			if _, err := b.Do(2); err != nil {
 				t.Error(err)
@@ -388,29 +393,21 @@ func TestBatcherReleaseReuse(t *testing.T) {
 	checkFreelist(t, b)
 }
 
-// TestBatcherLeadNoLostWakeup is a stress row for the leader's fill
-// wake-up. One caller leads for the whole run while two others resubmit as
-// soon as they are answered, so every batch of two is preceded by a leader
-// that looked at a half-full queue and decided to wait; the fill can land
-// anywhere in that decision. A leader that loses the fill's token waits out
-// the whole Window on a full batch, so a non-leading caller's Do takes at
-// least that long. With a long Window no such call may take half of it.
-// The interleaving needs parallel Ps, so the row runs at GOMAXPROCS 4.
+// TestBatcherLeadNoLostWakeup is a stress row for the gather's fill
+// wake-up. Two callers resubmit as soon as they are answered, so every
+// batch of two is preceded by a batcher that looked at a half-full queue
+// and decided to wait; the fill can land anywhere in that decision. A
+// batcher that loses the fill's wake-up waits out the whole Window on a
+// full batch, so a caller's Do takes at least that long. With a long
+// Window no such call may take half of it. The interleaving needs
+// parallel Ps, so the row runs at GOMAXPROCS 4.
 func TestBatcherLeadNoLostWakeup(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const window = 500 * time.Millisecond
 	b := New(func(qs []int) ([]int, error) { return qs, nil }, Options{MaxBatch: 2, Window: window})
 	defer b.Close()
-	go b.Do(0) // the leader for the run
-	for {
-		b.mu.Lock()
-		leading := b.leading
-		b.mu.Unlock()
-		if leading {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	go b.Do(0) // a half-full batch the first resubmitter fills
+	waitQueued(t, b, 1)
 	var stop atomic.Bool
 	var calls atomic.Int64
 	slow := make(chan time.Duration, 2)
@@ -440,6 +437,78 @@ func TestBatcherLeadNoLostWakeup(t *testing.T) {
 	wg.Wait()
 	close(slow)
 	for d := range slow {
-		t.Errorf("a filled batch waited %v (Window %v) after %d calls: the leader lost the fill's wake-up", d, window, calls.Load())
+		t.Errorf("a filled batch waited %v (Window %v) after %d calls: the batcher lost the fill's wake-up", d, window, calls.Load())
+	}
+}
+
+// TestBatcherAnswerWaitsOnlyForItsOwnBatch holds that a Do returns as soon
+// as its own batch has run. The row's calls start one after another, each
+// once the one before it is submitted, and the Runner finishes the first
+// batch only once every call is submitted. In the first row the second
+// call's batch is then held inside the Runner: a Do that went on to run
+// later batches before returning would never answer the first call. In
+// the second row two calls fill the batch at once: a Do that waited out
+// the Window after its batch, for callers that might come, would take the
+// whole second.
+func TestBatcherAnswerWaitsOnlyForItsOwnBatch(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		opts   Options
+		calls  int
+		held   int // the call the Runner holds until the row ends; -1 holds none
+		timed  int // how many of the first calls must return within
+		within time.Duration
+	}{
+		{"LaterBatchHeld", Options{MaxBatch: 1}, 2, 1, 1, time.Second},
+		{"FilledBatch", Options{MaxBatch: 2, Window: time.Second}, 2, -1, 2, 500 * time.Millisecond},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			release := make(chan struct{})
+			var b *Batcher[int, int]
+			b = New(func(qs []int) ([]int, error) {
+				for b.Stats().Submitted < uint64(row.calls) {
+					time.Sleep(100 * time.Microsecond)
+				}
+				if slices.Contains(qs, row.held) {
+					<-release
+				}
+				return qs, nil
+			}, row.opts)
+			defer b.Close()
+
+			took := make(chan time.Duration, row.calls)
+			var wg sync.WaitGroup
+			for i := 0; i < row.calls; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					start := time.Now()
+					if got, err := b.Do(i); err != nil || got != i {
+						t.Errorf("Do(%d) = %d, %v", i, got, err)
+					}
+					if i < row.timed {
+						took <- time.Since(start)
+					}
+				}(i)
+				for b.Stats().Submitted < uint64(i+1) {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			deadline := time.After(2 * row.within)
+		wait:
+			for i := 0; i < row.timed; i++ {
+				select {
+				case d := <-took:
+					if d >= row.within {
+						t.Errorf("a Do took %v, want under %v", d, row.within)
+					}
+				case <-deadline:
+					t.Errorf("%d of %d timed calls returned within %v", i, row.timed, 2*row.within)
+					break wait
+				}
+			}
+			close(release)
+			wg.Wait()
+		})
 	}
 }

@@ -36,8 +36,8 @@ type Result[R any] struct {
 func Coalesce[R any](cfg engine.Config,
 	one func(*blas.Matrix, []sift.Keypoint) (R, error),
 	batch func([]*blas.Matrix, [][]sift.Keypoint) ([]R, error)) Runner[Query, Result[R]] {
-	// Leader-only scatter buffers (the Runner is called by exactly one
-	// goroutine at a time), reused across batches.
+	// Scatter buffers, reused across batches: only the batcher's
+	// goroutine calls the Runner.
 	var feats []*blas.Matrix
 	var kps [][]sift.Keypoint
 

@@ -9,6 +9,11 @@
 // query-batching trade-off be exercised by real concurrent traffic rather
 // than only by pre-assembled batch requests.
 //
+// Each Batcher has one goroutine that owns the batching: callers only
+// queue their query and wait for their own answer, and that goroutine
+// forms the batches, runs them and hands the answers back. No caller ever
+// runs a batch, so no caller's answer waits on a batch it is not in.
+//
 // Determinism contract: coalescing changes only which queries share a
 // GEMM pass, never a query's result — Engine.SearchBatch is pinned
 // bitwise-identical to one-by-one execution, so the batcher inherits
@@ -33,7 +38,9 @@ var ErrClosed = errors.New("serve: batcher closed")
 var errShortBatch = errors.New("serve: runner returned short result batch")
 
 // Runner executes one coalesced batch of queries and returns one result
-// per query, in order. It is called by exactly one goroutine at a time.
+// per query, in order. Only the batcher's own goroutine calls it, one
+// batch at a time. Nothing recovers a panic there: a Runner that panics
+// ends the process.
 type Runner[Q, R any] func(queries []Q) ([]R, error)
 
 // Options configures a Batcher.
@@ -44,12 +51,13 @@ type Options struct {
 	// GEMM efficiency and amortize PCIe streaming of host-resident
 	// reference batches, at the cost of per-query latency.
 	MaxBatch int
-	// Window bounds how long the batch leader waits (wall clock) for the
-	// batch to fill after it starts assembling one. 0 means greedy:
-	// execute immediately with whatever has queued — arrivals during an
-	// execution still coalesce into the next batch (continuous
-	// batching), so under sustained concurrency batches fill without any
-	// added admission delay.
+	// Window bounds how long the batcher's goroutine waits (wall clock)
+	// for a partial batch to fill once its first query is queued; a full
+	// batch runs at once. 0 or less means greedy: execute immediately
+	// with whatever has queued — arrivals during an execution still
+	// coalesce into the next batch (continuous batching), so under
+	// sustained concurrency batches fill without any added admission
+	// delay.
 	Window time.Duration
 }
 
@@ -64,33 +72,32 @@ type call[Q, R any] struct {
 }
 
 // Batcher coalesces concurrent Do calls into batched Runner executions.
-// The zero value is not usable; construct with New.
+// The zero value is not usable; construct with New, and Close it to end
+// its goroutine.
 //
-// The batching discipline is leader-driven: the first submitter whose
-// arrival finds no active leader becomes the leader, optionally waits up
-// to Window for the batch to fill, executes, demultiplexes, and keeps
-// draining the queue until it is empty before resigning. No background
-// goroutine exists while the batcher is idle.
+// New starts the one goroutine that owns the batching (loop): it takes
+// up to MaxBatch queued calls, waits at most Window for a partial batch
+// to fill, runs the Runner with no lock held, and wakes each caller. Do
+// only queues its call, wakes the loop and waits for its own answer.
 type Batcher[Q, R any] struct {
 	run  Runner[Q, R]
 	opts Options
 
-	// mu owns queue, free, leading, closed, created, submitted and
-	// batches. It is never held across the Runner or the Window wait.
-	mu      sync.Mutex
-	idle    sync.Cond // signaled when the leader resigns
-	queue   []*call[Q, R]
-	free    []*call[Q, R]
-	leading bool
-	closed  bool
+	// wake tells the loop the queue grew or Close was called
+	// (buffered(1), best-effort: the loop re-reads the queue on every
+	// wake, so a stale token costs one look and a token sent while one
+	// is pending is not needed).
+	wake chan struct{}
+	// stopped is closed when the loop returns, which it does once Close
+	// has been called and the queue is empty.
+	stopped chan struct{}
 
-	// full wakes a Window-waiting leader early when the queue reaches
-	// MaxBatch (buffered(1); signaled outside mu, best-effort).
-	full chan struct{}
-
-	// Leader-only scatter buffers, reused across batches.
-	batch   []*call[Q, R]
-	queries []Q
+	// mu owns queue, free, closed, created, submitted and batches. It is
+	// never held across the Runner or the Window wait.
+	mu     sync.Mutex
+	queue  []*call[Q, R]
+	free   []*call[Q, R]
+	closed bool
 
 	// created counts call objects ever allocated; when the batcher is
 	// idle every one of them must sit on the freelist, which is the
@@ -102,61 +109,34 @@ type Batcher[Q, R any] struct {
 	batches   uint64
 }
 
-// New builds a Batcher that executes coalesced batches with run.
+// New builds a Batcher that executes coalesced batches with run, and
+// starts its goroutine.
 func New[Q, R any](run Runner[Q, R], opts Options) *Batcher[Q, R] {
 	if opts.MaxBatch < 1 {
 		opts.MaxBatch = 1
 	}
-	if opts.Window < 0 {
-		opts.Window = 0
-	}
 	b := &Batcher[Q, R]{
 		run:     run,
 		opts:    opts,
-		full:    make(chan struct{}, 1),
+		wake:    make(chan struct{}, 1),
+		stopped: make(chan struct{}),
 		queue:   make([]*call[Q, R], 0, opts.MaxBatch),
 		free:    make([]*call[Q, R], 0, opts.MaxBatch),
-		batch:   make([]*call[Q, R], 0, opts.MaxBatch),
-		queries: make([]Q, 0, opts.MaxBatch),
 	}
-	b.idle.L = &b.mu
+	go b.loop()
 	return b
 }
 
 // Do submits one query, waits for the coalesced execution it lands in,
 // and returns its demultiplexed result. Safe for concurrent use.
 func (b *Batcher[Q, R]) Do(query Q) (R, error) {
-	c, lead, signal := b.submit(query)
-	if c == nil {
-		var zero R
-		return zero, ErrClosed
-	}
-	if signal {
-		// The queue just reached MaxBatch: wake a window-waiting leader
-		// early (best-effort; a stale token only shortens one window).
-		select {
-		case b.full <- struct{}{}:
-		default:
-		}
-	}
-	if lead {
-		b.lead()
-	}
-	<-c.done
-	res, err := c.res, c.err
-	b.release(c)
-	return res, err
-}
-
-// submit enqueues a call, electing the caller leader if none is active.
-// It reports whether a window-waiting leader should be woken (the queue
-// just filled to MaxBatch while someone else leads).
-func (b *Batcher[Q, R]) submit(query Q) (c *call[Q, R], lead, signal bool) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, false, false
+		var zero R
+		return zero, ErrClosed
 	}
+	var c *call[Q, R]
 	if n := len(b.free); n > 0 {
 		c = b.free[n-1]
 		b.free[n-1] = nil
@@ -166,21 +146,23 @@ func (b *Batcher[Q, R]) submit(query Q) (c *call[Q, R], lead, signal bool) {
 		b.created++
 	}
 	c.query = query
-	if len(b.queue) == cap(b.queue) {
-		grown := make([]*call[Q, R], len(b.queue), 2*cap(b.queue)+1)
-		copy(grown, b.queue)
-		b.queue = grown
-	}
-	b.queue = b.queue[:len(b.queue)+1]
-	b.queue[len(b.queue)-1] = c
+	b.queue = append(b.queue, c)
 	b.submitted++
-	if !b.leading {
-		b.leading = true
-		lead = true
-	}
-	signal = !lead && len(b.queue) >= b.opts.MaxBatch
 	b.mu.Unlock()
-	return c, lead, signal
+	b.notify()
+
+	<-c.done
+	res, err := c.res, c.err
+	b.release(c)
+	return res, err
+}
+
+// notify wakes the loop without blocking.
+func (b *Batcher[Q, R]) notify() {
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
 }
 
 // release returns a completed call to the freelist. The pooled call must
@@ -191,109 +173,102 @@ func (b *Batcher[Q, R]) release(c *call[Q, R]) {
 	var zeroR R
 	c.query, c.res, c.err = zeroQ, zeroR, nil
 	b.mu.Lock()
-	if len(b.free) == cap(b.free) {
-		grown := make([]*call[Q, R], len(b.free), 2*cap(b.free)+1)
-		copy(grown, b.free)
-		b.free = grown
-	}
-	b.free = b.free[:len(b.free)+1]
-	b.free[len(b.free)-1] = c
+	b.free = append(b.free, c)
 	b.mu.Unlock()
 }
 
-// lead runs the batching loop: wait (bounded) for the batch to fill,
-// collect up to MaxBatch queued calls, execute them as one batch, demux,
-// and repeat until the queue drains.
-func (b *Batcher[Q, R]) lead() {
+// loop is the batcher's goroutine: it waits for a first queued call,
+// gathers a partial batch for at most Window, executes up to MaxBatch
+// calls as one batch and wakes each caller, until Close has been called
+// and the queue is empty.
+func (b *Batcher[Q, R]) loop() {
+	defer close(b.stopped)
+	batch := make([]*call[Q, R], 0, b.opts.MaxBatch)
+	queries := make([]Q, 0, b.opts.MaxBatch)
+	window := time.NewTimer(b.opts.Window) // armed per partial batch by gather
+	if !window.Stop() {
+		<-window.C
+	}
 	for {
-		if b.opts.Window > 0 {
-			// Drain a stale fill token first, then look at the queue: a
-			// query that fills the batch after the look sends a fresh
-			// token the wait below sees. (Looking first lost that token
-			// whenever the fill landed between the look and the drain,
-			// and the leader waited out a whole Window on a full batch.)
-			select {
-			case <-b.full:
-			default:
-			}
-			b.mu.Lock()
-			wait := len(b.queue) < b.opts.MaxBatch
-			b.mu.Unlock()
-			if wait {
-				t := time.NewTimer(b.opts.Window)
-				select {
-				case <-b.full:
-				case <-t.C:
-				}
-				t.Stop()
-			}
-		}
-
 		b.mu.Lock()
-		n := len(b.queue)
-		if n == 0 {
-			b.leading = false
+		for len(b.queue) == 0 {
 			if b.closed {
-				b.idle.Broadcast()
+				b.mu.Unlock()
+				return
 			}
 			b.mu.Unlock()
-			return
+			<-b.wake
+			b.mu.Lock()
 		}
-		if n > b.opts.MaxBatch {
-			n = b.opts.MaxBatch
+		if b.opts.Window > 0 && len(b.queue) < b.opts.MaxBatch && !b.closed {
+			b.mu.Unlock()
+			b.gather(window)
+			b.mu.Lock()
 		}
-		b.batch = append(b.batch[:0], b.queue[:n]...)
+		n := min(len(b.queue), b.opts.MaxBatch)
+		batch = append(batch[:0], b.queue[:n]...)
 		rest := copy(b.queue, b.queue[n:])
-		for i := rest; i < len(b.queue); i++ {
-			b.queue[i] = nil
-		}
+		clear(b.queue[rest:])
 		b.queue = b.queue[:rest]
-		b.queries = b.queries[:0]
-		for _, c := range b.batch {
-			b.queries = append(b.queries, c.query)
-		}
 		b.batches++
 		b.mu.Unlock()
 
-		// Execute with no lock held: submitters keep queueing into the
-		// next batch while this one runs (continuous batching).
-		results, err := b.run(b.queries)
+		// Execute with no lock held: callers keep queueing into the next
+		// batch while this one runs (continuous batching).
+		queries = queries[:0]
+		for _, c := range batch {
+			queries = append(queries, c.query)
+		}
+		results, err := b.run(queries)
 		if err == nil && len(results) < n {
 			err = errShortBatch
 		}
-		b.complete(b.batch, results, err)
+		// Demultiplex: each call gets its own result (or the shared
+		// error). done is buffered with exactly one waiter, so the send
+		// never blocks.
+		for i, c := range batch {
+			if err != nil {
+				c.err = err
+			} else {
+				c.res = results[i]
+			}
+			c.done <- struct{}{}
+		}
+		clear(queries) // retain no caller data past the batch
+	}
+}
 
-		// Avoid retaining caller data past the batch.
-		var zeroQ Q
-		for i := range b.queries {
-			b.queries[i] = zeroQ
+// gather waits until the queue holds MaxBatch calls, Close is called or
+// the Window ends, whichever comes first. window is the loop's one timer,
+// stopped and drained on entry and on return.
+func (b *Batcher[Q, R]) gather(window *time.Timer) {
+	window.Reset(b.opts.Window)
+	for {
+		select {
+		case <-window.C:
+			return
+		case <-b.wake:
+			b.mu.Lock()
+			filled := len(b.queue) >= b.opts.MaxBatch || b.closed
+			b.mu.Unlock()
+			if filled {
+				if !window.Stop() {
+					<-window.C // fired but not received: drain it
+				}
+				return
+			}
 		}
 	}
 }
 
-// complete demultiplexes one executed batch: each call gets its own
-// result (or the shared error) and its waiter is woken. The done channel
-// is buffered with exactly one waiter, so the send never blocks.
-func (b *Batcher[Q, R]) complete(batch []*call[Q, R], results []R, err error) {
-	for i, c := range batch {
-		if err != nil {
-			c.err = err
-		} else {
-			c.res = results[i]
-		}
-		c.done <- struct{}{}
-	}
-}
-
-// Close rejects new submissions and waits for queued work to drain.
-// Outstanding Do calls complete normally.
+// Close rejects new submissions, waits for the queued work to drain and
+// ends the batcher's goroutine. Outstanding Do calls complete normally.
 func (b *Batcher[Q, R]) Close() {
 	b.mu.Lock()
 	b.closed = true
-	for b.leading {
-		b.idle.Wait() // sync.Cond.Wait requires holding mu and releases it while parked
-	}
 	b.mu.Unlock()
+	b.notify()
+	<-b.stopped
 }
 
 // Stats is a point-in-time snapshot of the batcher's admission counters.

@@ -177,7 +177,7 @@ func TestBatcherCoalesces(t *testing.T) {
 	qs := queries(rand.New(rand.NewSource(13)), refs, 16, 32)
 
 	// A generous window plus MaxBatch = number of in-flight queries
-	// forces full coalescing: the leader waits until everyone arrives.
+	// forces full coalescing: the batch waits until everyone arrives.
 	eb := ForEngine(e, Options{MaxBatch: 16, Window: time.Second})
 	defer eb.Close()
 
@@ -197,7 +197,7 @@ func TestBatcherCoalesces(t *testing.T) {
 	if st.Submitted != 16 {
 		t.Fatalf("submitted %d, want 16", st.Submitted)
 	}
-	// The first arrival may lead a batch alone only if the runner starts
+	// The first arrival may run in a batch alone only if the runner starts
 	// before the rest queue; the window makes that overwhelmingly
 	// unlikely, but accept any real coalescing.
 	if st.Batches >= st.Submitted {

@@ -12,6 +12,8 @@
 # accuracy experiments' shape tests on the portable (no-assembly) kernels, SIFT's goldens and tier tests built for
 # GOAMD64=v3, a texbench CLI smoke (a size flag below 1, a negative
 # -jitter and a -difficulty outside [0, 1] each exit 2, an id list runs),
+# a texsearchd CLI smoke (-kvstore-aof without -kvstore embedded and a
+# negative -batch-window-us each exit 2 before anything listens),
 # a texgen/texeval smoke (a texgen size flag below 1 and a -difficulty
 # outside [0, 1] each exit 2 and write nothing; texeval identifies every
 # query of a small generated dataset in process — its -server mode, which
@@ -181,6 +183,22 @@ for flags in "-refs 0" "-jitter -1" "-difficulty 5"; do
   fi
 done
 "$tmp/texbench" -experiment table1,table3 -markdown >/dev/null
+
+# texsearchd's flag checks run before anything listens: an AOF without the
+# embedded store and a negative batch window each exit 2. The timeout
+# turns a check that no longer fires (the daemon would serve) into a
+# failure instead of a hang.
+echo "==> texsearchd CLI smoke"
+go build -o "$tmp/texsearchd" ./cmd/texsearchd
+for flags in "-kvstore-aof $tmp/aof" "-batch-window-us -1"; do
+  status=0
+  # $flags is unquoted on purpose: it splits into the flag and its value
+  timeout 10 "$tmp/texsearchd" -listen 127.0.0.1:0 $flags >/dev/null 2>&1 || status=$?
+  if [[ $status != 2 ]]; then
+    echo "check.sh: texsearchd $flags exited $status, want 2" >&2
+    exit 1
+  fi
+done
 
 # The dataset pair: texgen's flag checks (an empty dataset or image and a
 # difficulty outside [0, 1] exit 2 before anything is written), then
